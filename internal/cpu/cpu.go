@@ -10,10 +10,27 @@
 // to IPC the same way gem5's pipeline does: every extra misprediction
 // costs a squash window, so the ST-vs-unprotected IPC delta tracks the
 // prediction-rate delta.
+//
+// The interval model runs in two passes. A Timeline (NewTimeline,
+// NewSMTTimeline) walks the caches and charges dispatch, instruction-fetch
+// and load-miss cycles; a branch-only replay (RunTimelineCtx,
+// RunSMTTimelineCtx) steps the BPU and adds the misprediction and BTB-miss
+// penalties. The split is exact, not an approximation: every memory-side
+// input — block length and load addresses — comes from recHash, which
+// reads only a record's PC, Target and index, and the SMT interleave is a
+// fixed round-robin, so the cache walk is the same for every BPU model and
+// the two cycle sums simply add. Experiments comparing several predictors
+// on one trace (or SMT pair) therefore build its Timeline once and replay
+// it per model; RunCtx/RunSMTCtx are the one-model shorthand.
+//
+// The stage engine in pipeline.go is deliberately not split: there a
+// misprediction stalls fetch until the branch resolves, which reorders
+// later cache accesses, so its memory side depends on the BPU.
 package cpu
 
 import (
 	"context"
+	"fmt"
 
 	"stbpu/internal/bpu"
 	"stbpu/internal/cache"
@@ -77,31 +94,22 @@ func (r Result) IPC() float64 {
 	return stats.Ratio(r.Instructions, r.Cycles)
 }
 
-// Core is a single simulated OoO core.
+// Core is a single simulated OoO core: a configuration and a BPU model.
+// Its caches live in the Timeline a run replays against.
 type Core struct {
 	cfg Config
-	mem *cache.Hierarchy
 	bpu sim.Model
 }
 
-// New builds a core around a BPU model with a fresh Table IV cache
-// hierarchy.
+// New builds a core around a BPU model.
 func New(cfg Config, bpuModel sim.Model) *Core {
-	return &Core{cfg: cfg, mem: cache.TableIVHierarchy(), bpu: bpuModel}
+	return &Core{cfg: cfg, bpu: bpuModel}
 }
-
-// Hierarchy exposes the cache hierarchy (tests inspect hit rates).
-func (c *Core) Hierarchy() *cache.Hierarchy { return c.mem }
 
 // loadAddr synthesizes a data address for load l of a block with realistic
 // locality: ~90% of accesses fall in a hot 64KB region, ~9% in a warm 1MB
 // region, and the rest sweep the full footprint — giving the L1/L2/LLC hit
-// rates real SPEC workloads exhibit.
-func (c *Core) loadAddr(h uint64, l int) uint64 {
-	return loadAddr(c.cfg.DataFootprint, h, l)
-}
-
-// loadAddr is the shared address synthesizer used by both timing engines.
+// rates real SPEC workloads exhibit. Both timing engines share it.
 func loadAddr(footprint, h uint64, l int) uint64 {
 	x := h>>8 ^ uint64(l)*0x2545f4914f6cdd1d
 	x ^= x >> 31
@@ -130,6 +138,143 @@ func recHash(rec trace.Record, i int) uint64 {
 	return h
 }
 
+// runCheckInterval is how many records (SMT: rounds) the timing loops
+// execute between context checks (mirrors sim.RunCtx).
+const runCheckInterval = 8192
+
+// Timeline is the memory side of one interval-model run: the cycles that
+// cannot depend on the BPU, computed once per (config, traces) and shared
+// read-only by any number of branch replays, concurrently if need be.
+type Timeline struct {
+	cfg     Config
+	smt     bool
+	names   [2]string
+	records [2]int
+
+	// Instructions is the dynamic instruction count per thread (a solo
+	// timeline uses only thread 0).
+	Instructions [2]uint64
+	// DispatchCycles issue each block at core width, ICacheCycles are
+	// instruction-fetch miss stalls, and DCacheCycles are load-miss stalls
+	// beyond the reorder-buffer overlap window. An SMT timeline charges
+	// them to the shared clock.
+	DispatchCycles, ICacheCycles, DCacheCycles uint64
+}
+
+// Cycles returns every cycle the run spends outside branch penalties.
+func (t *Timeline) Cycles() uint64 {
+	return t.DispatchCycles + t.ICacheCycles + t.DCacheCycles
+}
+
+// charge walks record i of a trace through mem and returns the
+// instructions it retires: its block plus the branch itself.
+func (t *Timeline) charge(mem *cache.Hierarchy, rec trace.Record, i int, robOverlap uint64) uint64 {
+	h := recHash(rec, i)
+	block := 1 + int(h%uint64(2*t.cfg.InstrPerBranch)) // mean ≈ IPB
+
+	// Dispatch the block at core width.
+	t.DispatchCycles += uint64((block + t.cfg.Width - 1) / t.cfg.Width)
+
+	// Instruction fetch misses stall the front end.
+	if il := mem.AccessInstr(rec.PC); il > 4 {
+		t.ICacheCycles += uint64(il) / 2 // partially pipelined fetch
+	}
+
+	// Loads: long-latency misses are hidden up to the ROB fill time;
+	// consecutive misses in the same block overlap (MLP 2).
+	nLoads := int(float64(block) * t.cfg.LoadFrac)
+	for l := 0; l < nLoads; l++ {
+		if lat := uint64(mem.AccessData(loadAddr(t.cfg.DataFootprint, h, l))); lat > robOverlap {
+			t.DCacheCycles += (lat - robOverlap) / 2
+		}
+	}
+	return uint64(block) + 1
+}
+
+// NewTimeline walks tr through a fresh Table IV cache hierarchy under
+// cfg. It aborts with ctx.Err() when the context is canceled mid-trace.
+func NewTimeline(ctx context.Context, cfg Config, tr *trace.Trace) (*Timeline, error) {
+	t := &Timeline{cfg: cfg, names: [2]string{tr.Name}, records: [2]int{len(tr.Records)}}
+	mem := cache.TableIVHierarchy()
+	robOverlap := uint64(cfg.ROB / cfg.Width)
+	for i, rec := range tr.Records {
+		if i%runCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		t.Instructions[0] += t.charge(mem, rec, i, robOverlap)
+	}
+	return t, nil
+}
+
+// NewSMTTimeline is NewTimeline for two threads co-running on one core:
+// their records interleave in the SMT order (smtOrder) through one shared
+// hierarchy, and load misses hide only behind each thread's half of the
+// reorder buffer.
+func NewSMTTimeline(ctx context.Context, cfg Config, a, b *trace.Trace) (*Timeline, error) {
+	t := &Timeline{cfg: cfg, smt: true,
+		names: [2]string{a.Name, b.Name}, records: [2]int{len(a.Records), len(b.Records)}}
+	mem := cache.TableIVHierarchy()
+	robOverlap := uint64(cfg.ROB / cfg.Width / 2) // window shared by threads
+	traces := [2]*trace.Trace{a, b}
+	if err := smtOrder(ctx, t.records, func(th, i int) {
+		t.Instructions[th] += t.charge(mem, traces[th].Records[i], i, robOverlap)
+	}); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// smtOrder is the fixed SMT interleave both passes share: records
+// alternate round-robin between the threads (ICOUNT-style fairness), a
+// drained thread is skipped, and ctx is checked every runCheckInterval
+// rounds.
+func smtOrder(ctx context.Context, n [2]int, fn func(thread, i int)) error {
+	for i := 0; i < max(n[0], n[1]); i++ {
+		if i%runCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		for th := 0; th < 2; th++ {
+			if i < n[th] {
+				fn(th, i)
+			}
+		}
+	}
+	return nil
+}
+
+// check rejects replaying t against a core configuration or traces it
+// was not built from.
+func (t *Timeline) check(cfg Config, smt bool, trs ...*trace.Trace) error {
+	if t.cfg != cfg {
+		return fmt.Errorf("cpu: timeline built for config %+v, core has %+v", t.cfg, cfg)
+	}
+	if t.smt != smt {
+		return fmt.Errorf("cpu: timeline smt=%v replayed with smt=%v", t.smt, smt)
+	}
+	for i, tr := range trs {
+		if tr.Name != t.names[i] || len(tr.Records) != t.records[i] {
+			return fmt.Errorf("cpu: timeline thread %d built from %s (%d records), replayed with %s (%d records)",
+				i, t.names[i], t.records[i], tr.Name, len(tr.Records))
+		}
+	}
+	return nil
+}
+
+// penalty is the front-end cost of one branch outcome.
+func (c *Core) penalty(ev bpu.Events) uint64 {
+	if ev.Mispredict {
+		return uint64(c.cfg.MispredictPenalty)
+	}
+	if ev.BTBMiss {
+		return uint64(c.cfg.BTBMissPenalty)
+	}
+	return 0
+}
+
 // Run executes a trace through the core and returns timing + branch
 // statistics.
 func (c *Core) Run(tr *trace.Trace) Result {
@@ -137,61 +282,39 @@ func (c *Core) Run(tr *trace.Trace) Result {
 	return res
 }
 
-// runCheckInterval is how many records the timing loops execute between
-// context checks (mirrors sim.RunCtx).
-const runCheckInterval = 8192
-
 // RunCtx is Run with cancellation: it aborts with ctx.Err() when the
 // context is canceled mid-trace.
 func (c *Core) RunCtx(ctx context.Context, tr *trace.Trace) (Result, error) {
-	res := Result{Workload: tr.Name, Model: c.bpu.Name()}
-	var cycles, instrs uint64
-	robOverlap := uint64(c.cfg.ROB / c.cfg.Width)
+	tl, err := NewTimeline(ctx, c.cfg, tr)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.RunTimelineCtx(ctx, tl, tr)
+}
 
+// RunTimelineCtx steps the core's BPU over tr and adds its branch
+// penalties to tl, which must come from NewTimeline with the core's
+// configuration and the same trace. It aborts with ctx.Err() when the
+// context is canceled mid-trace.
+func (c *Core) RunTimelineCtx(ctx context.Context, tl *Timeline, tr *trace.Trace) (Result, error) {
+	if err := tl.check(c.cfg, false, tr); err != nil {
+		return Result{}, err
+	}
+	res := Result{Workload: tr.Name, Model: c.bpu.Name(), Instructions: tl.Instructions[0]}
+	cycles := tl.Cycles()
 	for i, rec := range tr.Records {
 		if i%runCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		h := recHash(rec, i)
-		block := 1 + int(h%uint64(2*c.cfg.InstrPerBranch)) // mean ≈ IPB
-		instrs += uint64(block) + 1                        // block + the branch
-
-		// Dispatch the block at core width.
-		cycles += uint64((block + c.cfg.Width - 1) / c.cfg.Width)
-
-		// Instruction fetch misses stall the front end.
-		il := c.mem.AccessInstr(rec.PC)
-		if il > 4 {
-			cycles += uint64(il) / 2 // partially pipelined fetch
-		}
-
-		// Loads: long-latency misses are hidden up to the ROB fill time;
-		// consecutive misses in the same block overlap (MLP 2).
-		nLoads := int(float64(block) * c.cfg.LoadFrac)
-		pendingStall := uint64(0)
-		for l := 0; l < nLoads; l++ {
-			lat := uint64(c.mem.AccessData(c.loadAddr(h, l)))
-			if lat > robOverlap {
-				pendingStall += (lat - robOverlap) / 2 // MLP overlap
-			}
-		}
-		cycles += pendingStall
-
-		// The branch itself.
 		_, ev := c.bpu.Step(rec)
 		accountBranch(&res.Branch, ev)
-		if ev.Mispredict {
-			cycles += uint64(c.cfg.MispredictPenalty)
-		} else if ev.BTBMiss {
-			cycles += uint64(c.cfg.BTBMissPenalty)
-		}
+		cycles += c.penalty(ev)
 	}
 	res.Branch.Model = c.bpu.Name()
 	res.Branch.Workload = tr.Name
 	res.Branch.Records = len(tr.Records)
-	res.Instructions = instrs
 	res.Cycles = cycles
 	return res, nil
 }
@@ -227,67 +350,45 @@ func (c *Core) RunSMT(a, b *trace.Trace) SMTResult {
 // RunSMTCtx is RunSMT with cancellation: it aborts with ctx.Err() when the
 // context is canceled mid-co-run.
 func (c *Core) RunSMTCtx(ctx context.Context, a, b *trace.Trace) (SMTResult, error) {
+	tl, err := NewSMTTimeline(ctx, c.cfg, a, b)
+	if err != nil {
+		return SMTResult{}, err
+	}
+	return c.RunSMTTimelineCtx(ctx, tl, a, b)
+}
+
+// RunSMTTimelineCtx is RunTimelineCtx for an SMT co-run: tl must come
+// from NewSMTTimeline with the core's configuration and the same pair.
+// It aborts with ctx.Err() when the context is canceled mid-co-run.
+func (c *Core) RunSMTTimelineCtx(ctx context.Context, tl *Timeline, a, b *trace.Trace) (SMTResult, error) {
+	if err := tl.check(c.cfg, true, a, b); err != nil {
+		return SMTResult{}, err
+	}
 	res := SMTResult{Workloads: [2]string{a.Name, b.Name}, Model: c.bpu.Name()}
-	res.PerThread[0] = Result{Workload: a.Name, Model: c.bpu.Name()}
-	res.PerThread[1] = Result{Workload: b.Name, Model: c.bpu.Name()}
-	robOverlap := uint64(c.cfg.ROB / c.cfg.Width / 2) // window shared by threads
-
 	traces := [2]*trace.Trace{a, b}
-	idx := [2]int{}
-	var cycles, rounds uint64
-	for idx[0] < len(a.Records) || idx[1] < len(b.Records) {
-		if rounds%runCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return SMTResult{}, err
-			}
+	cycles := tl.Cycles()
+	if err := smtOrder(ctx, tl.records, func(th, i int) {
+		rec := traces[th].Records[i]
+		// SMT threads must not collide in the token table: offset
+		// thread 1's PIDs into a disjoint range.
+		if th == 1 {
+			rec.PID += 1 << 16
+			rec.Program += 1 << 12
 		}
-		rounds++
-		for t := 0; t < 2; t++ {
-			tr := traces[t]
-			if idx[t] >= len(tr.Records) {
-				continue
-			}
-			rec := tr.Records[idx[t]]
-			// SMT threads must not collide in the token table: offset
-			// thread 1's PIDs into a disjoint range.
-			if t == 1 {
-				rec.PID += 1 << 16
-				rec.Program += 1 << 12
-			}
-			i := idx[t]
-			idx[t]++
-
-			h := recHash(rec, i)
-			block := 1 + int(h%uint64(2*c.cfg.InstrPerBranch))
-			th := &res.PerThread[t]
-			th.Instructions += uint64(block) + 1
-
-			cycles += uint64((block + c.cfg.Width - 1) / c.cfg.Width)
-			il := c.mem.AccessInstr(rec.PC)
-			if il > 4 {
-				cycles += uint64(il) / 2
-			}
-			nLoads := int(float64(block) * c.cfg.LoadFrac)
-			for l := 0; l < nLoads; l++ {
-				lat := uint64(c.mem.AccessData(c.loadAddr(h, l)))
-				if lat > robOverlap {
-					cycles += (lat - robOverlap) / 2
-				}
-			}
-			_, ev := c.bpu.Step(rec)
-			accountBranch(&th.Branch, ev)
-			if ev.Mispredict {
-				cycles += uint64(c.cfg.MispredictPenalty)
-			} else if ev.BTBMiss {
-				cycles += uint64(c.cfg.BTBMissPenalty)
-			}
-		}
+		_, ev := c.bpu.Step(rec)
+		accountBranch(&res.PerThread[th].Branch, ev)
+		cycles += c.penalty(ev)
+	}); err != nil {
+		return SMTResult{}, err
 	}
 	res.Cycles = cycles
-	res.PerThread[0].Cycles = cycles
-	res.PerThread[1].Cycles = cycles
-	res.PerThread[0].Branch.Records = len(a.Records)
-	res.PerThread[1].Branch.Records = len(b.Records)
+	for th, tr := range traces {
+		res.PerThread[th].Workload = tr.Name
+		res.PerThread[th].Model = c.bpu.Name()
+		res.PerThread[th].Instructions = tl.Instructions[th]
+		res.PerThread[th].Cycles = cycles
+		res.PerThread[th].Branch.Records = len(tr.Records)
+	}
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -149,6 +150,32 @@ func BenchmarkCoreRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		New(TableIVConfig(), baselineModel(core.DirSKLCond)).Run(tr)
+	}
+}
+
+func BenchmarkTimeline(b *testing.B) {
+	tr := genTrace(b, "505.mcf", 50_000)
+	cfg := TableIVConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTimeline(context.Background(), cfg, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRunTimeline(b *testing.B) {
+	tr := genTrace(b, "505.mcf", 50_000)
+	cfg := TableIVConfig()
+	tl, err := NewTimeline(context.Background(), cfg, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg, baselineModel(core.DirSKLCond)).RunTimelineCtx(context.Background(), tl, tr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -56,6 +56,28 @@ func capList[T any](xs []T, n int) []T {
 	return xs
 }
 
+// memo computes a value shared by several cells at most once per scenario
+// run: the cycle model's memory timeline of a workload or SMT pair, which
+// every predictor's cell replays, and Fig. 6's unprotected baseline. The
+// value is a deterministic function of the cells' common inputs, so
+// whichever cell arrives first computes it and results stay
+// worker-count-independent. The memo is per-Run-invocation: under a
+// subprocess backend each worker batch re-runs the decomposition and so
+// recomputes the entries its cells touch — duplicated work on the same
+// deterministic inputs, never a result difference (the same trade-off as
+// worker-local trace generation; see internal/tracestore/doc.go).
+type memo[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+// get returns the memoized value, computing it with f on first call.
+func (m *memo[T]) get(f func() (T, error)) (T, error) {
+	m.once.Do(func() { m.val, m.err = f() })
+	return m.val, m.err
+}
+
 // Workload traces come from the pool's shared tracestore.Store: one
 // (workload, records) trace is generated once and shared read-only across
 // every cell of every scenario in the run, with deduplicated generation
@@ -187,17 +209,17 @@ type Fig4Result struct {
 	Avg [4]Fig4Cell
 }
 
-// runPair runs one workload through the unprotected and ST variants of a
-// predictor on the CPU model.
-func runPair(ctx context.Context, tr *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
+// runPair replays one workload's memory timeline through the unprotected
+// and ST variants of a predictor on the CPU model.
+func runPair(ctx context.Context, tl *cpu.Timeline, tr *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
 	cfg := cpu.ConfigFor(tr.Name)
 	base, err := cpu.New(cfg, &sim.UnitModel{
-		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunCtx(ctx, tr)
+		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunTimelineCtx(ctx, tl, tr)
 	if err != nil {
 		return Fig4Cell{}, err
 	}
 	st, err := cpu.New(cfg, &sim.STBPUModel{
-		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunCtx(ctx, tr)
+		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunTimelineCtx(ctx, tl, tr)
 	if err != nil {
 		return Fig4Cell{}, err
 	}
@@ -214,13 +236,15 @@ func RunFig4(s Scale) (Fig4Result, error) {
 }
 
 // RunFig4Ctx regenerates Fig. 4 on the given pool, sharding
-// (workload × predictor) cells.
+// (workload × predictor) cells. A workload's memory timeline is shared by
+// its predictor cells.
 func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4Result, error) {
 	s := scaleOf(p)
 	names := capList(trace.SPEC18(), s.MaxWorkloads)
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
+	timelines := make([]memo[*cpu.Timeline], len(names))
 	cells, err := harness.Map(ctx, pool, "fig4", len(names)*d,
 		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
 			w, di := shard/d, shard%d
@@ -228,7 +252,13 @@ func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4
 			if err != nil {
 				return Fig4Cell{}, err
 			}
-			return runPair(ctx, tr, dirs[di], seed)
+			tl, err := timelines[w].get(func() (*cpu.Timeline, error) {
+				return cpu.NewTimeline(ctx, cpu.ConfigFor(tr.Name), tr)
+			})
+			if err != nil {
+				return Fig4Cell{}, err
+			}
+			return runPair(ctx, tl, tr, dirs[di], seed)
 		})
 	if err != nil {
 		return Fig4Result{}, err
@@ -298,16 +328,17 @@ type Fig5Result struct {
 	Avg  [4]Fig4Cell
 }
 
-// runSMTPair compares unprotected vs ST for one predictor on a pair.
-func runSMTPair(ctx context.Context, a, b *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
+// runSMTPair compares unprotected vs ST for one predictor on a pair,
+// replaying the pair's SMT memory timeline.
+func runSMTPair(ctx context.Context, tl *cpu.Timeline, a, b *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
 	cfg := cpu.ConfigFor(a.Name) // pair co-runs share one core configuration
 	base, err := cpu.New(cfg, &sim.UnitModel{
-		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunSMTCtx(ctx, a, b)
+		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunSMTTimelineCtx(ctx, tl, a, b)
 	if err != nil {
 		return Fig4Cell{}, err
 	}
 	st, err := cpu.New(cfg, &sim.STBPUModel{
-		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunSMTCtx(ctx, a, b)
+		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunSMTTimelineCtx(ctx, tl, a, b)
 	if err != nil {
 		return Fig4Cell{}, err
 	}
@@ -328,13 +359,15 @@ func RunFig5(s Scale) (Fig5Result, error) {
 }
 
 // RunFig5Ctx regenerates Fig. 5 on the given pool, sharding
-// (pair × predictor) cells.
+// (pair × predictor) cells. A pair's SMT memory timeline is shared by its
+// predictor cells.
 func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5Result, error) {
 	s := scaleOf(p)
 	pairs := capList(trace.SMTPairs(), s.MaxPairs)
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
+	timelines := make([]memo[*cpu.Timeline], len(pairs))
 	cells, err := harness.Map(ctx, pool, "fig5", len(pairs)*d,
 		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
 			pi, di := shard/d, shard%d
@@ -346,7 +379,13 @@ func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5
 			if err != nil {
 				return Fig4Cell{}, err
 			}
-			return runSMTPair(ctx, a, b, dirs[di], seed)
+			tl, err := timelines[pi].get(func() (*cpu.Timeline, error) {
+				return cpu.NewSMTTimeline(ctx, cpu.ConfigFor(a.Name), a, b)
+			})
+			if err != nil {
+				return Fig4Cell{}, err
+			}
+			return runSMTPair(ctx, tl, a, b, dirs[di], seed)
 		})
 	if err != nil {
 		return Fig5Result{}, err
@@ -417,21 +456,14 @@ func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6
 	pairs := capList(trace.SMTPairsExtended(), s.MaxPairs)
 	cache := pool.Traces()
 	np := len(pairs)
-	// The unprotected TAGE64 baseline depends only on the pair, not on r,
-	// so it is simulated once per pair and shared across the sweep (it is
-	// deterministic, so first-arrival computation keeps results
-	// worker-count-independent). The memo is per-Run-invocation: under a
-	// subprocess backend each worker batch re-runs the decomposition and
-	// so re-simulates the baselines its cells touch — duplicated work on
-	// the same deterministic inputs, never a result difference (the same
-	// trade-off as worker-local trace generation; see
-	// internal/tracestore/doc.go).
-	type baselineEntry struct {
-		once sync.Once
-		ipc  float64
-		err  error
+	// The pair's SMT memory timeline and its unprotected TAGE64 baseline
+	// depend only on the pair, not on r, so both are computed once per
+	// pair and shared across the sweep.
+	type pairBase struct {
+		tl  *cpu.Timeline
+		ipc float64
 	}
-	baselines := make([]baselineEntry, np)
+	bases := make([]memo[pairBase], np)
 	cells, err := harness.Map(ctx, pool, "fig6", len(rs)*np,
 		func(ctx context.Context, shard int, seed uint64) (fig6Cell, error) {
 			ri, pi := shard/np, shard%np
@@ -445,21 +477,23 @@ func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6
 			}
 			th := token.Derive(rs[ri])
 			cfg := cpu.ConfigFor(a.Name)
-			bl := &baselines[pi]
-			bl.once.Do(func() {
-				base, err := cpu.New(cfg, &sim.UnitModel{
-					ModelName: "TAGE64", Unit: core.NewUnprotectedUnit(core.DirTAGE64)}).RunSMTCtx(ctx, a, b)
+			pb, err := bases[pi].get(func() (pairBase, error) {
+				tl, err := cpu.NewSMTTimeline(ctx, cfg, a, b)
 				if err != nil {
-					bl.err = err
-					return
+					return pairBase{}, err
 				}
-				bl.ipc = base.HarmonicMeanIPC()
+				base, err := cpu.New(cfg, &sim.UnitModel{
+					ModelName: "TAGE64", Unit: core.NewUnprotectedUnit(core.DirTAGE64)}).RunSMTTimelineCtx(ctx, tl, a, b)
+				if err != nil {
+					return pairBase{}, err
+				}
+				return pairBase{tl: tl, ipc: base.HarmonicMeanIPC()}, nil
 			})
-			if bl.err != nil {
-				return fig6Cell{}, bl.err
+			if err != nil {
+				return fig6Cell{}, err
 			}
 			stModel := core.NewModel(core.ModelConfig{Dir: core.DirTAGE64, Thresholds: &th, Seed: seed})
-			st, err := cpu.New(cfg, &sim.STBPUModel{Inner: stModel}).RunSMTCtx(ctx, a, b)
+			st, err := cpu.New(cfg, &sim.STBPUModel{Inner: stModel}).RunSMTTimelineCtx(ctx, pb.tl, a, b)
 			if err != nil {
 				return fig6Cell{}, err
 			}
@@ -468,7 +502,7 @@ func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6
 			total := uint64(st.PerThread[0].Branch.Records + st.PerThread[1].Branch.Records)
 			return fig6Cell{
 				Acc:     1 - float64(misp)/float64(total),
-				IPC:     st.HarmonicMeanIPC() / bl.ipc,
+				IPC:     st.HarmonicMeanIPC() / pb.ipc,
 				Rerands: stModel.Rerandomizations(),
 			}, nil
 		})
