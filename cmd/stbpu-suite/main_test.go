@@ -345,7 +345,8 @@ func TestSnapshotsOffMatchesOn(t *testing.T) {
 // every restore must come off disk — without that, its own puts would
 // satisfy the gets from memory and the disk path would go untested.
 // All runs, plus a full-replay run, must be byte-identical modulo store
-// counters.
+// counters. A trace-major rerun re-puts every boundary checkpoint, but the
+// bytes are already on disk, so it must write no spill at all.
 func TestSnapDirSecondRunHitsDisk(t *testing.T) {
 	dir := t.TempDir()
 	cfg := snapConfig()
@@ -357,6 +358,14 @@ func TestSnapDirSecondRunHitsDisk(t *testing.T) {
 	}
 	if st := first.SnapStore; st.DiskWrites == 0 {
 		t.Fatalf("first run spilled no checkpoints: %+v", st)
+	}
+
+	rerun, err := runSuite(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rerun.SnapStore; st.Puts == 0 || st.DiskWrites != 0 || st.DiskErrors != 0 {
+		t.Fatalf("trace-major rerun rewrote unchanged spills: %+v", st)
 	}
 
 	warm := snapConfig()
@@ -379,9 +388,13 @@ func TestSnapDirSecondRunHitsDisk(t *testing.T) {
 	}
 
 	normalizePlacement(&first)
+	normalizePlacement(&rerun)
 	normalizePlacement(&second)
 	normalizePlacement(&replay)
 	ref := docBytes(t, first)
+	if !bytes.Equal(ref, docBytes(t, rerun)) {
+		t.Error("trace-major rerun diverges from the spilling run")
+	}
 	if !bytes.Equal(ref, docBytes(t, second)) {
 		t.Error("disk-restored run diverges from the spilling run")
 	}

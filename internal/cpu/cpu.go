@@ -264,7 +264,12 @@ func (t *Timeline) check(cfg Config, smt bool, trs ...*trace.Trace) error {
 	return nil
 }
 
-// penalty is the front-end cost of one branch outcome.
+// penalty is the front-end cost of one branch outcome. The BTBMiss branch
+// never fires for the models the figures run: bpu.Unit.Update reports a
+// BTB miss only for a taken branch with no valid target, which is always
+// a target mispredict. Fig. 4-6 cycles are therefore exactly the
+// timeline's plus MispredictPenalty per mispredict
+// (TestBTBMissAlwaysMispredicts).
 func (c *Core) penalty(ev bpu.Events) uint64 {
 	if ev.Mispredict {
 		return uint64(c.cfg.MispredictPenalty)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"stbpu/internal/bpu"
 	"stbpu/internal/cache"
 	"stbpu/internal/core"
 	"stbpu/internal/sim"
@@ -269,5 +270,81 @@ func TestTimelineRejectsMismatchedReplay(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: replay accepted a mismatched timeline", name)
 		}
+	}
+}
+
+// btbMissCheck wraps a model and fails the test on any step that reports
+// a BTB miss without a misprediction.
+type btbMissCheck struct {
+	sim.Model
+	t      *testing.T
+	misses *uint64
+}
+
+func (c btbMissCheck) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
+	p, ev := c.Model.Step(rec)
+	if ev.BTBMiss {
+		*c.misses++
+		if !ev.Mispredict {
+			c.t.Errorf("%s: BTB miss without a mispredict at pc %#x", c.Model.Name(), rec.PC)
+		}
+	}
+	return p, ev
+}
+
+// TestBTBMissAlwaysMispredicts pins the invariant behind penalty: a BTB
+// miss (a taken branch with no valid target) is always a target
+// mispredict, so BTBMissPenalty never applies and interval-model cycles
+// are exactly the timeline's plus MispredictPenalty per mispredict. It
+// covers the Fig. 3 kinds and the Fig. 4 lineup, solo and as SMT co-runs,
+// where thread 1's records carry offset PIDs.
+func TestBTBMissAlwaysMispredicts(t *testing.T) {
+	ctx := context.Background()
+	lineup := func(misses *uint64) []sim.Model {
+		ms := equivalenceModels()
+		for _, k := range sim.Fig3Kinds() {
+			ms = append(ms, sim.New(k, sim.Options{Seed: 41}))
+		}
+		for i, m := range ms {
+			ms[i] = btbMissCheck{Model: m, t: t, misses: misses}
+		}
+		return ms
+	}
+	pairs := [][2]string{trace.SMTPairs()[0], {"mysql_128con_50s", "505.mcf"}, {"519.lbm", "548.exchange2"}}
+	var misses uint64
+	for _, p := range pairs {
+		a, b := genTrace(t, p[0], 4_000), genTrace(t, p[1], 3_000)
+		cfg := ConfigFor(a.Name)
+		pen := uint64(cfg.MispredictPenalty)
+		solo, err := NewTimeline(ctx, cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smt, err := NewSMTTimeline(ctx, cfg, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range lineup(&misses) {
+			res, err := New(cfg, m).RunTimelineCtx(ctx, solo, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := solo.Cycles() + pen*res.Branch.Mispredicts; res.Cycles != want {
+				t.Errorf("%s on %s: cycles %d, want timeline + mispredicts × penalty = %d", m.Name(), a.Name, res.Cycles, want)
+			}
+		}
+		for _, m := range lineup(&misses) {
+			res, err := New(cfg, m).RunSMTTimelineCtx(ctx, smt, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp := res.PerThread[0].Branch.Mispredicts + res.PerThread[1].Branch.Mispredicts
+			if want := smt.Cycles() + pen*mp; res.Cycles != want {
+				t.Errorf("%s on %s+%s: cycles %d, want timeline + mispredicts × penalty = %d", m.Name(), a.Name, b.Name, res.Cycles, want)
+			}
+		}
+	}
+	if misses == 0 {
+		t.Fatal("no run reported a BTB miss; the invariant was never exercised")
 	}
 }

@@ -94,3 +94,33 @@ func BenchmarkPhaseWarmup(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSpillUnchanged times a Put whose checkpoint is already on disk
+// — what every boundary of a warm trace-major rerun on a shared -snap-dir
+// does. The spill compares the file and writes nothing; replacing it
+// instead would pay a temp-file fsync and a rename over an existing name
+// per put.
+func BenchmarkSpillUnchanged(b *testing.B) {
+	cols, opt, bounds := phaseFixture(b)
+	m := sim.New(sim.KindSTBPU, opt).(sim.Snapshotter)
+	if _, err := sim.RunColumnsCtx(context.Background(), m, cols.Slice(0, bounds[1])); err != nil {
+		b.Fatal(err)
+	}
+	k := snapstore.Key{Model: sim.Fingerprint(sim.KindSTBPU, opt), Workload: cols.Name, Records: cols.Len(), Offset: bounds[1]}
+	data := m.EncodeState()
+	snaps := snapstore.New(0)
+	if err := snaps.SetDir(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	snaps.Put(k, data)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snaps.Put(k, data)
+	}
+	b.StopTimer()
+	if st := snaps.Stats(); st.DiskWrites != 1 || st.DiskErrors != 0 {
+		b.Fatalf("unchanged puts touched the disk: %+v", st)
+	}
+}

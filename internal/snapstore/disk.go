@@ -8,20 +8,23 @@
 package snapstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
+
+	"stbpu/internal/spill"
 )
 
 // SetDir enables the persistent checkpoint tier rooted at dir (creating
-// it if needed); an empty dir disables the tier. Spills are atomic
-// (temp-file-plus-rename) and durable (file fsynced before the rename,
-// directory fsynced after), exactly like the trace tier — concurrent
-// processes sharing the directory never observe a partial file, and a
-// crash cannot publish a torn one.
+// it if needed); an empty dir disables the tier. Spills go through
+// spill.Write like the trace tier's, so they are atomic and durable —
+// concurrent processes sharing the directory never observe a partial
+// file, and a crash cannot publish a torn one — and a put whose bytes
+// are already on disk writes nothing.
 func (s *Store) SetDir(dir string) error {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -48,22 +51,7 @@ func (s *Store) diskPath(k Key) string {
 	s.mu.Lock()
 	dir := s.dir
 	s.mu.Unlock()
-	return filepath.Join(dir, fmt.Sprintf("%s-%016x@%d+%d.snap", sanitizeWorkload(k.Workload), h.Sum64(), k.Records, k.Offset))
-}
-
-// sanitizeWorkload maps a workload name onto the filename-safe alphabet
-// spill names use. The output contains no glob metacharacters, so it is
-// safe to embed in a Prefetch pattern.
-func sanitizeWorkload(workload string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, workload)
+	return filepath.Join(dir, fmt.Sprintf("%s-%016x@%d+%d.snap", spill.Sanitize(k.Workload), h.Sum64(), k.Records, k.Offset))
 }
 
 // prefetchBudgetBytes bounds how much spill data one Prefetch pulls
@@ -86,7 +74,7 @@ func (s *Store) Prefetch(workload string) {
 		return
 	}
 	go func() {
-		matches, err := filepath.Glob(filepath.Join(dir, sanitizeWorkload(workload)+"-*.snap"))
+		matches, err := filepath.Glob(filepath.Join(dir, spill.Sanitize(workload)+"-*.snap"))
 		if err != nil {
 			return
 		}
@@ -120,76 +108,39 @@ func (s *Store) loadDisk(k Key) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	header := len(snapMagic) + 16
-	if len(raw) < header || string(raw[:len(snapMagic)]) != string(snapMagic) {
-		s.noteDiskError()
-		return nil, false
-	}
-	n := binary.LittleEndian.Uint64(raw[len(snapMagic):])
-	sum := binary.LittleEndian.Uint64(raw[len(snapMagic)+8:])
-	payload := raw[header:]
-	if uint64(len(payload)) != n {
-		s.noteDiskError()
-		return nil, false
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != sum {
+	n := len(snapMagic) + 16
+	if len(raw) < n || !bytes.Equal(raw[:n], spillHeader(raw[n:])) {
 		s.noteDiskError()
 		return nil, false
 	}
 	s.mu.Lock()
 	s.diskHits++
 	s.mu.Unlock()
-	return payload, true
+	return raw[n:], true
 }
 
-// spill writes the checkpoint to the tier atomically and durably.
-// Failures are best-effort: the snapshot is already resident, so a full
-// disk costs only the persistence, not the run.
+// spill writes the checkpoint to the tier atomically and durably
+// (spill.Write), unless the spill file already holds exactly these
+// bytes. Checkpoints are a pure function of their key, so a warm run
+// re-putting every boundary would otherwise replace each file with an
+// identical copy, and renaming over an existing name is the slow case of
+// rename(2). The whole file is compared, not just the header, so payload
+// rot under an intact header is still rewritten and healed. Failures are
+// best-effort: the snapshot is already resident, so a full disk costs
+// only the persistence, not the run.
 func (s *Store) spill(k Key, data []byte) {
-	s.mu.Lock()
-	dir := s.dir
-	s.mu.Unlock()
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		s.noteDiskError()
+	header := spillHeader(data)
+	path := s.diskPath(k)
+	if holds(path, header, data) {
 		return
 	}
-	var header [16]byte
-	binary.LittleEndian.PutUint64(header[:8], uint64(len(data)))
-	h := fnv.New64a()
-	h.Write(data)
-	binary.LittleEndian.PutUint64(header[8:], h.Sum64())
-	_, err = tmp.Write(snapMagic)
-	if err == nil {
-		_, err = tmp.Write(header[:])
-	}
-	if err == nil {
-		_, err = tmp.Write(data)
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.diskPath(k)); err != nil {
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := syncDir(dir); err != nil {
-		// Content durable, rename visible; only the rename's durability
-		// is in doubt. Count it, keep the file.
+	if err := spill.Write(path, func(w io.Writer) error {
+		if _, err := w.Write(header); err != nil {
+			return err
+		}
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		s.noteDiskError()
 		return
 	}
@@ -198,14 +149,23 @@ func (s *Store) spill(k Key, data []byte) {
 	s.mu.Unlock()
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+// spillHeader is the header a spill of data carries: the magic, the
+// payload length, and the payload's FNV-64a digest.
+func spillHeader(data []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(data)
+	header := append([]byte(nil), snapMagic...)
+	header = binary.LittleEndian.AppendUint64(header, uint64(len(data)))
+	return binary.LittleEndian.AppendUint64(header, sum.Sum64())
+}
+
+// holds reports whether the file at path is exactly header followed by
+// data. Any read problem reports false and sends the caller down the
+// write path.
+func holds(path string, header, data []byte) bool {
+	raw, err := os.ReadFile(path)
+	return err == nil && len(raw) == len(header)+len(data) &&
+		bytes.Equal(raw[:len(header)], header) && bytes.Equal(raw[len(header):], data)
 }
 
 func (s *Store) noteDiskError() {

@@ -54,7 +54,8 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 	// DiskHits counts misses satisfied by a spilled checkpoint file;
 	// DiskMisses counts misses that found no usable spill; DiskWrites
-	// counts checkpoints spilled; DiskErrors counts unreadable/corrupt
+	// counts spill files actually written (a put whose bytes are already
+	// on disk writes none); DiskErrors counts unreadable/corrupt
 	// spills and failed writes (all fall back gracefully, never failing
 	// a lookup).
 	DiskHits   uint64 `json:"disk_hits,omitempty"`

@@ -149,6 +149,9 @@ func TestDiskTierRejectsCorruptSpills(t *testing.T) {
 			c[len(c)-1] ^= 0xff
 			return c
 		}(),
+		// Header intact, payload one byte short: only a whole-file
+		// comparison tells it from the spill a put would write.
+		"truncated-payload": raw[:len(raw)-1],
 		"bad-length": func() []byte {
 			c := append([]byte(nil), raw...)
 			binary.LittleEndian.PutUint64(c[len(snapMagic):], 1<<40)
@@ -172,6 +175,9 @@ func TestDiskTierRejectsCorruptSpills(t *testing.T) {
 			}
 			// A subsequent Put overwrites the bad file and heals the tier.
 			fresh.Put(key("m", 7), []byte("good bytes"))
+			if st := fresh.Stats(); st.DiskWrites != 1 {
+				t.Errorf("corrupt spill not rewritten: %+v", st)
+			}
 			again := New(1 << 20)
 			if err := again.SetDir(dir); err != nil {
 				t.Fatal(err)
@@ -179,7 +185,62 @@ func TestDiskTierRejectsCorruptSpills(t *testing.T) {
 			if got, ok := again.Get(key("m", 7)); !ok || string(got) != "good bytes" {
 				t.Fatalf("healed spill unreadable: %q, %v", got, ok)
 			}
+			if st := again.Stats(); st.DiskHits != 1 {
+				t.Errorf("healed spill not served from disk: %+v", st)
+			}
 		})
+	}
+}
+
+// TestPutOntoIdenticalSpillWritesNothing pins the write-if-changed rule:
+// a put whose bytes are already on disk — a warm run re-putting a
+// checkpoint an earlier process spilled — leaves the file alone, while a
+// different payload under the same key still replaces it.
+func TestPutOntoIdenticalSpillWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	primer := New(1 << 20)
+	if err := primer.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("warm state "), 20_000)
+	primer.Put(key("m", 3), data)
+	path := primer.diskPath(key("m", 3))
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := New(1 << 20)
+	if err := warm.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	warm.Put(key("m", 3), append([]byte(nil), data...))
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("identical put replaced the spill file")
+	}
+	if st := warm.Stats(); st.Puts != 1 || st.DiskWrites != 0 || st.DiskErrors != 0 {
+		t.Errorf("identical put stats = %+v, want 1 put and no disk write", st)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory holds %d entries (%v), want only the spill", len(entries), err)
+	}
+
+	changed := append([]byte(nil), data...)
+	changed[len(changed)/2] ^= 1
+	warm.Put(key("m", 3), changed)
+	if st := warm.Stats(); st.DiskWrites != 1 {
+		t.Errorf("changed payload not rewritten: %+v", st)
+	}
+	reader := New(1 << 20)
+	if err := reader.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reader.Get(key("m", 3)); !ok || !bytes.Equal(got, changed) {
+		t.Error("rewritten spill does not hold the new payload")
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"stbpu/internal/spill"
 	"stbpu/internal/trace"
 )
 
@@ -59,16 +60,7 @@ func (s *Store) diskDir() string {
 func (s *Store) diskPath(k Key) string {
 	h := fnv.New32a()
 	h.Write([]byte(k.Name))
-	sanitized := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, k.Name)
-	return filepath.Join(s.diskDir(), fmt.Sprintf("%s-%08x@%d.stbt", sanitized, h.Sum32(), k.Records))
+	return filepath.Join(s.diskDir(), fmt.Sprintf("%s-%08x@%d.stbt", spill.Sanitize(k.Name), h.Sum32(), k.Records))
 }
 
 // loadDisk tries to satisfy a miss from the spill file, decoding
@@ -103,22 +95,11 @@ func (s *Store) loadDisk(k Key) (*trace.Columns, bool) {
 	return cols, true
 }
 
-// spill writes the columns to the tier atomically and durably.
-// Failures are best-effort by design — the trace is already resident,
-// so a full disk or read-only directory costs only the persistence, not
-// the run. Durability is not optional, though: the rename is only
-// atomic against concurrent readers, not against power loss, so the
-// file is fsynced before the rename (otherwise a crash can publish a
-// zero-length or torn STBT under the final name) and the directory is
-// fsynced after it (otherwise the rename itself may not survive, and a
-// later run pays to re-validate a file that silently reverted).
+// spill writes the columns to the tier atomically and durably
+// (spill.Write). Failures are best-effort by design — the trace is
+// already resident, so a full disk or read-only directory costs only the
+// persistence, not the run.
 func (s *Store) spill(k Key, cols *trace.Columns) {
-	dir := s.diskDir()
-	tmp, err := os.CreateTemp(dir, ".spill-*")
-	if err != nil {
-		s.noteDiskError()
-		return
-	}
 	// Mapped mode spills the page-aligned v2 layout so the next run can
 	// mmap it; otherwise the compact v1 delta stream (~3-4x smaller).
 	// Readers accept both, so mixed-mode runs sharing a directory
@@ -127,47 +108,13 @@ func (s *Store) spill(k Key, cols *trace.Columns) {
 	if s.isMapped() && mmapSupported {
 		write = trace.WriteColumnsMapped
 	}
-	if err := write(tmp, cols); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.diskPath(k)); err != nil {
-		os.Remove(tmp.Name())
-		s.noteDiskError()
-		return
-	}
-	if err := syncDir(dir); err != nil {
-		// The file content is durable and the rename visible; only the
-		// rename's durability is in doubt. Count it, keep the file.
+	if err := spill.Write(s.diskPath(k), func(w io.Writer) error { return write(w, cols) }); err != nil {
 		s.noteDiskError()
 		return
 	}
 	s.mu.Lock()
 	s.diskWrites++
 	s.mu.Unlock()
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 func (s *Store) noteDiskError() {

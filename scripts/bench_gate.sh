@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Perf-trend gate: run the replay-path, predictor, trace-generator,
-# CPU-timing-model, and wire-codec micro-benchmarks, write BENCH_12.json (benchmark -> ns/op,
+# CPU-timing-model, and wire-codec micro-benchmarks, write BENCH_13.json (benchmark -> ns/op,
 # allocs/op), and fail when a metric regresses against the committed
 # baseline. Fleet benchmarks (harness/FleetWarm*) are recorded for trend
 # visibility but never threshold-gated: they time a live 2-worker TCP
 # fleet, where scheduler and network jitter dwarfs any micro-regression.
 #
 # usage: scripts/bench_gate.sh [-update]
-#   -update    rewrite BENCH_12.json as the new baseline and skip the gate
+#   -update    rewrite BENCH_13.json as the new baseline and skip the gate
 #
 # env knobs:
 #   BENCH_GATE_BENCHTIME        go test -benchtime (default 0.3s)
@@ -37,7 +37,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_12.json
+OUT=BENCH_13.json
 BENCHTIME="${BENCH_GATE_BENCHTIME:-0.3s}"
 COUNT="${BENCH_GATE_COUNT:-3}"
 NS_THR="${BENCH_GATE_NS_THRESHOLD:-0.10}"
