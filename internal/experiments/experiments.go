@@ -63,9 +63,14 @@ func capList[T any](xs []T, n int) []T {
 // whichever cell arrives first computes it and results stay
 // worker-count-independent. The memo is per-Run-invocation: under a
 // subprocess backend each worker batch re-runs the decomposition and so
-// recomputes the entries its cells touch — duplicated work on the same
-// deterministic inputs, never a result difference (the same trade-off as
-// worker-local trace generation; see internal/tracestore/doc.go).
+// recomputes the entries its cells touch. The cells sharing an entry
+// carry one locality key (harness.WithLocality), and the exec backend
+// ships a key's cells as one batch, so there each entry is still
+// computed once; the remote fleet cuts a key's cells into smaller
+// chunks, and a split group recomputes its entry per chunk —
+// duplicated work on the same deterministic inputs, never a result
+// difference (the same trade-off as worker-local trace generation; see
+// internal/tracestore/doc.go).
 type memo[T any] struct {
 	once sync.Once
 	val  T
@@ -245,6 +250,7 @@ func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4
 	cache := pool.Traces()
 	d := len(dirs)
 	timelines := make([]memo[*cpu.Timeline], len(names))
+	ctx = harness.WithLocality(ctx, "fig4", func(shard int) string { return harness.Locality(names[shard/d], s.Records) })
 	cells, err := harness.Map(ctx, pool, "fig4", len(names)*d,
 		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
 			w, di := shard/d, shard%d
@@ -368,6 +374,9 @@ func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5
 	cache := pool.Traces()
 	d := len(dirs)
 	timelines := make([]memo[*cpu.Timeline], len(pairs))
+	ctx = harness.WithLocality(ctx, "fig5", func(shard int) string {
+		return harness.PairLocality(pairs[shard/d][0], pairs[shard/d][1], s.Records)
+	})
 	cells, err := harness.Map(ctx, pool, "fig5", len(pairs)*d,
 		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
 			pi, di := shard/d, shard%d
@@ -464,6 +473,9 @@ func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6
 		ipc float64
 	}
 	bases := make([]memo[pairBase], np)
+	ctx = harness.WithLocality(ctx, "fig6", func(shard int) string {
+		return harness.PairLocality(pairs[shard%np][0], pairs[shard%np][1], s.Records)
+	})
 	cells, err := harness.Map(ctx, pool, "fig6", len(rs)*np,
 		func(ctx context.Context, shard int, seed uint64) (fig6Cell, error) {
 			ri, pi := shard/np, shard%np

@@ -45,10 +45,12 @@ type CellSpec struct {
 	// RootSeed is the pool's root seed, from which workers re-derive Seed.
 	RootSeed uint64 `json:"root_seed"`
 	// Locality names the warm artifact (trace columns, snapshots) the
-	// cell replays — "workload@records" for trace-major groups, empty
-	// otherwise. Pure scheduling metadata: locality-aware backends route
-	// cells sharing a key to the worker that last held the artifact, and
-	// prefetch hints carry upcoming keys; results never depend on it.
+	// cell replays — "workload@records" for one trace, "a+b@records"
+	// for an SMT pair (see PairLocality), empty when unlabeled. Pure
+	// scheduling metadata: wire backends never put two keys in one
+	// chunk (exec ships a key's cells as one chunk, remote routes them
+	// to the worker that last held the artifact and names upcoming keys
+	// in prefetch hints); results never depend on it.
 	Locality string `json:"locality,omitempty"`
 
 	// fn is the in-process cell function. It never crosses the wire;
@@ -563,4 +565,44 @@ func (m *MultiBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 // nearly-sorted data.
 func sortResultsByShard(rs []CellResult) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Shard < rs[j].Shard })
+}
+
+// chunksPerWorker is how many size-cut chunks per worker a wire
+// coordinator splits a batch into: small enough that fast workers pull
+// more of them and late joiners find work, large enough that the
+// per-frame cost stays negligible next to the cells.
+const chunksPerWorker = 4
+
+// localityChunks cuts a batch into the dispatch chunks of a wire
+// coordinator with the given worker count. Chunks never span two
+// locality keys, and keys come out in first-appearance order (specs
+// arrive in shard order, so the cut is stable). Unlabeled cells are cut
+// into chunks of about len(specs)/(workers*chunksPerWorker) cells. A
+// labeled group is cut the same way when splitGroups is set
+// (RemoteBackend: small chunks keep steals and late joiners effective,
+// and affinity routes a key's chunks to one home); otherwise it ships
+// whole (ExecBackend: one worker builds the group's traces, timelines
+// and baselines once).
+func localityChunks(specs []CellSpec, workers int, splitGroups bool) [][]CellSpec {
+	size := max(1, (len(specs)+workers*chunksPerWorker-1)/(workers*chunksPerWorker))
+	order := make([]string, 0, 8)
+	byLoc := map[string][]CellSpec{}
+	for _, s := range specs {
+		if _, ok := byLoc[s.Locality]; !ok {
+			order = append(order, s.Locality)
+		}
+		byLoc[s.Locality] = append(byLoc[s.Locality], s)
+	}
+	var chunks [][]CellSpec
+	for _, loc := range order {
+		group := byLoc[loc]
+		step := size
+		if loc != "" && !splitGroups {
+			step = len(group)
+		}
+		for off := 0; off < len(group); off += step {
+			chunks = append(chunks, group[off:min(off+step, len(group))])
+		}
+	}
+	return chunks
 }

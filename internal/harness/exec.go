@@ -19,7 +19,9 @@ package harness
 // coordinator's store is not consulted for remote cells, so a trace may
 // be generated once per worker instead of once per run — deterministic
 // generation keeps results identical, at the cost of duplicated
-// generation work (see internal/tracestore's package comment).
+// generation work (see internal/tracestore's package comment). Run
+// keeps that duplication per group, not per chunk: every locality group
+// ships whole to one worker.
 
 import (
 	"bufio"
@@ -55,11 +57,7 @@ type execHello struct {
 type workerRequest struct {
 	// Hello, when set, makes this a handshake frame (no cells).
 	Hello *execHello `json:"hello,omitempty"`
-	// Prefetch carries locality keys (see Locality) of upcoming chunks
-	// so the worker can overlap trace/snapshot loads with this batch's
-	// compute. Advisory: ignoring it never changes results.
-	Prefetch []string   `json:"prefetch,omitempty"`
-	Cells    []CellSpec `json:"cells"`
+	Cells []CellSpec `json:"cells"`
 }
 
 // workerResponse is one worker → coordinator frame. Err reports a
@@ -113,10 +111,6 @@ func readJSONFrame(r io.Reader, v any) (int, error) {
 
 // ---------------------------------------------------------------------------
 // Coordinator side.
-
-// execChunkTarget is how many chunks per worker a batch splits into, so
-// fast workers can steal from slow ones without per-cell round-trips.
-const execChunkTarget = 4
 
 // ExecBackend executes cells on a fleet of subprocess workers speaking
 // the length-prefixed JSON protocol. Workers are spawned lazily on the
@@ -211,7 +205,10 @@ func (b *ExecBackend) ensureStarted() ([]*execWorker, error) {
 
 // Run implements Backend: the batch splits into chunks pulled by the
 // worker fleet; a dead or misbehaving worker fails the whole batch with
-// a root-caused error (MultiBackend can then requeue it elsewhere).
+// a root-caused error (MultiBackend can then requeue it elsewhere). A
+// locality group (see Locality) is one chunk, so the traces, timelines
+// and baselines its cells share are built once, on one worker;
+// unlabeled cells are cut by size (see localityChunks).
 func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
 	start := time.Now()
 	defer func() { b.wallNS.Add(int64(time.Since(start))) }()
@@ -223,21 +220,12 @@ func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, 
 		return nil, err
 	}
 
-	chunkSize := (len(specs) + len(procs)*execChunkTarget - 1) / (len(procs) * execChunkTarget)
-	if chunkSize < 1 {
-		chunkSize = 1
+	chunks := localityChunks(specs, len(procs), false)
+	queue := make(chan []CellSpec, len(chunks))
+	for _, c := range chunks {
+		queue <- c
 	}
-	// An indexed queue instead of a channel: popping a chunk also peeks
-	// at what is still queued, so each request can carry a prefetch hint
-	// for the next locality the fleet will need.
-	queue := &execQueue{}
-	for off := 0; off < len(specs); off += chunkSize {
-		end := off + chunkSize
-		if end > len(specs) {
-			end = len(specs)
-		}
-		queue.chunks = append(queue.chunks, specs[off:end])
-	}
+	close(queue)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -256,12 +244,11 @@ func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, 
 		wg.Add(1)
 		go func(w *execWorker) {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				chunk, prefetch := queue.pop()
-				if chunk == nil {
+			for chunk := range queue {
+				if ctx.Err() != nil {
 					return
 				}
-				results, err := w.roundTrip(ctx, chunk, prefetch)
+				results, err := w.roundTrip(ctx, chunk)
 				if err != nil {
 					mu.Lock()
 					if firstEr == nil {
@@ -317,38 +304,6 @@ func (b *ExecBackend) Close() error {
 		}
 	}
 	return first
-}
-
-// execQueue hands out batch chunks in order; pop also derives the
-// prefetch hint for the request that will carry the chunk.
-type execQueue struct {
-	mu     sync.Mutex
-	chunks [][]CellSpec
-	next   int
-}
-
-// pop returns the next chunk plus the locality key of the first later
-// queued chunk whose key differs from this chunk's — the artifact the
-// fleet will need next, worth warming during this chunk's compute.
-// Consecutive chunks usually share a key (Map emits shard order and
-// trace-major groups are contiguous), so the hint is empty for most
-// pops and each distinct key is hinted roughly once per transition.
-func (q *execQueue) pop() (chunk []CellSpec, prefetch []string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.next >= len(q.chunks) {
-		return nil, nil
-	}
-	chunk = q.chunks[q.next]
-	q.next++
-	cur := chunk[0].Locality
-	for i := q.next; i < len(q.chunks); i++ {
-		if loc := q.chunks[i][0].Locality; loc != "" && loc != cur {
-			prefetch = []string{loc}
-			break
-		}
-	}
-	return chunk, prefetch
 }
 
 // execWorker is one subprocess speaking the frame protocol. A worker
@@ -431,7 +386,7 @@ func (w *execWorker) handshake() error {
 // writeRequest frames req in the session's negotiated codec.
 func (w *execWorker) writeRequest(req workerRequest) error {
 	if w.codec == wireCodecBinary {
-		payload := encodeWireMsg(&wireMsg{kind: wireKindWork, cells: req.Cells, prefetch: req.Prefetch})
+		payload := encodeWireMsg(&wireMsg{kind: wireKindWork, cells: req.Cells})
 		w.stats.count(w.codec, len(payload))
 		return writeRawFrame(w.in, payload)
 	}
@@ -467,7 +422,7 @@ func (w *execWorker) readResponse(resp *workerResponse) error {
 // failure marks the worker dead and returns a root-caused error carrying
 // the worker's exit state and recent stderr, so a killed subprocess
 // surfaces as a diagnosis instead of a hang.
-func (w *execWorker) roundTrip(ctx context.Context, chunk []CellSpec, prefetch []string) ([]CellResult, error) {
+func (w *execWorker) roundTrip(ctx context.Context, chunk []CellSpec) ([]CellResult, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead.Load() {
@@ -482,7 +437,7 @@ func (w *execWorker) roundTrip(ctx context.Context, chunk []CellSpec, prefetch [
 	go func() {
 		var o outcome
 		if o.err = w.handshake(); o.err == nil {
-			if o.err = w.writeRequest(workerRequest{Cells: chunk, Prefetch: prefetch}); o.err == nil {
+			if o.err = w.writeRequest(workerRequest{Cells: chunk}); o.err == nil {
 				o.err = w.readResponse(&o.resp)
 			}
 		}
@@ -695,23 +650,27 @@ func cellEnvFor(opts WorkerOptions, store *tracestore.Store, snaps *snapstore.St
 	}
 }
 
-// prefetch starts background warmup of the stores for upcoming
-// locality keys: trace columns materialize via the tracestore's
-// singleflight entry (so a later GetColumns joins rather than
-// duplicates the work) and matching snapshot spills are pulled into
-// the page cache. Advisory and asynchronous — results never depend on
-// it.
+// prefetch starts background warmup of the stores for the locality
+// keys of a remote work frame's hints: trace columns materialize via
+// the tracestore's singleflight entry (so a later GetColumns joins
+// rather than duplicates the work) and matching snapshot spills are
+// pulled into the page cache. A pair key warms both of its traces.
+// Hints arrive from another process, so a name that is no workload is
+// skipped rather than handed to the store to fail generating.
+// Advisory and asynchronous — results never depend on it.
 func (env cellEnv) prefetch(keys []string) {
 	for _, k := range keys {
-		name, records, ok := SplitLocality(k)
-		if !ok {
-			continue
-		}
-		if env.store != nil {
-			env.store.Prefetch(name, records)
-		}
-		if env.snaps != nil {
-			env.snaps.Prefetch(name)
+		for _, tk := range localityTraces(k) {
+			name, records, _ := SplitLocality(tk)
+			if _, err := tracestore.PresetProfile(name, records); err != nil {
+				continue
+			}
+			if env.store != nil {
+				env.store.Prefetch(name, records)
+			}
+			if env.snaps != nil {
+				env.snaps.Prefetch(name)
+			}
 		}
 	}
 }
@@ -749,7 +708,7 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 			if err != nil {
 				return fmt.Errorf("worker: decode request: %w", err)
 			}
-			req.Cells, req.Prefetch = m.cells, m.prefetch
+			req.Cells = m.cells
 		} else if err := json.Unmarshal(payload, &req); err != nil {
 			return fmt.Errorf("worker: read request: %w", err)
 		}
@@ -765,9 +724,6 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 				return fmt.Errorf("worker: flush hello response: %w", err)
 			}
 			continue
-		}
-		if len(req.Prefetch) > 0 {
-			env.prefetch(req.Prefetch)
 		}
 
 		var resp workerResponse

@@ -23,6 +23,7 @@ import (
 const (
 	workerEnvVar         = "STBPU_HARNESS_TEST_WORKER"
 	workerTraceDirEnvVar = "STBPU_HARNESS_TEST_TRACEDIR"
+	workerLogEnvVar      = "STBPU_HARNESS_TEST_REQUEST_LOG"
 )
 
 // wireCell is a cell payload exercising float/uint64 wire fidelity.
@@ -160,6 +161,43 @@ func TestMain(m *testing.M) {
 				os.Exit(3)
 			}
 			served++
+			resp := workerResponse{}
+			if results, err := ExecuteCells(context.Background(), req.Cells, 1, nil); err != nil {
+				resp.Err = err.Error()
+			} else {
+				resp.Results = results
+			}
+			if err := writeFrame(os.Stdout, resp); err != nil {
+				os.Exit(1)
+			}
+		}
+	case "log":
+		// A JSON-only worker that appends one line per work request to
+		// the file named by workerLogEnvVar — the locality key of each
+		// cell in the request — so tests can see how the coordinator cut
+		// its batch. The hello frame reads as an empty batch, as on an
+		// old worker.
+		registerExecScenarios()
+		logFile, err := os.OpenFile(os.Getenv(workerLogEnvVar), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "worker:", err)
+			os.Exit(1)
+		}
+		for {
+			var req workerRequest
+			if err := readFrame(os.Stdin, &req); err != nil {
+				os.Exit(0)
+			}
+			if len(req.Cells) > 0 {
+				keys := make([]string, len(req.Cells))
+				for i, c := range req.Cells {
+					keys[i] = c.Locality
+				}
+				line, _ := json.Marshal(keys)
+				if _, err := logFile.Write(append(line, '\n')); err != nil {
+					os.Exit(1)
+				}
+			}
 			resp := workerResponse{}
 			if results, err := ExecuteCells(context.Background(), req.Cells, 1, nil); err != nil {
 				resp.Err = err.Error()
@@ -562,5 +600,62 @@ func TestExecWorkerSharesTraceDir(t *testing.T) {
 	second := runTrace(t, pool2)
 	if !bytes.Equal(local, second) {
 		t.Error("spill-served worker results diverge from local")
+	}
+}
+
+// TestExecSendsEachLocalityGroupWhole: _exec-group's keys alternate
+// shard by shard, so no group's cells are contiguous. The exec
+// coordinator must still ship each key's cells in a single request and
+// never mix two keys in one, with results identical to local.
+func TestExecSendsEachLocalityGroupWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	params := Params{Trials: 12, Records: 2_000}
+	run := func(pool *Pool) []byte {
+		t.Helper()
+		reports, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-group"}, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustJSON(t, reports)
+	}
+	local := run(NewPool(2, 4242))
+
+	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
+	backend := newTestExecBackend(t, 2, "log")
+	backend.Env = append(backend.Env, workerLogEnvVar+"="+logPath)
+	pool := NewPool(2, 4242)
+	pool.SetBackend(backend)
+	if !bytes.Equal(local, run(pool)) {
+		t.Error("grouped exec results diverge from local")
+	}
+
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := map[string]int{} // key → requests carrying it
+	cells := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var keys []string
+		if err := json.Unmarshal([]byte(line), &keys); err != nil {
+			t.Fatalf("request log line %q: %v", line, err)
+		}
+		for _, k := range keys {
+			if k != keys[0] {
+				t.Errorf("one request mixes keys %q and %q", keys[0], k)
+			}
+		}
+		requests[keys[0]]++
+		cells += len(keys)
+	}
+	if cells != params.Trials || len(requests) != 2 {
+		t.Fatalf("requests carried %d cells under keys %v, want %d cells under 2 keys", cells, requests, params.Trials)
+	}
+	for k, n := range requests {
+		if n != 1 {
+			t.Errorf("key %q arrived in %d requests, want 1", k, n)
+		}
 	}
 }

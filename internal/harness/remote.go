@@ -49,9 +49,6 @@ import (
 const (
 	// remoteProtoVersion gates the hello/welcome handshake.
 	remoteProtoVersion = 1
-	// remoteChunkTarget is how many chunks per live worker a batch
-	// splits into; small chunks keep late joiners and steals effective.
-	remoteChunkTarget = 4
 	// remoteMaxChunkAttempts bounds how often one chunk may be
 	// (re)dispatched before the run fails — a chunk that keeps killing
 	// workers or erroring is reported, not retried forever.
@@ -880,36 +877,12 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 		b.mu.Unlock()
 		return nil, errors.New("remote backend is closed")
 	}
-	live := len(b.fleet)
-	if live < 1 {
-		live = 1
-	}
-	chunkSize := (len(specs) + live*remoteChunkTarget - 1) / (live * remoteChunkTarget)
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-	// Chunks group by locality key (first-appearance order — specs
-	// arrive in shard order, so this is stable and results merge
-	// identically) and never span two keys: affinity routing then has
-	// clean units to place, and a chunk's cells always share their warm
-	// artifacts.
-	order := make([]string, 0, 8)
-	byLoc := map[string][]CellSpec{}
-	for _, s := range specs {
-		if _, ok := byLoc[s.Locality]; !ok {
-			order = append(order, s.Locality)
-		}
-		byLoc[s.Locality] = append(byLoc[s.Locality], s)
-	}
-	for _, loc := range order {
-		group := byLoc[loc]
-		for off := 0; off < len(group); off += chunkSize {
-			end := off + chunkSize
-			if end > len(group) {
-				end = len(group)
-			}
-			run.pending = append(run.pending, &remoteChunk{run: run, specs: group[off:end], locality: loc})
-		}
+	// Chunks never span two locality keys, so affinity routing has clean
+	// units to place and a chunk's cells always share their warm
+	// artifacts; groups are still cut by size to keep steals and late
+	// joiners effective.
+	for _, c := range localityChunks(specs, max(1, len(b.fleet)), true) {
+		run.pending = append(run.pending, &remoteChunk{run: run, specs: c, locality: c[0].Locality})
 	}
 	b.runs[run] = struct{}{}
 	b.dispatchLocked()

@@ -52,7 +52,7 @@ func withTraceMajorWant(ctx context.Context, scope string, want map[int]bool) co
 // Locality formats the canonical locality key for the trace artifact a
 // cell replays: the workload (or spec content-hash) name plus the
 // record count, which together address one tracestore entry and one
-// snapstore spill family. Locality-aware backends use the key for
+// snapstore spill family. Wire backends use the key for chunking,
 // routing and prefetch only — it never influences results.
 func Locality(workload string, records int) string {
 	return workload + "@" + strconv.Itoa(records)
@@ -74,10 +74,35 @@ func SplitLocality(key string) (workload string, records int, ok bool) {
 	return key[:i], n, true
 }
 
-// cellLocalityKey carries the per-shard locality labeler from
-// MapTraceMajor to Map in the context, scoped to one cell space, so
-// Map can stamp CellSpec.Locality without changing its signature for
-// ungrouped callers.
+// pairSep joins the two workload names of a pair key. No workload name
+// contains it: preset names use [A-Za-z0-9._-], and spec names are
+// "spec:" + [A-Za-z0-9._-] + "@" + a hex hash.
+const pairSep = "+"
+
+// PairLocality formats the locality key of a cell that replays two
+// traces at once, an SMT pair: "a+b@records". The key names both
+// traces, so a worker can warm each one (see localityTraces).
+func PairLocality(a, b string, records int) string {
+	return Locality(a+pairSep+b, records)
+}
+
+// localityTraces expands a locality key into the keys of the traces it
+// names: the key itself, or both halves of a pair key. A malformed key
+// names none.
+func localityTraces(key string) []string {
+	name, records, ok := SplitLocality(key)
+	if !ok {
+		return nil
+	}
+	if a, b, pair := strings.Cut(name, pairSep); pair {
+		return []string{Locality(a, records), Locality(b, records)}
+	}
+	return []string{key}
+}
+
+// cellLocalityKey carries the per-shard locality labeler to Map in the
+// context, scoped to one cell space, so Map can stamp CellSpec.Locality
+// without changing its signature for unlabeled callers.
 type cellLocalityKey struct{}
 
 type cellLocality struct {
@@ -85,7 +110,14 @@ type cellLocality struct {
 	fn    func(shard int) string
 }
 
-func withCellLocality(ctx context.Context, scope string, fn func(shard int) string) context.Context {
+// WithLocality returns ctx carrying fn as the locality labeler of the
+// cell space named scope: Map stamps each of that scope's specs with
+// fn(shard) (see Locality, PairLocality). MapTraceMajor labels its
+// groups this way; a plain Map call whose cells share traces or other
+// per-run values uses it directly, so wire coordinators keep those
+// cells together. Pure metadata: results never depend on it. A nil fn
+// returns ctx unchanged.
+func WithLocality(ctx context.Context, scope string, fn func(shard int) string) context.Context {
 	if fn == nil {
 		return ctx
 	}
@@ -109,10 +141,10 @@ func localityFor(ctx context.Context, scope string) func(int) string {
 // models) and groupmates reuse the memo.
 //
 // locality labels each shard's cell spec with the warm-artifact key the
-// group replays (see Locality); nil leaves specs unlabeled. The label
-// feeds locality-aware routing and prefetch in wire backends and is
-// stamped on the model-major fallback path too — pure metadata either
-// way.
+// group replays (see Locality, WithLocality); nil leaves specs
+// unlabeled. The label feeds chunking, routing and prefetch in wire
+// backends and is stamped on the model-major fallback path too — pure
+// metadata either way.
 //
 // run must be a pure function of the (shards, seeds) it is given, with
 // results independent of how shards are grouped — sim.RunColumnsMulti's
@@ -126,7 +158,7 @@ func MapTraceMajor[T any](ctx context.Context, p *Pool, scope string, n int,
 	if p == nil {
 		p = Default()
 	}
-	ctx = withCellLocality(ctx, scope, locality)
+	ctx = WithLocality(ctx, scope, locality)
 	single := func(ctx context.Context, shard int, seed uint64) (T, error) {
 		var zero T
 		res, err := run(ctx, []int{shard}, []uint64{seed})

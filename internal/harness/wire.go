@@ -45,7 +45,7 @@ const (
 
 // Binary message kinds.
 const (
-	wireKindWork      = 1 // coordinator → worker: cells + prefetch hints
+	wireKindWork      = 1 // coordinator → worker: cells + prefetch hints (remote only)
 	wireKindResults   = 2 // worker → coordinator: results or batch error
 	wireKindHeartbeat = 3 // worker → coordinator: liveness (remote wire)
 )
@@ -173,6 +173,31 @@ func encodeWireMsg(m *wireMsg) []byte {
 	return w.Bytes()
 }
 
+// Minimum encoded sizes of one sequence element, from the encoders
+// below: a length-prefixed string is at least its 4-byte prefix, a spec
+// five such strings, ten 8-byte fields and the sweep's count, a result
+// two such strings plus shard, canceled flag and elapsed time, a sweep
+// value 8 bytes.
+const (
+	minStringBytes = 4
+	minSpecBytes   = 5*minStringBytes + 10*8 + 4
+	minResultBytes = 2*minStringBytes + 8 + 1 + 8
+	minSweepBytes  = 8
+)
+
+// seqLen reads a sequence count and fails r when that many elements of
+// at least minBytes each cannot fit in the rest of the frame, so a
+// corrupt count cannot drive an allocation larger than the frame itself
+// warrants.
+func seqLen(r *snap.Reader, minBytes int) int {
+	n := r.Len()
+	if n > r.Remaining()/minBytes {
+		r.Fail("%d elements cannot fit in the frame's last %d bytes", n, r.Remaining())
+		return 0
+	}
+	return n
+}
+
 // decodeWireMsg parses a binary payload back into a wireMsg.
 func decodeWireMsg(payload []byte) (*wireMsg, error) {
 	if len(payload) < 3 || payload[0] != binMagic {
@@ -186,13 +211,13 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 	switch m.kind {
 	case wireKindWork:
 		in := stringInterner{}
-		if n := r.Len(); n > 0 {
+		if n := seqLen(r, minStringBytes); n > 0 {
 			m.prefetch = make([]string, n)
 			for i := range m.prefetch {
 				m.prefetch[i] = in.str(r.Bytes8())
 			}
 		}
-		if n := r.Len(); n > 0 {
+		if n := seqLen(r, minSpecBytes); n > 0 {
 			m.cells = make([]CellSpec, n)
 			for i := range m.cells {
 				decodeSpecBin(r, &m.cells[i], in)
@@ -201,7 +226,7 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 	case wireKindResults:
 		m.permanent = r.Bool()
 		m.err = string(r.Bytes8())
-		if n := r.Len(); n > 0 {
+		if n := seqLen(r, minResultBytes); n > 0 {
 			m.results = make([]CellResult, n)
 			for i := range m.results {
 				decodeResultBin(r, &m.results[i])
@@ -276,7 +301,7 @@ func decodeSpecBin(r *snap.Reader, s *CellSpec, in stringInterner) {
 	p.Budget = r.Int()
 	p.Bits = r.Int()
 	p.R = r.F64()
-	if n := r.Len(); n > 0 {
+	if n := seqLen(r, minSweepBytes); n > 0 {
 		p.Sweep = make([]float64, n)
 		for i := range p.Sweep {
 			p.Sweep[i] = r.F64()

@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"stbpu/internal/snap"
 )
 
 // wireTestSpecs builds a representative trace-major batch: n cells
@@ -38,8 +42,13 @@ func wireTestSpecs(n int) []CellSpec {
 	return specs
 }
 
-func TestWireMsgRoundTrip(t *testing.T) {
-	cases := []struct {
+// wireTestMsgs is one frame of every kind, plus the empty-work and
+// batch-error shapes: the round-trip cases and the decoder fuzz seeds.
+func wireTestMsgs() []struct {
+	name string
+	msg  wireMsg
+} {
+	return []struct {
 		name string
 		msg  wireMsg
 	}{
@@ -67,7 +76,10 @@ func TestWireMsgRoundTrip(t *testing.T) {
 		}},
 		{"heartbeat", wireMsg{kind: wireKindHeartbeat, seq: 3}},
 	}
-	for _, tc := range cases {
+}
+
+func TestWireMsgRoundTrip(t *testing.T) {
+	for _, tc := range wireTestMsgs() {
 		t.Run(tc.name, func(t *testing.T) {
 			payload := encodeWireMsg(&tc.msg)
 			if len(payload) == 0 || payload[0] != binMagic {
@@ -81,6 +93,43 @@ func TestWireMsgRoundTrip(t *testing.T) {
 				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", *got, tc.msg)
 			}
 		})
+	}
+}
+
+// TestWireMinElementSizes pins the per-element minimums the decoder
+// bounds sequence counts with to the encoders: an empty element encodes
+// to exactly its minimum.
+func TestWireMinElementSizes(t *testing.T) {
+	w := snap.NewWriter(0)
+	encodeSpecBin(w, &CellSpec{})
+	if n := len(w.Bytes()); n != minSpecBytes {
+		t.Errorf("empty spec encodes to %d bytes, minSpecBytes = %d", n, minSpecBytes)
+	}
+	w = snap.NewWriter(0)
+	encodeResultBin(w, &CellResult{})
+	if n := len(w.Bytes()); n != minResultBytes {
+		t.Errorf("empty result encodes to %d bytes, minResultBytes = %d", n, minResultBytes)
+	}
+}
+
+// TestWireDecodeRejectsLyingCount: a work frame of 19 bytes claiming
+// 2^20 cells fails before the decoder allocates for them (unbounded,
+// the count alone cost ~200 MB).
+func TestWireDecodeRejectsLyingCount(t *testing.T) {
+	frame := []byte{binMagic, binVersion, wireKindWork,
+		0, 0, 0, 0, 0, 0, 0, 0, // seq
+		0, 0, 0, 0, // prefetch count
+		0, 0, 0x10, 0, // cell count, little-endian 2^20
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeWireMsg(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decodeWireMsg accepted a frame too short for its cell count")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the frame allocated %d bytes", grew)
 	}
 }
 
@@ -106,6 +155,37 @@ func TestWireMsgDecodeErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeWireMsg feeds the bin1 decoder — which parses bytes from
+// another process — arbitrary payloads. It must return an error or a
+// message, never panic, and an accepted payload must be the message's
+// own encoding byte for byte, so re-encoding the message decodes to the
+// same message. (Byte equality rather than reflect.DeepEqual: it holds
+// for NaN sweep values too.)
+func FuzzDecodeWireMsg(f *testing.F) {
+	for _, tc := range wireTestMsgs() {
+		payload := encodeWireMsg(&tc.msg)
+		f.Add(payload)
+		for _, n := range []int{0, 3, 11, len(payload) / 2, len(payload) - 1} {
+			if n < len(payload) {
+				f.Add(payload[:n])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := decodeWireMsg(payload)
+		if err != nil {
+			return
+		}
+		again := encodeWireMsg(m)
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload is not its message's encoding:\n got % x\nwant % x", again, payload)
+		}
+		if _, err := decodeWireMsg(again); err != nil {
+			t.Fatalf("re-encoded message does not decode: %v", err)
+		}
+	})
 }
 
 func TestWireOfferAndNegotiate(t *testing.T) {

@@ -145,6 +145,11 @@ func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 // Err returns the first error the reader encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
+// Remaining reports how many bytes are left to read, so a decoder can
+// reject a length prefix whose elements could not fit before
+// allocating for them.
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
 // Done returns Err, or an error if trailing bytes remain — a snapshot
 // must be consumed exactly.
 func (r *Reader) Done() error {

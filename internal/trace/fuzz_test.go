@@ -6,9 +6,12 @@ import (
 )
 
 // FuzzRead hammers the STBT decoders with arbitrary bytes: error or
-// valid trace, never a panic — and whenever arbitrary bytes do decode,
-// the decode-into-columns path must be stable under re-encoding
-// (decode → WriteColumns → decode is the identity).
+// valid trace, never a panic. Whenever an 8-byte-aligned copy of the
+// bytes maps (MapColumns, the v2 zero-copy path), the mapped columns
+// must equal the streaming decode record for record. And whenever
+// arbitrary bytes decode to columns that pass Validate — the check
+// every caller applies, since v2 sections carry flag bytes verbatim —
+// decode → WriteColumns → decode must be the identity.
 func FuzzRead(f *testing.F) {
 	tr := &Trace{Name: "seed"}
 	for i := 0; i < 100; i++ {
@@ -41,14 +44,41 @@ func FuzzRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
+	// v2 (mappable) seeds: the same traces through WriteColumnsMapped,
+	// whole and with the last section cut short.
+	for _, src := range []*Trace{tr, churn} {
+		var v2 bytes.Buffer
+		if err := WriteColumnsMapped(&v2, FromTrace(src)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v2.Bytes())
+		f.Add(v2.Bytes()[:v2.Len()-1])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cols, err := ReadColumns(bytes.NewReader(data))
+		if mapped, merr := MapColumns(alignedCopy(data)); merr == nil {
+			if err != nil {
+				t.Fatalf("MapColumns accepted what ReadColumns rejects: %v", err)
+			}
+			if mapped.Name != cols.Name || mapped.Len() != cols.Len() {
+				t.Fatalf("mapped shape %q/%d != decoded %q/%d", mapped.Name, mapped.Len(), cols.Name, cols.Len())
+			}
+			for i := 0; i < cols.Len(); i++ {
+				if mapped.Record(i) != cols.Record(i) || mapped.Flags[i] != cols.Flags[i] {
+					t.Fatalf("record %d: mapped %+v (flags %#x) != decoded %+v (flags %#x)",
+						i, mapped.Record(i), mapped.Flags[i], cols.Record(i), cols.Flags[i])
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
 		if cols == nil {
 			t.Fatal("nil columns with nil error")
+		}
+		if cols.Validate() != nil {
+			return
 		}
 		// Whatever decoded must re-encode and decode back identically.
 		var out bytes.Buffer

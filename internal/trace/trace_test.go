@@ -496,6 +496,11 @@ func FuzzCodecRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	var v2 bytes.Buffer
+	if err := WriteColumnsMapped(&v2, FromTrace(tr)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 	f.Add([]byte("STBT"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
