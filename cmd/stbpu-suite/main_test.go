@@ -155,34 +155,7 @@ func TestRemoteBackendMatchesLocalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	remote := goldenConfig()
-	remote.backend = "remote"
-	remote.listen = "127.0.0.1:0"
-	addrCh := make(chan string, 1)
-	remote.listenReady = func(addr string) { addrCh <- addr }
-
-	// Workers dial in as soon as the coordinator reports its port; they
-	// exit when runSuite closes the backend (their connections drop).
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var workers sync.WaitGroup
-	workers.Add(2)
-	go func() {
-		addr := <-addrCh
-		for i := 0; i < 2; i++ {
-			go func() {
-				defer workers.Done()
-				_ = harness.ServeRemoteWorker(ctx, addr, harness.WorkerOptions{Workers: 1})
-			}()
-		}
-	}()
-	docRemote, err := runSuite(context.Background(), remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	workers.Wait()
+	docRemote := runLoopbackFleet(t, goldenConfig())
 
 	if len(docRemote.Backends) != 1 || docRemote.Backends[0].Backend != "remote" {
 		t.Fatalf("fleet stats block missing: %+v", docRemote.Backends)
@@ -196,6 +169,81 @@ func TestRemoteBackendMatchesLocalGolden(t *testing.T) {
 	if !bytes.Equal(docBytes(t, docLocal), docBytes(t, docRemote)) {
 		t.Error("remote-fleet suite output diverges from local")
 	}
+}
+
+// TestRemoteFleetCPUFiguresMatchLocal runs Figs. 4-6 — the scenarios
+// whose cells carry workload and SMT-pair locality keys without being
+// trace-major groups — on a two-worker loopback fleet: keyed chunks are
+// routed by affinity, work frames hint pair keys that workers expand,
+// and the document must still equal the in-process run byte for byte.
+func TestRemoteFleetCPUFiguresMatchLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a TCP worker fleet")
+	}
+	cfg := config{
+		filters: []string{"fig4", "fig5", "fig6"},
+		seed:    5,
+		workers: 2,
+		timing:  false,
+		stderr:  io.Discard,
+		params: harness.Params{
+			Records: 8000, MaxWorkloads: 3, MaxPairs: 3, Budget: 200,
+		},
+	}
+	docLocal, err := runSuite(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docRemote := runLoopbackFleet(t, cfg)
+
+	if len(docRemote.Backends) != 1 || len(docRemote.Runs) != 3 {
+		t.Fatalf("fleet ran %d scenarios, stats %+v", len(docRemote.Runs), docRemote.Backends)
+	}
+	var routed uint64
+	for _, w := range docRemote.Backends[0].Workers {
+		routed += w.AffinityHits + w.AffinityMisses
+	}
+	if routed == 0 {
+		t.Errorf("no Fig. 4-6 chunk carried a locality key: %+v", docRemote.Backends[0])
+	}
+	normalizePlacement(&docLocal)
+	normalizePlacement(&docRemote)
+	if !bytes.Equal(docBytes(t, docLocal), docBytes(t, docRemote)) {
+		t.Error("remote-fleet Figs. 4-6 output diverges from local")
+	}
+}
+
+// runLoopbackFleet runs cfg on the remote backend with two in-process
+// workers dialing a loopback coordinator. Workers join with empty
+// options as soon as the coordinator reports its port, and exit when
+// runSuite closes the backend (their connections drop).
+func runLoopbackFleet(t *testing.T, cfg config) suiteDoc {
+	t.Helper()
+	cfg.backend = "remote"
+	cfg.listen = "127.0.0.1:0"
+	addrCh := make(chan string, 1)
+	cfg.listenReady = func(addr string) { addrCh <- addr }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var workers sync.WaitGroup
+	workers.Add(2)
+	go func() {
+		addr := <-addrCh
+		for i := 0; i < 2; i++ {
+			go func() {
+				defer workers.Done()
+				_ = harness.ServeRemoteWorker(ctx, addr, harness.WorkerOptions{Workers: 1})
+			}()
+		}
+	}()
+	doc, err := runSuite(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	workers.Wait()
+	return doc
 }
 
 // TestExecResumeAllScenarios widens the exec + resume byte-identity
@@ -467,32 +515,9 @@ func TestRemoteFleetTraceTierMatchesLocal(t *testing.T) {
 	}
 
 	remote := goldenConfig()
-	remote.backend = "remote"
-	remote.listen = "127.0.0.1:0"
 	remote.traceDir = t.TempDir()
 	remote.traceMmap = true
-	addrCh := make(chan string, 1)
-	remote.listenReady = func(addr string) { addrCh <- addr }
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var workers sync.WaitGroup
-	workers.Add(2)
-	go func() {
-		addr := <-addrCh
-		for i := 0; i < 2; i++ {
-			go func() {
-				defer workers.Done()
-				_ = harness.ServeRemoteWorker(ctx, addr, harness.WorkerOptions{Workers: 1})
-			}()
-		}
-	}()
-	docRemote, err := runSuite(context.Background(), remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	workers.Wait()
+	docRemote := runLoopbackFleet(t, remote)
 
 	normalizePlacement(&docLocal)
 	normalizePlacement(&docRemote)
@@ -524,31 +549,8 @@ func TestRemoteFleetSnapshotTierMatchesLocal(t *testing.T) {
 
 	dir := t.TempDir()
 	remote := snapConfig()
-	remote.backend = "remote"
-	remote.listen = "127.0.0.1:0"
 	remote.snapDir = dir
-	addrCh := make(chan string, 1)
-	remote.listenReady = func(addr string) { addrCh <- addr }
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var workers sync.WaitGroup
-	workers.Add(2)
-	go func() {
-		addr := <-addrCh
-		for i := 0; i < 2; i++ {
-			go func() {
-				defer workers.Done()
-				_ = harness.ServeRemoteWorker(ctx, addr, harness.WorkerOptions{Workers: 1})
-			}()
-		}
-	}()
-	docRemote, err := runSuite(context.Background(), remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	workers.Wait()
+	docRemote := runLoopbackFleet(t, remote)
 
 	if spills, err := filepath.Glob(filepath.Join(dir, "*.snap")); err != nil || len(spills) == 0 {
 		t.Errorf("fleet workers spilled no checkpoints to the shared dir (%v, %v)", spills, err)

@@ -98,8 +98,9 @@ func TestLocalityChunksRemoteCut(t *testing.T) {
 }
 
 // TestPairLocalityNamesBothTraces: a pair key expands to exactly the
-// keys of its two traces — spec names, which contain '@', included —
-// and a single-trace key to itself.
+// names of its two traces — spec names, which contain '@', included —
+// and a single-trace key to its one name, each with the key's record
+// count.
 func TestPairLocalityNamesBothTraces(t *testing.T) {
 	cases := []struct {
 		a, b    string
@@ -111,17 +112,17 @@ func TestPairLocalityNamesBothTraces(t *testing.T) {
 	}
 	for _, c := range cases {
 		key := PairLocality(c.a, c.b, c.records)
-		want := []string{Locality(c.a, c.records), Locality(c.b, c.records)}
-		if got := localityTraces(key); !reflect.DeepEqual(got, want) {
-			t.Errorf("localityTraces(%q) = %q, want %q", key, got, want)
+		names, records := localityTraces(key)
+		if want := []string{c.a, c.b}; !reflect.DeepEqual(names, want) || records != c.records {
+			t.Errorf("localityTraces(%q) = %q, %d; want %q, %d", key, names, records, want, c.records)
 		}
 	}
-	if got := localityTraces("505.mcf@9"); !reflect.DeepEqual(got, []string{"505.mcf@9"}) {
-		t.Errorf("single-trace key expanded to %q", got)
+	if names, records := localityTraces("505.mcf@9"); !reflect.DeepEqual(names, []string{"505.mcf"}) || records != 9 {
+		t.Errorf("single-trace key expanded to %q, %d", names, records)
 	}
 	for _, bad := range []string{"", "mcf", "mcf+xz@x"} {
-		if got := localityTraces(bad); got != nil {
-			t.Errorf("localityTraces(%q) = %q, want none", bad, got)
+		if names, _ := localityTraces(bad); names != nil {
+			t.Errorf("localityTraces(%q) = %q, want none", bad, names)
 		}
 	}
 }

@@ -660,8 +660,8 @@ func cellEnvFor(opts WorkerOptions, store *tracestore.Store, snaps *snapstore.St
 // Advisory and asynchronous — results never depend on it.
 func (env cellEnv) prefetch(keys []string) {
 	for _, k := range keys {
-		for _, tk := range localityTraces(k) {
-			name, records, _ := SplitLocality(tk)
+		names, records := localityTraces(k)
+		for _, name := range names {
 			if _, err := tracestore.PresetProfile(name, records); err != nil {
 				continue
 			}

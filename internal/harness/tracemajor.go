@@ -86,18 +86,18 @@ func PairLocality(a, b string, records int) string {
 	return Locality(a+pairSep+b, records)
 }
 
-// localityTraces expands a locality key into the keys of the traces it
-// names: the key itself, or both halves of a pair key. A malformed key
-// names none.
-func localityTraces(key string) []string {
+// localityTraces expands a locality key into the workload names of the
+// traces it names — one, or both halves of a pair key — and their
+// record count. A malformed key names none.
+func localityTraces(key string) (names []string, records int) {
 	name, records, ok := SplitLocality(key)
 	if !ok {
-		return nil
+		return nil, 0
 	}
 	if a, b, pair := strings.Cut(name, pairSep); pair {
-		return []string{Locality(a, records), Locality(b, records)}
+		return []string{a, b}, records
 	}
-	return []string{key}
+	return []string{name}, records
 }
 
 // cellLocalityKey carries the per-shard locality labeler to Map in the
