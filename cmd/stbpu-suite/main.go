@@ -18,7 +18,6 @@
 //	stbpu-suite -backend remote -listen :7701  # coordinate a TCP worker fleet
 //	stbpu-suite -worker -connect host:7701  # join a fleet as a network worker
 //	stbpu-suite -affinity=false             # plain work sharing (no locality routing)
-//	stbpu-suite -wire json                  # pin JSON wire frames (debug/old fleets)
 //	stbpu-suite -pprof localhost:6060       # serve live profiling endpoints
 //	stbpu-suite -journal run.jsonl          # stream completed cells to a journal
 //	stbpu-suite -journal run.jsonl -resume  # skip cells the journal already holds
@@ -28,15 +27,15 @@
 //	stbpu-suite -snapshots=false            # force full warmup replay (no checkpoints)
 //	stbpu-suite -snap-dir ~/.cache/stbpu-snaps  # persist predictor checkpoints across runs
 //
-// With -backend exec the suite spawns `stbpu-suite -worker` subprocesses
-// that execute cell batches received as length-prefixed JSON frames on
-// stdin and answer results on stdout; -backend mixed splits cells
-// between the in-process pool and the subprocess fleet. With -backend
-// remote the suite listens on -listen and schedules the same frames over
-// TCP across whatever workers have dialed in with -worker -connect —
-// workers may join late, die mid-chunk, or straggle (their cells are
-// speculatively re-executed elsewhere). Results are bit-identical across
-// backends and fleet shapes (see docs/ARCHITECTURE.md).
+// Both wire backends run one worker fleet speaking one protocol. With
+// -backend exec the suite spawns `stbpu-suite -worker` subprocesses and
+// speaks it on their stdin/stdout; with -backend remote it listens on
+// -listen and speaks it over TCP to whatever workers have dialed in with
+// -worker -connect. Either way workers may die mid-chunk or straggle
+// (their cells are requeued or speculatively re-executed elsewhere), TCP
+// workers may also join late, and every run-shaping setting reaches the
+// workers in the coordinator's welcome frame. Results are bit-identical
+// across backends and fleet shapes (see docs/ARCHITECTURE.md).
 //
 // With -journal every completed cell is appended to a JSONL run journal
 // as it finishes; if the run dies, rerunning with -resume skips the
@@ -97,7 +96,7 @@ type config struct {
 	workers    int
 	cacheBytes int64
 	// traceDir enables the persistent trace tier: generated traces spill
-	// as STBT files and later runs (and exec workers) decode instead of
+	// as STBT files and later runs (and fleet workers) decode instead of
 	// regenerating.
 	traceDir string
 	// modelMajor disables trace-major grouped scheduling. Stored inverted
@@ -116,16 +115,14 @@ type config struct {
 	// predictor snapshots spill as .snap files and later runs (and
 	// workers sharing the directory) restore instead of replaying.
 	snapDir     string
-	backend     string // "local" (default), "exec", "mixed", or "remote"
+	backend     string // "local" (default), "exec", or "remote"
 	execWorkers int
-	// execTimeout bounds one exec-worker batch; a worker that exceeds it
-	// is killed and its chunk requeued (0 = no deadline).
+	// execTimeout bounds how long one chunk may stay on an exec worker;
+	// a worker that exceeds it is killed and its chunk requeued (0 = no
+	// deadline).
 	execTimeout time.Duration
 	// listen is the -backend remote coordinator's TCP address.
 	listen string
-	// wire pins the frame codec on both wire backends: "" negotiates
-	// the compact binary codec, "json" forces JSON frames.
-	wire string
 	// affinityOff disables locality-aware fleet dispatch. Stored
 	// inverted (like modelMajor) so a zero-value config keeps the
 	// default: affinity on.
@@ -136,11 +133,10 @@ type config struct {
 	listenReady func(addr string)
 	// workloadSpec is a JSON workload-spec file (docs/WORKLOADS.md):
 	// runSuite registers it, points the workloads scenario at it, and
-	// forwards it to exec workers (by path) and remote fleets (by
-	// document, in the welcome frame).
+	// forwards its document to fleet workers in the welcome frame.
 	workloadSpec string
 	// workloadSpecDoc is the loaded spec's canonical JSON (set by
-	// runSuite for buildBackend's remote welcome frame).
+	// runSuite for buildBackend's welcome frame).
 	workloadSpecDoc string
 	// journal streams completed cells to this JSONL file; with resume
 	// set, cells the file already holds are not re-executed.
@@ -157,65 +153,25 @@ type config struct {
 }
 
 // buildBackend constructs the backend the -backend flag selects; nil
-// means the pool's default in-process LocalBackend.
+// means the pool's default in-process LocalBackend. Both fleet backends
+// forward the run-shaping settings in the welcome frame, so workers
+// need no per-worker flags beyond their own process budgets.
 func buildBackend(cfg config) (harness.Backend, error) {
-	execWorkers := cfg.execWorkers
-	if execWorkers <= 0 {
-		execWorkers = 2
-	}
-	newExec := func() (*harness.ExecBackend, error) {
-		cmd := cfg.workerCmd
-		if cmd == nil {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, fmt.Errorf("resolve worker executable: %w", err)
-			}
-			// Forward the resource knobs so workers honor the same bounds
-			// as the coordinator (each worker applies them per process) and
-			// share the persistent trace tier when one is configured.
-			cmd = []string{exe, "-worker",
-				fmt.Sprintf("-workers=%d", cfg.workers),
-				fmt.Sprintf("-cache-bytes=%d", cfg.cacheBytes)}
-			if cfg.traceDir != "" {
-				cmd = append(cmd, fmt.Sprintf("-trace-dir=%s", cfg.traceDir))
-				if cfg.traceMmap {
-					cmd = append(cmd, "-trace-mmap")
-				}
-			}
-			if cfg.workloadSpec != "" {
-				// Exec workers share the coordinator's filesystem, so the
-				// spec travels by path; the worker parses and registers it
-				// before serving cells.
-				cmd = append(cmd, fmt.Sprintf("-workload-spec=%s", cfg.workloadSpec))
-			}
-			cmd = append(cmd, fmt.Sprintf("-trace-major=%t", !cfg.modelMajor))
-			cmd = append(cmd, fmt.Sprintf("-snapshots=%t", !cfg.snapshotsOff))
-			cmd = append(cmd, fmt.Sprintf("-snap-bytes=%d", cfg.snapBytes))
-			if cfg.snapDir != "" {
-				cmd = append(cmd, fmt.Sprintf("-snap-dir=%s", cfg.snapDir))
-			}
-		}
-		return &harness.ExecBackend{Command: cmd, Env: cfg.workerEnv, Workers: execWorkers, BatchTimeout: cfg.execTimeout, Wire: cfg.wire}, nil
+	traceMajor := !cfg.modelMajor
+	snapshots := !cfg.snapshotsOff
+	var specs []string
+	if cfg.workloadSpecDoc != "" {
+		specs = []string{cfg.workloadSpecDoc}
 	}
 	switch cfg.backend {
 	case "", "local":
 		return nil, nil
 	case "remote":
-		// The welcome frame carries the scheduling and mmap modes so a
-		// fleet joined with bare `-worker -connect` matches the
-		// coordinator's configuration without per-worker flags.
-		traceMajor := !cfg.modelMajor
-		snapshots := !cfg.snapshotsOff
 		affinity := !cfg.affinityOff
 		rb := &harness.RemoteBackend{Addr: cfg.listen, TraceDir: cfg.traceDir,
 			TraceMajor: &traceMajor, TraceMmap: &cfg.traceMmap,
 			Snapshots: &snapshots, SnapDir: cfg.snapDir,
-			Affinity: &affinity, Wire: cfg.wire}
-		if cfg.workloadSpecDoc != "" {
-			// Remote workers may sit on other machines, so the spec
-			// travels by value in the welcome frame.
-			rb.WorkloadSpecs = []string{cfg.workloadSpecDoc}
-		}
+			WorkloadSpecs: specs, Affinity: &affinity}
 		// Bind eagerly so the operator (and tests, via listenReady) learn
 		// where to point workers before the first batch needs them.
 		addr, err := rb.Start()
@@ -228,20 +184,29 @@ func buildBackend(cfg config) (harness.Backend, error) {
 		}
 		return rb, nil
 	case "exec":
-		return newExec()
-	case "mixed":
-		eb, err := newExec()
-		if err != nil {
-			return nil, err
+		cmd := cfg.workerCmd
+		if cmd == nil {
+			exe, err := os.Executable()
+			if err != nil {
+				return nil, fmt.Errorf("resolve worker executable: %w", err)
+			}
+			// Each worker applies the coordinator's budgets per process.
+			cmd = []string{exe, "-worker",
+				fmt.Sprintf("-workers=%d", cfg.workers),
+				fmt.Sprintf("-cache-bytes=%d", cfg.cacheBytes),
+				fmt.Sprintf("-snap-bytes=%d", cfg.snapBytes)}
 		}
-		// Weight the subprocess fleet by its size so it takes a share of
-		// chunks proportional to its workers.
-		return harness.NewMultiBackend(
-			harness.WeightedBackend{Backend: harness.NewLocalBackend(cfg.workers), Weight: 1},
-			harness.WeightedBackend{Backend: eb, Weight: execWorkers},
-		), nil
+		execWorkers := cfg.execWorkers
+		if execWorkers <= 0 {
+			execWorkers = 2
+		}
+		return &harness.ExecBackend{Command: cmd, Env: cfg.workerEnv,
+			Workers: execWorkers, BatchTimeout: cfg.execTimeout,
+			TraceDir: cfg.traceDir, TraceMajor: &traceMajor, TraceMmap: &cfg.traceMmap,
+			Snapshots: &snapshots, SnapDir: cfg.snapDir,
+			WorkloadSpecs: specs}, nil
 	default:
-		return nil, fmt.Errorf("unknown backend %q (want local, exec, mixed, or remote)", cfg.backend)
+		return nil, fmt.Errorf("unknown backend %q (want local, exec, or remote)", cfg.backend)
 	}
 }
 
@@ -389,6 +354,26 @@ func writeScenarioListJSON(w io.Writer) error {
 	return enc.Encode(infos)
 }
 
+// checkWorkerFlags rejects a -worker invocation that sets a run-shaping
+// flag away from its default: a worker takes those settings from the
+// coordinator's welcome frame, so the flag would silently lose. A flag
+// spelled out at its default changes nothing and passes.
+func checkWorkerFlags(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "trace-dir", "trace-major", "trace-mmap", "snapshots", "snap-dir", "workload-spec":
+			if f.Value.String() != f.DefValue {
+				set = append(set, "-"+f.Name)
+			}
+		}
+	})
+	if len(set) > 0 {
+		return fmt.Errorf("-worker does not take %s: the coordinator's welcome frame carries those settings, so set them there", strings.Join(set, ", "))
+	}
+	return nil
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "stbpu-suite:", err)
@@ -412,22 +397,21 @@ func run() error {
 		rF        = flag.Float64("r", 0, "attack-difficulty factor (0 = scenario default)")
 		quick     = flag.Bool("quick", false, "use the QuickScale test/benchmark sizing")
 		cacheB    = flag.Int64("cache-bytes", tracestore.DefaultMaxBytes, "byte budget for the shared cross-run trace store (<=0 = default budget)")
-		traceDir  = flag.String("trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with exec workers)")
+		traceDir  = flag.String("trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
 		traceMaj  = flag.Bool("trace-major", true, "group cells that share a trace and replay all their models in one pass over the resident columns (=false for model-major scheduling)")
 		traceMmap = flag.Bool("trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
 		snapsF    = flag.Bool("snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
 		snapB     = flag.Int64("snap-bytes", snapstore.DefaultMaxBytes, "byte budget for the in-memory checkpoint store (<=0 = default budget)")
 		snapDir   = flag.String("snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
-		backend   = flag.String("backend", "local", "cell execution backend: local, exec (subprocess workers), mixed, or remote (TCP worker fleet)")
-		execW     = flag.Int("exec-workers", 2, "subprocess worker count for -backend exec/mixed")
-		execTO    = flag.Duration("exec-timeout", 10*time.Minute, "kill an exec worker whose batch exceeds this and requeue the chunk (0 = no deadline)")
+		backend   = flag.String("backend", "local", "cell execution backend: local, exec (subprocess worker fleet), or remote (TCP worker fleet)")
+		execW     = flag.Int("exec-workers", 2, "subprocess worker count for -backend exec")
+		execTO    = flag.Duration("exec-timeout", 10*time.Minute, "-backend exec: kill a worker that holds one chunk longer than this and requeue the chunk (0 = no deadline)")
 		listen    = flag.String("listen", "", "-backend remote: TCP address to coordinate workers on (empty = 127.0.0.1:0)")
-		wireF     = flag.String("wire", "binary", "frame codec policy for exec/remote wires: binary (negotiated; old workers fall back to JSON) or json (pin JSON frames)")
 		affinity  = flag.Bool("affinity", true, "-backend remote: prefer dispatching each chunk to the worker whose caches are warm for its workload (=false for plain work sharing; results are bit-identical)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof profiling handlers on this address (works in coordinator and -worker modes), e.g. localhost:6060")
 		connect   = flag.String("connect", "", "with -worker: dial this coordinator address instead of serving stdin/stdout")
-		worker    = flag.Bool("worker", false, "run as a worker: execute cell batches from stdin, or from the -connect coordinator")
-		specF     = flag.String("workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to exec and remote workers")
+		worker    = flag.Bool("worker", false, "run as a fleet worker on stdin/stdout, or for the -connect coordinator; only -workers, -cache-bytes and -snap-bytes apply, the rest arrives in the coordinator's welcome")
+		specF     = flag.String("workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to fleet workers")
 		journalF  = flag.String("journal", "", "stream completed cells to this JSONL run journal (schema: docs/SUITE_JSON.md)")
 		resume    = flag.Bool("resume", false, "load the -journal file first and skip cells it already holds")
 		timing    = flag.Bool("timing", true, "record wall-clock timing (disable for byte-stable output)")
@@ -436,15 +420,6 @@ func run() error {
 	)
 	flag.Parse()
 
-	var wire string
-	switch *wireF {
-	case "", "binary":
-		wire = "" // negotiate
-	case "json":
-		wire = "json"
-	default:
-		return fmt.Errorf("unknown -wire %q (want binary or json)", *wireF)
-	}
 	if *pprofAddr != "" {
 		// DefaultServeMux carries the pprof handlers via the blank import.
 		go func() {
@@ -455,35 +430,12 @@ func run() error {
 	}
 
 	if *worker {
+		if err := checkWorkerFlags(flag.CommandLine); err != nil {
+			return err
+		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		opts := harness.WorkerOptions{
-			Workers:    *workers,
-			CacheBytes: *cacheB,
-			TraceDir:   *traceDir,
-			TraceMmap:  *traceMmap,
-			SnapBytes:  *snapB,
-			SnapDir:    *snapDir,
-			Wire:       wire,
-		}
-		if *specF != "" {
-			s, err := spec.LoadFile(*specF)
-			if err != nil {
-				return err
-			}
-			opts.WorkloadSpecs = append(opts.WorkloadSpecs, string(s.Canonical()))
-		}
-		// Only an explicit -trace-major/-snapshots pins the worker's
-		// mode; left unset, a remote worker adopts the coordinator's
-		// welcome value.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "trace-major":
-				opts.TraceMajor = traceMaj
-			case "snapshots":
-				opts.Snapshots = snapsF
-			}
-		})
+		opts := harness.WorkerOptions{Workers: *workers, CacheBytes: *cacheB, SnapBytes: *snapB}
 		if *connect != "" {
 			return harness.ServeRemoteWorker(ctx, *connect, opts)
 		}
@@ -528,7 +480,6 @@ func run() error {
 		execWorkers:  *execW,
 		execTimeout:  *execTO,
 		listen:       *listen,
-		wire:         wire,
 		affinityOff:  !*affinity,
 		workloadSpec: *specF,
 		journal:      *journalF,

@@ -16,7 +16,6 @@ import (
 
 	"stbpu/internal/harness"
 	"stbpu/internal/snapstore"
-	"stbpu/internal/trace/spec"
 	"stbpu/internal/tracestore"
 )
 
@@ -24,26 +23,13 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 const workerEnvVar = "STBPU_SUITE_TEST_WORKER"
 
-// workerSpecEnvVar points the test worker at a workload-spec file, the
-// test-binary analogue of `stbpu-suite -worker -workload-spec FILE`.
-const workerSpecEnvVar = "STBPU_SUITE_TEST_WORKLOAD_SPEC"
-
 // TestMain lets this test binary double as the subprocess worker for the
-// exec-backend tests: with the env var set it serves the frame protocol
+// exec-backend tests: with the env var set it serves the fleet protocol
 // on stdio — the same harness.ServeWorker loop `stbpu-suite -worker`
 // runs — instead of running tests.
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEnvVar) == "1" {
-		opts := harness.WorkerOptions{Workers: 1}
-		if path := os.Getenv(workerSpecEnvVar); path != "" {
-			s, err := spec.LoadFile(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "worker:", err)
-				os.Exit(1)
-			}
-			opts.WorkloadSpecs = []string{string(s.Canonical())}
-		}
-		if err := harness.ServeWorker(context.Background(), os.Stdin, os.Stdout, opts); err != nil {
+		if err := harness.ServeWorker(context.Background(), os.Stdin, os.Stdout, harness.WorkerOptions{Workers: 1}); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -174,8 +160,8 @@ func TestRemoteBackendMatchesLocalGolden(t *testing.T) {
 // TestRemoteFleetCPUFiguresMatchLocal runs Figs. 4-6 — the scenarios
 // whose cells carry workload and SMT-pair locality keys without being
 // trace-major groups — on a two-worker loopback fleet: keyed chunks are
-// routed by affinity, work frames hint pair keys that workers expand,
-// and the document must still equal the in-process run byte for byte.
+// routed by affinity, and the document must still equal the in-process
+// run byte for byte.
 func TestRemoteFleetCPUFiguresMatchLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a TCP worker fleet")
@@ -724,6 +710,43 @@ func TestJournalRefusesToClobberWithoutResume(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Error("refused run still modified the journal")
+	}
+}
+
+// TestWorkerRejectsWelcomeFlags: a worker takes the run-shaping settings
+// from the coordinator's welcome, so -worker refuses them when set away
+// from their defaults, naming each one, and accepts its own budgets and
+// defaults spelled out (as bench/traced.go's worker argv does).
+func TestWorkerRejectsWelcomeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // "" means accepted
+	}{
+		{[]string{"-workers=1", "-cache-bytes=5", "-snap-bytes=5", "-trace-major=true", "-snapshots=true"}, ""},
+		{[]string{"-trace-dir", "/shared/traces"}, "-worker does not take -trace-dir:"},
+		{[]string{"-trace-major=false", "-snap-dir", "d", "-workload-spec", "w.json"}, "-snap-dir, -trace-major, -workload-spec"},
+		{[]string{"-trace-mmap", "-snapshots=false"}, "-snapshots, -trace-mmap"},
+	} {
+		fs := flag.NewFlagSet("stbpu-suite", flag.ContinueOnError)
+		fs.Int("workers", 0, "")
+		fs.Int64("cache-bytes", 0, "")
+		fs.Int64("snap-bytes", 0, "")
+		fs.String("trace-dir", "", "")
+		fs.Bool("trace-major", true, "")
+		fs.Bool("trace-mmap", false, "")
+		fs.Bool("snapshots", true, "")
+		fs.String("snap-dir", "", "")
+		fs.String("workload-spec", "", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := checkWorkerFlags(fs)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 

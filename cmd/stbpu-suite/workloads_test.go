@@ -2,10 +2,10 @@ package main
 
 // Cross-backend determinism gates for the spec-driven workloads
 // scenario: a -workload-spec run must produce byte-identical runs[]
-// whether cells execute in-process, on subprocess workers (spec
-// forwarded by path), or on a loopback TCP fleet (spec forwarded by
-// value in the welcome frame), under either scheduling mode, with or
-// without the mapped trace tier, and across a kill-and-resume.
+// whether cells execute in-process, on subprocess workers, or on a
+// loopback TCP fleet (both fleets get the spec by value in the welcome
+// frame), under either scheduling mode, with or without the mapped
+// trace tier, and across a kill-and-resume.
 
 import (
 	"bytes"
@@ -58,11 +58,11 @@ func specConfig(specPath string) config {
 	}
 }
 
-// TestWorkloadSpecCrossBackendDeterminism is the PR's acceptance gate:
-// the same spec file run locally, model-major, through the mapped
-// disk tier, on exec workers, and on a two-worker loopback fleet
-// (workers joining bare, adopting the spec from the welcome frame)
-// must yield byte-identical documents modulo placement stats.
+// TestWorkloadSpecCrossBackendDeterminism: the same spec file run
+// locally, model-major, through the mapped disk tier, on exec workers,
+// and on a two-worker loopback fleet must yield byte-identical
+// documents modulo placement stats. Workers of both fleets start bare
+// and learn the spec from the welcome frame.
 func TestWorkloadSpecCrossBackendDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers and a TCP fleet")
@@ -96,8 +96,8 @@ func TestWorkloadSpecCrossBackendDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Exec workers: the spec crosses by path (workerSpecEnvVar is this
-	// test binary's stand-in for the forwarded -workload-spec argv).
+	// Exec workers: the test binary's worker gets no spec of its own, so
+	// the run resolves only if the spec crosses in the welcome frame.
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestWorkloadSpecCrossBackendDeterminism(t *testing.T) {
 	ex.backend = "exec"
 	ex.execWorkers = 2
 	ex.workerCmd = []string{exe}
-	ex.workerEnv = []string{workerEnvVar + "=1", workerSpecEnvVar + "=" + specPath}
+	ex.workerEnv = []string{workerEnvVar + "=1"}
 	if docs["exec"], err = runSuite(context.Background(), ex); err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,11 @@ package harness
 // Backend abstraction: Map no longer owns a goroutine pool directly —
 // it describes each cell as a CellSpec and hands batches to a Backend.
 // LocalBackend is the original in-process pool behind the interface;
-// ExecBackend (exec.go) ships specs to subprocess workers over a
-// length-prefixed JSON protocol; MultiBackend routes across several
-// backends with retry/requeue. Because a cell is a pure function of
-// (scenario, params, scope, shard, root seed), results are bit-identical
+// RemoteBackend (remote.go) schedules specs across a fleet of worker
+// processes speaking the length-prefixed fleet protocol, whose members
+// dial in over TCP or, under ExecBackend (exec.go), are subprocesses
+// spawned on stdio. Because a cell is a pure function of (scenario,
+// params, scope, shard, root seed), results are bit-identical
 // regardless of which backend ran which cell — Map merges everything
 // back into shard order. See docs/ARCHITECTURE.md "Distributed cells".
 
@@ -47,10 +48,9 @@ type CellSpec struct {
 	// Locality names the warm artifact (trace columns, snapshots) the
 	// cell replays — "workload@records" for one trace, "a+b@records"
 	// for an SMT pair (see PairLocality), empty when unlabeled. Pure
-	// scheduling metadata: wire backends never put two keys in one
-	// chunk (exec ships a key's cells as one chunk, remote routes them
-	// to the worker that last held the artifact and names upcoming keys
-	// in prefetch hints); results never depend on it.
+	// scheduling metadata: the fleet ships a key's cells as one chunk
+	// and routes it to the worker that last held the artifact; results
+	// never depend on it.
 	Locality string `json:"locality,omitempty"`
 
 	// fn is the in-process cell function. It never crosses the wire;
@@ -143,12 +143,12 @@ func decodeInto[T any](r *CellResult, dst *T) error {
 // ErrPermanent marks batch-level errors that are deterministic
 // properties of the cells themselves — a scenario whose decomposition
 // disagrees with the coordinator's, unencodable params — rather than of
-// the transport or the worker that ran them. Routers must not requeue a
-// batch that failed permanently: every backend would fail it the same
+// the transport or the worker that ran them. The fleet must not requeue
+// a chunk that failed permanently: every worker would fail it the same
 // way, so retrying only multiplies the failure across the fleet.
-// Capability mismatches (a wire backend refusing anonymous cells, a
-// worker missing a scenario registration) are NOT permanent — a
-// differently-capable backend may still execute the batch.
+// Capability mismatches (a worker refusing anonymous cells or missing a
+// scenario registration) are NOT permanent — a differently-capable
+// worker may still execute the chunk.
 var ErrPermanent = errors.New("harness: permanent batch failure")
 
 // Permanent wraps err so errors.Is(err, ErrPermanent) reports true while
@@ -172,10 +172,9 @@ func (e *permanentError) Is(target error) bool { return target == ErrPermanent }
 // Backend executes batches of cells. Run returns one CellResult per spec
 // (any order; Map merges by shard). Per-cell failures are reported inside
 // the results; a non-nil error means the batch as a whole could not be
-// executed (transport failure, dead worker) and is what MultiBackend
-// retries on another backend — unless it is marked Permanent, in which
-// case retrying is pointless and routers fail fast. If any cell fails,
-// Run may stop early and return results only for the cells it attempted.
+// executed (no live workers, a Permanent worker error, a canceled
+// context). If any cell fails, Run may stop early and return results
+// only for the cells it attempted.
 type Backend interface {
 	// Name labels the backend in stats and observer cells.
 	Name() string
@@ -191,25 +190,22 @@ type BackendStats struct {
 	Backend string `json:"backend"`
 	// Cells is how many cells the backend completed (including failed).
 	Cells uint64 `json:"cells"`
-	// Retries is how many cells were requeued after a failure: onto
-	// another backend when this backend failed a batch (MultiBackend), or
-	// onto another worker of the same fleet (RemoteBackend).
+	// Retries is how many cells a fleet requeued onto another worker
+	// after a worker failed or dropped them.
 	Retries uint64 `json:"retries"`
 	// WallMS is the cumulative wall-clock time spent inside Run.
 	WallMS int64 `json:"wall_ms"`
-	// Joins/Leaves count fleet membership changes over the run; only a
-	// RemoteBackend, whose workers come and go, reports them.
+	// Joins/Leaves count fleet membership changes over the run; only
+	// the fleet backends (exec, remote) report them.
 	Joins  uint64 `json:"joins,omitempty"`
 	Leaves uint64 `json:"leaves,omitempty"`
 	// WireJSONBytes/WireBinaryBytes count frame payload bytes moved over
-	// the backend's wire (both directions, handshakes included) per
-	// codec; only wire backends (exec, remote) report them. A mixed
-	// fleet — some workers negotiated the binary codec, some fell back
-	// to JSON — reports both.
+	// a fleet's wire in both directions: the JSON hello/welcome
+	// handshakes and the bin1 work and results frames after them.
 	WireJSONBytes   uint64 `json:"wire_json_bytes,omitempty"`
 	WireBinaryBytes uint64 `json:"wire_binary_bytes,omitempty"`
-	// Workers itemizes a RemoteBackend's fleet, one entry per worker that
-	// ever joined (in join order, departed workers included).
+	// Workers itemizes a fleet, one entry per worker that ever joined
+	// (in join order, departed workers included).
 	Workers []WorkerStats `json:"workers,omitempty"`
 }
 
@@ -235,8 +231,7 @@ type WorkerStats struct {
 	AffinityMisses uint64 `json:"affinity_misses,omitempty"`
 }
 
-// StatsReporter is implemented by backends that track BackendStats;
-// MultiBackend flattens its children's reports.
+// StatsReporter is implemented by backends that track BackendStats.
 type StatsReporter interface {
 	BackendStats() []BackendStats
 }
@@ -247,10 +242,10 @@ type StatsReporter interface {
 type cellNotify func(c Cell, spec CellSpec, res CellResult)
 
 // cellSink is implemented by backends that can stream completed cells to
-// the pool's observer and sink; Pool.SetBackend wires it. A backend must
-// not report cells from a batch whose Run returns an error — a router
-// will requeue that batch elsewhere, and early reports would
-// double-count the cells in Pool.Cells().
+// the pool's observer and sink; Pool.SetBackend wires it. A fleet
+// reports a batch's cells only once its Run succeeds: cells from a
+// failed batch would otherwise be counted in Pool.Cells() without
+// reaching the output.
 type cellSink interface {
 	setSink(cellNotify)
 }
@@ -391,174 +386,6 @@ func compact(results []CellResult, attempted []bool) []CellResult {
 	return out
 }
 
-// WeightedBackend pairs a backend with its share of the work.
-type WeightedBackend struct {
-	Backend Backend
-	// Weight is the backend's relative share of batch chunks (<= 0 is
-	// treated as 1).
-	Weight int
-}
-
-// MultiBackend fans batches out across several backends by weighted
-// round-robin, requeueing a chunk onto the next backend when one fails
-// it at the transport level (Permanent failures propagate immediately
-// instead — see ErrPermanent). Results merge back into shard order, so
-// output is bit-identical regardless of which backend ran which cell.
-type MultiBackend struct {
-	entries []WeightedBackend
-	ring    []int // entry indices expanded by weight
-	next    atomic.Uint64
-	retries []atomic.Uint64 // per entry: cells requeued after it failed
-}
-
-// NewMultiBackend builds the router; it panics on an empty entry list so
-// misconfiguration surfaces at construction.
-func NewMultiBackend(entries ...WeightedBackend) *MultiBackend {
-	if len(entries) == 0 {
-		panic("harness: NewMultiBackend with no backends")
-	}
-	m := &MultiBackend{entries: entries, retries: make([]atomic.Uint64, len(entries))}
-	for i, e := range entries {
-		w := e.Weight
-		if w <= 0 {
-			w = 1
-		}
-		for j := 0; j < w; j++ {
-			m.ring = append(m.ring, i)
-		}
-	}
-	return m
-}
-
-// Name implements Backend.
-func (m *MultiBackend) Name() string { return "multi" }
-
-// Close closes every child backend, returning the first error.
-func (m *MultiBackend) Close() error {
-	var first error
-	for _, e := range m.entries {
-		if err := e.Backend.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// setSink forwards the pool's observer sink to every child that streams.
-func (m *MultiBackend) setSink(fn cellNotify) {
-	for _, e := range m.entries {
-		if s, ok := e.Backend.(cellSink); ok {
-			s.setSink(fn)
-		}
-	}
-}
-
-// BackendStats flattens the children's reports, attributing each child's
-// requeue count to the backend that failed.
-func (m *MultiBackend) BackendStats() []BackendStats {
-	var out []BackendStats
-	for i, e := range m.entries {
-		var stats []BackendStats
-		if sr, ok := e.Backend.(StatsReporter); ok {
-			stats = sr.BackendStats()
-		} else {
-			stats = []BackendStats{{Backend: e.Backend.Name()}}
-		}
-		if len(stats) > 0 {
-			stats[0].Retries += m.retries[i].Load()
-		}
-		out = append(out, stats...)
-	}
-	return out
-}
-
-// multiChunkCells bounds chunk size so every backend in the ring sees
-// work even on small batches.
-const multiChunkTarget = 4
-
-// Run implements Backend: the batch splits into chunks assigned to
-// backends by weighted round-robin; a chunk whose backend fails is
-// requeued onto the next backend in the ring until one succeeds or all
-// have failed it.
-func (m *MultiBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-
-	chunkSize := (len(specs) + len(m.ring)*multiChunkTarget - 1) / (len(m.ring) * multiChunkTarget)
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
-	type chunk struct {
-		specs []CellSpec
-		entry int // first entry index to try
-	}
-	var chunks []chunk
-	for off := 0; off < len(specs); off += chunkSize {
-		end := off + chunkSize
-		if end > len(specs) {
-			end = len(specs)
-		}
-		slot := m.next.Add(1) - 1
-		chunks = append(chunks, chunk{
-			specs: specs[off:end],
-			entry: m.ring[slot%uint64(len(m.ring))],
-		})
-	}
-
-	var (
-		mu      sync.Mutex
-		merged  []CellResult
-		firstEr error
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, c := range chunks {
-		wg.Add(1)
-		go func(c chunk) {
-			defer wg.Done()
-			var lastErr error
-			for attempt := 0; attempt < len(m.entries); attempt++ {
-				if ctx.Err() != nil {
-					lastErr = ctx.Err()
-					break
-				}
-				idx := (c.entry + attempt) % len(m.entries)
-				res, err := m.entries[idx].Backend.Run(ctx, c.specs)
-				if err == nil {
-					mu.Lock()
-					merged = append(merged, res...)
-					mu.Unlock()
-					return
-				}
-				lastErr = fmt.Errorf("backend %s: %w", m.entries[idx].Backend.Name(), err)
-				if errors.Is(err, ErrPermanent) {
-					// A deterministic cell/scenario failure would repeat
-					// identically on every backend: propagate immediately
-					// instead of retrying it across the whole ring.
-					break
-				}
-				// Requeue: charge the failed backend for every cell that
-				// now has to run elsewhere.
-				m.retries[idx].Add(uint64(len(c.specs)))
-			}
-			mu.Lock()
-			if firstEr == nil {
-				firstEr = lastErr
-			}
-			mu.Unlock()
-			cancel()
-		}(c)
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	sortResultsByShard(merged)
-	return merged, nil
-}
-
 // sortResultsByShard orders results canonically. The input is whole
 // chunks concatenated in completion order — sorted within a chunk but
 // arbitrarily interleaved across chunks — so this must not assume
@@ -567,23 +394,19 @@ func sortResultsByShard(rs []CellResult) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Shard < rs[j].Shard })
 }
 
-// chunksPerWorker is how many size-cut chunks per worker a wire
-// coordinator splits a batch into: small enough that fast workers pull
-// more of them and late joiners find work, large enough that the
+// chunksPerWorker is how many size-cut chunks per worker the fleet
+// splits a batch's unlabeled cells into: small enough that fast workers
+// pull more of them and late joiners find work, large enough that the
 // per-frame cost stays negligible next to the cells.
 const chunksPerWorker = 4
 
-// localityChunks cuts a batch into the dispatch chunks of a wire
-// coordinator with the given worker count. Chunks never span two
-// locality keys, and keys come out in first-appearance order (specs
-// arrive in shard order, so the cut is stable). Unlabeled cells are cut
-// into chunks of about len(specs)/(workers*chunksPerWorker) cells. A
-// labeled group is cut the same way when splitGroups is set
-// (RemoteBackend: small chunks keep steals and late joiners effective,
-// and affinity routes a key's chunks to one home); otherwise it ships
-// whole (ExecBackend: one worker builds the group's traces, timelines
-// and baselines once).
-func localityChunks(specs []CellSpec, workers int, splitGroups bool) [][]CellSpec {
+// localityChunks cuts a batch into the fleet's dispatch chunks for the
+// given worker count. Each locality group ships whole, so one worker
+// builds the traces, timelines and baselines its cells share, once.
+// Keys come out in first-appearance order (specs arrive in shard order,
+// so the cut is stable). Unlabeled cells are cut into chunks of about
+// len(specs)/(workers*chunksPerWorker) cells.
+func localityChunks(specs []CellSpec, workers int) [][]CellSpec {
 	size := max(1, (len(specs)+workers*chunksPerWorker-1)/(workers*chunksPerWorker))
 	order := make([]string, 0, 8)
 	byLoc := map[string][]CellSpec{}
@@ -597,7 +420,7 @@ func localityChunks(specs []CellSpec, workers int, splitGroups bool) [][]CellSpe
 	for _, loc := range order {
 		group := byLoc[loc]
 		step := size
-		if loc != "" && !splitGroups {
+		if loc != "" {
 			step = len(group)
 		}
 		for off := 0; off < len(group); off += step {

@@ -19,20 +19,24 @@
 //
 // # Backends
 //
-// Four Backend implementations ship with the package:
+// Three Backend implementations ship with the package:
 //
 //   - LocalBackend: the in-process goroutine pool (the default).
-//   - ExecBackend: subprocess workers (`stbpu-suite -worker`) fed
-//     CellSpec batches as length-prefixed JSON frames over stdio — the
-//     building block for multi-machine runs via ssh or a job runner.
-//   - RemoteBackend: the same frames over TCP to an elastic fleet —
-//     workers (`stbpu-suite -worker -connect host:port`) join and leave
-//     at will; the coordinator heartbeats them, requeues chunks from
-//     dead workers, and speculatively re-executes stragglers'
-//     cells (first result wins, duplicates discarded by address).
-//   - MultiBackend: weighted round-robin across child backends with
-//     requeue on transport failure; batch failures marked Permanent
-//     (deterministic scenario bugs) propagate instead of retrying.
+//   - RemoteBackend: the worker fleet's one coordinator. Workers
+//     (`stbpu-suite -worker -connect host:port`) dial in over TCP and
+//     join and leave at will; after a JSON hello/welcome handshake every
+//     frame is bin1. The coordinator ships each locality group whole,
+//     heartbeats workers, requeues chunks from dead workers, and
+//     speculatively re-executes stragglers' cells (first result wins,
+//     duplicates discarded by address).
+//   - ExecBackend: the same fleet, with members it spawns
+//     (`stbpu-suite -worker`) and admits on their stdin/stdout instead
+//     of a listener — the building block for multi-machine runs via ssh
+//     or a job runner. It never speculates; a chunk overdue past
+//     BatchTimeout kills its worker and requeues.
+//
+// A chunk error marked Permanent (a deterministic scenario bug) fails
+// the run instead of being retried on another worker.
 //
 // Cells are addressable across processes as (scenario, params, scope,
 // shard, rootSeed), so a worker holding the same binary re-derives any

@@ -1,35 +1,38 @@
 package harness
 
-// Subprocess execution: ExecBackend ships CellSpec batches to worker
-// processes (`stbpu-suite -worker`) over length-prefixed frames on
-// stdin/stdout (JSON, or the negotiated binary codec — see wire.go)
-// and merges the CellResults they send back. A worker
-// executes a spec by looking the scenario up in its own registry and
-// re-running the scenario's decomposition with a capture backend that
-// runs only the requested shards — cells are pure functions of
-// (scenario, params, scope, shard, root seed), so the worker's results
-// are bit-identical to what the coordinator would have computed.
+// Subprocess execution: ExecBackend is a worker fleet whose members it
+// spawns. It starts Workers copies of Command (`stbpu-suite -worker`)
+// and admits each child's stdin/stdout pipes into the fleet scheduler
+// RemoteBackend runs for TCP members (remote.go), without opening a
+// listener, so exec members get the fleet's requeue, heartbeats,
+// affinity and per-worker stats. They get no speculation: members share
+// one host's cores, so a clone cannot beat its original, and a hung
+// member is BatchTimeout's job. A worker executes a spec
+// by looking the scenario up in its own registry and re-running the
+// scenario's decomposition with a capture backend that runs only the
+// requested shards — cells are pure functions of (scenario, params,
+// scope, shard, root seed), so the worker's results are bit-identical
+// to what the coordinator would have computed.
 //
-// The protocol is the building block for multi-machine runs: anything
-// that can pipe stdin/stdout to a process with the same binary — ssh, a
-// container runner, a job scheduler — can host a worker.
+// Anything that can pipe stdin/stdout to a process with the same binary
+// — ssh, a container runner, a job scheduler — can host a member.
 //
 // Cache locality: each worker process generates its own traces into a
-// process-local tracestore.Store that persists across batches. The
+// process-local tracestore.Store that persists across chunks. The
 // coordinator's store is not consulted for remote cells, so a trace may
 // be generated once per worker instead of once per run — deterministic
 // generation keeps results identical, at the cost of duplicated
-// generation work (see internal/tracestore's package comment). Run
-// keeps that duplication per group, not per chunk: every locality group
-// ships whole to one worker.
+// generation work (see internal/tracestore's package comment). The
+// fleet keeps that duplication per group, not per chunk: every
+// locality group ships whole to one worker.
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"sync"
@@ -41,81 +44,14 @@ import (
 	"stbpu/internal/tracestore"
 )
 
-// maxFrameBytes bounds a protocol frame so a corrupt length prefix
-// cannot trigger a giant allocation.
-const maxFrameBytes = 256 << 20
-
-// execHello opens the exec stdio wire: the coordinator's first frame
-// carries no cells, only the codecs it speaks. A bare/old worker
-// treats it as an empty batch and answers a plain response with no
-// codec — the coordinator then stays on JSON for the session.
-type execHello struct {
-	Codecs []string `json:"codecs,omitempty"`
-}
-
-// workerRequest is one coordinator → worker frame.
-type workerRequest struct {
-	// Hello, when set, makes this a handshake frame (no cells).
-	Hello *execHello `json:"hello,omitempty"`
-	Cells []CellSpec `json:"cells"`
-}
-
-// workerResponse is one worker → coordinator frame. Err reports a
-// batch-level failure (unknown scenario, params mismatch); per-cell
-// failures travel inside Results. Permanent marks Err as a
-// deterministic failure of the batch itself (see ErrPermanent), which
-// the coordinator must not requeue onto another backend.
-type workerResponse struct {
-	// Codec answers a hello with the frame codec the worker selected
-	// (empty = JSON); absent outside handshakes.
-	Codec     string       `json:"codec,omitempty"`
-	Results   []CellResult `json:"results,omitempty"`
-	Err       string       `json:"err,omitempty"`
-	Permanent bool         `json:"permanent,omitempty"`
-}
-
-// writeFrame emits a 4-byte big-endian length followed by the JSON
-// encoding of v.
-func writeFrame(w io.Writer, v any) error {
-	_, err := writeJSONFrame(w, v)
-	return err
-}
-
-// writeJSONFrame is writeFrame reporting the payload size, for the
-// per-codec byte accounting.
-func writeJSONFrame(w io.Writer, v any) (int, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	return len(payload), writeRawFrame(w, payload)
-}
-
-// readFrame reads one length-prefixed JSON frame into v. A clean EOF
-// before the header returns io.EOF; EOF mid-frame returns
-// io.ErrUnexpectedEOF.
-func readFrame(r io.Reader, v any) error {
-	_, err := readJSONFrame(r, v)
-	return err
-}
-
-// readJSONFrame is readFrame reporting the payload size, for the
-// per-codec byte accounting.
-func readJSONFrame(r io.Reader, v any) (int, error) {
-	payload, err := readRawFrame(r)
-	if err != nil {
-		return 0, err
-	}
-	return len(payload), json.Unmarshal(payload, v)
-}
-
 // ---------------------------------------------------------------------------
 // Coordinator side.
 
 // ExecBackend executes cells on a fleet of subprocess workers speaking
-// the length-prefixed JSON protocol. Workers are spawned lazily on the
-// first Run and live until Close; a worker that died is respawned on the
-// next Run.
+// the fleet protocol on stdio. Workers are spawned on the first Run and
+// live until Close; a worker that died is respawned on the next Run.
+// The exported fields must be set before the backend is installed in a
+// Pool or first run.
 type ExecBackend struct {
 	// Command is the worker argv (nil means this executable with
 	// "-worker" appended — the stbpu-suite worker mode).
@@ -124,415 +60,258 @@ type ExecBackend struct {
 	Env []string
 	// Workers is the subprocess count (<= 0 means 1).
 	Workers int
-	// BatchTimeout bounds one batch round-trip. A worker that exceeds it
-	// is presumed hung — not dead, so no pipe error would ever surface —
-	// and is killed, failing the batch with its stderr post-mortem so a
-	// router can requeue the chunk. <= 0 means no deadline.
+	// BatchTimeout bounds how long one chunk may stay on a worker. A
+	// worker that exceeds it is presumed hung — not dead, so no pipe
+	// error would ever surface — and is killed; its chunk requeues onto
+	// the rest of the fleet, and its stderr post-mortem explains the
+	// run's failure if no worker is left. It also bounds a new worker's
+	// handshake. <= 0 means no deadline.
 	BatchTimeout time.Duration
-	// Wire pins the frame codec: "json" forces JSON frames (skipping
-	// the handshake), empty negotiates the binary codec per worker.
-	Wire string
+	// TraceDir, TraceMajor, TraceMmap, Snapshots, SnapDir and
+	// WorkloadSpecs reach the workers in the welcome frame, as for
+	// RemoteBackend.
+	TraceDir      string
+	TraceMajor    *bool
+	TraceMmap     *bool
+	Snapshots     *bool
+	SnapDir       string
+	WorkloadSpecs []string
 
 	mu     sync.Mutex
-	procs  []*execWorker
+	fleet  *RemoteBackend
+	procs  []*procConn
 	closed bool
-
-	sink   atomic.Pointer[cellNotify]
-	cells  atomic.Uint64
-	wallNS atomic.Int64
-	wire   wireStats
 }
 
 // Name implements Backend.
 func (b *ExecBackend) Name() string { return "exec" }
 
-func (b *ExecBackend) setSink(fn cellNotify) { b.sink.Store(&fn) }
-
-func (b *ExecBackend) notify(c Cell, spec CellSpec, res CellResult) {
-	if fn := b.sink.Load(); fn != nil && *fn != nil {
-		(*fn)(c, spec, res)
-	}
+// coordinator returns the fleet scheduler, creating it on first use.
+func (b *ExecBackend) coordinator() *RemoteBackend {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.coordinatorLocked()
 }
+
+func (b *ExecBackend) coordinatorLocked() *RemoteBackend {
+	if b.fleet == nil {
+		b.fleet = &RemoteBackend{
+			TraceDir: b.TraceDir, TraceMajor: b.TraceMajor, TraceMmap: b.TraceMmap,
+			Snapshots: b.Snapshots, SnapDir: b.SnapDir, WorkloadSpecs: b.WorkloadSpecs,
+		}
+	}
+	return b.fleet
+}
+
+func (b *ExecBackend) setSink(fn cellNotify) { b.coordinator().setSink(fn) }
 
 // BackendStats implements StatsReporter.
 func (b *ExecBackend) BackendStats() []BackendStats {
-	s := BackendStats{
-		Backend: b.Name(),
-		Cells:   b.cells.Load(),
-		WallMS:  time.Duration(b.wallNS.Load()).Milliseconds(),
-	}
-	b.wire.fill(&s)
-	return []BackendStats{s}
+	stats := b.coordinator().BackendStats()
+	stats[0].Backend = b.Name()
+	return stats
 }
 
-// ensureStarted spawns (or respawns) the worker fleet.
-func (b *ExecBackend) ensureStarted() ([]*execWorker, error) {
+// ensureStarted spawns a worker into every slot whose worker is missing
+// or was dropped, and admits the new ones into the fleet concurrently
+// (each handshake waits on a process start). A member's hello is bounded
+// by BatchTimeout alone, since a slow host command (ssh, a queued job)
+// may take long to start one; canceling ctx kills the unadmitted
+// workers.
+func (b *ExecBackend) ensureStarted(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return nil, errors.New("exec backend is closed")
-	}
-	n := b.Workers
-	if n <= 0 {
-		n = 1
+		return errors.New("exec backend is closed")
 	}
 	argv := b.Command
 	if argv == nil {
 		exe, err := os.Executable()
 		if err != nil {
-			return nil, fmt.Errorf("resolve worker executable: %w", err)
+			return fmt.Errorf("resolve worker executable: %w", err)
 		}
 		argv = []string{exe, "-worker"}
 	}
 	if len(argv) == 0 {
-		return nil, errors.New("exec backend has an empty worker command")
+		return errors.New("exec backend has an empty worker command")
 	}
-	for len(b.procs) < n {
+	for len(b.procs) < max(1, b.Workers) {
 		b.procs = append(b.procs, nil)
 	}
-	for i := 0; i < n; i++ {
-		if b.procs[i] != nil && !b.procs[i].dead.Load() {
+	var spawned []*procConn
+	for i, p := range b.procs {
+		if p != nil && !p.dropped.Load() {
 			continue
 		}
-		w, err := startExecWorker(i, argv, b.Env, b.BatchTimeout, b.Wire, &b.wire)
+		p, err := spawnWorker(argv, b.Env)
 		if err != nil {
-			return nil, fmt.Errorf("spawn worker %d: %w", i, err)
-		}
-		b.procs[i] = w
-	}
-	return append([]*execWorker(nil), b.procs[:n]...), nil
-}
-
-// Run implements Backend: the batch splits into chunks pulled by the
-// worker fleet; a dead or misbehaving worker fails the whole batch with
-// a root-caused error (MultiBackend can then requeue it elsewhere). A
-// locality group (see Locality) is one chunk, so the traces, timelines
-// and baselines its cells share are built once, on one worker;
-// unlabeled cells are cut by size (see localityChunks).
-func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	start := time.Now()
-	defer func() { b.wallNS.Add(int64(time.Since(start))) }()
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	procs, err := b.ensureStarted()
-	if err != nil {
-		return nil, err
-	}
-
-	chunks := localityChunks(specs, len(procs), false)
-	queue := make(chan []CellSpec, len(chunks))
-	for _, c := range chunks {
-		queue <- c
-	}
-	close(queue)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	specByShard := make(map[int]CellSpec, len(specs))
-	for _, s := range specs {
-		specByShard[s.Shard] = s
-	}
-
-	var (
-		mu      sync.Mutex
-		merged  []CellResult
-		firstEr error
-	)
-	var wg sync.WaitGroup
-	for _, w := range procs {
-		wg.Add(1)
-		go func(w *execWorker) {
-			defer wg.Done()
-			for chunk := range queue {
-				if ctx.Err() != nil {
-					return
-				}
-				results, err := w.roundTrip(ctx, chunk)
-				if err != nil {
-					mu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					mu.Unlock()
-					cancel()
-					return
-				}
-				mu.Lock()
-				merged = append(merged, results...)
-				mu.Unlock()
+			for _, p := range spawned {
+				p.Close() // not admitted; the next Run respawns its slot
 			}
-		}(w)
-	}
-	wg.Wait()
-	if firstEr != nil {
-		// Nothing from this batch is counted or streamed: a router
-		// (MultiBackend) will requeue the whole batch elsewhere, and
-		// cells observed here would then be double-counted in
-		// Pool.Cells()/Report.Cells, breaking cross-backend byte
-		// identity on exactly the requeue path.
-		return nil, firstEr
-	}
-	sortResultsByShard(merged)
-	for i := range merged {
-		r := &merged[i]
-		b.cells.Add(1)
-		s := specByShard[r.Shard]
-		b.notify(Cell{
-			Backend: b.Name(), Scope: s.Scope, Shard: r.Shard, Seed: s.Seed,
-			Elapsed: time.Duration(r.ElapsedUS) * time.Microsecond, Err: r.CellErr(),
-		}, s, *r)
-	}
-	return merged, nil
-}
-
-// Close shuts the worker fleet down: stdin close asks each worker to
-// exit cleanly, and stragglers are killed.
-func (b *ExecBackend) Close() error {
-	b.mu.Lock()
-	procs := b.procs
-	b.procs = nil
-	b.closed = true
-	b.mu.Unlock()
-	var first error
-	for _, w := range procs {
-		if w == nil {
-			continue
+			return fmt.Errorf("spawn worker %d: %w", i, err)
 		}
-		if err := w.shutdown(); err != nil && first == nil {
-			first = err
+		b.procs[i] = p
+		spawned = append(spawned, p)
+	}
+	fleet := b.coordinatorLocked()
+	errs := make([]error, len(spawned))
+	var wg sync.WaitGroup
+	for i, p := range spawned {
+		wg.Add(1)
+		go func(i int, p *procConn) {
+			defer wg.Done()
+			errs[i] = fleet.admit(p, b.BatchTimeout)
+		}(i, p)
+	}
+	stop := context.AfterFunc(ctx, func() {
+		for _, p := range spawned {
+			p.Close()
+		}
+	})
+	wg.Wait()
+	if !stop() {
+		// The new workers were killed: report the interrupt, not their
+		// broken handshakes.
+		return ctx.Err()
+	}
+	var first error
+	for i, err := range errs {
+		if err != nil {
+			// Closing stdin lets a refused worker say why before it is
+			// killed; its slot is respawned on the next Run.
+			p := spawned[i]
+			_ = p.in.Close()
+			postmortem := p.postmortem()
+			p.Close()
+			if first == nil {
+				first = fmt.Errorf("exec worker handshake: %w; %s", err, postmortem)
+			}
 		}
 	}
 	return first
 }
 
-// execWorker is one subprocess speaking the frame protocol. A worker
-// handles one round-trip at a time (guarded by mu), so frames never
-// interleave even when Run is called concurrently.
-type execWorker struct {
-	id      int
-	cmd     *exec.Cmd
-	in      io.WriteCloser
-	out     *bufio.Reader
-	stderr  *tailBuffer
-	timeout time.Duration // per-batch deadline; 0 = none
-	wireCfg string        // backend Wire config ("json" pins JSON)
-	stats   *wireStats
-
-	mu        sync.Mutex
-	helloDone bool
-	codec     string // negotiated frame codec ("" = JSON)
-	dead      atomic.Bool
-	killOnce  sync.Once
-	waitOnce  sync.Once
-	waitRes   error
+// Run implements Backend: the batch runs on the fleet scheduler, which
+// ships each locality group whole and cuts unlabeled cells by size (see
+// localityChunks). Once every worker has died the run fails at once
+// with the last worker's root cause.
+func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
+	fleet := b.coordinator()
+	start := time.Now()
+	defer func() { fleet.wallNS.Add(int64(time.Since(start))) }()
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	if err := b.ensureStarted(ctx); err != nil {
+		return nil, err
+	}
+	return fleet.run(ctx, specs, b.Name(), b.BatchTimeout)
 }
 
-func startExecWorker(id int, argv, env []string, timeout time.Duration, wireCfg string, stats *wireStats) (*execWorker, error) {
+// Close shuts the fleet down: every worker is killed — a chunk still
+// running belongs to a run that has already returned — and reaped
+// before Close returns, so its CPU time is accounted to this process.
+func (b *ExecBackend) Close() error {
+	b.mu.Lock()
+	procs, fleet := b.procs, b.fleet
+	b.procs, b.closed = nil, true
+	b.mu.Unlock()
+	if fleet != nil {
+		fleet.Close()
+	}
+	for _, p := range procs {
+		if p != nil {
+			p.Close()
+			<-p.exited
+		}
+	}
+	return nil
+}
+
+// procConn is a spawned worker's end of the fleet protocol: the write
+// end of its stdin and the read end of its stdout. Both are pipes from
+// os.Pipe, which support deadlines, so the fleet's heartbeat and write
+// timeouts apply to exec members as to TCP ones.
+type procConn struct {
+	cmd     *exec.Cmd
+	in      *os.File
+	out     *os.File
+	stderr  *tailBuffer
+	exited  chan struct{} // closed once cmd.Wait has returned
+	waitErr error         // cmd.Wait's result, set before exited closes
+	// dropped is set once the fleet let go of the worker; the next Run
+	// respawns its slot.
+	dropped   atomic.Bool
+	closeOnce sync.Once
+}
+
+// spawnWorker starts one worker process on fresh stdio pipes.
+func spawnWorker(argv, env []string) (*procConn, error) {
+	childIn, in, err := os.Pipe()
+	if err != nil {
+		return nil, err
+	}
+	out, childOut, err := os.Pipe()
+	if err != nil {
+		childIn.Close()
+		in.Close()
+		return nil, err
+	}
 	cmd := exec.Command(argv[0], argv[1:]...)
 	if len(env) > 0 {
 		cmd.Env = append(os.Environ(), env...)
 	}
-	in, err := cmd.StdinPipe()
+	p := &procConn{cmd: cmd, in: in, out: out, stderr: &tailBuffer{max: 4096}, exited: make(chan struct{})}
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = childIn, childOut, p.stderr
+	err = cmd.Start()
+	// The child holds its own copies of its pipe ends.
+	childIn.Close()
+	childOut.Close()
 	if err != nil {
+		in.Close()
+		out.Close()
 		return nil, err
 	}
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	tail := &tailBuffer{max: 4096}
-	cmd.Stderr = tail
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	return &execWorker{id: id, cmd: cmd, in: in, out: bufio.NewReader(out), stderr: tail,
-		timeout: timeout, wireCfg: wireCfg, stats: stats}, nil
+	go func() {
+		p.waitErr = cmd.Wait()
+		close(p.exited)
+	}()
+	return p, nil
 }
 
-// handshake negotiates the frame codec on the worker's first
-// round-trip (always JSON frames). An old worker treats the hello as
-// an empty batch and answers with no codec, leaving the session on
-// JSON; a worker that died on its first frame surfaces through the
-// same root-caused error path as any other protocol failure.
-func (w *execWorker) handshake() error {
-	if w.helloDone {
-		return nil
-	}
-	w.helloDone = true
-	if w.wireCfg == wireForceJSON {
-		return nil
-	}
-	n, err := writeJSONFrame(w.in, workerRequest{Hello: &execHello{Codecs: wireOffer(w.wireCfg)}})
-	if err != nil {
-		return err
-	}
-	w.stats.count("", n)
-	var resp workerResponse
-	rn, err := readJSONFrame(w.out, &resp)
-	if err != nil {
-		return err
-	}
-	w.stats.count("", rn)
-	if resp.Err != "" {
-		return fmt.Errorf("hello rejected: %s", resp.Err)
-	}
-	if resp.Codec == wireCodecBinary {
-		w.codec = wireCodecBinary
-	}
+func (p *procConn) Read(b []byte) (int, error)         { return p.out.Read(b) }
+func (p *procConn) Write(b []byte) (int, error)        { return p.in.Write(b) }
+func (p *procConn) SetReadDeadline(t time.Time) error  { return p.out.SetReadDeadline(t) }
+func (p *procConn) SetWriteDeadline(t time.Time) error { return p.in.SetWriteDeadline(t) }
+
+// Close kills the worker and releases the pipes. It does not wait for
+// the process; exited reports that.
+func (p *procConn) Close() error {
+	p.closeOnce.Do(func() {
+		p.dropped.Store(true)
+		_ = p.cmd.Process.Kill() // fails only once the process is gone
+		p.in.Close()
+		p.out.Close()
+	})
 	return nil
 }
 
-// writeRequest frames req in the session's negotiated codec.
-func (w *execWorker) writeRequest(req workerRequest) error {
-	if w.codec == wireCodecBinary {
-		payload := encodeWireMsg(&wireMsg{kind: wireKindWork, cells: req.Cells})
-		w.stats.count(w.codec, len(payload))
-		return writeRawFrame(w.in, payload)
-	}
-	n, err := writeJSONFrame(w.in, req)
-	w.stats.count("", n)
-	return err
-}
-
-// readResponse reads one response frame in the negotiated codec.
-func (w *execWorker) readResponse(resp *workerResponse) error {
-	if w.codec == wireCodecBinary {
-		payload, err := readRawFrame(w.out)
-		if err != nil {
-			return err
-		}
-		w.stats.count(w.codec, len(payload))
-		m, err := decodeWireMsg(payload)
-		if err != nil {
-			return err
-		}
-		if m.kind != wireKindResults {
-			return fmt.Errorf("unexpected frame kind %d (want results)", m.kind)
-		}
-		resp.Results, resp.Err, resp.Permanent = m.results, m.err, m.permanent
-		return nil
-	}
-	n, err := readJSONFrame(w.out, resp)
-	w.stats.count("", n)
-	return err
-}
-
-// roundTrip sends one batch and waits for its response. Any transport
-// failure marks the worker dead and returns a root-caused error carrying
-// the worker's exit state and recent stderr, so a killed subprocess
-// surfaces as a diagnosis instead of a hang.
-func (w *execWorker) roundTrip(ctx context.Context, chunk []CellSpec) ([]CellResult, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.dead.Load() {
-		return nil, fmt.Errorf("exec worker %d is dead", w.id)
-	}
-
-	type outcome struct {
-		resp workerResponse
-		err  error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		var o outcome
-		if o.err = w.handshake(); o.err == nil {
-			if o.err = w.writeRequest(workerRequest{Cells: chunk}); o.err == nil {
-				o.err = w.readResponse(&o.resp)
-			}
-		}
-		done <- o
-	}()
-
-	// A hung worker never errors the pipe, so the context and the batch
-	// deadline are the only ways out of this select. The deadline kills
-	// the worker (surfacing its stderr) and fails the batch so a router
-	// can requeue the chunk on a healthy backend.
-	var deadline <-chan time.Time
-	if w.timeout > 0 {
-		t := time.NewTimer(w.timeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	var o outcome
-	select {
-	case o = <-done:
-	case <-ctx.Done():
-		w.fail() // unblocks the writer/reader goroutine
-		<-done
-		return nil, ctx.Err()
-	case <-deadline:
-		postmortem := w.fail() // kills the worker, unblocking the goroutine
-		<-done
-		return nil, fmt.Errorf("exec worker %d: batch of %d cells exceeded the %v batch timeout: %s",
-			w.id, len(chunk), w.timeout, postmortem)
-	}
-	if o.err != nil {
-		return nil, fmt.Errorf("exec worker %d: protocol failed (%v): %s", w.id, o.err, w.fail())
-	}
-	if o.resp.Err != "" {
-		err := fmt.Errorf("exec worker %d: %s", w.id, o.resp.Err)
-		if o.resp.Permanent {
-			// The worker is alive and the protocol intact: the batch
-			// itself is broken, identically so everywhere.
-			err = Permanent(err)
-		}
-		return nil, err
-	}
-	return o.resp.Results, nil
-}
-
-// fail marks the worker dead, kills the process, and returns a one-line
-// post-mortem (exit state plus recent stderr).
-func (w *execWorker) fail() string {
-	w.dead.Store(true)
-	w.killOnce.Do(func() {
-		if w.cmd.Process != nil {
-			_ = w.cmd.Process.Kill()
-		}
-	})
+// postmortem waits briefly for the worker to exit and returns a one-line
+// diagnosis: its exit state and recent stderr.
+func (p *procConn) postmortem() string {
 	state := "exit state unknown"
-	done := make(chan struct{})
-	go func() {
-		w.waitOnce.Do(func() { w.waitRes = w.cmd.Wait() })
-		close(done)
-	}()
 	select {
-	case <-done:
-		if w.waitRes != nil {
-			state = w.waitRes.Error()
-		} else {
-			state = "exited cleanly"
+	case <-p.exited:
+		state = "exited cleanly"
+		if p.waitErr != nil {
+			state = p.waitErr.Error()
 		}
 	case <-time.After(2 * time.Second):
 	}
-	if tail := w.stderr.String(); tail != "" {
+	if tail := p.stderr.String(); tail != "" {
 		return fmt.Sprintf("worker %s; recent stderr: %q", state, tail)
 	}
 	return "worker " + state
-}
-
-// shutdown closes stdin (the worker's clean-exit signal) and reaps the
-// process, killing it if it lingers.
-func (w *execWorker) shutdown() error {
-	w.dead.Store(true)
-	_ = w.in.Close()
-	done := make(chan struct{})
-	go func() {
-		w.waitOnce.Do(func() { w.waitRes = w.cmd.Wait() })
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		w.killOnce.Do(func() {
-			if w.cmd.Process != nil {
-				_ = w.cmd.Process.Kill()
-			}
-		})
-		<-done
-	}
-	return nil
 }
 
 // tailBuffer keeps the last max bytes written, for stderr post-mortems.
@@ -561,71 +340,19 @@ func (t *tailBuffer) String() string {
 // ---------------------------------------------------------------------------
 // Worker side.
 
-// WorkerOptions configures ServeWorker.
+// WorkerOptions holds a worker process's own budgets. Everything that
+// shapes a run — tiers, scheduling modes, workload specs — comes from
+// the coordinator's welcome frame instead.
 type WorkerOptions struct {
-	// Workers is the in-process concurrency used to execute a batch's
+	// Workers is the in-process concurrency used to execute a chunk's
 	// cells (<= 0 means GOMAXPROCS).
 	Workers int
 	// CacheBytes bounds the worker's process-local trace store
 	// (<= 0 means tracestore.DefaultMaxBytes).
 	CacheBytes int64
-	// TraceDir, when nonempty, points the worker's trace store at the
-	// shared persistent tier (tracestore.SetDir): workers decode traces
-	// another process already generated instead of regenerating them.
-	TraceDir string
-	// TraceMajor toggles trace-major grouping in the worker's capture
-	// runs (nil means the default, on). Pure scheduling: results are
-	// bit-identical either way.
-	TraceMajor *bool
-	// TraceMmap switches the worker's disk tier into zero-copy mmap
-	// mode (tracestore.Store.SetMapped). Only meaningful with TraceDir.
-	TraceMmap bool
-	// Snapshots toggles the warm-state snapshot tier in the worker's
-	// capture runs (nil means the default, on). Pure acceleration:
-	// results are bit-identical either way.
-	Snapshots *bool
 	// SnapBytes bounds the worker's process-local checkpoint store
 	// (<= 0 means snapstore.DefaultMaxBytes).
 	SnapBytes int64
-	// SnapDir, when nonempty, points the worker's checkpoint store at
-	// the shared persistent tier (snapstore.SetDir): workers restore
-	// warm predictor state another process already computed instead of
-	// replaying warmup prefixes.
-	SnapDir string
-	// WorkloadSpecs holds raw JSON workload-spec documents
-	// (internal/trace/spec) to register before serving cells, so the
-	// worker resolves the same spec workload names the coordinator
-	// schedules. Content-hashed names make registration idempotent.
-	WorkloadSpecs []string
-	// Wire pins the worker's frame codec: "json" refuses the binary
-	// codec in handshakes (the worker then behaves like a bare/old
-	// worker); empty accepts whatever the coordinator offers.
-	Wire string
-}
-
-// registerWorkloadSpecs parses and registers raw spec documents a
-// worker received via flags or the coordinator's welcome frame.
-func registerWorkloadSpecs(docs []string) error {
-	for _, doc := range docs {
-		s, err := spec.Parse([]byte(doc))
-		if err != nil {
-			return fmt.Errorf("worker: workload spec: %w", err)
-		}
-		if err := spec.Register(s); err != nil {
-			return fmt.Errorf("worker: workload spec %q: %w", s.Name, err)
-		}
-	}
-	return nil
-}
-
-// traceMajorOn resolves the tri-state flag (nil = default on).
-func (o WorkerOptions) traceMajorOn() bool {
-	return o.TraceMajor == nil || *o.TraceMajor
-}
-
-// snapshotsOn resolves the tri-state flag (nil = default on).
-func (o WorkerOptions) snapshotsOn() bool {
-	return o.Snapshots == nil || *o.Snapshots
 }
 
 // cellEnv bundles the per-process execution environment capture runs
@@ -639,140 +366,158 @@ type cellEnv struct {
 	snapshots  bool
 }
 
-// cellEnvFor builds the env a serving worker uses for every batch.
-func cellEnvFor(opts WorkerOptions, store *tracestore.Store, snaps *snapstore.Store) cellEnv {
+// sessionEnv builds a worker's execution environment from its own
+// budgets and the coordinator's welcome: it registers the forwarded
+// workload specs and wires the persistent tiers the welcome names.
+func sessionEnv(opts WorkerOptions, w remoteWelcome) (cellEnv, error) {
+	for _, doc := range w.WorkloadSpecs {
+		s, err := spec.Parse([]byte(doc))
+		if err != nil {
+			return cellEnv{}, fmt.Errorf("worker: workload spec: %w", err)
+		}
+		if err := spec.Register(s); err != nil {
+			return cellEnv{}, fmt.Errorf("worker: workload spec %q: %w", s.Name, err)
+		}
+	}
+	store := tracestore.New(opts.CacheBytes, nil)
+	store.SetMapped(w.TraceMmap != nil && *w.TraceMmap)
+	if w.TraceDir != "" {
+		if err := store.SetDir(w.TraceDir); err != nil {
+			return cellEnv{}, fmt.Errorf("worker: trace dir %s: %w", w.TraceDir, err)
+		}
+	}
+	snaps := snapstore.New(opts.SnapBytes)
+	if w.SnapDir != "" {
+		if err := snaps.SetDir(w.SnapDir); err != nil {
+			return cellEnv{}, fmt.Errorf("worker: snap dir %s: %w", w.SnapDir, err)
+		}
+	}
 	return cellEnv{
 		workers:    opts.Workers,
 		store:      store,
 		snaps:      snaps,
-		traceMajor: opts.traceMajorOn(),
-		snapshots:  opts.snapshotsOn(),
-	}
+		traceMajor: w.TraceMajor == nil || *w.TraceMajor,
+		snapshots:  w.Snapshots == nil || *w.Snapshots,
+	}, nil
 }
 
-// prefetch starts background warmup of the stores for the locality
-// keys of a remote work frame's hints: trace columns materialize via
-// the tracestore's singleflight entry (so a later GetColumns joins
-// rather than duplicates the work) and matching snapshot spills are
-// pulled into the page cache. A pair key warms both of its traces.
-// Hints arrive from another process, so a name that is no workload is
-// skipped rather than handed to the store to fail generating.
-// Advisory and asynchronous — results never depend on it.
-func (env cellEnv) prefetch(keys []string) {
-	for _, k := range keys {
-		names, records := localityTraces(k)
-		for _, name := range names {
-			if _, err := tracestore.PresetProfile(name, records); err != nil {
-				continue
-			}
-			if env.store != nil {
-				env.store.Prefetch(name, records)
-			}
-			if env.snaps != nil {
-				env.snaps.Prefetch(name)
-			}
-		}
-	}
-}
-
-// ServeWorker runs the worker loop: read a CellSpec batch frame, execute
-// it, write the CellResult frame, until EOF on r. Workload traces come
-// from one process-local store that persists across batches.
+// ServeWorker serves the fleet protocol on r/w — an exec member's stdin
+// and stdout — until EOF on r (the coordinator's clean shutdown signal)
+// or ctx is canceled. See serveSession. Its hello carries no name: the
+// fleet labels exec members by join order alone, so the handshake's
+// bytes do not vary with worker pids.
 func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptions) error {
-	br := bufio.NewReader(r)
-	bw := bufio.NewWriter(w)
-	if err := registerWorkloadSpecs(opts.WorkloadSpecs); err != nil {
-		return err
+	conn := struct {
+		io.Reader
+		io.Writer
+	}{bufio.NewReader(r), w}
+	return serveSession(ctx, conn, func() {
+		if c, ok := r.(io.Closer); ok {
+			c.Close()
+		}
+	}, "", opts)
+}
+
+// serveSession is the one worker loop, on either transport: send a
+// hello carrying name, adopt the welcome's settings, then answer each
+// work frame with a results frame. Heartbeats flow from a separate goroutine at the
+// cadence the coordinator asked for, so a worker deep in a long chunk
+// still proves liveness. Traces and checkpoints come from
+// process-local stores that persist across chunks. closeConn unblocks
+// the read loop when ctx is canceled. On a TCP connection the
+// handshake and every frame write are bounded by
+// remoteHandshakeTimeout.
+func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), name string, opts WorkerOptions) error {
+	tcp, _ := conn.(net.Conn)
+	if tcp != nil {
+		_ = tcp.SetDeadline(time.Now().Add(remoteHandshakeTimeout))
 	}
-	store, err := newWorkerStore(opts)
+	if _, err := writeJSONFrame(conn, remoteHello{Proto: protoVersion, Name: name}); err != nil {
+		return fmt.Errorf("worker: hello: %w", err)
+	}
+	var welcome remoteWelcome
+	if _, err := readJSONFrame(conn, &welcome); err != nil {
+		return fmt.Errorf("worker: welcome: %w", err)
+	}
+	if welcome.Proto != protoVersion {
+		return fmt.Errorf("worker: coordinator speaks protocol %d, want %d", welcome.Proto, protoVersion)
+	}
+	if tcp != nil {
+		_ = tcp.SetDeadline(time.Time{})
+	}
+	env, err := sessionEnv(opts, welcome)
 	if err != nil {
 		return err
 	}
-	snaps, err := newWorkerSnapStore(opts)
-	if err != nil {
-		return err
+
+	var wmu sync.Mutex
+	send := func(m *wireMsg) error {
+		payload := encodeWireMsg(m)
+		wmu.Lock()
+		defer wmu.Unlock()
+		if tcp != nil {
+			_ = tcp.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
+		}
+		return writeRawFrame(conn, payload)
 	}
-	env := cellEnvFor(opts, store, snaps)
-	codec := ""
+
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		select {
+		case <-ctx.Done():
+			closeConn()
+		case <-stop:
+		}
+	}()
+	heartbeat := time.Duration(welcome.HeartbeatMS) * time.Millisecond
+	if heartbeat <= 0 {
+		heartbeat = time.Second
+	}
+	go func() {
+		t := time.NewTicker(heartbeat)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				if send(&wireMsg{kind: wireKindHeartbeat}) != nil {
+					return
+				}
+			}
+		}
+	}()
+
 	for {
-		payload, err := readRawFrame(br)
+		work, _, err := readWireFrame(conn)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // clean shutdown: coordinator closed stdin
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
-			return fmt.Errorf("worker: read request: %w", err)
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				return nil // the coordinator hung up: clean shutdown
+			}
+			return fmt.Errorf("worker: read work: %w", err)
 		}
-		var req workerRequest
-		if len(payload) > 0 && payload[0] == binMagic {
-			m, err := decodeWireMsg(payload)
-			if err != nil {
-				return fmt.Errorf("worker: decode request: %w", err)
-			}
-			req.Cells = m.cells
-		} else if err := json.Unmarshal(payload, &req); err != nil {
-			return fmt.Errorf("worker: read request: %w", err)
+		if work.kind != wireKindWork {
+			return fmt.Errorf("worker: frame kind %d from coordinator", work.kind)
 		}
-
-		if req.Hello != nil {
-			// Handshake: pick the codec for subsequent frames; the answer
-			// itself is always JSON.
-			codec = negotiateCodec(req.Hello.Codecs, opts.Wire)
-			if err := writeFrame(bw, workerResponse{Codec: codec}); err != nil {
-				return fmt.Errorf("worker: write hello response: %w", err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("worker: flush hello response: %w", err)
-			}
-			continue
-		}
-
-		var resp workerResponse
-		results, err := executeCells(ctx, req.Cells, env)
+		reply := wireMsg{kind: wireKindResults, seq: work.seq}
+		results, err := executeCells(ctx, work.cells, env)
 		if err != nil {
-			resp.Err = err.Error()
-			resp.Permanent = errors.Is(err, ErrPermanent)
+			reply.err = err.Error()
+			reply.permanent = errors.Is(err, ErrPermanent)
 		} else {
-			resp.Results = results
+			reply.results = results
 		}
-		if codec == wireCodecBinary {
-			out := encodeWireMsg(&wireMsg{kind: wireKindResults, results: resp.Results, err: resp.Err, permanent: resp.Permanent})
-			err = writeRawFrame(bw, out)
-		} else {
-			err = writeFrame(bw, resp)
-		}
-		if err != nil {
-			return fmt.Errorf("worker: write response: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("worker: flush response: %w", err)
+		if err := send(&reply); err != nil {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return fmt.Errorf("worker: send results: %w", err)
 		}
 	}
-}
-
-// newWorkerStore builds the process-local trace store a worker executes
-// cells against, wiring the persistent disk tier when configured.
-func newWorkerStore(opts WorkerOptions) (*tracestore.Store, error) {
-	store := tracestore.New(opts.CacheBytes, nil)
-	store.SetMapped(opts.TraceMmap)
-	if opts.TraceDir != "" {
-		if err := store.SetDir(opts.TraceDir); err != nil {
-			return nil, fmt.Errorf("worker: trace dir %s: %w", opts.TraceDir, err)
-		}
-	}
-	return store, nil
-}
-
-// newWorkerSnapStore builds the process-local checkpoint store a worker
-// executes cells against, wiring the persistent disk tier when
-// configured.
-func newWorkerSnapStore(opts WorkerOptions) (*snapstore.Store, error) {
-	snaps := snapstore.New(opts.SnapBytes)
-	if opts.SnapDir != "" {
-		if err := snaps.SetDir(opts.SnapDir); err != nil {
-			return nil, fmt.Errorf("worker: snap dir %s: %w", opts.SnapDir, err)
-		}
-	}
-	return snaps, nil
 }
 
 // errCellsCaptured aborts a scenario Run once the capture backend has
@@ -790,7 +535,7 @@ func ExecuteCells(ctx context.Context, specs []CellSpec, workers int, store *tra
 }
 
 // executeCells is ExecuteCells with the capture pools' full environment
-// explicit (serving workers plumb it from WorkerOptions).
+// explicit (serving workers build it with sessionEnv).
 func executeCells(ctx context.Context, specs []CellSpec, env cellEnv) ([]CellResult, error) {
 	type groupKey struct {
 		scenario, scope, params string

@@ -1,15 +1,16 @@
 package harness
 
 // Subprocess-backend tests re-exec this test binary as the worker: when
-// the worker-mode env var is set, TestMain serves the frame protocol on
-// stdio instead of running tests. Coordinator and worker therefore share
-// one binary and one scenario registry, exactly like stbpu-suite and
-// `stbpu-suite -worker`.
+// the worker-mode env var is set, TestMain serves the fleet protocol on
+// stdio — for real, or scripted to misbehave — instead of running tests.
+// Coordinator and worker therefore share one binary and one scenario
+// registry, exactly like stbpu-suite and `stbpu-suite -worker`.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,9 +22,11 @@ import (
 )
 
 const (
-	workerEnvVar         = "STBPU_HARNESS_TEST_WORKER"
-	workerTraceDirEnvVar = "STBPU_HARNESS_TEST_TRACEDIR"
-	workerLogEnvVar      = "STBPU_HARNESS_TEST_REQUEST_LOG"
+	workerEnvVar    = "STBPU_HARNESS_TEST_WORKER"
+	workerLogEnvVar = "STBPU_HARNESS_TEST_REQUEST_LOG"
+	// workerOnceEnvVar names a file that only one worker of a fleet can
+	// create; that worker plays the scripted mode, the others serve.
+	workerOnceEnvVar = "STBPU_HARNESS_TEST_ONCE"
 )
 
 // wireCell is a cell payload exercising float/uint64 wire fidelity.
@@ -113,104 +116,172 @@ func registerExecScenarios() {
 				})
 		},
 	})
+	Register(Scenario{
+		Name:        "_exec-failing-tail",
+		Description: "exec-backend scenario whose every cell from shard 2 on fails",
+		Defaults:    Params{Trials: 48},
+		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
+			return Map(ctx, pool, "_exec-failing-tail", p.Trials,
+				func(ctx context.Context, shard int, seed uint64) (int, error) {
+					if shard >= 2 {
+						return 0, fmt.Errorf("shard %d detonated", shard)
+					}
+					return shard, nil
+				})
+		},
+	})
+}
+
+// scriptedHello performs a hand-rolled worker's side of the handshake
+// on rw and returns the coordinator's welcome.
+func scriptedHello(rw io.ReadWriter, name string) (remoteWelcome, error) {
+	var welcome remoteWelcome
+	if _, err := writeJSONFrame(rw, remoteHello{Proto: protoVersion, Name: name}); err != nil {
+		return welcome, err
+	}
+	_, err := readJSONFrame(rw, &welcome)
+	return welcome, err
+}
+
+// readWork reads a hand-rolled worker's next work frame.
+func readWork(r io.Reader) (*wireMsg, error) {
+	m, _, err := readWireFrame(r)
+	if err == nil && m.kind != wireKindWork {
+		err = fmt.Errorf("frame kind %d, want work", m.kind)
+	}
+	return m, err
+}
+
+// writeMsg frames m as bin1.
+func writeMsg(w io.Writer, m wireMsg) error { return writeRawFrame(w, encodeWireMsg(&m)) }
+
+// answer executes a work frame's cells in this process and returns the
+// results frame a healthy worker would send.
+func answer(work *wireMsg) wireMsg {
+	reply := wireMsg{kind: wireKindResults, seq: work.seq}
+	results, err := ExecuteCells(context.Background(), work.cells, 1, nil)
+	if err != nil {
+		reply.err = err.Error()
+	} else {
+		reply.results = results
+	}
+	return reply
+}
+
+// logKeys appends one JSON line to path: the locality key of each cell
+// in work, so tests can see how the coordinator cut its batch.
+func logKeys(path string, work *wireMsg) error {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	keys := make([]string, len(work.cells))
+	for i, c := range work.cells {
+		keys[i] = c.Locality
+	}
+	line, _ := json.Marshal(keys)
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func TestMain(m *testing.M) {
-	switch os.Getenv(workerEnvVar) {
+	mode := os.Getenv(workerEnvVar)
+	if path := os.Getenv(workerOnceEnvVar); path != "" && mode != "" {
+		// Only the first worker to claim the file plays the scripted
+		// part; the rest of the fleet is healthy — slow beside a flaky
+		// peer, so the flaky one surely gets the chunk it dies holding.
+		if f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
+			f.Close()
+		} else if mode == "flaky" {
+			mode = "slow"
+		} else {
+			mode = "serve"
+		}
+	}
+	stdio := struct {
+		io.Reader
+		io.Writer
+	}{os.Stdin, os.Stdout}
+	switch mode {
+	case "":
+		registerExecScenarios()
+		os.Exit(m.Run())
 	case "serve":
 		registerExecScenarios()
-		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, WorkerOptions{
-			Workers:  1,
-			TraceDir: os.Getenv(workerTraceDirEnvVar),
-		}); err != nil {
+		if err := ServeWorker(context.Background(), os.Stdin, os.Stdout, WorkerOptions{Workers: 1}); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
-	case "die":
-		// Simulate a worker killed mid-batch: swallow one request, leave a
-		// trace on stderr, and vanish without answering.
-		var req workerRequest
-		_ = readFrame(os.Stdin, &req)
-		fmt.Fprintln(os.Stderr, "worker going down for the kill test")
-		os.Exit(3)
-	case "wedge":
-		// Simulate a hung (not dead) worker: swallow one request, then
-		// block forever — the shape only a batch timeout can unstick.
-		var req workerRequest
-		_ = readFrame(os.Stdin, &req)
-		fmt.Fprintln(os.Stderr, "worker wedged and will never answer")
-		select {}
 	case "remote-wedge":
 		// A network worker for the kill -9 chaos test: join the fleet,
 		// accept one chunk, announce it on stdout, then hang (still
 		// heartbeating) until the test delivers SIGKILL.
 		remoteWedgeWorkerMain()
-	case "flaky":
-		// Serve two batches correctly, then die mid-protocol — yields
-		// exec Runs that partially succeeded before failing, the shape
-		// that must not double-count cells once MultiBackend requeues.
-		registerExecScenarios()
-		served := 0
-		for {
-			var req workerRequest
-			if err := readFrame(os.Stdin, &req); err != nil {
-				os.Exit(0)
-			}
-			if served >= 2 {
-				os.Exit(3)
-			}
-			served++
-			resp := workerResponse{}
-			if results, err := ExecuteCells(context.Background(), req.Cells, 1, nil); err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Results = results
-			}
-			if err := writeFrame(os.Stdout, resp); err != nil {
-				os.Exit(1)
-			}
-		}
-	case "log":
-		// A JSON-only worker that appends one line per work request to
-		// the file named by workerLogEnvVar — the locality key of each
-		// cell in the request — so tests can see how the coordinator cut
-		// its batch. The hello frame reads as an empty batch, as on an
-		// old worker.
-		registerExecScenarios()
-		logFile, err := os.OpenFile(os.Getenv(workerLogEnvVar), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "worker:", err)
+	case "mute":
+		// A worker whose host is slow to start it: no hello, ever.
+		time.Sleep(time.Hour)
+		os.Exit(1)
+	case "old-proto":
+		// A worker from the previous protocol version: it reads the
+		// refusal's welcome and reports both versions, as its own
+		// version check would.
+		if _, err := writeJSONFrame(stdio, remoteHello{Proto: protoVersion - 1, Name: "old"}); err != nil {
 			os.Exit(1)
 		}
-		for {
-			var req workerRequest
-			if err := readFrame(os.Stdin, &req); err != nil {
-				os.Exit(0)
+		var welcome remoteWelcome
+		if _, err := readJSONFrame(stdio, &welcome); err != nil {
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "coordinator speaks protocol %d, want %d\n", welcome.Proto, protoVersion-1)
+		os.Exit(1)
+	}
+
+	registerExecScenarios()
+	if _, err := scriptedHello(stdio, mode); err != nil {
+		os.Exit(1)
+	}
+	for served := 0; ; served++ {
+		work, err := readWork(os.Stdin)
+		if err != nil {
+			os.Exit(0)
+		}
+		switch {
+		case mode == "die":
+			// A worker killed mid-chunk: swallow it, leave a trace on
+			// stderr, and vanish without answering.
+			fmt.Fprintln(os.Stderr, "worker going down for the kill test")
+			os.Exit(3)
+		case mode == "wedge":
+			// A hung (not dead) worker: the shape only a batch timeout
+			// can unstick.
+			fmt.Fprintln(os.Stderr, "worker wedged and will never answer")
+			select {}
+		case mode == "flaky" && served == 2:
+			// Two chunks answered, then death holding the third.
+			os.Exit(3)
+		case mode == "slow":
+			time.Sleep(20 * time.Millisecond)
+		case mode == "sluggish":
+			// Every chunk outlives the 500 ms straggler floor.
+			if err := logKeys(os.Getenv(workerLogEnvVar), work); err != nil {
+				fmt.Fprintln(os.Stderr, "worker:", err)
+				os.Exit(1)
 			}
-			if len(req.Cells) > 0 {
-				keys := make([]string, len(req.Cells))
-				for i, c := range req.Cells {
-					keys[i] = c.Locality
-				}
-				line, _ := json.Marshal(keys)
-				if _, err := logFile.Write(append(line, '\n')); err != nil {
-					os.Exit(1)
-				}
-			}
-			resp := workerResponse{}
-			if results, err := ExecuteCells(context.Background(), req.Cells, 1, nil); err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.Results = results
-			}
-			if err := writeFrame(os.Stdout, resp); err != nil {
+			time.Sleep(time.Second)
+		case mode == "log":
+			if err := logKeys(os.Getenv(workerLogEnvVar), work); err != nil {
+				fmt.Fprintln(os.Stderr, "worker:", err)
 				os.Exit(1)
 			}
 		}
+		if err := writeMsg(os.Stdout, answer(work)); err != nil {
+			os.Exit(1)
+		}
 	}
-	registerExecScenarios()
-	os.Exit(m.Run())
 }
 
 // newTestExecBackend spawns workers by re-exec'ing this test binary.
@@ -267,9 +338,9 @@ func TestExecBackendMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestExecBackendNegotiatesBinary: a stock coordinator/worker pair must
-// settle on the binary codec in the hello exchange and carry the actual
-// work frames on it, without disturbing result bytes.
+// TestExecBackendNegotiatesBinary: exec members are fleet members — a
+// JSON hello/welcome per worker, then bin1 frames carrying the work —
+// without disturbing result bytes.
 func TestExecBackendNegotiatesBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -282,41 +353,14 @@ func TestExecBackendNegotiatesBinary(t *testing.T) {
 	remote := runWire(t, pool)
 
 	if !bytes.Equal(mustJSON(t, local), mustJSON(t, remote)) {
-		t.Error("binary-codec exec results diverge from local")
+		t.Error("exec fleet results diverge from local")
 	}
 	st := backend.BackendStats()[0]
-	if st.WireBinaryBytes == 0 {
-		t.Errorf("negotiation never reached the binary codec: %+v", st)
+	if st.Joins != 1 || len(st.Workers) != 1 || st.Workers[0].Cells != st.Cells || st.Cells == 0 {
+		t.Errorf("exec member missing from the fleet stats: %+v", st)
 	}
-	if st.WireJSONBytes == 0 {
-		t.Errorf("handshake frames should still be JSON-counted: %+v", st)
-	}
-}
-
-// TestExecWirePinnedJSON: Wire "json" must pin the whole exchange to
-// JSON frames — the escape hatch for old workers and debugging — with
-// bytes still identical to local.
-func TestExecWirePinnedJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocess workers")
-	}
-	local := runWire(t, NewPool(2, 888))
-
-	pool := NewPool(2, 888)
-	backend := newTestExecBackend(t, 1, "serve")
-	backend.Wire = "json"
-	pool.SetBackend(backend)
-	remote := runWire(t, pool)
-
-	if !bytes.Equal(mustJSON(t, local), mustJSON(t, remote)) {
-		t.Error("pinned-JSON exec results diverge from local")
-	}
-	st := backend.BackendStats()[0]
-	if st.WireBinaryBytes != 0 {
-		t.Errorf("pinned-JSON wire still moved %d binary bytes", st.WireBinaryBytes)
-	}
-	if st.WireJSONBytes == 0 {
-		t.Error("pinned-JSON wire counted no frame bytes at all")
+	if st.WireBinaryBytes == 0 || st.WireJSONBytes == 0 {
+		t.Errorf("want a JSON handshake and bin1 work frames: %+v", st)
 	}
 }
 
@@ -343,41 +387,55 @@ func TestExecBackendPropagatesCellErrors(t *testing.T) {
 	}
 }
 
+// runWithin runs the _exec-wire scenario on pool and fails the test if
+// the run takes longer than limit.
+func runWithin(t *testing.T, pool *Pool, limit time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatal("the run hung instead of failing")
+		return nil
+	}
+}
+
 // TestExecBackendKilledWorkerSurfacesRootCause is the no-hang gate: a
-// worker that dies mid-batch must produce a diagnosable error promptly.
+// worker that dies mid-chunk must produce a diagnosable error promptly.
+// With no member left the run fails at once (a spawned fleet gains no
+// members mid-run), and the next Run respawns the dead member.
 func TestExecBackendKilledWorkerSurfacesRootCause(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
 	pool := NewPool(2, 9)
-	pool.SetBackend(newTestExecBackend(t, 1, "die"))
+	backend := newTestExecBackend(t, 1, "die")
+	pool.SetBackend(backend)
 
-	type outcome struct {
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
-		done <- outcome{err}
-	}()
-	select {
-	case o := <-done:
-		if o.err == nil {
+	for id := 0; id < 2; id++ {
+		err := runWithin(t, pool, 30*time.Second)
+		if err == nil {
 			t.Fatal("a killed worker produced no error")
 		}
-		msg := o.err.Error()
-		if !strings.Contains(msg, "exec worker 0") || !strings.Contains(msg, "going down for the kill test") {
-			t.Errorf("error lacks root cause (worker id + stderr): %v", o.err)
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("exec worker %d", id)) || !strings.Contains(msg, "going down for the kill test") {
+			t.Errorf("run %d: error lacks root cause (worker id + stderr): %v", id, err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("killed worker hung the run instead of failing")
+	}
+	if st := backend.BackendStats()[0]; st.Joins != 2 || st.Leaves != 2 {
+		t.Errorf("dead worker not respawned for the second run: joins=%d leaves=%d", st.Joins, st.Leaves)
 	}
 }
 
 // TestExecBackendBatchTimeoutKillsWedgedWorker: a worker that hangs
-// (rather than exits) used to stall the run forever; the batch timeout
-// must kill it, surface the stderr post-mortem, and fail the batch
-// promptly so a router can requeue it.
+// (rather than exits) would stall the run forever; the batch timeout
+// must kill it, surface the stderr post-mortem, and fail the run
+// promptly once no worker is left to take the chunk.
 func TestExecBackendBatchTimeoutKillsWedgedWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -387,101 +445,118 @@ func TestExecBackendBatchTimeoutKillsWedgedWorker(t *testing.T) {
 	backend.BatchTimeout = 500 * time.Millisecond
 	pool.SetBackend(backend)
 
-	type outcome struct {
-		err error
+	err := runWithin(t, pool, 30*time.Second)
+	if err == nil {
+		t.Fatal("a wedged worker produced no error")
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
-		done <- outcome{err}
-	}()
-	select {
-	case o := <-done:
-		if o.err == nil {
-			t.Fatal("a wedged worker produced no error")
-		}
-		msg := o.err.Error()
-		if !strings.Contains(msg, "batch timeout") || !strings.Contains(msg, "wedged and will never answer") {
-			t.Errorf("error lacks the timeout diagnosis + stderr post-mortem: %v", o.err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("wedged worker hung the run despite the batch timeout")
+	msg := err.Error()
+	if !strings.Contains(msg, "exec worker 0") || !strings.Contains(msg, "batch timeout") || !strings.Contains(msg, "wedged and will never answer") {
+		t.Errorf("error lacks the timeout diagnosis + stderr post-mortem: %v", err)
 	}
 }
 
-// TestExecBatchTimeoutRequeuesOntoMulti: when the timed-out exec batch
-// sits under a MultiBackend, the chunk must requeue onto the healthy
-// backend and leave results byte-identical to a pure local run.
+// TestExecFleetNeverSpeculates: exec members share one host's cores, so
+// a clone cannot beat its original. A chunk that outlives the straggler
+// floor while the other member sits idle must still be sent only once.
+func TestExecFleetNeverSpeculates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
+	backend := newTestExecBackend(t, 2, "sluggish")
+	backend.Env = append(backend.Env, workerLogEnvVar+"="+logPath)
+	specs := []CellSpec{{Scenario: "_exec-wire", Scope: "_exec-wire", Shard: 0, Params: Params{Trials: 1}}}
+	if _, err := backend.Run(context.Background(), specs); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(log, []byte("\n")); n != 1 {
+		t.Errorf("the one chunk was sent %d times, want once", n)
+	}
+}
+
+// TestExecHandshakeBoundedByBatchTimeout: a host command such as ssh or
+// a queued job may be slow to start a member, so its hello is bounded by
+// BatchTimeout rather than the TCP handshake timeout, and canceling the
+// run kills members still starting up.
+func TestExecHandshakeBoundedByBatchTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	specs := []CellSpec{{Scenario: "_exec-wire", Scope: "_exec-wire", Shard: 0, Params: Params{Trials: 1}}}
+	run := func(t *testing.T, ctx context.Context, b *ExecBackend) error {
+		t.Helper()
+		start := time.Now()
+		_, err := b.Run(ctx, specs)
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("a mute member held the run for %v", d)
+		}
+		return err
+	}
+	t.Run("timeout", func(t *testing.T) {
+		b := newTestExecBackend(t, 1, "mute")
+		b.BatchTimeout = 300 * time.Millisecond
+		if err := run(t, context.Background(), b); err == nil || !strings.Contains(err.Error(), "hello") {
+			t.Errorf("err = %v, want the hello timeout", err)
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		b := newTestExecBackend(t, 1, "mute")
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		defer cancel()
+		if err := run(t, ctx, b); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("err = %v, want the run's deadline", err)
+		}
+	})
+}
+
+// runRequeued runs _exec-wire on a two-member exec fleet in which one
+// member plays mode, and checks that the other member finished the run
+// byte-identical to local, with the same cell accounting and the lost
+// chunk counted as retries.
+func runRequeued(t *testing.T, mode string, seed uint64, batchTimeout time.Duration) {
+	t.Helper()
+	local := runWire(t, NewPool(2, seed))
+
+	backend := newTestExecBackend(t, 2, mode)
+	backend.Env = append(backend.Env, workerOnceEnvVar+"="+filepath.Join(t.TempDir(), "once"))
+	backend.BatchTimeout = batchTimeout
+	pool := NewPool(2, seed)
+	pool.SetBackend(backend)
+	fleet := runWire(t, pool)
+
+	if !bytes.Equal(mustJSON(t, local), mustJSON(t, fleet)) {
+		t.Errorf("requeued run diverges from local:\nlocal: %s\nfleet: %s", mustJSON(t, local), mustJSON(t, fleet))
+	}
+	if fleet[0].Cells != local[0].Cells {
+		t.Errorf("requeue double-counted cells: local %d, fleet %d", local[0].Cells, fleet[0].Cells)
+	}
+	if st := backend.BackendStats()[0]; st.Retries == 0 || st.Leaves != 1 {
+		t.Errorf("lost chunk not requeued: retries=%d leaves=%d", st.Retries, st.Leaves)
+	}
+}
+
+// TestExecBatchTimeoutRequeuesOntoMulti: one exec member wedges holding
+// a chunk; the batch timeout kills it and the chunk requeues onto the
+// other member (an exec fleet never clones it speculatively).
 func TestExecBatchTimeoutRequeuesOntoMulti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
-	local := runWire(t, NewPool(2, 642))
-
-	wedged := newTestExecBackend(t, 1, "wedge")
-	wedged.BatchTimeout = 500 * time.Millisecond
-	multi := NewMultiBackend(
-		WeightedBackend{Backend: wedged, Weight: 1},
-		WeightedBackend{Backend: NewLocalBackend(2), Weight: 1},
-	)
-	pool := NewPool(2, 642)
-	pool.SetBackend(multi)
-	mixed := runWire(t, pool)
-
-	a, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("timeout-requeued run diverges from local:\nlocal: %s\nmixed: %s", a, b)
-	}
-	retried := false
-	for _, st := range multi.BackendStats() {
-		if st.Retries > 0 {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Error("no retries recorded; the wedged backend's chunk was never requeued")
-	}
+	runRequeued(t, "wedge", 642, 300*time.Millisecond)
 }
 
-// TestMixedRequeueCellAccounting: when exec workers fail batches that
-// already had partial results, requeue onto the local backend must leave
-// both the results and the cell accounting identical to a pure local
-// run — cells from a failed batch may not be counted or streamed.
+// TestMixedRequeueCellAccounting: one exec member answers two chunks and
+// dies holding a third. The requeued cells must neither change the
+// results nor be counted twice.
 func TestMixedRequeueCellAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
-	local := runWire(t, NewPool(2, 321))
-
-	multi := NewMultiBackend(
-		WeightedBackend{Backend: newTestExecBackend(t, 2, "flaky"), Weight: 1},
-		WeightedBackend{Backend: NewLocalBackend(2), Weight: 1},
-	)
-	pool := NewPool(2, 321)
-	pool.SetBackend(multi)
-	mixed := runWire(t, pool)
-
-	a, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("requeued mixed run diverges from local:\nlocal: %s\nmixed: %s", a, b)
-	}
-	if mixed[0].Cells != local[0].Cells {
-		t.Errorf("requeue double-counted cells: local %d, mixed %d", local[0].Cells, mixed[0].Cells)
-	}
+	runRequeued(t, "flaky", 321, 0)
 }
 
 // TestExecBackendRejectsAnonymousCells: Map calls outside RunAll carry
@@ -500,14 +575,22 @@ func TestExecBackendRejectsAnonymousCells(t *testing.T) {
 }
 
 // TestServeWorkerProtocolRoundTrip drives the worker loop in-process
-// over pipes: one request frame in, one result frame out, clean EOF
-// shutdown.
+// over pipes: hello out, welcome in, one work frame in, its results
+// frame out, and a clean shutdown on EOF.
 func TestServeWorkerProtocolRoundTrip(t *testing.T) {
 	reqR, reqW := io.Pipe()
 	respR, respW := io.Pipe()
+	defer respR.Close()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- ServeWorker(context.Background(), reqR, respW, WorkerOptions{Workers: 1}) }()
 
+	var hello remoteHello
+	if _, err := readJSONFrame(respR, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if hello.Proto != protoVersion {
+		t.Fatalf("hello = %+v", hello)
+	}
 	params := Params{Trials: 4}
 	specs := make([]CellSpec, params.Trials)
 	for i := range specs {
@@ -517,23 +600,34 @@ func TestServeWorkerProtocolRoundTrip(t *testing.T) {
 		}
 	}
 	writeDone := make(chan error, 1)
-	go func() { writeDone <- writeFrame(reqW, workerRequest{Cells: specs}) }()
-	var resp workerResponse
-	if err := readFrame(respR, &resp); err != nil {
-		t.Fatal(err)
+	go func() {
+		_, err := writeJSONFrame(reqW, remoteWelcome{Proto: protoVersion, HeartbeatMS: 10})
+		if err == nil {
+			err = writeMsg(reqW, wireMsg{kind: wireKindWork, seq: 7, cells: specs})
+		}
+		writeDone <- err
+	}()
+	var resp *wireMsg
+	for resp == nil {
+		m, _, err := readWireFrame(respR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.kind == wireKindResults {
+			resp = m
+		} else if m.kind != wireKindHeartbeat {
+			t.Fatalf("frame kind %d from worker", m.kind)
+		}
 	}
 	if err := <-writeDone; err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err != "" {
-		t.Fatalf("worker error: %s", resp.Err)
+	if resp.seq != 7 || resp.err != "" || len(resp.results) != params.Trials {
+		t.Fatalf("results frame seq=%d err=%q with %d results, want seq 7 and %d results", resp.seq, resp.err, len(resp.results), params.Trials)
 	}
-	if len(resp.Results) != params.Trials {
-		t.Fatalf("got %d results, want %d", len(resp.Results), params.Trials)
-	}
-	for i, r := range resp.Results {
+	for i, r := range resp.results {
 		var cell wireCell
-		if err := decodeInto(&resp.Results[i], &cell); err != nil {
+		if err := decodeInto(&resp.results[i], &cell); err != nil {
 			t.Fatal(err)
 		}
 		if cell.Shard != r.Shard || cell.Seed != ShardSeed(42, "_exec-wire", r.Shard) {
@@ -552,9 +646,94 @@ func TestServeWorkerProtocolRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFleetRefusesOldProtocol: the handshake refuses a version mismatch
+// in both directions, and each side's error names both versions. A
+// coordinator answers an old worker with a welcome carrying its own
+// version, so the worker can say so too.
+func TestFleetRefusesOldProtocol(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	pool := NewPool(1, 9)
+	pool.SetBackend(newTestExecBackend(t, 1, "old-proto"))
+	err := runWithin(t, pool, 30*time.Second)
+	coordinator := fmt.Sprintf("worker speaks protocol %d, want %d", protoVersion-1, protoVersion)
+	worker := fmt.Sprintf("coordinator speaks protocol %d, want %d", protoVersion, protoVersion-1)
+	if err == nil || !strings.Contains(err.Error(), coordinator) || !strings.Contains(err.Error(), worker) {
+		t.Errorf("err = %v, want %q with the worker's %q", err, coordinator, worker)
+	}
+
+	// A current worker facing an old coordinator.
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	defer respR.Close()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- ServeWorker(context.Background(), reqR, respW, WorkerOptions{Workers: 1}) }()
+	var hello remoteHello
+	if _, err := readJSONFrame(respR, &hello); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeJSONFrame(reqW, remoteWelcome{Proto: protoVersion - 1}); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("coordinator speaks protocol %d, want %d", protoVersion-1, protoVersion)
+	if err := <-serveDone; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ServeWorker err = %v, want %q", err, want)
+	}
+}
+
+// TestFleetFailingCellEndsRun: a worker's capture run stops at the
+// first failing cell, so its reply omits the chunk's later shards. The
+// run must end there with the failing cell's own error — not orphan the
+// omitted shards and hang, and not requeue them until the chunk runs out
+// of dispatch attempts — on both transports. The tail case cuts
+// _exec-failing-tail's 48 cells into 12-cell chunks on one worker, so
+// every chunk holds at least 10 failing cells.
+func TestFleetFailingCellEndsRun(t *testing.T) {
+	cases := []struct {
+		scenario string
+		params   Params
+		want     string
+	}{
+		{"_exec-failing", Params{Trials: 16}, "shard 5 detonated"},
+		{"_exec-failing-tail", Params{}, "shard 2 detonated"},
+	}
+	for _, transport := range []string{"exec", "remote"} {
+		for _, tc := range cases {
+			transport, tc := transport, tc
+			t.Run(transport+"/"+tc.scenario, func(t *testing.T) {
+				pool := NewPool(2, 9)
+				if transport == "exec" {
+					if testing.Short() {
+						t.Skip("spawns subprocess workers")
+					}
+					pool.SetBackend(newTestExecBackend(t, 1, "serve"))
+				} else {
+					b := &RemoteBackend{}
+					startInProcWorker(t, startRemote(t, b))
+					pool.SetBackend(b)
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := RunAll(context.Background(), pool, Options{Filters: []string{tc.scenario}, Params: tc.params})
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("err = %v, want %q", err, tc.want)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("the run hung on the shards the failing cell's reply omitted")
+				}
+			})
+		}
+	}
+}
+
 // TestExecWorkerSharesTraceDir is the worker-side gate for the
-// persistent trace tier: subprocess workers pointed at a shared
-// -trace-dir spill the traces they generate (visible as STBT files),
+// persistent trace tier: subprocess workers told a shared trace dir in
+// the welcome spill the traces they generate (visible as STBT files),
 // a second worker fleet serves from those spills, and results stay
 // byte-identical to the in-process run either way.
 func TestExecWorkerSharesTraceDir(t *testing.T) {
@@ -579,7 +758,7 @@ func TestExecWorkerSharesTraceDir(t *testing.T) {
 
 	newBackend := func() *ExecBackend {
 		b := newTestExecBackend(t, 1, "serve")
-		b.Env = append(b.Env, workerTraceDirEnvVar+"="+dir)
+		b.TraceDir = dir
 		return b
 	}
 	pool := NewPool(2, 77)
@@ -603,39 +782,29 @@ func TestExecWorkerSharesTraceDir(t *testing.T) {
 	}
 }
 
-// TestExecSendsEachLocalityGroupWhole: _exec-group's keys alternate
-// shard by shard, so no group's cells are contiguous. The exec
-// coordinator must still ship each key's cells in a single request and
-// never mix two keys in one, with results identical to local.
-func TestExecSendsEachLocalityGroupWhole(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocess workers")
-	}
-	params := Params{Trials: 12, Records: 2_000}
-	run := func(pool *Pool) []byte {
-		t.Helper()
-		reports, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-group"}, Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mustJSON(t, reports)
-	}
-	local := run(NewPool(2, 4242))
+// groupParams sizes the _exec-group runs that check how a coordinator
+// cut its batch.
+var groupParams = Params{Trials: 12, Records: 2_000}
 
-	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
-	backend := newTestExecBackend(t, 2, "log")
-	backend.Env = append(backend.Env, workerLogEnvVar+"="+logPath)
-	pool := NewPool(2, 4242)
-	pool.SetBackend(backend)
-	if !bytes.Equal(local, run(pool)) {
-		t.Error("grouped exec results diverge from local")
+// runGroupParams runs _exec-group at groupParams.
+func runGroupParams(t *testing.T, pool *Pool) []byte {
+	t.Helper()
+	reports, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-group"}, Params: groupParams})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return mustJSON(t, reports)
+}
 
+// checkGroupsWhole reads a work-frame key log (see logKeys) and checks
+// that every key arrived in exactly one frame and no frame mixed keys.
+func checkGroupsWhole(t *testing.T, logPath string) {
+	t.Helper()
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requests := map[string]int{} // key → requests carrying it
+	requests := map[string]int{} // key → work frames carrying it
 	cells := 0
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var keys []string
@@ -650,12 +819,33 @@ func TestExecSendsEachLocalityGroupWhole(t *testing.T) {
 		requests[keys[0]]++
 		cells += len(keys)
 	}
-	if cells != params.Trials || len(requests) != 2 {
-		t.Fatalf("requests carried %d cells under keys %v, want %d cells under 2 keys", cells, requests, params.Trials)
+	if cells != groupParams.Trials || len(requests) != 2 {
+		t.Fatalf("requests carried %d cells under keys %v, want %d cells under 2 keys", cells, requests, groupParams.Trials)
 	}
 	for k, n := range requests {
 		if n != 1 {
 			t.Errorf("key %q arrived in %d requests, want 1", k, n)
 		}
 	}
+}
+
+// TestExecSendsEachLocalityGroupWhole: _exec-group's keys alternate
+// shard by shard, so no group's cells are contiguous. The exec fleet
+// must still ship each key's cells in a single work frame and never mix
+// two keys in one, with results identical to local.
+func TestExecSendsEachLocalityGroupWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocess workers")
+	}
+	local := runGroupParams(t, NewPool(2, 4242))
+
+	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
+	backend := newTestExecBackend(t, 2, "log")
+	backend.Env = append(backend.Env, workerLogEnvVar+"="+logPath)
+	pool := NewPool(2, 4242)
+	pool.SetBackend(backend)
+	if !bytes.Equal(local, runGroupParams(t, pool)) {
+		t.Error("grouped exec results diverge from local")
+	}
+	checkGroupsWhole(t, logPath)
 }

@@ -362,10 +362,10 @@ func (p *Pool) currentSink() Sink {
 //
 // With the default LocalBackend the cell functions run in-process on the
 // pool's goroutine workers, exactly as before backends existed. With a
-// wire backend (ExecBackend, MultiBackend routing to one) the specs are
-// shipped by (scenario, params, scope, shard, root seed) and executed
-// remotely; Map merges whatever comes back into shard order, so results
-// are bit-identical regardless of which backend ran which cell.
+// fleet backend (ExecBackend, RemoteBackend) the specs are shipped by
+// (scenario, params, scope, shard, root seed) and executed remotely; Map
+// merges whatever comes back into shard order, so results are
+// bit-identical regardless of which worker ran which cell.
 //
 // When the pool's sink implements CellLookup (a resumed Journal), cells
 // the lookup already holds are not re-executed: their stored values are

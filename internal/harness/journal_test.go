@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -436,4 +437,73 @@ func TestJournalExecBackendStreams(t *testing.T) {
 	if string(a) != string(b) {
 		t.Errorf("journal-restored result differs from exec run:\n%s\n%s", a, b)
 	}
+}
+
+// FuzzResumeJournal feeds ResumeJournal — which loads a file a killed
+// run may have left half-written — arbitrary bytes. It must never
+// panic. On error the file must be untouched byte for byte. On success
+// the file must be a prefix of the input ending on a line boundary (so
+// appends start a fresh line), ReadJournal must parse it back to the
+// entries the input held, and the journal must have loaded each
+// distinct cell among them once.
+func FuzzResumeJournal(f *testing.F) {
+	line := func(scope string, shard int) string {
+		b, err := json.Marshal(JournalEntry{Scenario: "_journal", Scope: scope, Shard: shard, RootSeed: 11, Value: json.RawMessage("1.5")})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	valid := line("a", 0) + line("a", 1) + line("b", 0)
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + `{"scenario":"_journal","scope":"_jou`))
+	f.Add([]byte(line("a", 0) + "not json at all\n" + line("a", 1)))
+	f.Add([]byte("\n" + line("a", 0) + "\n\n" + line("a", 0) + "\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, readErr := ReadJournal(path)
+		j, err := ResumeJournal(path)
+		got, ferr := os.ReadFile(path)
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		if err != nil {
+			if !bytes.Equal(got, data) {
+				t.Fatalf("failed resume (%v) changed the file:\n got %q\nwant %q", err, got, data)
+			}
+			return
+		}
+		defer j.Close()
+		if readErr != nil {
+			t.Fatalf("ResumeJournal accepted a journal ReadJournal rejects: %v", readErr)
+		}
+		if !bytes.HasPrefix(data, got) {
+			t.Fatalf("resumed file %q is not a prefix of the input %q", got, data)
+		}
+		if len(got) > 0 && got[len(got)-1] != '\n' {
+			t.Fatalf("resumed file %q ends mid-line", got)
+		}
+		entries, err := ReadJournal(path)
+		if err != nil {
+			t.Fatalf("ReadJournal after resume: %v", err)
+		}
+		if !reflect.DeepEqual(entries, want) {
+			t.Fatalf("resumed file parses to %+v, the input to %+v", entries, want)
+		}
+		cells := map[journalKey]bool{}
+		for _, e := range entries {
+			k, err := specJournalKey(CellSpec{Scenario: e.Scenario, Params: e.Params, Scope: e.Scope, Shard: e.Shard, RootSeed: e.RootSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells[k] = true
+		}
+		if j.Loaded() != len(cells) {
+			t.Fatalf("journal loaded %d cells, the file holds %d distinct", j.Loaded(), len(cells))
+		}
+	})
 }

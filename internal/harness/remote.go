@@ -1,31 +1,36 @@
 package harness
 
-// Elastic network execution: RemoteBackend is a TCP coordinator for a
-// dynamic worker fleet. Workers dial in (`stbpu-suite -worker -connect
-// host:port`), speak the same length-prefixed CellSpec/CellResult
-// frames as the exec backend (JSON by default, the compact binary
-// codec when the hello/welcome handshake negotiates it — see wire.go),
-// and may join or leave at any point in a run:
+// The worker fleet: RemoteBackend is the one coordinator for every
+// wire run. Its members are worker processes speaking the fleet
+// protocol — a JSON hello/welcome handshake, then bin1 work, results
+// and heartbeat frames (see wire.go). Members dial in over TCP
+// (`stbpu-suite -worker -connect host:port`) and may join or leave at
+// any point in a run, or, under ExecBackend (exec.go), are
+// subprocesses spawned on stdio and admitted without a listener:
 //
 //   - Batches split into chunks pulled by whichever workers are live;
-//     a worker that joins mid-run starts pulling immediately. Chunks
-//     never span locality keys, and dispatch is locality-aware: a
+//     a worker that joins mid-run starts pulling immediately. Each
+//     locality group is one chunk, and dispatch is locality-aware: a
 //     chunk prefers the worker whose trace/snapshot caches are already
 //     warm for its key (the worker that last served it, else a
 //     rendezvous-hash choice that stays stable as the fleet changes),
 //     falling back to plain oldest-first work sharing whenever the
 //     preferred worker is busy — an idle fleet never starves.
 //   - Liveness is heartbeat-based: workers send a heartbeat frame on a
-//     coordinator-chosen cadence, and a connection silent past the
+//     coordinator-chosen cadence, and a member silent past the
 //     heartbeat timeout is declared dead. Its in-flight chunk requeues
-//     (filtered to the cells no other copy has delivered yet).
-//   - Stragglers are handled by speculative re-execution: when the
-//     queue is drained and a worker sits idle while another holds a
-//     chunk past the straggler threshold, the idle worker re-runs the
-//     chunk's missing cells. The first result to arrive for a cell
-//     address wins; later duplicates are discarded. Cells are pure
-//     functions of (scenario, params, scope, shard, rootSeed), so
-//     duplicate execution is bit-identical and dedup by shard is safe.
+//     (filtered to the cells no other copy has delivered yet). A
+//     spawned fleet can also bound each chunk (ExecBackend's
+//     BatchTimeout): the overdue member is killed and its chunk
+//     requeued.
+//   - Stragglers on a TCP fleet are handled by speculative
+//     re-execution: when the queue is drained and a worker sits idle
+//     while another holds a chunk past the straggler threshold, the idle
+//     worker re-runs the chunk's missing cells. The first result to
+//     arrive for a cell address wins; later duplicates are discarded.
+//     Cells are pure functions of (scenario, params, scope, shard,
+//     rootSeed), so duplicate execution is bit-identical and dedup by
+//     shard is safe.
 //
 // The determinism contract therefore survives any fleet shape: results
 // merge by shard exactly as with every other backend, and the suite
@@ -34,7 +39,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,79 +51,48 @@ import (
 )
 
 const (
-	// remoteProtoVersion gates the hello/welcome handshake.
-	remoteProtoVersion = 1
+	// protoVersion gates the hello/welcome handshake; binVersion moves
+	// with it.
+	protoVersion = 2
 	// remoteMaxChunkAttempts bounds how often one chunk may be
 	// (re)dispatched before the run fails — a chunk that keeps killing
 	// workers or erroring is reported, not retried forever.
 	remoteMaxChunkAttempts = 10
-	// remoteHandshakeTimeout bounds the hello/welcome exchange and every
-	// individual frame write.
+	// remoteHandshakeTimeout bounds a TCP member's hello/welcome exchange
+	// and every individual frame write.
 	remoteHandshakeTimeout = 10 * time.Second
 )
 
-// remoteHello is the worker's first frame after dialing.
+// remoteHello is the worker's first frame.
 type remoteHello struct {
 	Proto int `json:"proto"`
 	// Name labels the worker in fleet stats (conventionally host/pid).
 	Name string `json:"name,omitempty"`
-	// Codecs advertises the frame codecs the worker can speak beyond
-	// JSON (see wire.go); old workers omit it and stay on JSON.
-	Codecs []string `json:"codecs,omitempty"`
 }
 
-// remoteWelcome is the coordinator's handshake reply.
+// remoteWelcome is the coordinator's handshake reply and the only path
+// by which run-shaping settings reach a worker. Results are identical
+// under any of them; only execution shape differs.
 type remoteWelcome struct {
 	Proto int `json:"proto"`
 	// HeartbeatMS is the heartbeat cadence the coordinator expects.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// TraceDir, when nonempty, is the coordinator's persistent trace
-	// tier; a worker without its own -trace-dir adopts it, so trace
-	// generation is a one-time cost per machine sharing the directory.
+	// TraceDir, when nonempty, is the persistent trace tier the worker
+	// reads and spills, so trace generation is a one-time cost per
+	// machine sharing the directory.
 	TraceDir string `json:"trace_dir,omitempty"`
-	// TraceMajor and TraceMmap, when present, carry the coordinator's
-	// scheduling and mmap-tier settings; a worker that got no explicit
-	// local setting adopts them. Absent (nil — older coordinators) the
-	// worker keeps its own defaults; either way results are identical,
-	// only execution shape differs.
+	// TraceMajor and Snapshots toggle trace-major grouping and the
+	// warm-state snapshot tier in the worker's capture runs (nil means
+	// on); TraceMmap maps the trace tier's spills (nil means off).
 	TraceMajor *bool `json:"trace_major,omitempty"`
 	TraceMmap  *bool `json:"trace_mmap,omitempty"`
-	// Snapshots and SnapDir carry the coordinator's warm-state snapshot
-	// tier settings, adopted the same way: the toggle when the worker
-	// got no explicit local setting, the checkpoint directory when the
-	// worker has none of its own. Results are bit-identical either way;
-	// only the amount of warmup replay differs.
-	Snapshots *bool  `json:"snapshots,omitempty"`
-	SnapDir   string `json:"snap_dir,omitempty"`
+	Snapshots  *bool `json:"snapshots,omitempty"`
+	// SnapDir, when nonempty, is the persistent checkpoint tier.
+	SnapDir string `json:"snap_dir,omitempty"`
 	// WorkloadSpecs carries the coordinator's raw JSON workload-spec
-	// documents; a joining worker registers them before serving cells,
-	// so a bare `-worker -connect` fleet resolves the same spec
-	// workload names the coordinator schedules.
+	// documents; the worker registers them before serving cells, so it
+	// resolves the same spec workload names the coordinator schedules.
 	WorkloadSpecs []string `json:"workload_specs,omitempty"`
-	// Codec is the frame codec the coordinator selected from the
-	// hello's advertised list; empty means JSON. All frames after the
-	// handshake use it, in both directions.
-	Codec string `json:"codec,omitempty"`
-}
-
-// remoteWork is one coordinator → worker frame after the handshake.
-type remoteWork struct {
-	Seq   uint64     `json:"seq"`
-	Cells []CellSpec `json:"cells"`
-	// Prefetch names locality keys the worker is likely to serve next,
-	// so it can warm trace/snapshot tiers while computing this chunk.
-	// Advisory: results never depend on it.
-	Prefetch []string `json:"prefetch,omitempty"`
-}
-
-// remoteReply is one worker → coordinator frame after the handshake:
-// either a heartbeat or the results of the chunk identified by Seq.
-type remoteReply struct {
-	Type      string       `json:"type"` // "heartbeat" or "results"
-	Seq       uint64       `json:"seq,omitempty"`
-	Results   []CellResult `json:"results,omitempty"`
-	Err       string       `json:"err,omitempty"`
-	Permanent bool         `json:"permanent,omitempty"`
 }
 
 // RemoteBackend executes cells on an elastic fleet of TCP workers. The
@@ -130,20 +103,14 @@ type RemoteBackend struct {
 	// Addr is the TCP listen address, e.g. ":7701" (empty means
 	// 127.0.0.1:0, useful for tests).
 	Addr string
-	// TraceDir is forwarded to joining workers that have no trace tier
-	// of their own (see remoteWelcome.TraceDir).
-	TraceDir string
-	// TraceMajor and TraceMmap are forwarded to joining workers (see
-	// remoteWelcome); nil leaves each worker's local setting in place.
-	TraceMajor *bool
-	TraceMmap  *bool
-	// Snapshots and SnapDir are forwarded to joining workers (see
-	// remoteWelcome.Snapshots); nil/empty leave worker settings alone.
-	Snapshots *bool
-	SnapDir   string
-	// WorkloadSpecs holds raw JSON workload-spec documents forwarded to
-	// every joining worker via the welcome frame (see
-	// remoteWelcome.WorkloadSpecs).
+	// TraceDir, TraceMajor, TraceMmap, Snapshots, SnapDir and
+	// WorkloadSpecs are forwarded to every joining worker in the
+	// welcome frame (see remoteWelcome).
+	TraceDir      string
+	TraceMajor    *bool
+	TraceMmap     *bool
+	Snapshots     *bool
+	SnapDir       string
 	WorkloadSpecs []string
 	// HeartbeatTimeout declares a worker dead after this much silence
 	// (<= 0 means 5s). Workers heartbeat at a quarter of it.
@@ -160,16 +127,12 @@ type RemoteBackend struct {
 	// after every worker died — before failing (<= 0 means 60s).
 	JoinGrace time.Duration
 	// Affinity toggles locality-aware dispatch (nil means on). With it
-	// off, dispatch is plain oldest-first work sharing and no prefetch
-	// hints are sent; results are identical either way.
+	// off, dispatch is plain oldest-first work sharing; results are
+	// identical either way.
 	Affinity *bool
-	// Wire selects the frame codec policy: empty negotiates the binary
-	// codec with workers that advertise it, "json" pins every worker to
-	// JSON frames.
-	Wire string
 
 	mu       sync.Mutex
-	ln       net.Listener
+	ln       net.Listener // nil for a spawned fleet, which no one can join
 	closed   bool
 	nextSeq  uint64
 	nextID   int
@@ -193,17 +156,26 @@ type RemoteBackend struct {
 	wallNS atomic.Int64
 }
 
-// remoteWorker is one connected fleet member. Mutable state is guarded
-// by the backend mutex except the write path (wmu serializes frame
-// writes to the connection).
-type remoteWorker struct {
-	id    int
-	name  string
-	conn  net.Conn
-	codec string // negotiated frame codec ("" = JSON)
-	wmu   sync.Mutex
+// memberConn is a fleet member's transport: a TCP connection, or a
+// spawned worker's stdio pipes. Closing it drops the member: a TCP
+// worker sees a clean shutdown, a spawned one is killed.
+type memberConn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+}
 
-	dead        bool
+// remoteWorker is one fleet member. Mutable state is guarded by the
+// backend mutex except the write path (wmu serializes frame writes).
+type remoteWorker struct {
+	id   int
+	name string
+	conn memberConn
+	wmu  sync.Mutex
+
+	dead bool
+	// cause is why the member was dropped (the first reason wins).
+	cause       error
 	busy        *remoteChunk
 	cells       uint64
 	steals      uint64
@@ -242,6 +214,13 @@ type remoteChunk struct {
 // remoteRun is one Run call's scheduling state, guarded by the backend
 // mutex.
 type remoteRun struct {
+	// backend names the backend the run belongs to (exec or remote), in
+	// its cells and errors.
+	backend string
+	// chunkTimeout, when positive, kills a member whose chunk has been in
+	// flight longer and requeues the chunk.
+	chunkTimeout time.Duration
+
 	started   time.Time
 	specOf    map[int]CellSpec
 	got       map[int]CellResult
@@ -251,11 +230,15 @@ type remoteRun struct {
 	// durations collects completed-chunk wall times for the straggler
 	// median.
 	durations []time.Duration
-	err       error
-	done      chan struct{}
+	// cellFailed is set once an accepted result carries a cell error: the
+	// run then ends with the results it has, and Map reports the cell's
+	// own error.
+	cellFailed bool
+	err        error
+	done       chan struct{}
 }
 
-func (r *remoteRun) finished() bool { return r.err != nil || r.remaining == 0 }
+func (r *remoteRun) finished() bool { return r.err != nil || r.remaining == 0 || r.cellFailed }
 
 // Name implements Backend.
 func (b *RemoteBackend) Name() string { return "remote" }
@@ -296,6 +279,16 @@ func (b *RemoteBackend) joinGrace() time.Duration {
 	return 60 * time.Second
 }
 
+// initLocked allocates the scheduler's maps. Requires b.mu.
+func (b *RemoteBackend) initLocked() {
+	if b.fleet == nil {
+		b.fleet = map[*remoteWorker]struct{}{}
+		b.inflight = map[uint64]*remoteChunk{}
+		b.runs = map[*remoteRun]struct{}{}
+		b.lastServed = map[string]*remoteWorker{}
+	}
+}
+
 // Start begins listening and accepting workers, returning the bound
 // address (which resolves an ephemeral port). Run calls it lazily; call
 // it explicitly to learn the address before launching workers.
@@ -317,12 +310,6 @@ func (b *RemoteBackend) Start() (net.Addr, error) {
 		return nil, fmt.Errorf("remote backend: listen %s: %w", addr, err)
 	}
 	b.ln = ln
-	if b.fleet == nil {
-		b.fleet = map[*remoteWorker]struct{}{}
-		b.inflight = map[uint64]*remoteChunk{}
-		b.runs = map[*remoteRun]struct{}{}
-		b.lastServed = map[string]*remoteWorker{}
-	}
 	go b.acceptLoop(ln)
 	return ln.Addr(), nil
 }
@@ -333,64 +320,77 @@ func (b *RemoteBackend) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		go b.admit(conn)
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.SetKeepAlive(true)
+		}
+		go func() {
+			if b.admit(conn, remoteHandshakeTimeout) != nil {
+				conn.Close()
+			}
+		}()
 	}
 }
 
-// admit runs the handshake (always JSON-framed) and, on success, adds
-// the worker to the fleet and starts its read loop.
-func (b *RemoteBackend) admit(conn net.Conn) {
-	_ = conn.SetDeadline(time.Now().Add(remoteHandshakeTimeout))
+// admit runs the handshake on conn, bounded by timeout when positive,
+// and on success adds the worker to the fleet and starts its read loop.
+// A worker on another protocol version still gets a welcome naming the
+// coordinator's version before it is refused. On error the caller owns
+// conn.
+func (b *RemoteBackend) admit(conn memberConn, timeout time.Duration) error {
+	if timeout > 0 {
+		deadline := time.Now().Add(timeout)
+		_ = conn.SetReadDeadline(deadline)
+		_ = conn.SetWriteDeadline(deadline)
+	}
 	var hello remoteHello
 	n, err := readJSONFrame(conn, &hello)
-	if err != nil || hello.Proto != remoteProtoVersion {
-		conn.Close()
-		return
+	if err != nil {
+		return fmt.Errorf("hello: %w", err)
 	}
-	b.wire.count("", n)
-	codec := negotiateCodec(hello.Codecs, b.Wire)
-	welcome := remoteWelcome{
-		Proto:         remoteProtoVersion,
-		HeartbeatMS:   heartbeatInterval(b.heartbeatTimeout()).Milliseconds(),
-		TraceDir:      b.TraceDir,
-		TraceMajor:    b.TraceMajor,
-		TraceMmap:     b.TraceMmap,
-		Snapshots:     b.Snapshots,
-		SnapDir:       b.SnapDir,
-		WorkloadSpecs: b.WorkloadSpecs,
-		Codec:         codec,
+	b.wire.jsonBytes.Add(uint64(n))
+	welcome := remoteWelcome{Proto: protoVersion}
+	if hello.Proto == protoVersion {
+		welcome = remoteWelcome{
+			Proto:         protoVersion,
+			HeartbeatMS:   heartbeatInterval(b.heartbeatTimeout()).Milliseconds(),
+			TraceDir:      b.TraceDir,
+			TraceMajor:    b.TraceMajor,
+			TraceMmap:     b.TraceMmap,
+			Snapshots:     b.Snapshots,
+			SnapDir:       b.SnapDir,
+			WorkloadSpecs: b.WorkloadSpecs,
+		}
 	}
 	n, err = writeJSONFrame(conn, welcome)
 	if err != nil {
-		conn.Close()
-		return
+		return fmt.Errorf("welcome: %w", err)
 	}
-	b.wire.count("", n)
-	_ = conn.SetDeadline(time.Time{})
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetKeepAlive(true)
+	b.wire.jsonBytes.Add(uint64(n))
+	if hello.Proto != protoVersion {
+		return fmt.Errorf("worker speaks protocol %d, want %d", hello.Proto, protoVersion)
 	}
+	_ = conn.SetReadDeadline(time.Time{})
+	_ = conn.SetWriteDeadline(time.Time{})
 
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		conn.Close()
-		return
+		return errors.New("fleet is closed")
 	}
+	b.initLocked()
 	name := hello.Name
 	if name == "" {
 		name = "worker"
 	}
-	w := &remoteWorker{id: b.nextID, name: fmt.Sprintf("%s#%d", name, b.nextID), conn: conn, codec: codec, served: map[string]struct{}{}}
+	w := &remoteWorker{id: b.nextID, name: fmt.Sprintf("%s#%d", name, b.nextID), conn: conn, served: map[string]struct{}{}}
 	b.nextID++
 	b.joins++
 	b.fleet[w] = struct{}{}
 	b.roster = append(b.roster, w)
 	b.lastWorkerAt = time.Now()
 	b.dispatchLocked()
-	b.mu.Unlock()
-
 	go b.serveWorker(w)
+	return nil
 }
 
 // heartbeatInterval derives the worker heartbeat cadence from the
@@ -407,57 +407,65 @@ func heartbeatInterval(timeout time.Duration) time.Duration {
 	return iv
 }
 
-// serveWorker is the coordinator-side read loop for one worker. Every
-// frame refreshes the read deadline, so heartbeat-based liveness needs
-// no extra timer: a connection silent past the heartbeat timeout fails
-// the read, which fails the worker, which requeues its chunk.
+// serveWorker is the coordinator-side read loop for one member; once
+// the member's connection fails, it drops the member (requeueing its
+// chunk). A spawned member leaves a post-mortem — exit state and recent
+// stderr — and since a spawned fleet cannot gain members mid-run, its
+// last member's death fails the active runs with that diagnosis.
 func (b *RemoteBackend) serveWorker(w *remoteWorker) {
-	for {
-		_ = w.conn.SetReadDeadline(time.Now().Add(b.heartbeatTimeout()))
-		payload, err := readRawFrame(w.conn)
-		if err != nil {
-			b.failWorker(w, err)
-			return
+	err := b.readFrames(w)
+	w.conn.Close()
+	postmortem := ""
+	if pm, ok := w.conn.(interface{ postmortem() string }); ok {
+		postmortem = pm.postmortem()
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.dropLocked(w, err)
+	if b.ln == nil && len(b.fleet) == 0 {
+		cause := w.cause
+		if postmortem != "" {
+			cause = fmt.Errorf("%w; %s", cause, postmortem)
 		}
-		b.wire.count(w.codec, len(payload))
-		var reply remoteReply
-		if len(payload) > 0 && payload[0] == binMagic {
-			m, err := decodeWireMsg(payload)
-			if err != nil {
-				b.failWorker(w, err)
-				return
-			}
-			switch m.kind {
-			case wireKindHeartbeat:
-				reply.Type = "heartbeat"
-			case wireKindResults:
-				reply = remoteReply{Type: "results", Seq: m.seq, Results: m.results, Err: m.err, Permanent: m.permanent}
-			default:
-				b.failWorker(w, fmt.Errorf("frame kind %d from worker", m.kind))
-				return
-			}
-		} else if err := json.Unmarshal(payload, &reply); err != nil {
-			b.failWorker(w, err)
-			return
-		}
-		switch reply.Type {
-		case "heartbeat":
-			// The read deadline reset above is the entire point.
-		case "results":
-			b.handleResults(w, &reply)
+		for run := range b.runs {
+			b.failRunLocked(run, fmt.Errorf("%s worker %d: %w", run.backend, w.id, cause))
 		}
 	}
 }
 
-// failWorker removes a worker from the fleet and requeues its in-flight
-// chunk.
-func (b *RemoteBackend) failWorker(w *remoteWorker, cause error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// readFrames reads one member's frames until its connection fails.
+// Every frame refreshes the read deadline, so heartbeat-based liveness
+// needs no extra timer: a member silent past the heartbeat timeout
+// fails the read.
+func (b *RemoteBackend) readFrames(w *remoteWorker) error {
+	for {
+		_ = w.conn.SetReadDeadline(time.Now().Add(b.heartbeatTimeout()))
+		m, n, err := readWireFrame(w.conn)
+		if err != nil {
+			return fmt.Errorf("read frame: %w", err)
+		}
+		switch m.kind {
+		case wireKindHeartbeat:
+			// The read deadline reset above is the entire point. Heartbeats
+			// stay out of the byte count, which would otherwise vary with
+			// wall time.
+		case wireKindResults:
+			b.wire.binaryBytes.Add(uint64(n))
+			b.handleResults(w, m)
+		default:
+			return fmt.Errorf("frame kind %d from worker", m.kind)
+		}
+	}
+}
+
+// dropLocked removes a member from the fleet: it is marked dead, its
+// connection closed, and its in-flight chunk requeued. Requires b.mu.
+func (b *RemoteBackend) dropLocked(w *remoteWorker, cause error) {
 	if w.dead {
 		return
 	}
 	w.dead = true
+	w.cause = cause
 	w.conn.Close()
 	delete(b.fleet, w)
 	b.leaves++
@@ -468,21 +476,29 @@ func (b *RemoteBackend) failWorker(w *remoteWorker, cause error) {
 	b.dispatchLocked()
 }
 
-// requeueLocked returns an in-flight chunk to its run's queue, trimmed
-// to the shards no other copy has delivered. Requires b.mu.
-func (b *RemoteBackend) requeueLocked(chunk *remoteChunk, cause error) {
+// detachLocked takes an in-flight chunk off its worker. A speculative
+// clone stops counting against its source and becomes plain work, so
+// requeueing it neither decrements the source twice nor keeps the
+// source from being cloned again. Requires b.mu.
+func (b *RemoteBackend) detachLocked(chunk *remoteChunk) {
 	delete(b.inflight, chunk.seq)
 	chunk.seq = 0
 	chunk.worker = nil
-	run := chunk.run
-	delete(run.inflight, chunk)
+	delete(chunk.run.inflight, chunk)
 	if chunk.source != nil {
 		chunk.source.clones--
+		chunk.source = nil
 	}
-	if run.finished() {
-		return
+	chunk.speculative = false
+}
+
+// requeueLocked returns an in-flight chunk to its run's queue, trimmed
+// to the shards no other copy has delivered. Requires b.mu.
+func (b *RemoteBackend) requeueLocked(chunk *remoteChunk, cause error) {
+	b.detachLocked(chunk)
+	if !chunk.run.finished() {
+		b.queueLocked(chunk, cause)
 	}
-	b.queueLocked(chunk, cause)
 }
 
 // queueLocked puts a detached chunk back on its run's queue, trimmed to
@@ -519,29 +535,28 @@ func missingSpecs(run *remoteRun, specs []CellSpec) []CellSpec {
 }
 
 // handleResults merges one results frame: first result per shard wins,
-// duplicates count as speculative waste, batch errors either fail the
-// run (permanent) or requeue the chunk (transient).
-func (b *RemoteBackend) handleResults(w *remoteWorker, reply *remoteReply) {
+// duplicates count as speculative waste, and results for shards the
+// chunk does not hold are ignored. A failed cell ends the run with the
+// results it has — a worker's capture run stops at its first failing
+// cell, and the Backend contract lets Run stop there too. Shards a
+// clean reply left out are requeued. A batch error either fails the
+// run (permanent) or requeues the chunk (transient).
+func (b *RemoteBackend) handleResults(w *remoteWorker, m *wireMsg) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	chunk := b.inflight[reply.Seq]
+	chunk := b.inflight[m.seq]
 	if chunk == nil || chunk.worker != w {
 		return // stale frame for a chunk already requeued elsewhere
 	}
-	delete(b.inflight, reply.Seq)
-	chunk.seq = 0
-	chunk.worker = nil
 	w.busy = nil
+	speculative := chunk.speculative
+	b.detachLocked(chunk)
 	run := chunk.run
-	delete(run.inflight, chunk)
-	if chunk.source != nil {
-		chunk.source.clones--
-	}
 
-	if reply.Err != "" {
-		err := fmt.Errorf("remote worker %s: %s", w.name, reply.Err)
+	if m.err != "" {
+		err := fmt.Errorf("%s worker %s: %s", run.backend, w.name, m.err)
 		if !run.finished() {
-			if reply.Permanent {
+			if m.permanent {
 				b.failRunLocked(run, Permanent(err))
 			} else {
 				// The worker stays in the fleet: a transient batch error
@@ -554,8 +569,15 @@ func (b *RemoteBackend) handleResults(w *remoteWorker, reply *remoteReply) {
 		return
 	}
 
+	held := make(map[int]bool, len(chunk.specs))
+	for _, s := range chunk.specs {
+		held[s.Shard] = true
+	}
 	accepted := 0
-	for _, r := range reply.Results {
+	for _, r := range m.results {
+		if !held[r.Shard] {
+			continue
+		}
 		if _, dup := run.got[r.Shard]; dup || run.finished() {
 			// A speculative copy (or a copy landing after the run ended)
 			// lost the race; bit-identity makes the discard safe.
@@ -567,19 +589,25 @@ func (b *RemoteBackend) handleResults(w *remoteWorker, reply *remoteReply) {
 		w.cells++
 		b.cellsTotal++
 		accepted++
+		if r.Err != "" {
+			run.cellFailed = true
+		}
 	}
 	if accepted > 0 {
 		run.durations = append(run.durations, time.Since(chunk.sentAt))
-		if chunk.speculative {
+		if speculative {
 			w.steals++
 		}
+	}
+	if !run.finished() && !speculative {
+		b.queueLocked(chunk, fmt.Errorf("%s worker %s returned %d of %d cells", run.backend, w.name, len(m.results), len(chunk.specs)))
 	}
 	b.maybeFinishLocked(run)
 	b.dispatchLocked()
 }
 
 func (b *RemoteBackend) maybeFinishLocked(run *remoteRun) {
-	if run.err == nil && run.remaining == 0 {
+	if run.err == nil && run.finished() {
 		if _, active := b.runs[run]; active {
 			delete(b.runs, run)
 			close(run.done)
@@ -606,16 +634,11 @@ func (b *RemoteBackend) affinityOn() bool { return b.Affinity == nil || *b.Affin
 // champion departed move. Requires b.mu.
 func (b *RemoteBackend) preferredWorkerLocked(loc string) *remoteWorker {
 	if w, ok := b.lastServed[loc]; ok && !w.dead {
-		if _, live := b.fleet[w]; live {
-			return w
-		}
+		return w
 	}
 	var best *remoteWorker
 	var bestScore uint64
 	for w := range b.fleet {
-		if w.dead {
-			continue
-		}
 		score := fnv1a(loc + "\x00" + w.name)
 		if best == nil || score > bestScore || (score == bestScore && w.id < best.id) {
 			best, bestScore = w, score
@@ -628,10 +651,10 @@ func (b *RemoteBackend) preferredWorkerLocked(loc string) *remoteWorker {
 // first pass sends every pending chunk whose preferred worker is idle
 // to that worker — holding a chunk for its warm home while the home is
 // idle costs nothing. The second pass is plain work sharing: remaining
-// idle workers drain the queue oldest-first (so an idle fleet never
-// starves behind affinity), then speculate on stragglers. Requires
-// b.mu; frame writes happen on fresh goroutines so the scheduler never
-// blocks on a slow connection.
+// idle workers, oldest member first, drain the queue oldest-first (so
+// an idle fleet never starves behind affinity), then speculate on
+// stragglers. Requires b.mu; frame writes happen on fresh goroutines so
+// the scheduler never blocks on a slow connection.
 func (b *RemoteBackend) dispatchLocked() {
 	if b.affinityOn() {
 		for run := range b.runs {
@@ -641,7 +664,7 @@ func (b *RemoteBackend) dispatchLocked() {
 				if c.locality != "" {
 					w = b.preferredWorkerLocked(c.locality)
 				}
-				if w != nil && !w.dead && w.busy == nil {
+				if w != nil && w.busy == nil {
 					b.assignLocked(w, c)
 				} else {
 					kept = append(kept, c)
@@ -679,9 +702,6 @@ func (b *RemoteBackend) assignLocked(w *remoteWorker, chunk *remoteChunk) {
 			}
 		}
 		b.lastServed[loc] = w
-		if w.served == nil {
-			w.served = map[string]struct{}{}
-		}
 		w.served[loc] = struct{}{}
 	}
 	b.nextSeq++
@@ -692,41 +712,13 @@ func (b *RemoteBackend) assignLocked(w *remoteWorker, chunk *remoteChunk) {
 	w.busy = chunk
 	b.inflight[chunk.seq] = chunk
 	chunk.run.inflight[chunk] = struct{}{}
-	work := remoteWork{Seq: chunk.seq, Cells: chunk.specs}
-	if b.affinityOn() {
-		work.Prefetch = b.prefetchHintLocked(w, chunk)
-	}
-	go b.send(w, work)
+	go b.send(w, &wireMsg{kind: wireKindWork, seq: chunk.seq, cells: chunk.specs})
 }
 
-// prefetchHintLocked names up to two locality keys w is likely to
-// serve after chunk — pending chunks preferring w whose key differs
-// from the one just dispatched — so the worker overlaps artifact loads
-// with compute. Requires b.mu.
-func (b *RemoteBackend) prefetchHintLocked(w *remoteWorker, chunk *remoteChunk) []string {
-	var hints []string
-	seen := map[string]bool{chunk.locality: true, "": true}
-	for run := range b.runs {
-		for _, c := range run.pending {
-			if seen[c.locality] {
-				continue
-			}
-			if b.preferredWorkerLocked(c.locality) != w {
-				continue
-			}
-			seen[c.locality] = true
-			hints = append(hints, c.locality)
-			if len(hints) == 2 {
-				return hints
-			}
-		}
-	}
-	return hints
-}
-
-// idleWorkerLocked returns a live idle worker, if any.
+// idleWorkerLocked returns the oldest live idle member, if any; the
+// fixed order keeps work sharing reproducible.
 func (b *RemoteBackend) idleWorkerLocked() *remoteWorker {
-	for w := range b.fleet {
+	for _, w := range b.roster {
 		if !w.dead && w.busy == nil {
 			return w
 		}
@@ -736,7 +728,10 @@ func (b *RemoteBackend) idleWorkerLocked() *remoteWorker {
 
 // nextChunkLocked picks the next chunk for w: a queued chunk — one
 // whose key w already serves when affinity is on, else the oldest —
-// else a speculative clone of a straggler.
+// else, on a TCP fleet, a speculative clone of a straggler. A spawned
+// fleet never speculates: its members share one host's cores, so a
+// clone cannot finish before its original and only adds CPU, and a
+// hung member is the chunk timeout's job.
 func (b *RemoteBackend) nextChunkLocked(w *remoteWorker) *remoteChunk {
 	for run := range b.runs {
 		if len(run.pending) == 0 {
@@ -757,6 +752,9 @@ func (b *RemoteBackend) nextChunkLocked(w *remoteWorker) *remoteChunk {
 		chunk := run.pending[pick]
 		run.pending = append(run.pending[:pick], run.pending[pick+1:]...)
 		return chunk
+	}
+	if b.ln == nil {
+		return nil
 	}
 	return b.speculateLocked(w)
 }
@@ -824,25 +822,18 @@ func (b *RemoteBackend) stragglerThreshold(run *remoteRun) time.Duration {
 	return th
 }
 
-// send writes one work frame in the worker's codec, failing the worker
-// on error.
-func (b *RemoteBackend) send(w *remoteWorker, work remoteWork) {
-	var payload []byte
-	var err error
-	if w.codec == wireCodecBinary {
-		payload = encodeWireMsg(&wireMsg{kind: wireKindWork, seq: work.Seq, cells: work.Cells, prefetch: work.Prefetch})
-	} else {
-		payload, err = json.Marshal(work)
-	}
-	if err == nil {
-		b.wire.count(w.codec, len(payload))
-		w.wmu.Lock()
-		_ = w.conn.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
-		err = writeRawFrame(w.conn, payload)
-		w.wmu.Unlock()
-	}
+// send writes one work frame, dropping the member on error.
+func (b *RemoteBackend) send(w *remoteWorker, m *wireMsg) {
+	payload := encodeWireMsg(m)
+	b.wire.binaryBytes.Add(uint64(len(payload)))
+	w.wmu.Lock()
+	_ = w.conn.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
+	err := writeRawFrame(w.conn, payload)
+	w.wmu.Unlock()
 	if err != nil {
-		b.failWorker(w, fmt.Errorf("send chunk: %w", err))
+		b.mu.Lock()
+		b.dropLocked(w, fmt.Errorf("send chunk: %w", err))
+		b.mu.Unlock()
 	}
 }
 
@@ -859,7 +850,13 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 	if _, err := b.Start(); err != nil {
 		return nil, err
 	}
+	return b.run(ctx, specs, b.Name(), 0)
+}
 
+// run schedules one batch on the fleet's current and future members, on
+// behalf of the named backend; a positive chunkTimeout bounds how long
+// any chunk may stay on one member.
+func (b *RemoteBackend) run(ctx context.Context, specs []CellSpec, backend string, chunkTimeout time.Duration) ([]CellResult, error) {
 	run := &remoteRun{
 		started:   time.Now(),
 		specOf:    make(map[int]CellSpec, len(specs)),
@@ -867,6 +864,9 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 		remaining: len(specs),
 		inflight:  map[*remoteChunk]struct{}{},
 		done:      make(chan struct{}),
+
+		backend:      backend,
+		chunkTimeout: chunkTimeout,
 	}
 	for _, s := range specs {
 		run.specOf[s.Shard] = s
@@ -875,13 +875,14 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return nil, errors.New("remote backend is closed")
+		return nil, fmt.Errorf("%s backend is closed", backend)
 	}
-	// Chunks never span two locality keys, so affinity routing has clean
-	// units to place and a chunk's cells always share their warm
-	// artifacts; groups are still cut by size to keep steals and late
-	// joiners effective.
-	for _, c := range localityChunks(specs, max(1, len(b.fleet)), true) {
+	b.initLocked()
+	if b.ln == nil && len(b.fleet) == 0 {
+		b.mu.Unlock()
+		return nil, fmt.Errorf("%s fleet has no live workers", backend)
+	}
+	for _, c := range localityChunks(specs, max(1, len(b.fleet))) {
 		run.pending = append(run.pending, &remoteChunk{run: run, specs: c, locality: c[0].Locality})
 	}
 	b.runs[run] = struct{}{}
@@ -915,14 +916,13 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 		return nil, err
 	}
 	sortResultsByShard(results)
-	// Stream completions only after the whole batch succeeded, mirroring
-	// ExecBackend: a failed batch must stay invisible to the pool's cell
-	// accounting.
+	// Stream completions only after the whole batch succeeded: a failed
+	// batch must stay invisible to the pool's cell accounting.
 	for i := range results {
 		r := &results[i]
 		s := run.specOf[r.Shard]
 		b.notify(Cell{
-			Backend: b.Name(), Scope: s.Scope, Shard: r.Shard, Seed: s.Seed,
+			Backend: backend, Scope: s.Scope, Shard: r.Shard, Seed: s.Seed,
 			Elapsed: time.Duration(r.ElapsedUS) * time.Microsecond, Err: r.CellErr(),
 		}, s, *r)
 	}
@@ -930,8 +930,8 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 }
 
 // tickRun drives the time-based scheduling decisions for one run —
-// straggler speculation and the empty-fleet join grace — until the run
-// completes or its Run call returns.
+// chunk timeouts, straggler speculation and the empty-fleet join grace
+// — until the run completes or its Run call returns.
 func (b *RemoteBackend) tickRun(run *remoteRun, stop <-chan struct{}) {
 	tick := b.minStragglerAge() / 4
 	if tick < 10*time.Millisecond {
@@ -951,26 +951,32 @@ func (b *RemoteBackend) tickRun(run *remoteRun, stop <-chan struct{}) {
 		case <-t.C:
 		}
 		b.mu.Lock()
-		if len(b.fleet) == 0 {
+		if run.chunkTimeout > 0 {
+			// Every chunk counts, a finished run's included: a wedged
+			// member would otherwise stay busy forever.
+			var overdue []*remoteChunk
+			for _, c := range b.inflight {
+				if time.Since(c.sentAt) > run.chunkTimeout {
+					overdue = append(overdue, c)
+				}
+			}
+			for _, c := range overdue {
+				b.dropLocked(c.worker, fmt.Errorf("batch of %d cells exceeded the %v batch timeout", len(c.specs), run.chunkTimeout))
+			}
+		}
+		if b.ln != nil && len(b.fleet) == 0 {
 			ref := run.started
 			if b.lastWorkerAt.After(ref) {
 				ref = b.lastWorkerAt
 			}
 			if time.Since(ref) > b.joinGrace() {
 				b.failRunLocked(run, fmt.Errorf("no workers connected to %s for %v (fleet empty; %d joined, %d left)",
-					b.listenAddrLocked(), b.joinGrace(), b.joins, b.leaves))
+					b.ln.Addr(), b.joinGrace(), b.joins, b.leaves))
 			}
 		}
 		b.dispatchLocked()
 		b.mu.Unlock()
 	}
-}
-
-func (b *RemoteBackend) listenAddrLocked() string {
-	if b.ln == nil {
-		return b.Addr
-	}
-	return b.ln.Addr().String()
 }
 
 // BackendStats implements StatsReporter: one fleet-level entry with a
@@ -999,7 +1005,7 @@ func (b *RemoteBackend) BackendStats() []BackendStats {
 }
 
 // Close shuts the coordinator down: the listener stops accepting,
-// active runs fail, and worker connections close (which each worker
+// active runs fail, and member connections close (which a TCP worker
 // treats as a clean shutdown).
 func (b *RemoteBackend) Close() error {
 	b.mu.Lock()
@@ -1014,7 +1020,7 @@ func (b *RemoteBackend) Close() error {
 		workers = append(workers, w)
 	}
 	for run := range b.runs {
-		run.err = errors.New("remote backend closed")
+		run.err = fmt.Errorf("%s backend closed", run.backend)
 		delete(b.runs, run)
 		close(run.done)
 	}
@@ -1028,16 +1034,9 @@ func (b *RemoteBackend) Close() error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Worker side.
-
-// ServeRemoteWorker dials a RemoteBackend coordinator and serves cell
-// chunks until the coordinator closes the connection (the clean
-// shutdown signal) or ctx is canceled. Heartbeats flow on a separate
-// goroutine at the cadence the coordinator requested, so a worker deep
-// in a long batch still proves liveness. If opts.TraceDir is empty and
-// the coordinator advertises one, the worker adopts it, so every
-// worker process on a machine shares one persistent trace tier.
+// ServeRemoteWorker dials a RemoteBackend coordinator and serves its
+// fleet protocol (see ServeWorker) until the coordinator closes the
+// connection (the clean shutdown signal) or ctx is canceled.
 func ServeRemoteWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -1047,153 +1046,9 @@ func ServeRemoteWorker(ctx context.Context, addr string, opts WorkerOptions) err
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetKeepAlive(true)
 	}
-
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "worker"
 	}
-	_ = conn.SetDeadline(time.Now().Add(remoteHandshakeTimeout))
-	hello := remoteHello{
-		Proto:  remoteProtoVersion,
-		Name:   fmt.Sprintf("%s/%d", host, os.Getpid()),
-		Codecs: wireOffer(opts.Wire),
-	}
-	if err := writeFrame(conn, hello); err != nil {
-		return fmt.Errorf("worker: hello: %w", err)
-	}
-	var welcome remoteWelcome
-	if err := readFrame(conn, &welcome); err != nil {
-		return fmt.Errorf("worker: welcome: %w", err)
-	}
-	if welcome.Proto != remoteProtoVersion {
-		return fmt.Errorf("worker: coordinator speaks protocol %d, want %d", welcome.Proto, remoteProtoVersion)
-	}
-	switch welcome.Codec {
-	case "", wireCodecBinary:
-	default:
-		return fmt.Errorf("worker: coordinator selected unknown codec %q", welcome.Codec)
-	}
-	codec := welcome.Codec
-	_ = conn.SetDeadline(time.Time{})
-	if opts.TraceDir == "" {
-		opts.TraceDir = welcome.TraceDir
-	}
-	if opts.TraceMajor == nil {
-		opts.TraceMajor = welcome.TraceMajor
-	}
-	if !opts.TraceMmap && welcome.TraceMmap != nil {
-		opts.TraceMmap = *welcome.TraceMmap
-	}
-	if opts.Snapshots == nil {
-		opts.Snapshots = welcome.Snapshots
-	}
-	if opts.SnapDir == "" {
-		opts.SnapDir = welcome.SnapDir
-	}
-	// Coordinator-forwarded specs compose with any the worker loaded
-	// locally; content-hashed names make double registration harmless.
-	opts.WorkloadSpecs = append(opts.WorkloadSpecs, welcome.WorkloadSpecs...)
-	if err := registerWorkloadSpecs(opts.WorkloadSpecs); err != nil {
-		return err
-	}
-	store, err := newWorkerStore(opts)
-	if err != nil {
-		return err
-	}
-	snaps, err := newWorkerSnapStore(opts)
-	if err != nil {
-		return err
-	}
-	env := cellEnvFor(opts, store, snaps)
-
-	var wmu sync.Mutex
-	send := func(reply remoteReply) error {
-		var payload []byte
-		var err error
-		if codec == wireCodecBinary {
-			m := wireMsg{seq: reply.Seq, results: reply.Results, err: reply.Err, permanent: reply.Permanent}
-			if reply.Type == "heartbeat" {
-				m.kind = wireKindHeartbeat
-			} else {
-				m.kind = wireKindResults
-			}
-			payload = encodeWireMsg(&m)
-		} else if payload, err = json.Marshal(reply); err != nil {
-			return err
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(remoteHandshakeTimeout))
-		return writeRawFrame(conn, payload)
-	}
-
-	// The connection doubles as the cancellation signal: closing it
-	// unblocks the read loop below and stops the heartbeats.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
-	heartbeat := welcome.HeartbeatMS
-	if heartbeat <= 0 {
-		heartbeat = 1000
-	}
-	go func() {
-		t := time.NewTicker(time.Duration(heartbeat) * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if send(remoteReply{Type: "heartbeat"}) != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	for {
-		payload, err := readRawFrame(conn)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // coordinator closed the connection: clean shutdown
-			}
-			return fmt.Errorf("worker: read chunk: %w", err)
-		}
-		var work remoteWork
-		if len(payload) > 0 && payload[0] == binMagic {
-			m, err := decodeWireMsg(payload)
-			if err != nil {
-				return fmt.Errorf("worker: read chunk: %w", err)
-			}
-			work = remoteWork{Seq: m.seq, Cells: m.cells, Prefetch: m.prefetch}
-		} else if err := json.Unmarshal(payload, &work); err != nil {
-			return fmt.Errorf("worker: read chunk: %w", err)
-		}
-		if len(work.Prefetch) > 0 {
-			env.prefetch(work.Prefetch)
-		}
-		reply := remoteReply{Type: "results", Seq: work.Seq}
-		results, err := executeCells(ctx, work.Cells, env)
-		if err != nil {
-			reply.Err = err.Error()
-			reply.Permanent = errors.Is(err, ErrPermanent)
-		} else {
-			reply.Results = results
-		}
-		if err := send(reply); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("worker: send results: %w", err)
-		}
-	}
+	return serveSession(ctx, conn, func() { conn.Close() }, fmt.Sprintf("%s/%d", host, os.Getpid()), opts)
 }

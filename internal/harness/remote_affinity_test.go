@@ -1,9 +1,9 @@
 package harness
 
-// Tests for the locality-aware scheduler and the negotiated binary wire
-// codec. The standing contract stays what it always was — bytes
-// identical to the in-process run — with affinity routing, mixed-codec
-// fleets, and the preferred worker dying mid-group layered on top.
+// Tests for the locality-aware scheduler. The standing contract stays
+// what it always was — bytes identical to the in-process run — with
+// affinity routing and the preferred worker dying mid-group layered on
+// top.
 
 import (
 	"bufio"
@@ -19,22 +19,6 @@ import (
 	"testing"
 	"time"
 )
-
-// startInProcWorkerOpts is startInProcWorker with explicit worker
-// options, for pinning a worker's frame codec.
-func startInProcWorkerOpts(t *testing.T, addr string, opts WorkerOptions) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = ServeRemoteWorker(ctx, addr, opts)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
-}
 
 // runGroup runs the locality-grouped trace scenario, the workload shape
 // affinity scheduling exists for.
@@ -57,31 +41,6 @@ func waitJoins(t *testing.T, b *RemoteBackend, n uint64) {
 			t.Fatalf("joins = %d, want %d", fleetStats(t, b).Joins, n)
 		case <-time.After(5 * time.Millisecond):
 		}
-	}
-}
-
-// TestRemoteMixedCodecFleet: one worker negotiates the binary codec,
-// the other is pinned to JSON, and the run must not care — bytes
-// identical to local, with both codecs visibly carrying frames.
-func TestRemoteMixedCodecFleet(t *testing.T) {
-	local := runGroup(t, NewPool(2, 9090))
-
-	b := &RemoteBackend{}
-	addr := startRemote(t, b)
-	startInProcWorker(t, addr) // negotiates binary
-	startInProcWorkerOpts(t, addr, WorkerOptions{Workers: 1, Wire: "json"})
-	waitJoins(t, b, 2)
-
-	pool := NewPool(2, 9090)
-	pool.SetBackend(b)
-	remote := runGroup(t, pool)
-	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
-		t.Error("mixed-codec fleet results diverge from local")
-	}
-	st := fleetStats(t, b)
-	if st.WireJSONBytes == 0 || st.WireBinaryBytes == 0 {
-		t.Errorf("mixed fleet should count bytes on both codecs: json=%d binary=%d",
-			st.WireJSONBytes, st.WireBinaryBytes)
 	}
 }
 
@@ -155,9 +114,9 @@ func TestRemoteAffinityPreferredWorkerKilledMidGroup(t *testing.T) {
 	}
 }
 
-// placementRun drives a fabricated locality-keyed batch through two
-// scripted workers and reports how many distinct (worker, key)
-// placements occurred — the white-box proxy for redundant artifact
+// placementRun drives two batches of the same four locality keys
+// through two scripted workers and reports how many distinct (worker,
+// key) placements occurred — the white-box proxy for redundant artifact
 // loads — plus the fleet's affinity-hit count.
 func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 	t.Helper()
@@ -170,23 +129,23 @@ func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 		conn, _ := dialScriptedWorker(t, addr, name)
 		go func() {
 			for {
-				var work remoteWork
-				if readFrame(conn, &work) != nil {
+				work, err := readWork(conn)
+				if err != nil {
 					return
 				}
-				if len(work.Cells) > 0 {
+				if len(work.cells) > 0 {
 					mu.Lock()
-					seen[name+"|"+work.Cells[0].Locality] = struct{}{}
+					seen[name+"|"+work.cells[0].Locality] = struct{}{}
 					mu.Unlock()
 				}
 				// A stand-in for compute: long enough that the other worker
 				// stays busy too, so dispatch genuinely alternates.
 				time.Sleep(25 * time.Millisecond)
-				results := make([]CellResult, len(work.Cells))
-				for i, c := range work.Cells {
+				results := make([]CellResult, len(work.cells))
+				for i, c := range work.cells {
 					results[i] = CellResult{Shard: c.Shard, Value: json.RawMessage(strconv.Itoa(c.Shard))}
 				}
-				if writeFrame(conn, remoteReply{Type: "results", Seq: work.Seq, Results: results}) != nil {
+				if writeMsg(conn, wireMsg{kind: wireKindResults, seq: work.seq, results: results}) != nil {
 					return
 				}
 			}
@@ -214,18 +173,24 @@ func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 			forB = append(forB, key)
 		}
 	}
-	keys := []string{forA[0], forB[0], forA[1], forB[1]}
-
-	// 4 keys x 8 shards with 2 live workers chunks into 8 single-key
-	// chunks, two per key: enough placements for routing policy to show.
-	var specs []CellSpec
-	for k, key := range keys {
-		for j := 0; j < 8; j++ {
-			specs = append(specs, CellSpec{Scope: "placement", Shard: k*8 + j, Locality: key})
+	// Each key is one chunk per batch, so one batch places every key
+	// once under either policy. The second batch lists the keys in
+	// another order: work sharing hands the oldest chunk to the oldest
+	// idle worker and so moves keys, while affinity sends each key back
+	// to the worker that served it.
+	for _, keys := range [][]string{
+		{forA[0], forB[0], forA[1], forB[1]},
+		{forB[0], forA[0], forB[1], forA[1]},
+	} {
+		var specs []CellSpec
+		for k, key := range keys {
+			for j := 0; j < 8; j++ {
+				specs = append(specs, CellSpec{Scope: "placement", Shard: k*8 + j, Locality: key})
+			}
 		}
-	}
-	if _, err := b.Run(context.Background(), specs); err != nil {
-		t.Fatal(err)
+		if _, err := b.Run(context.Background(), specs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, w := range fleetStats(t, b).Workers {
 		hits += w.AffinityHits
@@ -236,8 +201,9 @@ func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 }
 
 // TestRemoteAffinityConsolidatesPlacement: with affinity on, each
-// locality key should settle on one worker (its artifacts load once);
-// round-robin dispatch scatters the same keys across the fleet.
+// locality key should settle on one worker across batches (its
+// artifacts load once); plain work sharing scatters the same keys
+// across the fleet.
 func TestRemoteAffinityConsolidatesPlacement(t *testing.T) {
 	onPlacements, onHits := placementRun(t, true)
 	offPlacements, _ := placementRun(t, false)
@@ -245,7 +211,7 @@ func TestRemoteAffinityConsolidatesPlacement(t *testing.T) {
 		t.Error("affinity scheduling recorded no hits")
 	}
 	if onPlacements >= offPlacements {
-		t.Errorf("affinity placements = %d, round-robin = %d; affinity should consolidate keys onto fewer workers",
+		t.Errorf("affinity placements = %d, work sharing = %d; affinity should consolidate keys onto fewer workers",
 			onPlacements, offPlacements)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -23,23 +24,6 @@ import (
 )
 
 const remoteAddrEnvVar = "STBPU_HARNESS_TEST_ADDR"
-
-// permanentBackend fails every chunk with a deterministic (Permanent)
-// error, recording the first shard of each chunk it is handed so a test
-// can tell a second chunk from a retried one.
-type permanentBackend struct {
-	mu     sync.Mutex
-	shards []int
-}
-
-func (p *permanentBackend) Name() string { return "perm" }
-func (p *permanentBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	p.mu.Lock()
-	p.shards = append(p.shards, specs[0].Shard)
-	p.mu.Unlock()
-	return nil, Permanent(errors.New("deterministic scenario bug"))
-}
-func (p *permanentBackend) Close() error { return nil }
 
 // remoteWedgeWorkerMain is the TestMain body for the remote-wedge
 // worker mode: handshake, take one chunk, print a marker, keep
@@ -50,30 +34,23 @@ func remoteWedgeWorkerMain() {
 		fmt.Fprintln(os.Stderr, "wedge worker:", err)
 		os.Exit(1)
 	}
-	var wmu sync.Mutex
-	if err := writeFrame(conn, remoteHello{Proto: remoteProtoVersion, Name: "wedge"}); err != nil {
-		os.Exit(1)
-	}
-	var welcome remoteWelcome
-	if err := readFrame(conn, &welcome); err != nil {
+	welcome, err := scriptedHello(conn, "wedge")
+	if err != nil {
 		os.Exit(1)
 	}
 	go func() {
 		for {
 			time.Sleep(time.Duration(welcome.HeartbeatMS) * time.Millisecond)
-			wmu.Lock()
-			err := writeFrame(conn, remoteReply{Type: "heartbeat"})
-			wmu.Unlock()
-			if err != nil {
+			if writeMsg(conn, wireMsg{kind: wireKindHeartbeat}) != nil {
 				os.Exit(1)
 			}
 		}
 	}()
-	var work remoteWork
-	if err := readFrame(conn, &work); err != nil {
+	work, err := readWork(conn)
+	if err != nil {
 		os.Exit(1)
 	}
-	fmt.Printf("WEDGED %d\n", len(work.Cells))
+	fmt.Printf("WEDGED %d\n", len(work.cells))
 	select {}
 }
 
@@ -115,11 +92,8 @@ func dialScriptedWorker(t *testing.T, addr, name string) (net.Conn, remoteWelcom
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := writeFrame(conn, remoteHello{Proto: remoteProtoVersion, Name: name}); err != nil {
-		t.Fatal(err)
-	}
-	var welcome remoteWelcome
-	if err := readFrame(conn, &welcome); err != nil {
+	welcome, err := scriptedHello(conn, name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return conn, welcome
@@ -153,6 +127,9 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 	addr := startRemote(t, b)
 	startInProcWorker(t, addr)
 	startInProcWorker(t, addr)
+	// The run is short enough to finish before a slow second handshake;
+	// late joins are TestRemoteBackendLateJoin's subject.
+	waitJoins(t, b, 2)
 	pool := NewPool(2, 1234)
 	pool.SetBackend(b)
 	remote := runWire(t, pool)
@@ -318,21 +295,17 @@ func TestRemoteBackendSpeculativeReexecution(t *testing.T) {
 	t.Cleanup(func() { close(slowStop) })
 	go func() {
 		for {
-			var work remoteWork
-			if readFrame(slowConn, &work) != nil {
+			work, err := readWork(slowConn)
+			if err != nil {
 				return
 			}
-			results, err := ExecuteCells(context.Background(), work.Cells, 1, nil)
+			reply := answer(work)
 			select {
 			case <-time.After(800 * time.Millisecond):
 			case <-slowStop:
 				return
 			}
-			reply := remoteReply{Type: "results", Seq: work.Seq, Results: results}
-			if err != nil {
-				reply = remoteReply{Type: "results", Seq: work.Seq, Err: err.Error()}
-			}
-			if writeFrame(slowConn, reply) != nil {
+			if writeMsg(slowConn, reply) != nil {
 				return
 			}
 		}
@@ -391,8 +364,7 @@ func TestRemoteBackendHeartbeatTimeout(t *testing.T) {
 	silentConn, _ := dialScriptedWorker(t, addr, "silent")
 	go func() {
 		for {
-			var work remoteWork
-			if readFrame(silentConn, &work) != nil {
+			if _, err := readWork(silentConn); err != nil {
 				return
 			}
 		}
@@ -426,23 +398,16 @@ func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 	go func() {
 		rejected := false
 		for {
-			var work remoteWork
-			if readFrame(conn, &work) != nil {
+			work, err := readWork(conn)
+			if err != nil {
 				return
 			}
+			reply := answer(work)
 			if !rejected {
 				rejected = true
-				if writeFrame(conn, remoteReply{Type: "results", Seq: work.Seq, Err: "scenario not on this build"}) != nil {
-					return
-				}
-				continue
+				reply = wireMsg{kind: wireKindResults, seq: work.seq, err: "scenario not on this build"}
 			}
-			results, err := ExecuteCells(context.Background(), work.Cells, 1, nil)
-			reply := remoteReply{Type: "results", Seq: work.Seq, Results: results}
-			if err != nil {
-				reply = remoteReply{Type: "results", Seq: work.Seq, Err: err.Error()}
-			}
-			if writeFrame(conn, reply) != nil {
+			if writeMsg(conn, reply) != nil {
 				return
 			}
 		}
@@ -464,6 +429,40 @@ func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 	}
 }
 
+// TestRemoteBackendShortReplyRequeues: a clean reply that leaves some of
+// its chunk's shards out gets them requeued, and results stay identical
+// to local.
+func TestRemoteBackendShortReplyRequeues(t *testing.T) {
+	local := runWire(t, NewPool(2, 11))
+
+	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	addr := startRemote(t, b)
+	// The lazy worker answers only the first half of every chunk.
+	conn, _ := dialScriptedWorker(t, addr, "lazy")
+	go func() {
+		for {
+			work, err := readWork(conn)
+			if err != nil {
+				return
+			}
+			reply := answer(work)
+			reply.results = reply.results[:(len(reply.results)+1)/2]
+			if writeMsg(conn, reply) != nil {
+				return
+			}
+		}
+	}()
+
+	pool := NewPool(2, 11)
+	pool.SetBackend(b)
+	if !bytes.Equal(reportBytes(t, local), reportBytes(t, runWire(t, pool))) {
+		t.Error("short-reply fleet results diverge from local")
+	}
+	if st := fleetStats(t, b); st.Retries == 0 {
+		t.Error("the shards a short reply left out were not requeued")
+	}
+}
+
 // TestRemoteBackendPermanentWorkerErrorFailsRun: a worker flagging its
 // batch error permanent (a deterministic scenario bug that would repeat
 // identically anywhere) must fail the run immediately, not ricochet
@@ -474,14 +473,11 @@ func TestRemoteBackendPermanentWorkerErrorFailsRun(t *testing.T) {
 	conn, _ := dialScriptedWorker(t, addr, "perm")
 	go func() {
 		for {
-			var work remoteWork
-			if readFrame(conn, &work) != nil {
+			work, err := readWork(conn)
+			if err != nil {
 				return
 			}
-			if writeFrame(conn, remoteReply{
-				Type: "results", Seq: work.Seq,
-				Err: "cell space mismatch", Permanent: true,
-			}) != nil {
+			if writeMsg(conn, wireMsg{kind: wireKindResults, seq: work.seq, err: "cell space mismatch", permanent: true}) != nil {
 				return
 			}
 		}
@@ -516,43 +512,44 @@ func TestRemoteBackendFailsWithoutWorkers(t *testing.T) {
 	}
 }
 
-// TestMultiBackendPermanentErrorNotRetried: a backend failing a chunk
-// with a Permanent error must surface it immediately instead of
-// retrying the doomed chunk across the rest of the ring.
-func TestMultiBackendPermanentErrorNotRetried(t *testing.T) {
-	perm := &permanentBackend{}
-	m := NewMultiBackend(
-		WeightedBackend{Backend: perm, Weight: 1},
-		WeightedBackend{Backend: NewLocalBackend(1), Weight: 1},
-	)
-	defer m.Close()
-	pool := NewPool(2, 7)
-	pool.SetBackend(m)
-	_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
-	if err == nil || !strings.Contains(err.Error(), "deterministic scenario bug") {
-		t.Fatalf("err = %v, want the permanent failure", err)
+// TestRemoteSendsEachLocalityGroupWhole is the TCP twin of
+// TestExecSendsEachLocalityGroupWhole: two scripted fleet workers log
+// the keys of every work frame, and each key must arrive whole, in one
+// frame, with results identical to local.
+func TestRemoteSendsEachLocalityGroupWhole(t *testing.T) {
+	local := runGroupParams(t, NewPool(2, 4242))
+
+	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	addr := startRemote(t, b)
+	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
+	var logMu sync.Mutex
+	for _, name := range []string{"alpha", "beta"} {
+		conn, _ := dialScriptedWorker(t, addr, name)
+		go func() {
+			for {
+				work, err := readWork(conn)
+				if err != nil {
+					return
+				}
+				logMu.Lock()
+				err = logKeys(logPath, work)
+				logMu.Unlock()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if writeMsg(conn, answer(work)) != nil {
+					return
+				}
+			}
+		}()
 	}
-	if !errors.Is(err, ErrPermanent) {
-		t.Errorf("permanent marker lost through MultiBackend: %v", err)
+	waitJoins(t, b, 2)
+
+	pool := NewPool(2, 4242)
+	pool.SetBackend(b)
+	if !bytes.Equal(local, runGroupParams(t, pool)) {
+		t.Error("grouped fleet results diverge from local")
 	}
-	// Several chunks may reach the permanent backend before the first
-	// failure cancels the rest; none may reach it twice.
-	perm.mu.Lock()
-	shards := perm.shards
-	perm.mu.Unlock()
-	if len(shards) == 0 {
-		t.Fatal("permanent backend was never called")
-	}
-	seen := make(map[int]bool)
-	for _, sh := range shards {
-		if seen[sh] {
-			t.Errorf("chunk starting at shard %d reached the permanent backend twice (calls: %v)", sh, shards)
-		}
-		seen[sh] = true
-	}
-	for _, st := range m.BackendStats() {
-		if st.Retries != 0 {
-			t.Errorf("backend %s recorded %d retries for a permanent failure", st.Backend, st.Retries)
-		}
-	}
+	checkGroupsWhole(t, logPath)
 }

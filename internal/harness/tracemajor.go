@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -52,52 +51,16 @@ func withTraceMajorWant(ctx context.Context, scope string, want map[int]bool) co
 // Locality formats the canonical locality key for the trace artifact a
 // cell replays: the workload (or spec content-hash) name plus the
 // record count, which together address one tracestore entry and one
-// snapstore spill family. Wire backends use the key for chunking,
-// routing and prefetch only — it never influences results.
+// snapstore spill family. The fleet uses the key for chunking and
+// routing only — it never influences results.
 func Locality(workload string, records int) string {
 	return workload + "@" + strconv.Itoa(records)
 }
 
-// SplitLocality parses a Locality key back into its workload name and
-// record count. Workload names may themselves contain '@' (none do
-// today, but spec hashes are open-ended), so the split is at the last
-// separator.
-func SplitLocality(key string) (workload string, records int, ok bool) {
-	i := strings.LastIndexByte(key, '@')
-	if i < 0 {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(key[i+1:])
-	if err != nil || n < 0 {
-		return "", 0, false
-	}
-	return key[:i], n, true
-}
-
-// pairSep joins the two workload names of a pair key. No workload name
-// contains it: preset names use [A-Za-z0-9._-], and spec names are
-// "spec:" + [A-Za-z0-9._-] + "@" + a hex hash.
-const pairSep = "+"
-
 // PairLocality formats the locality key of a cell that replays two
-// traces at once, an SMT pair: "a+b@records". The key names both
-// traces, so a worker can warm each one (see localityTraces).
+// traces at once, an SMT pair: "a+b@records".
 func PairLocality(a, b string, records int) string {
-	return Locality(a+pairSep+b, records)
-}
-
-// localityTraces expands a locality key into the workload names of the
-// traces it names — one, or both halves of a pair key — and their
-// record count. A malformed key names none.
-func localityTraces(key string) (names []string, records int) {
-	name, records, ok := SplitLocality(key)
-	if !ok {
-		return nil, 0
-	}
-	if a, b, pair := strings.Cut(name, pairSep); pair {
-		return []string{a, b}, records
-	}
-	return []string{name}, records
+	return Locality(a+"+"+b, records)
 }
 
 // cellLocalityKey carries the per-shard locality labeler to Map in the
@@ -142,8 +105,8 @@ func localityFor(ctx context.Context, scope string) func(int) string {
 //
 // locality labels each shard's cell spec with the warm-artifact key the
 // group replays (see Locality, WithLocality); nil leaves specs
-// unlabeled. The label feeds chunking, routing and prefetch in wire
-// backends and is stamped on the model-major fallback path too — pure
+// unlabeled. The label feeds chunking and routing in the fleet and is
+// stamped on the model-major fallback path too — pure
 // metadata either way.
 //
 // run must be a pure function of the (shards, seeds) it is given, with

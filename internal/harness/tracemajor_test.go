@@ -203,32 +203,6 @@ func TestMapTraceMajorLocality(t *testing.T) {
 	}
 }
 
-// TestLocalityRoundTrip pins the key format both ends rely on: workers
-// SplitLocality what coordinators Locality'd, including names that
-// themselves contain the separator.
-func TestLocalityRoundTrip(t *testing.T) {
-	cases := []struct {
-		workload string
-		records  int
-	}{
-		{"505.mcf", 100000},
-		{"spec-ab12cd34", 0},
-		{"odd@name", 7},
-	}
-	for _, c := range cases {
-		key := Locality(c.workload, c.records)
-		wl, rec, ok := SplitLocality(key)
-		if !ok || wl != c.workload || rec != c.records {
-			t.Errorf("SplitLocality(%q) = (%q, %d, %v), want (%q, %d, true)", key, wl, rec, ok, c.workload, c.records)
-		}
-	}
-	for _, bad := range []string{"", "no-separator", "wl@", "wl@-3", "wl@x"} {
-		if _, _, ok := SplitLocality(bad); ok {
-			t.Errorf("SplitLocality(%q) ok, want failure", bad)
-		}
-	}
-}
-
 // TestMapTraceMajorGroupError: a failing group surfaces through every
 // member cell and Map reports the lowest-shard root cause.
 func TestMapTraceMajorGroupError(t *testing.T) {

@@ -1,25 +1,23 @@
 package harness
 
 // Wire codec: both wire backends frame messages as a 4-byte big-endian
-// payload length followed by the payload. Payloads are JSON by default
-// — every peer speaks it — and switch to a compact binary encoding
-// built on internal/snap when both ends negotiate it in the
-// hello/welcome handshake (exec stdio and remote TCP alike). Bare/old
-// workers never advertise the codec and simply stay on JSON; the
-// handshake frames themselves are always JSON so the two ends can
-// disagree about everything except how to disagree. A binary payload
-// starts with a magic byte no JSON payload can start with, so a
-// decoder can reject codec confusion loudly, and carries a version
-// byte so future revisions can coexist on one fleet.
+// payload length followed by the payload. The hello/welcome handshake
+// is JSON, so the two ends can disagree about everything except how to
+// say so: a protocol-version mismatch is refused there, naming both
+// versions. Every frame after it is bin1, a compact binary encoding
+// built on internal/snap. A bin1 payload starts with a magic byte no
+// JSON payload can start with, so codec confusion fails loudly, and
+// carries a version byte that moves with the protocol version.
 //
-// One message shape serves both wires (work in, results/heartbeat
-// out); the exec stdio wire has no sequence numbers and leaves seq 0.
-// CellResult values stay wire-encoded JSON inside the binary frame —
-// the payload bytes a worker computed are forwarded verbatim, so
-// result byte-identity across codecs is structural, not coincidental.
+// One message shape serves every frame after the handshake: work in,
+// results and heartbeats out. CellResult values stay wire-encoded JSON
+// inside the binary frame — the payload bytes a worker computed are
+// forwarded verbatim, so result byte-identity across transports is
+// structural, not coincidental.
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,78 +26,38 @@ import (
 	"stbpu/internal/snap"
 )
 
-// wireCodecBinary is the name the binary codec goes by in hello
-// (advertised) and welcome (selected) handshake frames. JSON is the
-// unnamed default and never appears in a handshake.
-const wireCodecBinary = "bin1"
-
-// wireForceJSON is the Wire config value (ExecBackend.Wire,
-// RemoteBackend.Wire, WorkerOptions.Wire) that pins a peer to JSON
-// frames, for mixed-fleet tests and debugging; empty means negotiate.
-const wireForceJSON = "json"
+// maxFrameBytes bounds a protocol frame so a corrupt length prefix
+// cannot trigger a giant allocation.
+const maxFrameBytes = 256 << 20
 
 const (
 	binMagic   = 0xB5 // first payload byte; JSON payloads start with '{'
-	binVersion = 1
+	binVersion = 2
 )
 
 // Binary message kinds.
 const (
-	wireKindWork      = 1 // coordinator → worker: cells + prefetch hints (remote only)
+	wireKindWork      = 1 // coordinator → worker: cells
 	wireKindResults   = 2 // worker → coordinator: results or batch error
-	wireKindHeartbeat = 3 // worker → coordinator: liveness (remote wire)
+	wireKindHeartbeat = 3 // worker → coordinator: liveness
 )
 
-// wireMsg is the codec-neutral form of one frame after the handshake.
+// wireMsg is the decoded form of one frame after the handshake.
 type wireMsg struct {
 	kind      byte
 	seq       uint64
 	cells     []CellSpec
-	prefetch  []string
 	results   []CellResult
 	err       string
 	permanent bool
 }
 
-// wireOffer returns the codecs a peer advertises in its hello frame
-// under the given Wire config value.
-func wireOffer(wire string) []string {
-	if wire == wireForceJSON {
-		return nil
-	}
-	return []string{wireCodecBinary}
-}
-
-// negotiateCodec picks the frame codec from a hello's advertised list:
-// the binary codec when both ends allow it, else JSON ("").
-func negotiateCodec(offered []string, wire string) string {
-	if wire == wireForceJSON {
-		return ""
-	}
-	for _, c := range offered {
-		if c == wireCodecBinary {
-			return wireCodecBinary
-		}
-	}
-	return ""
-}
-
-// wireStats counts frame payload bytes per codec, both directions;
-// wire backends report the totals in BackendStats.
+// wireStats counts frame payload bytes in both directions: the JSON
+// handshake and the bin1 work and results frames after it. Fleets
+// report the totals in BackendStats.
 type wireStats struct {
 	jsonBytes   atomic.Uint64
 	binaryBytes atomic.Uint64
-}
-
-func (s *wireStats) count(codec string, n int) {
-	if s == nil {
-		return
-	}
-	if codec == wireCodecBinary {
-		s.binaryBytes.Add(uint64(n))
-	} else {
-		s.jsonBytes.Add(uint64(n))
-	}
 }
 
 // fill copies the counters into a stats block (omitempty keeps silent
@@ -144,6 +102,37 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// writeJSONFrame frames the JSON encoding of a handshake message and
+// reports the payload size, for the byte accounting.
+func writeJSONFrame(w io.Writer, v any) (int, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return 0, err
+	}
+	return len(payload), writeRawFrame(w, payload)
+}
+
+// readJSONFrame reads one JSON-framed handshake message into v and
+// reports the payload size.
+func readJSONFrame(r io.Reader, v any) (int, error) {
+	payload, err := readRawFrame(r)
+	if err != nil {
+		return 0, err
+	}
+	return len(payload), json.Unmarshal(payload, v)
+}
+
+// readWireFrame reads and decodes one bin1 frame, reporting its payload
+// size for the byte accounting.
+func readWireFrame(r io.Reader) (*wireMsg, int, error) {
+	payload, err := readRawFrame(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := decodeWireMsg(payload)
+	return m, len(payload), err
+}
+
 // encodeWireMsg renders m as a binary payload.
 func encodeWireMsg(m *wireMsg) []byte {
 	w := snap.NewWriter(64)
@@ -153,10 +142,6 @@ func encodeWireMsg(m *wireMsg) []byte {
 	w.U64(m.seq)
 	switch m.kind {
 	case wireKindWork:
-		w.Len(len(m.prefetch))
-		for _, p := range m.prefetch {
-			w.Bytes8([]byte(p))
-		}
 		w.Len(len(m.cells))
 		for i := range m.cells {
 			encodeSpecBin(w, &m.cells[i])
@@ -210,14 +195,8 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 	m := &wireMsg{kind: r.U8(), seq: r.U64()}
 	switch m.kind {
 	case wireKindWork:
-		in := stringInterner{}
-		if n := seqLen(r, minStringBytes); n > 0 {
-			m.prefetch = make([]string, n)
-			for i := range m.prefetch {
-				m.prefetch[i] = in.str(r.Bytes8())
-			}
-		}
 		if n := seqLen(r, minSpecBytes); n > 0 {
+			in := stringInterner{}
 			m.cells = make([]CellSpec, n)
 			for i := range m.cells {
 				decodeSpecBin(r, &m.cells[i], in)
@@ -244,7 +223,8 @@ func decodeWireMsg(payload []byte) (*wireMsg, error) {
 
 // encodeSpecBin writes one CellSpec. Params fields are written in
 // declaration order; adding a Params field requires bumping binVersion
-// (mixed-version fleets then fall back to JSON, which is tolerant).
+// together with the protocol version, so mismatched peers are refused
+// at the handshake.
 func encodeSpecBin(w *snap.Writer, s *CellSpec) {
 	w.Bytes8([]byte(s.Scenario))
 	w.Bytes8([]byte(s.Scope))

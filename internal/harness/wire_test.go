@@ -53,10 +53,9 @@ func wireTestMsgs() []struct {
 		msg  wireMsg
 	}{
 		{"work", wireMsg{
-			kind:     wireKindWork,
-			seq:      42,
-			cells:    wireTestSpecs(5),
-			prefetch: []string{"505.mcf@20000", "541.leela@20000"},
+			kind:  wireKindWork,
+			seq:   42,
+			cells: wireTestSpecs(5),
 		}},
 		{"work-empty", wireMsg{kind: wireKindWork, seq: 7}},
 		{"results", wireMsg{
@@ -112,13 +111,12 @@ func TestWireMinElementSizes(t *testing.T) {
 	}
 }
 
-// TestWireDecodeRejectsLyingCount: a work frame of 19 bytes claiming
+// TestWireDecodeRejectsLyingCount: a work frame of 15 bytes claiming
 // 2^20 cells fails before the decoder allocates for them (unbounded,
 // the count alone cost ~200 MB).
 func TestWireDecodeRejectsLyingCount(t *testing.T) {
 	frame := []byte{binMagic, binVersion, wireKindWork,
 		0, 0, 0, 0, 0, 0, 0, 0, // seq
-		0, 0, 0, 0, // prefetch count
 		0, 0, 0x10, 0, // cell count, little-endian 2^20
 	}
 	var before, after runtime.MemStats
@@ -188,72 +186,11 @@ func FuzzDecodeWireMsg(f *testing.F) {
 	})
 }
 
-func TestWireOfferAndNegotiate(t *testing.T) {
-	if got := wireOffer(""); len(got) != 1 || got[0] != wireCodecBinary {
-		t.Fatalf("wireOffer(\"\") = %v, want [%s]", got, wireCodecBinary)
-	}
-	if got := wireOffer(wireForceJSON); got != nil {
-		t.Fatalf("wireOffer(json) = %v, want nil", got)
-	}
-	cases := []struct {
-		offered []string
-		wire    string
-		want    string
-	}{
-		{[]string{wireCodecBinary}, "", wireCodecBinary},
-		{[]string{"future9", wireCodecBinary}, "", wireCodecBinary},
-		{[]string{"future9"}, "", ""},
-		{nil, "", ""},
-		{[]string{wireCodecBinary}, wireForceJSON, ""},
-	}
-	for _, tc := range cases {
-		if got := negotiateCodec(tc.offered, tc.wire); got != tc.want {
-			t.Fatalf("negotiateCodec(%v, %q) = %q, want %q", tc.offered, tc.wire, got, tc.want)
-		}
-	}
-}
-
-// The benchmarks measure one dispatch round trip for a representative
-// 64-cell trace-major batch: coordinator-side encode plus worker-side
-// decode, the work the wire adds to every chunk. The binary codec must
-// beat JSON by a wide margin (the bench gate records both).
-
-func benchWorkMsg() *wireMsg {
-	return &wireMsg{
-		kind:     wireKindWork,
-		seq:      17,
-		cells:    wireTestSpecs(64),
-		prefetch: []string{"531.deepsjeng@20000", "557.xz@20000"},
-	}
-}
-
-func BenchmarkWireSpecsJSON(b *testing.B) {
-	msg := benchWorkMsg()
-	work := remoteWork{Seq: msg.seq, Cells: msg.cells, Prefetch: msg.prefetch}
-	payload, err := json.Marshal(&work)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := json.Marshal(&work)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var got remoteWork
-		if err := json.Unmarshal(p, &got); err != nil {
-			b.Fatal(err)
-		}
-		if len(got.Cells) != len(work.Cells) {
-			b.Fatal("lost cells in transit")
-		}
-	}
-}
-
+// BenchmarkWireSpecsBinary measures one dispatch round trip for a
+// representative 64-cell trace-major batch: coordinator-side encode
+// plus worker-side decode, the work the wire adds to every chunk.
 func BenchmarkWireSpecsBinary(b *testing.B) {
-	msg := benchWorkMsg()
+	msg := &wireMsg{kind: wireKindWork, seq: 17, cells: wireTestSpecs(64)}
 	payload := encodeWireMsg(msg)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()

@@ -54,44 +54,6 @@ func (s *Store) diskPath(k Key) string {
 	return filepath.Join(dir, fmt.Sprintf("%s-%016x@%d+%d.snap", spill.Sanitize(k.Workload), h.Sum64(), k.Records, k.Offset))
 }
 
-// prefetchBudgetBytes bounds how much spill data one Prefetch pulls
-// into the page cache.
-const prefetchBudgetBytes = 256 << 20
-
-// Prefetch warms the disk tier for a workload's checkpoints in the
-// background — the dispatch-time hint path. Full Keys cannot be
-// reconstructed at dispatch time (they embed the model fingerprint the
-// coordinator does not track), so prefetch works at the file level:
-// every spill whose name carries the workload is read once and
-// discarded, leaving the bytes hot in the OS page cache for the
-// loadDisk that follows. Advisory: errors are swallowed and state is
-// untouched, so results can never depend on it.
-func (s *Store) Prefetch(workload string) {
-	s.mu.Lock()
-	dir := s.dir
-	s.mu.Unlock()
-	if dir == "" {
-		return
-	}
-	go func() {
-		matches, err := filepath.Glob(filepath.Join(dir, spill.Sanitize(workload)+"-*.snap"))
-		if err != nil {
-			return
-		}
-		var total int64
-		for _, m := range matches {
-			st, err := os.Stat(m)
-			if err != nil {
-				continue
-			}
-			if total += st.Size(); total > prefetchBudgetBytes {
-				return
-			}
-			_, _ = os.ReadFile(m)
-		}
-	}()
-}
-
 // loadDisk tries to satisfy a miss from a spill file. A missing file is
 // a disk miss; a short, oversized, or checksum-failing file is a disk
 // error — both read as a plain miss to the caller, which falls back to

@@ -288,18 +288,6 @@ func (s *Store) GetColumns(name string, records int) (*trace.Columns, trace.Prof
 	return e.cols, e.prof, nil
 }
 
-// Prefetch begins materializing (name, records) in the background —
-// the dispatch-time hint path: a coordinator about to route cells for
-// that trace here calls it so the load overlaps the current batch's
-// compute. The entry fills through the same singleflight path
-// GetColumns uses, so a later Get joins the in-flight work instead of
-// starting cold, and a concurrent Get never duplicates generation.
-// Failures are swallowed: a failed fill is uncached, and the real Get
-// retries and reports the error.
-func (s *Store) Prefetch(name string, records int) {
-	go func() { _ = s.entryFor(name, records) }()
-}
-
 // entryFor finds or creates the entry and fills it exactly once.
 func (s *Store) entryFor(name string, records int) *entry {
 	key := Key{Name: name, Records: records}

@@ -67,10 +67,10 @@ fi
 
 echo "bench_gate: running ${PKGS[*]} at -benchtime $BENCHTIME -count $COUNT" >&2
 raw=$(go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count "$COUNT" "${PKGS[@]}")
-# The harness package holds the wire-codec and fleet benchmarks; its
+# The harness package holds the bin1 codec and fleet benchmarks; its
 # whole-suite benchmark (Fig3Fig4) is excluded — it times entire
 # scenario runs, too coarse for a micro-benchmark gate.
-echo "bench_gate: running ./internal/harness/ (WireSpecs, FleetWarm) at -benchtime $BENCHTIME -count $COUNT" >&2
+echo "bench_gate: running ./internal/harness/ (WireSpecsBinary, FleetWarm) at -benchtime $BENCHTIME -count $COUNT" >&2
 raw="$raw
 $(go test -run '^$' -bench 'BenchmarkWireSpecs|BenchmarkFleetWarm' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/harness/)"
 
