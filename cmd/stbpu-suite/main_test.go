@@ -64,11 +64,49 @@ func TestGoldenSuiteOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "quick.golden.json", doc)
+}
+
+// cpuGoldenConfig pins the CPU-model figures (Figs. 4-6): the golden
+// set above never reaches the cycle model, the SMT co-run or the
+// re-randomization sweep.
+func cpuGoldenConfig() config {
+	return config{
+		filters: []string{"fig4", "fig5", "fig6"},
+		seed:    1,
+		workers: 2,
+		timing:  false,
+		stderr:  io.Discard,
+		params: harness.Params{
+			Records:      10_000,
+			MaxWorkloads: 4,
+			MaxPairs:     4,
+		},
+	}
+}
+
+// TestGoldenCPUFigures pins Figs. 4-6 byte for byte. The trace and
+// snapshot store counters are left out: they record cache residency,
+// not results.
+func TestGoldenCPUFigures(t *testing.T) {
+	doc, err := runSuite(context.Background(), cpuGoldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.TraceStore = tracestore.Stats{}
+	doc.SnapStore = snapstore.Stats{}
+	checkGolden(t, "cpu.golden.json", doc)
+}
+
+// checkGolden compares doc's bytes with testdata/name, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name string, doc suiteDoc) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := writeDoc(&buf, doc); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "quick.golden.json")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
