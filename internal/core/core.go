@@ -345,27 +345,16 @@ func (m *Model) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	return pred, ev
 }
 
-// StepBatch processes a slice of retired branches, folding resolution
-// events into acc in-model — the batched replay path of sim.RunCtx. Each
-// record goes through exactly the Step sequence, so batched and per-record
-// replay are bit-identical.
-func (m *Model) StepBatch(recs []trace.Record, acc *bpu.Counters) {
-	for i := range recs {
-		_, ev := m.Step(recs[i])
-		acc.Note(ev)
-	}
-}
-
 // StepColumns processes rows [lo,hi) of a columnar trace — the
-// struct-of-arrays twin of StepBatch, and the suite's hot replay loop.
+// struct-of-arrays twin of Step, and the suite's hot replay loop.
 // It is Step's body with the record fields loaded from the packed
 // arrays: the entity key comes straight from the flag/PID/program
 // columns (branchless flag extraction, no 32-byte struct assembly, no
 // unused Prediction return), and only the fields Update reads are
 // materialized. Every row goes through exactly the Step sequence —
 // token switch, predict, update, threshold monitoring — so columnar
-// and batched replay are bit-identical (pinned by the sim package's
-// columnar-vs-batched test).
+// and per-record replay are bit-identical (pinned by the sim package's
+// columnar-vs-step test).
 func (m *Model) StepColumns(cols *trace.Columns, lo, hi int, acc *bpu.Counters) {
 	pcs, targets, flags := cols.PCs, cols.Targets, cols.Flags
 	pids, progs := cols.PIDs, cols.Programs

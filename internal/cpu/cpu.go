@@ -11,21 +11,28 @@
 // costs a squash window, so the ST-vs-unprotected IPC delta tracks the
 // prediction-rate delta.
 //
-// The interval model runs in two passes. A Timeline (NewTimeline,
-// NewSMTTimeline) walks the caches and charges dispatch, instruction-fetch
-// and load-miss cycles; a branch-only replay (RunTimelineCtx,
-// RunSMTTimelineCtx) steps the BPU and adds the misprediction and BTB-miss
-// penalties. The split is exact, not an approximation: every memory-side
-// input — block length and load addresses — comes from recHash, which
-// reads only a record's PC, Target and index, and the SMT interleave is a
-// fixed round-robin, so the cache walk is the same for every BPU model and
-// the two cycle sums simply add. Experiments comparing several predictors
-// on one trace (or SMT pair) therefore build its Timeline once and replay
-// it per model; RunCtx/RunSMTCtx are the one-model shorthand.
+// The interval model runs in two passes over a trace's columns. A
+// Timeline (NewTimeline, NewSMTTimeline) walks the caches and charges
+// dispatch, instruction-fetch and load-miss cycles; a branch-only replay
+// (RunTimelineCtx, RunSMTTimelineCtx) steps the BPU through its columnar
+// path and adds MispredictPenalty per mispredict. The split is exact, not
+// an approximation: every memory-side input — block length and load
+// addresses — comes from recHash, which reads only a row's PC, Target
+// and index, and the SMT interleave is a fixed round-robin, so the cache
+// walk is the same for every BPU model and the two cycle sums simply add.
+// A BTB miss adds nothing of its own: bpu.Unit.Update reports one only
+// for a taken branch with no valid target, which is always a target
+// mispredict (TestBTBMissAlwaysMispredicts), so cycles are exactly the
+// timeline's plus MispredictPenalty × mispredicts. A solo replay is
+// therefore sim.RunColumnsCtx plus that product. Experiments comparing
+// several predictors on one trace (or SMT pair) build its Timeline once
+// and replay it per model; RunCtx/RunSMTCtx are the one-model shorthand
+// for AoS traces, converting them once with trace.FromTrace.
 //
 // The stage engine in pipeline.go is deliberately not split: there a
 // misprediction stalls fetch until the branch resolves, which reorders
-// later cache accesses, so its memory side depends on the BPU.
+// later cache accesses, so its memory side depends on the BPU. It steps
+// AoS records one at a time and is the only reader of BTBMissPenalty.
 package cpu
 
 import (
@@ -51,7 +58,8 @@ type Config struct {
 	// MispredictPenalty is the front-end redirect + refill cost.
 	MispredictPenalty int
 	// BTBMissPenalty is the fetch bubble for a taken branch without a
-	// target.
+	// target. Only the stage engine reads it: in the interval model
+	// every BTB miss is already a mispredict and pays MispredictPenalty.
 	BTBMissPenalty int
 
 	// InstrPerBranch is the mean non-branch instructions per branch
@@ -128,10 +136,10 @@ func loadAddr(footprint, h uint64, l int) uint64 {
 }
 
 // recHash derives deterministic per-record variation (instruction count,
-// load addresses) from the record itself, so protected and unprotected
-// models see the *identical* instruction stream.
-func recHash(rec trace.Record, i int) uint64 {
-	h := rec.PC ^ uint64(i)*0x9e3779b97f4a7c15 ^ rec.Target<<1
+// load addresses) from record i's PC and target, so protected and
+// unprotected models see the *identical* instruction stream.
+func recHash(pc, target uint64, i int) uint64 {
+	h := pc ^ uint64(i)*0x9e3779b97f4a7c15 ^ target<<1
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 29
@@ -139,7 +147,7 @@ func recHash(rec trace.Record, i int) uint64 {
 }
 
 // runCheckInterval is how many records (SMT: rounds) the timing loops
-// execute between context checks (mirrors sim.RunCtx).
+// execute between context checks (mirrors sim.RunColumnsCtx).
 const runCheckInterval = 8192
 
 // Timeline is the memory side of one interval-model run: the cycles that
@@ -150,6 +158,11 @@ type Timeline struct {
 	smt     bool
 	names   [2]string
 	records [2]int
+	// thread1 is an SMT timeline's replay view of its second trace, built
+	// once and shared by every replay of the pair: PIDs and Programs are
+	// offset into a disjoint range so the two threads never collide in
+	// the token table.
+	thread1 *trace.Columns
 
 	// Instructions is the dynamic instruction count per thread (a solo
 	// timeline uses only thread 0).
@@ -166,17 +179,18 @@ func (t *Timeline) Cycles() uint64 {
 	return t.DispatchCycles + t.ICacheCycles + t.DCacheCycles
 }
 
-// charge walks record i of a trace through mem and returns the
+// charge walks row i of a trace through mem and returns the
 // instructions it retires: its block plus the branch itself.
-func (t *Timeline) charge(mem *cache.Hierarchy, rec trace.Record, i int, robOverlap uint64) uint64 {
-	h := recHash(rec, i)
+func (t *Timeline) charge(mem *cache.Hierarchy, cols *trace.Columns, i int, robOverlap uint64) uint64 {
+	pc := cols.PCs[i]
+	h := recHash(pc, cols.Targets[i], i)
 	block := 1 + int(h%uint64(2*t.cfg.InstrPerBranch)) // mean ≈ IPB
 
 	// Dispatch the block at core width.
 	t.DispatchCycles += uint64((block + t.cfg.Width - 1) / t.cfg.Width)
 
 	// Instruction fetch misses stall the front end.
-	if il := mem.AccessInstr(rec.PC); il > 4 {
+	if il := mem.AccessInstr(pc); il > 4 {
 		t.ICacheCycles += uint64(il) / 2 // partially pipelined fetch
 	}
 
@@ -191,19 +205,19 @@ func (t *Timeline) charge(mem *cache.Hierarchy, rec trace.Record, i int, robOver
 	return uint64(block) + 1
 }
 
-// NewTimeline walks tr through a fresh Table IV cache hierarchy under
+// NewTimeline walks cols through a fresh Table IV cache hierarchy under
 // cfg. It aborts with ctx.Err() when the context is canceled mid-trace.
-func NewTimeline(ctx context.Context, cfg Config, tr *trace.Trace) (*Timeline, error) {
-	t := &Timeline{cfg: cfg, names: [2]string{tr.Name}, records: [2]int{len(tr.Records)}}
+func NewTimeline(ctx context.Context, cfg Config, cols *trace.Columns) (*Timeline, error) {
+	t := &Timeline{cfg: cfg, names: [2]string{cols.Name}, records: [2]int{cols.Len()}}
 	mem := cache.TableIVHierarchy()
 	robOverlap := uint64(cfg.ROB / cfg.Width)
-	for i, rec := range tr.Records {
+	for i := 0; i < cols.Len(); i++ {
 		if i%runCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		t.Instructions[0] += t.charge(mem, rec, i, robOverlap)
+		t.Instructions[0] += t.charge(mem, cols, i, robOverlap)
 	}
 	return t, nil
 }
@@ -211,18 +225,19 @@ func NewTimeline(ctx context.Context, cfg Config, tr *trace.Trace) (*Timeline, e
 // NewSMTTimeline is NewTimeline for two threads co-running on one core:
 // their records interleave in the SMT order (smtOrder) through one shared
 // hierarchy, and load misses hide only behind each thread's half of the
-// reorder buffer.
-func NewSMTTimeline(ctx context.Context, cfg Config, a, b *trace.Trace) (*Timeline, error) {
+// reorder buffer. It also builds the pair's thread-1 replay view.
+func NewSMTTimeline(ctx context.Context, cfg Config, a, b *trace.Columns) (*Timeline, error) {
 	t := &Timeline{cfg: cfg, smt: true,
-		names: [2]string{a.Name, b.Name}, records: [2]int{len(a.Records), len(b.Records)}}
+		names: [2]string{a.Name, b.Name}, records: [2]int{a.Len(), b.Len()}}
 	mem := cache.TableIVHierarchy()
 	robOverlap := uint64(cfg.ROB / cfg.Width / 2) // window shared by threads
-	traces := [2]*trace.Trace{a, b}
+	cols := [2]*trace.Columns{a, b}
 	if err := smtOrder(ctx, t.records, func(th, i int) {
-		t.Instructions[th] += t.charge(mem, traces[th].Records[i], i, robOverlap)
+		t.Instructions[th] += t.charge(mem, cols[th], i, robOverlap)
 	}); err != nil {
 		return nil, err
 	}
+	t.thread1 = b.OffsetEntities(1<<16, 1<<12)
 	return t, nil
 }
 
@@ -248,7 +263,7 @@ func smtOrder(ctx context.Context, n [2]int, fn func(thread, i int)) error {
 
 // check rejects replaying t against a core configuration or traces it
 // was not built from.
-func (t *Timeline) check(cfg Config, smt bool, trs ...*trace.Trace) error {
+func (t *Timeline) check(cfg Config, smt bool, trs ...*trace.Columns) error {
 	if t.cfg != cfg {
 		return fmt.Errorf("cpu: timeline built for config %+v, core has %+v", t.cfg, cfg)
 	}
@@ -256,28 +271,12 @@ func (t *Timeline) check(cfg Config, smt bool, trs ...*trace.Trace) error {
 		return fmt.Errorf("cpu: timeline smt=%v replayed with smt=%v", t.smt, smt)
 	}
 	for i, tr := range trs {
-		if tr.Name != t.names[i] || len(tr.Records) != t.records[i] {
+		if tr.Name != t.names[i] || tr.Len() != t.records[i] {
 			return fmt.Errorf("cpu: timeline thread %d built from %s (%d records), replayed with %s (%d records)",
-				i, t.names[i], t.records[i], tr.Name, len(tr.Records))
+				i, t.names[i], t.records[i], tr.Name, tr.Len())
 		}
 	}
 	return nil
-}
-
-// penalty is the front-end cost of one branch outcome. The BTBMiss branch
-// never fires for the models the figures run: bpu.Unit.Update reports a
-// BTB miss only for a taken branch with no valid target, which is always
-// a target mispredict. Fig. 4-6 cycles are therefore exactly the
-// timeline's plus MispredictPenalty per mispredict
-// (TestBTBMissAlwaysMispredicts).
-func (c *Core) penalty(ev bpu.Events) uint64 {
-	if ev.Mispredict {
-		return uint64(c.cfg.MispredictPenalty)
-	}
-	if ev.BTBMiss {
-		return uint64(c.cfg.BTBMissPenalty)
-	}
-	return 0
 }
 
 // Run executes a trace through the core and returns timing + branch
@@ -290,38 +289,33 @@ func (c *Core) Run(tr *trace.Trace) Result {
 // RunCtx is Run with cancellation: it aborts with ctx.Err() when the
 // context is canceled mid-trace.
 func (c *Core) RunCtx(ctx context.Context, tr *trace.Trace) (Result, error) {
-	tl, err := NewTimeline(ctx, c.cfg, tr)
+	cols := trace.FromTrace(tr)
+	tl, err := NewTimeline(ctx, c.cfg, cols)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.RunTimelineCtx(ctx, tl, tr)
+	return c.RunTimelineCtx(ctx, tl, cols)
 }
 
-// RunTimelineCtx steps the core's BPU over tr and adds its branch
-// penalties to tl, which must come from NewTimeline with the core's
-// configuration and the same trace. It aborts with ctx.Err() when the
-// context is canceled mid-trace.
-func (c *Core) RunTimelineCtx(ctx context.Context, tl *Timeline, tr *trace.Trace) (Result, error) {
-	if err := tl.check(c.cfg, false, tr); err != nil {
+// RunTimelineCtx replays cols through the core's BPU (sim.RunColumnsCtx)
+// and adds MispredictPenalty per mispredict to tl, which must come from
+// NewTimeline with the core's configuration and the same trace. It
+// aborts with ctx.Err() when the context is canceled mid-trace.
+func (c *Core) RunTimelineCtx(ctx context.Context, tl *Timeline, cols *trace.Columns) (Result, error) {
+	if err := tl.check(c.cfg, false, cols); err != nil {
 		return Result{}, err
 	}
-	res := Result{Workload: tr.Name, Model: c.bpu.Name(), Instructions: tl.Instructions[0]}
-	cycles := tl.Cycles()
-	for i, rec := range tr.Records {
-		if i%runCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		_, ev := c.bpu.Step(rec)
-		accountBranch(&res.Branch, ev)
-		cycles += c.penalty(ev)
+	br, err := sim.RunColumnsCtx(ctx, c.bpu, cols)
+	if err != nil {
+		return Result{}, err
 	}
-	res.Branch.Model = c.bpu.Name()
-	res.Branch.Workload = tr.Name
-	res.Branch.Records = len(tr.Records)
-	res.Cycles = cycles
-	return res, nil
+	return Result{
+		Workload:     cols.Name,
+		Model:        br.Model,
+		Instructions: tl.Instructions[0],
+		Cycles:       tl.Cycles() + uint64(c.cfg.MispredictPenalty)*br.Mispredicts,
+		Branch:       br,
+	}, nil
 }
 
 // SMTResult is a two-thread co-run outcome.
@@ -355,69 +349,56 @@ func (c *Core) RunSMT(a, b *trace.Trace) SMTResult {
 // RunSMTCtx is RunSMT with cancellation: it aborts with ctx.Err() when the
 // context is canceled mid-co-run.
 func (c *Core) RunSMTCtx(ctx context.Context, a, b *trace.Trace) (SMTResult, error) {
-	tl, err := NewSMTTimeline(ctx, c.cfg, a, b)
+	ca, cb := trace.FromTrace(a), trace.FromTrace(b)
+	tl, err := NewSMTTimeline(ctx, c.cfg, ca, cb)
 	if err != nil {
 		return SMTResult{}, err
 	}
-	return c.RunSMTTimelineCtx(ctx, tl, a, b)
+	return c.RunSMTTimelineCtx(ctx, tl, ca, cb)
 }
 
 // RunSMTTimelineCtx is RunTimelineCtx for an SMT co-run: tl must come
 // from NewSMTTimeline with the core's configuration and the same pair.
-// It aborts with ctx.Err() when the context is canceled mid-co-run.
-func (c *Core) RunSMTTimelineCtx(ctx context.Context, tl *Timeline, a, b *trace.Trace) (SMTResult, error) {
+// The threads step in the timeline's round-robin order, one row at a
+// time through the BPU's columnar path into one set of counters per
+// thread; thread 1 reads the timeline's offset view of b. It aborts
+// with ctx.Err() when the context is canceled mid-co-run.
+func (c *Core) RunSMTTimelineCtx(ctx context.Context, tl *Timeline, a, b *trace.Columns) (SMTResult, error) {
 	if err := tl.check(c.cfg, true, a, b); err != nil {
 		return SMTResult{}, err
 	}
-	res := SMTResult{Workloads: [2]string{a.Name, b.Name}, Model: c.bpu.Name()}
-	traces := [2]*trace.Trace{a, b}
-	cycles := tl.Cycles()
+	step := sim.Columnar(c.bpu)
+	cols := [2]*trace.Columns{a, tl.thread1}
+	var acc [2]bpu.Counters
 	if err := smtOrder(ctx, tl.records, func(th, i int) {
-		rec := traces[th].Records[i]
-		// SMT threads must not collide in the token table: offset
-		// thread 1's PIDs into a disjoint range.
-		if th == 1 {
-			rec.PID += 1 << 16
-			rec.Program += 1 << 12
-		}
-		_, ev := c.bpu.Step(rec)
-		accountBranch(&res.PerThread[th].Branch, ev)
-		cycles += c.penalty(ev)
+		step.StepColumns(cols[th], i, i+1, &acc[th])
 	}); err != nil {
 		return SMTResult{}, err
 	}
-	res.Cycles = cycles
-	for th, tr := range traces {
-		res.PerThread[th].Workload = tr.Name
-		res.PerThread[th].Model = c.bpu.Name()
-		res.PerThread[th].Instructions = tl.Instructions[th]
-		res.PerThread[th].Cycles = cycles
-		res.PerThread[th].Branch.Records = len(tr.Records)
+	res := SMTResult{Workloads: [2]string{a.Name, b.Name}, Model: c.bpu.Name()}
+	res.Cycles = tl.Cycles() + uint64(c.cfg.MispredictPenalty)*(acc[0].Mispredicts+acc[1].Mispredicts)
+	for th, n := range tl.records {
+		res.PerThread[th] = Result{
+			Workload:     res.Workloads[th],
+			Model:        res.Model,
+			Instructions: tl.Instructions[th],
+			Cycles:       res.Cycles,
+			Branch:       branchResult(acc[th]),
+		}
+		res.PerThread[th].Branch.Records = n
 	}
 	return res, nil
 }
 
-// accountBranch mirrors sim.Run's event accounting for one record.
-func accountBranch(r *sim.Result, ev bpu.Events) {
-	if ev.Mispredict {
-		r.Mispredicts++
-	}
-	if ev.IsCond {
-		r.Conds++
-		if ev.DirCorrect {
-			r.DirCorrect++
-		}
-	}
-	if ev.TargetKnown {
-		r.TargetKnown++
-		if ev.TargetCorrect {
-			r.TargetCorrect++
-		}
-	}
-	if ev.BTBEviction {
-		r.Evictions++
-	}
-	if ev.BTBMiss {
-		r.BTBMisses++
+// branchResult carries the event counts of acc into a sim.Result.
+func branchResult(acc bpu.Counters) sim.Result {
+	return sim.Result{
+		Mispredicts:   acc.Mispredicts,
+		Conds:         acc.Conds,
+		DirCorrect:    acc.DirCorrect,
+		TargetKnown:   acc.TargetKnown,
+		TargetCorrect: acc.TargetCorrect,
+		Evictions:     acc.Evictions,
+		BTBMisses:     acc.BTBMisses,
 	}
 }

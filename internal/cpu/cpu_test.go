@@ -154,7 +154,7 @@ func BenchmarkCoreRun(b *testing.B) {
 }
 
 func BenchmarkTimeline(b *testing.B) {
-	tr := genTrace(b, "505.mcf", 50_000)
+	tr := trace.FromTrace(genTrace(b, "505.mcf", 50_000))
 	cfg := TableIVConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -165,7 +165,7 @@ func BenchmarkTimeline(b *testing.B) {
 }
 
 func BenchmarkRunTimeline(b *testing.B) {
-	tr := genTrace(b, "505.mcf", 50_000)
+	tr := trace.FromTrace(genTrace(b, "505.mcf", 50_000))
 	cfg := TableIVConfig()
 	tl, err := NewTimeline(context.Background(), cfg, tr)
 	if err != nil {
@@ -174,6 +174,24 @@ func BenchmarkRunTimeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := New(cfg, baselineModel(core.DirSKLCond)).RunTimelineCtx(context.Background(), tl, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunSMTTimeline times one SMT replay of a 2×25k pair: the
+// per-row round-robin stepping Figs. 5 and 6 spend most of their time in.
+func BenchmarkRunSMTTimeline(b *testing.B) {
+	a := trace.FromTrace(genTrace(b, "505.mcf", 25_000))
+	c := trace.FromTrace(genTrace(b, "531.deepsjeng", 25_000))
+	cfg := TableIVConfig()
+	tl, err := NewSMTTimeline(context.Background(), cfg, a, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg, stModel(core.DirTAGE64)).RunSMTTimelineCtx(context.Background(), tl, a, c); err != nil {
 			b.Fatal(err)
 		}
 	}

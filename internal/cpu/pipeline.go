@@ -17,6 +17,7 @@ package cpu
 import (
 	"fmt"
 
+	"stbpu/internal/bpu"
 	"stbpu/internal/cache"
 	"stbpu/internal/sim"
 	"stbpu/internal/trace"
@@ -165,7 +166,7 @@ func (s *opStream) refill() {
 	i := s.idx
 	s.idx++
 
-	h := recHash(rec, i)
+	h := recHash(rec.PC, rec.Target, i)
 	block := 1 + int(h%uint64(2*s.cfg.InstrPerBranch))
 	nLoads := int(float64(block) * s.cfg.LoadFrac)
 
@@ -176,7 +177,7 @@ func (s *opStream) refill() {
 		s.core.icacheStall += uint64(il) / 2
 	}
 	_, ev := s.core.bpu.Step(rec)
-	accountBranch(&s.core.branch[s.thread], ev)
+	s.core.branch[s.thread].Note(ev)
 
 	ops := make([]uop, 0, block+1)
 	for j := 0; j < block; j++ {
@@ -284,7 +285,7 @@ type PipelineCore struct {
 	lastCommitted [2]uint64
 
 	stats  [2]PipelineStats
-	branch [2]sim.Result
+	branch [2]bpu.Counters
 }
 
 // NewPipeline builds a stage-driven core around a BPU model.
@@ -314,7 +315,7 @@ func (p *PipelineCore) Run(tr *trace.Trace) PipelineStats {
 
 // BranchResult exposes the per-thread branch accounting of the last run.
 func (p *PipelineCore) BranchResult(thread int) sim.Result {
-	r := p.branch[thread]
+	r := branchResult(p.branch[thread])
 	r.Model = p.bpu.Name()
 	return r
 }
@@ -351,7 +352,7 @@ func (p *PipelineCore) simulate() {
 	p.cycle = 0
 	p.inflight = [2]int{}
 	p.stats = [2]PipelineStats{}
-	p.branch = [2]sim.Result{}
+	p.branch = [2]bpu.Counters{}
 	p.fetchBlockedBy = nil
 	p.fetchStallTill = 0
 	p.lastCommitted = [2]uint64{}

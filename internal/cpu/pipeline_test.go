@@ -245,7 +245,7 @@ func TestPipelineInstructionConservation(t *testing.T) {
 
 	var want uint64
 	for i, rec := range tr.Records {
-		h := recHash(rec, i)
+		h := recHash(rec.PC, rec.Target, i)
 		block := 1 + int(h%uint64(2*cfg.InstrPerBranch))
 		want += uint64(block) + 1
 	}
@@ -276,7 +276,7 @@ func TestPipelineSMTConservation(t *testing.T) {
 				rec.PID += 1 << 16
 				rec.Program += 1 << 12
 			}
-			h := recHash(rec, i)
+			h := recHash(rec.PC, rec.Target, i)
 			want += 1 + uint64(1+int(h%uint64(2*cfg.InstrPerBranch)))
 		}
 		return want

@@ -13,22 +13,59 @@ import (
 	"stbpu/internal/trace"
 )
 
-// refRun is the interval model as a single fused loop — memory and branch
-// side interleaved per record — kept as the reference the two-pass
-// Timeline + replay split must reproduce bit for bit.
-func refRun(cfg Config, m sim.Model, tr *trace.Trace) Result {
+// fused is the outcome of a fused-loop reference run: the cycle total,
+// and per thread the instructions, records and branch event counts.
+type fused struct {
+	cycles  uint64
+	instrs  [2]uint64
+	records [2]int
+	branch  [2]bpu.Counters
+}
+
+// counts extracts the event counts of a branch result.
+func counts(r sim.Result) bpu.Counters {
+	return bpu.Counters{
+		Mispredicts: r.Mispredicts, Conds: r.Conds, DirCorrect: r.DirCorrect,
+		TargetKnown: r.TargetKnown, TargetCorrect: r.TargetCorrect,
+		Evictions: r.Evictions, BTBMisses: r.BTBMisses,
+	}
+}
+
+// soloOutcome and smtOutcome project replay results onto what the fused
+// references compute.
+func soloOutcome(r Result) fused {
+	return fused{cycles: r.Cycles, instrs: [2]uint64{r.Instructions},
+		records: [2]int{r.Branch.Records}, branch: [2]bpu.Counters{counts(r.Branch)}}
+}
+
+func smtOutcome(t *testing.T, r SMTResult) fused {
+	t.Helper()
+	if r.PerThread[0].Cycles != r.Cycles || r.PerThread[1].Cycles != r.Cycles {
+		t.Errorf("SMT threads do not share the clock: %d/%d vs %d", r.PerThread[0].Cycles, r.PerThread[1].Cycles, r.Cycles)
+	}
+	f := fused{cycles: r.Cycles}
+	for th, pt := range r.PerThread {
+		f.instrs[th], f.records[th], f.branch[th] = pt.Instructions, pt.Branch.Records, counts(pt.Branch)
+	}
+	return f
+}
+
+// refRun is the interval model as a single fused loop over AoS records —
+// memory and branch side interleaved per record, BTB misses charged
+// BTBMissPenalty as before the split — kept as the reference the
+// columnar Timeline + replay split must reproduce bit for bit.
+func refRun(cfg Config, m sim.Model, tr *trace.Trace) fused {
 	mem := cache.TableIVHierarchy()
-	res := Result{Workload: tr.Name, Model: m.Name()}
-	var cycles, instrs uint64
+	var f fused
 	robOverlap := uint64(cfg.ROB / cfg.Width)
 	for i, rec := range tr.Records {
-		h := recHash(rec, i)
+		h := recHash(rec.PC, rec.Target, i)
 		block := 1 + int(h%uint64(2*cfg.InstrPerBranch))
-		instrs += uint64(block) + 1
-		cycles += uint64((block + cfg.Width - 1) / cfg.Width)
+		f.instrs[0] += uint64(block) + 1
+		f.cycles += uint64((block + cfg.Width - 1) / cfg.Width)
 		il := mem.AccessInstr(rec.PC)
 		if il > 4 {
-			cycles += uint64(il) / 2
+			f.cycles += uint64(il) / 2
 		}
 		nLoads := int(float64(block) * cfg.LoadFrac)
 		pendingStall := uint64(0)
@@ -38,33 +75,26 @@ func refRun(cfg Config, m sim.Model, tr *trace.Trace) Result {
 				pendingStall += (lat - robOverlap) / 2
 			}
 		}
-		cycles += pendingStall
+		f.cycles += pendingStall
 		_, ev := m.Step(rec)
-		accountBranch(&res.Branch, ev)
+		f.branch[0].Note(ev)
 		if ev.Mispredict {
-			cycles += uint64(cfg.MispredictPenalty)
+			f.cycles += uint64(cfg.MispredictPenalty)
 		} else if ev.BTBMiss {
-			cycles += uint64(cfg.BTBMissPenalty)
+			f.cycles += uint64(cfg.BTBMissPenalty)
 		}
 	}
-	res.Branch.Model = m.Name()
-	res.Branch.Workload = tr.Name
-	res.Branch.Records = len(tr.Records)
-	res.Instructions = instrs
-	res.Cycles = cycles
-	return res
+	f.records[0] = len(tr.Records)
+	return f
 }
 
 // refRunSMT is the fused-loop reference for an SMT co-run.
-func refRunSMT(cfg Config, m sim.Model, a, b *trace.Trace) SMTResult {
+func refRunSMT(cfg Config, m sim.Model, a, b *trace.Trace) fused {
 	mem := cache.TableIVHierarchy()
-	res := SMTResult{Workloads: [2]string{a.Name, b.Name}, Model: m.Name()}
-	res.PerThread[0] = Result{Workload: a.Name, Model: m.Name()}
-	res.PerThread[1] = Result{Workload: b.Name, Model: m.Name()}
+	var f fused
 	robOverlap := uint64(cfg.ROB / cfg.Width / 2)
 	traces := [2]*trace.Trace{a, b}
 	idx := [2]int{}
-	var cycles uint64
 	for idx[0] < len(a.Records) || idx[1] < len(b.Records) {
 		for t := 0; t < 2; t++ {
 			tr := traces[t]
@@ -78,53 +108,52 @@ func refRunSMT(cfg Config, m sim.Model, a, b *trace.Trace) SMTResult {
 			}
 			i := idx[t]
 			idx[t]++
-			h := recHash(rec, i)
+			h := recHash(rec.PC, rec.Target, i)
 			block := 1 + int(h%uint64(2*cfg.InstrPerBranch))
-			th := &res.PerThread[t]
-			th.Instructions += uint64(block) + 1
-			cycles += uint64((block + cfg.Width - 1) / cfg.Width)
+			f.instrs[t] += uint64(block) + 1
+			f.cycles += uint64((block + cfg.Width - 1) / cfg.Width)
 			il := mem.AccessInstr(rec.PC)
 			if il > 4 {
-				cycles += uint64(il) / 2
+				f.cycles += uint64(il) / 2
 			}
 			nLoads := int(float64(block) * cfg.LoadFrac)
 			for l := 0; l < nLoads; l++ {
 				lat := uint64(mem.AccessData(loadAddr(cfg.DataFootprint, h, l)))
 				if lat > robOverlap {
-					cycles += (lat - robOverlap) / 2
+					f.cycles += (lat - robOverlap) / 2
 				}
 			}
 			_, ev := m.Step(rec)
-			accountBranch(&th.Branch, ev)
+			f.branch[t].Note(ev)
 			if ev.Mispredict {
-				cycles += uint64(cfg.MispredictPenalty)
+				f.cycles += uint64(cfg.MispredictPenalty)
 			} else if ev.BTBMiss {
-				cycles += uint64(cfg.BTBMissPenalty)
+				f.cycles += uint64(cfg.BTBMissPenalty)
 			}
 		}
 	}
-	res.Cycles = cycles
-	res.PerThread[0].Cycles = cycles
-	res.PerThread[1].Cycles = cycles
-	res.PerThread[0].Branch.Records = len(a.Records)
-	res.PerThread[1].Branch.Records = len(b.Records)
-	return res
+	f.records = [2]int{len(a.Records), len(b.Records)}
+	return f
 }
 
-// equivalenceModels is the Fig. 4-6 lineup: every direction predictor,
-// unprotected and ST. Each call builds fresh models.
+// equivalenceModels is the Fig. 4-6 lineup — every direction predictor,
+// unprotected and ST — plus the Fig. 3 kinds. Each call builds fresh
+// models.
 func equivalenceModels() []sim.Model {
 	var ms []sim.Model
 	for _, dir := range []core.DirKind{core.DirPerceptron, core.DirSKLCond, core.DirTAGE64, core.DirTAGE8} {
 		ms = append(ms, baselineModel(dir), &sim.STBPUModel{
 			Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: 41})})
 	}
+	for _, k := range sim.Fig3Kinds() {
+		ms = append(ms, sim.New(k, sim.Options{Seed: 41}))
+	}
 	return ms
 }
 
-// TestTimelineReplayMatchesFusedLoop: RunCtx (timeline + branch replay)
-// is bit-identical to the fused reference for every model of the lineup
-// on workloads with different block lengths and footprints.
+// TestTimelineReplayMatchesFusedLoop: RunCtx (columnar timeline + branch
+// replay) is bit-identical to the fused AoS reference for every model of
+// the lineup on workloads with different block lengths and footprints.
 func TestTimelineReplayMatchesFusedLoop(t *testing.T) {
 	for _, name := range []string{"505.mcf", "519.lbm", "548.exchange2", "mysql_128con_50s"} {
 		tr := genTrace(t, name, 6_000)
@@ -136,8 +165,8 @@ func TestTimelineReplayMatchesFusedLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Errorf("%s/%s: split run diverged from fused loop:\n got %+v\nwant %+v", name, m.Name(), got, want)
+			if soloOutcome(got) != want {
+				t.Errorf("%s/%s: split run diverged from fused loop:\n got %+v\nwant %+v", name, m.Name(), soloOutcome(got), want)
 			}
 		}
 	}
@@ -165,9 +194,9 @@ func TestSMTTimelineReplayMatchesFusedLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
+			if smtOutcome(t, got) != want {
 				t.Errorf("%s+%s/%s: split SMT run diverged from fused loop:\n got %+v\nwant %+v",
-					p.a, p.b, m.Name(), got, want)
+					p.a, p.b, m.Name(), smtOutcome(t, got), want)
 			}
 		}
 	}
@@ -179,12 +208,13 @@ func TestSMTTimelineReplayMatchesFusedLoop(t *testing.T) {
 func TestSharedTimelineMatchesPerModelRuns(t *testing.T) {
 	ctx := context.Background()
 	a, b := genTrace(t, "549.fotonik3d", 4_000), genTrace(t, "557.xz", 3_000)
+	ca, cb := trace.FromTrace(a), trace.FromTrace(b)
 	cfg := ConfigFor(a.Name)
-	solo, err := NewTimeline(ctx, cfg, a)
+	solo, err := NewTimeline(ctx, cfg, ca)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smt, err := NewSMTTimeline(ctx, cfg, a, b)
+	smt, err := NewSMTTimeline(ctx, cfg, ca, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +228,11 @@ func TestSharedTimelineMatchesPerModelRuns(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got[i], errs[2*i] = New(cfg, models[i]).RunTimelineCtx(ctx, solo, a)
+			got[i], errs[2*i] = New(cfg, models[i]).RunTimelineCtx(ctx, solo, ca)
 		}()
 		go func() {
 			defer wg.Done()
-			gotSMT[i], errs[2*i+1] = New(cfg, smtModels[i]).RunSMTTimelineCtx(ctx, smt, a, b)
+			gotSMT[i], errs[2*i+1] = New(cfg, smtModels[i]).RunSMTTimelineCtx(ctx, smt, ca, cb)
 		}()
 	}
 	wg.Wait()
@@ -211,10 +241,10 @@ func TestSharedTimelineMatchesPerModelRuns(t *testing.T) {
 	}
 	refs, smtRefs := equivalenceModels(), equivalenceModels()
 	for i := range models {
-		if want := refRun(cfg, refs[i], a); got[i] != want {
+		if want := refRun(cfg, refs[i], a); soloOutcome(got[i]) != want {
 			t.Errorf("%s: shared solo timeline diverged", models[i].Name())
 		}
-		if want := refRunSMT(cfg, smtRefs[i], a, b); gotSMT[i] != want {
+		if want := refRunSMT(cfg, smtRefs[i], a, b); smtOutcome(t, gotSMT[i]) != want {
 			t.Errorf("%s: shared SMT timeline diverged", models[i].Name())
 		}
 	}
@@ -225,10 +255,10 @@ func TestTimelineCanceledContext(t *testing.T) {
 	cancel()
 	a, b := genTrace(t, "505.mcf", 1_000), genTrace(t, "541.leela", 1_000)
 	cfg := TableIVConfig()
-	if tl, err := NewTimeline(ctx, cfg, a); !errors.Is(err, context.Canceled) || tl != nil {
+	if tl, err := NewTimeline(ctx, cfg, trace.FromTrace(a)); !errors.Is(err, context.Canceled) || tl != nil {
 		t.Errorf("NewTimeline on a canceled ctx = (%v, %v), want (nil, context.Canceled)", tl, err)
 	}
-	if tl, err := NewSMTTimeline(ctx, cfg, a, b); !errors.Is(err, context.Canceled) || tl != nil {
+	if tl, err := NewSMTTimeline(ctx, cfg, trace.FromTrace(a), trace.FromTrace(b)); !errors.Is(err, context.Canceled) || tl != nil {
 		t.Errorf("NewSMTTimeline on a canceled ctx = (%v, %v), want (nil, context.Canceled)", tl, err)
 	}
 	c := New(cfg, baselineModel(core.DirSKLCond))
@@ -244,7 +274,7 @@ func TestTimelineCanceledContext(t *testing.T) {
 // configuration, mode and traces it was built from.
 func TestTimelineRejectsMismatchedReplay(t *testing.T) {
 	ctx := context.Background()
-	a, b := genTrace(t, "505.mcf", 1_000), genTrace(t, "541.leela", 1_000)
+	a, b := trace.FromTrace(genTrace(t, "505.mcf", 1_000)), trace.FromTrace(genTrace(t, "541.leela", 1_000))
 	cfg := TableIVConfig()
 	solo, err := NewTimeline(ctx, cfg, a)
 	if err != nil {
@@ -273,38 +303,39 @@ func TestTimelineRejectsMismatchedReplay(t *testing.T) {
 	}
 }
 
-// btbMissCheck wraps a model and fails the test on any step that reports
-// a BTB miss without a misprediction.
+// btbMissCheck wraps a model's columnar path, steps it one row at a time
+// and fails the test on any row that reports a BTB miss without a
+// misprediction.
 type btbMissCheck struct {
 	sim.Model
 	t      *testing.T
 	misses *uint64
 }
 
-func (c btbMissCheck) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
-	p, ev := c.Model.Step(rec)
-	if ev.BTBMiss {
-		*c.misses++
-		if !ev.Mispredict {
-			c.t.Errorf("%s: BTB miss without a mispredict at pc %#x", c.Model.Name(), rec.PC)
+func (c btbMissCheck) StepColumns(cols *trace.Columns, lo, hi int, acc *bpu.Counters) {
+	step := sim.Columnar(c.Model)
+	for i := lo; i < hi; i++ {
+		before := *acc
+		step.StepColumns(cols, i, i+1, acc)
+		if acc.BTBMisses > before.BTBMisses {
+			*c.misses++
+			if acc.Mispredicts == before.Mispredicts {
+				c.t.Errorf("%s: BTB miss without a mispredict at pc %#x", c.Model.Name(), cols.PCs[i])
+			}
 		}
 	}
-	return p, ev
 }
 
-// TestBTBMissAlwaysMispredicts pins the invariant behind penalty: a BTB
-// miss (a taken branch with no valid target) is always a target
-// mispredict, so BTBMissPenalty never applies and interval-model cycles
-// are exactly the timeline's plus MispredictPenalty per mispredict. It
-// covers the Fig. 3 kinds and the Fig. 4 lineup, solo and as SMT co-runs,
-// where thread 1's records carry offset PIDs.
+// TestBTBMissAlwaysMispredicts pins the invariant that lets the interval
+// model drop BTBMissPenalty: a BTB miss (a taken branch with no valid
+// target) is always a target mispredict, so cycles are exactly the
+// timeline's plus MispredictPenalty per mispredict. It checks every row
+// of solo and SMT replays — where thread 1's rows carry offset PIDs —
+// for the Fig. 3 kinds and the Fig. 4 lineup.
 func TestBTBMissAlwaysMispredicts(t *testing.T) {
 	ctx := context.Background()
 	lineup := func(misses *uint64) []sim.Model {
 		ms := equivalenceModels()
-		for _, k := range sim.Fig3Kinds() {
-			ms = append(ms, sim.New(k, sim.Options{Seed: 41}))
-		}
 		for i, m := range ms {
 			ms[i] = btbMissCheck{Model: m, t: t, misses: misses}
 		}
@@ -313,9 +344,8 @@ func TestBTBMissAlwaysMispredicts(t *testing.T) {
 	pairs := [][2]string{trace.SMTPairs()[0], {"mysql_128con_50s", "505.mcf"}, {"519.lbm", "548.exchange2"}}
 	var misses uint64
 	for _, p := range pairs {
-		a, b := genTrace(t, p[0], 4_000), genTrace(t, p[1], 3_000)
+		a, b := trace.FromTrace(genTrace(t, p[0], 4_000)), trace.FromTrace(genTrace(t, p[1], 3_000))
 		cfg := ConfigFor(a.Name)
-		pen := uint64(cfg.MispredictPenalty)
 		solo, err := NewTimeline(ctx, cfg, a)
 		if err != nil {
 			t.Fatal(err)
@@ -325,22 +355,13 @@ func TestBTBMissAlwaysMispredicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range lineup(&misses) {
-			res, err := New(cfg, m).RunTimelineCtx(ctx, solo, a)
-			if err != nil {
+			if _, err := New(cfg, m).RunTimelineCtx(ctx, solo, a); err != nil {
 				t.Fatal(err)
-			}
-			if want := solo.Cycles() + pen*res.Branch.Mispredicts; res.Cycles != want {
-				t.Errorf("%s on %s: cycles %d, want timeline + mispredicts × penalty = %d", m.Name(), a.Name, res.Cycles, want)
 			}
 		}
 		for _, m := range lineup(&misses) {
-			res, err := New(cfg, m).RunSMTTimelineCtx(ctx, smt, a, b)
-			if err != nil {
+			if _, err := New(cfg, m).RunSMTTimelineCtx(ctx, smt, a, b); err != nil {
 				t.Fatal(err)
-			}
-			mp := res.PerThread[0].Branch.Mispredicts + res.PerThread[1].Branch.Mispredicts
-			if want := smt.Cycles() + pen*mp; res.Cycles != want {
-				t.Errorf("%s on %s+%s: cycles %d, want timeline + mispredicts × penalty = %d", m.Name(), a.Name, b.Name, res.Cycles, want)
 			}
 		}
 	}

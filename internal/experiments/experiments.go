@@ -62,15 +62,14 @@ func capList[T any](xs []T, n int) []T {
 // value is a deterministic function of the cells' common inputs, so
 // whichever cell arrives first computes it and results stay
 // worker-count-independent. The memo is per-Run-invocation: under a
-// subprocess backend each worker batch re-runs the decomposition and so
+// fleet backend each worker chunk re-runs the decomposition and so
 // recomputes the entries its cells touch. The cells sharing an entry
-// carry one locality key (harness.WithLocality), and the exec backend
-// ships a key's cells as one batch, so there each entry is still
-// computed once; the remote fleet cuts a key's cells into smaller
-// chunks, and a split group recomputes its entry per chunk —
-// duplicated work on the same deterministic inputs, never a result
-// difference (the same trade-off as worker-local trace generation; see
-// internal/tracestore/doc.go).
+// carry one locality key (harness.WithLocality), and both fleet
+// transports (exec and TCP) ship every locality group whole as one
+// chunk, so each entry is still computed once per run; a requeued or
+// speculated chunk recomputes it — duplicated work on the same
+// deterministic inputs, never a result difference (the same trade-off
+// as worker-local trace generation; see internal/tracestore/doc.go).
 type memo[T any] struct {
 	once sync.Once
 	val  T
@@ -87,9 +86,9 @@ func (m *memo[T]) get(f func() (T, error)) (T, error) {
 // (workload, records) trace is generated once and shared read-only across
 // every cell of every scenario in the run, with deduplicated generation
 // and a byte-bounded LRU replacing the per-scenario caches each Run*Ctx
-// used to carry. Replay-only scenarios fetch the columnar view
-// (GetColumns + sim.RunColumnsCtx, the fast path); the cycle-accurate
-// CPU scenarios (fig4/fig5/fig6) fetch AoS records via Get.
+// used to carry. Every scenario fetches the columnar view (GetColumns)
+// and replays it through sim.RunColumnsCtx, directly or, for the CPU
+// figures (fig4/fig5/fig6), under a cpu.Timeline.
 
 // ---------------------------------------------------------------------------
 // Fig. 3 — trace-driven OAE comparison of the five protection models.
@@ -216,7 +215,7 @@ type Fig4Result struct {
 
 // runPair replays one workload's memory timeline through the unprotected
 // and ST variants of a predictor on the CPU model.
-func runPair(ctx context.Context, tl *cpu.Timeline, tr *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
+func runPair(ctx context.Context, tl *cpu.Timeline, tr *trace.Columns, dir core.DirKind, seed uint64) (Fig4Cell, error) {
 	cfg := cpu.ConfigFor(tr.Name)
 	base, err := cpu.New(cfg, &sim.UnitModel{
 		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunTimelineCtx(ctx, tl, tr)
@@ -254,7 +253,7 @@ func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4
 	cells, err := harness.Map(ctx, pool, "fig4", len(names)*d,
 		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
 			w, di := shard/d, shard%d
-			tr, _, err := cache.Get(names[w], s.Records)
+			tr, _, err := cache.GetColumns(names[w], s.Records)
 			if err != nil {
 				return Fig4Cell{}, err
 			}
@@ -336,7 +335,7 @@ type Fig5Result struct {
 
 // runSMTPair compares unprotected vs ST for one predictor on a pair,
 // replaying the pair's SMT memory timeline.
-func runSMTPair(ctx context.Context, tl *cpu.Timeline, a, b *trace.Trace, dir core.DirKind, seed uint64) (Fig4Cell, error) {
+func runSMTPair(ctx context.Context, tl *cpu.Timeline, a, b *trace.Columns, dir core.DirKind, seed uint64) (Fig4Cell, error) {
 	cfg := cpu.ConfigFor(a.Name) // pair co-runs share one core configuration
 	base, err := cpu.New(cfg, &sim.UnitModel{
 		ModelName: dir.String(), Unit: core.NewUnprotectedUnit(dir)}).RunSMTTimelineCtx(ctx, tl, a, b)
@@ -380,11 +379,11 @@ func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5
 	cells, err := harness.Map(ctx, pool, "fig5", len(pairs)*d,
 		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
 			pi, di := shard/d, shard%d
-			a, _, err := cache.Get(pairs[pi][0], s.Records)
+			a, _, err := cache.GetColumns(pairs[pi][0], s.Records)
 			if err != nil {
 				return Fig4Cell{}, err
 			}
-			b, _, err := cache.Get(pairs[pi][1], s.Records)
+			b, _, err := cache.GetColumns(pairs[pi][1], s.Records)
 			if err != nil {
 				return Fig4Cell{}, err
 			}
@@ -479,11 +478,11 @@ func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6
 	cells, err := harness.Map(ctx, pool, "fig6", len(rs)*np,
 		func(ctx context.Context, shard int, seed uint64) (fig6Cell, error) {
 			ri, pi := shard/np, shard%np
-			a, _, err := cache.Get(pairs[pi][0], s.Records)
+			a, _, err := cache.GetColumns(pairs[pi][0], s.Records)
 			if err != nil {
 				return fig6Cell{}, err
 			}
-			b, _, err := cache.Get(pairs[pi][1], s.Records)
+			b, _, err := cache.GetColumns(pairs[pi][1], s.Records)
 			if err != nil {
 				return fig6Cell{}, err
 			}

@@ -19,17 +19,19 @@
 //
 // # Replay engine
 //
-// The hot path is columnar: RunColumnsCtx replays a trace.Columns
+// There is one replay loop. RunColumnsCtx replays a trace.Columns
 // (struct-of-arrays) view in 8192-record chunks through the
 // ColumnModel fast path (StepColumns iterates the packed arrays with
 // branchless flag extraction, accumulating events in-model via
-// bpu.Counters). RunCtx serves AoS record slices through the
-// BatchModel path; Step remains as a compatibility shim for models
-// that only implement Model, and RunColumnsCtx materializes records
-// for pre-columnar models, so every model replays on every path with
-// bit-identical results (pinned by tests). Run-scoped counters surface
-// through the optional Finalizer interface. Replay is deterministic
-// for a fixed (trace, model, seed), which is what lets the harness
-// distribute cells across processes — see docs/ARCHITECTURE.md
-// "The determinism contract" and "Trace dataflow".
+// bpu.Counters); RunColumnsMulti is its trace-major twin, stepping N
+// models over one pass. The AoS entry points (Run, RunCtx) convert
+// their records to columns once with trace.FromTrace. Step is the
+// per-record interface: models that implement only Model replay
+// through Columnar's Step adapter, bit-identically (pinned by tests),
+// and the cycle-level stage engine in internal/cpu drives Step
+// directly. Run-scoped counters surface through the optional
+// Finalizer interface. Replay is deterministic for a fixed (trace,
+// model, seed), which is what lets the harness distribute cells
+// across processes — see docs/ARCHITECTURE.md "The determinism
+// contract" and "Trace dataflow".
 package sim

@@ -11,16 +11,15 @@ import (
 // TestRunColumnsMultiMatchesSequential is the trace-major determinism
 // property: one RunColumnsMulti pass over a shared trace must produce,
 // per model, results bit-identical to running that model alone through
-// RunColumnsCtx — across every Fig. 3 kind and every dispatch tier
-// (ColumnModel, the BatchModel scratch fallback, the per-record Step
-// shim), with distinct seeds proving per-model state never bleeds.
+// RunColumnsCtx — across every Fig. 3 kind and both dispatch tiers
+// (ColumnModel and the per-record Step adapter), with distinct seeds
+// proving per-model state never bleeds.
 func TestRunColumnsMultiMatchesSequential(t *testing.T) {
 	tr, prof := genTrace(t, "mysql_128con_50s", 30_000)
 	cols := trace.FromTrace(tr)
 
 	// A heterogeneous fleet: every kind as its columnar self, plus the
-	// batch-only and step-only fallbacks of a couple of kinds, each with
-	// its own seed.
+	// step-only fallbacks of a couple of kinds, each with its own seed.
 	type spec struct {
 		name string
 		mk   func() Model
@@ -36,8 +35,8 @@ func TestRunColumnsMultiMatchesSequential(t *testing.T) {
 		})
 	}
 	specs = append(specs,
-		spec{"batch-only-stbpu", func() Model {
-			return batchOnly{New(KindSTBPU, Options{SharedTokens: prof.SharedTokens, Seed: 29})}
+		spec{"step-only-stbpu", func() Model {
+			return stepOnly{New(KindSTBPU, Options{SharedTokens: prof.SharedTokens, Seed: 29})}
 		}},
 		spec{"step-only-baseline", func() Model {
 			return stepOnly{New(KindBaseline, Options{SharedTokens: prof.SharedTokens, Seed: 31})}
@@ -124,13 +123,13 @@ func TestRunColumnsMultiCancellation(t *testing.T) {
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	cb := &cancelingBatcher{m: New(KindBaseline, Options{SharedTokens: prof.SharedTokens}), cancel: cancel}
-	models = []Model{cb, New(KindSTBPU, Options{SharedTokens: prof.SharedTokens})}
+	cc := &cancelingChunks{m: New(KindBaseline, Options{SharedTokens: prof.SharedTokens}), cancel: cancel}
+	models = []Model{cc, New(KindSTBPU, Options{SharedTokens: prof.SharedTokens})}
 	if _, err := RunColumnsMulti(ctx, models, cols); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
 	}
-	if cb.batches != 1 {
-		t.Errorf("batches after cancel = %d, want 1 (cancel lands at the chunk barrier)", cb.batches)
+	if cc.chunks != 1 {
+		t.Errorf("chunks after cancel = %d, want 1 (cancel lands at the chunk barrier)", cc.chunks)
 	}
 }
 

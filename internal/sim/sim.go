@@ -24,33 +24,44 @@ type Model interface {
 	Step(rec trace.Record) (bpu.Prediction, bpu.Events)
 }
 
-// Counters is the batched event accumulator (see bpu.Counters).
+// Counters is the replay event accumulator (see bpu.Counters).
 type Counters = bpu.Counters
-
-// BatchModel is the batched stepping fast path: StepBatch replays a slice
-// of retired branches and folds their resolution events into acc, with no
-// per-record interface dispatch or Events returns. RunCtx uses it when a
-// model implements it and falls back to per-record Step otherwise, so
-// external models keep working unchanged.
-type BatchModel interface {
-	StepBatch(recs []trace.Record, acc *Counters)
-}
 
 // ColumnModel is the columnar stepping fast path: StepColumns replays
 // rows [lo,hi) of a struct-of-arrays trace, folding resolution events
 // into acc. Implementations iterate the packed arrays directly —
 // branchless flag extraction, no per-record struct copy from the trace
 // stream — and must be bit-identical to stepping the equivalent
-// records through StepBatch/Step. RunColumnsCtx uses it when a model
-// implements it and falls back to materializing chunk-sized record
-// batches otherwise, so external models keep working unchanged.
+// records through Step. Models without it replay through Columnar's
+// per-record Step adapter, so external models keep working unchanged.
 type ColumnModel interface {
 	StepColumns(cols *trace.Columns, lo, hi int, acc *Counters)
 }
 
+// Columnar returns m's columnar stepping path: m itself when it
+// implements ColumnModel, else an adapter that steps each row through
+// Step.
+func Columnar(m Model) ColumnModel {
+	if cm, ok := m.(ColumnModel); ok {
+		return cm
+	}
+	return stepRows{m}
+}
+
+// stepRows adapts a Model without the columnar fast path to
+// ColumnModel, materializing one record per row.
+type stepRows struct{ m Model }
+
+func (s stepRows) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
+	for i := lo; i < hi; i++ {
+		_, ev := s.m.Step(cols.Record(i))
+		acc.Note(ev)
+	}
+}
+
 // Finalizer lets a model report run-scoped counters (re-randomizations,
-// flushes, ...) into the Result after replay finishes. RunCtx calls it
-// once at the end of a completed run, so new models can extend Result
+// flushes, ...) into the Result after replay finishes. The replay loops
+// call it once at the end of a completed run, so new models can extend Result
 // accounting without editing this package.
 type Finalizer interface {
 	Finalize(res *Result)
@@ -103,66 +114,16 @@ func Run(m Model, tr *trace.Trace) Result {
 	return res
 }
 
-// runCheckInterval is how many records RunCtx replays between context
+// runCheckInterval is how many records a replay steps between context
 // checks: coarse enough to cost nothing, fine enough that cancellation
 // lands within a fraction of a millisecond.
 const runCheckInterval = 8192
 
-// RunCtx replays a trace through a model, aborting with ctx.Err() when the
-// context is canceled mid-replay. Replay proceeds in runCheckInterval-sized
-// chunks through the model's StepBatch fast path (falling back to the Step
-// shim for models that don't implement BatchModel), with one cancellation
-// check between chunks — the check before the first chunk is the single
-// up-front one, never repeated at record zero.
+// RunCtx replays a trace through a model, aborting with ctx.Err() when
+// the context is canceled mid-replay. It is the AoS entry point of
+// RunColumnsCtx: the records are converted to columns once.
 func RunCtx(ctx context.Context, m Model, tr *trace.Trace) (Result, error) {
-	res := Result{Model: m.Name(), Workload: tr.Name, Records: len(tr.Records)}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	recs := tr.Records
-	bm, batched := m.(BatchModel)
-	var acc Counters
-	for start := 0; start < len(recs); start += runCheckInterval {
-		if start > 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		end := start + runCheckInterval
-		if end > len(recs) {
-			end = len(recs)
-		}
-		// Context/mode switch accounting is model-independent: compare
-		// each record against its predecessor across chunk boundaries.
-		from := start
-		if from == 0 {
-			from = 1
-		}
-		for i := from; i < end; i++ {
-			if recs[i].PID != recs[i-1].PID {
-				res.CtxSwitches++
-			}
-			if recs[i].Kernel != recs[i-1].Kernel {
-				res.ModeSwitches++
-			}
-		}
-		if batched {
-			bm.StepBatch(recs[start:end], &acc)
-		} else {
-			for i := start; i < end; i++ {
-				_, ev := m.Step(recs[i])
-				acc.Note(ev)
-			}
-		}
-	}
-	res.Mispredicts = acc.Mispredicts
-	res.Conds, res.DirCorrect = acc.Conds, acc.DirCorrect
-	res.TargetKnown, res.TargetCorrect = acc.TargetKnown, acc.TargetCorrect
-	res.Evictions, res.BTBMisses = acc.Evictions, acc.BTBMisses
-	if f, ok := m.(Finalizer); ok {
-		f.Finalize(&res)
-	}
-	return res, nil
+	return RunColumnsCtx(ctx, m, trace.FromTrace(tr))
 }
 
 // RunColumns replays a columnar trace through a model.
@@ -172,15 +133,12 @@ func RunColumns(m Model, cols *trace.Columns) Result {
 }
 
 // RunColumnsCtx replays a struct-of-arrays trace through a model — the
-// columnar twin of RunCtx, and the suite's hot replay path. Chunking,
-// cancellation, and context/mode-switch accounting match RunCtx
-// exactly; the switch accounting reads only the PID column and the
-// kernel flag bit, so the model-independent scan never touches the
-// other columns. Models implementing ColumnModel step the packed
-// arrays in place; BatchModel-only models receive chunk-sized record
-// batches materialized into one reused scratch buffer; bare Models
-// step materialized records one at a time. All three paths are
-// bit-identical (pinned by tests).
+// one replay loop every entry point reaches. Replay proceeds in
+// runCheckInterval-sized chunks through the model's columnar path
+// (Columnar), with one cancellation check between chunks; the check
+// before the first chunk is the single up-front one. Context/mode
+// switch accounting is model-independent and reads only the PID
+// column and the kernel flag bit (switches).
 func RunColumnsCtx(ctx context.Context, m Model, cols *trace.Columns) (Result, error) {
 	// The columns may be a zero-copy view of an mmap'd STBT spill whose
 	// mapping is released by a finalizer on cols; the packed slices alone
@@ -192,89 +150,63 @@ func RunColumnsCtx(ctx context.Context, m Model, cols *trace.Columns) (Result, e
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	cm, columnar := m.(ColumnModel)
-	bm, batched := m.(BatchModel)
-	var scratch []trace.Record
-	if !columnar && batched {
-		scratch = make([]trace.Record, 0, runCheckInterval)
-	}
+	cm := Columnar(m)
 	var acc Counters
-	pids, flags := cols.PIDs, cols.Flags
 	for start := 0; start < n; start += runCheckInterval {
 		if start > 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		end := start + runCheckInterval
-		if end > n {
-			end = n
+		end := min(start+runCheckInterval, n)
+		ctxSw, modeSw := switches(cols, start, end)
+		res.CtxSwitches += ctxSw
+		res.ModeSwitches += modeSw
+		cm.StepColumns(cols, start, end, &acc)
+	}
+	finish(&res, m, &acc)
+	return res, nil
+}
+
+// switches counts the context and mode switches entering rows
+// [start,end), comparing each row with its predecessor across chunk
+// boundaries.
+func switches(cols *trace.Columns, start, end int) (ctxSw, modeSw uint64) {
+	pids, flags := cols.PIDs, cols.Flags
+	for i := max(start, 1); i < end; i++ {
+		if pids[i] != pids[i-1] {
+			ctxSw++
 		}
-		from := start
-		if from == 0 {
-			from = 1
-		}
-		for i := from; i < end; i++ {
-			if pids[i] != pids[i-1] {
-				res.CtxSwitches++
-			}
-			if (flags[i]^flags[i-1])&trace.FlagKernel != 0 {
-				res.ModeSwitches++
-			}
-		}
-		switch {
-		case columnar:
-			cm.StepColumns(cols, start, end, &acc)
-		case batched:
-			scratch = cols.AppendRecords(scratch[:0], start, end)
-			bm.StepBatch(scratch, &acc)
-		default:
-			for i := start; i < end; i++ {
-				_, ev := m.Step(cols.Record(i))
-				acc.Note(ev)
-			}
+		if (flags[i]^flags[i-1])&trace.FlagKernel != 0 {
+			modeSw++
 		}
 	}
+	return ctxSw, modeSw
+}
+
+// finish folds a completed replay's event counters into res and lets
+// the model report its run-scoped counters.
+func finish(res *Result, m Model, acc *Counters) {
 	res.Mispredicts = acc.Mispredicts
 	res.Conds, res.DirCorrect = acc.Conds, acc.DirCorrect
 	res.TargetKnown, res.TargetCorrect = acc.TargetKnown, acc.TargetCorrect
 	res.Evictions, res.BTBMisses = acc.Evictions, acc.BTBMisses
 	if f, ok := m.(Finalizer); ok {
-		f.Finalize(&res)
+		f.Finalize(res)
 	}
-	return res, nil
 }
 
 // multiState is one model's private replay state inside RunColumnsMulti:
-// the resolved fast-path interfaces, the per-model scratch buffer for the
-// batched fallback, and the per-model event accumulator. Everything in it
+// its columnar stepping path and its event accumulator. Everything in it
 // is touched by exactly one goroutine per chunk, so models never share
 // mutable state.
 type multiState struct {
-	m        Model
-	cm       ColumnModel
-	bm       BatchModel
-	columnar bool
-	batched  bool
-	scratch  []trace.Record
-	acc      Counters
-}
-
-// step replays rows [start,end) through this model, dispatching exactly
-// like RunColumnsCtx's per-chunk switch.
-func (st *multiState) step(cols *trace.Columns, start, end int) {
-	switch {
-	case st.columnar:
-		st.cm.StepColumns(cols, start, end, &st.acc)
-	case st.batched:
-		st.scratch = cols.AppendRecords(st.scratch[:0], start, end)
-		st.bm.StepBatch(st.scratch, &st.acc)
-	default:
-		for i := start; i < end; i++ {
-			_, ev := st.m.Step(cols.Record(i))
-			st.acc.Note(ev)
-		}
-	}
+	cm  ColumnModel
+	acc Counters
+	// The goroutine stepping this model writes acc on every row; the
+	// padding keeps neighbouring states' counters off its cache lines,
+	// so concurrent models do not slow each other by false sharing.
+	_ [64]byte
 }
 
 // RunColumnsMulti replays one resident columnar trace through N models in
@@ -309,20 +241,11 @@ func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) (
 		return nil, err
 	}
 	n := cols.Len()
-	results := make([]Result, len(models))
 	states := make([]multiState, len(models))
 	for i, m := range models {
-		results[i] = Result{Model: m.Name(), Workload: cols.Name, Records: n}
-		st := &states[i]
-		st.m = m
-		st.cm, st.columnar = m.(ColumnModel)
-		st.bm, st.batched = m.(BatchModel)
-		if !st.columnar && st.batched {
-			st.scratch = make([]trace.Record, 0, runCheckInterval)
-		}
+		states[i].cm = Columnar(m)
 	}
 	var ctxSwitches, modeSwitches uint64
-	pids, flags := cols.PIDs, cols.Flags
 	// One persistent worker goroutine per model, spawned once and fed
 	// chunk ranges over a buffered channel — spawning len(states)
 	// goroutines (each with a fresh closure) per chunk dominated the
@@ -336,7 +259,7 @@ func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) (
 		work[i] = make(chan [2]int, 1)
 		go func(st *multiState, ch <-chan [2]int) {
 			for rng := range ch {
-				st.step(cols, rng[0], rng[1])
+				st.cm.StepColumns(cols, rng[0], rng[1], &st.acc)
 				wg.Done()
 			}
 		}(&states[i], work[i])
@@ -352,39 +275,21 @@ func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) (
 				return nil, err
 			}
 		}
-		end := start + runCheckInterval
-		if end > n {
-			end = n
-		}
-		from := start
-		if from == 0 {
-			from = 1
-		}
-		for i := from; i < end; i++ {
-			if pids[i] != pids[i-1] {
-				ctxSwitches++
-			}
-			if (flags[i]^flags[i-1])&trace.FlagKernel != 0 {
-				modeSwitches++
-			}
-		}
+		end := min(start+runCheckInterval, n)
+		ctxSw, modeSw := switches(cols, start, end)
+		ctxSwitches += ctxSw
+		modeSwitches += modeSw
 		wg.Add(len(states))
 		for i := range work {
 			work[i] <- [2]int{start, end}
 		}
 		wg.Wait()
 	}
-	for i := range states {
-		st := &states[i]
-		res := &results[i]
-		res.CtxSwitches, res.ModeSwitches = ctxSwitches, modeSwitches
-		res.Mispredicts = st.acc.Mispredicts
-		res.Conds, res.DirCorrect = st.acc.Conds, st.acc.DirCorrect
-		res.TargetKnown, res.TargetCorrect = st.acc.TargetKnown, st.acc.TargetCorrect
-		res.Evictions, res.BTBMisses = st.acc.Evictions, st.acc.BTBMisses
-		if f, ok := st.m.(Finalizer); ok {
-			f.Finalize(res)
-		}
+	results := make([]Result, len(models))
+	for i, m := range models {
+		results[i] = Result{Model: m.Name(), Workload: cols.Name, Records: n,
+			CtxSwitches: ctxSwitches, ModeSwitches: modeSwitches}
+		finish(&results[i], m, &states[i].acc)
 	}
 	return results, nil
 }
@@ -506,19 +411,6 @@ func (m *UnitModel) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	return pred, m.Unit.Update(rec, pred)
 }
 
-// StepBatch implements BatchModel: the same predict/update sequence as
-// Step, with direct method calls and accumulator folding in the loop.
-func (m *UnitModel) StepBatch(recs []trace.Record, acc *Counters) {
-	u := m.Unit
-	for i := range recs {
-		if m.entity != nil {
-			m.entity.setEntity(recs[i])
-		}
-		pred := u.Predict(recs[i].PC, recs[i].Kind)
-		acc.Note(u.Update(recs[i], pred))
-	}
-}
-
 // StepColumns implements ColumnModel: the Step predict/update sequence
 // driven off the packed arrays. Only the PC/Target/Flags columns are
 // loaded per record (Update never reads the entity fields); the PID
@@ -578,20 +470,6 @@ func (m *FlushModel) maybeFlush(rec trace.Record) {
 	m.prevPID, m.prevKernel, m.started = rec.PID, rec.Kernel, true
 }
 
-// StepBatch implements BatchModel, shadowing the embedded UnitModel fast
-// path so the flush policy still runs per record.
-func (m *FlushModel) StepBatch(recs []trace.Record, acc *Counters) {
-	u := m.Unit
-	for i := range recs {
-		m.maybeFlush(recs[i])
-		if m.entity != nil {
-			m.entity.setEntity(recs[i])
-		}
-		pred := u.Predict(recs[i].PC, recs[i].Kind)
-		acc.Note(u.Update(recs[i], pred))
-	}
-}
-
 // StepColumns implements ColumnModel, shadowing the embedded UnitModel
 // fast path. The flush policy reads the entity columns per record, so
 // unlike the plain UnitModel path the PID/kernel side arrays stay hot.
@@ -632,12 +510,6 @@ func (m *STBPUModel) Name() string { return m.Inner.Name() }
 // Step implements Model.
 func (m *STBPUModel) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	return m.Inner.Step(rec)
-}
-
-// StepBatch implements BatchModel by delegating to the core model's
-// batched path.
-func (m *STBPUModel) StepBatch(recs []trace.Record, acc *Counters) {
-	m.Inner.StepBatch(recs, acc)
 }
 
 // StepColumns implements ColumnModel by delegating to the core model's

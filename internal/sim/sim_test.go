@@ -177,10 +177,8 @@ func BenchmarkRunSTBPU(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayPath compares the three replay paths on the same model
-// and trace: the columnar StepColumns fast path (what the suite runs),
-// the batched AoS StepBatch path, and the per-record Step shim — the
-// wins the columnar and batching refactors must keep showing.
+// BenchmarkReplayPath times the columnar StepColumns replay (what the
+// suite runs) on a resident trace, without Run's AoS conversion.
 func BenchmarkReplayPath(b *testing.B) {
 	tr, p := genTrace(b, "505.mcf", 100_000)
 	cols := trace.FromTrace(tr)
@@ -194,20 +192,6 @@ func BenchmarkReplayPath(b *testing.B) {
 		b.Run(bc.name+"/columns", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := RunColumnsCtx(context.Background(), bc.mk(), cols); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(bc.name+"/batched", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunCtx(context.Background(), bc.mk(), tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(bc.name+"/step", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunCtx(context.Background(), stepOnly{bc.mk()}, tr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -250,9 +234,9 @@ func tokenThresholds(misp, evict uint64) (th token.Thresholds) {
 	return th
 }
 
-// stepOnly hides a model's BatchModel implementation so RunCtx takes the
-// per-record Step shim; Finalize is forwarded so run-scoped counters still
-// land in the Result.
+// stepOnly hides a model's ColumnModel implementation so replay takes the
+// per-record Step adapter; Finalize is forwarded so run-scoped counters
+// still land in the Result.
 type stepOnly struct{ m Model }
 
 func (s stepOnly) Name() string                                       { return s.m.Name() }
@@ -260,27 +244,6 @@ func (s stepOnly) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return s
 func (s stepOnly) Finalize(res *Result) {
 	if f, ok := s.m.(Finalizer); ok {
 		f.Finalize(res)
-	}
-}
-
-func TestBatchedPathMatchesStepShim(t *testing.T) {
-	tr, prof := genTrace(t, "mysql_128con_50s", 30_000)
-	for _, kind := range Fig3Kinds() {
-		opt := Options{SharedTokens: prof.SharedTokens, Seed: 11}
-		batched, err := RunCtx(context.Background(), New(kind, opt), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := New(kind, opt).(BatchModel); !ok {
-			t.Errorf("%v does not implement BatchModel", kind)
-		}
-		stepped, err := RunCtx(context.Background(), stepOnly{New(kind, opt)}, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batched != stepped {
-			t.Errorf("%v: batched %+v != stepped %+v", kind, batched, stepped)
-		}
 	}
 }
 
@@ -304,33 +267,33 @@ func TestFinalizerReportsRunScopedCounters(t *testing.T) {
 	}
 }
 
-// cancelingBatcher cancels the run's context from inside StepBatch, so the
-// test can pin down where the batched path observes cancellation.
-type cancelingBatcher struct {
-	m       Model
-	cancel  context.CancelFunc
-	batches int
+// cancelingChunks cancels the run's context from inside StepColumns, so
+// the tests can pin down where replay observes cancellation.
+type cancelingChunks struct {
+	m      Model
+	cancel context.CancelFunc
+	chunks int
 }
 
-func (c *cancelingBatcher) Name() string                                       { return c.m.Name() }
-func (c *cancelingBatcher) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return c.m.Step(rec) }
-func (c *cancelingBatcher) StepBatch(recs []trace.Record, acc *Counters) {
-	c.m.(BatchModel).StepBatch(recs, acc)
-	c.batches++
+func (c *cancelingChunks) Name() string                                       { return c.m.Name() }
+func (c *cancelingChunks) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return c.m.Step(rec) }
+func (c *cancelingChunks) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
+	Columnar(c.m).StepColumns(cols, lo, hi, acc)
+	c.chunks++
 	c.cancel()
 }
 
-func TestRunCtxCancellationOnBatchedPath(t *testing.T) {
+func TestRunCtxCancellationOnColumnarPath(t *testing.T) {
 	tr, prof := genTrace(t, "505.mcf", 4*runCheckInterval)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cb := &cancelingBatcher{m: New(KindBaseline, Options{SharedTokens: prof.SharedTokens}), cancel: cancel}
-	if _, err := RunCtx(ctx, cb, tr); !errors.Is(err, context.Canceled) {
+	cc := &cancelingChunks{m: New(KindBaseline, Options{SharedTokens: prof.SharedTokens}), cancel: cancel}
+	if _, err := RunCtx(ctx, cc, tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Cancellation lands at the next chunk boundary: exactly one batch ran.
-	if cb.batches != 1 {
-		t.Errorf("batches after cancel = %d, want 1", cb.batches)
+	// Cancellation lands at the next chunk boundary: exactly one chunk ran.
+	if cc.chunks != 1 {
+		t.Errorf("chunks after cancel = %d, want 1", cc.chunks)
 	}
 }
 
@@ -356,58 +319,35 @@ func TestRunCtxCanceledMidReplay(t *testing.T) {
 	}
 }
 
-// batchOnly hides a model's ColumnModel implementation (keeping
-// StepBatch) so RunColumnsCtx takes the scratch-buffer fallback that
-// feeds chunk-sized record batches to pre-columnar batched models.
-type batchOnly struct{ m Model }
-
-func (b batchOnly) Name() string                                       { return b.m.Name() }
-func (b batchOnly) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return b.m.Step(rec) }
-func (b batchOnly) StepBatch(recs []trace.Record, acc *Counters) {
-	b.m.(BatchModel).StepBatch(recs, acc)
-}
-func (b batchOnly) Finalize(res *Result) {
-	if f, ok := b.m.(Finalizer); ok {
-		f.Finalize(res)
-	}
-}
-
-// TestColumnarPathMatchesBatched pins the tentpole determinism
-// contract: replaying the struct-of-arrays view through StepColumns —
-// and through both fallbacks for models that predate it — is
-// bit-identical to the batched AoS path for every Fig. 3 model.
-func TestColumnarPathMatchesBatched(t *testing.T) {
+// TestColumnarPathMatchesStep pins the replay determinism contract:
+// stepping the struct-of-arrays view through StepColumns, directly and
+// through the AoS RunCtx entry point, is bit-identical to stepping the
+// same records one at a time through Step, for every Fig. 3 model.
+func TestColumnarPathMatchesStep(t *testing.T) {
 	tr, prof := genTrace(t, "mysql_128con_50s", 30_000)
 	cols := trace.FromTrace(tr)
 	for _, kind := range Fig3Kinds() {
 		opt := Options{SharedTokens: prof.SharedTokens, Seed: 11}
-		want, err := RunCtx(context.Background(), New(kind, opt), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if _, ok := New(kind, opt).(ColumnModel); !ok {
 			t.Errorf("%v does not implement ColumnModel", kind)
+		}
+		want, err := RunColumnsCtx(context.Background(), stepOnly{New(kind, opt)}, cols)
+		if err != nil {
+			t.Fatal(err)
 		}
 		columnar, err := RunColumnsCtx(context.Background(), New(kind, opt), cols)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if columnar != want {
-			t.Errorf("%v: columnar %+v != batched %+v", kind, columnar, want)
+			t.Errorf("%v: columnar %+v != stepped %+v", kind, columnar, want)
 		}
-		viaBatch, err := RunColumnsCtx(context.Background(), batchOnly{New(kind, opt)}, cols)
+		viaRecords, err := RunCtx(context.Background(), New(kind, opt), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if viaBatch != want {
-			t.Errorf("%v: batch-fallback %+v != batched %+v", kind, viaBatch, want)
-		}
-		viaStep, err := RunColumnsCtx(context.Background(), stepOnly{New(kind, opt)}, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if viaStep != want {
-			t.Errorf("%v: step-fallback %+v != batched %+v", kind, viaStep, want)
+		if viaRecords != want {
+			t.Errorf("%v: RunCtx %+v != stepped %+v", kind, viaRecords, want)
 		}
 	}
 }

@@ -284,3 +284,60 @@ func TestEvictionUnderConcurrentForks(t *testing.T) {
 		t.Errorf("tiny store never evicted: %+v", st)
 	}
 }
+
+// FuzzSnapSpill feeds arbitrary bytes to the spill loader as one key's
+// file. A fresh store's Get must never panic, and it hits exactly when
+// the file is spillHeader(p) followed by p, returning p. Anything else
+// is a miss counted as one disk error, and a following Put leaves the
+// file holding the new spill.
+func FuzzSnapSpill(f *testing.F) {
+	payload := []byte("warm predictor state")
+	valid := append(spillHeader(payload), payload...)
+	flip := func(i int) []byte {
+		c := bytes.Clone(valid)
+		c[i] ^= 0x01
+		return c
+	}
+	f.Add(valid)
+	f.Add(valid[:len(snapMagic)+5]) // truncated header
+	f.Add(flip(len(snapMagic) + 8)) // flipped digest byte
+	f.Add(flip(len(snapMagic)))     // wrong length
+	f.Add([]byte{})                 // empty file
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		k := key("m", 7)
+		seed := New(0)
+		if err := seed.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		path := seed.diskPath(k)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s := New(0)
+		if err := s.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k)
+		n := len(snapMagic) + 16
+		wellFormed := len(raw) >= n && bytes.Equal(raw[:n], spillHeader(raw[n:]))
+		st := s.Stats()
+		switch {
+		case ok != wellFormed:
+			t.Fatalf("hit = %v for a file that is well-formed = %v", ok, wellFormed)
+		case ok && !bytes.Equal(got, raw[n:]):
+			t.Fatalf("hit returned %q, want the spill's payload %q", got, raw[n:])
+		case ok && (st.DiskHits != 1 || st.DiskErrors != 0):
+			t.Fatalf("hit counted as %+v", st)
+		case !ok && (st.DiskErrors != 1 || st.DiskHits != 0):
+			t.Fatalf("miss counted as %+v, want one disk error", st)
+		}
+
+		next := []byte("fresh checkpoint")
+		s.Put(k, next)
+		if !holds(path, spillHeader(next), next) {
+			t.Fatal("put did not leave the file holding the new spill")
+		}
+	})
+}

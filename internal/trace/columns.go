@@ -63,10 +63,11 @@ type Columns struct {
 	// Programs holds the per-record binary identity.
 	Programs []uint16
 
-	// parent keeps the Columns a Slice view was cut from reachable.
-	// mmap-backed columns (tracestore.SetMapped) unmap their region via
-	// a finalizer on the original *Columns; a view that outlived it
-	// would read unmapped memory, so every view pins its source.
+	// parent keeps the Columns a view (Slice, OffsetEntities) was cut
+	// from reachable. mmap-backed columns (tracestore.SetMapped) unmap
+	// their region via a finalizer on the original *Columns; a view that
+	// outlived it would read unmapped memory, so every view pins its
+	// source.
 	parent *Columns
 }
 
@@ -93,10 +94,6 @@ func (c *Columns) Slice(lo, hi int) *Columns {
 	if lo < 0 || hi < lo || hi > c.Len() {
 		panic(fmt.Sprintf("trace: Slice bounds [%d:%d) out of range for %d records", lo, hi, c.Len()))
 	}
-	root := c
-	if c.parent != nil {
-		root = c.parent // re-slicing a view pins the original owner
-	}
 	return &Columns{
 		Name:     c.Name,
 		PCs:      c.PCs[lo:hi:hi],
@@ -104,8 +101,42 @@ func (c *Columns) Slice(lo, hi int) *Columns {
 		Flags:    c.Flags[lo:hi:hi],
 		PIDs:     c.PIDs[lo:hi:hi],
 		Programs: c.Programs[lo:hi:hi],
-		parent:   root,
+		parent:   c.owner(),
 	}
+}
+
+// owner is the Columns a view must pin: c itself, or, when c is a view,
+// the original it was cut from.
+func (c *Columns) owner() *Columns {
+	if c.parent != nil {
+		return c.parent
+	}
+	return c
+}
+
+// OffsetEntities returns a view of c whose PIDs and Programs are c's
+// plus pid and program, with the other columns shared. An SMT co-run
+// replays its second thread through such a view so the two threads'
+// entities never collide in the token table. The view owns its two
+// entity columns and, like a Slice view, pins c's owner, so it is safe
+// on mmap-backed traces and must be treated as immutable.
+func (c *Columns) OffsetEntities(pid uint32, program uint16) *Columns {
+	v := &Columns{
+		Name:     c.Name,
+		PCs:      c.PCs,
+		Targets:  c.Targets,
+		Flags:    c.Flags,
+		PIDs:     make([]uint32, len(c.PIDs)),
+		Programs: make([]uint16, len(c.Programs)),
+		parent:   c.owner(),
+	}
+	for i, p := range c.PIDs {
+		v.PIDs[i] = p + pid
+	}
+	for i, p := range c.Programs {
+		v.Programs[i] = p + program
+	}
+	return v
 }
 
 // Record materializes row i as an AoS Record.
@@ -147,25 +178,17 @@ func FromRecords(name string, recs []Record) *Columns {
 // FromTrace converts a materialized trace to columns.
 func FromTrace(t *Trace) *Columns { return FromRecords(t.Name, t.Records) }
 
-// AppendRecords appends rows [lo,hi) to dst as AoS records and returns
-// the extended slice. Replay fallbacks use it to feed chunk-sized
-// record batches to models that predate the columnar interface without
-// materializing the whole trace.
-func (c *Columns) AppendRecords(dst []Record, lo, hi int) []Record {
-	for i := lo; i < hi; i++ {
-		dst = append(dst, c.Record(i))
-	}
-	return dst
-}
-
 // ToRecords materializes the whole trace as AoS records.
 func (c *Columns) ToRecords() []Record {
-	return c.AppendRecords(make([]Record, 0, c.Len()), 0, c.Len())
+	recs := make([]Record, c.Len())
+	for i := range recs {
+		recs[i] = c.Record(i)
+	}
+	return recs
 }
 
-// Trace materializes the columns as a Trace (fresh record slice each
-// call; callers that need the AoS view repeatedly should cache it, as
-// tracestore does).
+// Trace materializes the columns as a Trace (a fresh record slice each
+// call).
 func (c *Columns) Trace() *Trace { return &Trace{Name: c.Name, Records: c.ToRecords()} }
 
 // SizeBytes reports the exact resident footprint of the columns: the

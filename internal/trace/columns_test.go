@@ -129,24 +129,40 @@ func TestColumnsValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestAppendRecordsWindows pins the chunked fallback materializer.
-func TestAppendRecordsWindows(t *testing.T) {
+// TestColumnsOffsetEntities pins the SMT thread view: every row reads
+// as the source row with PID and Program offset (Program wrapping like
+// the uint16 it is), the hot columns are shared rather than copied, the
+// source is left untouched, and a view cut from a Slice pins the slice's
+// owner.
+func TestColumnsOffsetEntities(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	recs := randomRecords(rng, 100)
-	cols := FromRecords("w", recs)
-	got := cols.AppendRecords(nil, 10, 35)
-	if len(got) != 25 {
-		t.Fatalf("window len = %d", len(got))
+	recs := randomRecords(rng, 200)
+	recs[7].Program = 0xffff
+	cols := FromRecords("offset", recs)
+
+	v := cols.OffsetEntities(1<<16, 1<<12)
+	if v.Len() != cols.Len() || v.Name != cols.Name {
+		t.Fatalf("view %q/%d, source %q/%d", v.Name, v.Len(), cols.Name, cols.Len())
 	}
-	for i, r := range got {
-		if r != recs[10+i] {
-			t.Fatalf("window record %d diverges", i)
+	for i, r := range recs {
+		want := r
+		want.PID += 1 << 16
+		want.Program += 1 << 12
+		if got := v.Record(i); got != want {
+			t.Fatalf("view record %d = %+v, want %+v", i, got, want)
+		}
+		if cols.Record(i) != r {
+			t.Fatalf("source record %d changed", i)
 		}
 	}
-	// Reuse must not leak prior contents.
-	got = cols.AppendRecords(got[:0], 99, 100)
-	if len(got) != 1 || got[0] != recs[99] {
-		t.Fatal("scratch reuse corrupted the window")
+	if &v.PCs[0] != &cols.PCs[0] || &v.Targets[0] != &cols.Targets[0] || &v.Flags[0] != &cols.Flags[0] {
+		t.Error("view copied a hot column")
+	}
+	if v.parent != cols {
+		t.Error("view does not pin its source")
+	}
+	if sv := cols.Slice(10, 20).OffsetEntities(1, 1); sv.parent != cols || sv.Record(0).PC != recs[10].PC {
+		t.Error("view of a slice does not pin the slice's owner")
 	}
 }
 

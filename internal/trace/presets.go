@@ -283,21 +283,29 @@ func buildPresets() map[string]Profile {
 
 var presets = buildPresets()
 
+// CanonicalName resolves a gem5 short name ("mcf") to the full SPEC
+// name ("505.mcf") Preset generates under; any other name is returned
+// unchanged. Both names of a workload generate the same trace, so
+// caches key it by this name.
+func CanonicalName(name string) string {
+	if full, ok := shortSPEC[name]; ok {
+		return full
+	}
+	return name
+}
+
 // Preset returns the profile for a workload name. Both full SPEC names
 // ("505.mcf") and the gem5 short names ("mcf") resolve.
 func Preset(name string) (Profile, error) {
-	if full, ok := shortSPEC[name]; ok {
-		p, ok := presets[full]
-		if !ok {
-			return Profile{}, fmt.Errorf("trace: preset %q maps to missing %q", name, full)
-		}
-		p.Name = full
-		return p, nil
-	}
-	p, ok := presets[name]
-	if !ok {
+	full := CanonicalName(name)
+	p, ok := presets[full]
+	switch {
+	case !ok && full != name:
+		return Profile{}, fmt.Errorf("trace: preset %q maps to missing %q", name, full)
+	case !ok:
 		return Profile{}, fmt.Errorf("trace: unknown preset %q", name)
 	}
+	p.Name = full
 	return p, nil
 }
 

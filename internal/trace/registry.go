@@ -1,8 +1,8 @@
 // Runtime workload registry: spec-driven workloads register a Synth
 // here under their content-hashed name, and everything that resolves
-// workloads by name (tracestore.PresetGen/PresetProfile, and through
-// them every backend, the disk/mmap tiers, and trace-major grouping)
-// consults the registry before the static preset table. Registration
+// workloads by name (tracestore.PresetGenColumns/PresetProfile, and
+// through them every backend, the disk/mmap tiers, and trace-major
+// grouping) consults the registry before the static preset table. Registration
 // is process-local; coordinators forward spec documents to exec
 // workers (argv) and remote workers (welcome frame) so both sides
 // resolve the same names to the same byte streams.

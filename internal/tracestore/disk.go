@@ -22,16 +22,16 @@ import (
 // a cache miss first tries to decode a spilled STBT file for the key,
 // and a generated trace is spilled (atomic temp-file-plus-rename, so
 // concurrent processes sharing the directory never observe a partial
-// file) before being admitted. Disk problems never fail a Get: an
+// file) before being admitted. Disk problems never fail a lookup: an
 // unreadable, corrupt, or mismatched spill counts a DiskError and
 // falls back to generation, overwriting the bad file.
 //
-// The tier is only valid for the default PresetGen/PresetProfile
+// The tier is only valid for the default PresetGenColumns/PresetProfile
 // pipeline: files are keyed by (name, records) alone, so a store with
 // a custom GenFunc could neither trust another process's spills nor
 // produce spills safe for default stores sharing the directory —
 // SetDir refuses rather than risk serving one generator's bytes as
-// another's. Call before the first Get.
+// another's. Call before the first GetColumns.
 func (s *Store) SetDir(dir string) error {
 	if dir != "" {
 		if !s.presetGen {

@@ -22,7 +22,7 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	if err := first.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	want, wantProf, err := first.Get("505.mcf", 3_000)
+	want, wantProf, err := first.GetColumns("505.mcf", 3_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	if err := second.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, gotProf, err := second.Get("505.mcf", 3_000)
+	got, gotProf, err := second.GetColumns("505.mcf", 3_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	if gotProf != wantProf {
 		t.Error("disk-tier profile diverges from generated profile")
 	}
-	encode := func(tr *trace.Trace) []byte {
+	encode := func(tr *trace.Columns) []byte {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestDiskTierColumnsPath(t *testing.T) {
 }
 
 // TestDiskCorruptSpillFallsBack: a truncated or garbage spill must not
-// fail the Get — it regenerates, counts a DiskError, and rewrites the
+// fail the lookup — it regenerates, counts a DiskError, and rewrites the
 // file so the next reader hits cleanly.
 func TestDiskCorruptSpillFallsBack(t *testing.T) {
 	dir := t.TempDir()
@@ -104,7 +104,7 @@ func TestDiskCorruptSpillFallsBack(t *testing.T) {
 	if err := seedStore.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := seedStore.Get("505.mcf", 1_000); err != nil {
+	if _, _, err := seedStore.GetColumns("505.mcf", 1_000); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.stbt"))
@@ -119,12 +119,12 @@ func TestDiskCorruptSpillFallsBack(t *testing.T) {
 	if err := s.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := s.Get("505.mcf", 1_000)
+	cols, _, err := s.GetColumns("505.mcf", 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 1_000 {
-		t.Fatalf("records = %d, want 1000", len(tr.Records))
+	if cols.Len() != 1_000 {
+		t.Fatalf("records = %d, want 1000", cols.Len())
 	}
 	st := s.Stats()
 	if st.DiskErrors == 0 || st.Generations != 1 || st.DiskWrites != 1 {
@@ -136,7 +136,7 @@ func TestDiskCorruptSpillFallsBack(t *testing.T) {
 	if err := reread.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reread.Get("505.mcf", 1_000); err != nil {
+	if _, _, err := reread.GetColumns("505.mcf", 1_000); err != nil {
 		t.Fatal(err)
 	}
 	if st := reread.Stats(); st.DiskHits != 1 || st.Generations != 0 {
@@ -155,7 +155,7 @@ func TestDiskTierRejectsCustomGen(t *testing.T) {
 		t.Fatal("SetDir accepted a custom-generator store")
 	}
 	// The refused store still works, tier-less.
-	if _, _, err := s.Get("w", 100); err != nil {
+	if _, _, err := s.GetColumns("w", 100); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.DiskHits+st.DiskMisses+st.DiskWrites != 0 {
@@ -232,7 +232,7 @@ func TestDiskBitRotDetected(t *testing.T) {
 	}
 }
 
-// TestDiskTierEvictionReloadsFromDisk: after an eviction, the next Get
+// TestDiskTierEvictionReloadsFromDisk: after an eviction, the next lookup
 // reloads the spill instead of regenerating — the disk tier is what
 // makes tiny in-memory budgets cheap.
 func TestDiskTierEvictionReloadsFromDisk(t *testing.T) {
@@ -241,10 +241,10 @@ func TestDiskTierEvictionReloadsFromDisk(t *testing.T) {
 	if err := s.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Get("505.mcf", 1_000); err != nil {
+	if _, _, err := s.GetColumns("505.mcf", 1_000); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Get("505.mcf", 1_000); err != nil {
+	if _, _, err := s.GetColumns("505.mcf", 1_000); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -253,5 +253,48 @@ func TestDiskTierEvictionReloadsFromDisk(t *testing.T) {
 	}
 	if st.DiskHits != 1 || st.DiskWrites != 1 {
 		t.Errorf("disk stats = %+v, want 1 hit after 1 spill", st)
+	}
+}
+
+// TestDiskTierServesShortNames: Figs. 4-6 name SPEC workloads by their
+// gem5 short names, which generate under the full name. A spill made
+// through a short name must serve a fresh store sharing the directory
+// with no generation and no disk error, under either name.
+func TestDiskTierServesShortNames(t *testing.T) {
+	dir := t.TempDir()
+	first := New(0, nil)
+	if err := first.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := first.GetColumns("mcf", 1_500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := first.Stats(); st.DiskWrites != 1 {
+		t.Fatalf("first-store stats = %+v, want one spill", st)
+	}
+
+	second := New(0, nil)
+	if err := second.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	short, _, err := second.GetColumns("mcf", 1_500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, _, err := second.GetColumns("505.mcf", 1_500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.Stats(); st.Generations != 0 || st.DiskErrors != 0 || st.DiskHits != 1 {
+		t.Fatalf("second-store stats = %+v, want one disk hit, no generation, no disk error", st)
+	}
+	if short != full {
+		t.Error("short and full names served different columns")
+	}
+	for i := 0; i < want.Len(); i++ {
+		if full.Record(i) != want.Record(i) {
+			t.Fatalf("record %d diverges after the disk round-trip", i)
+		}
 	}
 }

@@ -9,25 +9,27 @@
 //
 // # Columnar residency
 //
-// The stored representation is trace.Columns — the struct-of-arrays
-// view the replay fast path (sim.RunColumnsCtx) consumes directly via
-// GetColumns. Consumers that need AoS records (the cycle-accurate CPU
-// pipeline) call Get, which materializes the record view from the
-// stored columns at most once per residency and shares it. Byte
-// accounting goes through the SizeOf hook (default ExactSize): entries
-// are charged the capacity-exact footprint of what they actually pin —
-// the columns, plus the record view once materialized — so the
-// configured budget is respected to the byte.
+// The stored and served representation is trace.Columns — the
+// struct-of-arrays view every replay (sim.RunColumnsCtx, and the CPU
+// model's timelines under Figs. 4-6) consumes directly via GetColumns.
+// The store never builds an AoS record view. Byte accounting goes
+// through the SizeOf hook (default ExactSize): entries are charged the
+// capacity-exact footprint of the columns they pin, so the configured
+// budget is respected to the byte.
+//
+// Keys are canonical: a gem5 short name ("mcf", as Figs. 4-6 spell
+// SPEC workloads) and its full SPEC name ("505.mcf", as Fig. 3 does)
+// generate the same trace, so both resolve through trace.CanonicalName
+// to one entry and one spill file.
 //
 // # Determinism
 //
 // Trace generation is a pure function of (name, records), so a cached
-// trace is bit-identical to a freshly generated one, and the columnar
-// and record views of an entry are lossless projections of the same
-// data. Eviction can therefore only change *when* a trace is rebuilt,
-// never *what* replays — the harness determinism contract
-// (bit-identical results at any worker count) holds under any byte
-// budget, including zero, with or without the disk tier.
+// trace is bit-identical to a freshly generated one. Eviction can
+// therefore only change *when* a trace is rebuilt, never *what*
+// replays — the harness determinism contract (bit-identical results at
+// any worker count) holds under any byte budget, including zero, with
+// or without the disk tier.
 //
 // # The disk tier
 //

@@ -21,7 +21,7 @@ import (
 // coexist in one directory). On platforms without mmap support the mode
 // is accepted but degrades to the decoding path — results are
 // identical either way; only the warm-start cost differs. Call before
-// the first Get.
+// the first GetColumns.
 //
 // Mapped residency is accounted separately from the in-memory budget:
 // the kernel owns the pages (clean, evictable under its own memory

@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"stbpu/internal/cpu"
+	"stbpu/internal/sim"
 	"stbpu/internal/trace"
 )
 
@@ -79,21 +82,13 @@ func TestMappedTierRoundTrip(t *testing.T) {
 			t.Fatalf("record %d diverges through the mapped view", i)
 		}
 	}
-	// AoS materialization from a mapped view still works (it copies).
-	tr, _, err := s.Get("505.mcf", 3_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) != want.Len() {
-		t.Fatalf("AoS view has %d records, want %d", len(tr.Records), want.Len())
-	}
 	runtime.KeepAlive(got)
 }
 
 // TestMappedResidencyCharge pins the accounting rule: a mapped entry's
 // column bytes belong to the kernel page cache and must not be charged
 // against the in-memory budget — the entry pays only the fixed
-// bookkeeping overhead (plus an AoS view if later materialized).
+// bookkeeping overhead.
 func TestMappedResidencyCharge(t *testing.T) {
 	dir := t.TempDir()
 	seedMappedSpill(t, dir, "505.mcf", 2_000)
@@ -105,15 +100,6 @@ func TestMappedResidencyCharge(t *testing.T) {
 	}
 	if st := s.Stats(); st.Bytes != entryOverheadBytes {
 		t.Fatalf("mapped entry charges %d bytes, want exactly the %d overhead", st.Bytes, entryOverheadBytes)
-	}
-	// Materializing records adds real heap and must be charged.
-	tr, _, err := s.Get("505.mcf", 2_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := entryOverheadBytes + int64(cap(tr.Records))*recordBytes
-	if st := s.Stats(); st.Bytes != want {
-		t.Fatalf("after AoS materialization charge = %d, want %d", st.Bytes, want)
 	}
 	runtime.KeepAlive(cols)
 }
@@ -162,6 +148,76 @@ func TestMappedEvictionUnmapOrdering(t *testing.T) {
 	}
 	if st := s.Stats(); st.BytesMapped != 0 {
 		t.Fatalf("bytes_mapped = %d after unmap, want 0", st.BytesMapped)
+	}
+}
+
+// TestMappedSMTViewPinsMapping: an SMT timeline's thread-1 view shares
+// the hot columns of its trace, so over a mapped spill it must keep the
+// mapping alive after the store evicts the entry and the caller drops
+// the columns. The replay then reads the mapped pages and matches an
+// in-heap run; the munmap runs only once the timeline is gone.
+func TestMappedSMTViewPinsMapping(t *testing.T) {
+	var unmaps atomic.Int32
+	unmapHook = func(int) { unmaps.Add(1) }
+	defer func() { unmapHook = nil }()
+
+	ctx := context.Background()
+	dir := t.TempDir()
+	seedMappedSpill(t, dir, "505.mcf", 2_000)
+	a, _, err := PresetGenColumns("541.leela", 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, _, err := PresetGenColumns("505.mcf", 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cpu.ConfigFor(a.Name)
+	replay := func(tl *cpu.Timeline) cpu.SMTResult {
+		t.Helper()
+		m := sim.New(sim.KindSTBPU, sim.Options{Seed: 3})
+		res, err := cpu.New(cfg, m).RunSMTTimelineCtx(ctx, tl, a, heap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref, err := cpu.NewSMTTimeline(ctx, cfg, a, heap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := replay(ref)
+
+	s := newMapped(t, 1, dir) // 1-byte budget: everything evicts at admit
+	b, _, err := s.GetColumns("505.mcf", 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.MmapHits != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want the mapped entry admitted and evicted", st)
+	}
+	tl, err := cpu.NewSMTTimeline(ctx, cfg, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = nil
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+	}
+	if n := unmaps.Load(); n != 0 {
+		t.Fatalf("region unmapped %d times while a timeline's view still reads it", n)
+	}
+	if got := replay(tl); got != want {
+		t.Errorf("replay through the mapped view = %+v, want %+v", got, want)
+	}
+	runtime.KeepAlive(tl)
+
+	tl = nil
+	for i := 0; i < 100 && unmaps.Load() == 0; i++ {
+		runtime.GC()
+	}
+	if n := unmaps.Load(); n != 1 {
+		t.Fatalf("unmaps = %d after the timeline was dropped, want 1", n)
 	}
 }
 
@@ -305,7 +361,7 @@ func TestMappedColumnsSharedReadRace(t *testing.T) {
 	dir := t.TempDir()
 	seedMappedSpill(t, dir, "505.mcf", 2_000)
 
-	s := newMapped(t, 1, dir) // evict immediately: every Get re-maps
+	s := newMapped(t, 1, dir) // evict immediately: every lookup re-maps
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -1,6 +1,6 @@
 // The Store implementation: LRU bookkeeping, singleflight generation,
-// columnar residency with lazy AoS materialization, and stats (see
-// doc.go for the package overview; disk.go holds the persistent tier).
+// columnar residency, and stats (see doc.go for the package overview;
+// disk.go holds the persistent tier).
 
 package tracestore
 
@@ -9,14 +9,15 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"stbpu/internal/trace"
 )
 
 // Key identifies one generated trace.
 type Key struct {
-	// Name is the workload preset name.
+	// Name is the workload's canonical name (trace.CanonicalName): a
+	// gem5 short name and its full SPEC name share one entry and one
+	// spill.
 	Name string
 	// Records is the trace length.
 	Records int
@@ -25,10 +26,11 @@ type Key struct {
 // String renders the key as the legacy per-run cache did ("name@records").
 func (k Key) String() string { return fmt.Sprintf("%s@%d", k.Name, k.Records) }
 
-// GenFunc materializes the trace for a key. It must be deterministic: the
-// store may drop and regenerate entries under byte pressure, and replay
-// results must not depend on which copy a cell observed.
-type GenFunc func(name string, records int) (*trace.Trace, trace.Profile, error)
+// GenFunc materializes the trace for a key in columnar form. It must be
+// deterministic: the store may drop and regenerate entries under byte
+// pressure, and replay results must not depend on which copy a cell
+// observed.
+type GenFunc func(name string, records int) (*trace.Columns, trace.Profile, error)
 
 // ProfileFunc derives the workload profile for a key without generating
 // the trace. The disk tier needs it: a trace decoded from an STBT spill
@@ -39,7 +41,7 @@ type ProfileFunc func(name string, records int) (trace.Profile, error)
 // PresetProfile is the default ProfileFunc: a registered runtime synth
 // (spec-driven workloads, trace.RegisterSynth) when one owns the name,
 // else the named preset resized to the requested record count —
-// exactly the profile PresetGen returns.
+// exactly the profile PresetGenColumns returns.
 func PresetProfile(name string, records int) (trace.Profile, error) {
 	if s, ok := trace.LookupSynth(name); ok {
 		return s.Profile(records)
@@ -51,39 +53,12 @@ func PresetProfile(name string, records int) (trace.Profile, error) {
 	return p.WithRecords(records), nil
 }
 
-// PresetGen is the default generator: a registered runtime synth when
-// one owns the name, else the named trace preset resized to the
-// requested record count. Synth names embed a content hash (the spec
-// layer guarantees it), so the disk tier's (name, records) spill keys
-// stay collision-free for synth workloads too.
-func PresetGen(name string, records int) (*trace.Trace, trace.Profile, error) {
-	if s, ok := trace.LookupSynth(name); ok {
-		p, err := s.Profile(records)
-		if err != nil {
-			return nil, trace.Profile{}, err
-		}
-		tr, err := s.Generate(records)
-		if err != nil {
-			return nil, trace.Profile{}, err
-		}
-		return tr, p, nil
-	}
-	p, err := trace.Preset(name)
-	if err != nil {
-		return nil, trace.Profile{}, err
-	}
-	p = p.WithRecords(records)
-	tr, err := trace.Generate(p)
-	if err != nil {
-		return nil, trace.Profile{}, err
-	}
-	return tr, p, nil
-}
-
-// PresetGenColumns is PresetGen generating straight into the columnar
-// storage representation: the byte stream is identical, but the
-// intermediate 32-byte-per-record AoS slice and the FromTrace
-// conversion pass are skipped. The store's default fill path uses it.
+// PresetGenColumns is the default generator: a registered runtime synth
+// when one owns the name, else the named trace preset resized to the
+// requested record count, generated straight into columns. Synth names
+// embed a content hash (the spec layer guarantees it), so the disk
+// tier's (name, records) spill keys stay collision-free for synth
+// workloads too.
 func PresetGenColumns(name string, records int) (*trace.Columns, trace.Profile, error) {
 	if s, ok := trace.LookupSynth(name); ok {
 		p, err := s.Profile(records)
@@ -115,25 +90,17 @@ func PresetGenColumns(name string, records int) (*trace.Columns, trace.Profile, 
 	return cols, p, nil
 }
 
-// SizeOf reports the resident footprint in bytes of one stored trace:
-// its columnar representation plus, when already materialized, the AoS
-// record view (recs is nil until some Get caller asked for records).
+// SizeOf reports the resident footprint in bytes of one stored trace.
 // The store charges every entry through this hook, so tests can pin
 // byte-exact budgets and alternative deployments can charge for
 // overheads this package cannot see.
-type SizeOf func(cols *trace.Columns, recs *trace.Trace) int64
+type SizeOf func(cols *trace.Columns) int64
 
 // ExactSize is the default SizeOf: the capacity-exact footprint of the
-// columns (trace.Columns.SizeBytes) plus the record array when
-// materialized, plus fixed per-entry bookkeeping overhead. Unlike the
-// pre-columnar estimate it charges the true backing-array capacities,
-// so the byte budget is respected to the byte.
-func ExactSize(cols *trace.Columns, recs *trace.Trace) int64 {
-	n := entryOverheadBytes + cols.SizeBytes()
-	if recs != nil {
-		n += int64(cap(recs.Records)) * recordBytes
-	}
-	return n
+// columns (trace.Columns.SizeBytes) plus fixed per-entry bookkeeping
+// overhead, so the byte budget is respected to the byte.
+func ExactSize(cols *trace.Columns) int64 {
+	return entryOverheadBytes + cols.SizeBytes()
 }
 
 // DefaultMaxBytes bounds stores whose creator does not choose a budget:
@@ -141,16 +108,13 @@ func ExactSize(cols *trace.Columns, recs *trace.Trace) int64 {
 // a full-scale sweep cannot hold hundreds of 250k-record traces at once.
 const DefaultMaxBytes = 256 << 20
 
-// recordBytes is the in-memory footprint of one AoS trace record.
-const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
-
 // entryOverheadBytes charges each entry for its map/list/struct/header
 // overhead so a pathological many-tiny-traces workload still respects
 // the bound.
 const entryOverheadBytes = 256
 
 // Stats is a point-in-time snapshot of store counters. Hits+Misses counts
-// Get/GetColumns calls; Generations counts actual synth runs (disk-tier
+// GetColumns calls; Generations counts actual synth runs (disk-tier
 // loads satisfy a miss without a generation). The Disk* counters are
 // zero unless a disk tier is configured (SetDir).
 type Stats struct {
@@ -161,7 +125,7 @@ type Stats struct {
 	// DiskHits counts misses satisfied by decoding a spilled STBT file;
 	// DiskMisses counts misses that found no usable spill; DiskWrites
 	// counts traces spilled; DiskErrors counts unreadable/corrupt spills
-	// and failed writes (both fall back to generation, never fail a Get).
+	// and failed writes (both fall back to generation, never fail a lookup).
 	DiskHits   uint64 `json:"disk_hits,omitempty"`
 	DiskMisses uint64 `json:"disk_misses,omitempty"`
 	DiskWrites uint64 `json:"disk_writes,omitempty"`
@@ -185,7 +149,7 @@ type Store struct {
 	gen      GenFunc
 	profile  ProfileFunc
 	maxBytes int64
-	// presetGen records that gen is the default PresetGen pipeline —
+	// presetGen records that gen is the default PresetGenColumns pipeline —
 	// the only generator whose spills the disk tier may trust or
 	// produce (SetDir enforces it).
 	presetGen bool
@@ -207,20 +171,15 @@ type Store struct {
 }
 
 // entry is one cached (or in-flight) trace. The sync.Once gives waiters
-// singleflight semantics: the first Get for a key fills (disk load or
-// generation), concurrent Gets block on the same Once and share the
-// result read-only. The columnar view is the canonical residency;
-// recOnce materializes the AoS view at most once per residency, on the
-// first Get that needs records (re-charging the entry's bytes).
+// singleflight semantics: the first GetColumns for a key fills (disk load
+// or generation), concurrent calls block on the same Once and share the
+// result read-only.
 type entry struct {
 	key  Key
 	once sync.Once
 	cols *trace.Columns
 	prof trace.Profile
 	err  error
-
-	recOnce sync.Once
-	recs    *trace.Trace
 
 	// mapped is non-nil when cols are zero-copy views of an mmap'd
 	// spill; eviction drops the store's reference to the region.
@@ -232,14 +191,15 @@ type entry struct {
 
 // New builds a store bounded to maxBytes of resident trace data
 // (maxBytes <= 0 means DefaultMaxBytes) generating through gen
-// (nil means PresetGen, with PresetProfile as the profile deriver).
+// (nil means PresetGenColumns, with PresetProfile as the profile
+// deriver).
 func New(maxBytes int64, gen GenFunc) *Store {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
 	presetGen := gen == nil
 	if gen == nil {
-		gen = PresetGen
+		gen = PresetGenColumns
 	}
 	return &Store{
 		gen:       gen,
@@ -253,8 +213,8 @@ func New(maxBytes int64, gen GenFunc) *Store {
 }
 
 // SetSizeOf installs the byte-accounting hook (nil reverts to
-// ExactSize). Call before the first Get; existing entries keep the
-// charge they were admitted with.
+// ExactSize). Call before the first GetColumns; existing entries keep
+// the charge they were admitted with.
 func (s *Store) SetSizeOf(fn SizeOf) {
 	if fn == nil {
 		fn = ExactSize
@@ -264,33 +224,13 @@ func (s *Store) SetSizeOf(fn SizeOf) {
 	s.mu.Unlock()
 }
 
-// Get returns the AoS trace for (name, records), generating it at most
-// once per residency no matter how many cells ask concurrently. The
-// record view is materialized from the stored columns at most once per
-// residency and shared; the returned trace must be treated as
-// read-only.
-func (s *Store) Get(name string, records int) (*trace.Trace, trace.Profile, error) {
-	e := s.entryFor(name, records)
-	if e.err != nil {
-		return nil, trace.Profile{}, e.err
-	}
-	return s.recordsOf(e), e.prof, nil
-}
-
-// GetColumns returns the columnar trace for (name, records): the
-// replay-hot path, which never materializes AoS records. The returned
-// columns are shared and must be treated as read-only.
+// GetColumns returns the columnar trace for (name, records), generating
+// it at most once per residency no matter how many cells ask
+// concurrently. A gem5 short name and its full SPEC name are one key
+// (trace.CanonicalName), and the columns carry the full name. The
+// returned columns are shared and must be treated as read-only.
 func (s *Store) GetColumns(name string, records int) (*trace.Columns, trace.Profile, error) {
-	e := s.entryFor(name, records)
-	if e.err != nil {
-		return nil, trace.Profile{}, e.err
-	}
-	return e.cols, e.prof, nil
-}
-
-// entryFor finds or creates the entry and fills it exactly once.
-func (s *Store) entryFor(name string, records int) *entry {
-	key := Key{Name: name, Records: records}
+	key := Key{Name: trace.CanonicalName(name), Records: records}
 
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -307,7 +247,10 @@ func (s *Store) entryFor(name string, records int) *entry {
 	s.mu.Unlock()
 
 	e.once.Do(func() { s.fill(e) })
-	return e
+	if e.err != nil {
+		return nil, trace.Profile{}, e.err
+	}
+	return e.cols, e.prof, nil
 }
 
 // fill materializes one entry: disk tier first (when configured), then
@@ -339,28 +282,12 @@ func (s *Store) fill(e *entry) {
 			s.mu.Unlock()
 		}
 	}
-	// Residency is columnar: the default pipeline generates straight
-	// into columns (PresetGenColumns); a custom GenFunc's AoS slice is
-	// converted and released. Either way a trace consumed only through
-	// GetColumns never pins the 32-byte-per-record row view — Get
-	// callers rebuild it lazily, one memcpy-scale pass per residency.
-	var cols *trace.Columns
-	var prof trace.Profile
-	var genErr error
-	if s.presetGen {
-		cols, prof, genErr = PresetGenColumns(name, records)
-	} else {
-		var tr *trace.Trace
-		tr, prof, genErr = s.gen(name, records)
-		if genErr == nil {
-			cols = trace.FromTrace(tr)
-		}
-	}
+	cols, prof, genErr := s.gen(name, records)
 	if genErr != nil {
 		e.err = genErr
 		s.mu.Lock()
 		// Failed generation is not cached: waiters on this entry see
-		// the error, the next Get retries with a fresh entry.
+		// the error, the next GetColumns retries with a fresh entry.
 		delete(s.entries, e.key)
 		s.mu.Unlock()
 		return
@@ -390,33 +317,12 @@ func (s *Store) admit(e *entry, generated bool) {
 // mapped entry's column bytes live in the kernel page cache, already
 // bounded by the files on disk — charging them again here would
 // double-count and evict the cheapest entries first — so it pays only
-// the fixed overhead plus any materialized AoS view (which IS heap).
+// the fixed overhead.
 func (s *Store) chargeLocked(e *entry) int64 {
 	if e.mapped == nil {
-		return s.sizeOf(e.cols, e.recs)
+		return s.sizeOf(e.cols)
 	}
-	n := int64(entryOverheadBytes)
-	if e.recs != nil {
-		n += int64(cap(e.recs.Records)) * recordBytes
-	}
-	return n
-}
-
-// recordsOf materializes the entry's AoS view at most once per
-// residency and re-charges the entry for the added footprint.
-func (s *Store) recordsOf(e *entry) *trace.Trace {
-	e.recOnce.Do(func() {
-		e.recs = e.cols.Trace()
-		s.mu.Lock()
-		if e.elem != nil {
-			grown := s.chargeLocked(e)
-			s.bytes += grown - e.bytes
-			e.bytes = grown
-			s.evictLocked()
-		}
-		s.mu.Unlock()
-	})
-	return e.recs
+	return entryOverheadBytes
 }
 
 // evictLocked drops least-recently-used entries until the store fits its

@@ -13,12 +13,12 @@ import (
 
 func TestGetReturnsPresetTrace(t *testing.T) {
 	s := New(0, nil)
-	tr, prof, err := s.Get("505.mcf", 5_000)
+	cols, prof, err := s.GetColumns("505.mcf", 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 5_000 {
-		t.Fatalf("records = %d, want 5000", len(tr.Records))
+	if cols.Len() != 5_000 {
+		t.Fatalf("records = %d, want 5000", cols.Len())
 	}
 	if prof.Name != "505.mcf" {
 		t.Fatalf("profile name = %q", prof.Name)
@@ -27,7 +27,7 @@ func TestGetReturnsPresetTrace(t *testing.T) {
 	if st.Misses != 1 || st.Generations != 1 || st.Hits != 0 {
 		t.Errorf("stats after first get = %+v", st)
 	}
-	if _, _, err := s.Get("505.mcf", 5_000); err != nil {
+	if _, _, err := s.GetColumns("505.mcf", 5_000); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
@@ -38,15 +38,15 @@ func TestGetReturnsPresetTrace(t *testing.T) {
 
 func TestUnknownPresetNotCached(t *testing.T) {
 	s := New(0, nil)
-	if _, _, err := s.Get("no-such-workload", 100); err == nil {
+	if _, _, err := s.GetColumns("no-such-workload", 100); err == nil {
 		t.Fatal("expected error for unknown preset")
 	}
 	st := s.Stats()
 	if st.Generations != 0 || st.Bytes != 0 {
 		t.Errorf("failed generation leaked into stats: %+v", st)
 	}
-	// The failed entry must not poison later lookups: a second Get retries.
-	if _, _, err := s.Get("no-such-workload", 100); err == nil {
+	// The failed entry must not poison later lookups: a second call retries.
+	if _, _, err := s.GetColumns("no-such-workload", 100); err == nil {
 		t.Fatal("expected error on retry")
 	}
 	if st := s.Stats(); st.Misses != 2 {
@@ -57,13 +57,13 @@ func TestUnknownPresetNotCached(t *testing.T) {
 // synthGen builds tiny traces while counting real generations, so tests
 // can assert singleflight and regeneration behavior exactly.
 func synthGen(calls *atomic.Uint64) GenFunc {
-	return func(name string, records int) (*trace.Trace, trace.Profile, error) {
+	return func(name string, records int) (*trace.Columns, trace.Profile, error) {
 		calls.Add(1)
-		tr := &trace.Trace{Name: name, Records: make([]trace.Record, records)}
-		for i := range tr.Records {
-			tr.Records[i] = trace.Record{PC: uint64(i)<<2 + uint64(len(name)), Kind: trace.KindCond}
+		recs := make([]trace.Record, records)
+		for i := range recs {
+			recs[i] = trace.Record{PC: uint64(i)<<2 + uint64(len(name)), Kind: trace.KindCond}
 		}
-		return tr, trace.Profile{Name: name}, nil
+		return trace.FromRecords(name, recs), trace.Profile{Name: name}, nil
 	}
 }
 
@@ -73,12 +73,12 @@ func TestConcurrentGetsGenerateOnce(t *testing.T) {
 
 	const goroutines = 32
 	var wg sync.WaitGroup
-	traces := make([]*trace.Trace, goroutines)
+	traces := make([]*trace.Columns, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr, _, err := s.Get("shared", 1_000)
+			tr, _, err := s.GetColumns("shared", 1_000)
 			if err != nil {
 				t.Error(err)
 				return
@@ -107,7 +107,7 @@ func TestConcurrentGetsGenerateOnce(t *testing.T) {
 
 // recordCountSize is a SizeOf hook that charges one byte per record,
 // making budget arithmetic in eviction tests exact and self-evident.
-func recordCountSize(cols *trace.Columns, recs *trace.Trace) int64 {
+func recordCountSize(cols *trace.Columns) int64 {
 	return int64(cols.Len())
 }
 
@@ -119,7 +119,7 @@ func TestByteBoundEviction(t *testing.T) {
 	s.SetSizeOf(recordCountSize)
 
 	for _, name := range []string{"a", "b", "c"} {
-		if _, _, err := s.Get(name, 1_000); err != nil {
+		if _, _, err := s.GetColumns(name, 1_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,13 +136,13 @@ func TestByteBoundEviction(t *testing.T) {
 
 	// "a" was least recently used, so it is the one that regenerates.
 	calls.Store(0)
-	if _, _, err := s.Get("a", 1_000); err != nil {
+	if _, _, err := s.GetColumns("a", 1_000); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
 		t.Error("evicted trace was not regenerated")
 	}
-	if _, _, err := s.Get("c", 1_000); err != nil {
+	if _, _, err := s.GetColumns("c", 1_000); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
@@ -156,17 +156,17 @@ func TestLRUOrderRespectsHits(t *testing.T) {
 	s := New(2*perTrace, synthGen(&calls))
 	s.SetSizeOf(recordCountSize)
 
-	s.Get("a", 1_000)
-	s.Get("b", 1_000)
-	s.Get("a", 1_000) // refresh "a": "b" becomes the LRU victim
-	s.Get("c", 1_000)
+	s.GetColumns("a", 1_000)
+	s.GetColumns("b", 1_000)
+	s.GetColumns("a", 1_000) // refresh "a": "b" becomes the LRU victim
+	s.GetColumns("c", 1_000)
 
 	calls.Store(0)
-	s.Get("a", 1_000)
+	s.GetColumns("a", 1_000)
 	if calls.Load() != 0 {
 		t.Error("recently used trace was evicted")
 	}
-	s.Get("b", 1_000)
+	s.GetColumns("b", 1_000)
 	if calls.Load() != 1 {
 		t.Error("LRU victim was not evicted")
 	}
@@ -175,11 +175,11 @@ func TestLRUOrderRespectsHits(t *testing.T) {
 func TestOversizeEntryDoesNotWedgeStore(t *testing.T) {
 	var calls atomic.Uint64
 	s := New(1, synthGen(&calls)) // every trace exceeds the budget
-	tr, _, err := s.Get("big", 10_000)
+	cols, _, err := s.GetColumns("big", 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 10_000 {
+	if cols.Len() != 10_000 {
 		t.Fatal("oversize trace not returned")
 	}
 	if s.Len() != 0 {
@@ -194,7 +194,7 @@ func TestOversizeEntryDoesNotWedgeStore(t *testing.T) {
 // cell reads from the store must be byte-identical to one generated
 // directly, and to one regenerated after eviction.
 func TestCachedEqualsFresh(t *testing.T) {
-	encode := func(tr *trace.Trace) []byte {
+	encode := func(tr *trace.Columns) []byte {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
 			t.Fatal(err)
@@ -204,14 +204,14 @@ func TestCachedEqualsFresh(t *testing.T) {
 
 	for _, name := range []string{"505.mcf", "mysql_128con_50s"} {
 		t.Run(name, func(t *testing.T) {
-			fresh, _, err := PresetGen(name, 8_000)
+			fresh, _, err := PresetGenColumns(name, 8_000)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := encode(fresh)
 
 			s := New(0, nil)
-			cached, _, err := s.Get(name, 8_000)
+			cached, _, err := s.GetColumns(name, 8_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,11 +220,11 @@ func TestCachedEqualsFresh(t *testing.T) {
 			}
 
 			// Evict by flooding a tiny store sized to hold exactly one
-			// fully-materialized trace, then regenerate.
-			tiny := New(ExactSize(trace.FromTrace(fresh), fresh), nil)
-			tiny.Get(name, 8_000)
-			tiny.Get("519.lbm", 8_000) // evicts name
-			regen, _, err := tiny.Get(name, 8_000)
+			// trace, then regenerate.
+			tiny := New(ExactSize(fresh), nil)
+			tiny.GetColumns(name, 8_000)
+			tiny.GetColumns("519.lbm", 8_000) // evicts name
+			regen, _, err := tiny.GetColumns(name, 8_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				name := fmt.Sprintf("w%d", (g+i)%6)
-				if _, _, err := s.Get(name, 500); err != nil {
+				if _, _, err := s.GetColumns(name, 500); err != nil {
 					t.Error(err)
 					return
 				}
@@ -280,16 +280,16 @@ func TestBudgetRespectedToTheByte(t *testing.T) {
 
 	exact := New(2_000, synthGen(&calls))
 	exact.SetSizeOf(recordCountSize)
-	exact.Get("a", 1_000)
-	exact.Get("b", 1_000)
+	exact.GetColumns("a", 1_000)
+	exact.GetColumns("b", 1_000)
 	if st := exact.Stats(); st.Bytes != 2_000 || st.Evictions != 0 {
 		t.Errorf("exact-fit budget: bytes=%d evictions=%d, want 2000/0", st.Bytes, st.Evictions)
 	}
 
 	under := New(1_999, synthGen(&calls))
 	under.SetSizeOf(recordCountSize)
-	under.Get("a", 1_000)
-	under.Get("b", 1_000)
+	under.GetColumns("a", 1_000)
+	under.GetColumns("b", 1_000)
 	st := under.Stats()
 	if st.Evictions != 1 || under.Len() != 1 {
 		t.Errorf("one-byte-under budget: evictions=%d resident=%d, want 1/1", st.Evictions, under.Len())
@@ -299,59 +299,18 @@ func TestBudgetRespectedToTheByte(t *testing.T) {
 	}
 }
 
-// TestMaterializationRecharges pins the lazy-AoS accounting: a
-// GetColumns-only entry is charged for its columns; the first Get that
-// needs records grows the charge and can push the store over budget,
-// evicting the LRU entry.
-func TestMaterializationRecharges(t *testing.T) {
-	var calls atomic.Uint64
-	s := New(10, synthGen(&calls))
-	// Columns cost 1 byte, the materialized record view 100 more.
-	s.SetSizeOf(func(cols *trace.Columns, recs *trace.Trace) int64 {
-		if recs != nil {
-			return 101
-		}
-		return 1
-	})
-
-	if _, _, err := s.GetColumns("a", 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.GetColumns("b", 100); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Bytes != 2 || st.Evictions != 0 {
-		t.Fatalf("columns-only stats = %+v, want 2 bytes, 0 evictions", st)
-	}
-
-	// Materializing "b" raises its charge to 101: over budget, "a" goes.
-	if _, _, err := s.Get("b", 100); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Error("materialization did not trigger eviction under byte pressure")
-	}
-	if s.Len() != 0 { // 101 > 10: the materialized entry itself is oversize
-		t.Errorf("resident = %d, want 0 (oversize after materialization)", s.Len())
-	}
-}
-
-// TestColumnsAndRecordsViewsAgree pins the two Get paths to one
-// underlying trace: the AoS view is the row-major projection of the
-// columns, and repeated Gets share one materialization.
+// TestColumnsAndRecordsViewsAgree pins the served columns to the AoS
+// generator: the store's columnar pipeline yields, row for row, the
+// records trace.Generate produces for the same profile.
 func TestColumnsAndRecordsViewsAgree(t *testing.T) {
 	s := New(0, nil)
-	cols, colsProf, err := s.GetColumns("505.mcf", 4_000)
+	cols, prof, err := s.GetColumns("505.mcf", 4_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, trProf, err := s.Get("505.mcf", 4_000)
+	tr, err := trace.Generate(prof)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if colsProf != trProf {
-		t.Error("profiles diverge between GetColumns and Get")
 	}
 	if cols.Len() != len(tr.Records) || cols.Name != tr.Name {
 		t.Fatalf("views disagree on shape: %d/%q vs %d/%q",
@@ -361,15 +320,5 @@ func TestColumnsAndRecordsViewsAgree(t *testing.T) {
 		if cols.Record(i) != tr.Records[i] {
 			t.Fatalf("record %d diverges between views", i)
 		}
-	}
-	tr2, _, err := s.Get("505.mcf", 4_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2 != tr {
-		t.Error("second Get materialized a fresh record view")
-	}
-	if st := s.Stats(); st.Generations != 1 {
-		t.Errorf("generations = %d, want 1", st.Generations)
 	}
 }
