@@ -23,7 +23,7 @@
 //	stbpu-suite -journal run.jsonl -resume  # skip cells the journal already holds
 //	stbpu-suite -trace-dir ~/.cache/stbpu   # persist generated traces across runs
 //	stbpu-suite -trace-dir d -trace-mmap    # map spilled traces zero-copy (unix)
-//	stbpu-suite -trace-major=false          # model-major (ungrouped) scheduling
+//	stbpu-suite -trace-major=false          # no cell shares a computed value with another
 //	stbpu-suite -snapshots=false            # force full warmup replay (no checkpoints)
 //	stbpu-suite -snap-dir ~/.cache/stbpu-snaps  # persist predictor checkpoints across runs
 //
@@ -99,9 +99,9 @@ type config struct {
 	// as STBT files and later runs (and fleet workers) decode instead of
 	// regenerating.
 	traceDir string
-	// modelMajor disables trace-major grouped scheduling. Stored inverted
-	// (like harness.Pool) so a zero-value config keeps the default:
-	// trace-major on.
+	// modelMajor disables grouping: no cell shares a computed value with
+	// another. Stored inverted (like harness.Pool) so a zero-value config
+	// keeps the default: grouping on.
 	modelMajor bool
 	// traceMmap spills traces in the page-aligned STBT v2 layout and maps
 	// them read-only as columns instead of decoding (with -trace-dir).
@@ -398,7 +398,7 @@ func run() error {
 		quick     = flag.Bool("quick", false, "use the QuickScale test/benchmark sizing")
 		cacheB    = flag.Int64("cache-bytes", tracestore.DefaultMaxBytes, "byte budget for the shared cross-run trace store (<=0 = default budget)")
 		traceDir  = flag.String("trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
-		traceMaj  = flag.Bool("trace-major", true, "group cells that share a trace and replay all their models in one pass over the resident columns (=false for model-major scheduling)")
+		traceMaj  = flag.Bool("trace-major", true, "group cells that share a computed value (a trace-major replay over one resident trace, a CPU-model timeline or baseline) so each group computes it once (=false: no cell shares a computed value with another)")
 		traceMmap = flag.Bool("trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
 		snapsF    = flag.Bool("snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
 		snapB     = flag.Int64("snap-bytes", snapstore.DefaultMaxBytes, "byte budget for the in-memory checkpoint store (<=0 = default budget)")

@@ -340,8 +340,20 @@ func TestExecResumeAllScenarios(t *testing.T) {
 // golden scenario set produces byte-identical documents under grouped
 // trace-major scheduling (the default) and per-cell model-major
 // scheduling, modulo trace-store counters — grouping changes how often
-// the cache is consulted, never what the cells compute.
+// the cache is consulted, never what the cells compute. Off, every Fig.
+// 4-6 cell builds its own timeline and every Fig. 6 cell its own
+// baseline, and the CPU figures must still match their golden.
 func TestTraceMajorOffMatchesOn(t *testing.T) {
+	cpuOff := cpuGoldenConfig()
+	cpuOff.modelMajor = true
+	doc, err := runSuite(context.Background(), cpuOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.TraceStore = tracestore.Stats{}
+	doc.SnapStore = snapstore.Stats{}
+	checkGolden(t, "cpu.golden.json", doc)
+
 	docOn, err := runSuite(context.Background(), goldenConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ type CovertResult struct {
 
 // covertCell is one (model, trial) measurement before averaging. Its
 // fields are exported so the cell survives the JSON round-trip through a
-// wire backend (see internal/harness/exec.go).
+// wire backend (see harness.CellResult).
 type covertCell struct {
 	ErrRate, Capacity, Bandwidth float64
 	Rerands                      uint64
@@ -53,18 +53,13 @@ func RunCovertComparison(nbits int) CovertResult {
 	return res
 }
 
-// RunCovertComparisonCtx measures the channel, sharding (model × trial)
-// cells; trials average out randomized defenses' luck.
-func RunCovertComparisonCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (CovertResult, error) {
+// covertSpace declares the channel's (model × trial) cells.
+func covertSpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, covertCell], error) {
 	models := DefenseModels()
-	trials := p.Trials
-	if trials <= 0 {
-		trials = matrixRuns
-	}
-	cells, err := harness.Map(ctx, pool, "covert", len(models)*trials,
+	trials := matrixTrials(p)
+	return harness.Cells("covert", len(models)*trials,
 		func(ctx context.Context, shard int, seed uint64) (covertCell, error) {
-			m := shard / trials
-			tgt := newMatrixTarget(models, m, seed)
+			tgt := newMatrixTarget(models, shard/trials, seed)
 			// The channel's pattern RNG gets its own stream, split off the
 			// cell seed so model and channel noise stay independent.
 			chanSeed := rng.SplitMix64(&seed)
@@ -75,10 +70,18 @@ func RunCovertComparisonCtx(ctx context.Context, p harness.Params, pool *harness
 				Bandwidth: r.BandwidthBitsPerKRecord(),
 				Rerands:   r.Rerandomizations,
 			}, nil
-		})
+		}), nil
+}
+
+// RunCovertComparisonCtx measures the channel, sharding (model × trial)
+// cells; trials average out randomized defenses' luck.
+func RunCovertComparisonCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (CovertResult, error) {
+	cells, err := mapSpace(ctx, p, pool, covertSpace)
 	if err != nil {
 		return CovertResult{}, err
 	}
+	models := DefenseModels()
+	trials := matrixTrials(p)
 	res := CovertResult{Bits: p.Bits}
 	for m := range models {
 		var row CovertRow

@@ -77,17 +77,14 @@ func RunDefenseAccuracy(s Scale) (DefenseAccuracyResult, error) {
 	return RunDefenseAccuracyCtx(context.Background(), s.Params(), harness.Default())
 }
 
-// RunDefenseAccuracyCtx measures OAE for every model in the lineup,
-// sharding (workload × model) cells.
-func RunDefenseAccuracyCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (DefenseAccuracyResult, error) {
+// defenseAccuracySpace declares the (workload × model) cells.
+// Trace-major: one pass per workload feeds the whole model lineup.
+func defenseAccuracySpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], error) {
 	s := scaleOf(p)
 	names := capList(defenseWorkloads(), s.MaxWorkloads)
-	res := DefenseAccuracyResult{Models: DefenseModels()}
 	cache := pool.Traces()
-	k := len(res.Models)
-	// Trace-major: one pass per workload feeds the whole model lineup.
-	oaes, err := harness.MapTraceMajor(ctx, pool, "defense-accuracy", len(names)*k,
-		func(shard int) int { return shard / k },
+	k := len(DefenseModels())
+	return harness.Joint("defense-accuracy", len(names)*k,
 		func(shard int) string { return harness.Locality(names[shard/k], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
 			cols, prof, err := cache.GetColumns(names[shards[0]/k], s.Records)
@@ -107,10 +104,19 @@ func RunDefenseAccuracyCtx(ctx context.Context, p harness.Params, pool *harness.
 				out[i] = r.OAE()
 			}
 			return out, nil
-		})
+		}), nil
+}
+
+// RunDefenseAccuracyCtx measures OAE for every model in the lineup,
+// sharding (workload × model) cells.
+func RunDefenseAccuracyCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (DefenseAccuracyResult, error) {
+	oaes, err := mapSpace(ctx, p, pool, defenseAccuracySpace)
 	if err != nil {
 		return DefenseAccuracyResult{}, err
 	}
+	names := capList(defenseWorkloads(), p.MaxWorkloads)
+	res := DefenseAccuracyResult{Models: DefenseModels()}
+	k := len(res.Models)
 	res.Rows = make([]DefenseAccuracyRow, len(names))
 	for w := range names {
 		row := DefenseAccuracyRow{
@@ -249,31 +255,46 @@ func RunDefenseMatrix() DefenseMatrixResult {
 	return res
 }
 
+// matrixTrials returns p's trial count, defaulting to matrixRuns.
+func matrixTrials(p harness.Params) int {
+	if p.Trials <= 0 {
+		return matrixRuns
+	}
+	return p.Trials
+}
+
+// defenseMatrixSpace declares the matrix's (attack × model × trial)
+// cells.
+func defenseMatrixSpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, attacks.Result], error) {
+	drivers := matrixDrivers()
+	models := DefenseModels()
+	trials := matrixTrials(p)
+	nm := len(models)
+	return harness.Cells("defense-matrix", len(drivers)*nm*trials,
+		func(ctx context.Context, shard int, seed uint64) (attacks.Result, error) {
+			a := shard / (nm * trials)
+			m := (shard / trials) % nm
+			return drivers[a].run(func() *attacks.Target {
+				return newMatrixTarget(models, m, seed)
+			}), nil
+		}), nil
+}
+
 // RunDefenseMatrixCtx drives the matrix, sharding (attack × model × trial)
 // cells. An attack class counts as OPEN only if it succeeds in at least
 // matrixWins of p.Trials independent runs.
 func RunDefenseMatrixCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (DefenseMatrixResult, error) {
+	runs, err := mapSpace(ctx, p, pool, defenseMatrixSpace)
+	if err != nil {
+		return DefenseMatrixResult{}, err
+	}
 	drivers := matrixDrivers()
 	res := DefenseMatrixResult{Models: DefenseModels()}
 	for _, d := range drivers {
 		res.Attacks = append(res.Attacks, d.name)
 	}
-	trials := p.Trials
-	if trials <= 0 {
-		trials = matrixRuns
-	}
+	trials := matrixTrials(p)
 	nm := len(res.Models)
-	runs, err := harness.Map(ctx, pool, "defense-matrix", len(drivers)*nm*trials,
-		func(ctx context.Context, shard int, seed uint64) (attacks.Result, error) {
-			a := shard / (nm * trials)
-			m := (shard / trials) % nm
-			return drivers[a].run(func() *attacks.Target {
-				return newMatrixTarget(res.Models, m, seed)
-			}), nil
-		})
-	if err != nil {
-		return DefenseMatrixResult{}, err
-	}
 	// The win bar scales with the trial count, preserving the 3-of-4
 	// default ratio.
 	wins := (matrixWins*trials + matrixRuns - 1) / matrixRuns

@@ -2,11 +2,12 @@
 // evaluation (§VII) from this repository's models. It is the scenario
 // layer of docs/ARCHITECTURE.md: each experiment is registered as a
 // harness.Scenario (see scenarios.go) whose cell space — (model ×
-// workload × trial) — is sharded across the harness with per-cell seeds
-// derived from the pool's root seed, so results are bit-identical at
-// any worker count and on any backend (in-process, subprocess, or
-// mixed; scenarios are backend-agnostic because all scheduling goes
-// through harness.Map).
+// workload × trial) — one constructor per scenario declares as a
+// harness.Space, with per-cell seeds derived from the pool's root seed,
+// so results are bit-identical at any worker count and on any backend
+// (in-process, subprocess, or mixed). Scenarios are backend-agnostic:
+// the Run*Ctx functions map their space with harness.Map, and fleet
+// workers execute chunks of the same declaration.
 //
 // Each Run* function returns a structured result with a Render method
 // (built on results.Grid, the shared table renderer) producing the same
@@ -15,12 +16,15 @@
 // metric (tables.go holds the Tabler implementations and the typed
 // DecodeResult used to reload suite documents).
 //
-// Two conventions keep cells distributable (docs/ARCHITECTURE.md "The
+// Three conventions keep cells distributable (docs/ARCHITECTURE.md "The
 // determinism contract"):
 //
 //   - every stochastic input derives from the cell seed, never from
 //     time or a shared RNG, and aggregation walks shard order;
 //   - intermediate per-cell structs (fig6Cell, covertCell, ittageCell)
 //     keep exported fields so a cell's value survives the JSON framing
-//     of harness.ExecBackend byte-exactly.
+//     of the fleet backends byte-exactly;
+//   - a value several cells share (a trace-major joint replay, a CPU
+//     timeline) is the Shared value of their locality group, never a
+//     per-run cache, so any process computes it from the cells it holds.
 package experiments

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"stbpu/internal/analysis"
 	"stbpu/internal/core"
@@ -20,6 +19,7 @@ import (
 	"stbpu/internal/stats"
 	"stbpu/internal/token"
 	"stbpu/internal/trace"
+	"stbpu/internal/tracestore"
 )
 
 // Scale bounds experiment size so the same harness serves quick tests,
@@ -56,30 +56,14 @@ func capList[T any](xs []T, n int) []T {
 	return xs
 }
 
-// memo computes a value shared by several cells at most once per scenario
-// run: the cycle model's memory timeline of a workload or SMT pair, which
-// every predictor's cell replays, and Fig. 6's unprotected baseline. The
-// value is a deterministic function of the cells' common inputs, so
-// whichever cell arrives first computes it and results stay
-// worker-count-independent. The memo is per-Run-invocation: under a
-// fleet backend each worker chunk re-runs the decomposition and so
-// recomputes the entries its cells touch. The cells sharing an entry
-// carry one locality key (harness.WithLocality), and both fleet
-// transports (exec and TCP) ship every locality group whole as one
-// chunk, so each entry is still computed once per run; a requeued or
-// speculated chunk recomputes it — duplicated work on the same
-// deterministic inputs, never a result difference (the same trade-off
-// as worker-local trace generation; see internal/tracestore/doc.go).
-type memo[T any] struct {
-	once sync.Once
-	val  T
-	err  error
-}
-
-// get returns the memoized value, computing it with f on first call.
-func (m *memo[T]) get(f func() (T, error)) (T, error) {
-	m.once.Do(func() { m.val, m.err = f() })
-	return m.val, m.err
+// mapSpace builds a scenario's cell space and maps it on pool.
+func mapSpace[S, T any](ctx context.Context, p harness.Params, pool *harness.Pool,
+	build func(harness.Params, *harness.Pool) (harness.Space[S, T], error)) ([]T, error) {
+	sp, err := build(p, pool)
+	if err != nil {
+		return nil, err
+	}
+	return harness.Map(ctx, pool, sp)
 }
 
 // Workload traces come from the pool's shared tracestore.Store: one
@@ -113,18 +97,16 @@ func RunFig3(s Scale) (Fig3Result, error) {
 	return RunFig3Ctx(context.Background(), s.Params(), harness.Default())
 }
 
-// RunFig3Ctx regenerates Fig. 3 on the given pool, sharding
-// (workload × model) cells.
-func RunFig3Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig3Result, error) {
+// fig3Space declares Fig. 3's (workload × model) cells. Trace-major:
+// all of a workload's model cells replay in one pass over its shared
+// columns.
+func fig3Space(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], error) {
 	s := scaleOf(p)
 	names := capList(trace.Fig3Workloads(), s.MaxWorkloads)
 	kinds := sim.Fig3Kinds()
 	cache := pool.Traces()
 	k := len(kinds)
-	// Trace-major: all of a workload's model cells (shard/k equal)
-	// replay in one pass over the shared columns.
-	oaes, err := harness.MapTraceMajor(ctx, pool, "fig3", len(names)*k,
-		func(shard int) int { return shard / k },
+	return harness.Joint("fig3", len(names)*k,
 		func(shard int) string { return harness.Locality(names[shard/k], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
 			cols, prof, err := cache.GetColumns(names[shards[0]/k], s.Records)
@@ -144,10 +126,18 @@ func RunFig3Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig3
 				out[i] = res.OAE()
 			}
 			return out, nil
-		})
+		}), nil
+}
+
+// RunFig3Ctx regenerates Fig. 3 on the given pool, sharding
+// (workload × model) cells.
+func RunFig3Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig3Result, error) {
+	oaes, err := mapSpace(ctx, p, pool, fig3Space)
 	if err != nil {
 		return Fig3Result{}, err
 	}
+	names := capList(trace.Fig3Workloads(), p.MaxWorkloads)
+	k := len(sim.Fig3Kinds())
 	res := Fig3Result{Rows: make([]Fig3Row, len(names))}
 	for w := range names {
 		row := Fig3Row{Workload: names[w]}
@@ -239,35 +229,50 @@ func RunFig4(s Scale) (Fig4Result, error) {
 	return RunFig4Ctx(context.Background(), s.Params(), harness.Default())
 }
 
-// RunFig4Ctx regenerates Fig. 4 on the given pool, sharding
-// (workload × predictor) cells. A workload's memory timeline is shared by
-// its predictor cells.
-func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4Result, error) {
+// cpuShare is what the cells of one Fig. 4 workload or one Fig. 5/6 SMT
+// pair share: the traces (b only for a pair), their memory timeline,
+// and for Fig. 6 the pair's unprotected TAGE64 harmonic-mean IPC.
+type cpuShare struct {
+	a, b    *trace.Columns
+	tl      *cpu.Timeline
+	baseIPC float64
+}
+
+// fig4Space declares Fig. 4's (workload × predictor) cells. A
+// workload's memory timeline is shared by its predictor cells, which
+// each replay it through one unprotected/ST predictor pair.
+func fig4Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], error) {
 	s := scaleOf(p)
 	names := capList(trace.SPEC18(), s.MaxWorkloads)
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
-	timelines := make([]memo[*cpu.Timeline], len(names))
-	ctx = harness.WithLocality(ctx, "fig4", func(shard int) string { return harness.Locality(names[shard/d], s.Records) })
-	cells, err := harness.Map(ctx, pool, "fig4", len(names)*d,
-		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
-			w, di := shard/d, shard%d
-			tr, _, err := cache.GetColumns(names[w], s.Records)
+	return harness.Space[cpuShare, Fig4Cell]{
+		Scope: "fig4", N: len(names) * d,
+		Group: func(shard int) string { return harness.Locality(names[shard/d], s.Records) },
+		Shared: func(ctx context.Context, shards []int, _ []uint64) (cpuShare, error) {
+			tr, _, err := cache.GetColumns(names[shards[0]/d], s.Records)
 			if err != nil {
-				return Fig4Cell{}, err
+				return cpuShare{}, err
 			}
-			tl, err := timelines[w].get(func() (*cpu.Timeline, error) {
-				return cpu.NewTimeline(ctx, cpu.ConfigFor(tr.Name), tr)
-			})
-			if err != nil {
-				return Fig4Cell{}, err
-			}
-			return runPair(ctx, tl, tr, dirs[di], seed)
-		})
+			tl, err := cpu.NewTimeline(ctx, cpu.ConfigFor(tr.Name), tr)
+			return cpuShare{a: tr, tl: tl}, err
+		},
+		Cell: func(ctx context.Context, sh cpuShare, shard int, seed uint64) (Fig4Cell, error) {
+			return runPair(ctx, sh.tl, sh.a, dirs[shard%d], seed)
+		},
+	}, nil
+}
+
+// RunFig4Ctx regenerates Fig. 4 on the given pool, sharding
+// (workload × predictor) cells.
+func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4Result, error) {
+	cells, err := mapSpace(ctx, p, pool, fig4Space)
 	if err != nil {
 		return Fig4Result{}, err
 	}
+	names := capList(trace.SPEC18(), p.MaxWorkloads)
+	d := len(Fig4Dirs())
 	res := Fig4Result{Rows: make([]Fig4Row, len(names))}
 	for w := range names {
 		row := Fig4Row{Workload: names[w]}
@@ -363,41 +368,52 @@ func RunFig5(s Scale) (Fig5Result, error) {
 	return RunFig5Ctx(context.Background(), s.Params(), harness.Default())
 }
 
-// RunFig5Ctx regenerates Fig. 5 on the given pool, sharding
-// (pair × predictor) cells. A pair's SMT memory timeline is shared by its
-// predictor cells.
-func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5Result, error) {
+// fig5Space declares Fig. 5's (pair × predictor) cells. A pair's SMT
+// memory timeline is shared by its predictor cells.
+func fig5Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], error) {
 	s := scaleOf(p)
 	pairs := capList(trace.SMTPairs(), s.MaxPairs)
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
-	timelines := make([]memo[*cpu.Timeline], len(pairs))
-	ctx = harness.WithLocality(ctx, "fig5", func(shard int) string {
-		return harness.PairLocality(pairs[shard/d][0], pairs[shard/d][1], s.Records)
-	})
-	cells, err := harness.Map(ctx, pool, "fig5", len(pairs)*d,
-		func(ctx context.Context, shard int, seed uint64) (Fig4Cell, error) {
-			pi, di := shard/d, shard%d
-			a, _, err := cache.GetColumns(pairs[pi][0], s.Records)
-			if err != nil {
-				return Fig4Cell{}, err
-			}
-			b, _, err := cache.GetColumns(pairs[pi][1], s.Records)
-			if err != nil {
-				return Fig4Cell{}, err
-			}
-			tl, err := timelines[pi].get(func() (*cpu.Timeline, error) {
-				return cpu.NewSMTTimeline(ctx, cpu.ConfigFor(a.Name), a, b)
-			})
-			if err != nil {
-				return Fig4Cell{}, err
-			}
-			return runSMTPair(ctx, tl, a, b, dirs[di], seed)
-		})
+	return harness.Space[cpuShare, Fig4Cell]{
+		Scope: "fig5", N: len(pairs) * d,
+		Group: func(shard int) string {
+			return harness.PairLocality(pairs[shard/d][0], pairs[shard/d][1], s.Records)
+		},
+		Shared: func(ctx context.Context, shards []int, _ []uint64) (cpuShare, error) {
+			return smtShare(ctx, cache, pairs[shards[0]/d], s.Records)
+		},
+		Cell: func(ctx context.Context, sh cpuShare, shard int, seed uint64) (Fig4Cell, error) {
+			return runSMTPair(ctx, sh.tl, sh.a, sh.b, dirs[shard%d], seed)
+		},
+	}, nil
+}
+
+// smtShare fetches an SMT pair's traces and builds their memory
+// timeline.
+func smtShare(ctx context.Context, cache *tracestore.Store, pair [2]string, records int) (cpuShare, error) {
+	a, _, err := cache.GetColumns(pair[0], records)
+	if err != nil {
+		return cpuShare{}, err
+	}
+	b, _, err := cache.GetColumns(pair[1], records)
+	if err != nil {
+		return cpuShare{}, err
+	}
+	tl, err := cpu.NewSMTTimeline(ctx, cpu.ConfigFor(a.Name), a, b)
+	return cpuShare{a: a, b: b, tl: tl}, err
+}
+
+// RunFig5Ctx regenerates Fig. 5 on the given pool, sharding
+// (pair × predictor) cells.
+func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5Result, error) {
+	cells, err := mapSpace(ctx, p, pool, fig5Space)
 	if err != nil {
 		return Fig5Result{}, err
 	}
+	pairs := capList(trace.SMTPairs(), p.MaxPairs)
+	d := len(Fig4Dirs())
 	res := Fig5Result{Rows: make([]Fig5Row, len(pairs))}
 	for pi := range pairs {
 		row := Fig5Row{Pair: pairs[pi]}
@@ -440,7 +456,7 @@ func DefaultFig6Sweep() []float64 { return []float64{5e-2, 5e-3, 5e-4, 5e-5, 5e-
 
 // fig6Cell is one (r, pair) measurement before aggregation. Its fields
 // are exported so the cell survives the JSON round-trip through a wire
-// backend (see internal/harness/exec.go).
+// backend (see harness.CellResult).
 type fig6Cell struct {
 	Acc, IPC float64
 	Rerands  uint64
@@ -453,73 +469,69 @@ func RunFig6(s Scale, rs []float64) (Fig6Result, error) {
 	return RunFig6Ctx(context.Background(), p, harness.Default())
 }
 
-// RunFig6Ctx regenerates Fig. 6 on the given pool, sharding (r × pair)
-// cells across the sweep in p.Sweep.
-func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6Result, error) {
-	s := scaleOf(p)
-	rs := p.Sweep
-	if len(rs) == 0 {
-		rs = DefaultFig6Sweep()
+// fig6Sweep returns the r axis of p, defaulting to DefaultFig6Sweep.
+func fig6Sweep(p harness.Params) []float64 {
+	if len(p.Sweep) == 0 {
+		return DefaultFig6Sweep()
 	}
+	return p.Sweep
+}
+
+// fig6Space declares Fig. 6's (r × pair) cells across the sweep in
+// p.Sweep. The pair's SMT memory timeline and its unprotected TAGE64
+// baseline depend only on the pair, not on r, so the pair's cells
+// share both across the sweep and each replays only its ST model.
+func fig6Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, fig6Cell], error) {
+	s := scaleOf(p)
+	rs := fig6Sweep(p)
 	pairs := capList(trace.SMTPairsExtended(), s.MaxPairs)
 	cache := pool.Traces()
 	np := len(pairs)
-	// The pair's SMT memory timeline and its unprotected TAGE64 baseline
-	// depend only on the pair, not on r, so both are computed once per
-	// pair and shared across the sweep.
-	type pairBase struct {
-		tl  *cpu.Timeline
-		ipc float64
-	}
-	bases := make([]memo[pairBase], np)
-	ctx = harness.WithLocality(ctx, "fig6", func(shard int) string {
-		return harness.PairLocality(pairs[shard%np][0], pairs[shard%np][1], s.Records)
-	})
-	cells, err := harness.Map(ctx, pool, "fig6", len(rs)*np,
-		func(ctx context.Context, shard int, seed uint64) (fig6Cell, error) {
-			ri, pi := shard/np, shard%np
-			a, _, err := cache.GetColumns(pairs[pi][0], s.Records)
+	return harness.Space[cpuShare, fig6Cell]{
+		Scope: "fig6", N: len(rs) * np,
+		Group: func(shard int) string {
+			return harness.PairLocality(pairs[shard%np][0], pairs[shard%np][1], s.Records)
+		},
+		Shared: func(ctx context.Context, shards []int, _ []uint64) (cpuShare, error) {
+			sh, err := smtShare(ctx, cache, pairs[shards[0]%np], s.Records)
 			if err != nil {
-				return fig6Cell{}, err
+				return cpuShare{}, err
 			}
-			b, _, err := cache.GetColumns(pairs[pi][1], s.Records)
+			base, err := cpu.New(cpu.ConfigFor(sh.a.Name), &sim.UnitModel{
+				ModelName: "TAGE64", Unit: core.NewUnprotectedUnit(core.DirTAGE64)}).RunSMTTimelineCtx(ctx, sh.tl, sh.a, sh.b)
 			if err != nil {
-				return fig6Cell{}, err
+				return cpuShare{}, err
 			}
-			th := token.Derive(rs[ri])
-			cfg := cpu.ConfigFor(a.Name)
-			pb, err := bases[pi].get(func() (pairBase, error) {
-				tl, err := cpu.NewSMTTimeline(ctx, cfg, a, b)
-				if err != nil {
-					return pairBase{}, err
-				}
-				base, err := cpu.New(cfg, &sim.UnitModel{
-					ModelName: "TAGE64", Unit: core.NewUnprotectedUnit(core.DirTAGE64)}).RunSMTTimelineCtx(ctx, tl, a, b)
-				if err != nil {
-					return pairBase{}, err
-				}
-				return pairBase{tl: tl, ipc: base.HarmonicMeanIPC()}, nil
-			})
-			if err != nil {
-				return fig6Cell{}, err
-			}
+			sh.baseIPC = base.HarmonicMeanIPC()
+			return sh, nil
+		},
+		Cell: func(ctx context.Context, sh cpuShare, shard int, seed uint64) (fig6Cell, error) {
+			th := token.Derive(rs[shard/np])
 			stModel := core.NewModel(core.ModelConfig{Dir: core.DirTAGE64, Thresholds: &th, Seed: seed})
-			st, err := cpu.New(cfg, &sim.STBPUModel{Inner: stModel}).RunSMTTimelineCtx(ctx, pb.tl, a, b)
+			st, err := cpu.New(cpu.ConfigFor(sh.a.Name), &sim.STBPUModel{Inner: stModel}).RunSMTTimelineCtx(ctx, sh.tl, sh.a, sh.b)
 			if err != nil {
 				return fig6Cell{}, err
 			}
-
 			misp := st.PerThread[0].Branch.Mispredicts + st.PerThread[1].Branch.Mispredicts
 			total := uint64(st.PerThread[0].Branch.Records + st.PerThread[1].Branch.Records)
 			return fig6Cell{
 				Acc:     1 - float64(misp)/float64(total),
-				IPC:     st.HarmonicMeanIPC() / pb.ipc,
+				IPC:     st.HarmonicMeanIPC() / sh.baseIPC,
 				Rerands: stModel.Rerandomizations(),
 			}, nil
-		})
+		},
+	}, nil
+}
+
+// RunFig6Ctx regenerates Fig. 6 on the given pool, sharding (r × pair)
+// cells across the sweep in p.Sweep.
+func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6Result, error) {
+	cells, err := mapSpace(ctx, p, pool, fig6Space)
 	if err != nil {
 		return Fig6Result{}, err
 	}
+	rs := fig6Sweep(p)
+	np := len(capList(trace.SMTPairsExtended(), p.MaxPairs))
 	var res Fig6Result
 	for ri, r := range rs {
 		var accs, ipcs []float64

@@ -68,7 +68,7 @@ func newITTAGEVariant(v int, seed uint64) sim.Model {
 
 // ittageCell is one (workload, variant) measurement. Its fields are
 // exported so the cell survives the JSON round-trip through a wire
-// backend (see internal/harness/exec.go).
+// backend (see harness.CellResult).
 type ittageCell struct {
 	TargetRate, OAE float64
 }
@@ -78,16 +78,14 @@ func RunITTAGE(s Scale) (ITTAGEResult, error) {
 	return RunITTAGECtx(context.Background(), s.Params(), harness.Default())
 }
 
-// RunITTAGECtx measures the four variants, sharding (workload × variant)
-// cells.
-func RunITTAGECtx(ctx context.Context, p harness.Params, pool *harness.Pool) (ITTAGEResult, error) {
+// ittageSpace declares the (workload × variant) cells. Trace-major: the
+// four variants share one pass per workload.
+func ittageSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]ittageCell, ittageCell], error) {
 	s := scaleOf(p)
 	names := capList(ittageWorkloads(), s.MaxWorkloads)
 	cache := pool.Traces()
 	const nv = 4
-	// Trace-major: the four variants share one pass per workload.
-	cells, err := harness.MapTraceMajor(ctx, pool, "ittage", len(names)*nv,
-		func(shard int) int { return shard / nv },
+	return harness.Joint("ittage", len(names)*nv,
 		func(shard int) string { return harness.Locality(names[shard/nv], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]ittageCell, error) {
 			cols, _, err := cache.GetColumns(names[shards[0]/nv], s.Records)
@@ -107,10 +105,18 @@ func RunITTAGECtx(ctx context.Context, p harness.Params, pool *harness.Pool) (IT
 				out[i] = ittageCell{TargetRate: res.TargetRate(), OAE: res.OAE()}
 			}
 			return out, nil
-		})
+		}), nil
+}
+
+// RunITTAGECtx measures the four variants, sharding (workload × variant)
+// cells.
+func RunITTAGECtx(ctx context.Context, p harness.Params, pool *harness.Pool) (ITTAGEResult, error) {
+	cells, err := mapSpace(ctx, p, pool, ittageSpace)
 	if err != nil {
 		return ITTAGEResult{}, err
 	}
+	names := capList(ittageWorkloads(), p.MaxWorkloads)
+	const nv = 4
 	res := ITTAGEResult{Rows: make([]ITTAGERow, len(names))}
 	for w := range names {
 		row := ITTAGERow{Workload: names[w]}

@@ -96,3 +96,46 @@ func TestCPUFiguresLabelLocality(t *testing.T) {
 		t.Errorf("%d fig6 cells replay a fig5 pair, want %d", shared, want)
 	}
 }
+
+// TestScenariosMapTheirDeclaredSpace: every registered scenario's Run
+// maps exactly the cells its Space declares — the same scope and cell
+// count, and each spec labeled with its Group key — so a fleet worker
+// executing a chunk from the Space computes the cells Run asked for. A
+// scenario without a Space maps nothing.
+func TestScenariosMapTheirDeclaredSpace(t *testing.T) {
+	quick := QuickScale().Params()
+	for _, s := range harness.All() {
+		t.Run(s.Name, func(t *testing.T) {
+			rec := &specRecorder{}
+			pool := harness.NewPool(1, 1)
+			pool.SetBackend(rec)
+			_, err := harness.RunAll(context.Background(), pool, harness.Options{Filters: []string{s.Name}, Params: quick})
+			if s.Space == nil {
+				if err != nil || len(rec.specs) != 0 {
+					t.Fatalf("a scenario without a Space mapped %d cells (err %v)", len(rec.specs), err)
+				}
+				return
+			}
+			if !errors.Is(err, errSpecsRecorded) {
+				t.Fatalf("scenario returned %v, want the recorder's stop", err)
+			}
+			sp, err := s.Space(quick.Merged(s.Defaults), pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.specs) != sp.N || sp.N == 0 {
+				t.Fatalf("Run mapped %d cells, Space declares %d", len(rec.specs), sp.N)
+			}
+			for i, c := range rec.specs {
+				want := ""
+				if sp.Group != nil {
+					want = sp.Group(c.Shard)
+				}
+				if c.Scenario != s.Name || c.Scope != sp.Scope || c.Shard != i || c.Locality != want {
+					t.Errorf("spec %d = %s/%s shard %d locality %q; Space declares %s shard %d locality %q",
+						i, c.Scenario, c.Scope, c.Shard, c.Locality, sp.Scope, i, want)
+				}
+			}
+		})
+	}
+}

@@ -17,41 +17,31 @@ func defaultScaleParams() harness.Params {
 	return harness.Params{Records: 120_000}
 }
 
+// register adds a scenario whose cells space declares and whose Run is
+// run, a Run*Ctx that maps that space and aggregates.
+func register[S, T, R any](name, description string, defaults harness.Params,
+	space func(harness.Params, *harness.Pool) (harness.Space[S, T], error),
+	run func(context.Context, harness.Params, *harness.Pool) (R, error)) {
+	harness.Register(harness.Scenario{
+		Name:        name,
+		Description: description,
+		Defaults:    defaults,
+		Space:       harness.Declare(space),
+		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
+			return run(ctx, p, pool)
+		},
+	})
+}
+
 func init() {
-	harness.Register(harness.Scenario{
-		Name:        "fig3",
-		Description: "Fig. 3 trace-driven OAE comparison of the five protection models",
-		Defaults:    defaultScaleParams(),
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunFig3Ctx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "fig4",
-		Description: "Fig. 4 single-workload CPU evaluation (prediction reductions, normalized IPC)",
-		Defaults:    defaultScaleParams(),
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunFig4Ctx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "fig5",
-		Description: "Fig. 5 SMT pair evaluation",
-		Defaults:    defaultScaleParams(),
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunFig5Ctx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "fig6",
-		Description: "Fig. 6 aggressive re-randomization sweep",
-		Defaults: harness.Params{
-			Records: 120_000, Sweep: DefaultFig6Sweep(),
-		},
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunFig6Ctx(ctx, p, pool)
-		},
-	})
+	register("fig3", "Fig. 3 trace-driven OAE comparison of the five protection models",
+		defaultScaleParams(), fig3Space, RunFig3Ctx)
+	register("fig4", "Fig. 4 single-workload CPU evaluation (prediction reductions, normalized IPC)",
+		defaultScaleParams(), fig4Space, RunFig4Ctx)
+	register("fig5", "Fig. 5 SMT pair evaluation",
+		defaultScaleParams(), fig5Space, RunFig5Ctx)
+	register("fig6", "Fig. 6 aggressive re-randomization sweep",
+		harness.Params{Records: 120_000, Sweep: DefaultFig6Sweep()}, fig6Space, RunFig6Ctx)
 	harness.Register(harness.Scenario{
 		Name:        "thresholds",
 		Description: "§VI-A.5 attack complexities and re-randomization thresholds",
@@ -68,66 +58,22 @@ func init() {
 			return RunGamma(p.Sweep), nil
 		},
 	})
-	harness.Register(harness.Scenario{
-		Name:        "tablei",
-		Description: "Table I attack surface against baseline and STBPU",
-		Defaults:    harness.Params{Budget: 20_000},
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunTableICtx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "defense-accuracy",
-		Description: "§VIII related-work head-to-head: OAE retention across the defense lineup",
-		Defaults:    defaultScaleParams(),
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunDefenseAccuracyCtx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "defense-matrix",
-		Description: "§VIII related-work head-to-head: attack-outcome matrix per Table I class",
-		Defaults:    harness.Params{Trials: matrixRuns},
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunDefenseMatrixCtx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "covert",
-		Description: "PHT covert-channel capacity across the defense lineup",
-		Defaults:    harness.Params{Bits: 512, Trials: matrixRuns},
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunCovertComparisonCtx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "ittage",
-		Description: "ITTAGE indirect-predictor extension comparison",
-		Defaults:    defaultScaleParams(),
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunITTAGECtx(ctx, p, pool)
-		},
-	})
+	register("tablei", "Table I attack surface against baseline and STBPU",
+		harness.Params{Budget: 20_000}, tableISpace, RunTableICtx)
+	register("defense-accuracy", "§VIII related-work head-to-head: OAE retention across the defense lineup",
+		defaultScaleParams(), defenseAccuracySpace, RunDefenseAccuracyCtx)
+	register("defense-matrix", "§VIII related-work head-to-head: attack-outcome matrix per Table I class",
+		harness.Params{Trials: matrixRuns}, defenseMatrixSpace, RunDefenseMatrixCtx)
+	register("covert", "PHT covert-channel capacity across the defense lineup",
+		harness.Params{Bits: 512, Trials: matrixRuns}, covertSpace, RunCovertComparisonCtx)
+	register("ittage", "ITTAGE indirect-predictor extension comparison",
+		defaultScaleParams(), ittageSpace, RunITTAGECtx)
 	// The built-in spec fixtures register before any scenario can run,
 	// so every process of a distributed run resolves the same workload
 	// names (user specs are forwarded separately by the CLIs).
 	spec.RegisterBuiltin()
-	harness.Register(harness.Scenario{
-		Name:        "workloads",
-		Description: "spec-driven phase-structured workloads: per-phase OAE and re-randomization across the model lineup",
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunWorkloadsCtx(ctx, p, pool)
-		},
-	})
-	harness.Register(harness.Scenario{
-		Name:        "warmup",
-		Description: "warm-state curve: flush penalty vs trace length",
-		Defaults: harness.Params{
-			Workload: "mysql_128con_50s",
-			Sweep:    DefaultWarmupSweep(),
-		},
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return RunWarmupCtx(ctx, p, pool)
-		},
-	})
+	register("workloads", "spec-driven phase-structured workloads: per-phase OAE and re-randomization across the model lineup",
+		harness.Params{}, workloadsSpace, RunWorkloadsCtx)
+	register("warmup", "warm-state curve: flush penalty vs trace length",
+		harness.Params{Workload: "mysql_128con_50s", Sweep: DefaultWarmupSweep()}, warmupSpace, RunWarmupCtx)
 }

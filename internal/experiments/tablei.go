@@ -81,20 +81,27 @@ func RunTableI(budget int) TableIResult {
 	return res
 }
 
-// RunTableICtx executes the surface, sharding (attack × model) cells.
-func RunTableICtx(ctx context.Context, p harness.Params, pool *harness.Pool) (TableIResult, error) {
+// tableISpace declares the surface's (attack × model) cells: even
+// shards attack the baseline, odd ones STBPU.
+func tableISpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, attacks.Result], error) {
 	drivers := tableIDrivers()
-	cells, err := harness.Map(ctx, pool, "tablei", len(drivers)*2,
+	return harness.Cells("tablei", len(drivers)*2,
 		func(ctx context.Context, shard int, seed uint64) (attacks.Result, error) {
 			d := drivers[shard/2]
 			if shard%2 == 0 {
 				return d.run(attacks.NewBaselineTarget(), baselineAttackBudget), nil
 			}
 			return d.run(attacks.NewSTBPUTargetSeeded(nil, seed), p.Budget), nil
-		})
+		}), nil
+}
+
+// RunTableICtx executes the surface, sharding (attack × model) cells.
+func RunTableICtx(ctx context.Context, p harness.Params, pool *harness.Pool) (TableIResult, error) {
+	cells, err := mapSpace(ctx, p, pool, tableISpace)
 	if err != nil {
 		return TableIResult{}, err
 	}
+	drivers := tableIDrivers()
 	var res TableIResult
 	for i, d := range drivers {
 		res.Rows = append(res.Rows, TableIRow{

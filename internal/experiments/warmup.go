@@ -59,8 +59,21 @@ func RunWarmup(workload string, lengths []int) (WarmupResult, error) {
 		harness.Params{Workload: workload, Sweep: sweep}, harness.Default())
 }
 
-// RunWarmupCtx measures the curve, sharding (length × model) cells.
-// p.Workload names the trace preset; p.Sweep carries the trace lengths.
+// warmupLengths returns the trace lengths in p.Sweep, defaulting to
+// DefaultWarmupLengths.
+func warmupLengths(p harness.Params) []int {
+	lengths := make([]int, 0, len(p.Sweep))
+	for _, l := range p.Sweep {
+		lengths = append(lengths, int(l))
+	}
+	if len(lengths) == 0 {
+		return DefaultWarmupLengths()
+	}
+	return lengths
+}
+
+// warmupSpace declares the curve's (length × model) cells. p.Workload
+// names the trace preset; p.Sweep carries the trace lengths.
 //
 // Preset workloads generate prefix-stable traces (the l-record trace is
 // the prefix of any longer one — pinned by trace's prefix-stability
@@ -73,15 +86,8 @@ func RunWarmup(workload string, lengths []int) (WarmupResult, error) {
 // into a single O(maxLen) pass per model. Spec-synth workloads rescale
 // their phase boundaries with the record budget and are NOT
 // prefix-stable, so they keep the per-length grouping.
-func RunWarmupCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (WarmupResult, error) {
-	lengths := make([]int, 0, len(p.Sweep))
-	for _, l := range p.Sweep {
-		lengths = append(lengths, int(l))
-	}
-	if len(lengths) == 0 {
-		lengths = DefaultWarmupLengths()
-	}
-	res := WarmupResult{Workload: p.Workload}
+func warmupSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], error) {
+	lengths := warmupLengths(p)
 	kinds := sim.Fig3Kinds()
 	cache := pool.Traces()
 	k := len(kinds)
@@ -99,11 +105,9 @@ func RunWarmupCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (Wa
 			maxLen = l
 		}
 	}
-	key := func(int) int { return 0 }
-	locality := func(int) string { return harness.Locality(p.Workload, maxLen) }
+	group := func(int) string { return harness.Locality(p.Workload, maxLen) }
 	if synth {
-		key = func(shard int) int { return shard / k }
-		locality = func(shard int) string { return harness.Locality(p.Workload, lengths[shard/k]) }
+		group = func(shard int) string { return harness.Locality(p.Workload, lengths[shard/k]) }
 	}
 	run := func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
 		if synth {
@@ -204,10 +208,19 @@ func RunWarmupCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (Wa
 		}
 		return out, nil
 	}
-	oaes, err := harness.MapTraceMajor(ctx, pool, "warmup", len(lengths)*k, key, locality, run)
+	return harness.Joint("warmup", len(lengths)*k, group, run), nil
+}
+
+// RunWarmupCtx measures the curve, sharding (length × model) cells (see
+// warmupSpace).
+func RunWarmupCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (WarmupResult, error) {
+	oaes, err := mapSpace(ctx, p, pool, warmupSpace)
 	if err != nil {
 		return WarmupResult{}, err
 	}
+	lengths := warmupLengths(p)
+	k := len(sim.Fig3Kinds())
+	res := WarmupResult{Workload: p.Workload}
 	res.Points = make([]WarmupPoint, len(lengths))
 	for li := range lengths {
 		pt := WarmupPoint{Records: lengths[li]}

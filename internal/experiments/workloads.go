@@ -96,12 +96,12 @@ func RunWorkloads() (WorkloadsResult, error) {
 	return RunWorkloadsCtx(context.Background(), harness.Params{}, harness.Default())
 }
 
-// RunWorkloadsCtx measures the Fig. 3 model lineup per spec phase,
-// sharding (spec × phase × model) cells grouped trace-major by spec.
-func RunWorkloadsCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (WorkloadsResult, error) {
+// workloadsSpace declares the (spec × phase × model) cells, grouped
+// trace-major by spec.
+func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]workloadCell, workloadCell], error) {
 	specs, err := selectedSpecs(p)
 	if err != nil {
-		return WorkloadsResult{}, err
+		return harness.Space[map[int]workloadCell, workloadCell]{}, err
 	}
 	kinds := sim.Fig3Kinds()
 	k := len(kinds)
@@ -125,8 +125,7 @@ func RunWorkloadsCtx(ctx context.Context, p harness.Params, pool *harness.Pool) 
 		rootSeed = pool.RootSeed()
 	}
 	cache := pool.Traces()
-	cells, err := harness.MapTraceMajor(ctx, pool, "workloads", len(addrs),
-		func(shard int) int { return addrs[shard].si },
+	return harness.Joint("workloads", len(addrs),
 		func(shard int) string {
 			s := specs[addrs[shard].si]
 			return harness.Locality(s.WorkloadName(), specRecords(p, s))
@@ -254,10 +253,22 @@ func RunWorkloadsCtx(ctx context.Context, p harness.Params, pool *harness.Pool) 
 				}
 			}
 			return out, nil
-		})
+		}), nil
+}
+
+// RunWorkloadsCtx measures the Fig. 3 model lineup per spec phase,
+// sharding (spec × phase × model) cells grouped trace-major by spec.
+func RunWorkloadsCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (WorkloadsResult, error) {
+	cells, err := mapSpace(ctx, p, pool, workloadsSpace)
 	if err != nil {
 		return WorkloadsResult{}, err
 	}
+	specs, err := selectedSpecs(p)
+	if err != nil {
+		return WorkloadsResult{}, err
+	}
+	kinds := sim.Fig3Kinds()
+	k := len(kinds)
 	res := WorkloadsResult{}
 	for _, kind := range kinds {
 		res.Models = append(res.Models, kind.String())

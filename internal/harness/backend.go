@@ -28,16 +28,16 @@ type cellFunc func(ctx context.Context, shard int, seed uint64) (any, error)
 
 // CellSpec identifies one executable cell. The exported fields address
 // the cell from any process: a worker that knows only the spec can
-// re-derive the cell's inputs (scenario registry lookup + ShardSeed) and
-// produce the same result the coordinator would have.
+// re-derive the cell's inputs (the scenario's declared Space + ShardSeed)
+// and produce the same result the coordinator would have.
 type CellSpec struct {
-	// Scenario names the registered scenario whose Run decomposes into
-	// this cell's scope. Empty when Map runs outside RunAll; such specs
-	// are executable only by in-process backends (the fn field).
+	// Scenario names the registered scenario whose Space declares this
+	// cell's scope. Empty when Map runs outside RunAll; such specs are
+	// executable only by in-process backends (the fn field).
 	Scenario string `json:"scenario,omitempty"`
 	// Params are the merged parameters the scenario Run received.
 	Params Params `json:"params"`
-	// Scope is the scenario-local cell-space name passed to Map.
+	// Scope is the scenario-local cell-space name (Space.Scope).
 	Scope string `json:"scope"`
 	// Shard is the cell's dense index within the scope.
 	Shard int `json:"shard"`
@@ -141,9 +141,9 @@ func decodeInto[T any](r *CellResult, dst *T) error {
 }
 
 // ErrPermanent marks batch-level errors that are deterministic
-// properties of the cells themselves — a scenario whose decomposition
-// disagrees with the coordinator's, unencodable params — rather than of
-// the transport or the worker that ran them. The fleet must not requeue
+// properties of the cells themselves — a chunk mixing two batches, cells
+// outside the scenario's declared space, unencodable params — rather
+// than of the transport or the worker that ran them. The fleet must not requeue
 // a chunk that failed permanently: every worker would fail it the same
 // way, so retrying only multiplies the failure across the fleet.
 // Capability mismatches (a worker refusing anonymous cells or missing a

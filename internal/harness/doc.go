@@ -3,10 +3,12 @@
 // layer of the architecture described in docs/ARCHITECTURE.md
 // (predictors → sim/tracestore → harness → cmd and examples).
 //
-// An experiment is registered once as a named, parameterized Scenario;
-// its Run decomposes the experiment into a dense (model × workload ×
-// trial) cell space via Map, which schedules the cells through the
-// pool's Backend and reassembles results in shard order.
+// An experiment is registered once as a named, parameterized Scenario
+// whose Space declares its dense (model × workload × trial) cell space
+// as data: the scope, the cell count, each cell's locality group, the
+// value a group's cells share, and the cell function (space.go). Its Run
+// maps that space with Map, which binds and schedules the cells through
+// the pool's Backend and reassembles results in shard order.
 //
 // # Determinism contract
 //
@@ -35,13 +37,15 @@
 //     or a job runner. It never speculates; a chunk overdue past
 //     BatchTimeout kills its worker and requeues.
 //
-// A chunk error marked Permanent (a deterministic scenario bug) fails
-// the run instead of being retried on another worker.
+// A chunk error marked Permanent (a chunk no worker could execute: mixed
+// batches, cells outside the declared space) fails the run instead of
+// being retried on another worker.
 //
 // Cells are addressable across processes as (scenario, params, scope,
-// shard, rootSeed), so a worker holding the same binary re-derives any
-// cell bit-identically; see docs/ARCHITECTURE.md "How a cell flows
-// through a backend".
+// shard, rootSeed), so a worker holding the same binary builds the
+// scenario's Space and executes any chunk of it bit-identically,
+// without running the scenario; see docs/ARCHITECTURE.md "How a cell
+// flows through a backend".
 //
 // # Run journal
 //

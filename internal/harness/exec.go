@@ -7,12 +7,12 @@ package harness
 // listener, so exec members get the fleet's requeue, heartbeats,
 // affinity and per-worker stats. They get no speculation: members share
 // one host's cores, so a clone cannot beat its original, and a hung
-// member is BatchTimeout's job. A worker executes a spec
-// by looking the scenario up in its own registry and re-running the
-// scenario's decomposition with a capture backend that runs only the
-// requested shards — cells are pure functions of (scenario, params,
-// scope, shard, root seed), so the worker's results are bit-identical
-// to what the coordinator would have computed.
+// member is BatchTimeout's job. A worker executes a chunk from its own
+// copy of the scenario's cell space: it builds the Space from the
+// chunk's params and runs the requested cells, never the scenario —
+// cells are pure functions of (scenario, params, scope, shard, root
+// seed), so the worker's results are bit-identical to what the
+// coordinator would have computed.
 //
 // Anything that can pipe stdin/stdout to a process with the same binary
 // — ssh, a container runner, a job scheduler — can host a member.
@@ -35,6 +35,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,15 +356,26 @@ type WorkerOptions struct {
 	SnapBytes int64
 }
 
-// cellEnv bundles the per-process execution environment capture runs
-// inherit: the stores cells share and the scheduling/acceleration
-// toggles, none of which may change results.
+// cellEnv bundles a worker session's execution environment: the stores
+// cells share and the scheduling/acceleration toggles, none of which
+// may change results.
 type cellEnv struct {
 	workers    int
 	store      *tracestore.Store
 	snaps      *snapstore.Store
 	traceMajor bool
 	snapshots  bool
+}
+
+// pool returns a pool over the session's stores and toggles, seeded for
+// one chunk; space constructors read their stores and seeds from it.
+func (env cellEnv) pool(rootSeed uint64) *Pool {
+	p := NewPool(env.workers, rootSeed)
+	p.SetTraceStore(env.store)
+	p.SetSnapStore(env.snaps)
+	p.SetTraceMajor(env.traceMajor)
+	p.SetSnapshots(env.snapshots)
+	return p
 }
 
 // sessionEnv builds a worker's execution environment from its own
@@ -520,164 +532,75 @@ func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), nam
 	}
 }
 
-// errCellsCaptured aborts a scenario Run once the capture backend has
-// executed every requested shard; the decomposition after the Map call
-// never runs on the worker (aggregation happens on the coordinator).
-var errCellsCaptured = errors.New("harness: requested cells captured")
-
-// ExecuteCells executes wire specs in this process: specs group by
-// (scenario, scope, params, root seed), and each group re-runs its
-// scenario's decomposition with a capture backend that executes only the
-// requested shards on a workers-wide local pool. Results come back in
-// wire form, ready to frame.
+// ExecuteCells executes one chunk of wire specs in this process on a
+// workers-wide local backend whose cells share store, and returns the
+// results in wire form, ready to frame (see executeCells).
 func ExecuteCells(ctx context.Context, specs []CellSpec, workers int, store *tracestore.Store) ([]CellResult, error) {
 	return executeCells(ctx, specs, cellEnv{workers: workers, store: store, traceMajor: true, snapshots: true})
 }
 
-// executeCells is ExecuteCells with the capture pools' full environment
-// explicit (serving workers build it with sessionEnv).
+// executeCells executes a chunk without running its scenario: it builds
+// the scenario's Space from the chunk's params on a pool over env,
+// re-derives each cell's seed, binds the specs exactly as Map does, and
+// runs them. A chunk is cut from one Map batch, so its cells share one
+// scenario, scope, params and root seed. A chunk that does not, or that
+// names a scope or shard the space does not declare, fails whole as
+// Permanent: every worker would fail it the same way.
 func executeCells(ctx context.Context, specs []CellSpec, env cellEnv) ([]CellResult, error) {
-	type groupKey struct {
-		scenario, scope, params string
-		root                    uint64
+	if len(specs) == 0 {
+		return nil, nil
 	}
-	keyOf := func(s CellSpec) (groupKey, error) {
+	head := specs[0]
+	if head.Scenario == "" {
+		return nil, fmt.Errorf("spec %s/%d has no scenario: cells mapped outside RunAll are not addressable remotely", head.Scope, head.Shard)
+	}
+	params, err := CanonicalParams(head.Params)
+	if err != nil {
+		// Unencodable params are a property of the spec, not of this
+		// worker: every backend would fail the chunk identically.
+		return nil, Permanent(err)
+	}
+	for _, s := range specs[1:] {
 		pj, err := CanonicalParams(s.Params)
 		if err != nil {
-			// Unencodable params are a property of the spec, not of this
-			// worker: every backend would fail the batch identically.
-			return groupKey{}, Permanent(err)
+			return nil, Permanent(err)
 		}
-		return groupKey{scenario: s.Scenario, scope: s.Scope, params: pj, root: s.RootSeed}, nil
-	}
-	groups := map[groupKey][]CellSpec{}
-	var order []groupKey
-	for _, s := range specs {
-		if s.Scenario == "" {
-			return nil, fmt.Errorf("spec %s/%d has no scenario: cells mapped outside RunAll are not addressable remotely", s.Scope, s.Shard)
-		}
-		k, err := keyOf(s)
-		if err != nil {
-			return nil, err
-		}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], s)
-	}
-
-	var out []CellResult
-	for _, k := range order {
-		group := groups[k]
-		scen, ok := Get(k.scenario)
-		if !ok {
-			return nil, fmt.Errorf("scenario %q is not registered in this worker", k.scenario)
-		}
-		results, err := captureScenarioCells(ctx, scen, group, env)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, results...)
-	}
-	return out, nil
-}
-
-// captureScenarioCells re-runs one scenario's decomposition and captures
-// the requested shards of the requested scope.
-func captureScenarioCells(ctx context.Context, scen Scenario, group []CellSpec, env cellEnv) ([]CellResult, error) {
-	scope := group[0].Scope
-	params := group[0].Params
-	want := make(map[int]bool, len(group))
-	for _, s := range group {
-		want[s.Shard] = true
-	}
-	cap := &captureBackend{scope: scope, want: want, inner: NewLocalBackend(env.workers)}
-	pool := NewPool(env.workers, group[0].RootSeed)
-	pool.SetTraceMajor(env.traceMajor)
-	pool.SetSnapshots(env.snapshots)
-	if env.store != nil {
-		pool.SetTraceStore(env.store)
-	}
-	if env.snaps != nil {
-		pool.SetSnapStore(env.snaps)
-	}
-	pool.SetBackend(cap)
-	// Let the scenario's own MapTraceMajor call group only the shards
-	// this batch asked for (pure scheduling; see traceMajorWantKey).
-	_, err := scen.Run(withTraceMajorWant(ctx, scope, want), params, pool)
-	pool.endScenario()
-	if !cap.captured {
-		// Both shapes are deterministic scenario bugs — the decomposition
-		// itself is broken for these params, on any backend — so they are
-		// marked Permanent: requeueing the batch elsewhere would only
-		// repeat the failure across the whole fleet.
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, Permanent(fmt.Errorf("scenario %s failed before reaching scope %q: %w", scen.Name, scope, err))
-		}
-		return nil, Permanent(fmt.Errorf("scenario %s never mapped scope %q (params mismatch?)", scen.Name, scope))
-	}
-	if len(cap.results) != len(want) {
-		// A canceled context also stops the batch early — report the
-		// interrupt, not a bogus decomposition diagnosis.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// A failing cell legitimately stops the batch early; only a
-		// clean-but-short batch means the worker's decomposition disagrees
-		// with the coordinator's.
-		failed := false
-		for _, r := range cap.results {
-			if r.Err != "" {
-				failed = true
-				break
-			}
-		}
-		if !failed {
-			return nil, Permanent(fmt.Errorf("scenario %s scope %q produced %d of %d requested cells (cell space mismatch)",
-				scen.Name, scope, len(cap.results), len(want)))
+		if s.Scenario != head.Scenario || s.Scope != head.Scope || pj != params || s.RootSeed != head.RootSeed {
+			return nil, Permanent(fmt.Errorf("chunk mixes cells of %s/%s and %s/%s (params or root seed may differ too): a chunk holds one batch",
+				head.Scenario, head.Scope, s.Scenario, s.Scope))
 		}
 	}
-	return cap.results, nil
-}
-
-// captureBackend intercepts the Map call for one scope: it executes only
-// the wanted shards, stores their wire-encoded results, and aborts the
-// scenario Run with errCellsCaptured. Map calls for other scopes (a
-// multi-scope scenario) execute fully so later scopes stay reachable.
-type captureBackend struct {
-	scope string
-	want  map[int]bool
-	inner *LocalBackend
-
-	captured bool
-	results  []CellResult
-}
-
-func (c *captureBackend) Name() string { return "capture" }
-
-func (c *captureBackend) Close() error { return nil }
-
-func (c *captureBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	if len(specs) == 0 || specs[0].Scope != c.scope {
-		return c.inner.Run(ctx, specs)
+	scen, ok := Get(head.Scenario)
+	if !ok {
+		return nil, fmt.Errorf("scenario %q is not registered in this worker", head.Scenario)
 	}
-	wanted := make([]CellSpec, 0, len(c.want))
-	for _, s := range specs {
-		if c.want[s.Shard] {
-			wanted = append(wanted, s)
+	if scen.Space == nil {
+		return nil, Permanent(fmt.Errorf("scenario %s declares no cell space", scen.Name))
+	}
+	pool := env.pool(head.RootSeed)
+	sp, err := scen.Space(head.Params, pool)
+	if err != nil {
+		return nil, Permanent(fmt.Errorf("scenario %s: cell space: %w", scen.Name, err))
+	}
+	if sp.Scope != head.Scope {
+		return nil, Permanent(fmt.Errorf("scenario %s declares scope %q, not %q", scen.Name, sp.Scope, head.Scope))
+	}
+	bound := make([]CellSpec, len(specs))
+	for i, s := range specs {
+		if s.Shard < 0 || s.Shard >= sp.N {
+			return nil, Permanent(fmt.Errorf("%s shard %d is outside its %d-cell space", sp.Scope, s.Shard, sp.N))
 		}
+		s.Seed = ShardSeed(s.RootSeed, sp.Scope, s.Shard)
+		bound[i] = s
 	}
-	results, err := c.inner.Run(ctx, wanted)
+	sort.Slice(bound, func(i, j int) bool { return bound[i].Shard < bound[j].Shard })
+	sp.bind(bound, pool.TraceMajor())
+	results, err := NewLocalBackend(env.workers).Run(ctx, bound)
 	if err != nil {
 		return nil, err
 	}
 	for i := range results {
 		results[i].encodeWire()
 	}
-	c.captured = true
-	c.results = results
-	return nil, errCellsCaptured
+	return results, nil
 }

@@ -36,100 +36,93 @@ type wireCell struct {
 	Val   float64
 }
 
+// registerSpace registers a test scenario whose Run maps its space and
+// returns the cells.
+func registerSpace[S, T any](name, description string, defaults Params, space func(Params, *Pool) (Space[S, T], error)) {
+	Register(Scenario{
+		Name:        name,
+		Description: description,
+		Defaults:    defaults,
+		Space:       Declare(space),
+		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
+			sp, err := space(p, pool)
+			if err != nil {
+				return nil, err
+			}
+			return Map(ctx, pool, sp)
+		},
+	})
+}
+
+// traceDigest folds every 97th record of a workload's trace into seed.
+func traceDigest(pool *Pool, workload string, records int, seed uint64) (uint64, error) {
+	cols, _, err := pool.Traces().GetColumns(workload, records)
+	if err != nil {
+		return 0, err
+	}
+	digest := seed
+	for i := 0; i < cols.Len(); i += 97 {
+		digest = digest*1099511628211 ^ cols.PCs[i] ^ cols.Targets[i]
+	}
+	return digest, nil
+}
+
 // registerExecScenarios installs the deterministic scenarios both the
 // coordinator tests and the re-exec'd worker need in their registries.
 func registerExecScenarios() {
-	Register(Scenario{
-		Name:        "_exec-wire",
-		Description: "exec-backend test scenario",
-		Defaults:    Params{Trials: 16},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			return Map(ctx, pool, "_exec-wire", p.Trials,
-				func(ctx context.Context, shard int, seed uint64) (wireCell, error) {
-					return wireCell{
-						Shard: shard,
-						Seed:  seed,
-						Val:   math.Sqrt(float64(seed%1e6)) / 3,
-					}, nil
-				})
-		},
-	})
-	Register(Scenario{
-		Name:        "_exec-trace",
-		Description: "exec-backend trace-store scenario",
-		Defaults:    Params{Trials: 4, Records: 2_000},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			cache := pool.Traces()
-			return Map(ctx, pool, "_exec-trace", p.Trials,
-				func(ctx context.Context, shard int, seed uint64) (uint64, error) {
-					cols, _, err := cache.GetColumns("505.mcf", p.Records)
-					if err != nil {
-						return 0, err
-					}
-					digest := seed
-					for i := 0; i < cols.Len(); i += 97 {
-						digest = digest*1099511628211 ^ cols.PCs[i] ^ cols.Targets[i]
-					}
-					return digest, nil
-				})
-		},
-	})
-	Register(Scenario{
-		Name:        "_exec-group",
-		Description: "exec-backend locality-grouped trace scenario",
-		Defaults:    Params{Trials: 8, Records: 2_000},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
+	registerSpace("_exec-wire", "exec-backend test scenario", Params{Trials: 16},
+		func(p Params, _ *Pool) (Space[struct{}, wireCell], error) {
+			return Cells("_exec-wire", p.Trials, func(ctx context.Context, shard int, seed uint64) (wireCell, error) {
+				return wireCell{
+					Shard: shard,
+					Seed:  seed,
+					Val:   math.Sqrt(float64(seed%1e6)) / 3,
+				}, nil
+			}), nil
+		})
+	registerSpace("_exec-trace", "exec-backend trace-store scenario", Params{Trials: 4, Records: 2_000},
+		func(p Params, pool *Pool) (Space[struct{}, uint64], error) {
+			return Cells("_exec-trace", p.Trials, func(ctx context.Context, shard int, seed uint64) (uint64, error) {
+				return traceDigest(pool, "505.mcf", p.Records, seed)
+			}), nil
+		})
+	registerSpace("_exec-group", "exec-backend locality-grouped trace scenario", Params{Trials: 8, Records: 2_000},
+		func(p Params, pool *Pool) (Space[map[int]uint64, uint64], error) {
 			workloads := []string{"505.mcf", "541.leela"}
 			wl := func(shard int) string { return workloads[shard%len(workloads)] }
-			cache := pool.Traces()
-			return MapTraceMajor(ctx, pool, "_exec-group", p.Trials,
-				func(shard int) int { return shard % len(workloads) },
+			return Joint("_exec-group", p.Trials,
 				func(shard int) string { return Locality(wl(shard), p.Records) },
 				func(ctx context.Context, shards []int, seeds []uint64) ([]uint64, error) {
 					out := make([]uint64, len(shards))
 					for i, shard := range shards {
-						cols, _, err := cache.GetColumns(wl(shard), p.Records)
+						digest, err := traceDigest(pool, wl(shard), p.Records, seeds[i])
 						if err != nil {
 							return nil, err
-						}
-						digest := seeds[i]
-						for j := 0; j < cols.Len(); j += 97 {
-							digest = digest*1099511628211 ^ cols.PCs[j] ^ cols.Targets[j]
 						}
 						out[i] = digest
 					}
 					return out, nil
-				})
-		},
-	})
-	Register(Scenario{
-		Name:        "_exec-failing",
-		Description: "exec-backend failing-cell scenario",
-		Defaults:    Params{Trials: 8},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			return Map(ctx, pool, "_exec-failing", p.Trials,
-				func(ctx context.Context, shard int, seed uint64) (int, error) {
-					if shard == 5 {
-						return 0, fmt.Errorf("shard %d detonated", shard)
-					}
-					return shard, nil
-				})
-		},
-	})
-	Register(Scenario{
-		Name:        "_exec-failing-tail",
-		Description: "exec-backend scenario whose every cell from shard 2 on fails",
-		Defaults:    Params{Trials: 48},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			return Map(ctx, pool, "_exec-failing-tail", p.Trials,
-				func(ctx context.Context, shard int, seed uint64) (int, error) {
-					if shard >= 2 {
-						return 0, fmt.Errorf("shard %d detonated", shard)
-					}
-					return shard, nil
-				})
-		},
-	})
+				}), nil
+		})
+	registerSpace("_exec-failing", "exec-backend failing-cell scenario", Params{Trials: 8},
+		func(p Params, _ *Pool) (Space[struct{}, int], error) {
+			return Cells("_exec-failing", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
+				if shard == 5 {
+					return 0, fmt.Errorf("shard %d detonated", shard)
+				}
+				return shard, nil
+			}), nil
+		})
+	registerSpace("_exec-failing-tail", "exec-backend scenario whose every cell from shard 2 on fails", Params{Trials: 48},
+		func(p Params, _ *Pool) (Space[struct{}, int], error) {
+			return Cells("_exec-failing-tail", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
+				if shard >= 2 {
+					return 0, fmt.Errorf("shard %d detonated", shard)
+				}
+				return shard, nil
+			}), nil
+		})
+	registerWorkerScenarios()
 }
 
 // scriptedHello performs a hand-rolled worker's side of the handshake
@@ -567,8 +560,8 @@ func TestExecBackendRejectsAnonymousCells(t *testing.T) {
 	}
 	pool := NewPool(1, 9)
 	pool.SetBackend(newTestExecBackend(t, 1, "serve"))
-	_, err := Map(context.Background(), pool, "anon", 2,
-		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil })
+	_, err := Map(context.Background(), pool, Cells("anon", 2,
+		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil }))
 	if err == nil || !strings.Contains(err.Error(), "not addressable") {
 		t.Fatalf("err = %v, want the not-addressable refusal", err)
 	}
@@ -682,8 +675,8 @@ func TestFleetRefusesOldProtocol(t *testing.T) {
 	}
 }
 
-// TestFleetFailingCellEndsRun: a worker's capture run stops at the
-// first failing cell, so its reply omits the chunk's later shards. The
+// TestFleetFailingCellEndsRun: a worker stops a chunk at its first
+// failing cell, so its reply omits the chunk's later shards. The
 // run must end there with the failing cell's own error — not orphan the
 // omitted shards and hang, and not requeue them until the chunk runs out
 // of dispatch attempts — on both transports. The tail case cuts

@@ -138,13 +138,13 @@ type Pool struct {
 	traces   *tracestore.Store
 	snaps    *snapstore.Store
 	backend  Backend
-	// scenario/params are the scenario context RunAll (or a worker's
-	// capture run) establishes around Scenario.Run, stamped into every
-	// CellSpec so wire backends can address cells by name.
+	// scenario/params are the scenario context RunAll establishes
+	// around Scenario.Run, stamped into every CellSpec so wire backends
+	// can address cells by name.
 	scenario       string
 	scenarioParams Params
-	// modelMajor disables trace-major grouping (see SetTraceMajor;
-	// stored inverted so the zero-value pool defaults to trace-major).
+	// modelMajor disables grouping (see SetTraceMajor; stored inverted
+	// so the zero-value pool defaults to grouped).
 	modelMajor bool
 	// snapshotsOff disables the warm-state snapshot tier (see
 	// SetSnapshots; stored inverted so the zero-value pool defaults to
@@ -354,29 +354,30 @@ func (p *Pool) currentSink() Sink {
 	return p.sink
 }
 
-// Map runs fn over the n-cell space named scope through the pool's
-// backend and returns the results in shard order. Each cell receives its
-// ShardSeed. The first error (lowest shard index) cancels the remaining
-// cells and is returned; a canceled ctx stops workers promptly and
-// returns ctx.Err().
+// Map runs the cell space sp through the pool's backend and returns
+// the results in shard order. Each cell receives its ShardSeed. The
+// first error (lowest shard index) cancels the remaining cells and is
+// returned; a canceled ctx stops workers promptly and returns ctx.Err().
 //
-// With the default LocalBackend the cell functions run in-process on the
-// pool's goroutine workers, exactly as before backends existed. With a
-// fleet backend (ExecBackend, RemoteBackend) the specs are shipped by
-// (scenario, params, scope, shard, root seed) and executed remotely; Map
-// merges whatever comes back into shard order, so results are
-// bit-identical regardless of which worker ran which cell.
+// With the default LocalBackend the cells run in-process on the pool's
+// goroutine workers. With a fleet backend (ExecBackend, RemoteBackend)
+// the specs are shipped by (scenario, params, scope, shard, root seed)
+// and each worker executes them from its own copy of the scenario's
+// Space; Map merges whatever comes back into shard order, so results
+// are bit-identical regardless of which worker ran which cell.
 //
 // When the pool's sink implements CellLookup (a resumed Journal), cells
 // the lookup already holds are not re-executed: their stored values are
 // decoded into the output, and their completion is replayed to the
 // observer and sink (Backend "journal") so Report.Cells matches an
 // uninterrupted run. Because cells are pure functions of their address,
-// the spliced values are bit-identical to re-executing.
-func Map[T any](ctx context.Context, p *Pool, scope string, n int, fn func(ctx context.Context, shard int, seed uint64) (T, error)) ([]T, error) {
+// the spliced values are bit-identical to re-executing. Only the
+// pending cells are bound, so a group's shared value covers just those.
+func Map[S, T any](ctx context.Context, p *Pool, sp Space[S, T]) ([]T, error) {
 	if p == nil {
 		p = Default()
 	}
+	scope, n := sp.Scope, sp.N
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
@@ -386,11 +387,7 @@ func Map[T any](ctx context.Context, p *Pool, scope string, n int, fn func(ctx c
 	}
 
 	scenario, params := p.scenarioContext()
-	erased := func(ctx context.Context, shard int, seed uint64) (any, error) {
-		return fn(ctx, shard, seed)
-	}
 	specs := make([]CellSpec, n)
-	locality := localityFor(ctx, scope)
 	for i := range specs {
 		specs[i] = CellSpec{
 			Scenario: scenario,
@@ -399,10 +396,6 @@ func Map[T any](ctx context.Context, p *Pool, scope string, n int, fn func(ctx c
 			Shard:    i,
 			Seed:     ShardSeed(p.rootSeed, scope, i),
 			RootSeed: p.rootSeed,
-			fn:       erased,
-		}
-		if locality != nil {
-			specs[i].Locality = locality(i)
 		}
 	}
 
@@ -433,6 +426,7 @@ func Map[T any](ctx context.Context, p *Pool, scope string, n int, fn func(ctx c
 
 	var results []CellResult
 	if len(pending) > 0 {
+		sp.bind(pending, p.TraceMajor())
 		var runErr error
 		results, runErr = b.Run(ctx, pending)
 		if runErr != nil {

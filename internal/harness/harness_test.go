@@ -92,10 +92,10 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	const n = 100
 	run := func(workers int) []uint64 {
 		p := NewPool(workers, 42)
-		out, err := Map(context.Background(), p, "order", n,
+		out, err := Map(context.Background(), p, Cells("order", n,
 			func(ctx context.Context, shard int, seed uint64) (uint64, error) {
 				return seed ^ uint64(shard), nil
-			})
+			}))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -112,13 +112,13 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 func TestMapReturnsLowestShardError(t *testing.T) {
 	p := NewPool(4, 1)
 	sentinel := errors.New("boom")
-	_, err := Map(context.Background(), p, "err", 32,
+	_, err := Map(context.Background(), p, Cells("err", 32,
 		func(ctx context.Context, shard int, seed uint64) (int, error) {
 			if shard == 3 || shard == 20 {
 				return 0, fmt.Errorf("shard %d: %w", shard, sentinel)
 			}
 			return shard, nil
-		})
+		}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -135,14 +135,14 @@ func TestMapRootCauseErrorNotMaskedByCollateralCancellation(t *testing.T) {
 	// collateral context.Canceled.
 	p := NewPool(2, 1)
 	sentinel := errors.New("root cause")
-	_, err := Map(context.Background(), p, "mask", 2,
+	_, err := Map(context.Background(), p, Cells("mask", 2,
 		func(ctx context.Context, shard int, seed uint64) (int, error) {
 			if shard == 0 {
 				<-ctx.Done()
 				return 0, ctx.Err()
 			}
 			return 0, sentinel
-		})
+		}))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the root-cause error", err)
 	}
@@ -155,12 +155,12 @@ func TestMapCancellationStopsWorkersPromptly(t *testing.T) {
 		var started atomic.Int32
 		done := make(chan error, 1)
 		go func() {
-			_, err := Map(ctx, p, "cancel", 1000,
+			_, err := Map(ctx, p, Cells("cancel", 1000,
 				func(ctx context.Context, shard int, seed uint64) (int, error) {
 					started.Add(1)
 					<-ctx.Done() // a cell that only finishes under cancellation
 					return 0, ctx.Err()
-				})
+				}))
 			done <- err
 		}()
 		time.Sleep(20 * time.Millisecond)
@@ -188,8 +188,8 @@ func TestMapObserverStreamsEveryCell(t *testing.T) {
 		}
 		cells.Add(1)
 	})
-	if _, err := Map(context.Background(), p, "obs", 50,
-		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil }); err != nil {
+	if _, err := Map(context.Background(), p, Cells("obs", 50,
+		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil })); err != nil {
 		t.Fatal(err)
 	}
 	if cells.Load() != 50 {
@@ -201,8 +201,8 @@ func TestMapObserverStreamsEveryCell(t *testing.T) {
 }
 
 func TestMapZeroCells(t *testing.T) {
-	out, err := Map(context.Background(), NewPool(4, 1), "empty", 0,
-		func(ctx context.Context, shard int, seed uint64) (int, error) { return 0, nil })
+	out, err := Map(context.Background(), NewPool(4, 1), Cells("empty", 0,
+		func(ctx context.Context, shard int, seed uint64) (int, error) { return 0, nil }))
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Map(0) = %v, %v", out, err)
 	}
@@ -211,17 +211,12 @@ func TestMapZeroCells(t *testing.T) {
 func TestRegistryAndRunAll(t *testing.T) {
 	// Use unique names so this test composes with the experiments
 	// package's init registrations in external test binaries.
-	Register(Scenario{
-		Name:        "_test-a",
-		Description: "registry test scenario",
-		Defaults:    Params{Trials: 3},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			return Map(ctx, pool, "_test-a", p.Trials,
-				func(ctx context.Context, shard int, seed uint64) (int, error) {
-					return shard, nil
-				})
-		},
-	})
+	registerSpace("_test-a", "registry test scenario", Params{Trials: 3},
+		func(p Params, _ *Pool) (Space[struct{}, int], error) {
+			return Cells("_test-a", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
+				return shard, nil
+			}), nil
+		})
 	Register(Scenario{
 		Name: "_test-b",
 		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {

@@ -21,18 +21,13 @@ var journalCellRuns atomic.Int64
 const journalScenarioCells = 8
 
 func init() {
-	Register(Scenario{
-		Name:        "_journal",
-		Description: "journal test scenario",
-		Defaults:    Params{Trials: journalScenarioCells},
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			return Map(ctx, pool, "_journal", p.Trials,
-				func(ctx context.Context, shard int, seed uint64) (float64, error) {
-					journalCellRuns.Add(1)
-					return float64(seed%997) / 7, nil
-				})
-		},
-	})
+	registerSpace("_journal", "journal test scenario", Params{Trials: journalScenarioCells},
+		func(p Params, _ *Pool) (Space[struct{}, float64], error) {
+			return Cells("_journal", p.Trials, func(ctx context.Context, shard int, seed uint64) (float64, error) {
+				journalCellRuns.Add(1)
+				return float64(seed%997) / 7, nil
+			}), nil
+		})
 }
 
 func runJournalScenario(t *testing.T, sink Sink) ([]Report, *Pool) {

@@ -17,8 +17,8 @@ type Renderer interface {
 	Render(w io.Writer)
 }
 
-// Scenario is one named, parameterized experiment. Run decomposes the
-// experiment into cells via Map, aggregates in shard order, and returns a
+// Scenario is one named, parameterized experiment. Space declares its
+// cells; Run maps that space, aggregates in shard order, and returns a
 // JSON-marshalable result (conventionally one that also implements
 // Renderer for text output).
 type Scenario struct {
@@ -28,6 +28,11 @@ type Scenario struct {
 	Description string
 	// Defaults fills unset Params fields at run time.
 	Defaults Params
+	// Space declares the cell space Run maps under the merged params on
+	// the pool Run receives (see Declare). A fleet worker builds it from
+	// a chunk's params and executes the chunk's cells without calling
+	// Run. nil for scenarios that map no cells.
+	Space func(p Params, pool *Pool) (Space[any, any], error)
 	// Run executes the scenario on the pool.
 	Run func(ctx context.Context, p Params, pool *Pool) (any, error)
 }

@@ -81,9 +81,9 @@ type remoteWelcome struct {
 	// reads and spills, so trace generation is a one-time cost per
 	// machine sharing the directory.
 	TraceDir string `json:"trace_dir,omitempty"`
-	// TraceMajor and Snapshots toggle trace-major grouping and the
-	// warm-state snapshot tier in the worker's capture runs (nil means
-	// on); TraceMmap maps the trace tier's spills (nil means off).
+	// TraceMajor and Snapshots toggle grouping and the warm-state
+	// snapshot tier on the worker's chunk pools (nil means on);
+	// TraceMmap maps the trace tier's spills (nil means off).
 	TraceMajor *bool `json:"trace_major,omitempty"`
 	TraceMmap  *bool `json:"trace_mmap,omitempty"`
 	Snapshots  *bool `json:"snapshots,omitempty"`
@@ -537,10 +537,10 @@ func missingSpecs(run *remoteRun, specs []CellSpec) []CellSpec {
 // handleResults merges one results frame: first result per shard wins,
 // duplicates count as speculative waste, and results for shards the
 // chunk does not hold are ignored. A failed cell ends the run with the
-// results it has — a worker's capture run stops at its first failing
-// cell, and the Backend contract lets Run stop there too. Shards a
-// clean reply left out are requeued. A batch error either fails the
-// run (permanent) or requeues the chunk (transient).
+// results it has — a worker stops a chunk at its first failing cell,
+// and the Backend contract lets Run stop there too. Shards a clean
+// reply left out are requeued. A batch error either fails the run
+// (permanent) or requeues the chunk (transient).
 func (b *RemoteBackend) handleResults(w *remoteWorker, m *wireMsg) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

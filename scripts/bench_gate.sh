@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Perf-trend gate: run the replay-path, predictor, trace-generator,
-# CPU-timing-model, and wire-codec micro-benchmarks, write BENCH_13.json (benchmark -> ns/op,
+# CPU-timing-model, wire-codec and worker-chunk micro-benchmarks, write BENCH_13.json (benchmark -> ns/op,
 # allocs/op), and fail when a metric regresses against the committed
 # baseline. Fleet benchmarks (harness/FleetWarm*) are recorded for trend
 # visibility but never threshold-gated: they time a live 2-worker TCP
@@ -67,12 +67,12 @@ fi
 
 echo "bench_gate: running ${PKGS[*]} at -benchtime $BENCHTIME -count $COUNT" >&2
 raw=$(go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count "$COUNT" "${PKGS[@]}")
-# The harness package holds the bin1 codec and fleet benchmarks; its
-# whole-suite benchmark (Fig3Fig4) is excluded — it times entire
-# scenario runs, too coarse for a micro-benchmark gate.
-echo "bench_gate: running ./internal/harness/ (WireSpecsBinary, FleetWarm) at -benchtime $BENCHTIME -count $COUNT" >&2
+# The harness package holds the bin1 codec, worker-chunk and fleet
+# benchmarks; its whole-suite benchmark (Fig3Fig4) is excluded — it
+# times entire scenario runs, too coarse for a micro-benchmark gate.
+echo "bench_gate: running ./internal/harness/ (WireSpecsBinary, ExecuteChunk, FleetWarm) at -benchtime $BENCHTIME -count $COUNT" >&2
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkWireSpecs|BenchmarkFleetWarm' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/harness/)"
+$(go test -run '^$' -bench 'BenchmarkWireSpecs|BenchmarkExecuteChunk|BenchmarkFleetWarm' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/harness/)"
 
 # "pkg: stbpu/internal/sim" headers scope the benchmark names; value
 # fields precede their unit tokens (ns/op, allocs/op). With -count > 1
