@@ -1,10 +1,11 @@
-// Command stbpu-report compares two runs of the suite metric by metric
-// and gates on regressions — the building block for a CI perf/accuracy
-// gate and the replacement for manual jq archaeology over suite
-// documents.
+// Command stbpu-report prints a suite document as text tables, and
+// compares two runs of the suite metric by metric and gates on
+// regressions — the building block for a CI perf/accuracy gate and the
+// replacement for manual jq archaeology over suite documents.
 //
 // Usage:
 //
+//	stbpu-report suite.json                     # every run as its text table
 //	stbpu-report old.json new.json              # per-metric deltas
 //	stbpu-report -threshold 0.05 old new        # fail on >5% relative change
 //	stbpu-report -json old new                  # machine-readable diff
@@ -12,7 +13,12 @@
 //	stbpu-report -timing run.jsonl              # per-scope wall-time summary
 //	stbpu-report -timing suite.json             # per-backend fleet/wire summary
 //
-// Each input is either a stbpu-suite JSON document (the -o output) or a
+// A single suite document prints each run under a header naming its
+// scenario, cell count and elapsed_ms: the Render text of its result
+// (decoded through experiments.DecodeResult), or its flattened metric
+// rows when this binary doesn't know the scenario.
+//
+// To diff, each input is a stbpu-suite JSON document (the -o output) or a
 // run journal (the -journal JSONL file; schema in docs/SUITE_JSON.md).
 // Suite documents flatten through the typed results pipeline
 // (internal/experiments' Tabler implementations); unknown scenarios and
@@ -53,11 +59,11 @@ import (
 	"stbpu/internal/results"
 )
 
-// suiteRun is the slice of a suite document this tool reads: the
-// scenario name plus its raw result, everything else ignored.
+// suiteRun is one run of a suite document: its harness report, with
+// the result kept raw until its scenario's decoder reads it.
 type suiteRun struct {
-	Scenario string          `json:"scenario"`
-	Result   json.RawMessage `json:"result"`
+	harness.Report
+	Result json.RawMessage `json:"result"`
 }
 
 // suiteDocIn is the loosely-parsed suite document.
@@ -67,15 +73,25 @@ type suiteDocIn struct {
 	Backends []harness.BackendStats `json:"backends"`
 }
 
+// readDoc reads path as a suite document; ok is false when it parses
+// as something else (a run journal, say).
+func readDoc(path string) (doc suiteDocIn, ok bool, err error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return suiteDocIn{}, false, err
+	}
+	ok = json.Unmarshal(b, &doc) == nil && doc.Suite == "stbpu-suite"
+	return doc, ok, nil
+}
+
 // loadTable flattens one input file — suite document or run journal —
 // into a metrics table.
 func loadTable(path string) (results.Table, error) {
-	b, err := os.ReadFile(path)
+	doc, ok, err := readDoc(path)
 	if err != nil {
 		return results.Table{}, err
 	}
-	var doc suiteDocIn
-	if err := json.Unmarshal(b, &doc); err == nil && doc.Suite == "stbpu-suite" {
+	if ok {
 		return tableFromDoc(doc)
 	}
 	entries, err := harness.ReadJournal(path)
@@ -91,20 +107,62 @@ func loadTable(path string) (results.Table, error) {
 func tableFromDoc(doc suiteDocIn) (results.Table, error) {
 	var out results.Table
 	for _, run := range doc.Runs {
-		if tabler, err := experiments.DecodeResult(run.Scenario, run.Result); err == nil {
-			out.Rows = append(out.Rows, tabler.Table().WithScenario(run.Scenario).Rows...)
-			continue
+		res, err := decodeRun(run)
+		if err != nil {
+			return results.Table{}, err
 		}
-		var v any
-		if err := json.Unmarshal(run.Result, &v); err != nil {
-			return results.Table{}, fmt.Errorf("scenario %s: undecodable result: %w", run.Scenario, err)
-		}
-		var t results.Table
-		flattenJSON(&t, "", v)
-		out.Rows = append(out.Rows, t.WithScenario(run.Scenario).Rows...)
+		out.Rows = append(out.Rows, res.Table().WithScenario(run.Scenario).Rows...)
 	}
 	out.Sort()
 	return out, nil
+}
+
+// renderDoc prints every run of a suite document in document order: a
+// header naming the scenario, its cell count and elapsed_ms, then the
+// result's text.
+func renderDoc(w io.Writer, doc suiteDocIn) error {
+	for i, run := range doc.Runs {
+		res, err := decodeRun(run)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "=== %s: %d cells, %d ms ===\n", run.Scenario, run.Cells, run.ElapsedMS)
+		res.Render(w)
+	}
+	return nil
+}
+
+// decodeRun decodes a run's result into its scenario's aggregate, or
+// into flatRows when this binary doesn't know the scenario.
+func decodeRun(run suiteRun) (experiments.Result, error) {
+	if res, err := experiments.DecodeResult(run.Scenario, run.Result); err == nil {
+		return res, nil
+	}
+	var v any
+	if err := json.Unmarshal(run.Result, &v); err != nil {
+		return nil, fmt.Errorf("scenario %s: undecodable result: %w", run.Scenario, err)
+	}
+	var t results.Table
+	flattenJSON(&t, "", v)
+	return flatRows(t), nil
+}
+
+// flatRows is a result this binary has no type for, flattened numeric
+// leaf by numeric leaf; it renders one metric per line.
+type flatRows results.Table
+
+// Table implements results.Tabler.
+func (f flatRows) Table() results.Table { return results.Table(f) }
+
+// Render implements harness.Renderer.
+func (f flatRows) Render(w io.Writer) {
+	g := results.Grid{LabelWidth: 40}
+	for _, r := range f.Rows {
+		g.Row(w, r.Metric, fmt.Sprintf("%14.6g", r.Value))
+	}
 }
 
 // tableFromJournal flattens journal entries cell by cell: every numeric
@@ -303,6 +361,29 @@ func backendsReport(w io.Writer, path string, doc suiteDocIn) {
 	}
 }
 
+// summarize prints one input: a suite document's text tables, or with
+// timing its backends block or a run journal's per-scope wall time.
+func summarize(w io.Writer, path string, timing bool) error {
+	doc, ok, err := readDoc(path)
+	switch {
+	case err != nil:
+		return err
+	case ok && timing:
+		backendsReport(w, path, doc)
+		return nil
+	case ok:
+		return renderDoc(w, doc)
+	case !timing:
+		return fmt.Errorf("%s is not a stbpu-suite document; a run journal can only be diffed or summarized with -timing", path)
+	}
+	entries, err := harness.ReadJournal(path)
+	if err != nil {
+		return err
+	}
+	timingReport(w, path, entries)
+	return nil
+}
+
 // report renders the diff and returns the number of threshold
 // violations; a non-nil error means the output itself could not be
 // produced (tooling must not see a silent empty diff).
@@ -397,7 +478,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxRows := fs.Int("max-rows", 100, "cap the changed-metric rows printed (text mode)")
 	timing := fs.Bool("timing", false, "summarize one input instead of diffing: per-scope wall time from a run journal, or the fleet/wire backends block from a suite document")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: stbpu-report [flags] <old> <new>")
+		fmt.Fprintln(stderr, "usage: stbpu-report <suite.json>")
+		fmt.Fprintln(stderr, "       stbpu-report [flags] <old> <new>")
 		fmt.Fprintln(stderr, "       stbpu-report -timing <run.jsonl | suite.json>")
 		fmt.Fprintln(stderr, "inputs: stbpu-suite JSON documents (-o) or run journals (-journal)")
 		fs.PrintDefaults()
@@ -405,28 +487,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *timing {
+	if *timing || fs.NArg() == 1 {
 		if fs.NArg() != 1 {
 			fs.Usage()
 			return 2
 		}
-		path := fs.Arg(0)
-		raw, err := os.ReadFile(path)
-		if err != nil {
+		if err := summarize(stdout, fs.Arg(0), *timing); err != nil {
 			fmt.Fprintln(stderr, "stbpu-report:", err)
 			return 2
 		}
-		var doc suiteDocIn
-		if jerr := json.Unmarshal(raw, &doc); jerr == nil && doc.Suite == "stbpu-suite" {
-			backendsReport(stdout, path, doc)
-			return 0
-		}
-		entries, err := harness.ReadJournal(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "stbpu-report:", err)
-			return 2
-		}
-		timingReport(stdout, path, entries)
 		return 0
 	}
 	if fs.NArg() != 2 {

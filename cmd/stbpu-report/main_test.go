@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -206,8 +207,9 @@ func TestJournalMixedParamsKeptDistinct(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
+	// One input renders a suite document; this one does not exist.
 	if code := run([]string{"only-one-arg"}, &out, &errb); code != 2 {
-		t.Errorf("missing arg exit = %d, want 2", code)
+		t.Errorf("missing document exit = %d, want 2", code)
 	}
 	if code := run([]string{"a", "b", "c"}, &out, &errb); code != 2 {
 		t.Errorf("extra arg exit = %d, want 2", code)
@@ -347,5 +349,107 @@ func TestTimingBackendsReport(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("backends report lacks %q:\n%s", want, text)
 		}
+	}
+}
+
+// quickGolden is stbpu-suite's committed quick-scale document (fig3,
+// thresholds, covert).
+const quickGolden = "../stbpu-suite/testdata/quick.golden.json"
+
+// readGolden parses quickGolden and returns its raw bytes and runs.
+func readGolden(t *testing.T) ([]byte, []suiteRun) {
+	t.Helper()
+	raw, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc suiteDocIn
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Runs) != 3 {
+		t.Fatalf("golden holds %d runs, want 3", len(doc.Runs))
+	}
+	return raw, doc.Runs
+}
+
+// TestRenderDocument: one suite document prints one header per run, in
+// document order, each followed by exactly the Render text of that
+// run's decoded result.
+func TestRenderDocument(t *testing.T) {
+	_, runs := readGolden(t)
+	var out, errb bytes.Buffer
+	if code := run([]string{quickGolden}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\n%s", code, errb.String())
+	}
+	sections := strings.Split(out.String(), "\n\n=== ")
+	if len(sections) != len(runs) {
+		t.Fatalf("%d sections for %d runs:\n%s", len(sections), len(runs), out.String())
+	}
+	for i, r := range runs {
+		header, body, _ := strings.Cut(strings.TrimPrefix(sections[i], "=== "), "\n")
+		want := fmt.Sprintf("%s: %d cells, %d ms ===", r.Scenario, r.Cells, r.ElapsedMS)
+		if header != want {
+			t.Errorf("run %d header %q, want %q", i, header, want)
+		}
+		res, err := experiments.DecodeResult(r.Scenario, r.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text bytes.Buffer
+		res.Render(&text)
+		if i < len(runs)-1 {
+			body += "\n" // the blank line the split consumed
+		}
+		if body != text.String() {
+			t.Errorf("%s body differs from its Render text:\n%s\nwant:\n%s", r.Scenario, body, text.String())
+		}
+	}
+}
+
+// TestRenderUnknownScenario: a run whose scenario this binary doesn't
+// know prints its flattened metric rows under its header.
+func TestRenderUnknownScenario(t *testing.T) {
+	raw, _ := readGolden(t)
+	renamed := bytes.Replace(raw, []byte(`"scenario": "covert"`), []byte(`"scenario": "covert-next"`), 1)
+	if bytes.Equal(renamed, raw) {
+		t.Fatal("covert run not found in the golden")
+	}
+	path := filepath.Join(t.TempDir(), "doc.json")
+	if err := os.WriteFile(path, renamed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\n%s", code, errb.String())
+	}
+	text := out.String()
+	for _, want := range []string{"=== covert-next: 12 cells, 0 ms ===\nBits ", "\nRows/0/Capacity ", "=== fig3: "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output lacks %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRenderRefusesJournal: only a suite document renders; a single run
+// journal is an input error.
+func TestRenderRefusesJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := harness.CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.CellDone(harness.Cell{Backend: "local"},
+		harness.CellSpec{Scenario: "fig3", Scope: "fig3", RootSeed: 1},
+		harness.CellResult{Value: json.RawMessage("0.5")})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 2 {
+		t.Errorf("journal render exit = %d, want 2\n%s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "not a stbpu-suite document") {
+		t.Errorf("journal refusal unexplained: %q", errb.String())
 	}
 }

@@ -135,7 +135,7 @@ func DoSSpraysForProb(p StructParams, target float64) float64 {
 }
 
 // GammaSweepRow is one row of the threshold sweep: the security side of
-// Fig. 6 (the performance side is measured by experiments.RunFig6).
+// Fig. 6 (the performance side is the fig6 scenario).
 type GammaSweepRow struct {
 	// R is the attack difficulty factor.
 	R float64

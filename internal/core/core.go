@@ -150,10 +150,6 @@ type ModelConfig struct {
 	// SharedTokens keys tokens by program instead of PID (OS policy for
 	// same-binary process groups).
 	SharedTokens bool
-	// SeparateTageRegister keeps the dedicated TAGE misprediction
-	// register (on by default for TAGE models; the ablation bench turns
-	// it off).
-	SeparateTageRegister *bool
 	// IndirectITTAGE attaches a dedicated ITTAGE indirect-target
 	// predictor (keyed by the same token) ahead of the BTB mode-two
 	// path.
@@ -176,7 +172,6 @@ type Model struct {
 	percPred *perceptron.Predictor
 
 	sharedTokens bool
-	separateTage bool
 	lastTageMisp uint64
 
 	curKey  uint64
@@ -193,12 +188,8 @@ func NewModel(cfg ModelConfig) *Model {
 	if cfg.Thresholds != nil {
 		th = *cfg.Thresholds
 	}
-	separate := cfg.Dir == DirTAGE8 || cfg.Dir == DirTAGE64
-	if cfg.SeparateTageRegister != nil {
-		separate = *cfg.SeparateTageRegister
-	}
-	if !separate {
-		th.TageMispredictions = 0
+	if cfg.Dir != DirTAGE8 && cfg.Dir != DirTAGE64 {
+		th.TageMispredictions = 0 // only TAGE models have the register (§VII-B2)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -211,7 +202,6 @@ func NewModel(cfg ModelConfig) *Model {
 		mgr:          token.NewManager(seed, th),
 		dir:          cfg.Dir,
 		sharedTokens: cfg.SharedTokens,
-		separateTage: separate,
 	}
 	var dir bpu.DirectionPredictor
 	switch cfg.Dir {
@@ -318,7 +308,7 @@ func (m *Model) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	// to their dedicated register (§VII-B2).
 	if ev.Mispredict {
 		viaTage := false
-		if m.tagePred != nil && m.separateTage {
+		if m.tagePred != nil {
 			if tm := m.tagePred.TageMispredicts; tm != m.lastTageMisp {
 				m.lastTageMisp = tm
 				viaTage = true
@@ -385,7 +375,7 @@ func (m *Model) StepColumns(cols *trace.Columns, lo, hi int, acc *bpu.Counters) 
 		// Threshold monitoring, exactly as in Step.
 		if ev.Mispredict {
 			viaTage := false
-			if m.tagePred != nil && m.separateTage {
+			if m.tagePred != nil {
 				if tm := m.tagePred.TageMispredicts; tm != m.lastTageMisp {
 					m.lastTageMisp = tm
 					viaTage = true

@@ -200,17 +200,12 @@ func TestTargetEncryptionDiffersAcrossTokens(t *testing.T) {
 
 func TestSeparateTageRegisterDefaultsByModel(t *testing.T) {
 	tageModel := NewModel(ModelConfig{Dir: DirTAGE64})
-	if !tageModel.separateTage {
+	if tageModel.TokenManager().Thresholds().TageMispredictions == 0 {
 		t.Error("TAGE model should default to a separate register")
 	}
 	skl := NewModel(ModelConfig{Dir: DirSKLCond})
-	if skl.separateTage {
+	if skl.TokenManager().Thresholds().TageMispredictions != 0 {
 		t.Error("SKLCond model should not have a TAGE register")
-	}
-	off := false
-	ablated := NewModel(ModelConfig{Dir: DirTAGE64, SeparateTageRegister: &off})
-	if ablated.separateTage {
-		t.Error("ablation flag ignored")
 	}
 }
 

@@ -24,7 +24,6 @@ func (m *Model) Fork() *Model {
 		mgr:          m.mgr.Clone(),
 		dir:          m.dir,
 		sharedTokens: m.sharedTokens,
-		separateTage: m.separateTage,
 		lastTageMisp: m.lastTageMisp,
 		curKey:       m.curKey,
 		haveKey:      m.haveKey,

@@ -5,6 +5,7 @@ import (
 
 	"stbpu/internal/core"
 	"stbpu/internal/sim"
+	"stbpu/internal/token"
 	"stbpu/internal/trace"
 )
 
@@ -208,6 +209,52 @@ func TestPipelineAgreesWithIntervalModel(t *testing.T) {
 			t.Errorf("%s: pipeline IPC %.3f vs interval IPC %.3f (ratio %.2f)",
 				name, pipe.IPC(), interval.IPC(), ratio)
 		}
+	}
+}
+
+// TestTimingEnginesAgreeOnThresholdCost checks the interval model's
+// fixed misprediction penalty against the stage engine, which stalls
+// fetch until each mispredicted branch resolves. On a switch-heavy
+// workload, an ST model normalized to its unprotected twin must lose
+// IPC on both engines when Γ drops to 50 events, and the stage engine's
+// loss must be 0.3-0.8x the interval model's: the fixed penalty leans
+// conservative, never optimistic.
+func TestTimingEnginesAgreeOnThresholdCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the stage engine four times")
+	}
+	tr := pipelineTrace(t, "mysql_128con_50s", 20_000)
+	newModels := func(th *token.Thresholds) (sim.Model, sim.Model) {
+		return &sim.UnitModel{ModelName: "baseline", Unit: core.NewUnprotectedUnit(core.DirSKLCond)},
+			&sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: 7, Thresholds: th})}
+	}
+	stageIPC := func(m sim.Model) float64 {
+		p, err := NewPipeline(DefaultPipelineConfig(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Run(tr).IPC()
+	}
+	// normIPC returns the ST model's IPC over its twin's, interval model
+	// first, stage engine second.
+	normIPC := func(th *token.Thresholds) (interval, pipeline float64) {
+		unprot, prot := newModels(th)
+		interval = New(TableIVConfig(), prot).Run(tr).IPC() / New(TableIVConfig(), unprot).Run(tr).IPC()
+		unprot, prot = newModels(th)
+		return interval, stageIPC(prot) / stageIPC(unprot)
+	}
+	ivDefault, pDefault := normIPC(nil)
+	iv50, p50 := normIPC(&token.Thresholds{Mispredictions: 50, Evictions: 50})
+	t.Logf("normalized IPC, interval vs stage engine: default Γ %.4f vs %.4f, Γ=50 %.4f vs %.4f",
+		ivDefault, pDefault, iv50, p50)
+	if iv50 >= ivDefault || p50 >= pDefault {
+		t.Errorf("Γ=50 does not cost IPC: interval %.4f vs default %.4f, stage %.4f vs default %.4f",
+			iv50, ivDefault, p50, pDefault)
+	}
+	ratio := (1 - p50) / (1 - iv50)
+	if ratio < 0.3 || ratio > 0.8 {
+		t.Errorf("at Γ=50 the stage engine loses %.4f IPC, %.2fx the interval model's %.4f; want 0.3-0.8x",
+			1-p50, ratio, 1-iv50)
 	}
 }
 

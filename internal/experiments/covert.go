@@ -45,14 +45,6 @@ type covertCell struct {
 	Rerands                      uint64
 }
 
-// RunCovertComparison measures the PHT covert channel on the full lineup
-// on the default pool.
-func RunCovertComparison(nbits int) CovertResult {
-	res, _ := RunCovertComparisonCtx(context.Background(),
-		harness.Params{Bits: nbits, Trials: matrixRuns}, harness.Default())
-	return res
-}
-
 // covertSpace declares the channel's (model × trial) cells.
 func covertSpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, covertCell], error) {
 	models := DefenseModels()

@@ -87,23 +87,14 @@ func defenseAccuracySpace(p harness.Params, pool *harness.Pool) (harness.Space[m
 	return harness.Joint("defense-accuracy", len(names)*k,
 		func(shard int) string { return harness.Locality(names[shard/k], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
-			cols, prof, err := cache.GetColumns(names[shards[0]/k], s.Records)
+			rs, err := replayLineup(ctx, cache, names[shards[0]/k], s.Records, shards, seeds,
+				func(shard int, seed uint64, sharedTokens bool) sim.Model {
+					return newDefenseModel(shard%k, sharedTokens, seed)
+				})
 			if err != nil {
 				return nil, err
 			}
-			models := make([]sim.Model, len(shards))
-			for i, shard := range shards {
-				models[i] = newDefenseModel(shard%k, prof.SharedTokens, seeds[i])
-			}
-			rs, err := sim.RunColumnsMulti(ctx, models, cols)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = r.OAE()
-			}
-			return out, nil
+			return oaes(rs), nil
 		}), nil
 }
 

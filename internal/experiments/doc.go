@@ -9,12 +9,12 @@
 // the Run*Ctx functions map their space with harness.Map, and fleet
 // workers execute chunks of the same declaration.
 //
-// Each Run* function returns a structured result with a Render method
+// Each Run*Ctx function returns a structured result with a Render method
 // (built on results.Grid, the shared table renderer) producing the same
 // rows/series the paper reports, and a Table method flattening it into
 // a results.Table so cmd/stbpu-report can diff any two runs metric by
-// metric (tables.go holds the Tabler implementations and the typed
-// DecodeResult used to reload suite documents).
+// metric (tables.go holds the Tabler implementations; DecodeResult in
+// scenarios.go reloads either view from a suite document).
 //
 // Three conventions keep cells distributable (docs/ARCHITECTURE.md "The
 // determinism contract"):

@@ -66,6 +66,32 @@ func mapSpace[S, T any](ctx context.Context, p harness.Params, pool *harness.Poo
 	return harness.Map(ctx, pool, sp)
 }
 
+// replayLineup replays a locality group's lineup over the (workload,
+// records) trace in one trace-major pass: model builds each shard's
+// model from its seed and the trace's SharedTokens policy, and the
+// results come back in shard order.
+func replayLineup(ctx context.Context, store *tracestore.Store, workload string, records int,
+	shards []int, seeds []uint64, model func(shard int, seed uint64, sharedTokens bool) sim.Model) ([]sim.Result, error) {
+	cols, prof, err := store.GetColumns(workload, records)
+	if err != nil {
+		return nil, err
+	}
+	models := make([]sim.Model, len(shards))
+	for i, shard := range shards {
+		models[i] = model(shard, seeds[i], prof.SharedTokens)
+	}
+	return sim.RunColumnsMulti(ctx, models, cols)
+}
+
+// oaes maps lineup results to their OAEs.
+func oaes(rs []sim.Result) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		out[i] = r.OAE()
+	}
+	return out
+}
+
 // Workload traces come from the pool's shared tracestore.Store: one
 // (workload, records) trace is generated once and shared read-only across
 // every cell of every scenario in the run, with deduplicated generation
@@ -92,11 +118,6 @@ type Fig3Result struct {
 	AvgNormalized [5]float64
 }
 
-// RunFig3 regenerates Fig. 3 on the default pool.
-func RunFig3(s Scale) (Fig3Result, error) {
-	return RunFig3Ctx(context.Background(), s.Params(), harness.Default())
-}
-
 // fig3Space declares Fig. 3's (workload × model) cells. Trace-major:
 // all of a workload's model cells replay in one pass over its shared
 // columns.
@@ -109,23 +130,14 @@ func fig3Space(p harness.Params, pool *harness.Pool) (harness.Space[map[int]floa
 	return harness.Joint("fig3", len(names)*k,
 		func(shard int) string { return harness.Locality(names[shard/k], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
-			cols, prof, err := cache.GetColumns(names[shards[0]/k], s.Records)
+			rs, err := replayLineup(ctx, cache, names[shards[0]/k], s.Records, shards, seeds,
+				func(shard int, seed uint64, sharedTokens bool) sim.Model {
+					return sim.New(kinds[shard%k], sim.Options{SharedTokens: sharedTokens, Seed: seed})
+				})
 			if err != nil {
 				return nil, err
 			}
-			models := make([]sim.Model, len(shards))
-			for i, shard := range shards {
-				models[i] = sim.New(kinds[shard%k], sim.Options{SharedTokens: prof.SharedTokens, Seed: seeds[i]})
-			}
-			results, err := sim.RunColumnsMulti(ctx, models, cols)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float64, len(results))
-			for i, res := range results {
-				out[i] = res.OAE()
-			}
-			return out, nil
+			return oaes(rs), nil
 		}), nil
 }
 
@@ -222,11 +234,6 @@ func runPair(ctx context.Context, tl *cpu.Timeline, tr *trace.Columns, dir core.
 		TgtReduction: base.Branch.TargetRate() - st.Branch.TargetRate(),
 		NormIPC:      st.IPC() / base.IPC(),
 	}, nil
-}
-
-// RunFig4 regenerates Fig. 4 on the default pool.
-func RunFig4(s Scale) (Fig4Result, error) {
-	return RunFig4Ctx(context.Background(), s.Params(), harness.Default())
 }
 
 // cpuShare is what the cells of one Fig. 4 workload or one Fig. 5/6 SMT
@@ -363,11 +370,6 @@ func runSMTPair(ctx context.Context, tl *cpu.Timeline, a, b *trace.Columns, dir 
 	}, nil
 }
 
-// RunFig5 regenerates Fig. 5 on the default pool.
-func RunFig5(s Scale) (Fig5Result, error) {
-	return RunFig5Ctx(context.Background(), s.Params(), harness.Default())
-}
-
 // fig5Space declares Fig. 5's (pair × predictor) cells. A pair's SMT
 // memory timeline is shared by its predictor cells.
 func fig5Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], error) {
@@ -460,13 +462,6 @@ func DefaultFig6Sweep() []float64 { return []float64{5e-2, 5e-3, 5e-4, 5e-5, 5e-
 type fig6Cell struct {
 	Acc, IPC float64
 	Rerands  uint64
-}
-
-// RunFig6 regenerates Fig. 6 on the default pool.
-func RunFig6(s Scale, rs []float64) (Fig6Result, error) {
-	p := s.Params()
-	p.Sweep = rs
-	return RunFig6Ctx(context.Background(), p, harness.Default())
 }
 
 // fig6Sweep returns the r axis of p, defaulting to DefaultFig6Sweep.
@@ -606,7 +601,8 @@ type GammaResult struct {
 	Rows []analysis.GammaSweepRow
 }
 
-// DefaultGammaSweep is the r axis the bench CLI historically printed.
+// DefaultGammaSweep is the gamma scenario's r axis: the paper's r = 0.05
+// and the five decades below it.
 func DefaultGammaSweep() []float64 {
 	return []float64{0.05, 0.005, 5e-4, 5e-5, 5e-6, 5e-7}
 }

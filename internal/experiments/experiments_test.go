@@ -1,15 +1,23 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"stbpu/internal/harness"
 )
+
+// runDefault runs a scenario's Run*Ctx on the default pool.
+func runDefault[R any](run func(context.Context, harness.Params, *harness.Pool) (R, error), p harness.Params) (R, error) {
+	return run(context.Background(), p, harness.Default())
+}
 
 // TestFig3CappedShape is the short-mode stand-in for the full-list shape
 // tests below: a capped workload set keeps `go test -race -short` fast
 // while still exercising the harness path end to end.
 func TestFig3CappedShape(t *testing.T) {
-	res, err := RunFig3(Scale{Records: 25_000, MaxWorkloads: 6})
+	res, err := runDefault(RunFig3Ctx, Scale{Records: 25_000, MaxWorkloads: 6}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +36,7 @@ func TestFig3QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 37-workload sweep; TestFig3CappedShape covers the short path")
 	}
-	res, err := RunFig3(Scale{Records: 40_000, MaxWorkloads: 0})
+	res, err := runDefault(RunFig3Ctx, Scale{Records: 40_000, MaxWorkloads: 0}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestFig3ServerWorkloadsHurtMost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 37-workload sweep; needs the server/SPEC split")
 	}
-	res, err := RunFig3(Scale{Records: 40_000})
+	res, err := runDefault(RunFig3Ctx, Scale{Records: 40_000}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func TestFig3ServerWorkloadsHurtMost(t *testing.T) {
 }
 
 func TestFig4Quick(t *testing.T) {
-	res, err := RunFig4(Scale{Records: 30_000, MaxWorkloads: 4})
+	res, err := runDefault(RunFig4Ctx, Scale{Records: 30_000, MaxWorkloads: 4}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +126,7 @@ func TestFig4Quick(t *testing.T) {
 }
 
 func TestFig5Quick(t *testing.T) {
-	res, err := RunFig5(Scale{Records: 25_000, MaxPairs: 3})
+	res, err := runDefault(RunFig5Ctx, Scale{Records: 25_000, MaxPairs: 3}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +146,7 @@ func TestFig5Quick(t *testing.T) {
 }
 
 func TestFig6SweepShape(t *testing.T) {
-	res, err := RunFig6(Scale{Records: 25_000, MaxPairs: 2}, []float64{5e-2, 5e-4, 2e-6})
+	res, err := runDefault(RunFig6Ctx, harness.Params{Records: 25_000, MaxPairs: 2, Sweep: []float64{5e-2, 5e-4, 2e-6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +249,10 @@ func TestDefenseMatrixShape(t *testing.T) {
 }
 
 func TestCovertComparisonShape(t *testing.T) {
-	res := RunCovertComparison(128)
+	res, err := runDefault(RunCovertComparisonCtx, harness.Params{Bits: 128, Trials: matrixRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(res.Rows))
 	}
@@ -274,7 +285,7 @@ func TestCovertComparisonShape(t *testing.T) {
 func TestITTAGEExtension(t *testing.T) {
 	s := QuickScale()
 	s.MaxWorkloads = 4
-	res, err := RunITTAGE(s)
+	res, err := runDefault(RunITTAGECtx, s.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +301,7 @@ func TestITTAGEExtension(t *testing.T) {
 }
 
 func TestWarmupCurve(t *testing.T) {
-	res, err := RunWarmup("mysql_128con_50s", []int{10_000, 40_000, 120_000})
+	res, err := runDefault(RunWarmupCtx, harness.Params{Workload: "mysql_128con_50s", Sweep: []float64{10_000, 40_000, 120_000}})
 	if err != nil {
 		t.Fatal(err)
 	}

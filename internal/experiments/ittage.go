@@ -73,11 +73,6 @@ type ittageCell struct {
 	TargetRate, OAE float64
 }
 
-// RunITTAGE measures the four variants on the default pool.
-func RunITTAGE(s Scale) (ITTAGEResult, error) {
-	return RunITTAGECtx(context.Background(), s.Params(), harness.Default())
-}
-
 // ittageSpace declares the (workload × variant) cells. Trace-major: the
 // four variants share one pass per workload.
 func ittageSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]ittageCell, ittageCell], error) {
@@ -88,15 +83,8 @@ func ittageSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]it
 	return harness.Joint("ittage", len(names)*nv,
 		func(shard int) string { return harness.Locality(names[shard/nv], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]ittageCell, error) {
-			cols, _, err := cache.GetColumns(names[shards[0]/nv], s.Records)
-			if err != nil {
-				return nil, err
-			}
-			models := make([]sim.Model, len(shards))
-			for i, shard := range shards {
-				models[i] = newITTAGEVariant(shard%nv, seeds[i])
-			}
-			rs, err := sim.RunColumnsMulti(ctx, models, cols)
+			rs, err := replayLineup(ctx, cache, names[shards[0]/nv], s.Records, shards, seeds,
+				func(shard int, seed uint64, _ bool) sim.Model { return newITTAGEVariant(shard%nv, seed) })
 			if err != nil {
 				return nil, err
 			}

@@ -3,62 +3,15 @@ package experiments
 // Typed results pipeline: every scenario aggregate flattens into a
 // results.Table — (cell, metric, value) rows in canonical order — so
 // cmd/stbpu-report can diff any two runs metric by metric without
-// knowing the aggregates' shapes. DecodeResult is the wire half: it
-// turns a suite document's raw `result` JSON back into the concrete
-// type by scenario name.
+// knowing the aggregates' shapes. DecodeResult (scenarios.go) is the
+// wire half: it turns a suite document's raw `result` JSON back into
+// the type its scenario registered.
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"stbpu/internal/attacks"
 	"stbpu/internal/results"
 	"stbpu/internal/sim"
 )
-
-// decodeAs unmarshals raw into a fresh T and returns it as a Tabler.
-func decodeAs[T results.Tabler](raw json.RawMessage) (results.Tabler, error) {
-	var r T
-	err := json.Unmarshal(raw, &r)
-	return r, err
-}
-
-// DecodeResult unmarshals one suite run's raw result JSON into its
-// concrete aggregate by registry name and returns it as a Tabler. It
-// errors on scenarios this package doesn't know — callers that must
-// handle foreign documents fall back to generic flattening.
-func DecodeResult(scenario string, raw json.RawMessage) (results.Tabler, error) {
-	switch scenario {
-	case "fig3":
-		return decodeAs[Fig3Result](raw)
-	case "fig4":
-		return decodeAs[Fig4Result](raw)
-	case "fig5":
-		return decodeAs[Fig5Result](raw)
-	case "fig6":
-		return decodeAs[Fig6Result](raw)
-	case "thresholds":
-		return decodeAs[ThresholdReport](raw)
-	case "gamma":
-		return decodeAs[GammaResult](raw)
-	case "tablei":
-		return decodeAs[TableIResult](raw)
-	case "defense-accuracy":
-		return decodeAs[DefenseAccuracyResult](raw)
-	case "defense-matrix":
-		return decodeAs[DefenseMatrixResult](raw)
-	case "covert":
-		return decodeAs[CovertResult](raw)
-	case "ittage":
-		return decodeAs[ITTAGEResult](raw)
-	case "warmup":
-		return decodeAs[WarmupResult](raw)
-	case "workloads":
-		return decodeAs[WorkloadsResult](raw)
-	default:
-		return nil, fmt.Errorf("experiments: no typed decoder for scenario %q", scenario)
-	}
-}
 
 // Table implements results.Tabler.
 func (r Fig3Result) Table() results.Table {

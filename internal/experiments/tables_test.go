@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -27,8 +28,9 @@ func runAllTiny(t *testing.T) []harness.Report {
 
 // TestEveryScenarioResultIsTabler is the pipeline coverage gate: every
 // registered scenario's aggregate must flatten into a results.Table,
-// and the typed decoder must reproduce that table from the aggregate's
-// JSON — the exact path stbpu-report takes through a suite document.
+// and the typed decoder must reproduce that table and its rendered text
+// from the aggregate's JSON — the exact paths stbpu-report takes
+// through a suite document.
 func TestEveryScenarioResultIsTabler(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every scenario")
@@ -63,6 +65,15 @@ func TestEveryScenarioResultIsTabler(t *testing.T) {
 		viaWire := decoded.Table().WithScenario(rep.Scenario)
 		if !reflect.DeepEqual(direct, viaWire) {
 			t.Errorf("scenario %s: table differs between live aggregate and JSON round-trip", rep.Scenario)
+		}
+		// stbpu-report prints a document's runs through the decoded
+		// Render, so its text must be the live aggregate's byte for byte.
+		var live, viaDoc bytes.Buffer
+		rep.Result.(harness.Renderer).Render(&live)
+		decoded.Render(&viaDoc)
+		if !bytes.Equal(live.Bytes(), viaDoc.Bytes()) {
+			t.Errorf("scenario %s: Render differs between live aggregate and JSON round-trip:\n%s\nvs\n%s",
+				rep.Scenario, live.String(), viaDoc.String())
 		}
 		// A table diffed against itself must be clean — the invariant the
 		// stbpu-report self-diff smoke leans on.

@@ -48,17 +48,6 @@ func DefaultWarmupSweep() []float64 {
 	return sweep
 }
 
-// RunWarmup measures the Fig. 3 lineup across increasing trace lengths on
-// one switch-heavy workload, on the default pool.
-func RunWarmup(workload string, lengths []int) (WarmupResult, error) {
-	sweep := make([]float64, len(lengths))
-	for i, l := range lengths {
-		sweep[i] = float64(l)
-	}
-	return RunWarmupCtx(context.Background(),
-		harness.Params{Workload: workload, Sweep: sweep}, harness.Default())
-}
-
 // warmupLengths returns the trace lengths in p.Sweep, defaulting to
 // DefaultWarmupLengths.
 func warmupLengths(p harness.Params) []int {
@@ -111,23 +100,14 @@ func warmupSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]fl
 	}
 	run := func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
 		if synth {
-			cols, prof, err := cache.GetColumns(p.Workload, lengths[shards[0]/k])
+			rs, err := replayLineup(ctx, cache, p.Workload, lengths[shards[0]/k], shards, seeds,
+				func(shard int, seed uint64, sharedTokens bool) sim.Model {
+					return sim.New(kinds[shard%k], sim.Options{SharedTokens: sharedTokens, Seed: seed})
+				})
 			if err != nil {
 				return nil, err
 			}
-			models := make([]sim.Model, len(shards))
-			for i, shard := range shards {
-				models[i] = sim.New(kinds[shard%k], sim.Options{SharedTokens: prof.SharedTokens, Seed: seeds[i]})
-			}
-			rs, err := sim.RunColumnsMulti(ctx, models, cols)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float64, len(rs))
-			for i, r := range rs {
-				out[i] = r.OAE()
-			}
-			return out, nil
+			return oaes(rs), nil
 		}
 
 		// Single-pass path. Boundaries are the sorted unique lengths;

@@ -91,11 +91,6 @@ func specRecords(p harness.Params, s *spec.Spec) int {
 	return s.TotalRecords()
 }
 
-// RunWorkloads evaluates the built-in spec fixtures on the default pool.
-func RunWorkloads() (WorkloadsResult, error) {
-	return RunWorkloadsCtx(context.Background(), harness.Params{}, harness.Default())
-}
-
 // workloadsSpace declares the (spec × phase × model) cells, grouped
 // trace-major by spec.
 func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]workloadCell, workloadCell], error) {

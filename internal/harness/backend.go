@@ -341,8 +341,15 @@ func (b *LocalBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 		return compact(results, attempted), nil
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// firstFailed is the index of the cell whose failure canceled ctx.
+	// Cells are handed out in index order, so every lower cell was drawn
+	// before it; a worker still runs those, which makes the lowest failing
+	// cell Map reports independent of worker timing.
+	var firstFailed atomic.Int64
+	firstFailed.Store(int64(len(specs)))
 
 	jobs := make(chan int)
 	go func() {
@@ -362,10 +369,11 @@ func (b *LocalBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil && (parent.Err() != nil || int64(i) > firstFailed.Load()) {
 					return
 				}
 				if runCell(ctx, i) != nil {
+					firstFailed.CompareAndSwap(int64(len(specs)), int64(i))
 					cancel() // stop handing out further cells
 				}
 			}

@@ -29,7 +29,13 @@
 // per-record interface: models that implement only Model replay
 // through Columnar's Step adapter, bit-identically (pinned by tests),
 // and the cycle-level stage engine in internal/cpu drives Step
-// directly. Run-scoped counters surface through the optional
+// directly. ColumnModel is not folded into Step: forcing Columnar to
+// the Step adapter slowed BenchmarkReplayPath/stbpu from 15.3 to
+// 22.1 ms (+44%), BenchmarkReplayPath/baseline from 14.4 to 16.8 ms
+// (+17%) and BenchmarkReplayMulti/trace-major from 35.4 to 48.2 ms
+// (+36%) (3 alternating runs of 20 iterations, 2 vCPUs). Step stays for
+// the stage engine and the API edges that step one record at a time.
+// Run-scoped counters surface through the optional
 // Finalizer interface. Replay is deterministic for a fixed (trace,
 // model, seed), which is what lets the harness distribute cells
 // across processes — see docs/ARCHITECTURE.md "The determinism

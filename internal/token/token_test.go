@@ -3,6 +3,8 @@ package token
 import (
 	"testing"
 	"testing/quick"
+
+	"stbpu/internal/rng"
 )
 
 func TestDeriveThresholds(t *testing.T) {
@@ -246,5 +248,15 @@ func TestEnclaveEventsOnlyInsideSession(t *testing.T) {
 	e.Exit() // double exit is a no-op
 	if e.Exits != 1 {
 		t.Errorf("Exits = %d", e.Exits)
+	}
+}
+
+// BenchmarkTokenManager measures token lookup/re-randomization cost.
+func BenchmarkTokenManager(b *testing.B) {
+	mgr := NewManager(1, Derive(0.05))
+	r := rng.New(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mgr.OnMisprediction(uint64(r.Intn(64)))
 	}
 }

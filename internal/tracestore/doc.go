@@ -39,8 +39,8 @@
 // by exec workers sharing the machine. Writes are atomic (temp file +
 // rename), bad files fall back to regeneration, and because generation
 // is deterministic a decoded spill is bit-identical to regenerating,
-// so the tier changes wall-clock only. The stbpu-suite and stbpu-bench
-// front-ends expose it as -trace-dir.
+// so the tier changes wall-clock only. stbpu-suite exposes it as
+// -trace-dir.
 //
 // # Cache locality under distributed backends
 //
