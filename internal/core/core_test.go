@@ -198,7 +198,7 @@ func TestTargetEncryptionDiffersAcrossTokens(t *testing.T) {
 	}
 }
 
-func TestSeparateTageRegisterDefaultsByModel(t *testing.T) {
+func TestTageRegisterDefaultsByModel(t *testing.T) {
 	tageModel := NewModel(ModelConfig{Dir: DirTAGE64})
 	if tageModel.TokenManager().Thresholds().TageMispredictions == 0 {
 		t.Error("TAGE model should default to a separate register")
