@@ -1,6 +1,7 @@
 package bpu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -187,13 +188,30 @@ func TestBTBSetWrap(t *testing.T) {
 	}
 }
 
-func TestBTBPanicsOnBadGeometry(t *testing.T) {
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Errorf("%s: expected panic", what)
 		}
 	}()
-	NewBTB(BTBConfig{Sets: 0, Ways: 1})
+	f()
+}
+
+func TestBTBPanicsOnBadGeometry(t *testing.T) {
+	for _, cfg := range []BTBConfig{
+		{Sets: 0, Ways: 1}, {Sets: -4, Ways: 1}, {Sets: 4, Ways: 0},
+		{Sets: 3, Ways: 1}, {Sets: 6, Ways: 8}, {Sets: BTBSets - 1, Ways: BTBWays},
+	} {
+		mustPanic(t, fmt.Sprintf("NewBTB(%+v)", cfg), func() { NewBTB(cfg) })
+	}
+}
+
+func TestPHTPanicsOnBadSize(t *testing.T) {
+	for _, n := range []int{0, -8, 3, 6, 12, PHTSize - 1, PHTSize + PHTSize/2} {
+		mustPanic(t, fmt.Sprintf("NewPHT(%d)", n), func() { NewPHT(n) })
+	}
 }
 
 func TestPHTSaturation(t *testing.T) {
@@ -227,12 +245,31 @@ func TestPHTSaturation(t *testing.T) {
 	}
 }
 
+// TestPHTIndexWraps pins mask indexing: Predict, Update and Counter at
+// k + m·size all address counter k, as the modulo form did, checked
+// against a reference table over random k, m and outcomes.
 func TestPHTIndexWraps(t *testing.T) {
-	p := NewPHT(8)
-	p.Update(9, true)
-	p.Update(9, true)
-	if !p.Predict(1) {
-		t.Error("index should wrap modulo size")
+	for _, size := range []int{4, 8, 16, PHTSize} {
+		p := NewPHT(size)
+		ref := make([]uint8, size)
+		for i := range ref {
+			ref[i] = 1
+		}
+		r := rng.New(uint64(size))
+		for i := 0; i < 5000; i++ {
+			k := uint32(r.Intn(size))
+			idx := k + r.Uint32()/uint32(size)*uint32(size)
+			taken := r.Bool(0.5)
+			p.Update(idx, taken)
+			if c := ref[k]; taken && c < 3 {
+				ref[k]++
+			} else if !taken && c > 0 {
+				ref[k]--
+			}
+			if p.Counter(idx) != ref[k] || p.Counter(k) != ref[k] || p.Predict(idx) != (ref[k] >= 2) {
+				t.Fatalf("size %d: index %#x (counter %d) reads %d/%v, want %d", size, idx, k, p.Counter(idx), p.Predict(idx), ref[k])
+			}
+		}
 	}
 }
 
@@ -300,6 +337,72 @@ func TestRSBLIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// moduloRSB is the return stack's ring arithmetic in modulo form: the
+// reference the compare-wrapped RSB must match.
+type moduloRSB struct {
+	entries    []uint32
+	top, depth int
+}
+
+func (r *moduloRSB) push(v uint32) {
+	r.entries[r.top] = v
+	r.top = (r.top + 1) % len(r.entries)
+	if r.depth < len(r.entries) {
+		r.depth++
+	}
+}
+
+func (r *moduloRSB) pop() (uint32, bool) {
+	if r.depth == 0 {
+		return 0, false
+	}
+	r.top = (r.top - 1 + len(r.entries)) % len(r.entries)
+	r.depth--
+	return r.entries[r.top], true
+}
+
+func (r *moduloRSB) peek() (uint32, bool) {
+	if r.depth == 0 {
+		return 0, false
+	}
+	return r.entries[(r.top-1+len(r.entries))%len(r.entries)], true
+}
+
+func TestRSBWrapMatchesModuloReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 5, RSBDepth} {
+		rsb := NewRSB(capacity)
+		ref := &moduloRSB{entries: make([]uint32, capacity)}
+		r := rng.New(uint64(capacity))
+		wraps := 0
+		for i := 0; i < 40*capacity+200; i++ {
+			prev := rsb.top
+			if r.Bool(0.55) {
+				v := r.Uint32()
+				rsb.Push(v)
+				ref.push(v)
+			} else {
+				gv, gok := rsb.Pop()
+				wv, wok := ref.pop()
+				if gv != wv || gok != wok {
+					t.Fatalf("capacity %d op %d: Pop = %d,%v, reference %d,%v", capacity, i, gv, gok, wv, wok)
+				}
+			}
+			if capacity > 1 && (rsb.top == 0 && prev == capacity-1 || rsb.top == capacity-1 && prev == 0) {
+				wraps++
+			}
+			gv, gok := rsb.Peek()
+			wv, wok := ref.peek()
+			if gv != wv || gok != wok || rsb.top != ref.top || rsb.Depth() != ref.depth {
+				t.Fatalf("capacity %d op %d: RSB (top %d depth %d peek %d,%v) != reference (top %d depth %d peek %d,%v)",
+					capacity, i, rsb.top, rsb.Depth(), gv, gok, ref.top, ref.depth, wv, wok)
+			}
+		}
+		if capacity > 1 && wraps < 3 {
+			t.Errorf("capacity %d: only %d wraps exercised", capacity, wraps)
+		}
 	}
 }
 
@@ -530,5 +633,16 @@ func BenchmarkUnitPredictUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := tr.Records[i%len(tr.Records)]
 		u.Update(rec, u.Predict(rec.PC, rec.Kind))
+	}
+}
+
+// BenchmarkUnitFlush measures one IBPB-style barrier on the baseline
+// unit, the price a flush-based protection model pays per context
+// switch: BTB invalidation plus the PHT and chooser refill.
+func BenchmarkUnitFlush(b *testing.B) {
+	u := NewUnit(UnitConfig{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		u.Flush()
 	}
 }

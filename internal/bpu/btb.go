@@ -16,7 +16,8 @@ type btbEntry struct {
 
 // BTBConfig sizes a branch target buffer.
 type BTBConfig struct {
-	// Sets and Ways give the geometry (baseline 512×8).
+	// Sets and Ways give the geometry (baseline 512×8). Sets must be a
+	// power of two: a set index wraps by masking its low bits.
 	Sets, Ways int
 	// FullTags enables the conservative model: entries store the full
 	// 48-bit branch address and hit only on exact matches.
@@ -41,10 +42,14 @@ type BTB struct {
 	Evictions uint64
 }
 
-// NewBTB allocates a BTB with the given geometry.
+// NewBTB allocates a BTB with the given geometry. It panics unless both
+// dimensions are positive and Sets is a power of two.
 func NewBTB(cfg BTBConfig) *BTB {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic("bpu: BTB geometry must be positive")
+	}
+	if cfg.Sets&(cfg.Sets-1) != 0 {
+		panic("bpu: BTB set count must be a power of two")
 	}
 	return &BTB{cfg: cfg, entries: make([]btbEntry, cfg.Sets*cfg.Ways)}
 }
@@ -59,7 +64,7 @@ func (b *BTB) Sets() int { return b.cfg.Sets }
 func (b *BTB) Ways() int { return b.cfg.Ways }
 
 func (b *BTB) set(i uint32) []btbEntry {
-	i %= uint32(b.cfg.Sets)
+	i &= uint32(b.cfg.Sets - 1)
 	return b.entries[int(i)*b.cfg.Ways : (int(i)+1)*b.cfg.Ways]
 }
 

@@ -4,20 +4,21 @@ package bpu
 // predictor. Counter states run from 0 (strongly not-taken) to 3 (strongly
 // taken). PHT entries are never evicted (Table I: "PHT entries are not
 // evicted") — a colliding branch reuses and retrains the counter instead.
+// The size is a power of two, so an index wraps by masking its low bits.
 type PHT struct {
 	counters []uint8
+	mask     uint32 // len(counters) - 1
 }
 
 // NewPHT allocates a table with n counters, initialized weakly not-taken.
+// It panics unless n is a positive power of two.
 func NewPHT(n int) *PHT {
-	if n <= 0 {
-		panic("bpu: PHT size must be positive")
+	if n <= 0 || n&(n-1) != 0 {
+		panic("bpu: PHT size must be a positive power of two")
 	}
-	c := make([]uint8, n)
-	for i := range c {
-		c[i] = 1 // weakly not-taken
-	}
-	return &PHT{counters: c}
+	p := &PHT{counters: make([]uint8, n), mask: uint32(n - 1)}
+	p.Flush()
+	return p
 }
 
 // Size returns the counter count.
@@ -47,18 +48,18 @@ func (p *PHT) Restore(snap []uint8) {
 
 // Predict returns the direction for the given index.
 func (p *PHT) Predict(idx uint32) bool {
-	return p.counters[int(idx)%len(p.counters)] >= 2
+	return p.counters[idx&p.mask] >= 2
 }
 
 // Counter exposes the raw state (attack models read it to emulate
 // BranchScope-style state probing).
 func (p *PHT) Counter(idx uint32) uint8 {
-	return p.counters[int(idx)%len(p.counters)]
+	return p.counters[idx&p.mask]
 }
 
 // Update trains the counter toward the outcome.
 func (p *PHT) Update(idx uint32, taken bool) {
-	i := int(idx) % len(p.counters)
+	i := idx & p.mask
 	c := p.counters[i]
 	if taken {
 		if c < 3 {
@@ -69,9 +70,12 @@ func (p *PHT) Update(idx uint32, taken bool) {
 	}
 }
 
-// Flush resets every counter to the weakly not-taken state.
+// Flush resets every counter to the weakly not-taken state, doubling
+// the filled prefix with each copy.
 func (p *PHT) Flush() {
-	for i := range p.counters {
-		p.counters[i] = 1
+	c := p.counters
+	c[0] = 1 // weakly not-taken
+	for n := 1; n < len(c); n *= 2 {
+		copy(c[n:], c[:n])
 	}
 }

@@ -29,7 +29,10 @@ func (r *RSB) Depth() int { return r.depth }
 // Push stores a (possibly encrypted) 32-bit return address.
 func (r *RSB) Push(v uint32) {
 	r.entries[r.top] = v
-	r.top = (r.top + 1) % len(r.entries)
+	r.top++
+	if r.top == len(r.entries) {
+		r.top = 0
+	}
 	if r.depth < len(r.entries) {
 		r.depth++
 	}
@@ -43,7 +46,10 @@ func (r *RSB) Pop() (v uint32, ok bool) {
 		r.Underflows++
 		return 0, false
 	}
-	r.top = (r.top - 1 + len(r.entries)) % len(r.entries)
+	if r.top == 0 {
+		r.top = len(r.entries)
+	}
+	r.top--
 	r.depth--
 	return r.entries[r.top], true
 }
@@ -54,7 +60,11 @@ func (r *RSB) Peek() (v uint32, ok bool) {
 	if r.depth == 0 {
 		return 0, false
 	}
-	return r.entries[(r.top-1+len(r.entries))%len(r.entries)], true
+	i := r.top - 1
+	if i < 0 {
+		i = len(r.entries) - 1
+	}
+	return r.entries[i], true
 }
 
 // Flush empties the stack.

@@ -56,7 +56,7 @@ var _ DirectionPredictor = (*SKLCond)(nil)
 func (s *SKLCond) Predict(pc uint64) bool {
 	s.lastIdx1 = s.mapper.PHT1(pc)
 	s.lastIdx2 = s.mapper.PHT2(pc, s.hist.GHR)
-	s.lastChoice = s.lastIdx1 % uint32(s.chooser.Size())
+	s.lastChoice = s.lastIdx1 & s.chooser.mask
 	if s.chooser.Predict(s.lastChoice) {
 		return s.pht.Predict(s.lastIdx2)
 	}

@@ -62,28 +62,36 @@ func BenchmarkUpdate(b *testing.B) {
 
 // TestIncrementalFoldMatchesRecompute pins the optimization contract: the
 // incrementally maintained per-bank folds must equal a from-scratch
-// recompute of the ring at every step, including after a flush.
+// recompute of the ring at every step, including after a flush. Each
+// geometry runs past 3×MaxHist branches on both sides of the flush,
+// so the ring position wraps several times; the second has a ring length
+// that is not a power of two.
 func TestIncrementalFoldMatchesRecompute(t *testing.T) {
-	p, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := uint64(42)
-	check := func(step int) {
-		t.Helper()
-		for b, l := range p.lens {
-			if got, want := p.folds[b], p.fold(l); got != want {
-				t.Fatalf("step %d bank %d: incremental fold %#x != recomputed %#x", step, b, got, want)
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{Banks: 3, MinHist: 5, MaxHist: 23, IndexBits: 9, TagBits: 8},
+	} {
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := uint64(42)
+		check := func(step int) {
+			t.Helper()
+			for b, l := range p.lens {
+				if got, want := p.folds[b], p.fold(l); got != want {
+					t.Fatalf("MaxHist %d step %d bank %d: incremental fold %#x != recomputed %#x", cfg.MaxHist, step, b, got, want)
+				}
 			}
 		}
-	}
-	for i := 0; i < 500; i++ {
-		r := rng.SplitMix64(&s)
-		p.OnBranch(r&0xffff, r>>16&0xffff, r>>32&1 == 1)
-		check(i)
-		if i == 250 {
-			p.Flush()
+		for i := 0; i < 500; i++ {
+			r := rng.SplitMix64(&s)
+			p.OnBranch(r&0xffff, r>>16&0xffff, r>>32&1 == 1)
 			check(i)
+			if i == 250 {
+				p.Flush()
+				check(i)
+			}
 		}
 	}
 }

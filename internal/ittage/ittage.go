@@ -288,14 +288,23 @@ func (p *Predictor) OnBranch(pc, target uint64, taken bool) {
 	if taken {
 		sig |= 1
 	}
+	// histPos stays in [0,n) and every lens[b] in [1,n], so the ring
+	// slot l signatures back wraps with one compare.
 	n := len(p.hist)
 	for b, l := range p.lens {
-		out := uint64(p.hist[(p.histPos-l+2*n)%n])
+		i := p.histPos - l
+		if i < 0 {
+			i += n
+		}
+		out := uint64(p.hist[i])
 		f := bits.RotateLeft64(p.folds[b]^out, -5)
 		p.folds[b] = f ^ bits.RotateLeft64(uint64(sig), p.rotNew[b])
 	}
 	p.hist[p.histPos] = sig
-	p.histPos = (p.histPos + 1) % n
+	p.histPos++
+	if p.histPos == n {
+		p.histPos = 0
+	}
 }
 
 // Flush implements bpu.IndirectPredictor.

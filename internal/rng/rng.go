@@ -78,17 +78,17 @@ func (r *Rand) SetState(s [4]uint64) {
 	r.s = s
 }
 
-// Uint64 returns the next value in the stream.
+// Uint64 returns the next value in the stream. It is the package's one
+// copy of the xoshiro256** step, written with the state in locals and
+// stored back once: that form fits the compiler's inlining budget, so
+// Float64, Bool, Uint32 and Geometric inline it too and a hot loop pays
+// no call per draw.
 func (r *Rand) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = bits.RotateLeft64(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint32 returns a uniform 32-bit value.
@@ -151,17 +151,26 @@ func (r *Rand) Geometric(p float64, max int) int {
 	if p <= 0 || p >= 1 {
 		return 1
 	}
+	// Bool(p) succeeds when Float64() = m/2⁵³ < p, with m the top 53
+	// bits of the draw. Scaling by 2⁵³ is exact, so for integer m that is
+	// m < ceil(p·2⁵³): the integer compare consumes exactly the draws the
+	// Bool(p) loop does and returns the same n. A NaN p never succeeds,
+	// so thr stays 0 and every draw up to max fails.
+	var thr uint64
+	if !math.IsNaN(p) {
+		thr = uint64(math.Ceil(p * (1 << 53)))
+	}
 	n := 1
-	for n < max && !r.Bool(p) {
+	for n < max && r.Uint64()>>11 >= thr {
 		n++
 	}
 	return n
 }
 
-// Zipf returns a sample in [0, n) from a Zipf-like distribution with
-// exponent s, using inverse-CDF over a precomputed table is avoided to keep
-// the generator allocation-free: instead we use rejection with the standard
-// Zipf envelope. For the small n used in workload synthesis this is fast.
+// Zipf samples ranks in [0, n) from a Zipf-like distribution with
+// exponent s: rank k has weight 1/(k+1)^s. NewZipf builds the normalized
+// CDF table once, and Next inverts it by binary search over one Float64
+// draw, so each sample consumes exactly one draw and allocates nothing.
 type Zipf struct {
 	n    int
 	cdf  []float64

@@ -23,6 +23,32 @@ func TestSplitMix64KnownVector(t *testing.T) {
 	}
 }
 
+func TestUint64KnownVector(t *testing.T) {
+	// The first outputs of xoshiro256** from state {1, 2, 3, 4}, as the
+	// reference C implementation produces them. Every trace, token and
+	// attack stream in the repository is this sequence, so a rewrite of
+	// the step must reproduce it bit for bit.
+	var r Rand
+	r.SetState([4]uint64{1, 2, 3, 4})
+	want := []uint64{
+		0x0000000000002d00,
+		0x0000000000000000,
+		0x000000005a007080,
+		0x10e0000000009d80,
+		0x10e0b61ce1009d80,
+		0x0870021ce143ad00,
+		0xe071c3c2e143f089,
+		0x75a1690ef7a20380,
+		0x9309685b465c23f9,
+		0x284f3cc2e13e3c88,
+	}
+	for i, w := range want {
+		if got := r.Uint64(); got != w {
+			t.Fatalf("Uint64 output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
 func TestNewDeterministic(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 1000; i++ {
@@ -176,6 +202,44 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// TestGeometricMatchesBernoulliLoop pins Geometric to its definition,
+// the Bernoulli loop in reference: the same sample and the same generator
+// state afterwards, so every trace built on it keeps its bits. Besides
+// fixed probabilities, each seed tries p on and beside its own first
+// draw's value, where a threshold off by one would flip the outcome.
+func TestGeometricMatchesBernoulliLoop(t *testing.T) {
+	reference := func(r *Rand, p float64, max int) int {
+		if p <= 0 || p >= 1 {
+			return 1
+		}
+		n := 1
+		for n < max && !r.Bool(p) {
+			n++
+		}
+		return n
+	}
+	fixed := []float64{1.0 / 8000, 1.0 / 12, 0.5, 1 - 0x1p-53, 5e-324, math.NaN()}
+	maxes := []int{0, 1, 2, 97, 64000}
+	for seed := uint64(0); seed < 40; seed++ {
+		u := New(seed).Float64()
+		ps := append(fixed, u, math.Nextafter(u, 0), math.Nextafter(u, 1))
+		for _, p := range ps {
+			for _, max := range maxes {
+				got, want := New(seed), New(seed)
+				for i := 0; i < 3; i++ {
+					g, w := got.Geometric(p, max), reference(want, p, max)
+					if g != w {
+						t.Fatalf("seed %d p %g max %d draw %d: Geometric = %d, loop = %d", seed, p, max, i, g, w)
+					}
+					if got.State() != want.State() {
+						t.Fatalf("seed %d p %g max %d draw %d: state diverged", seed, p, max, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestZipfSkew(t *testing.T) {
 	r := New(9)
 	z := NewZipf(r, 100, 1.2)
@@ -214,6 +278,18 @@ func BenchmarkUint64n(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += r.Uint64n(4096)
+	}
+	_ = sink
+}
+
+// BenchmarkGeometric is the workload generator's drift case: an
+// indirect site's target phase, p = 1/8000 with a 64000 cap, a few
+// thousand draws per sample.
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += r.Geometric(1.0/8000, 64000)
 	}
 	_ = sink
 }

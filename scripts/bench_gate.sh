@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Perf-trend gate: run the replay-path, predictor, trace-generator,
-# CPU-timing-model, wire-codec and worker-chunk micro-benchmarks, write BENCH_13.json (benchmark -> ns/op,
+# Perf-trend gate: run the replay-path, predictor, BPU-structure,
+# random-stream, trace-generator, CPU-timing-model, wire-codec and
+# worker-chunk micro-benchmarks, write BENCH_13.json (benchmark -> ns/op,
 # allocs/op), and fail when a metric regresses against the committed
 # baseline. Fleet benchmarks (harness/FleetWarm*) are recorded for trend
 # visibility but never threshold-gated: they time a live 2-worker TCP
@@ -43,7 +44,7 @@ COUNT="${BENCH_GATE_COUNT:-3}"
 NS_THR="${BENCH_GATE_NS_THRESHOLD:-0.10}"
 ALLOC_THR="${BENCH_GATE_ALLOC_THRESHOLD:-0}"
 ALLOC_SLACK="${BENCH_GATE_ALLOC_SLACK:-1}"
-PKGS=(./internal/sim/ ./internal/cpu/ ./internal/tage/ ./internal/perceptron/ ./internal/ittage/ ./internal/tracestore/ ./internal/trace/ ./internal/snapstore/)
+PKGS=(./internal/sim/ ./internal/cpu/ ./internal/bpu/ ./internal/tage/ ./internal/perceptron/ ./internal/ittage/ ./internal/rng/ ./internal/tracestore/ ./internal/trace/ ./internal/snapstore/)
 
 update=0
 if [ "${1:-}" = "-update" ]; then
