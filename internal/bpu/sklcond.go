@@ -2,7 +2,8 @@ package bpu
 
 // DirectionPredictor is the pluggable conditional-direction component of a
 // Unit. Implementations: SKLCond (this package), tage.Predictor, and
-// perceptron.Predictor, plus their ST-protected wrappers in internal/core.
+// perceptron.Predictor. internal/core builds ST-protected models from the
+// same three types by handing them keyed mappers and hashers.
 //
 // Contract: Update must be called with the same pc immediately after the
 // Predict it resolves (the hardware pipeline guarantees this ordering per
@@ -84,18 +85,6 @@ func (s *SKLCond) Flush() {
 	s.chooser.Flush()
 	s.hist.Reset()
 }
-
-// PHTRef exposes the underlying table for attack models (BranchScope reads
-// counter state through timing; the simulation reads it directly).
-func (s *SKLCond) PHTRef() *PHT { return s.pht }
-
-// Mapper returns the active mapper (attack drivers need the index
-// functions to reason about collisions).
-func (s *SKLCond) Mapper() Mapper { return s.mapper }
-
-// SetMapper swaps the mapper; the ST wrapper uses this on token
-// re-randomization so new lookups use the new ψ.
-func (s *SKLCond) SetMapper(m Mapper) { s.mapper = m }
 
 // DirState is a full snapshot of the conditional-predictor state: the PHT
 // counters, the chooser counters, and the history registers. BRB-style

@@ -1,23 +1,13 @@
 package bpu
 
 // Snapshot support for the warm-state checkpoint tier (internal/snapstore,
-// sim.Snapshotter): every Unit component can be deep-cloned for forking
-// and round-tripped through the deterministic snap codec. Lookup stash
-// fields (SKLCond's last* indices) are dead between records — Update
-// always directly follows its Predict — so clones and decoded snapshots
-// reset them to zero, giving every capture of the same logical state an
-// identical canonical encoding.
+// sim.Snapshotter): every Unit component round-trips through the
+// deterministic snap codec. Lookup stash fields (SKLCond's last* indices)
+// are dead between records — Update always directly follows its
+// Predict — so decoded snapshots reset them to zero, giving every capture
+// of the same logical state an identical canonical encoding.
 
 import "stbpu/internal/snap"
-
-// Clone returns a deep copy of the BTB, including LRU clock and the
-// eviction counter (STBPU's threshold monitoring must continue
-// seamlessly from a fork).
-func (b *BTB) Clone() *BTB {
-	nb := &BTB{cfg: b.cfg, clock: b.clock, Evictions: b.Evictions}
-	nb.entries = append([]btbEntry(nil), b.entries...)
-	return nb
-}
 
 // EncodeState appends the BTB's mutable state to w.
 func (b *BTB) EncodeState(w *snap.Writer) {
@@ -50,13 +40,6 @@ func (b *BTB) DecodeState(r *snap.Reader) {
 	}
 	b.clock = r.U32()
 	b.Evictions = r.U64()
-}
-
-// Clone returns a deep copy of the return stack.
-func (r *RSB) Clone() *RSB {
-	nr := &RSB{top: r.top, depth: r.depth, Underflows: r.Underflows}
-	nr.entries = append([]uint32(nil), r.entries...)
-	return nr
 }
 
 // EncodeState appends the RSB's mutable state to w.
@@ -96,17 +79,6 @@ func (p *PHT) encodeTo(w *snap.Writer) { w.U8s(p.counters) }
 // decodeFrom restores the counter table; sizes must match.
 func (p *PHT) decodeFrom(r *snap.Reader) { r.U8sInto(p.counters) }
 
-// CloneWith returns a deep copy of the predictor addressed through m
-// (forks re-point keyed mappers at the fork's own key state). The
-// lookup stash is reset: it is dead between records.
-func (s *SKLCond) CloneWith(m Mapper) *SKLCond {
-	ns := NewSKLCond(m)
-	copy(ns.pht.counters, s.pht.counters)
-	copy(ns.chooser.counters, s.chooser.counters)
-	ns.hist = s.hist
-	return ns
-}
-
 // EncodeState appends the predictor's mutable state to w.
 func (s *SKLCond) EncodeState(w *snap.Writer) {
 	s.pht.encodeTo(w)
@@ -123,24 +95,9 @@ func (s *SKLCond) DecodeState(r *snap.Reader) {
 	s.lastIdx1, s.lastIdx2, s.lastChoice = 0, 0, 0
 }
 
-// Clone returns a deep copy of the Unit built from already-cloned
-// components: the caller supplies the fork's mapper, direction
-// predictor, and indirect predictor (nil when the unit has none), since
-// their cloning is owned by whoever wired the originals together.
-func (u *Unit) Clone(m Mapper, dir DirectionPredictor, indirect IndirectPredictor) *Unit {
-	return &Unit{
-		mapper:   m,
-		dir:      dir,
-		btb:      u.btb.Clone(),
-		rsb:      u.rsb.Clone(),
-		indirect: indirect,
-		hist:     u.hist,
-	}
-}
-
 // EncodeState appends the Unit's own mutable state (BTB, RSB, history)
-// to w. The direction and indirect predictors encode themselves — they
-// are owned by the model that wired them in.
+// to w. The direction and indirect predictors encode themselves;
+// core.EncodeUnit writes the whole unit.
 func (u *Unit) EncodeState(w *snap.Writer) {
 	u.btb.EncodeState(w)
 	u.rsb.EncodeState(w)

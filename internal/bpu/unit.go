@@ -117,19 +117,6 @@ func NewUnit(cfg UnitConfig) *Unit {
 	}
 }
 
-// Mapper returns the active mapper.
-func (u *Unit) Mapper() Mapper { return u.mapper }
-
-// SetMapper swaps the mapper for all future lookups (token
-// re-randomization). Existing entries become unreachable garbage, exactly
-// as in hardware.
-func (u *Unit) SetMapper(m Mapper) {
-	u.mapper = m
-	if s, ok := u.dir.(*SKLCond); ok {
-		s.SetMapper(m)
-	}
-}
-
 // Direction returns the conditional predictor.
 func (u *Unit) Direction() DirectionPredictor { return u.dir }
 

@@ -166,10 +166,8 @@ type Model struct {
 	unit *bpu.Unit
 	key  *keyState
 	mgr  *token.Manager
-	dir  DirKind
 
 	tagePred *tage.Predictor // non-nil for TAGE models
-	percPred *perceptron.Predictor
 
 	sharedTokens bool
 	lastTageMisp uint64
@@ -200,7 +198,6 @@ func NewModel(cfg ModelConfig) *Model {
 		name:         "ST_" + cfg.Dir.String(),
 		key:          &keyState{funcs: funcs},
 		mgr:          token.NewManager(seed, th),
-		dir:          cfg.Dir,
 		sharedTokens: cfg.SharedTokens,
 	}
 	var dir bpu.DirectionPredictor
@@ -218,8 +215,7 @@ func NewModel(cfg ModelConfig) *Model {
 	case DirPerceptron:
 		pcfg := perceptron.DefaultConfig()
 		pcfg.Index = m.key.PerceptronIndex
-		m.percPred = perceptron.New(pcfg)
-		dir = m.percPred
+		dir = perceptron.New(pcfg)
 	default:
 		dir = bpu.NewSKLCond(m.key)
 	}

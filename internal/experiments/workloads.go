@@ -104,7 +104,7 @@ func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 	var addrs []addr
 	// specBase[si] is the shard index of (si, phase 0, model 0): every
 	// phase cell of a (spec, model) pair seeds from its phase-0 shard,
-	// so one warm model serves all phases and forked/restored state is
+	// so one warm model serves all phases and restored state is
 	// bit-identical to prefix replay.
 	specBase := make([]int, len(specs))
 	for si, s := range specs {

@@ -157,16 +157,6 @@ func New(cfg Config) (*Predictor, error) {
 	return p, nil
 }
 
-// SetHasher swaps the index hasher (token re-randomization in ST mode,
-// and fork re-pointing in the snapshot tier). Existing entries become
-// unreachable garbage under the new key, exactly as in hardware.
-func (p *Predictor) SetHasher(h Hasher) {
-	if h == nil {
-		h = legacyHasher{}
-	}
-	p.hasher = h
-}
-
 // Lens exposes the per-bank history lengths (tests verify the geometric
 // series).
 func (p *Predictor) Lens() []int {

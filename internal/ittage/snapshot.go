@@ -1,37 +1,12 @@
 package ittage
 
 // Snapshot support for the warm-state checkpoint tier (sim.Snapshotter):
-// deep forks and a deterministic binary state round-trip. The lookup
-// stash (lastPC/lastProvider/lastIdx/lastTag/lastStored) is dead between
+// a deterministic binary state round-trip. The lookup stash
+// (lastPC/lastProvider/lastIdx/lastTag/lastStored) is dead between
 // records — UpdateTarget always directly follows its PredictTarget — so
-// clones and decoded snapshots reset it to a canonical value.
+// decoded snapshots reset it to a canonical value.
 
 import "stbpu/internal/snap"
-
-// CloneWith returns a deep copy of the predictor addressed through h
-// (forks re-point keyed hashers at the fork's own key state; pass nil
-// to keep the original's hasher).
-func (p *Predictor) CloneWith(h Hasher) *Predictor {
-	if h == nil {
-		h = p.hasher
-	}
-	cfg := p.cfg
-	cfg.Hasher = h
-	np, err := New(cfg)
-	if err != nil {
-		// p was constructed from this configuration, so it revalidates.
-		panic("ittage: clone of invalid config: " + err.Error())
-	}
-	for b := range p.banks {
-		copy(np.banks[b], p.banks[b])
-	}
-	copy(np.hist, p.hist)
-	np.histPos = p.histPos
-	copy(np.folds, p.folds)
-	np.Hits, np.Misses, np.Allocations = p.Hits, p.Misses, p.Allocations
-	np.lastProvider = -1
-	return np
-}
 
 // EncodeState appends the predictor's mutable state to w.
 func (p *Predictor) EncodeState(w *snap.Writer) {

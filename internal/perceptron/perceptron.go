@@ -83,9 +83,6 @@ func New(cfg Config) *Predictor {
 // Config returns the instance configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
-// SetIndexFunc swaps the row hash (token re-randomization in ST mode).
-func (p *Predictor) SetIndexFunc(f IndexFunc) { p.index = f }
-
 // Predict implements bpu.DirectionPredictor. The dot product is computed
 // branchlessly: each history bit maps to ±1 via (bit<<1)-1, so the inner
 // loop is pure multiply-accumulate with no per-bit branch to mispredict

@@ -101,8 +101,6 @@ func TestCustomIndexFunc(t *testing.T) {
 	if called == 0 {
 		t.Error("custom index function not used")
 	}
-	p.SetIndexFunc(func(pc uint64) uint32 { return 9 })
-	p.Predict(0x1000)
 }
 
 func TestFlush(t *testing.T) {

@@ -1,28 +1,11 @@
 package perceptron
 
 // Snapshot support for the warm-state checkpoint tier (sim.Snapshotter):
-// deep forks and a deterministic binary state round-trip. The lookup
-// stash is dead between records, so clones and decoded snapshots reset
-// it to keep encodings canonical.
+// a deterministic binary state round-trip. The lookup stash is dead
+// between records, so decoded snapshots reset it to keep encodings
+// canonical.
 
 import "stbpu/internal/snap"
-
-// CloneWith returns a deep copy of the predictor addressed through f
-// (forks re-point keyed index functions at the fork's own key state;
-// pass nil to keep the original's).
-func (p *Predictor) CloneWith(f IndexFunc) *Predictor {
-	if f == nil {
-		f = p.index
-	}
-	cfg := p.cfg
-	cfg.Index = f
-	np := New(cfg)
-	for i := range p.weights {
-		copy(np.weights[i], p.weights[i])
-	}
-	np.hist = p.hist
-	return np
-}
 
 // EncodeState appends the predictor's mutable state to w.
 func (p *Predictor) EncodeState(w *snap.Writer) {

@@ -1,37 +1,30 @@
 // Snapshot support: the Snapshotter capability every Fig. 3 model
 // implements, plus the model fingerprint the snapstore keys checkpoints
-// by. A Snapshotter can deep-fork its complete predictor state (phase
-// measurements branch from a shared warm prefix instead of replaying it)
-// and round-trip that state through a deterministic binary encoding (the
-// store's cache and disk tiers hold bytes, not live models). Models that
-// do not implement Snapshotter still work everywhere — the scheduler
-// falls back to prefix replay for them.
+// by. A Snapshotter round-trips its complete predictor state through a
+// deterministic binary encoding (core.EncodeUnit carries every model's
+// BPU), so phase measurements restore a shared warm prefix instead of
+// replaying it, and the store's cache and disk tiers hold bytes, not
+// live models. Models that do not implement Snapshotter still work
+// everywhere — the scheduler falls back to prefix replay for them.
 
 package sim
 
 import (
 	"fmt"
 
-	"stbpu/internal/bpu"
-	"stbpu/internal/ittage"
-	"stbpu/internal/perceptron"
+	"stbpu/internal/core"
 	"stbpu/internal/snap"
-	"stbpu/internal/tage"
 )
 
 // Snapshotter is the warm-state checkpoint capability. The contract is
-// bit-identity: replaying records [k,n) on Fork()'s result — or on a
-// fresh model of the same configuration after DecodeState(EncodeState())
-// — produces exactly the Counters that replaying them on the original
-// would have, provided the original had replayed records [0,k). Encoding
-// is canonical: two models in the same logical state encode to the same
-// bytes (lookup-stash fields that are dead at record boundaries are
-// reset on fork and decode).
+// bit-identity: replaying records [k,n) on a fresh model of the same
+// configuration after DecodeState(EncodeState()) produces exactly the
+// Counters that replaying them on the original would have, provided the
+// original had replayed records [0,k). Encoding is canonical: two models
+// in the same logical state encode to the same bytes (lookup-stash
+// fields that are dead at record boundaries are reset on decode).
 type Snapshotter interface {
 	Model
-	// Fork returns a deep copy sharing no mutable state with the
-	// receiver.
-	Fork() Model
 	// EncodeState serializes the model's complete mutable state.
 	EncodeState() []byte
 	// DecodeState restores state captured by EncodeState on a model of
@@ -53,146 +46,30 @@ func Fingerprint(kind ModelKind, opt Options) string {
 	return fmt.Sprintf("%s|dir=%s|shared=%t|th=%s|seed=%#x", kind, opt.Dir, opt.SharedTokens, th, opt.Seed)
 }
 
-// cloneDirection deep-copies a unit's direction predictor for a fork.
-// Unprotected predictors keep their legacy hashers (stateless, shareable);
-// a nil dir means the unit built its own SKLCond over m, the fork's
-// mapper.
-func cloneDirection(dir bpu.DirectionPredictor, m bpu.Mapper) bpu.DirectionPredictor {
-	switch d := dir.(type) {
-	case nil:
-		return nil
-	case *bpu.SKLCond:
-		return d.CloneWith(m)
-	case *tage.Predictor:
-		return d.CloneWith(nil)
-	case *perceptron.Predictor:
-		return d.CloneWith(nil)
-	default:
-		panic(fmt.Sprintf("sim: cannot fork direction predictor %T", dir))
-	}
-}
-
-// encodeDirection serializes a unit's direction predictor. A nil dir is
-// unreachable: NewUnit materializes the default SKLCond at construction.
-func encodeDirection(dir bpu.DirectionPredictor, w *snap.Writer) {
-	switch d := dir.(type) {
-	case *bpu.SKLCond:
-		d.EncodeState(w)
-	case *tage.Predictor:
-		d.EncodeState(w)
-	case *perceptron.Predictor:
-		d.EncodeState(w)
-	default:
-		panic(fmt.Sprintf("sim: cannot encode direction predictor %T", dir))
-	}
-}
-
-// decodeDirection restores a direction predictor encoded by
-// encodeDirection.
-func decodeDirection(dir bpu.DirectionPredictor, r *snap.Reader) {
-	switch d := dir.(type) {
-	case *bpu.SKLCond:
-		d.DecodeState(r)
-	case *tage.Predictor:
-		d.DecodeState(r)
-	case *perceptron.Predictor:
-		d.DecodeState(r)
-	default:
-		r.Fail("sim: cannot decode direction predictor %T", dir)
-	}
-}
-
-// forkUnit deep-copies a unit for a fork addressed through mapper (pass
-// the original's mapper when it is stateless and shareable).
-func forkUnit(u *bpu.Unit, mapper bpu.Mapper) *bpu.Unit {
-	dir := cloneDirection(u.Direction(), mapper)
-	var ind bpu.IndirectPredictor
-	if it, ok := u.Indirect().(*ittage.Predictor); ok {
-		ind = it.CloneWith(nil)
-	} else if u.Indirect() != nil {
-		panic(fmt.Sprintf("sim: cannot fork indirect predictor %T", u.Indirect()))
-	}
-	return u.Clone(mapper, dir, ind)
-}
-
-// encodeUnit serializes a unit's structures, direction predictor, and
-// (when present) indirect predictor.
-func encodeUnit(u *bpu.Unit, w *snap.Writer) {
-	u.EncodeState(w)
-	encodeDirection(u.Direction(), w)
-	it, hasIT := u.Indirect().(*ittage.Predictor)
-	w.Bool(hasIT)
-	if hasIT {
-		it.EncodeState(w)
-	}
-}
-
-// decodeUnit restores a unit encoded by encodeUnit.
-func decodeUnit(u *bpu.Unit, r *snap.Reader) {
-	u.DecodeState(r)
-	decodeDirection(u.Direction(), r)
-	it, hasIT := u.Indirect().(*ittage.Predictor)
-	if r.Bool() != hasIT {
-		r.Fail("sim: indirect-predictor marker does not match model config")
-		return
-	}
-	if hasIT {
-		it.DecodeState(r)
-	}
-}
-
-// Fork implements Snapshotter. The conservative model's entity mapper is
-// per-fork (its salt is dead at record boundaries but the pointer must
-// not be shared); the baseline's legacy mapper is stateless and shared.
-func (m *UnitModel) Fork() Model {
-	nm := &UnitModel{ModelName: m.ModelName}
-	mapper := m.Unit.Mapper()
-	if m.entity != nil {
-		nm.entity = &entityMapper{}
-		mapper = nm.entity
-	}
-	nm.Unit = forkUnit(m.Unit, mapper)
-	return nm
-}
-
 // EncodeState implements Snapshotter. The conservative model's entity
 // salt is not state: setEntity overwrites it before every predict, so at
-// a record boundary it is dead and forks/decodes start it at zero.
+// a record boundary it is dead and decodes start it at zero.
 func (m *UnitModel) EncodeState() []byte {
 	w := snap.NewWriter(4096)
-	encodeUnit(m.Unit, w)
+	core.EncodeUnit(m.Unit, w)
 	return w.Bytes()
 }
 
 // DecodeState implements Snapshotter.
 func (m *UnitModel) DecodeState(data []byte) error {
 	r := snap.NewReader(data)
-	decodeUnit(m.Unit, r)
+	core.DecodeUnit(m.Unit, r)
 	if m.entity != nil {
 		m.entity.salt = 0
 	}
 	return r.Done()
 }
 
-// Fork implements Snapshotter.
-func (m *FlushModel) Fork() Model {
-	nm := &FlushModel{
-		OnCtxSwitch:   m.OnCtxSwitch,
-		OnKernelEntry: m.OnKernelEntry,
-		flushes:       m.flushes,
-		prevPID:       m.prevPID,
-		prevKernel:    m.prevKernel,
-		started:       m.started,
-	}
-	nm.UnitModel = *m.UnitModel.Fork().(*UnitModel)
-	return nm
-}
-
 // EncodeState implements Snapshotter: the unit state plus the flush
 // policy's switch-tracking registers and barrier count.
 func (m *FlushModel) EncodeState() []byte {
 	w := snap.NewWriter(4096)
-	encodeUnit(m.Unit, w)
+	core.EncodeUnit(m.Unit, w)
 	w.U64(m.flushes)
 	w.U32(m.prevPID)
 	w.Bool(m.prevKernel)
@@ -203,7 +80,7 @@ func (m *FlushModel) EncodeState() []byte {
 // DecodeState implements Snapshotter.
 func (m *FlushModel) DecodeState(data []byte) error {
 	r := snap.NewReader(data)
-	decodeUnit(m.Unit, r)
+	core.DecodeUnit(m.Unit, r)
 	m.flushes = r.U64()
 	m.prevPID = r.U32()
 	m.prevKernel = r.Bool()
@@ -213,9 +90,6 @@ func (m *FlushModel) DecodeState(data []byte) error {
 	}
 	return r.Done()
 }
-
-// Fork implements Snapshotter.
-func (m *STBPUModel) Fork() Model { return &STBPUModel{Inner: m.Inner.Fork()} }
 
 // EncodeState implements Snapshotter.
 func (m *STBPUModel) EncodeState() []byte {
@@ -231,7 +105,7 @@ func (m *STBPUModel) DecodeState(data []byte) error {
 	return r.Done()
 }
 
-// Compile-time capability checks: every Fig. 3 model forks.
+// Compile-time capability checks: every Fig. 3 model snapshots.
 var (
 	_ Snapshotter = (*UnitModel)(nil)
 	_ Snapshotter = (*FlushModel)(nil)

@@ -1,50 +1,44 @@
 package sim
 
 // The snapshot tier's determinism contract, pinned as properties: for
-// every model in the lineup (and every direction predictor STBPU can
-// carry), forking or encode/decode-restoring a model at a record
-// boundary and measuring onward is bit-identical to prefix replay, and
-// the parent is not perturbed by either operation. The fuzz harness
-// additionally guarantees a decoder fed arbitrary bytes fails with an
-// error, never a panic or silent corruption.
+// every model in the lineup (every direction predictor STBPU can carry,
+// and both ITTAGE variants), encode/decode-restoring a model at a
+// record boundary and measuring onward is bit-identical to prefix
+// replay. The fuzz harness additionally guarantees a decoder fed
+// arbitrary bytes fails with an error, never a panic or silent
+// corruption.
 
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"stbpu/internal/core"
 	"stbpu/internal/trace"
 )
 
-// snapConfigs enumerates every model configuration the suite can run:
-// the Fig. 3 lineup plus STBPU under each alternative direction
-// predictor.
-func snapConfigs() []struct {
+// snapConfig names a model configuration and builds it for a trace's
+// token policy.
+type snapConfig struct {
 	name string
-	kind ModelKind
-	opt  Options
-} {
-	var cfgs []struct {
-		name string
-		kind ModelKind
-		opt  Options
-	}
+	new  func(sharedTokens bool) Snapshotter
+}
+
+// snapConfigs enumerates every model configuration the suite can run:
+// the Fig. 3 lineup, STBPU under each alternative direction predictor,
+// and the unprotected and STBPU units with an ITTAGE indirect predictor.
+func snapConfigs() []snapConfig {
+	var cfgs []snapConfig
 	for _, k := range Fig3Kinds() {
-		cfgs = append(cfgs, struct {
-			name string
-			kind ModelKind
-			opt  Options
-		}{k.String(), k, Options{Seed: 7}})
+		cfgs = append(cfgs, snapConfig{k.String(), kindModel(k, core.DirSKLCond)})
 	}
 	for _, dir := range []core.DirKind{core.DirSKLCond, core.DirTAGE8, core.DirTAGE64, core.DirPerceptron} {
-		cfgs = append(cfgs, struct {
-			name string
-			kind ModelKind
-			opt  Options
-		}{"stbpu/" + dir.String(), KindSTBPU, Options{Seed: 7, Dir: dir}})
+		cfgs = append(cfgs, snapConfig{"stbpu/" + dir.String(), kindModel(KindSTBPU, dir)})
 	}
-	return cfgs
+	return append(cfgs,
+		snapConfig{"unprotected/SKLCond+ITTAGE", unprotectedITTAGE},
+		snapConfig{"stbpu/SKLCond+ITTAGE", stbpuITTAGE})
 }
 
 // snapCols builds the shared switch-heavy test trace once per package
@@ -74,42 +68,6 @@ func replaySegment(t testing.TB, m Model, cols *trace.Columns, lo, hi int) Resul
 	return res
 }
 
-func TestForkAtBoundaryMatchesPrefixReplay(t *testing.T) {
-	cols, prof := snapCols(t)
-	n := cols.Len()
-	boundary := n / 3
-	for _, cfg := range snapConfigs() {
-		cfg := cfg
-		t.Run(cfg.name, func(t *testing.T) {
-			opt := cfg.opt
-			opt.SharedTokens = prof.SharedTokens
-
-			// Reference: one model, chunked prefix replay (chunked
-			// incremental replay is bit-identical to a single pass —
-			// pinned by the sim package's own tests).
-			ref := New(cfg.kind, opt)
-			replaySegment(t, ref, cols, 0, boundary)
-			want := replaySegment(t, ref, cols, boundary, n)
-
-			// Candidate: replay the prefix, fork at the boundary, and
-			// measure the tail on the fork AND on the parent.
-			parent := New(cfg.kind, opt)
-			snapper, ok := parent.(Snapshotter)
-			if !ok {
-				t.Fatalf("%T does not implement Snapshotter", parent)
-			}
-			replaySegment(t, parent, cols, 0, boundary)
-			fork := snapper.Fork()
-			if got := replaySegment(t, fork, cols, boundary, n); got != want {
-				t.Errorf("forked tail result diverges:\n got %+v\nwant %+v", got, want)
-			}
-			if got := replaySegment(t, parent, cols, boundary, n); got != want {
-				t.Errorf("parent tail result perturbed by Fork:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}
-
 func TestEncodeDecodeRestoreMatchesPrefixReplay(t *testing.T) {
 	cols, prof := snapCols(t)
 	n := cols.Len()
@@ -117,10 +75,14 @@ func TestEncodeDecodeRestoreMatchesPrefixReplay(t *testing.T) {
 	for _, cfg := range snapConfigs() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			opt := cfg.opt
-			opt.SharedTokens = prof.SharedTokens
+			// Reference: one model, chunked prefix replay, never encoded
+			// (chunked incremental replay is bit-identical to a single
+			// pass — pinned by the sim package's own tests).
+			ref := cfg.new(prof.SharedTokens)
+			replaySegment(t, ref, cols, 0, boundary)
+			want := replaySegment(t, ref, cols, boundary, n)
 
-			warm := New(cfg.kind, opt).(Snapshotter)
+			warm := cfg.new(prof.SharedTokens)
 			replaySegment(t, warm, cols, 0, boundary)
 			state := warm.EncodeState()
 
@@ -130,13 +92,15 @@ func TestEncodeDecodeRestoreMatchesPrefixReplay(t *testing.T) {
 				t.Fatal("EncodeState is not deterministic")
 			}
 
-			restored := New(cfg.kind, opt).(Snapshotter)
+			restored := cfg.new(prof.SharedTokens)
 			if err := restored.DecodeState(state); err != nil {
 				t.Fatalf("DecodeState: %v", err)
 			}
-			want := replaySegment(t, warm, cols, boundary, n)
 			if got := replaySegment(t, restored, cols, boundary, n); got != want {
 				t.Errorf("restored tail result diverges:\n got %+v\nwant %+v", got, want)
+			}
+			if got := replaySegment(t, warm, cols, boundary, n); got != want {
+				t.Errorf("encoded model's tail result perturbed:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
@@ -158,6 +122,33 @@ func TestDecodeStateRejectsForeignModelState(t *testing.T) {
 	if err := warm.DecodeState(nil); err == nil {
 		t.Error("DecodeState accepted empty state")
 	}
+
+	// The indirect-predictor marker guards ITTAGE state in both
+	// directions, for the unprotected unit and the STBPU model alike.
+	for _, pair := range []struct {
+		name          string
+		with, without func(sharedTokens bool) Snapshotter
+	}{
+		{"unprotected", unprotectedITTAGE, kindModel(KindBaseline, core.DirSKLCond)},
+		{"stbpu", stbpuITTAGE, kindModel(KindSTBPU, core.DirSKLCond)},
+	} {
+		with, without := pair.with(prof.SharedTokens), pair.without(prof.SharedTokens)
+		replaySegment(t, with, cols, 0, 2000)
+		replaySegment(t, without, cols, 0, 2000)
+		for _, c := range []struct {
+			what  string
+			into  Snapshotter
+			state []byte
+		}{
+			{"ITTAGE state into a model without ITTAGE", pair.without(prof.SharedTokens), with.EncodeState()},
+			{"state without ITTAGE into an ITTAGE model", pair.with(prof.SharedTokens), without.EncodeState()},
+		} {
+			err := c.into.DecodeState(c.state)
+			if err == nil || !strings.Contains(err.Error(), "indirect-predictor marker") {
+				t.Errorf("%s: decoding %s: err = %v, want the marker mismatch", pair.name, c.what, err)
+			}
+		}
+	}
 }
 
 // FuzzSnapshotRoundTrip drives every model's decoder with arbitrary
@@ -170,9 +161,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	// Seed the corpus with each configuration's real encoding at a few
 	// prefix depths.
 	for ci, cfg := range cfgs {
-		opt := cfg.opt
-		opt.SharedTokens = prof.SharedTokens
-		m := New(cfg.kind, opt).(Snapshotter)
+		m := cfg.new(prof.SharedTokens)
 		replaySegment(f, m, cols, 0, 1500)
 		f.Add(uint8(ci), m.EncodeState())
 	}
@@ -181,16 +170,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ci uint8, data []byte) {
 		cfg := cfgs[int(ci)%len(cfgs)]
-		opt := cfg.opt
-		opt.SharedTokens = prof.SharedTokens
-		m := New(cfg.kind, opt).(Snapshotter)
+		m := cfg.new(prof.SharedTokens)
 		if err := m.DecodeState(data); err != nil {
 			return // rejected whole: fine
 		}
 		// Accepted state must be internally consistent: the model can
 		// encode again and the round trip is stable from here on.
 		state := m.EncodeState()
-		m2 := New(cfg.kind, opt).(Snapshotter)
+		m2 := cfg.new(prof.SharedTokens)
 		if err := m2.DecodeState(state); err != nil {
 			t.Fatalf("re-decode of a just-encoded state failed: %v", err)
 		}

@@ -65,7 +65,7 @@ func BenchmarkPhaseWarmup(b *testing.B) {
 	// The snapshot tier: each phase restores the boundary checkpoint
 	// (encode/decode round trip included in the cost) and replays only
 	// its own records, checkpointing the next boundary — linear total.
-	b.Run("fork", func(b *testing.B) {
+	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		fp := sim.Fingerprint(sim.KindSTBPU, opt)
 		for i := 0; i < b.N; i++ {

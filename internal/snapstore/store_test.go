@@ -246,7 +246,7 @@ func TestPutOntoIdenticalSpillWritesNothing(t *testing.T) {
 
 // TestEvictionUnderConcurrentForks drives a deliberately tiny store
 // from many goroutines that checkpoint and restore overlapping keys —
-// the shape of a trace-major group forking models while the LRU churns.
+// the shape of a trace-major group restoring models while the LRU churns.
 // Run under -race this pins the locking discipline; in any mode it pins
 // that concurrent eviction never serves torn or foreign bytes.
 func TestEvictionUnderConcurrentForks(t *testing.T) {

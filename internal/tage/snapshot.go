@@ -1,53 +1,12 @@
 package tage
 
-// Snapshot support for the warm-state checkpoint tier: deep forks and a
-// deterministic binary state round-trip (see sim.Snapshotter). The
-// lookup stash is dead between records (Update always directly follows
-// its Predict), so CloneWith and DecodeState reset it — every capture
-// of the same logical state encodes to identical bytes.
+// Snapshot support for the warm-state checkpoint tier: a deterministic
+// binary state round-trip (see sim.Snapshotter). The lookup stash is
+// dead between records (Update always directly follows its Predict), so
+// DecodeState resets it — every capture of the same logical state
+// encodes to identical bytes.
 
 import "stbpu/internal/snap"
-
-// CloneWith returns a deep copy of the predictor addressed through h
-// (forks re-point keyed hashers at the fork's own key state; pass nil
-// to keep the original's hasher).
-func (p *Predictor) CloneWith(h Hasher) *Predictor {
-	if h == nil {
-		h = p.hasher
-	}
-	cfg := p.cfg
-	cfg.Hasher = h
-	np := New(cfg)
-	np.copyStateFrom(p)
-	return np
-}
-
-// copyStateFrom overwrites np's mutable state with p's. Both must share
-// a configuration (geometry is config-derived).
-func (np *Predictor) copyStateFrom(p *Predictor) {
-	copy(np.bimodal, p.bimodal)
-	for b := range p.banks {
-		copy(np.banks[b], p.banks[b])
-	}
-	np.hist = p.hist
-	np.histPos, np.histLen = p.histPos, p.histLen
-	for i := range p.fIdx {
-		np.fIdx[i].val = p.fIdx[i].val
-		np.fTag[i].val = p.fTag[i].val
-		np.fTag2[i].val = p.fTag2[i].val
-	}
-	copy(np.oldPos, p.oldPos)
-	copy(np.scOldPos, p.scOldPos)
-	np.useAltOnNA = p.useAltOnNA
-	copy(np.loops, p.loops)
-	for i := range p.scTables {
-		copy(np.scTables[i], p.scTables[i])
-	}
-	for i := range p.scFolds {
-		np.scFolds[i].val = p.scFolds[i].val
-	}
-	np.TageMispredicts = p.TageMispredicts
-}
 
 // EncodeState appends the predictor's mutable state to w.
 func (p *Predictor) EncodeState(w *snap.Writer) {

@@ -258,9 +258,6 @@ func New(cfg Config) *Predictor {
 // Config returns the instance configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
-// SetHasher swaps the index hasher (token re-randomization in ST mode).
-func (p *Predictor) SetHasher(h Hasher) { p.hasher = h }
-
 // Predict implements bpu.DirectionPredictor.
 func (p *Predictor) Predict(pc uint64) bool {
 	l := &p.last

@@ -1,38 +1,17 @@
 package token
 
 // Snapshot support for the warm-state checkpoint tier (sim.Snapshotter):
-// a Manager can be deep-cloned for forking and round-tripped through the
-// deterministic snap codec. Entities are written in sorted key order
-// with an entity-id indirection, so aliased records (ShareToken) survive
-// the round-trip and identical logical states always encode to identical
-// bytes regardless of map iteration order.
+// a Manager round-trips through the deterministic snap codec. Entities
+// are written in sorted key order with an entity-id indirection, so
+// aliased records (ShareToken) survive the round-trip and identical
+// logical states always encode to identical bytes regardless of map
+// iteration order.
 
 import (
 	"sort"
 
 	"stbpu/internal/snap"
 )
-
-// Clone returns a deep copy of the manager, preserving the RNG stream
-// position, all entity state, and alias structure.
-func (m *Manager) Clone() *Manager {
-	nm := NewManager(0, m.thresholds)
-	nm.r.SetState(m.r.State())
-	nm.stats = m.stats
-	// Aliased keys share one *entity; map originals to their clones so
-	// the alias structure carries over.
-	cloned := make(map[*entity]*entity, len(m.entities))
-	for key, e := range m.entities {
-		ne, ok := cloned[e]
-		if !ok {
-			c := *e
-			ne = &c
-			cloned[e] = ne
-		}
-		nm.entities[key] = ne
-	}
-	return nm
-}
 
 // EncodeState appends the manager's mutable state to w. Thresholds are
 // configuration, not state, and are not encoded — the decoder's manager
@@ -91,7 +70,14 @@ func (m *Manager) DecodeState(r *snap.Reader) {
 	m.stats.RerandTage = r.U64()
 	m.stats.TokensIssued = r.U64()
 
+	// A key reference takes 16 bytes and a record 32: a count the rest
+	// of the input cannot hold is corrupt, and is rejected before it is
+	// allocated for.
 	nKeys := r.Len()
+	if nKeys > r.Remaining()/16 {
+		r.Fail("token: %d entity keys cannot fit in the last %d bytes", nKeys, r.Remaining())
+		return
+	}
 	type ref struct {
 		key uint64
 		id  int
@@ -107,6 +93,10 @@ func (m *Manager) DecodeState(r *snap.Reader) {
 		refs = append(refs, ref{key: k, id: id})
 	}
 	nRecords := r.Len()
+	if nRecords > r.Remaining()/32 {
+		r.Fail("token: %d entity records cannot fit in the last %d bytes", nRecords, r.Remaining())
+		return
+	}
 	records := make([]*entity, nRecords)
 	for i := range records {
 		e := &entity{}

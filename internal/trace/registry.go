@@ -3,8 +3,8 @@
 // workloads by name (tracestore.PresetGenColumns/PresetProfile, and
 // through them every backend, the disk/mmap tiers, and trace-major
 // grouping) consults the registry before the static preset table. Registration
-// is process-local; coordinators forward spec documents to exec
-// workers (argv) and remote workers (welcome frame) so both sides
+// is process-local; coordinators forward spec documents to every fleet
+// worker, exec and remote alike, in the welcome frame, so both sides
 // resolve the same names to the same byte streams.
 
 package trace
@@ -23,10 +23,8 @@ type Synth struct {
 	// Profile derives the workload's metadata profile (name, record
 	// count, process count, token policy) without generating records.
 	Profile func(records int) (Profile, error)
-	// Generate materializes the trace at the given record budget.
-	Generate func(records int) (*Trace, error)
-	// GenerateColumns, when non-nil, materializes the same byte stream
-	// directly in columnar form; caches prefer it to Generate+FromTrace.
+	// GenerateColumns materializes the trace at the given record budget
+	// in the columnar form caches store.
 	GenerateColumns func(records int) (*Columns, error)
 }
 
@@ -44,8 +42,8 @@ func RegisterSynth(name string, s Synth) error {
 	if name == "" {
 		return fmt.Errorf("trace: RegisterSynth with empty name")
 	}
-	if s.Profile == nil || s.Generate == nil {
-		return fmt.Errorf("trace: RegisterSynth %q: nil Profile or Generate", name)
+	if s.Profile == nil || s.GenerateColumns == nil {
+		return fmt.Errorf("trace: RegisterSynth %q: nil Profile or GenerateColumns", name)
 	}
 	if _, err := Preset(name); err == nil {
 		return fmt.Errorf("trace: RegisterSynth %q would shadow a preset", name)

@@ -502,9 +502,6 @@ func Register(s *Spec) error {
 		Profile: func(records int) (trace.Profile, error) {
 			return cp.Profile(records), nil
 		},
-		Generate: func(records int) (*trace.Trace, error) {
-			return cp.Generate(records, 0)
-		},
 		GenerateColumns: func(records int) (*trace.Columns, error) {
 			return cp.GenerateColumns(records, 0)
 		},

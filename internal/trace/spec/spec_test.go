@@ -201,15 +201,15 @@ func TestRegisterResolvesThroughSynthRegistry(t *testing.T) {
 	if prof.Name != name || prof.Records != 8000 || !prof.SharedTokens {
 		t.Errorf("synth profile %+v", prof)
 	}
-	tr, err := synth.Generate(2000)
+	cols, err := synth.GenerateColumns(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 2000 || tr.Name != name {
-		t.Errorf("synth trace %q with %d records", tr.Name, len(tr.Records))
+	if cols.Len() != 2000 || cols.Name != name {
+		t.Errorf("synth columns %q with %d records", cols.Name, cols.Len())
 	}
-	if err := tr.Validate(); err != nil {
-		t.Errorf("synth trace invalid: %v", err)
+	if err := cols.Validate(); err != nil {
+		t.Errorf("synth columns invalid: %v", err)
 	}
 }
 

@@ -65,18 +65,11 @@ func PresetGenColumns(name string, records int) (*trace.Columns, trace.Profile, 
 		if err != nil {
 			return nil, trace.Profile{}, err
 		}
-		if s.GenerateColumns != nil {
-			cols, err := s.GenerateColumns(records)
-			if err != nil {
-				return nil, trace.Profile{}, err
-			}
-			return cols, p, nil
-		}
-		tr, err := s.Generate(records)
+		cols, err := s.GenerateColumns(records)
 		if err != nil {
 			return nil, trace.Profile{}, err
 		}
-		return trace.FromTrace(tr), p, nil
+		return cols, p, nil
 	}
 	p, err := trace.Preset(name)
 	if err != nil {
