@@ -2,9 +2,10 @@ package sim
 
 // The snapshot tier's determinism contract, pinned as properties: for
 // every model in the lineup (every direction predictor STBPU can carry,
-// and both ITTAGE variants), encode/decode-restoring a model at a
-// record boundary and measuring onward is bit-identical to prefix
-// replay. The fuzz harness additionally guarantees a decoder fed
+// and both ITTAGE variants), forking a run at a record boundary —
+// encoding its state and decoding it into a fresh model — and measuring
+// onward is bit-identical to prefix replay, and the parent is not
+// perturbed. The fuzz harness additionally guarantees a decoder fed
 // arbitrary bytes fails with an error, never a panic or silent
 // corruption.
 
@@ -68,6 +69,49 @@ func replaySegment(t testing.TB, m Model, cols *trace.Columns, lo, hi int) Resul
 	return res
 }
 
+// forkAt branches parent at its current record boundary the way the
+// snapshot store does: encode its state and decode it into a fresh
+// model built by newModel.
+func forkAt(t testing.TB, parent Snapshotter, newModel func() Snapshotter) Snapshotter {
+	t.Helper()
+	child := newModel()
+	if err := child.DecodeState(parent.EncodeState()); err != nil {
+		t.Fatalf("DecodeState: %v", err)
+	}
+	return child
+}
+
+func TestForkAtBoundaryMatchesPrefixReplay(t *testing.T) {
+	cols, prof := snapCols(t)
+	n := cols.Len()
+	boundary := n / 3
+	for _, cfg := range snapConfigs() {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			newModel := func() Snapshotter { return cfg.new(prof.SharedTokens) }
+
+			// Reference: one model, chunked prefix replay, never forked
+			// (chunked incremental replay is bit-identical to a single
+			// pass — pinned by the sim package's own tests).
+			ref := newModel()
+			replaySegment(t, ref, cols, 0, boundary)
+			want := replaySegment(t, ref, cols, boundary, n)
+
+			// Candidate: replay the prefix, fork at the boundary, and
+			// measure the tail on the fork AND on the parent.
+			parent := newModel()
+			replaySegment(t, parent, cols, 0, boundary)
+			fork := forkAt(t, parent, newModel)
+			if got := replaySegment(t, fork, cols, boundary, n); got != want {
+				t.Errorf("forked tail result diverges:\n got %+v\nwant %+v", got, want)
+			}
+			if got := replaySegment(t, parent, cols, boundary, n); got != want {
+				t.Errorf("parent tail result perturbed by the fork:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
 func TestEncodeDecodeRestoreMatchesPrefixReplay(t *testing.T) {
 	cols, prof := snapCols(t)
 	n := cols.Len()
@@ -75,13 +119,6 @@ func TestEncodeDecodeRestoreMatchesPrefixReplay(t *testing.T) {
 	for _, cfg := range snapConfigs() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			// Reference: one model, chunked prefix replay, never encoded
-			// (chunked incremental replay is bit-identical to a single
-			// pass — pinned by the sim package's own tests).
-			ref := cfg.new(prof.SharedTokens)
-			replaySegment(t, ref, cols, 0, boundary)
-			want := replaySegment(t, ref, cols, boundary, n)
-
 			warm := cfg.new(prof.SharedTokens)
 			replaySegment(t, warm, cols, 0, boundary)
 			state := warm.EncodeState()
@@ -96,11 +133,9 @@ func TestEncodeDecodeRestoreMatchesPrefixReplay(t *testing.T) {
 			if err := restored.DecodeState(state); err != nil {
 				t.Fatalf("DecodeState: %v", err)
 			}
+			want := replaySegment(t, warm, cols, boundary, n)
 			if got := replaySegment(t, restored, cols, boundary, n); got != want {
 				t.Errorf("restored tail result diverges:\n got %+v\nwant %+v", got, want)
-			}
-			if got := replaySegment(t, warm, cols, boundary, n); got != want {
-				t.Errorf("encoded model's tail result perturbed:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
