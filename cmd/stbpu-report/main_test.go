@@ -34,21 +34,24 @@ func writeTestDoc(t *testing.T, path string, runs map[string]any) {
 }
 
 // TestSelfDiffIsCleanAndExitsZero is the acceptance smoke: a document
-// diffed against itself reports zero changed metrics and exits 0.
+// diffed against itself reports zero changed metrics and exits 0, both
+// for a hand-built document and for the suite's golden, which holds real
+// fig3, thresholds and covert results.
 func TestSelfDiffIsCleanAndExitsZero(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.json")
+	path := filepath.Join(t.TempDir(), "run.json")
 	writeTestDoc(t, path, map[string]any{
 		"thresholds": experiments.RunThresholds(0.05),
 		"gamma":      experiments.RunGamma(nil),
 	})
-	var out, errb bytes.Buffer
-	code := run([]string{path, path}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("self-diff exit = %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "0 changed") {
-		t.Errorf("self-diff reported changes:\n%s", out.String())
+	for _, p := range []string{path, quickGolden} {
+		var out, errb bytes.Buffer
+		code := run([]string{p, p}, &out, &errb)
+		if code != 0 {
+			t.Fatalf("%s: self-diff exit = %d, stderr: %s", p, code, errb.String())
+		}
+		if !strings.Contains(out.String(), "0 changed") {
+			t.Errorf("%s: self-diff reported changes:\n%s", p, out.String())
+		}
 	}
 }
 

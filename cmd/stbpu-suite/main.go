@@ -17,7 +17,6 @@
 //	stbpu-suite -worker                     # subprocess worker mode
 //	stbpu-suite -backend remote -listen :7701  # coordinate a TCP worker fleet
 //	stbpu-suite -worker -connect host:7701  # join a fleet as a network worker
-//	stbpu-suite -affinity=false             # plain work sharing (no locality routing)
 //	stbpu-suite -pprof localhost:6060       # serve live profiling endpoints
 //	stbpu-suite -journal run.jsonl          # stream completed cells to a journal
 //	stbpu-suite -journal run.jsonl -resume  # skip cells the journal already holds
@@ -54,6 +53,7 @@ import (
 	_ "net/http/pprof" // -pprof: registers the profiling handlers
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -88,27 +88,27 @@ type suiteDoc struct {
 	SnapStore snapstore.Stats `json:"snap_store"`
 }
 
-// config carries the parsed CLI knobs; factored out so tests drive the
-// exact code path main uses.
+// config carries the parsed command line: newFlagSet binds every flag
+// to one of its fields, so tests parse argv exactly as main does.
 type config struct {
-	filters    []string
-	seed       uint64
-	workers    int
-	cacheBytes int64
+	list, listJSON, quick, worker bool
+	run, pprof, connect, out      string
+	filters                       []string
+	seed                          uint64
+	workers                       int
+	cacheBytes                    int64
 	// traceDir enables the persistent trace tier: generated traces spill
 	// as STBT files and later runs (and fleet workers) decode instead of
 	// regenerating.
 	traceDir string
-	// modelMajor disables grouping: no cell shares a computed value with
-	// another. Stored inverted (like harness.Pool) so a zero-value config
-	// keeps the default: grouping on.
-	modelMajor bool
+	// traceMajor groups cells that share a computed value; off, no cell
+	// shares a computed value with another.
+	traceMajor bool
 	// traceMmap spills traces in the page-aligned STBT v2 layout and maps
 	// them read-only as columns instead of decoding (with -trace-dir).
 	traceMmap bool
-	// snapshotsOff disables the warm-state snapshot tier. Stored inverted
-	// (like modelMajor) so a zero-value config keeps the default: on.
-	snapshotsOff bool
+	// snapshots enables the warm-state snapshot tier.
+	snapshots bool
 	// snapBytes bounds the in-memory checkpoint store (<= 0 = default).
 	snapBytes int64
 	// snapDir enables the persistent checkpoint tier: phase-boundary
@@ -123,14 +123,6 @@ type config struct {
 	execTimeout time.Duration
 	// listen is the -backend remote coordinator's TCP address.
 	listen string
-	// affinityOff disables locality-aware fleet dispatch. Stored
-	// inverted (like modelMajor) so a zero-value config keeps the
-	// default: affinity on.
-	affinityOff bool
-	// listenReady, when set, receives the coordinator's bound address
-	// once it is accepting workers (tests use it to learn the ephemeral
-	// port before launching workers).
-	listenReady func(addr string)
 	// workloadSpec is a JSON workload-spec file (docs/WORKLOADS.md):
 	// runSuite registers it, points the workloads scenario at it, and
 	// forwards its document to fleet workers in the welcome frame.
@@ -142,14 +134,10 @@ type config struct {
 	// set, cells the file already holds are not re-executed.
 	journal string
 	resume  bool
-	// workerCmd/workerEnv override the subprocess command (tests re-exec
-	// their own binary); nil means this executable with -worker.
-	workerCmd []string
-	workerEnv []string
-	params    harness.Params
-	timing    bool
-	verbose   bool
-	stderr    io.Writer
+	params  harness.Params
+	timing  bool
+	verbose bool
+	stderr  io.Writer
 }
 
 // buildBackend constructs the backend the -backend flag selects; nil
@@ -157,8 +145,6 @@ type config struct {
 // forward the run-shaping settings in the welcome frame, so workers
 // need no per-worker flags beyond their own process budgets.
 func buildBackend(cfg config) (harness.Backend, error) {
-	traceMajor := !cfg.modelMajor
-	snapshots := !cfg.snapshotsOff
 	var specs []string
 	if cfg.workloadSpecDoc != "" {
 		specs = []string{cfg.workloadSpecDoc}
@@ -167,43 +153,36 @@ func buildBackend(cfg config) (harness.Backend, error) {
 	case "", "local":
 		return nil, nil
 	case "remote":
-		affinity := !cfg.affinityOff
 		rb := &harness.RemoteBackend{Addr: cfg.listen, TraceDir: cfg.traceDir,
-			TraceMajor: &traceMajor, TraceMmap: &cfg.traceMmap,
-			Snapshots: &snapshots, SnapDir: cfg.snapDir,
-			WorkloadSpecs: specs, Affinity: &affinity}
-		// Bind eagerly so the operator (and tests, via listenReady) learn
-		// where to point workers before the first batch needs them.
+			TraceMajor: &cfg.traceMajor, TraceMmap: &cfg.traceMmap,
+			Snapshots: &cfg.snapshots, SnapDir: cfg.snapDir,
+			WorkloadSpecs: specs}
+		// Bind eagerly so the operator learns where to point workers
+		// before the first batch needs them.
 		addr, err := rb.Start()
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(cfg.stderr, "remote: listening on %s; join workers with: stbpu-suite -worker -connect %s\n", addr, addr)
-		if cfg.listenReady != nil {
-			cfg.listenReady(addr.String())
-		}
 		return rb, nil
 	case "exec":
-		cmd := cfg.workerCmd
-		if cmd == nil {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, fmt.Errorf("resolve worker executable: %w", err)
-			}
-			// Each worker applies the coordinator's budgets per process.
-			cmd = []string{exe, "-worker",
-				fmt.Sprintf("-workers=%d", cfg.workers),
-				fmt.Sprintf("-cache-bytes=%d", cfg.cacheBytes),
-				fmt.Sprintf("-snap-bytes=%d", cfg.snapBytes)}
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("resolve worker executable: %w", err)
 		}
+		// Each worker applies the coordinator's budgets per process.
+		cmd := []string{exe, "-worker",
+			fmt.Sprintf("-workers=%d", cfg.workers),
+			fmt.Sprintf("-cache-bytes=%d", cfg.cacheBytes),
+			fmt.Sprintf("-snap-bytes=%d", cfg.snapBytes)}
 		execWorkers := cfg.execWorkers
 		if execWorkers <= 0 {
 			execWorkers = 2
 		}
-		return &harness.ExecBackend{Command: cmd, Env: cfg.workerEnv,
+		return &harness.ExecBackend{Command: cmd,
 			Workers: execWorkers, BatchTimeout: cfg.execTimeout,
-			TraceDir: cfg.traceDir, TraceMajor: &traceMajor, TraceMmap: &cfg.traceMmap,
-			Snapshots: &snapshots, SnapDir: cfg.snapDir,
+			TraceDir: cfg.traceDir, TraceMajor: &cfg.traceMajor, TraceMmap: &cfg.traceMmap,
+			Snapshots: &cfg.snapshots, SnapDir: cfg.snapDir,
 			WorkloadSpecs: specs}, nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q (want local, exec, or remote)", cfg.backend)
@@ -228,7 +207,7 @@ func runSuite(ctx context.Context, cfg config) (suiteDoc, error) {
 		cfg.workloadSpecDoc = string(s.Canonical())
 	}
 	pool := harness.NewPool(cfg.workers, cfg.seed)
-	pool.SetTraceMajor(!cfg.modelMajor)
+	pool.SetTraceMajor(cfg.traceMajor)
 	store := tracestore.New(cfg.cacheBytes, nil)
 	store.SetMapped(cfg.traceMmap)
 	if cfg.traceDir != "" {
@@ -237,7 +216,7 @@ func runSuite(ctx context.Context, cfg config) (suiteDoc, error) {
 		}
 	}
 	pool.SetTraceStore(store)
-	pool.SetSnapshots(!cfg.snapshotsOff)
+	pool.SetSnapshots(cfg.snapshots)
 	snaps := snapstore.New(cfg.snapBytes)
 	if cfg.snapDir != "" {
 		if err := snaps.SetDir(cfg.snapDir); err != nil {
@@ -354,18 +333,18 @@ func writeScenarioListJSON(w io.Writer) error {
 	return enc.Encode(infos)
 }
 
-// checkWorkerFlags rejects a -worker invocation that sets a run-shaping
-// flag away from its default: a worker takes those settings from the
-// coordinator's welcome frame, so the flag would silently lose. A flag
-// spelled out at its default changes nothing and passes.
+// welcomeFlags are the run-shaping flags a fleet worker takes from the
+// coordinator's welcome frame instead of its own command line.
+var welcomeFlags = []string{"trace-dir", "trace-major", "trace-mmap", "snapshots", "snap-dir", "workload-spec"}
+
+// checkWorkerFlags rejects a -worker invocation that sets a welcome flag
+// away from its default: the flag would silently lose to the welcome. A
+// flag spelled out at its default changes nothing and passes.
 func checkWorkerFlags(fs *flag.FlagSet) error {
 	var set []string
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "trace-dir", "trace-major", "trace-mmap", "snapshots", "snap-dir", "workload-spec":
-			if f.Value.String() != f.DefValue {
-				set = append(set, "-"+f.Name)
-			}
+		if slices.Contains(welcomeFlags, f.Name) && f.Value.String() != f.DefValue {
+			set = append(set, "-"+f.Name)
 		}
 	})
 	if len(set) > 0 {
@@ -375,80 +354,105 @@ func checkWorkerFlags(fs *flag.FlagSet) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "stbpu-suite:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		list      = flag.Bool("list", false, "list registered scenarios and exit")
-		listJSON  = flag.Bool("list-json", false, "list registered scenarios with default params as JSON and exit")
-		runF      = flag.String("run", "", "comma-separated scenario glob filters (empty = all)")
-		seed      = flag.Uint64("seed", harness.DefaultRootSeed, "root seed; every cell seed derives from it")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		records   = flag.Int("records", 0, "records per workload trace (0 = scenario default)")
-		workloads = flag.Int("workloads", 0, "cap the workload list (0 = all)")
-		pairs     = flag.Int("pairs", 0, "cap the SMT pair list (0 = all)")
-		trials    = flag.Int("trials", 0, "repetitions for randomized measurements (0 = scenario default)")
-		budget    = flag.Int("budget", 0, "attack scan budget (0 = scenario default)")
-		bits      = flag.Int("bits", 0, "covert-channel bits (0 = scenario default)")
-		rF        = flag.Float64("r", 0, "attack-difficulty factor (0 = scenario default)")
-		quick     = flag.Bool("quick", false, "use the QuickScale test/benchmark sizing")
-		cacheB    = flag.Int64("cache-bytes", tracestore.DefaultMaxBytes, "byte budget for the shared cross-run trace store (<=0 = default budget)")
-		traceDir  = flag.String("trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
-		traceMaj  = flag.Bool("trace-major", true, "group cells that share a computed value (a trace-major replay over one resident trace, a CPU-model timeline or baseline) so each group computes it once (=false: no cell shares a computed value with another)")
-		traceMmap = flag.Bool("trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
-		snapsF    = flag.Bool("snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
-		snapB     = flag.Int64("snap-bytes", snapstore.DefaultMaxBytes, "byte budget for the in-memory checkpoint store (<=0 = default budget)")
-		snapDir   = flag.String("snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
-		backend   = flag.String("backend", "local", "cell execution backend: local, exec (subprocess worker fleet), or remote (TCP worker fleet)")
-		execW     = flag.Int("exec-workers", 2, "subprocess worker count for -backend exec")
-		execTO    = flag.Duration("exec-timeout", 10*time.Minute, "-backend exec: kill a worker that holds one chunk longer than this and requeue the chunk (0 = no deadline)")
-		listen    = flag.String("listen", "", "-backend remote: TCP address to coordinate workers on (empty = 127.0.0.1:0)")
-		affinity  = flag.Bool("affinity", true, "-backend remote: prefer dispatching each chunk to the worker whose caches are warm for its workload (=false for plain work sharing; results are bit-identical)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof profiling handlers on this address (works in coordinator and -worker modes), e.g. localhost:6060")
-		connect   = flag.String("connect", "", "with -worker: dial this coordinator address instead of serving stdin/stdout")
-		worker    = flag.Bool("worker", false, "run as a fleet worker on stdin/stdout, or for the -connect coordinator; only -workers, -cache-bytes and -snap-bytes apply, the rest arrives in the coordinator's welcome")
-		specF     = flag.String("workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to fleet workers")
-		journalF  = flag.String("journal", "", "stream completed cells to this JSONL run journal (schema: docs/SUITE_JSON.md)")
-		resume    = flag.Bool("resume", false, "load the -journal file first and skip cells it already holds")
-		timing    = flag.Bool("timing", true, "record wall-clock timing (disable for byte-stable output)")
-		verbose   = flag.Bool("v", false, "stream per-cell progress to stderr")
-		out       = flag.String("o", "", "write the JSON document to this file (default stdout)")
-	)
-	flag.Parse()
+// newFlagSet defines every stbpu-suite flag, each bound to a field of cfg.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("stbpu-suite", flag.ExitOnError)
+	fs.BoolVar(&cfg.list, "list", false, "list registered scenarios and exit")
+	fs.BoolVar(&cfg.listJSON, "list-json", false, "list registered scenarios with default params as JSON and exit")
+	fs.StringVar(&cfg.run, "run", "", "comma-separated scenario glob filters (empty = all)")
+	fs.Uint64Var(&cfg.seed, "seed", harness.DefaultRootSeed, "root seed; every cell seed derives from it")
+	fs.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.params.Records, "records", 0, "records per workload trace (0 = scenario default)")
+	fs.IntVar(&cfg.params.MaxWorkloads, "workloads", 0, "cap the workload list (0 = all)")
+	fs.IntVar(&cfg.params.MaxPairs, "pairs", 0, "cap the SMT pair list (0 = all)")
+	fs.IntVar(&cfg.params.Trials, "trials", 0, "repetitions for randomized measurements (0 = scenario default)")
+	fs.IntVar(&cfg.params.Budget, "budget", 0, "attack scan budget (0 = scenario default)")
+	fs.IntVar(&cfg.params.Bits, "bits", 0, "covert-channel bits (0 = scenario default)")
+	fs.Float64Var(&cfg.params.R, "r", 0, "attack-difficulty factor (0 = scenario default)")
+	fs.BoolVar(&cfg.quick, "quick", false, "use the QuickScale test/benchmark sizing")
+	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", tracestore.DefaultMaxBytes, "byte budget for the shared cross-run trace store (<=0 = default budget)")
+	fs.StringVar(&cfg.traceDir, "trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
+	fs.BoolVar(&cfg.traceMajor, "trace-major", true, "group cells that share a computed value (a trace-major replay over one resident trace, a CPU-model timeline or baseline) so each group computes it once (=false: no cell shares a computed value with another)")
+	fs.BoolVar(&cfg.traceMmap, "trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
+	fs.BoolVar(&cfg.snapshots, "snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
+	fs.Int64Var(&cfg.snapBytes, "snap-bytes", snapstore.DefaultMaxBytes, "byte budget for the in-memory checkpoint store (<=0 = default budget)")
+	fs.StringVar(&cfg.snapDir, "snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
+	fs.StringVar(&cfg.backend, "backend", "local", "cell execution backend: local, exec (subprocess worker fleet), or remote (TCP worker fleet)")
+	fs.IntVar(&cfg.execWorkers, "exec-workers", 2, "subprocess worker count for -backend exec")
+	fs.DurationVar(&cfg.execTimeout, "exec-timeout", 10*time.Minute, "-backend exec: kill a worker that holds one chunk longer than this and requeue the chunk (0 = no deadline)")
+	fs.StringVar(&cfg.listen, "listen", "", "-backend remote: TCP address to coordinate workers on (empty = 127.0.0.1:0)")
+	fs.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof profiling handlers on this address (works in coordinator and -worker modes), e.g. localhost:6060")
+	fs.StringVar(&cfg.connect, "connect", "", "with -worker: dial this coordinator address instead of serving stdin/stdout")
+	fs.BoolVar(&cfg.worker, "worker", false, "run as a fleet worker on stdin/stdout, or for the -connect coordinator; only -workers, -cache-bytes and -snap-bytes apply, the rest arrives in the coordinator's welcome")
+	fs.StringVar(&cfg.workloadSpec, "workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to fleet workers")
+	fs.StringVar(&cfg.journal, "journal", "", "stream completed cells to this JSONL run journal (schema: docs/SUITE_JSON.md)")
+	fs.BoolVar(&cfg.resume, "resume", false, "load the -journal file first and skip cells it already holds")
+	fs.BoolVar(&cfg.timing, "timing", true, "record wall-clock timing (disable for byte-stable output)")
+	fs.BoolVar(&cfg.verbose, "v", false, "stream per-cell progress to stderr")
+	fs.StringVar(&cfg.out, "o", "", "write the JSON document to this file (default stdout)")
+	return fs
+}
 
-	if *pprofAddr != "" {
+// parseArgs parses a command line (without the program name) into a
+// config.
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	cfg := config{stderr: stderr}
+	fs := newFlagSet(&cfg)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if cfg.worker {
+		return cfg, checkWorkerFlags(fs)
+	}
+	if cfg.connect != "" {
+		return cfg, fmt.Errorf("-connect requires -worker")
+	}
+	if cfg.quick {
+		cfg.params = cfg.params.Merged(experiments.QuickScale().Params())
+	}
+	for _, f := range strings.Split(cfg.run, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			cfg.filters = append(cfg.filters, f)
+		}
+	}
+	return cfg, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	cfg, err := parseArgs(args, stderr)
+	if err != nil {
+		return err
+	}
+	if cfg.pprof != "" {
 		// DefaultServeMux carries the pprof handlers via the blank import.
 		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "stbpu-suite: pprof on %s: %v\n", *pprofAddr, err)
+			if err := http.ListenAndServe(cfg.pprof, nil); err != nil {
+				fmt.Fprintf(stderr, "stbpu-suite: pprof on %s: %v\n", cfg.pprof, err)
 			}
 		}()
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 
-	if *worker {
-		if err := checkWorkerFlags(flag.CommandLine); err != nil {
-			return err
+	if cfg.worker {
+		opts := harness.WorkerOptions{Workers: cfg.workers, CacheBytes: cfg.cacheBytes, SnapBytes: cfg.snapBytes}
+		if cfg.connect != "" {
+			return harness.ServeRemoteWorker(ctx, cfg.connect, opts)
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		opts := harness.WorkerOptions{Workers: *workers, CacheBytes: *cacheB, SnapBytes: *snapB}
-		if *connect != "" {
-			return harness.ServeRemoteWorker(ctx, *connect, opts)
-		}
-		return harness.ServeWorker(ctx, os.Stdin, os.Stdout, opts)
-	}
-	if *connect != "" {
-		return fmt.Errorf("-connect requires -worker")
+		return harness.ServeWorker(ctx, os.Stdin, stdout, opts)
 	}
 
-	if *specF != "" && (*list || *listJSON) {
+	if cfg.workloadSpec != "" && (cfg.list || cfg.listJSON) {
 		// Register the user spec so the listings enumerate it alongside
 		// the built-in fixtures.
-		s, err := spec.LoadFile(*specF)
+		s, err := spec.LoadFile(cfg.workloadSpec)
 		if err != nil {
 			return err
 		}
@@ -456,69 +460,24 @@ func run() error {
 			return err
 		}
 	}
-	if *list {
+	if cfg.list {
 		for _, s := range harness.All() {
-			fmt.Printf("%-18s %s\n", s.Name, s.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", s.Name, s.Description)
 		}
 		return nil
 	}
-	if *listJSON {
-		return writeScenarioListJSON(os.Stdout)
+	if cfg.listJSON {
+		return writeScenarioListJSON(stdout)
 	}
-
-	cfg := config{
-		seed:         *seed,
-		workers:      *workers,
-		cacheBytes:   *cacheB,
-		traceDir:     *traceDir,
-		modelMajor:   !*traceMaj,
-		traceMmap:    *traceMmap,
-		snapshotsOff: !*snapsF,
-		snapBytes:    *snapB,
-		snapDir:      *snapDir,
-		backend:      *backend,
-		execWorkers:  *execW,
-		execTimeout:  *execTO,
-		listen:       *listen,
-		affinityOff:  !*affinity,
-		workloadSpec: *specF,
-		journal:      *journalF,
-		resume:       *resume,
-		timing:       *timing,
-		verbose:      *verbose,
-		stderr:       os.Stderr,
-		params: harness.Params{
-			Records:      *records,
-			MaxWorkloads: *workloads,
-			MaxPairs:     *pairs,
-			Trials:       *trials,
-			Budget:       *budget,
-			Bits:         *bits,
-			R:            *rF,
-		},
-	}
-	if *quick {
-		cfg.params = cfg.params.Merged(experiments.QuickScale().Params())
-	}
-	if *runF != "" {
-		for _, f := range strings.Split(*runF, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				cfg.filters = append(cfg.filters, f)
-			}
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	doc, err := runSuite(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	if *out == "" {
-		return writeDoc(os.Stdout, doc)
+	if cfg.out == "" {
+		return writeDoc(stdout, doc)
 	}
-	f, err := os.Create(*out)
+	f, err := os.Create(cfg.out)
 	if err != nil {
 		return err
 	}

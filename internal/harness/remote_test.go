@@ -120,34 +120,51 @@ func fleetStats(t *testing.T, b *RemoteBackend) BackendStats {
 // TestRemoteBackendMatchesLocal is the fleet determinism gate: the same
 // scenario on two TCP workers must marshal byte-identically to the
 // in-process run, with every cell accounted to exactly one worker.
+// Affinity is scheduling metadata only, so keyed groups dispatched by
+// plain work sharing must match too.
 func TestRemoteBackendMatchesLocal(t *testing.T) {
-	local := runWire(t, NewPool(2, 1234))
+	off := false
+	for _, tc := range []struct {
+		name string
+		b    *RemoteBackend
+		run  func(*testing.T, *Pool) []byte
+	}{
+		{"wire", &RemoteBackend{}, func(t *testing.T, p *Pool) []byte { return reportBytes(t, runWire(t, p)) }},
+		{"group-affinity-off", &RemoteBackend{Affinity: &off}, runGroupParams},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			local := tc.run(t, NewPool(2, 1234))
 
-	b := &RemoteBackend{}
-	addr := startRemote(t, b)
-	startInProcWorker(t, addr)
-	startInProcWorker(t, addr)
-	// The run is short enough to finish before a slow second handshake;
-	// late joins are TestRemoteBackendLateJoin's subject.
-	waitJoins(t, b, 2)
-	pool := NewPool(2, 1234)
-	pool.SetBackend(b)
-	remote := runWire(t, pool)
+			addr := startRemote(t, tc.b)
+			startInProcWorker(t, addr)
+			startInProcWorker(t, addr)
+			// The run is short enough to finish before a slow second
+			// handshake; late joins are TestRemoteBackendLateJoin's subject.
+			waitJoins(t, tc.b, 2)
+			pool := NewPool(2, 1234)
+			pool.SetBackend(tc.b)
+			remote := tc.run(t, pool)
 
-	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
-		t.Errorf("remote fleet results diverge from local:\nlocal:  %s\nremote: %s",
-			reportBytes(t, local), reportBytes(t, remote))
-	}
-	st := fleetStats(t, b)
-	if st.Joins != 2 || st.Cells == 0 {
-		t.Errorf("fleet stats: joins=%d cells=%d, want 2 joins and nonzero cells", st.Joins, st.Cells)
-	}
-	var sum uint64
-	for _, w := range st.Workers {
-		sum += w.Cells
-	}
-	if sum != st.Cells {
-		t.Errorf("per-worker cells sum %d != fleet total %d", sum, st.Cells)
+			if !bytes.Equal(local, remote) {
+				t.Errorf("remote fleet results diverge from local:\nlocal:  %s\nremote: %s", local, remote)
+			}
+			st := fleetStats(t, tc.b)
+			if st.Joins != 2 || st.Cells == 0 {
+				t.Errorf("fleet stats: joins=%d cells=%d, want 2 joins and nonzero cells", st.Joins, st.Cells)
+			}
+			var sum, hits uint64
+			for _, w := range st.Workers {
+				sum += w.Cells
+				hits += w.AffinityHits
+			}
+			if sum != st.Cells {
+				t.Errorf("per-worker cells sum %d != fleet total %d", sum, st.Cells)
+			}
+			if tc.b.Affinity != nil && hits != 0 {
+				t.Errorf("affinity off still recorded %d affinity hits", hits)
+			}
+		})
 	}
 }
 
