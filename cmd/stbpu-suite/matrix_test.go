@@ -6,7 +6,9 @@ package main
 // snapshot tier, the trace tier and journal resume. The rows form a
 // pairwise covering array (TestMatrixCoversEveryPair): every value of
 // each dimension meets every value of every other dimension in some
-// row. A failure names the command line, so it reproduces by hand.
+// row. Each row is one test, named for the check it carries besides
+// the contracts below. A failure names the command line, so it
+// reproduces by hand.
 //
 // A row runs its command once, and again when it has a directory to
 // warm (-trace-dir, -snap-dir) or a journal to resume. The second run
@@ -48,6 +50,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"os/exec"
@@ -85,27 +90,29 @@ var dimensions = [6][]string{
 // row picks one value of each dimension.
 type row [6]string
 
-var matrix = []row{
-	{"local", "model-major", "snaps-off", "trace-mmap", "resume", "quick"},
-	{"exec", "trace-major", "snap-dir", "no-tier", "fresh", "quick"},
-	{"tcp", "model-major", "snaps-on", "trace-dir", "fresh", "quick"},
-	{"local", "model-major", "snaps-on", "no-tier", "fresh", "cpu"},
-	{"exec", "trace-major", "snaps-off", "trace-dir", "fresh", "cpu"},
-	{"tcp", "trace-major", "snap-dir", "trace-mmap", "resume", "cpu"},
-	{"local", "model-major", "snap-dir", "trace-dir", "fresh", "phases"},
-	{"exec", "trace-major", "snaps-on", "trace-mmap", "fresh", "phases"},
-	{"tcp", "trace-major", "snaps-off", "no-tier", "resume", "phases"},
-	{"local", "trace-major", "snap-dir", "trace-mmap", "fresh", "spec"},
-	{"exec", "model-major", "snaps-off", "trace-dir", "resume", "spec"},
-	{"tcp", "trace-major", "snaps-on", "no-tier", "fresh", "spec"},
-	{"local", "trace-major", "snaps-off", "no-tier", "fresh", "all"},
-	{"exec", "model-major", "snaps-on", "trace-mmap", "resume", "all"},
-	{"tcp", "trace-major", "snap-dir", "trace-dir", "fresh", "all"},
+// matrix maps each test that runs a row to its row.
+var matrix = map[string]row{
+	"TestResumeProducesIdenticalDocument":     {"local", "model-major", "snaps-off", "trace-mmap", "resume", "quick"},
+	"TestGoldenOutputWorkerInvariant":         {"local", "model-major", "snaps-on", "no-tier", "fresh", "cpu"},
+	"TestSnapDirSecondRunHitsDisk":            {"local", "model-major", "snap-dir", "trace-dir", "fresh", "phases"},
+	"TestTraceDirSecondRunHitsDisk":           {"local", "trace-major", "snaps-off", "trace-dir", "fresh", "phases"},
+	"TestMmapTierMatchesDecode":               {"local", "trace-major", "snap-dir", "trace-mmap", "fresh", "spec"},
+	"TestSnapshotsOffMatchesOn":               {"local", "trace-major", "snaps-off", "no-tier", "fresh", "all"},
+	"TestExecBackendMatchesLocalGolden":       {"exec", "trace-major", "snap-dir", "no-tier", "fresh", "quick"},
+	"TestTraceMajorOffMatchesOn":              {"exec", "model-major", "snaps-off", "trace-dir", "resume", "cpu"},
+	"TestResumeExecBackendIdentical":          {"exec", "trace-major", "snaps-on", "no-tier", "resume", "phases"},
+	"TestWorkloadSpecResumeAfterKill":         {"exec", "model-major", "snaps-off", "trace-dir", "resume", "spec"},
+	"TestExecResumeAllScenarios":              {"exec", "model-major", "snaps-on", "trace-mmap", "resume", "all"},
+	"TestRemoteBackendMatchesLocalGolden":     {"tcp", "model-major", "snaps-on", "trace-dir", "fresh", "quick"},
+	"TestRemoteFleetCPUFiguresMatchLocal":     {"tcp", "trace-major", "snap-dir", "trace-mmap", "resume", "cpu"},
+	"TestRemoteFleetTraceTierMatchesLocal":    {"tcp", "trace-major", "snaps-off", "trace-mmap", "resume", "phases"},
+	"TestWorkloadSpecCrossBackendDeterminism": {"tcp", "trace-major", "snaps-on", "no-tier", "fresh", "spec"},
+	"TestRemoteFleetSnapshotTierMatchesLocal": {"tcp", "trace-major", "snap-dir", "trace-dir", "fresh", "all"},
 }
 
 // fiveWorkers is the one row run at -workers 5, where only the recorded
 // worker counts may change.
-var fiveWorkers = row{"local", "model-major", "snaps-on", "no-tier", "fresh", "cpu"}
+var fiveWorkers = matrix["TestGoldenOutputWorkerInvariant"]
 
 // args is r's command line over the directories under dir and the
 // -workload-spec file spec.
@@ -142,13 +149,27 @@ func (r row) args(dir, spec string) []string {
 }
 
 // TestMatrixCoversEveryPair: every value pair of every two dimensions
-// appears in some row.
+// appears in some row, and every row's test exists, or the row would
+// never run.
 func TestMatrixCoversEveryPair(t *testing.T) {
 	if len(matrix) > 20 {
 		t.Errorf("%d rows; keep the matrix to at most 20", len(matrix))
 	}
+	f, err := parser.ParseFile(token.NewFileSet(), "matrix_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]bool{}
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			tests[fn.Name.Name] = true
+		}
+	}
 	seen := map[[2]string]bool{}
-	for _, r := range matrix {
+	for name, r := range matrix {
+		if !tests[name] {
+			t.Errorf("row %v: no test %s runs it", r, name)
+		}
 		for i := range r {
 			if !slices.Contains(dimensions[i], r[i]) {
 				t.Errorf("row %v: %q is not a value of dimension %v", r, r[i], dimensions[i])
@@ -171,61 +192,135 @@ func TestMatrixCoversEveryPair(t *testing.T) {
 	}
 }
 
-func TestMatrix(t *testing.T) {
+// The rows' tests, each named for the check its row carries.
+
+// TestResumeProducesIdenticalDocument: a local run resumed from a torn
+// journal reproduces the quick golden and completes the journal.
+func TestResumeProducesIdenticalDocument(t *testing.T) { runRow(t) }
+
+// TestGoldenOutputWorkerInvariant: at -workers 5 only the recorded
+// worker counts leave the CPU golden.
+func TestGoldenOutputWorkerInvariant(t *testing.T) { runRow(t) }
+
+// TestSnapDirSecondRunHitsDisk: a -snap-dir run spills checkpoints and
+// a model-major rerun restores them from disk.
+func TestSnapDirSecondRunHitsDisk(t *testing.T) { runRow(t) }
+
+// TestTraceDirSecondRunHitsDisk: a -trace-dir rerun reads every trace
+// from disk instead of generating it.
+func TestTraceDirSecondRunHitsDisk(t *testing.T) { runRow(t) }
+
+// TestMmapTierMatchesDecode: a -trace-mmap rerun maps the spills, and
+// its trace-major -snap-dir rerun rewrites no checkpoint.
+func TestMmapTierMatchesDecode(t *testing.T) { runRow(t) }
+
+// TestSnapshotsOffMatchesOn: every scenario with the snapshot tier off
+// matches the run with it on, and the tier stays untouched.
+func TestSnapshotsOffMatchesOn(t *testing.T) { runRow(t) }
+
+// TestExecBackendMatchesLocalGolden: the quick set on two exec workers
+// reproduces the golden.
+func TestExecBackendMatchesLocalGolden(t *testing.T) { runRow(t) }
+
+// TestTraceMajorOffMatchesOn: model-major scheduling reproduces the CPU
+// golden, which trace-major scheduling wrote.
+func TestTraceMajorOffMatchesOn(t *testing.T) { runRow(t) }
+
+// TestResumeExecBackendIdentical: exec workers finish a torn journal's
+// run.
+func TestResumeExecBackendIdentical(t *testing.T) { runRow(t) }
+
+// TestWorkloadSpecResumeAfterKill: a -workload-spec run resumes from a
+// torn journal on exec workers, which get the spec from the welcome.
+func TestWorkloadSpecResumeAfterKill(t *testing.T) { runRow(t) }
+
+// TestExecResumeAllScenarios: every scenario resumes on exec workers,
+// so each cell type crosses the wire.
+func TestExecResumeAllScenarios(t *testing.T) { runRow(t) }
+
+// TestRemoteBackendMatchesLocalGolden: the quick set on a two-worker
+// TCP fleet reproduces the golden.
+func TestRemoteBackendMatchesLocalGolden(t *testing.T) { runRow(t) }
+
+// TestRemoteFleetCPUFiguresMatchLocal: Figs. 4-6 on a TCP fleet, with
+// keyed chunks routed to their locality key's home.
+func TestRemoteFleetCPUFiguresMatchLocal(t *testing.T) { runRow(t) }
+
+// TestRemoteFleetTraceTierMatchesLocal: a TCP fleet whose workers share
+// the mapped trace tier.
+func TestRemoteFleetTraceTierMatchesLocal(t *testing.T) { runRow(t) }
+
+// TestWorkloadSpecCrossBackendDeterminism: a -workload-spec run on a
+// TCP fleet matches the local run, as the local and exec spec rows do.
+func TestWorkloadSpecCrossBackendDeterminism(t *testing.T) { runRow(t) }
+
+// TestRemoteFleetSnapshotTierMatchesLocal: a TCP fleet whose workers
+// share -snap-dir spills its checkpoints there.
+func TestRemoteFleetSnapshotTierMatchesLocal(t *testing.T) { runRow(t) }
+
+// runRow runs the calling test's row: its command, then the rerun when
+// the row has a directory to warm or a journal to resume.
+func runRow(t *testing.T) {
+	r, ok := matrix[t.Name()]
+	if !ok {
+		t.Fatalf("no matrix row for %s", t.Name())
+	}
+	if testing.Short() && r[dBackend] != "local" {
+		t.Skip("runs a worker fleet")
+	}
 	spec := filepath.Join(t.TempDir(), "xbackend.json")
 	if err := os.WriteFile(spec, []byte(testSpecDoc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	checkSpecListed(t, spec)
-	refs := map[string][]byte{}
-	for _, r := range matrix {
-		r := r
-		t.Run(strings.Join(r[:], ","), func(t *testing.T) {
-			if testing.Short() && r[dBackend] != "local" {
-				t.Skip("runs a worker fleet")
-			}
-			ref, ok := refs[r[dSet]]
-			if !ok {
-				ref = reference(t, r[dSet], spec)
-				refs[r[dSet]] = ref
-			}
-			dir := t.TempDir()
-			args := slices.Clip(r.args(dir, spec))
-			journal := filepath.Join(dir, "run.jsonl")
-			resume := r[dJournal] == "resume"
-			first := args
-			if resume {
-				first = append(args, "-journal", journal)
-			}
-			verify(t, r, dir, first, ref, nil)
-			if r[dTier] == "no-tier" && r[dSnaps] != "snap-dir" && !resume {
-				return
-			}
-			second := args
-			uninterrupted := []harness.JournalEntry{}
-			if resume {
-				uninterrupted = tear(t, journal)
-				second = append(args, "-journal", journal, "-resume")
-			}
-			if r[dSnaps] == "snap-dir" && r[dSched] == "model-major" {
-				second = append(second, "-snap-bytes", "1")
-			}
-			verify(t, r, dir, second, ref, uninterrupted)
-		})
+	if r[dSet] == "spec" {
+		checkSpecListed(t, spec)
 	}
+	ref := reference(t, r[dSet], spec)
+	dir := t.TempDir()
+	args := slices.Clip(r.args(dir, spec))
+	journal := filepath.Join(dir, "run.jsonl")
+	resume := r[dJournal] == "resume"
+	first := args
+	if resume {
+		first = append(args, "-journal", journal)
+	}
+	verify(t, r, dir, first, ref, nil)
+	if r[dTier] == "no-tier" && r[dSnaps] != "snap-dir" && !resume {
+		return
+	}
+	second := args
+	uninterrupted := []harness.JournalEntry{}
+	if resume {
+		uninterrupted = tear(t, journal)
+		second = append(args, "-journal", journal, "-resume")
+	}
+	if r[dSnaps] == "snap-dir" && r[dSched] == "model-major" {
+		second = append(second, "-snap-bytes", "1")
+	}
+	verify(t, r, dir, second, ref, uninterrupted)
 }
 
-// reference returns the document set's rows must reproduce.
+// refs holds the reference documents computed so far, by set. The
+// tests here run one at a time.
+var refs = map[string][]byte{}
+
+// reference returns the document set's rows must reproduce. The spec
+// set's is the same for any copy of testSpecDoc.
 func reference(t *testing.T, set, spec string) []byte {
 	t.Helper()
-	if set == "quick" || set == "cpu" {
-		b, err := os.ReadFile(filepath.Join("testdata", set+".golden.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
+	if b, ok := refs[set]; ok {
 		return b
 	}
-	_, b := runCLI(t, row{"local", "trace-major", "snaps-on", "no-tier", "fresh", set}.args("", spec))
+	var b []byte
+	if set == "quick" || set == "cpu" {
+		var err error
+		if b, err = os.ReadFile(filepath.Join("testdata", set+".golden.json")); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		_, b = runCLI(t, row{"local", "trace-major", "snaps-on", "no-tier", "fresh", set}.args("", spec))
+	}
+	refs[set] = b
 	return b
 }
 
