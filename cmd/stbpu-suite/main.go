@@ -97,24 +97,13 @@ type config struct {
 	seed                          uint64
 	workers                       int
 	cacheBytes                    int64
-	// traceDir enables the persistent trace tier: generated traces spill
-	// as STBT files and later runs (and fleet workers) decode instead of
-	// regenerating.
-	traceDir string
-	// traceMajor groups cells that share a computed value; off, no cell
-	// shares a computed value with another.
-	traceMajor bool
-	// traceMmap spills traces in the page-aligned STBT v2 layout and maps
-	// them read-only as columns instead of decoding (with -trace-dir).
-	traceMmap bool
-	// snapshots enables the warm-state snapshot tier.
-	snapshots bool
 	// snapBytes bounds the in-memory checkpoint store (<= 0 = default).
 	snapBytes int64
-	// snapDir enables the persistent checkpoint tier: phase-boundary
-	// predictor snapshots spill as .snap files and later runs (and
-	// workers sharing the directory) restore instead of replaying.
-	snapDir     string
+	// settings are the run's settings (-trace-dir, -trace-major,
+	// -trace-mmap, -snapshots, -snap-dir, and the -workload-spec
+	// document parseArgs loads); the pool is built from them, and a
+	// fleet welcomes its workers with the pool's.
+	settings    harness.Settings
 	backend     string // "local" (default), "exec", or "remote"
 	execWorkers int
 	// execTimeout bounds how long one chunk may stay on an exec worker;
@@ -123,13 +112,8 @@ type config struct {
 	execTimeout time.Duration
 	// listen is the -backend remote coordinator's TCP address.
 	listen string
-	// workloadSpec is a JSON workload-spec file (docs/WORKLOADS.md):
-	// runSuite registers it, points the workloads scenario at it, and
-	// forwards its document to fleet workers in the welcome frame.
+	// workloadSpec is a JSON workload-spec file (docs/WORKLOADS.md).
 	workloadSpec string
-	// workloadSpecDoc is the loaded spec's canonical JSON (set by
-	// runSuite for buildBackend's welcome frame).
-	workloadSpecDoc string
 	// journal streams completed cells to this JSONL file; with resume
 	// set, cells the file already holds are not re-executed.
 	journal string
@@ -140,35 +124,29 @@ type config struct {
 	stderr  io.Writer
 }
 
-// buildBackend constructs the backend the -backend flag selects; nil
-// means the pool's default in-process LocalBackend. Both fleet backends
-// forward the run-shaping settings in the welcome frame, so workers
-// need no per-worker flags beyond their own process budgets.
-func buildBackend(cfg config) (harness.Backend, error) {
-	var specs []string
-	if cfg.workloadSpecDoc != "" {
-		specs = []string{cfg.workloadSpecDoc}
-	}
+// buildBackend installs the backend the -backend flag selects in pool;
+// local keeps the pool's default in-process LocalBackend. Both fleet
+// backends welcome their workers with the pool's Settings, so workers
+// need no flags beyond their own process budgets.
+func buildBackend(cfg config, pool *harness.Pool) error {
 	switch cfg.backend {
 	case "", "local":
-		return nil, nil
+		return nil
 	case "remote":
-		rb := &harness.RemoteBackend{Addr: cfg.listen, TraceDir: cfg.traceDir,
-			TraceMajor: &cfg.traceMajor, TraceMmap: &cfg.traceMmap,
-			Snapshots: &cfg.snapshots, SnapDir: cfg.snapDir,
-			WorkloadSpecs: specs}
+		rb := &harness.RemoteBackend{Addr: cfg.listen}
+		pool.SetBackend(rb)
 		// Bind eagerly so the operator learns where to point workers
 		// before the first batch needs them.
 		addr, err := rb.Start()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Fprintf(cfg.stderr, "remote: listening on %s; join workers with: stbpu-suite -worker -connect %s\n", addr, addr)
-		return rb, nil
+		return nil
 	case "exec":
 		exe, err := os.Executable()
 		if err != nil {
-			return nil, fmt.Errorf("resolve worker executable: %w", err)
+			return fmt.Errorf("resolve worker executable: %w", err)
 		}
 		// Each worker applies the coordinator's budgets per process.
 		cmd := []string{exe, "-worker",
@@ -179,59 +157,23 @@ func buildBackend(cfg config) (harness.Backend, error) {
 		if execWorkers <= 0 {
 			execWorkers = 2
 		}
-		return &harness.ExecBackend{Command: cmd,
-			Workers: execWorkers, BatchTimeout: cfg.execTimeout,
-			TraceDir: cfg.traceDir, TraceMajor: &cfg.traceMajor, TraceMmap: &cfg.traceMmap,
-			Snapshots: &cfg.snapshots, SnapDir: cfg.snapDir,
-			WorkloadSpecs: specs}, nil
+		pool.SetBackend(&harness.ExecBackend{Command: cmd, Workers: execWorkers, BatchTimeout: cfg.execTimeout})
+		return nil
 	default:
-		return nil, fmt.Errorf("unknown backend %q (want local, exec, or remote)", cfg.backend)
+		return fmt.Errorf("unknown backend %q (want local, exec, or remote)", cfg.backend)
 	}
 }
 
 // runSuite executes the selected scenarios and assembles the document.
 func runSuite(ctx context.Context, cfg config) (suiteDoc, error) {
-	if cfg.workloadSpec != "" {
-		s, err := spec.LoadFile(cfg.workloadSpec)
-		if err != nil {
-			return suiteDoc{}, err
-		}
-		if err := spec.Register(s); err != nil {
-			return suiteDoc{}, err
-		}
-		// The workloads scenario resolves the spec by its registered
-		// (content-hashed) workload name in every process of the run.
-		if cfg.params.WorkloadSpec == "" {
-			cfg.params.WorkloadSpec = s.WorkloadName()
-		}
-		cfg.workloadSpecDoc = string(s.Canonical())
-	}
-	pool := harness.NewPool(cfg.workers, cfg.seed)
-	pool.SetTraceMajor(cfg.traceMajor)
-	store := tracestore.New(cfg.cacheBytes, nil)
-	store.SetMapped(cfg.traceMmap)
-	if cfg.traceDir != "" {
-		if err := store.SetDir(cfg.traceDir); err != nil {
-			return suiteDoc{}, fmt.Errorf("trace dir %s: %w", cfg.traceDir, err)
-		}
-	}
-	pool.SetTraceStore(store)
-	pool.SetSnapshots(cfg.snapshots)
-	snaps := snapstore.New(cfg.snapBytes)
-	if cfg.snapDir != "" {
-		if err := snaps.SetDir(cfg.snapDir); err != nil {
-			return suiteDoc{}, fmt.Errorf("snap dir %s: %w", cfg.snapDir, err)
-		}
-	}
-	pool.SetSnapStore(snaps)
-	backend, err := buildBackend(cfg)
+	pool, err := cfg.settings.NewPool(cfg.workers, cfg.seed, cfg.cacheBytes, cfg.snapBytes)
 	if err != nil {
 		return suiteDoc{}, err
 	}
-	if backend != nil {
-		pool.SetBackend(backend)
-		defer backend.Close()
+	if err := buildBackend(cfg, pool); err != nil {
+		return suiteDoc{}, err
 	}
+	defer pool.Backend().Close()
 	var journal *harness.Journal
 	if cfg.journal != "" {
 		if cfg.resume {
@@ -284,8 +226,8 @@ func runSuite(ctx context.Context, cfg config) (suiteDoc, error) {
 			doc.Backends[i].WallMS = 0
 		}
 	}
-	doc.TraceStore = store.Stats()
-	doc.SnapStore = snaps.Stats()
+	doc.TraceStore = pool.Traces().Stats()
+	doc.SnapStore = pool.Snaps().Stats()
 	if journal != nil {
 		// A journal that stopped persisting must fail the run: the caller
 		// believes the file can resume this run, so a silent write failure
@@ -333,24 +275,42 @@ func writeScenarioListJSON(w io.Writer) error {
 	return enc.Encode(infos)
 }
 
-// welcomeFlags are the run-shaping flags a fleet worker takes from the
-// coordinator's welcome frame instead of its own command line.
-var welcomeFlags = []string{"trace-dir", "trace-major", "trace-mmap", "snapshots", "snap-dir", "workload-spec"}
+// workerFlags are the flags a -worker reads: its mode, its coordinator,
+// its own process budgets and its profiling listener. welcomeFlags are
+// coordinator flags whose settings the welcome frame carries to workers.
+var (
+	workerFlags  = []string{"worker", "connect", "workers", "cache-bytes", "snap-bytes", "pprof"}
+	welcomeFlags = []string{"trace-dir", "trace-major", "trace-mmap", "snapshots", "snap-dir", "workload-spec"}
+)
 
-// checkWorkerFlags rejects a -worker invocation that sets a welcome flag
-// away from its default: the flag would silently lose to the welcome. A
-// flag spelled out at its default changes nothing and passes.
+// checkWorkerFlags rejects a -worker invocation that sets a flag
+// outside workerFlags away from its default: the worker would silently
+// ignore it. A flag spelled out at its default changes nothing and
+// passes.
 func checkWorkerFlags(fs *flag.FlagSet) error {
-	var set []string
+	var set, welcome, coordinator []string
 	fs.Visit(func(f *flag.Flag) {
-		if slices.Contains(welcomeFlags, f.Name) && f.Value.String() != f.DefValue {
-			set = append(set, "-"+f.Name)
+		if slices.Contains(workerFlags, f.Name) || f.Value.String() == f.DefValue {
+			return
+		}
+		set = append(set, "-"+f.Name)
+		if slices.Contains(welcomeFlags, f.Name) {
+			welcome = append(welcome, "-"+f.Name)
+		} else {
+			coordinator = append(coordinator, "-"+f.Name)
 		}
 	})
-	if len(set) > 0 {
-		return fmt.Errorf("-worker does not take %s: the coordinator's welcome frame carries those settings, so set them there", strings.Join(set, ", "))
+	if len(set) == 0 {
+		return nil
 	}
-	return nil
+	var why []string
+	if len(welcome) > 0 {
+		why = append(why, "the coordinator's welcome frame carries "+strings.Join(welcome, ", "))
+	}
+	if len(coordinator) > 0 {
+		why = append(why, "only a coordinator reads "+strings.Join(coordinator, ", "))
+	}
+	return fmt.Errorf("-worker does not take %s: %s", strings.Join(set, ", "), strings.Join(why, "; "))
 }
 
 func main() {
@@ -377,19 +337,19 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.Float64Var(&cfg.params.R, "r", 0, "attack-difficulty factor (0 = scenario default)")
 	fs.BoolVar(&cfg.quick, "quick", false, "use the QuickScale test/benchmark sizing")
 	fs.Int64Var(&cfg.cacheBytes, "cache-bytes", tracestore.DefaultMaxBytes, "byte budget for the shared cross-run trace store (<=0 = default budget)")
-	fs.StringVar(&cfg.traceDir, "trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
-	fs.BoolVar(&cfg.traceMajor, "trace-major", true, "group cells that share a computed value (a trace-major replay over one resident trace, a CPU-model timeline or baseline) so each group computes it once (=false: no cell shares a computed value with another)")
-	fs.BoolVar(&cfg.traceMmap, "trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
-	fs.BoolVar(&cfg.snapshots, "snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
+	fs.StringVar(&cfg.settings.TraceDir, "trace-dir", "", "persistent trace tier: spill generated traces as STBT files here and decode them on later runs (shared with fleet workers)")
+	fs.BoolVar(&cfg.settings.TraceMajor, "trace-major", true, "group cells that share a computed value (a trace-major replay over one resident trace, a CPU-model timeline or baseline) so each group computes it once (=false: no cell shares a computed value with another)")
+	fs.BoolVar(&cfg.settings.TraceMmap, "trace-mmap", false, "with -trace-dir: spill traces in the page-aligned STBT v2 layout and map them read-only instead of decoding (unix only; no-op elsewhere)")
+	fs.BoolVar(&cfg.settings.Snapshots, "snapshots", true, "checkpoint predictor state at phase boundaries and restore it instead of replaying warmup prefixes (=false to force full replay; results are bit-identical)")
 	fs.Int64Var(&cfg.snapBytes, "snap-bytes", snapstore.DefaultMaxBytes, "byte budget for the in-memory checkpoint store (<=0 = default budget)")
-	fs.StringVar(&cfg.snapDir, "snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
+	fs.StringVar(&cfg.settings.SnapDir, "snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
 	fs.StringVar(&cfg.backend, "backend", "local", "cell execution backend: local, exec (subprocess worker fleet), or remote (TCP worker fleet)")
 	fs.IntVar(&cfg.execWorkers, "exec-workers", 2, "subprocess worker count for -backend exec")
 	fs.DurationVar(&cfg.execTimeout, "exec-timeout", 10*time.Minute, "-backend exec: kill a worker that holds one chunk longer than this and requeue the chunk (0 = no deadline)")
 	fs.StringVar(&cfg.listen, "listen", "", "-backend remote: TCP address to coordinate workers on (empty = 127.0.0.1:0)")
 	fs.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof profiling handlers on this address (works in coordinator and -worker modes), e.g. localhost:6060")
 	fs.StringVar(&cfg.connect, "connect", "", "with -worker: dial this coordinator address instead of serving stdin/stdout")
-	fs.BoolVar(&cfg.worker, "worker", false, "run as a fleet worker on stdin/stdout, or for the -connect coordinator; only -workers, -cache-bytes and -snap-bytes apply, the rest arrives in the coordinator's welcome")
+	fs.BoolVar(&cfg.worker, "worker", false, "run as a fleet worker on stdin/stdout, or for the -connect coordinator; it takes only -connect, -workers, -cache-bytes, -snap-bytes and -pprof, and its run settings arrive in the coordinator's welcome")
 	fs.StringVar(&cfg.workloadSpec, "workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register it and point the workloads scenario at it; forwarded to fleet workers")
 	fs.StringVar(&cfg.journal, "journal", "", "stream completed cells to this JSONL run journal (schema: docs/SUITE_JSON.md)")
 	fs.BoolVar(&cfg.resume, "resume", false, "load the -journal file first and skip cells it already holds")
@@ -416,6 +376,18 @@ func parseArgs(args []string, stderr io.Writer) (config, error) {
 	}
 	if cfg.quick {
 		cfg.params = cfg.params.Merged(experiments.QuickScale().Params())
+	}
+	if cfg.workloadSpec != "" {
+		s, err := spec.LoadFile(cfg.workloadSpec)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.settings.WorkloadSpecs = []string{string(s.Canonical())}
+		// The workloads scenario resolves the spec by its registered
+		// (content-hashed) workload name in every process of the run.
+		if cfg.params.WorkloadSpec == "" {
+			cfg.params.WorkloadSpec = s.WorkloadName()
+		}
 	}
 	for _, f := range strings.Split(cfg.run, ",") {
 		if f = strings.TrimSpace(f); f != "" {
@@ -449,14 +421,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return harness.ServeWorker(ctx, os.Stdin, stdout, opts)
 	}
 
-	if cfg.workloadSpec != "" && (cfg.list || cfg.listJSON) {
-		// Register the user spec so the listings enumerate it alongside
-		// the built-in fixtures.
-		s, err := spec.LoadFile(cfg.workloadSpec)
-		if err != nil {
-			return err
-		}
-		if err := spec.Register(s); err != nil {
+	if cfg.list || cfg.listJSON {
+		// A pool over the specs alone registers them, so the listings
+		// enumerate them alongside the built-in fixtures.
+		if _, err := (harness.Settings{WorkloadSpecs: cfg.settings.WorkloadSpecs}).NewPool(1, cfg.seed, 0, 0); err != nil {
 			return err
 		}
 	}

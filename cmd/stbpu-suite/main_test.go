@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"stbpu/internal/harness"
 	"stbpu/internal/snapstore"
 	"stbpu/internal/tracestore"
 )
@@ -143,34 +147,66 @@ func TestJournalRefusesToClobberWithoutResume(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsWelcomeFlags: a worker takes the run-shaping settings
-// from the coordinator's welcome, so -worker refuses them when set away
-// from their defaults, naming each one, and accepts its own budgets and
-// defaults spelled out (as bench/traced.go's worker argv does).
+// TestWorkerRejectsWelcomeFlags: a worker takes its run settings from
+// the coordinator's welcome and reads only workerFlags itself, so
+// -worker refuses every other flag newFlagSet defines when it is set
+// away from its default, naming it and saying whether the welcome
+// carries it or only a coordinator reads it. Flags spelled out at their
+// defaults pass, as in both exec worker command lines: buildBackend's
+// and bench/traced.go's.
 func TestWorkerRejectsWelcomeFlags(t *testing.T) {
 	fs := newFlagSet(&config{})
-	for _, name := range welcomeFlags {
+	for _, name := range append(slices.Clone(workerFlags), welcomeFlags...) {
 		if fs.Lookup(name) == nil {
-			t.Errorf("welcome flag -%s is not an stbpu-suite flag", name)
+			t.Errorf("-%s is not an stbpu-suite flag", name)
 		}
 	}
-	for _, tc := range []struct {
-		args []string
-		want string // "" means accepted
-	}{
-		{[]string{"-workers=1", "-cache-bytes=5", "-snap-bytes=5", "-trace-major=true", "-snapshots=true"}, ""},
-		{[]string{"-trace-dir", "/shared/traces"}, "-worker does not take -trace-dir:"},
-		{[]string{"-trace-major=false", "-snap-dir", "d", "-workload-spec", "w.json"}, "-snap-dir, -trace-major, -workload-spec"},
-		{[]string{"-trace-mmap", "-snapshots=false"}, "-snapshots, -trace-mmap"},
-	} {
-		_, err := parseArgs(append([]string{"-worker"}, tc.args...), io.Discard)
-		switch {
-		case tc.want == "" && err != nil:
-			t.Errorf("%v: %v", tc.args, err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+	fs.VisitAll(func(f *flag.Flag) {
+		if slices.Contains(workerFlags, f.Name) {
+			return
+		}
+		arg := "-" + f.Name + "=" + offDefault(t, f)
+		why := "only a coordinator reads -" + f.Name
+		if slices.Contains(welcomeFlags, f.Name) {
+			why = "the coordinator's welcome frame carries -" + f.Name
+		}
+		_, err := parseArgs([]string{"-worker", arg}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-worker does not take -"+f.Name+": ") || !strings.Contains(err.Error(), why) {
+			t.Errorf("-worker %s: err = %v, want %q", arg, err, why)
+		}
+	})
+	_, err := parseArgs([]string{"-worker", "-trace-major=false", "-seed", "5", "-snap-dir", "d", "-o", "o.json"}, io.Discard)
+	want := "-worker does not take -o, -seed, -snap-dir, -trace-major: the coordinator's welcome frame carries -snap-dir, -trace-major; only a coordinator reads -o, -seed"
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+
+	pool := harness.NewPool(1, 1)
+	if err := buildBackend(parse(t, []string{"-backend", "exec", "-workers", "1"}), pool); err != nil {
+		t.Fatal(err)
+	}
+	bench := []string{"-worker", "-workers=1", fmt.Sprintf("-cache-bytes=%d", tracestore.DefaultMaxBytes),
+		"-trace-major=true", "-snapshots=true", fmt.Sprintf("-snap-bytes=%d", snapstore.DefaultMaxBytes)}
+	for _, argv := range [][]string{pool.Backend().(*harness.ExecBackend).Command[1:], bench, {"-worker", "-connect", "127.0.0.1:7701", "-pprof", "localhost:6061"}} {
+		if _, err := parseArgs(argv, io.Discard); err != nil {
+			t.Errorf("%v: %v", argv, err)
 		}
 	}
+}
+
+// offDefault returns a value f accepts that differs from its default.
+func offDefault(t *testing.T, f *flag.Flag) string {
+	t.Helper()
+	if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+		return strconv.FormatBool(f.DefValue != "true")
+	}
+	for _, v := range []string{"7", "3s"} {
+		if f.Value.Set(v) == nil && f.Value.String() != f.DefValue {
+			return v
+		}
+	}
+	t.Fatalf("no value for -%s away from its default %q", f.Name, f.DefValue)
+	return ""
 }
 
 func TestListJSONEnumeratesScenarios(t *testing.T) {

@@ -80,10 +80,7 @@ func warmupSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]fl
 	kinds := sim.Fig3Kinds()
 	cache := pool.Traces()
 	k := len(kinds)
-	rootSeed := harness.DefaultRootSeed
-	if pool != nil {
-		rootSeed = pool.RootSeed()
-	}
+	rootSeed := pool.RootSeed()
 	_, synth := trace.LookupSynth(p.Workload)
 
 	// Trace-major grouping: prefix-stable presets share one group (one

@@ -115,10 +115,7 @@ func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 			}
 		}
 	}
-	rootSeed := harness.DefaultRootSeed
-	if pool != nil {
-		rootSeed = pool.RootSeed()
-	}
+	rootSeed := pool.RootSeed()
 	cache := pool.Traces()
 	return harness.Joint("workloads", len(addrs),
 		func(shard int) string {

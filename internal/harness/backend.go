@@ -1,15 +1,15 @@
 package harness
 
-// Backend abstraction: Map no longer owns a goroutine pool directly —
-// it describes each cell as a CellSpec and hands batches to a Backend.
-// LocalBackend is the original in-process pool behind the interface;
-// RemoteBackend (remote.go) schedules specs across a fleet of worker
+// Backends: Map describes each cell as a CellSpec and hands batches to
+// a Backend. LocalBackend runs them on in-process goroutines;
+// RemoteBackend (remote.go) schedules them across a fleet of worker
 // processes speaking the length-prefixed fleet protocol, whose members
 // dial in over TCP or, under ExecBackend (exec.go), are subprocesses
 // spawned on stdio. Because a cell is a pure function of (scenario,
 // params, scope, shard, root seed), results are bit-identical
 // regardless of which backend ran which cell — Map merges everything
-// back into shard order. See docs/ARCHITECTURE.md "Distributed cells".
+// back into shard order. See docs/ARCHITECTURE.md "How a cell flows
+// through a backend".
 
 import (
 	"context"
@@ -236,26 +236,22 @@ type StatsReporter interface {
 	BackendStats() []BackendStats
 }
 
-// cellNotify is the pool-side completion callback: the observer-facing
-// Cell plus the spec and result that feed the pool's Sink (run
-// journal). Pool.complete implements it.
-type cellNotify func(c Cell, spec CellSpec, res CellResult)
-
-// cellSink is implemented by backends that can stream completed cells to
-// the pool's observer and sink; Pool.SetBackend wires it. A fleet
-// reports a batch's cells only once its Run succeeds: cells from a
-// failed batch would otherwise be counted in Pool.Cells() without
-// reaching the output.
-type cellSink interface {
-	setSink(cellNotify)
+// poolMember is implemented by backends that report to the pool they
+// are installed in; Pool.SetBackend hands the pool over. Completed cells
+// go to Pool.complete — a fleet reports a batch's cells only once its
+// Run succeeds, since cells from a failed batch would otherwise be
+// counted in Pool.Cells() without reaching the output — and a fleet
+// welcomes its workers with the pool's Settings.
+type poolMember interface {
+	setPool(*Pool)
 }
 
-// LocalBackend is the in-process goroutine pool — the execution engine
-// Map used directly before backends existed, now behind the interface.
-// It requires in-process specs (fn set); it never looks at the registry.
+// LocalBackend runs cells on in-process goroutines; it is a pool's
+// default backend. It requires in-process specs (fn set); it never
+// looks at the registry.
 type LocalBackend struct {
 	workers int
-	sink    atomic.Pointer[cellNotify]
+	pool    atomic.Pointer[Pool]
 	cells   atomic.Uint64
 	wallNS  atomic.Int64
 }
@@ -275,11 +271,11 @@ func (b *LocalBackend) Name() string { return "local" }
 // Close implements Backend; a LocalBackend holds no resources.
 func (b *LocalBackend) Close() error { return nil }
 
-func (b *LocalBackend) setSink(fn cellNotify) { b.sink.Store(&fn) }
+func (b *LocalBackend) setPool(p *Pool) { b.pool.Store(p) }
 
 func (b *LocalBackend) notify(c Cell, spec CellSpec, res CellResult) {
-	if fn := b.sink.Load(); fn != nil && *fn != nil {
-		(*fn)(c, spec, res)
+	if p := b.pool.Load(); p != nil {
+		p.complete(c, spec, res)
 	}
 }
 

@@ -47,6 +47,17 @@
 // without running the scenario; see docs/ARCHITECTURE.md "How a cell
 // flows through a backend".
 //
+// # Run settings
+//
+// A Pool is the one place a run's settings live. Settings.NewPool builds
+// it from a Settings — the trace tier, trace-major grouping, the
+// snapshot tier and the workload specs, none of which may change
+// results — and Pool.Settings reads them back from the pool's toggles,
+// stores and registered specs. A fleet backend gets its pool from
+// Pool.SetBackend and welcomes every worker with that pool's Settings;
+// the worker builds its session pool from the welcome with the same
+// constructor. A fleet installed in no pool refuses to start.
+//
 // # Run journal
 //
 // The same cell address keys the run journal (journal.go): a Sink

@@ -17,14 +17,17 @@ package harness
 // Anything that can pipe stdin/stdout to a process with the same binary
 // — ssh, a container runner, a job scheduler — can host a member.
 //
-// Cache locality: each worker process generates its own traces into a
-// process-local tracestore.Store that persists across chunks. The
-// coordinator's store is not consulted for remote cells, so a trace may
-// be generated once per worker instead of once per run — deterministic
-// generation keeps results identical, at the cost of duplicated
-// generation work (see internal/tracestore's package comment). The
-// fleet keeps that duplication per group, not per chunk: every
-// locality group ships whole to one worker.
+// Settings: a worker builds one session pool from the welcome's
+// Settings, the coordinator pool's, with the one constructor the
+// coordinator used (Settings.NewPool), so both sides register the same
+// workload specs and use the same tiers and toggles. The session pool's
+// stores are process-local and persist across chunks; the coordinator's
+// store is not consulted for remote cells, so a trace may be generated
+// once per worker instead of once per run — deterministic generation
+// keeps results identical, at the cost of duplicated generation work
+// (see internal/tracestore's package comment), unless the workers share
+// a trace dir. The fleet keeps that duplication per group, not per
+// chunk: every locality group ships whole to one worker.
 
 import (
 	"bufio"
@@ -39,20 +42,16 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"stbpu/internal/snapstore"
-	"stbpu/internal/trace/spec"
-	"stbpu/internal/tracestore"
 )
 
 // ---------------------------------------------------------------------------
 // Coordinator side.
 
 // ExecBackend executes cells on a fleet of subprocess workers speaking
-// the fleet protocol on stdio. Workers are spawned on the first Run and
-// live until Close; a worker that died is respawned on the next Run.
-// The exported fields must be set before the backend is installed in a
-// Pool or first run.
+// the fleet protocol on stdio, welcomed with the Settings of the Pool it
+// is installed in (Pool.SetBackend). Workers are spawned on the first
+// Run and live until Close; a worker that died is respawned on the next
+// Run. The exported fields must be set before the first Run.
 type ExecBackend struct {
 	// Command is the worker argv (nil means this executable with
 	// "-worker" appended — the stbpu-suite worker mode).
@@ -68,18 +67,10 @@ type ExecBackend struct {
 	// run's failure if no worker is left. It also bounds a new worker's
 	// handshake. <= 0 means no deadline.
 	BatchTimeout time.Duration
-	// TraceDir, TraceMajor, TraceMmap, Snapshots, SnapDir and
-	// WorkloadSpecs reach the workers in the welcome frame, as for
-	// RemoteBackend.
-	TraceDir      string
-	TraceMajor    *bool
-	TraceMmap     *bool
-	Snapshots     *bool
-	SnapDir       string
-	WorkloadSpecs []string
 
+	// fleet is the scheduler the spawned members are admitted into.
+	fleet  RemoteBackend
 	mu     sync.Mutex
-	fleet  *RemoteBackend
 	procs  []*procConn
 	closed bool
 }
@@ -87,28 +78,11 @@ type ExecBackend struct {
 // Name implements Backend.
 func (b *ExecBackend) Name() string { return "exec" }
 
-// coordinator returns the fleet scheduler, creating it on first use.
-func (b *ExecBackend) coordinator() *RemoteBackend {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.coordinatorLocked()
-}
-
-func (b *ExecBackend) coordinatorLocked() *RemoteBackend {
-	if b.fleet == nil {
-		b.fleet = &RemoteBackend{
-			TraceDir: b.TraceDir, TraceMajor: b.TraceMajor, TraceMmap: b.TraceMmap,
-			Snapshots: b.Snapshots, SnapDir: b.SnapDir, WorkloadSpecs: b.WorkloadSpecs,
-		}
-	}
-	return b.fleet
-}
-
-func (b *ExecBackend) setSink(fn cellNotify) { b.coordinator().setSink(fn) }
+func (b *ExecBackend) setPool(p *Pool) { b.fleet.setPool(p) }
 
 // BackendStats implements StatsReporter.
 func (b *ExecBackend) BackendStats() []BackendStats {
-	stats := b.coordinator().BackendStats()
+	stats := b.fleet.BackendStats()
 	stats[0].Backend = b.Name()
 	return stats
 }
@@ -124,6 +98,9 @@ func (b *ExecBackend) ensureStarted(ctx context.Context) error {
 	defer b.mu.Unlock()
 	if b.closed {
 		return errors.New("exec backend is closed")
+	}
+	if b.fleet.pool.Load() == nil {
+		return errNoPool
 	}
 	argv := b.Command
 	if argv == nil {
@@ -154,14 +131,13 @@ func (b *ExecBackend) ensureStarted(ctx context.Context) error {
 		b.procs[i] = p
 		spawned = append(spawned, p)
 	}
-	fleet := b.coordinatorLocked()
 	errs := make([]error, len(spawned))
 	var wg sync.WaitGroup
 	for i, p := range spawned {
 		wg.Add(1)
 		go func(i int, p *procConn) {
 			defer wg.Done()
-			errs[i] = fleet.admit(p, b.BatchTimeout)
+			errs[i] = b.fleet.admit(p, b.BatchTimeout)
 		}(i, p)
 	}
 	stop := context.AfterFunc(ctx, func() {
@@ -197,16 +173,15 @@ func (b *ExecBackend) ensureStarted(ctx context.Context) error {
 // localityChunks). Once every worker has died the run fails at once
 // with the last worker's root cause.
 func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
-	fleet := b.coordinator()
 	start := time.Now()
-	defer func() { fleet.wallNS.Add(int64(time.Since(start))) }()
+	defer func() { b.fleet.wallNS.Add(int64(time.Since(start))) }()
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	if err := b.ensureStarted(ctx); err != nil {
 		return nil, err
 	}
-	return fleet.run(ctx, specs, b.Name(), b.BatchTimeout)
+	return b.fleet.run(ctx, specs, b.Name(), b.BatchTimeout)
 }
 
 // Close shuts the fleet down: every worker is killed — a chunk still
@@ -214,12 +189,10 @@ func (b *ExecBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, 
 // before Close returns, so its CPU time is accounted to this process.
 func (b *ExecBackend) Close() error {
 	b.mu.Lock()
-	procs, fleet := b.procs, b.fleet
+	procs := b.procs
 	b.procs, b.closed = nil, true
 	b.mu.Unlock()
-	if fleet != nil {
-		fleet.Close()
-	}
+	b.fleet.Close()
 	for _, p := range procs {
 		if p != nil {
 			p.Close()
@@ -356,63 +329,6 @@ type WorkerOptions struct {
 	SnapBytes int64
 }
 
-// cellEnv bundles a worker session's execution environment: the stores
-// cells share and the scheduling/acceleration toggles, none of which
-// may change results.
-type cellEnv struct {
-	workers    int
-	store      *tracestore.Store
-	snaps      *snapstore.Store
-	traceMajor bool
-	snapshots  bool
-}
-
-// pool returns a pool over the session's stores and toggles, seeded for
-// one chunk; space constructors read their stores and seeds from it.
-func (env cellEnv) pool(rootSeed uint64) *Pool {
-	p := NewPool(env.workers, rootSeed)
-	p.SetTraceStore(env.store)
-	p.SetSnapStore(env.snaps)
-	p.SetTraceMajor(env.traceMajor)
-	p.SetSnapshots(env.snapshots)
-	return p
-}
-
-// sessionEnv builds a worker's execution environment from its own
-// budgets and the coordinator's welcome: it registers the forwarded
-// workload specs and wires the persistent tiers the welcome names.
-func sessionEnv(opts WorkerOptions, w remoteWelcome) (cellEnv, error) {
-	for _, doc := range w.WorkloadSpecs {
-		s, err := spec.Parse([]byte(doc))
-		if err != nil {
-			return cellEnv{}, fmt.Errorf("worker: workload spec: %w", err)
-		}
-		if err := spec.Register(s); err != nil {
-			return cellEnv{}, fmt.Errorf("worker: workload spec %q: %w", s.Name, err)
-		}
-	}
-	store := tracestore.New(opts.CacheBytes, nil)
-	store.SetMapped(w.TraceMmap != nil && *w.TraceMmap)
-	if w.TraceDir != "" {
-		if err := store.SetDir(w.TraceDir); err != nil {
-			return cellEnv{}, fmt.Errorf("worker: trace dir %s: %w", w.TraceDir, err)
-		}
-	}
-	snaps := snapstore.New(opts.SnapBytes)
-	if w.SnapDir != "" {
-		if err := snaps.SetDir(w.SnapDir); err != nil {
-			return cellEnv{}, fmt.Errorf("worker: snap dir %s: %w", w.SnapDir, err)
-		}
-	}
-	return cellEnv{
-		workers:    opts.Workers,
-		store:      store,
-		snaps:      snaps,
-		traceMajor: w.TraceMajor == nil || *w.TraceMajor,
-		snapshots:  w.Snapshots == nil || *w.Snapshots,
-	}, nil
-}
-
 // ServeWorker serves the fleet protocol on r/w — an exec member's stdin
 // and stdout — until EOF on r (the coordinator's clean shutdown signal)
 // or ctx is canceled. See serveSession. Its hello carries no name: the
@@ -431,14 +347,13 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 }
 
 // serveSession is the one worker loop, on either transport: send a
-// hello carrying name, adopt the welcome's settings, then answer each
-// work frame with a results frame. Heartbeats flow from a separate goroutine at the
+// hello carrying name, build the session pool from the welcome's
+// Settings and opts' budgets, then answer each work frame with a
+// results frame. Heartbeats flow from a separate goroutine at the
 // cadence the coordinator asked for, so a worker deep in a long chunk
-// still proves liveness. Traces and checkpoints come from
-// process-local stores that persist across chunks. closeConn unblocks
-// the read loop when ctx is canceled. On a TCP connection the
-// handshake and every frame write are bounded by
-// remoteHandshakeTimeout.
+// still proves liveness. closeConn unblocks the read loop when ctx is
+// canceled. On a TCP connection the handshake and every frame write
+// are bounded by remoteHandshakeTimeout.
 func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), name string, opts WorkerOptions) error {
 	tcp, _ := conn.(net.Conn)
 	if tcp != nil {
@@ -457,9 +372,9 @@ func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), nam
 	if tcp != nil {
 		_ = tcp.SetDeadline(time.Time{})
 	}
-	env, err := sessionEnv(opts, welcome)
+	pool, err := welcome.NewPool(opts.Workers, 0, opts.CacheBytes, opts.SnapBytes)
 	if err != nil {
-		return err
+		return fmt.Errorf("worker: %w", err)
 	}
 
 	var wmu sync.Mutex
@@ -516,7 +431,7 @@ func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), nam
 			return fmt.Errorf("worker: frame kind %d from coordinator", work.kind)
 		}
 		reply := wireMsg{kind: wireKindResults, seq: work.seq}
-		results, err := executeCells(ctx, work.cells, env)
+		results, err := executeCells(ctx, work.cells, pool)
 		if err != nil {
 			reply.err = err.Error()
 			reply.permanent = errors.Is(err, ErrPermanent)
@@ -532,21 +447,16 @@ func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), nam
 	}
 }
 
-// ExecuteCells executes one chunk of wire specs in this process on a
-// workers-wide local backend whose cells share store, and returns the
-// results in wire form, ready to frame (see executeCells).
-func ExecuteCells(ctx context.Context, specs []CellSpec, workers int, store *tracestore.Store) ([]CellResult, error) {
-	return executeCells(ctx, specs, cellEnv{workers: workers, store: store, traceMajor: true, snapshots: true})
-}
-
 // executeCells executes a chunk without running its scenario: it builds
-// the scenario's Space from the chunk's params on a pool over env,
-// re-derives each cell's seed, binds the specs exactly as Map does, and
-// runs them. A chunk is cut from one Map batch, so its cells share one
+// the scenario's Space from the chunk's params on the session pool,
+// reseeded with the chunk's root seed, re-derives each cell's seed,
+// binds the specs exactly as Map does, and runs them on a local backend
+// as wide as the pool. The results come back in wire form, ready to
+// frame. A chunk is cut from one Map batch, so its cells share one
 // scenario, scope, params and root seed. A chunk that does not, or that
 // names a scope or shard the space does not declare, fails whole as
 // Permanent: every worker would fail it the same way.
-func executeCells(ctx context.Context, specs []CellSpec, env cellEnv) ([]CellResult, error) {
+func executeCells(ctx context.Context, specs []CellSpec, session *Pool) ([]CellResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
@@ -577,7 +487,7 @@ func executeCells(ctx context.Context, specs []CellSpec, env cellEnv) ([]CellRes
 	if scen.Space == nil {
 		return nil, Permanent(fmt.Errorf("scenario %s declares no cell space", scen.Name))
 	}
-	pool := env.pool(head.RootSeed)
+	pool := session.withRootSeed(head.RootSeed)
 	sp, err := scen.Space(head.Params, pool)
 	if err != nil {
 		return nil, Permanent(fmt.Errorf("scenario %s: cell space: %w", scen.Name, err))
@@ -595,7 +505,7 @@ func executeCells(ctx context.Context, specs []CellSpec, env cellEnv) ([]CellRes
 	}
 	sort.Slice(bound, func(i, j int) bool { return bound[i].Shard < bound[j].Shard })
 	sp.bind(bound, pool.TraceMajor())
-	results, err := NewLocalBackend(env.workers).Run(ctx, bound)
+	results, err := NewLocalBackend(pool.Workers()).Run(ctx, bound)
 	if err != nil {
 		return nil, err
 	}

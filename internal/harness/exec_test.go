@@ -152,7 +152,7 @@ func writeMsg(w io.Writer, m wireMsg) error { return writeRawFrame(w, encodeWire
 // results frame a healthy worker would send.
 func answer(work *wireMsg) wireMsg {
 	reply := wireMsg{kind: wireKindResults, seq: work.seq}
-	results, err := ExecuteCells(context.Background(), work.cells, 1, nil)
+	results, err := executeCells(context.Background(), work.cells, NewPool(1, 0))
 	if err != nil {
 		reply.err = err.Error()
 	} else {
@@ -458,6 +458,7 @@ func TestExecFleetNeverSpeculates(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
 	backend := newTestExecBackend(t, 2, "sluggish")
 	backend.Env = append(backend.Env, workerLogEnvVar+"="+logPath)
+	NewPool(1, 0).SetBackend(backend)
 	specs := []CellSpec{{Scenario: "_exec-wire", Scope: "_exec-wire", Shard: 0, Params: Params{Trials: 1}}}
 	if _, err := backend.Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
@@ -492,12 +493,14 @@ func TestExecHandshakeBoundedByBatchTimeout(t *testing.T) {
 	t.Run("timeout", func(t *testing.T) {
 		b := newTestExecBackend(t, 1, "mute")
 		b.BatchTimeout = 300 * time.Millisecond
+		NewPool(1, 0).SetBackend(b)
 		if err := run(t, context.Background(), b); err == nil || !strings.Contains(err.Error(), "hello") {
 			t.Errorf("err = %v, want the hello timeout", err)
 		}
 	})
 	t.Run("canceled", func(t *testing.T) {
 		b := newTestExecBackend(t, 1, "mute")
+		NewPool(1, 0).SetBackend(b)
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 		defer cancel()
 		if err := run(t, ctx, b); !errors.Is(err, context.DeadlineExceeded) {
@@ -702,9 +705,7 @@ func TestFleetFailingCellEndsRun(t *testing.T) {
 					}
 					pool.SetBackend(newTestExecBackend(t, 1, "serve"))
 				} else {
-					b := &RemoteBackend{}
-					startInProcWorker(t, startRemote(t, b))
-					pool.SetBackend(b)
+					startInProcWorker(t, startRemote(t, pool, &RemoteBackend{}))
 				}
 				done := make(chan error, 1)
 				go func() {
@@ -725,10 +726,11 @@ func TestFleetFailingCellEndsRun(t *testing.T) {
 }
 
 // TestExecWorkerSharesTraceDir is the worker-side gate for the
-// persistent trace tier: subprocess workers told a shared trace dir in
-// the welcome spill the traces they generate (visible as STBT files),
-// a second worker fleet serves from those spills, and results stay
-// byte-identical to the in-process run either way.
+// persistent trace tier: subprocess workers welcomed with the trace dir
+// of the coordinator pool's store spill the traces they generate
+// (visible as STBT files), a second worker fleet serves from those
+// spills, and results stay byte-identical to the in-process run either
+// way.
 func TestExecWorkerSharesTraceDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -749,14 +751,15 @@ func TestExecWorkerSharesTraceDir(t *testing.T) {
 	}
 	local := runTrace(t, NewPool(2, 77))
 
-	newBackend := func() *ExecBackend {
-		b := newTestExecBackend(t, 1, "serve")
-		b.TraceDir = dir
-		return b
+	fleetPool := func() *Pool {
+		pool := NewPool(2, 77)
+		if err := pool.Traces().SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		pool.SetBackend(newTestExecBackend(t, 1, "serve"))
+		return pool
 	}
-	pool := NewPool(2, 77)
-	pool.SetBackend(newBackend())
-	first := runTrace(t, pool)
+	first := runTrace(t, fleetPool())
 	if !bytes.Equal(local, first) {
 		t.Error("trace-dir worker results diverge from local")
 	}
@@ -767,9 +770,7 @@ func TestExecWorkerSharesTraceDir(t *testing.T) {
 
 	// A fresh worker fleet decodes the spill instead of regenerating;
 	// replay must not notice the difference.
-	pool2 := NewPool(2, 77)
-	pool2.SetBackend(newBackend())
-	second := runTrace(t, pool2)
+	second := runTrace(t, fleetPool())
 	if !bytes.Equal(local, second) {
 		t.Error("spill-served worker results diverge from local")
 	}

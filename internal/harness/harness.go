@@ -15,6 +15,7 @@ import (
 
 	"stbpu/internal/rng"
 	"stbpu/internal/snapstore"
+	"stbpu/internal/trace/spec"
 	"stbpu/internal/tracestore"
 )
 
@@ -127,7 +128,9 @@ type Cell struct {
 
 // Pool is a sized worker pool with a root seed. It carries no goroutines
 // of its own; Map spins workers up per call, so an idle Pool costs
-// nothing and one Pool can serve many sequential scenarios.
+// nothing and one Pool can serve many sequential scenarios. It is also
+// the one place a run's settings live (see Settings): its toggles, its
+// stores' tiers and the workload specs it registered.
 type Pool struct {
 	workers  int
 	rootSeed uint64
@@ -138,31 +141,100 @@ type Pool struct {
 	traces   *tracestore.Store
 	snaps    *snapstore.Store
 	backend  Backend
+	// specs are the workload-spec documents Settings.NewPool registered.
+	specs []string
 	// scenario/params are the scenario context RunAll establishes
 	// around Scenario.Run, stamped into every CellSpec so wire backends
 	// can address cells by name.
 	scenario       string
 	scenarioParams Params
-	// modelMajor disables grouping (see SetTraceMajor; stored inverted
-	// so the zero-value pool defaults to grouped).
-	modelMajor bool
-	// snapshotsOff disables the warm-state snapshot tier (see
-	// SetSnapshots; stored inverted so the zero-value pool defaults to
-	// snapshots on).
-	snapshotsOff bool
+	// traceMajor and snapshots toggle grouping and the warm-state
+	// snapshot tier (see SetTraceMajor, SetSnapshots).
+	traceMajor, snapshots bool
 
 	cells atomic.Uint64
 }
 
-// sharedTraceStore backs Traces for nil pools (harness.Map's "no pool"
-// convenience path), so even ad-hoc runs share one process-wide cache.
-// sharedSnapStore is its snapshot-tier twin.
-var (
-	sharedTraceStoreOnce sync.Once
-	sharedTraceStore     *tracestore.Store
-	sharedSnapStoreOnce  sync.Once
-	sharedSnapStore      *snapstore.Store
-)
+// Settings is a run's configuration: the speed settings that must never
+// change results — the trace tier, trace-major grouping, the snapshot
+// tier — and the workload specs cells resolve by name. Settings.NewPool
+// builds a coordinator's pool and every fleet worker's session pool from
+// it, and a fleet welcomes each worker with its pool's Settings, so the
+// two sides cannot disagree. The JSON names are the welcome frame's.
+type Settings struct {
+	// TraceDir, when nonempty, is the persistent trace tier: generated
+	// traces spill there as STBT files and later runs, and workers
+	// sharing the directory, decode them instead of regenerating.
+	TraceDir string `json:"trace_dir,omitempty"`
+	// TraceMajor groups cells that share a computed value (see
+	// SetTraceMajor).
+	TraceMajor bool `json:"trace_major"`
+	// TraceMmap spills traces in the page-aligned STBT v2 layout and maps
+	// them read-only instead of decoding (with TraceDir).
+	TraceMmap bool `json:"trace_mmap"`
+	// Snapshots enables the warm-state snapshot tier (see SetSnapshots).
+	Snapshots bool `json:"snapshots"`
+	// SnapDir, when nonempty, is the persistent checkpoint tier.
+	SnapDir string `json:"snap_dir,omitempty"`
+	// WorkloadSpecs are raw JSON workload-spec documents. NewPool
+	// registers them, so every process of a run resolves the same spec
+	// workload names.
+	WorkloadSpecs []string `json:"workload_specs,omitempty"`
+}
+
+// NewPool registers s's workload specs and returns a pool configured by
+// s, running up to workers cells concurrently (<= 0 means GOMAXPROCS)
+// with the given root seed, over a trace store bounded by cacheBytes and
+// a checkpoint store bounded by snapBytes (<= 0 means each store's
+// default budget).
+func (s Settings) NewPool(workers int, rootSeed uint64, cacheBytes, snapBytes int64) (*Pool, error) {
+	for _, doc := range s.WorkloadSpecs {
+		ws, err := spec.Parse([]byte(doc))
+		if err != nil {
+			return nil, fmt.Errorf("workload spec: %w", err)
+		}
+		if err := spec.Register(ws); err != nil {
+			return nil, fmt.Errorf("workload spec %q: %w", ws.Name, err)
+		}
+	}
+	traces := tracestore.New(cacheBytes, nil)
+	traces.SetMapped(s.TraceMmap)
+	if err := traces.SetDir(s.TraceDir); err != nil {
+		return nil, fmt.Errorf("trace dir %s: %w", s.TraceDir, err)
+	}
+	snaps := snapstore.New(snapBytes)
+	if err := snaps.SetDir(s.SnapDir); err != nil {
+		return nil, fmt.Errorf("snap dir %s: %w", s.SnapDir, err)
+	}
+	p := NewPool(workers, rootSeed)
+	p.traces, p.snaps, p.specs = traces, snaps, s.WorkloadSpecs
+	p.traceMajor, p.snapshots = s.TraceMajor, s.Snapshots
+	return p, nil
+}
+
+// Settings reads the pool's configuration back from where it lives: the
+// pool's toggles, its stores' tiers and the spec documents NewPool
+// registered. A fleet welcomes every worker with it.
+func (p *Pool) Settings() Settings {
+	traces, snaps := p.Traces(), p.Snaps()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return Settings{
+		TraceDir: traces.Dir(), TraceMajor: p.traceMajor, TraceMmap: traces.Mapped(),
+		Snapshots: p.snapshots, SnapDir: snaps.Dir(), WorkloadSpecs: p.specs,
+	}
+}
+
+// withRootSeed returns a pool sharing p's configuration and stores under
+// another root seed: a fleet worker's session pool serves chunks of any
+// run, and space constructors read their seeds from the pool.
+func (p *Pool) withRootSeed(rootSeed uint64) *Pool {
+	traces, snaps := p.Traces(), p.Snaps()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return &Pool{workers: p.workers, rootSeed: rootSeed, traces: traces, snaps: snaps,
+		specs: p.specs, traceMajor: p.traceMajor, snapshots: p.snapshots}
+}
 
 // SetTraceStore installs the cross-run trace store scenario cells share
 // (nil reverts to lazy default creation). Call before running scenarios.
@@ -178,12 +250,6 @@ func (p *Pool) SetTraceStore(s *tracestore.Store) {
 // than once per scenario; because generation is deterministic, sharing
 // cannot perturb results (see tracestore's package comment).
 func (p *Pool) Traces() *tracestore.Store {
-	if p == nil {
-		sharedTraceStoreOnce.Do(func() {
-			sharedTraceStore = tracestore.New(0, nil)
-		})
-		return sharedTraceStore
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.traces == nil {
@@ -208,12 +274,6 @@ func (p *Pool) SetSnapStore(s *snapstore.Store) {
 // snapshots are deterministic encodings of deterministic replay, sharing
 // cannot perturb results.
 func (p *Pool) Snaps() *snapstore.Store {
-	if p == nil {
-		sharedSnapStoreOnce.Do(func() {
-			sharedSnapStore = snapstore.New(0)
-		})
-		return sharedSnapStore
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.snaps == nil {
@@ -229,37 +289,36 @@ func (p *Pool) Snaps() *snapstore.Store {
 // to isolate regressions.
 func (p *Pool) SetSnapshots(on bool) {
 	p.mu.Lock()
-	p.snapshotsOff = !on
+	p.snapshots = on
 	p.mu.Unlock()
 }
 
 // SnapshotsOn reports whether the warm-state snapshot tier is enabled.
 func (p *Pool) SnapshotsOn() bool {
-	if p == nil {
-		return true
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return !p.snapshotsOff
+	return p.snapshots
 }
 
 // NewPool returns a pool running up to workers cells concurrently
-// (workers <= 0 means GOMAXPROCS) with the given root seed.
+// (workers <= 0 means GOMAXPROCS) with the given root seed, grouping and
+// the snapshot tier on, and default stores created on first use.
 func NewPool(workers int, rootSeed uint64) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, rootSeed: rootSeed}
+	return &Pool{workers: workers, rootSeed: rootSeed, traceMajor: true, snapshots: true}
 }
 
 // SetBackend installs the backend Map schedules cells through (nil
-// reverts to the lazily created LocalBackend). Backends that stream
-// completed cells are wired to the pool's observer.
+// reverts to the lazily created LocalBackend) and gives it the pool: it
+// streams completed cells to the pool's observer and sink, and a fleet
+// welcomes its workers with the pool's Settings.
 func (p *Pool) SetBackend(b Backend) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if s, ok := b.(cellSink); ok {
-		s.setSink(p.complete)
+	if m, ok := b.(poolMember); ok {
+		m.setPool(p)
 	}
 	p.backend = b
 }
@@ -271,7 +330,7 @@ func (p *Pool) Backend() Backend {
 	defer p.mu.Unlock()
 	if p.backend == nil {
 		lb := NewLocalBackend(p.workers)
-		lb.setSink(p.complete)
+		lb.setPool(p)
 		p.backend = lb
 	}
 	return p.backend
@@ -374,9 +433,6 @@ func (p *Pool) currentSink() Sink {
 // the spliced values are bit-identical to re-executing. Only the
 // pending cells are bound, so a group's shared value covers just those.
 func Map[S, T any](ctx context.Context, p *Pool, sp Space[S, T]) ([]T, error) {
-	if p == nil {
-		p = Default()
-	}
 	scope, n := sp.Scope, sp.N
 	out := make([]T, n)
 	if n == 0 {

@@ -63,7 +63,7 @@ type JournalEntry struct {
 
 // CanonicalParams collapses a Params to the canonical string used
 // everywhere a cell address becomes a comparable key: journal lookups,
-// the worker's one-batch chunk check (ExecuteCells), and stbpu-report's
+// the worker's one-batch chunk check (executeCells), and stbpu-report's
 // journal flattening. One definition keeps the three in lockstep — if the
 // canonicalization ever changes, every keyed site changes with it.
 func CanonicalParams(p Params) (string, error) {

@@ -139,9 +139,6 @@ type Options struct {
 // scenario parallelizes internally) and returns one Report per scenario in
 // name order.
 func RunAll(ctx context.Context, pool *Pool, opts Options) ([]Report, error) {
-	if pool == nil {
-		pool = Default()
-	}
 	scens, err := Match(opts.Filters)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,10 @@ package harness
 // and heartbeat frames (see wire.go). Members dial in over TCP
 // (`stbpu-suite -worker -connect host:port`) and may join or leave at
 // any point in a run, or, under ExecBackend (exec.go), are
-// subprocesses spawned on stdio and admitted without a listener:
+// subprocesses spawned on stdio and admitted without a listener. Every
+// member is welcomed with the Settings of the Pool the fleet is
+// installed in (Pool.SetBackend), its only source of run settings; a
+// fleet installed in no pool refuses to start and admits no worker.
 //
 //   - Batches split into chunks pulled by whichever workers are live;
 //     a worker that joins mid-run starts pulling immediately. Each
@@ -71,47 +74,25 @@ type remoteHello struct {
 }
 
 // remoteWelcome is the coordinator's handshake reply and the only path
-// by which run-shaping settings reach a worker. Results are identical
-// under any of them; only execution shape differs.
+// by which run settings reach a worker: the Settings of the pool the
+// fleet is installed in, which the worker builds its session pool from.
 type remoteWelcome struct {
 	Proto int `json:"proto"`
 	// HeartbeatMS is the heartbeat cadence the coordinator expects.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// TraceDir, when nonempty, is the persistent trace tier the worker
-	// reads and spills, so trace generation is a one-time cost per
-	// machine sharing the directory.
-	TraceDir string `json:"trace_dir,omitempty"`
-	// TraceMajor and Snapshots toggle grouping and the warm-state
-	// snapshot tier on the worker's chunk pools (nil means on);
-	// TraceMmap maps the trace tier's spills (nil means off).
-	TraceMajor *bool `json:"trace_major,omitempty"`
-	TraceMmap  *bool `json:"trace_mmap,omitempty"`
-	Snapshots  *bool `json:"snapshots,omitempty"`
-	// SnapDir, when nonempty, is the persistent checkpoint tier.
-	SnapDir string `json:"snap_dir,omitempty"`
-	// WorkloadSpecs carries the coordinator's raw JSON workload-spec
-	// documents; the worker registers them before serving cells, so it
-	// resolves the same spec workload names the coordinator schedules.
-	WorkloadSpecs []string `json:"workload_specs,omitempty"`
+	Settings
 }
 
 // RemoteBackend executes cells on an elastic fleet of TCP workers. The
-// zero value is usable: Run listens lazily on Addr (default
-// 127.0.0.1:0) and waits up to JoinGrace for the first worker. The
-// exported fields must be set before the first Run or Start.
+// zero value is usable once installed in a Pool (Pool.SetBackend),
+// whose Settings every joining worker is welcomed with: Run listens
+// lazily on Addr (default 127.0.0.1:0) and waits up to JoinGrace for the
+// first worker. The exported fields must be set before the first Run or
+// Start.
 type RemoteBackend struct {
 	// Addr is the TCP listen address, e.g. ":7701" (empty means
 	// 127.0.0.1:0, useful for tests).
 	Addr string
-	// TraceDir, TraceMajor, TraceMmap, Snapshots, SnapDir and
-	// WorkloadSpecs are forwarded to every joining worker in the
-	// welcome frame (see remoteWelcome).
-	TraceDir      string
-	TraceMajor    *bool
-	TraceMmap     *bool
-	Snapshots     *bool
-	SnapDir       string
-	WorkloadSpecs []string
 	// HeartbeatTimeout declares a worker dead after this much silence
 	// (<= 0 means 5s). Workers heartbeat at a quarter of it.
 	HeartbeatTimeout time.Duration
@@ -152,7 +133,7 @@ type RemoteBackend struct {
 	joins        uint64
 	leaves       uint64
 
-	sink   atomic.Pointer[cellNotify]
+	pool   atomic.Pointer[Pool]
 	wallNS atomic.Int64
 }
 
@@ -243,13 +224,11 @@ func (r *remoteRun) finished() bool { return r.err != nil || r.remaining == 0 ||
 // Name implements Backend.
 func (b *RemoteBackend) Name() string { return "remote" }
 
-func (b *RemoteBackend) setSink(fn cellNotify) { b.sink.Store(&fn) }
+func (b *RemoteBackend) setPool(p *Pool) { b.pool.Store(p) }
 
-func (b *RemoteBackend) notify(c Cell, spec CellSpec, res CellResult) {
-	if fn := b.sink.Load(); fn != nil && *fn != nil {
-		(*fn)(c, spec, res)
-	}
-}
+// errNoPool refuses a fleet no pool has installed: it would have no
+// settings to welcome a worker with.
+var errNoPool = errors.New("fleet backend is installed in no pool (see Pool.SetBackend)")
 
 func (b *RemoteBackend) heartbeatTimeout() time.Duration {
 	if b.HeartbeatTimeout > 0 {
@@ -297,6 +276,9 @@ func (b *RemoteBackend) Start() (net.Addr, error) {
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, errors.New("remote backend is closed")
+	}
+	if b.pool.Load() == nil {
+		return nil, errNoPool
 	}
 	if b.ln != nil {
 		return b.ln.Addr(), nil
@@ -350,16 +332,11 @@ func (b *RemoteBackend) admit(conn memberConn, timeout time.Duration) error {
 	b.wire.jsonBytes.Add(uint64(n))
 	welcome := remoteWelcome{Proto: protoVersion}
 	if hello.Proto == protoVersion {
-		welcome = remoteWelcome{
-			Proto:         protoVersion,
-			HeartbeatMS:   heartbeatInterval(b.heartbeatTimeout()).Milliseconds(),
-			TraceDir:      b.TraceDir,
-			TraceMajor:    b.TraceMajor,
-			TraceMmap:     b.TraceMmap,
-			Snapshots:     b.Snapshots,
-			SnapDir:       b.SnapDir,
-			WorkloadSpecs: b.WorkloadSpecs,
-		}
+		// Start and ExecBackend's spawn both refuse a fleet outside a
+		// pool, so no member reaches admit without one.
+		welcome = remoteWelcome{Proto: protoVersion,
+			HeartbeatMS: heartbeatInterval(b.heartbeatTimeout()).Milliseconds(),
+			Settings:    b.pool.Load().Settings()}
 	}
 	n, err = writeJSONFrame(conn, welcome)
 	if err != nil {
@@ -918,10 +895,11 @@ func (b *RemoteBackend) run(ctx context.Context, specs []CellSpec, backend strin
 	sortResultsByShard(results)
 	// Stream completions only after the whole batch succeeded: a failed
 	// batch must stay invisible to the pool's cell accounting.
+	pool := b.pool.Load()
 	for i := range results {
 		r := &results[i]
 		s := run.specOf[r.Shard]
-		b.notify(Cell{
+		pool.complete(Cell{
 			Backend: backend, Scope: s.Scope, Shard: r.Shard, Seed: s.Seed,
 			Elapsed: time.Duration(r.ElapsedUS) * time.Microsecond, Err: r.CellErr(),
 		}, s, *r)

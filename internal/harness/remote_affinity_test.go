@@ -56,7 +56,8 @@ func TestRemoteAffinityPreferredWorkerKilledMidGroup(t *testing.T) {
 	local := runGroup(t, NewPool(2, 6161))
 
 	b := &RemoteBackend{MinStragglerAge: time.Minute}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 6161)
+	addr := startRemote(t, pool, b)
 
 	exe, err := os.Executable()
 	if err != nil {
@@ -76,8 +77,6 @@ func TestRemoteAffinityPreferredWorkerKilledMidGroup(t *testing.T) {
 		cmd.Wait()
 	})
 
-	pool := NewPool(2, 6161)
-	pool.SetBackend(b)
 	type outcome struct {
 		reports []Report
 		err     error
@@ -121,7 +120,7 @@ func TestRemoteAffinityPreferredWorkerKilledMidGroup(t *testing.T) {
 func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 	t.Helper()
 	b := &RemoteBackend{Affinity: &affinity, MinStragglerAge: time.Minute}
-	addr := startRemote(t, b)
+	addr := startRemote(t, NewPool(1, 0), b)
 
 	var mu sync.Mutex
 	seen := map[string]struct{}{}
@@ -226,6 +225,8 @@ func TestRemoteAffinityConsolidatesPlacement(t *testing.T) {
 
 func benchFleet(b *testing.B, affinity bool) {
 	rb := &RemoteBackend{Affinity: &affinity, MinStragglerAge: time.Minute}
+	pool := NewPool(2, 42)
+	pool.SetBackend(rb)
 	addr, err := rb.Start()
 	if err != nil {
 		b.Fatal(err)
@@ -244,8 +245,6 @@ func benchFleet(b *testing.B, affinity bool) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	pool := NewPool(2, 42)
-	pool.SetBackend(rb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := RunAll(ctx, pool, Options{

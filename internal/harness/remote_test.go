@@ -54,10 +54,11 @@ func remoteWedgeWorkerMain() {
 	select {}
 }
 
-// startRemote binds a backend (closing it on cleanup) and returns the
-// coordinator address workers should dial.
-func startRemote(t *testing.T, b *RemoteBackend) string {
+// startRemote installs a backend in pool and binds it (closing it on
+// cleanup), returning the coordinator address workers should dial.
+func startRemote(t *testing.T, pool *Pool, b *RemoteBackend) string {
 	t.Helper()
+	pool.SetBackend(b)
 	addr, err := b.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -136,14 +137,13 @@ func TestRemoteBackendMatchesLocal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			local := tc.run(t, NewPool(2, 1234))
 
-			addr := startRemote(t, tc.b)
+			pool := NewPool(2, 1234)
+			addr := startRemote(t, pool, tc.b)
 			startInProcWorker(t, addr)
 			startInProcWorker(t, addr)
 			// The run is short enough to finish before a slow second
 			// handshake; late joins are TestRemoteBackendLateJoin's subject.
 			waitJoins(t, tc.b, 2)
-			pool := NewPool(2, 1234)
-			pool.SetBackend(tc.b)
 			remote := tc.run(t, pool)
 
 			if !bytes.Equal(local, remote) {
@@ -175,9 +175,8 @@ func TestRemoteBackendLateJoin(t *testing.T) {
 	local := runWire(t, NewPool(2, 77))
 
 	b := &RemoteBackend{}
-	addr := startRemote(t, b)
 	pool := NewPool(2, 77)
-	pool.SetBackend(b)
+	addr := startRemote(t, pool, b)
 
 	type outcome struct {
 		reports []Report
@@ -234,7 +233,8 @@ func TestRemoteBackendWorkerKilledMidChunk(t *testing.T) {
 		// what re-executes the dead worker's chunk.
 		MinStragglerAge: time.Minute,
 	}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 4321)
+	addr := startRemote(t, pool, b)
 
 	exe, err := os.Executable()
 	if err != nil {
@@ -254,8 +254,6 @@ func TestRemoteBackendWorkerKilledMidChunk(t *testing.T) {
 		cmd.Wait()
 	})
 
-	pool := NewPool(2, 4321)
-	pool.SetBackend(b)
 	type outcome struct {
 		reports []Report
 		err     error
@@ -302,7 +300,8 @@ func TestRemoteBackendSpeculativeReexecution(t *testing.T) {
 	local := runWire(t, NewPool(2, 555))
 
 	b := &RemoteBackend{MinStragglerAge: 50 * time.Millisecond}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 555)
+	addr := startRemote(t, pool, b)
 
 	// The slow worker executes chunks correctly but delays every reply,
 	// guaranteeing it straggles (and that its replies arrive as
@@ -329,8 +328,6 @@ func TestRemoteBackendSpeculativeReexecution(t *testing.T) {
 	}()
 	startInProcWorker(t, addr)
 
-	pool := NewPool(2, 555)
-	pool.SetBackend(b)
 	remote := runWire(t, pool)
 	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
 		t.Error("speculative fleet results diverge from local")
@@ -375,7 +372,8 @@ func TestRemoteBackendHeartbeatTimeout(t *testing.T) {
 		// Again: force the liveness path, not speculation.
 		MinStragglerAge: time.Minute,
 	}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 99)
+	addr := startRemote(t, pool, b)
 
 	// The silent worker accepts chunks and then says nothing at all.
 	silentConn, _ := dialScriptedWorker(t, addr, "silent")
@@ -388,8 +386,6 @@ func TestRemoteBackendHeartbeatTimeout(t *testing.T) {
 	}()
 	startInProcWorker(t, addr)
 
-	pool := NewPool(2, 99)
-	pool.SetBackend(b)
 	remote := runWire(t, pool)
 	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
 		t.Error("silent-worker fleet results diverge from local")
@@ -407,7 +403,8 @@ func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 	local := runWire(t, NewPool(2, 11))
 
 	b := &RemoteBackend{MinStragglerAge: time.Minute}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 11)
+	addr := startRemote(t, pool, b)
 
 	// The grumpy worker rejects its first chunk with a transient error,
 	// then behaves.
@@ -431,8 +428,6 @@ func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 	}()
 	startInProcWorker(t, addr)
 
-	pool := NewPool(2, 11)
-	pool.SetBackend(b)
 	remote := runWire(t, pool)
 	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
 		t.Error("transient-error fleet results diverge from local")
@@ -453,7 +448,8 @@ func TestRemoteBackendShortReplyRequeues(t *testing.T) {
 	local := runWire(t, NewPool(2, 11))
 
 	b := &RemoteBackend{MinStragglerAge: time.Minute}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 11)
+	addr := startRemote(t, pool, b)
 	// The lazy worker answers only the first half of every chunk.
 	conn, _ := dialScriptedWorker(t, addr, "lazy")
 	go func() {
@@ -470,8 +466,6 @@ func TestRemoteBackendShortReplyRequeues(t *testing.T) {
 		}
 	}()
 
-	pool := NewPool(2, 11)
-	pool.SetBackend(b)
 	if !bytes.Equal(reportBytes(t, local), reportBytes(t, runWire(t, pool))) {
 		t.Error("short-reply fleet results diverge from local")
 	}
@@ -486,7 +480,7 @@ func TestRemoteBackendShortReplyRequeues(t *testing.T) {
 // around the fleet.
 func TestRemoteBackendPermanentWorkerErrorFailsRun(t *testing.T) {
 	b := &RemoteBackend{MinStragglerAge: time.Minute}
-	addr := startRemote(t, b)
+	addr := startRemote(t, NewPool(1, 0), b)
 	conn, _ := dialScriptedWorker(t, addr, "perm")
 	go func() {
 		for {
@@ -517,7 +511,7 @@ func TestRemoteBackendPermanentWorkerErrorFailsRun(t *testing.T) {
 // run after the join grace with a diagnosable message, not hang.
 func TestRemoteBackendFailsWithoutWorkers(t *testing.T) {
 	b := &RemoteBackend{JoinGrace: 200 * time.Millisecond}
-	startRemote(t, b)
+	startRemote(t, NewPool(1, 0), b)
 	specs := []CellSpec{{Scenario: "_exec-wire", Scope: "_exec-wire", Shard: 0}}
 	start := time.Now()
 	_, err := b.Run(context.Background(), specs)
@@ -537,7 +531,8 @@ func TestRemoteSendsEachLocalityGroupWhole(t *testing.T) {
 	local := runGroupParams(t, NewPool(2, 4242))
 
 	b := &RemoteBackend{MinStragglerAge: time.Minute}
-	addr := startRemote(t, b)
+	pool := NewPool(2, 4242)
+	addr := startRemote(t, pool, b)
 	logPath := filepath.Join(t.TempDir(), "requests.jsonl")
 	var logMu sync.Mutex
 	for _, name := range []string{"alpha", "beta"} {
@@ -563,8 +558,6 @@ func TestRemoteSendsEachLocalityGroupWhole(t *testing.T) {
 	}
 	waitJoins(t, b, 2)
 
-	pool := NewPool(2, 4242)
-	pool.SetBackend(b)
 	if !bytes.Equal(local, runGroupParams(t, pool)) {
 		t.Error("grouped fleet results diverge from local")
 	}

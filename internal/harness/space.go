@@ -147,7 +147,7 @@ func (sp Space[S, T]) bind(specs []CellSpec, grouped bool) {
 // equivalence in tests and to isolate regressions.
 func (p *Pool) SetTraceMajor(on bool) {
 	p.mu.Lock()
-	p.modelMajor = !on
+	p.traceMajor = on
 	p.mu.Unlock()
 }
 
@@ -155,7 +155,7 @@ func (p *Pool) SetTraceMajor(on bool) {
 func (p *Pool) TraceMajor() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return !p.modelMajor
+	return p.traceMajor
 }
 
 // Locality formats the canonical locality key for the trace artifact a

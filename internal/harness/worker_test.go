@@ -1,6 +1,6 @@
 package harness
 
-// Worker-side execution: ExecuteCells runs a chunk from the scenario's
+// Worker-side execution: executeCells runs a chunk from the scenario's
 // declared Space, never from its Run, and refuses malformed chunks
 // whole.
 
@@ -30,7 +30,7 @@ var (
 	workerGroupCalls sharedCalls
 )
 
-// registerWorkerScenarios installs the scenarios the ExecuteCells tests
+// registerWorkerScenarios installs the scenarios the executeCells tests
 // address; registerExecScenarios calls it.
 func registerWorkerScenarios() {
 	registerSpace("_worker-huge", "a scope far larger than any chunk", Params{},
@@ -94,7 +94,7 @@ func chunk(scenario string, params Params, root uint64, shards ...int) []CellSpe
 // scenario's Space; the scenario's Run is never called.
 func TestExecuteCellsNeverRunsScenario(t *testing.T) {
 	before := countedRuns.Load()
-	results, err := ExecuteCells(context.Background(), chunk("_worker-counted", Params{Trials: 4}, 3, 1, 3), 1, nil)
+	results, err := executeCells(context.Background(), chunk("_worker-counted", Params{Trials: 4}, 3, 1, 3), NewPool(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestExecuteCellsGroupsRequestedShardsOnly(t *testing.T) {
 	params := Params{Trials: 12}
 	full := referenceCells(t, "_worker-groups", params.Trials, root)
 	workerGroupCalls = sharedCalls{}
-	results, err := ExecuteCells(context.Background(), chunk("_worker-groups", params, root, 7, 1, 2), 2, nil)
+	results, err := executeCells(context.Background(), chunk("_worker-groups", params, root, 7, 1, 2), NewPool(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestExecuteCellsRefusesMalformedChunks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			results, err := ExecuteCells(context.Background(), tc.specs, 1, nil)
+			results, err := executeCells(context.Background(), tc.specs, NewPool(1, 0))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
@@ -176,7 +176,7 @@ func TestExecuteCellsRefusesMalformedChunks(t *testing.T) {
 		})
 	}
 	t.Run("empty chunk", func(t *testing.T) {
-		results, err := ExecuteCells(context.Background(), nil, 1, nil)
+		results, err := executeCells(context.Background(), nil, NewPool(1, 0))
 		if err != nil || len(results) != 0 {
 			t.Errorf("empty chunk = %v, %v; want no results and no error", results, err)
 		}
@@ -190,7 +190,7 @@ func TestExecuteCellsCostsTheChunk(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	results, err := ExecuteCells(context.Background(), specs, 1, nil)
+	results, err := executeCells(context.Background(), specs, NewPool(1, 0))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +212,14 @@ func BenchmarkExecuteChunk(b *testing.B) {
 		shards[i] = keyedCells/2 + i
 	}
 	specs := chunk("_worker-keyed", Params{}, 7, shards...)
+	session, err := Settings{TraceMajor: true, Snapshots: true}.NewPool(1, 0, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := ExecuteCells(context.Background(), specs, 1, nil)
+		results, err := executeCells(context.Background(), specs, session)
 		if err != nil || len(results) != keyedGroup {
 			b.Fatalf("results %d, err %v", len(results), err)
 		}

@@ -37,6 +37,13 @@ func (s *Store) SetDir(dir string) error {
 	return nil
 }
 
+// Dir reports the persistent tier's root ("" when the tier is off).
+func (s *Store) Dir() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dir
+}
+
 // snapMagic heads every spill file.
 var snapMagic = []byte("STBS1\n")
 
@@ -48,10 +55,7 @@ func (s *Store) diskPath(k Key) string {
 	h.Write([]byte(k.Model))
 	h.Write([]byte{0})
 	h.Write([]byte(k.Workload))
-	s.mu.Lock()
-	dir := s.dir
-	s.mu.Unlock()
-	return filepath.Join(dir, fmt.Sprintf("%s-%016x@%d+%d.snap", spill.Sanitize(k.Workload), h.Sum64(), k.Records, k.Offset))
+	return filepath.Join(s.Dir(), fmt.Sprintf("%s-%016x@%d+%d.snap", spill.Sanitize(k.Workload), h.Sum64(), k.Records, k.Offset))
 }
 
 // loadDisk tries to satisfy a miss from a spill file. A missing file is

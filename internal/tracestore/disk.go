@@ -47,7 +47,8 @@ func (s *Store) SetDir(dir string) error {
 	return nil
 }
 
-func (s *Store) diskDir() string {
+// Dir reports the persistent tier's root ("" when the tier is off).
+func (s *Store) Dir() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dir
@@ -60,7 +61,7 @@ func (s *Store) diskDir() string {
 func (s *Store) diskPath(k Key) string {
 	h := fnv.New32a()
 	h.Write([]byte(k.Name))
-	return filepath.Join(s.diskDir(), fmt.Sprintf("%s-%08x@%d.stbt", spill.Sanitize(k.Name), h.Sum32(), k.Records))
+	return filepath.Join(s.Dir(), fmt.Sprintf("%s-%08x@%d.stbt", spill.Sanitize(k.Name), h.Sum32(), k.Records))
 }
 
 // loadDisk tries to satisfy a miss from the spill file, decoding
@@ -105,7 +106,7 @@ func (s *Store) spill(k Key, cols *trace.Columns) {
 	// Readers accept both, so mixed-mode runs sharing a directory
 	// interoperate in either direction.
 	write := trace.WriteColumns
-	if s.isMapped() && mmapSupported {
+	if s.Mapped() && mmapSupported {
 		write = trace.WriteColumnsMapped
 	}
 	if err := spill.Write(s.diskPath(k), func(w io.Writer) error { return write(w, cols) }); err != nil {

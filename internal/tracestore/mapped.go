@@ -38,7 +38,8 @@ func (s *Store) SetMapped(on bool) {
 	s.mu.Unlock()
 }
 
-func (s *Store) isMapped() bool {
+// Mapped reports whether the store maps its spills (see SetMapped).
+func (s *Store) Mapped() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mappedMode
@@ -119,7 +120,7 @@ func (s *Store) loadMapped(k Key) (*trace.Columns, *mapping, mapStatus) {
 // corrupt v2 file as a decode-path torn file (regenerate + rewrite,
 // without re-reading the known-bad bytes).
 func (s *Store) tryDiskLoad(k Key) (*trace.Columns, *mapping, bool) {
-	if s.isMapped() && mmapSupported {
+	if s.Mapped() && mmapSupported {
 		cols, m, status := s.loadMapped(k)
 		switch status {
 		case mapOK:

@@ -251,7 +251,7 @@ func (s *Store) GetColumns(name string, records int) (*trace.Columns, trace.Prof
 // expensive part singleflight exists to amortize.
 func (s *Store) fill(e *entry) {
 	name, records := e.key.Name, e.key.Records
-	if s.diskDir() != "" {
+	if s.Dir() != "" {
 		if cols, m, ok := s.tryDiskLoad(e.key); ok {
 			if prof, perr := s.profile(name, records); perr == nil {
 				e.cols, e.prof, e.mapped = cols, prof, m
@@ -286,7 +286,7 @@ func (s *Store) fill(e *entry) {
 		return
 	}
 	e.cols, e.prof = cols, prof
-	if s.diskDir() != "" {
+	if s.Dir() != "" {
 		s.spill(e.key, e.cols)
 	}
 	s.admit(e, true)
