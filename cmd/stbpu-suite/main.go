@@ -164,18 +164,16 @@ func buildBackend(cfg config, pool *harness.Pool) error {
 	}
 }
 
-// runSuite executes the selected scenarios and assembles the document.
-func runSuite(ctx context.Context, cfg config) (suiteDoc, error) {
-	pool, err := cfg.settings.NewPool(cfg.workers, cfg.seed, cfg.cacheBytes, cfg.snapBytes)
-	if err != nil {
-		return suiteDoc{}, err
-	}
+// runSuite executes the selected scenarios on pool and assembles the
+// document.
+func runSuite(ctx context.Context, cfg config, pool *harness.Pool) (suiteDoc, error) {
 	if err := buildBackend(cfg, pool); err != nil {
 		return suiteDoc{}, err
 	}
 	defer pool.Backend().Close()
 	var journal *harness.Journal
 	if cfg.journal != "" {
+		var err error
 		if cfg.resume {
 			journal, err = harness.ResumeJournal(cfg.journal)
 		} else {
@@ -421,12 +419,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return harness.ServeWorker(ctx, os.Stdin, stdout, opts)
 	}
 
-	if cfg.list || cfg.listJSON {
-		// A pool over the specs alone registers them, so the listings
-		// enumerate them alongside the built-in fixtures.
-		if _, err := (harness.Settings{WorkloadSpecs: cfg.settings.WorkloadSpecs}).NewPool(1, cfg.seed, 0, 0); err != nil {
-			return err
-		}
+	// The run's one pool. Building it registers the -workload-spec
+	// documents, so the listings enumerate them alongside the built-in
+	// fixtures.
+	pool, err := cfg.settings.NewPool(cfg.workers, cfg.seed, cfg.cacheBytes, cfg.snapBytes)
+	if err != nil {
+		return err
 	}
 	if cfg.list {
 		for _, s := range harness.All() {
@@ -438,7 +436,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return writeScenarioListJSON(stdout)
 	}
 
-	doc, err := runSuite(ctx, cfg)
+	doc, err := runSuite(ctx, cfg, pool)
 	if err != nil {
 		return err
 	}

@@ -64,8 +64,18 @@ func parse(t *testing.T, args []string) config {
 	return cfg
 }
 
+// suite runs cfg as run does: on one pool built from its settings.
+func suite(t *testing.T, cfg config) (suiteDoc, error) {
+	t.Helper()
+	pool, err := cfg.settings.NewPool(cfg.workers, cfg.seed, cfg.cacheBytes, cfg.snapBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runSuite(context.Background(), cfg, pool)
+}
+
 func TestGoldenSuiteOutput(t *testing.T) {
-	doc, err := runSuite(context.Background(), parse(t, setArgs("quick")))
+	doc, err := suite(t, parse(t, setArgs("quick")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestGoldenSuiteOutput(t *testing.T) {
 // snapshot store counters are left out: they record cache residency,
 // not results.
 func TestGoldenCPUFigures(t *testing.T) {
-	doc, err := runSuite(context.Background(), parse(t, setArgs("cpu")))
+	doc, err := suite(t, parse(t, setArgs("cpu")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +126,7 @@ func checkGolden(t *testing.T, name string, doc suiteDoc) {
 
 func TestResumeRequiresJournal(t *testing.T) {
 	cfg := parse(t, setArgs("quick", "-resume"))
-	if _, err := runSuite(context.Background(), cfg); err == nil {
+	if _, err := suite(t, cfg); err == nil {
 		t.Error("-resume without -journal was accepted")
 	}
 }
@@ -127,14 +137,14 @@ func TestResumeRequiresJournal(t *testing.T) {
 func TestJournalRefusesToClobberWithoutResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := parse(t, setArgs("quick", "-journal", journal))
-	if _, err := runSuite(context.Background(), cfg); err != nil {
+	if _, err := suite(t, cfg); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runSuite(context.Background(), cfg) // same command, -resume forgotten
+	_, err = suite(t, cfg) // same command, -resume forgotten
 	if err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("non-empty journal clobbered without -resume: err = %v", err)
 	}
@@ -153,7 +163,9 @@ func TestJournalRefusesToClobberWithoutResume(t *testing.T) {
 // away from its default, naming it and saying whether the welcome
 // carries it or only a coordinator reads it. Flags spelled out at their
 // defaults pass, as in both exec worker command lines: buildBackend's
-// and bench/traced.go's.
+// and bench/traced.go's. The worker's own six flags pass away from
+// their defaults; that argv is spelled out rather than derived from
+// workerFlags, so dropping one from the list fails here.
 func TestWorkerRejectsWelcomeFlags(t *testing.T) {
 	fs := newFlagSet(&config{})
 	for _, name := range append(slices.Clone(workerFlags), welcomeFlags...) {
@@ -187,7 +199,7 @@ func TestWorkerRejectsWelcomeFlags(t *testing.T) {
 	}
 	bench := []string{"-worker", "-workers=1", fmt.Sprintf("-cache-bytes=%d", tracestore.DefaultMaxBytes),
 		"-trace-major=true", "-snapshots=true", fmt.Sprintf("-snap-bytes=%d", snapstore.DefaultMaxBytes)}
-	for _, argv := range [][]string{pool.Backend().(*harness.ExecBackend).Command[1:], bench, {"-worker", "-connect", "127.0.0.1:7701", "-pprof", "localhost:6061"}} {
+	for _, argv := range [][]string{pool.Backend().(*harness.ExecBackend).Command[1:], bench, {"-worker=true", "-connect", "127.0.0.1:7701", "-workers=1", "-cache-bytes=5", "-snap-bytes=5", "-pprof", "localhost:6061"}} {
 		if _, err := parseArgs(argv, io.Discard); err != nil {
 			t.Errorf("%v: %v", argv, err)
 		}
