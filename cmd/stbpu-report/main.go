@@ -30,8 +30,7 @@
 // scope) wall-time summaries, the scheduling diagnostic for spotting
 // which scopes dominate a sweep and how skewed their cells are — or a
 // suite document, rendering its backends block instead: per-worker
-// cells, steals, speculative waste, locality-affinity hits/misses, and
-// per-codec wire byte counts.
+// cells, locality-affinity hits/misses, and per-codec wire byte counts.
 //
 // Exit status: 0 when every metric matches within the threshold (a run
 // diffed against itself always exits 0 with zero deltas), 1 when a
@@ -335,8 +334,8 @@ func timingReport(w io.Writer, path string, entries []harness.JournalEntry) {
 }
 
 // backendsReport renders a suite document's per-backend execution
-// stats — the fleet diagnostic: per-worker cells, steals, speculative
-// waste, locality-affinity hits and misses, and per-codec wire bytes.
+// stats — the fleet diagnostic: per-worker cells, locality-affinity
+// hits and misses, and per-codec wire bytes.
 func backendsReport(w io.Writer, path string, doc suiteDocIn) {
 	fmt.Fprintf(w, "stbpu-report: backends of %s (%d backend(s))\n", path, len(doc.Backends))
 	for _, b := range doc.Backends {
@@ -352,11 +351,11 @@ func backendsReport(w io.Writer, path string, doc suiteDocIn) {
 			continue
 		}
 		g := results.Grid{LabelWidth: 32}
-		g.Row(w, "  worker", fmt.Sprintf("%8s", "cells"), fmt.Sprintf("%8s", "steals"),
-			fmt.Sprintf("%8s", "spec"), fmt.Sprintf("%9s", "aff hits"), fmt.Sprintf("%10s", "aff misses"))
+		g.Row(w, "  worker", fmt.Sprintf("%8s", "cells"),
+			fmt.Sprintf("%9s", "aff hits"), fmt.Sprintf("%10s", "aff misses"))
 		for _, ws := range b.Workers {
-			g.Row(w, "  "+ws.Worker, fmt.Sprintf("%8d", ws.Cells), fmt.Sprintf("%8d", ws.Steals),
-				fmt.Sprintf("%8d", ws.Speculative), fmt.Sprintf("%9d", ws.AffinityHits), fmt.Sprintf("%10d", ws.AffinityMisses))
+			g.Row(w, "  "+ws.Worker, fmt.Sprintf("%8d", ws.Cells),
+				fmt.Sprintf("%9d", ws.AffinityHits), fmt.Sprintf("%10d", ws.AffinityMisses))
 		}
 	}
 }

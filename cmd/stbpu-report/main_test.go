@@ -326,7 +326,7 @@ func TestTimingBackendsReport(t *testing.T) {
 				"wire_json_bytes": 512, "wire_binary_bytes": 4096,
 				"workers": []any{
 					map[string]any{"worker": "alpha#0", "cells": 40, "affinity_hits": 9, "affinity_misses": 1},
-					map[string]any{"worker": "beta#1", "cells": 24, "steals": 2, "affinity_hits": 5},
+					map[string]any{"worker": "beta#1", "cells": 24, "affinity_hits": 5},
 				},
 			},
 		},

@@ -30,11 +30,12 @@
 // -backend exec the suite spawns `stbpu-suite -worker` subprocesses and
 // speaks it on their stdin/stdout; with -backend remote it listens on
 // -listen and speaks it over TCP to whatever workers have dialed in with
-// -worker -connect. Either way workers may die mid-chunk or straggle
-// (their cells are requeued or speculatively re-executed elsewhere), TCP
-// workers may also join late, and every run-shaping setting reaches the
-// workers in the coordinator's welcome frame. Results are bit-identical
-// across backends and fleet shapes (see docs/ARCHITECTURE.md).
+// -worker -connect. Either way a worker that dies mid-chunk, or holds
+// one chunk past -exec-timeout, is dropped and its cells are requeued
+// onto the rest of the fleet (no cell is run twice), TCP workers may
+// also join late, and every run-shaping setting reaches the workers in
+// the coordinator's welcome frame. Results are bit-identical across
+// backends and fleet shapes (see docs/ARCHITECTURE.md).
 //
 // With -journal every completed cell is appended to a JSONL run journal
 // as it finishes; if the run dies, rerunning with -resume skips the
@@ -106,9 +107,9 @@ type config struct {
 	settings    harness.Settings
 	backend     string // "local" (default), "exec", or "remote"
 	execWorkers int
-	// execTimeout bounds how long one chunk may stay on an exec worker;
-	// a worker that exceeds it is killed and its chunk requeued (0 = no
-	// deadline).
+	// execTimeout bounds how long one chunk may stay on a fleet worker
+	// (either backend); a worker that exceeds it is dropped and its chunk
+	// requeued (0 = no deadline).
 	execTimeout time.Duration
 	// listen is the -backend remote coordinator's TCP address.
 	listen string
@@ -133,7 +134,7 @@ func buildBackend(cfg config, pool *harness.Pool) error {
 	case "", "local":
 		return nil
 	case "remote":
-		rb := &harness.RemoteBackend{Addr: cfg.listen}
+		rb := &harness.RemoteBackend{Addr: cfg.listen, BatchTimeout: cfg.execTimeout}
 		pool.SetBackend(rb)
 		// Bind eagerly so the operator learns where to point workers
 		// before the first batch needs them.
@@ -343,7 +344,7 @@ func newFlagSet(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.settings.SnapDir, "snap-dir", "", "persistent checkpoint tier: spill phase-boundary predictor snapshots as .snap files here and restore them on later runs (shared with workers)")
 	fs.StringVar(&cfg.backend, "backend", "local", "cell execution backend: local, exec (subprocess worker fleet), or remote (TCP worker fleet)")
 	fs.IntVar(&cfg.execWorkers, "exec-workers", 2, "subprocess worker count for -backend exec")
-	fs.DurationVar(&cfg.execTimeout, "exec-timeout", 10*time.Minute, "-backend exec: kill a worker that holds one chunk longer than this and requeue the chunk (0 = no deadline)")
+	fs.DurationVar(&cfg.execTimeout, "exec-timeout", 10*time.Minute, "-backend exec or remote: drop a worker that holds one chunk longer than this and requeue the chunk (0 = no deadline)")
 	fs.StringVar(&cfg.listen, "listen", "", "-backend remote: TCP address to coordinate workers on (empty = 127.0.0.1:0)")
 	fs.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof profiling handlers on this address (works in coordinator and -worker modes), e.g. localhost:6060")
 	fs.StringVar(&cfg.connect, "connect", "", "with -worker: dial this coordinator address instead of serving stdin/stdout")

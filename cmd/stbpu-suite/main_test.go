@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"stbpu/internal/harness"
 	"stbpu/internal/snapstore"
@@ -202,6 +203,28 @@ func TestWorkerRejectsWelcomeFlags(t *testing.T) {
 	for _, argv := range [][]string{pool.Backend().(*harness.ExecBackend).Command[1:], bench, {"-worker=true", "-connect", "127.0.0.1:7701", "-workers=1", "-cache-bytes=5", "-snap-bytes=5", "-pprof", "localhost:6061"}} {
 		if _, err := parseArgs(argv, io.Discard); err != nil {
 			t.Errorf("%v: %v", argv, err)
+		}
+	}
+}
+
+// TestExecTimeoutBoundsEitherFleet: -exec-timeout is the per-chunk
+// deadline of both fleet backends, the one straggler policy.
+func TestExecTimeoutBoundsEitherFleet(t *testing.T) {
+	for _, backend := range []string{"exec", "remote"} {
+		pool := harness.NewPool(1, 1)
+		if err := buildBackend(parse(t, []string{"-backend", backend, "-exec-timeout", "7s"}), pool); err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Backend().Close()
+		var got time.Duration
+		switch b := pool.Backend().(type) {
+		case *harness.ExecBackend:
+			got = b.BatchTimeout
+		case *harness.RemoteBackend:
+			got = b.BatchTimeout
+		}
+		if got != 7*time.Second {
+			t.Errorf("-backend %s: BatchTimeout = %v, want 7s", backend, got)
 		}
 	}
 }

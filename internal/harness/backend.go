@@ -216,14 +216,8 @@ type WorkerStats struct {
 	Worker string `json:"worker"`
 	// Cells is how many of this worker's cell results were accepted.
 	Cells uint64 `json:"cells"`
-	// Steals counts speculative chunk re-executions by this worker that
-	// beat the original straggler to at least one cell.
-	Steals uint64 `json:"steals,omitempty"`
-	// Speculative counts cells this worker executed whose results were
-	// discarded because another copy had already been accepted.
-	Speculative uint64 `json:"speculative,omitempty"`
-	// AffinityHits/AffinityMisses count non-speculative chunk dispatches
-	// with a locality key that did (hit) or did not (miss) land on the
+	// AffinityHits/AffinityMisses count chunk dispatches with a
+	// locality key that did (hit) or did not (miss) land on the
 	// key's preferred worker — lastServed if alive, else the rendezvous
 	// choice. Misses are the load-aware fallback keeping idle workers
 	// fed; chunks without a locality key count as neither.

@@ -28,14 +28,14 @@
 //     (`stbpu-suite -worker -connect host:port`) dial in over TCP and
 //     join and leave at will; after a JSON hello/welcome handshake every
 //     frame is bin1. The coordinator ships each locality group whole,
-//     heartbeats workers, requeues chunks from dead workers, and
-//     speculatively re-executes stragglers' cells (first result wins,
-//     duplicates discarded by address).
+//     heartbeats workers, and requeues chunks from dead workers and
+//     from workers holding one past BatchTimeout, the one straggler
+//     policy: a chunk is in flight on at most one worker, so no cell
+//     runs twice.
 //   - ExecBackend: the same fleet, with members it spawns
 //     (`stbpu-suite -worker`) and admits on their stdin/stdout instead
 //     of a listener — the building block for multi-machine runs via ssh
-//     or a job runner. It never speculates; a chunk overdue past
-//     BatchTimeout kills its worker and requeues.
+//     or a job runner. Its BatchTimeout kills the overdue worker.
 //
 // A chunk error marked Permanent (a chunk no worker could execute: mixed
 // batches, cells outside the declared space) fails the run instead of

@@ -4,15 +4,13 @@ package harness
 // spawns. It starts Workers copies of Command (`stbpu-suite -worker`)
 // and admits each child's stdin/stdout pipes into the fleet scheduler
 // RemoteBackend runs for TCP members (remote.go), without opening a
-// listener, so exec members get the fleet's requeue, heartbeats,
-// affinity and per-worker stats. They get no speculation: members share
-// one host's cores, so a clone cannot beat its original, and a hung
-// member is BatchTimeout's job. A worker executes a chunk from its own
-// copy of the scenario's cell space: it builds the Space from the
-// chunk's params and runs the requested cells, never the scenario —
-// cells are pure functions of (scenario, params, scope, shard, root
-// seed), so the worker's results are bit-identical to what the
-// coordinator would have computed.
+// listener, so exec members get the fleet's requeue, heartbeats, chunk
+// deadline (BatchTimeout), affinity and per-worker stats. A worker
+// executes a chunk from its own copy of the scenario's cell space: it
+// builds the Space from the chunk's params and runs the requested
+// cells, never the scenario — cells are pure functions of (scenario,
+// params, scope, shard, root seed), so the worker's results are
+// bit-identical to what the coordinator would have computed.
 //
 // Anything that can pipe stdin/stdout to a process with the same binary
 // — ssh, a container runner, a job scheduler — can host a member.

@@ -259,7 +259,7 @@ func TestMain(m *testing.M) {
 		case mode == "slow":
 			time.Sleep(20 * time.Millisecond)
 		case mode == "sluggish":
-			// Every chunk outlives the 500 ms straggler floor.
+			// Every chunk takes a second.
 			if err := logKeys(os.Getenv(workerLogEnvVar), work); err != nil {
 				fmt.Fprintln(os.Stderr, "worker:", err)
 				os.Exit(1)
@@ -381,20 +381,25 @@ func TestExecBackendPropagatesCellErrors(t *testing.T) {
 }
 
 // runWithin runs the _exec-wire scenario on pool and fails the test if
-// the run takes longer than limit.
-func runWithin(t *testing.T, pool *Pool, limit time.Duration) error {
+// the run takes longer than limit, so a regression fails instead of
+// hanging.
+func runWithin(t *testing.T, pool *Pool, limit time.Duration) ([]Report, error) {
 	t.Helper()
-	done := make(chan error, 1)
+	type outcome struct {
+		reports []Report
+		err     error
+	}
+	done := make(chan outcome, 1)
 	go func() {
-		_, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
-		done <- err
+		reports, err := RunAll(context.Background(), pool, Options{Filters: []string{"_exec-wire"}})
+		done <- outcome{reports, err}
 	}()
 	select {
-	case err := <-done:
-		return err
+	case o := <-done:
+		return o.reports, o.err
 	case <-time.After(limit):
-		t.Fatal("the run hung instead of failing")
-		return nil
+		t.Fatalf("the run hung for %v", limit)
+		return nil, nil
 	}
 }
 
@@ -411,7 +416,7 @@ func TestExecBackendKilledWorkerSurfacesRootCause(t *testing.T) {
 	pool.SetBackend(backend)
 
 	for id := 0; id < 2; id++ {
-		err := runWithin(t, pool, 30*time.Second)
+		_, err := runWithin(t, pool, 30*time.Second)
 		if err == nil {
 			t.Fatal("a killed worker produced no error")
 		}
@@ -438,7 +443,7 @@ func TestExecBackendBatchTimeoutKillsWedgedWorker(t *testing.T) {
 	backend.BatchTimeout = 500 * time.Millisecond
 	pool.SetBackend(backend)
 
-	err := runWithin(t, pool, 30*time.Second)
+	_, err := runWithin(t, pool, 30*time.Second)
 	if err == nil {
 		t.Fatal("a wedged worker produced no error")
 	}
@@ -448,9 +453,9 @@ func TestExecBackendBatchTimeoutKillsWedgedWorker(t *testing.T) {
 	}
 }
 
-// TestExecFleetNeverSpeculates: exec members share one host's cores, so
-// a clone cannot beat its original. A chunk that outlives the straggler
-// floor while the other member sits idle must still be sent only once.
+// TestExecFleetNeverSpeculates: no fleet runs a cell twice. A chunk that
+// takes a second while the other member sits idle must still be sent
+// only once.
 func TestExecFleetNeverSpeculates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -537,7 +542,7 @@ func runRequeued(t *testing.T, mode string, seed uint64, batchTimeout time.Durat
 
 // TestExecBatchTimeoutRequeuesOntoMulti: one exec member wedges holding
 // a chunk; the batch timeout kills it and the chunk requeues onto the
-// other member (an exec fleet never clones it speculatively).
+// other member.
 func TestExecBatchTimeoutRequeuesOntoMulti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
@@ -652,7 +657,7 @@ func TestFleetRefusesOldProtocol(t *testing.T) {
 	}
 	pool := NewPool(1, 9)
 	pool.SetBackend(newTestExecBackend(t, 1, "old-proto"))
-	err := runWithin(t, pool, 30*time.Second)
+	_, err := runWithin(t, pool, 30*time.Second)
 	coordinator := fmt.Sprintf("worker speaks protocol %d, want %d", protoVersion-1, protoVersion)
 	worker := fmt.Sprintf("coordinator speaks protocol %d, want %d", protoVersion, protoVersion-1)
 	if err == nil || !strings.Contains(err.Error(), coordinator) || !strings.Contains(err.Error(), worker) {

@@ -22,22 +22,19 @@ package harness
 //   - Liveness is heartbeat-based: workers send a heartbeat frame on a
 //     coordinator-chosen cadence, and a member silent past the
 //     heartbeat timeout is declared dead. Its in-flight chunk requeues
-//     (filtered to the cells no other copy has delivered yet). A
-//     spawned fleet can also bound each chunk (ExecBackend's
-//     BatchTimeout): the overdue member is killed and its chunk
-//     requeued.
-//   - Stragglers on a TCP fleet are handled by speculative
-//     re-execution: when the queue is drained and a worker sits idle
-//     while another holds a chunk past the straggler threshold, the idle
-//     worker re-runs the chunk's missing cells. The first result to
-//     arrive for a cell address wins; later duplicates are discarded.
-//     Cells are pure functions of (scenario, params, scope, shard,
-//     rootSeed), so duplicate execution is bit-identical and dedup by
-//     shard is safe.
+//     (filtered to the cells it has not delivered yet).
+//   - Stragglers have one policy on both transports, the per-chunk
+//     deadline (BatchTimeout): a member holding one chunk past it is
+//     dropped and the chunk requeued. Nothing is run twice: a cell is a
+//     pure function of (scenario, params, scope, shard, rootSeed), so a
+//     second copy could only repeat the first one's bytes. The price is
+//     that a worker which is slow but alive keeps its chunk until it
+//     answers or the deadline drops it.
 //
-// The determinism contract therefore survives any fleet shape: results
-// merge by shard exactly as with every other backend, and the suite
-// document is byte-identical to a local run modulo the stats blocks.
+// A chunk is therefore in flight on at most one worker at a time, and
+// the determinism contract survives any fleet shape: results merge by
+// shard exactly as with every other backend, and the suite document is
+// byte-identical to a local run modulo the stats blocks.
 // See docs/ARCHITECTURE.md "The worker fleet".
 
 import (
@@ -47,7 +44,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +60,9 @@ const (
 	// remoteHandshakeTimeout bounds a TCP member's hello/welcome exchange
 	// and every individual frame write.
 	remoteHandshakeTimeout = 10 * time.Second
+	// remoteTick is how often a run checks its chunk deadlines and the
+	// empty-fleet join grace.
+	remoteTick = 100 * time.Millisecond
 )
 
 // remoteHello is the worker's first frame.
@@ -96,14 +95,11 @@ type RemoteBackend struct {
 	// HeartbeatTimeout declares a worker dead after this much silence
 	// (<= 0 means 5s). Workers heartbeat at a quarter of it.
 	HeartbeatTimeout time.Duration
-	// MinStragglerAge is the floor below which an in-flight chunk is
-	// never considered a straggler (<= 0 means 500ms).
-	MinStragglerAge time.Duration
-	// StragglerFactor scales the median completed-chunk duration into
-	// the straggler threshold: a chunk in flight longer than
-	// max(MinStragglerAge, StragglerFactor × median) may be
-	// speculatively re-executed by an idle worker (<= 0 means 3).
-	StragglerFactor float64
+	// BatchTimeout bounds how long one chunk may stay on a worker. A
+	// worker that exceeds it is dropped, though it still heartbeats, and
+	// its chunk requeues onto the rest of the fleet. <= 0 means no
+	// deadline: a slow worker keeps its chunk until it answers or dies.
+	BatchTimeout time.Duration
 	// JoinGrace is how long a Run tolerates an empty fleet — at start or
 	// after every worker died — before failing (<= 0 means 60s).
 	JoinGrace time.Duration
@@ -156,22 +152,18 @@ type remoteWorker struct {
 
 	dead bool
 	// cause is why the member was dropped (the first reason wins).
-	cause       error
-	busy        *remoteChunk
-	cells       uint64
-	steals      uint64
-	speculative uint64
-	// served records every locality key this worker has received, so
-	// steals can prefer stragglers whose artifacts it already holds.
+	cause error
+	busy  *remoteChunk
+	cells uint64
+	// served records every locality key this worker has received, so an
+	// idle worker can prefer queued chunks whose artifacts it holds.
 	served         map[string]struct{}
 	affinityHits   uint64
 	affinityMisses uint64
 }
 
 // remoteChunk is one dispatchable slice of a run's batch. A chunk is
-// either pending (queued), or in flight on exactly one worker; a
-// speculative clone is a separate chunk covering the original's
-// not-yet-accepted shards.
+// either pending (queued), or in flight on exactly one worker.
 type remoteChunk struct {
 	run   *remoteRun
 	specs []CellSpec
@@ -183,13 +175,6 @@ type remoteChunk struct {
 	worker   *remoteWorker
 	sentAt   time.Time
 	attempts int
-	// speculative marks a straggler re-execution clone.
-	speculative bool
-	// clones counts this chunk's in-flight speculative copies, so a
-	// straggler is not duplicated more than once at a time.
-	clones int
-	// source is the chunk a speculative clone duplicates.
-	source *remoteChunk
 }
 
 // remoteRun is one Run call's scheduling state, guarded by the backend
@@ -198,7 +183,7 @@ type remoteRun struct {
 	// backend names the backend the run belongs to (exec or remote), in
 	// its cells and errors.
 	backend string
-	// chunkTimeout, when positive, kills a member whose chunk has been in
+	// chunkTimeout, when positive, drops a member whose chunk has been in
 	// flight longer and requeues the chunk.
 	chunkTimeout time.Duration
 
@@ -207,10 +192,6 @@ type remoteRun struct {
 	got       map[int]CellResult
 	remaining int
 	pending   []*remoteChunk
-	inflight  map[*remoteChunk]struct{}
-	// durations collects completed-chunk wall times for the straggler
-	// median.
-	durations []time.Duration
 	// cellFailed is set once an accepted result carries a cell error: the
 	// run then ends with the results it has, and Map reports the cell's
 	// own error.
@@ -235,20 +216,6 @@ func (b *RemoteBackend) heartbeatTimeout() time.Duration {
 		return b.HeartbeatTimeout
 	}
 	return 5 * time.Second
-}
-
-func (b *RemoteBackend) minStragglerAge() time.Duration {
-	if b.MinStragglerAge > 0 {
-		return b.MinStragglerAge
-	}
-	return 500 * time.Millisecond
-}
-
-func (b *RemoteBackend) stragglerFactor() float64 {
-	if b.StragglerFactor > 0 {
-		return b.StragglerFactor
-	}
-	return 3
 }
 
 func (b *RemoteBackend) joinGrace() time.Duration {
@@ -447,47 +414,28 @@ func (b *RemoteBackend) dropLocked(w *remoteWorker, cause error) {
 	delete(b.fleet, w)
 	b.leaves++
 	if chunk := w.busy; chunk != nil {
-		w.busy = nil
-		b.requeueLocked(chunk, fmt.Errorf("worker %s lost: %w", w.name, cause))
+		b.detachLocked(chunk)
+		b.queueLocked(chunk, fmt.Errorf("worker %s lost: %w", w.name, cause))
 	}
 	b.dispatchLocked()
 }
 
-// detachLocked takes an in-flight chunk off its worker. A speculative
-// clone stops counting against its source and becomes plain work, so
-// requeueing it neither decrements the source twice nor keeps the
-// source from being cloned again. Requires b.mu.
+// detachLocked takes an in-flight chunk off its worker, which becomes
+// idle. Requires b.mu.
 func (b *RemoteBackend) detachLocked(chunk *remoteChunk) {
 	delete(b.inflight, chunk.seq)
+	chunk.worker.busy = nil
 	chunk.seq = 0
 	chunk.worker = nil
-	delete(chunk.run.inflight, chunk)
-	if chunk.source != nil {
-		chunk.source.clones--
-		chunk.source = nil
-	}
-	chunk.speculative = false
 }
 
-// requeueLocked returns an in-flight chunk to its run's queue, trimmed
-// to the shards no other copy has delivered. Requires b.mu.
-func (b *RemoteBackend) requeueLocked(chunk *remoteChunk, cause error) {
-	b.detachLocked(chunk)
-	if !chunk.run.finished() {
-		b.queueLocked(chunk, cause)
-	}
-}
-
-// queueLocked puts a detached chunk back on its run's queue, trimmed to
-// the shards no other copy has delivered; a chunk out of dispatch
-// attempts fails the run instead. Requires b.mu.
+// queueLocked puts a detached chunk of an unfinished run back on the
+// run's queue, trimmed to the shards it has not delivered; a chunk out
+// of dispatch attempts fails the run instead. Requires b.mu.
 func (b *RemoteBackend) queueLocked(chunk *remoteChunk, cause error) {
 	run := chunk.run
 	missing := missingSpecs(run, chunk.specs)
-	if len(missing) == 0 {
-		// Another copy delivered everything; nothing left to redo. The
-		// run may have been waiting on exactly this bookkeeping.
-		b.maybeFinishLocked(run)
+	if run.finished() || len(missing) == 0 {
 		return
 	}
 	if chunk.attempts >= remoteMaxChunkAttempts {
@@ -511,13 +459,13 @@ func missingSpecs(run *remoteRun, specs []CellSpec) []CellSpec {
 	return out
 }
 
-// handleResults merges one results frame: first result per shard wins,
-// duplicates count as speculative waste, and results for shards the
-// chunk does not hold are ignored. A failed cell ends the run with the
-// results it has — a worker stops a chunk at its first failing cell,
-// and the Backend contract lets Run stop there too. Shards a clean
-// reply left out are requeued. A batch error either fails the run
-// (permanent) or requeues the chunk (transient).
+// handleResults merges one results frame: the first result per shard
+// is kept, and results for shards the chunk does not hold are ignored.
+// A failed cell ends the run with the results it has — a worker stops a
+// chunk at its first failing cell, and the Backend contract lets Run
+// stop there too. Shards a clean reply left out are requeued. A batch
+// error either fails the run (permanent) or requeues the chunk
+// (transient).
 func (b *RemoteBackend) handleResults(w *remoteWorker, m *wireMsg) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -525,22 +473,18 @@ func (b *RemoteBackend) handleResults(w *remoteWorker, m *wireMsg) {
 	if chunk == nil || chunk.worker != w {
 		return // stale frame for a chunk already requeued elsewhere
 	}
-	w.busy = nil
-	speculative := chunk.speculative
 	b.detachLocked(chunk)
 	run := chunk.run
 
 	if m.err != "" {
 		err := fmt.Errorf("%s worker %s: %s", run.backend, w.name, m.err)
-		if !run.finished() {
-			if m.permanent {
-				b.failRunLocked(run, Permanent(err))
-			} else {
-				// The worker stays in the fleet: a transient batch error
-				// (say, a scenario its binary lacks) only requeues the
-				// chunk, most likely to land on a different worker.
-				b.queueLocked(chunk, err)
-			}
+		if m.permanent {
+			b.failRunLocked(run, Permanent(err))
+		} else {
+			// The worker stays in the fleet: a transient batch error
+			// (say, a scenario its binary lacks) only requeues the
+			// chunk, most likely to land on a different worker.
+			b.queueLocked(chunk, err)
 		}
 		b.dispatchLocked()
 		return
@@ -550,35 +494,24 @@ func (b *RemoteBackend) handleResults(w *remoteWorker, m *wireMsg) {
 	for _, s := range chunk.specs {
 		held[s.Shard] = true
 	}
-	accepted := 0
 	for _, r := range m.results {
 		if !held[r.Shard] {
 			continue
 		}
 		if _, dup := run.got[r.Shard]; dup || run.finished() {
-			// A speculative copy (or a copy landing after the run ended)
-			// lost the race; bit-identity makes the discard safe.
-			w.speculative++
+			// A shard repeated in one reply, or a reply landing after the
+			// run ended.
 			continue
 		}
 		run.got[r.Shard] = r
 		run.remaining--
 		w.cells++
 		b.cellsTotal++
-		accepted++
 		if r.Err != "" {
 			run.cellFailed = true
 		}
 	}
-	if accepted > 0 {
-		run.durations = append(run.durations, time.Since(chunk.sentAt))
-		if speculative {
-			w.steals++
-		}
-	}
-	if !run.finished() && !speculative {
-		b.queueLocked(chunk, fmt.Errorf("%s worker %s returned %d of %d cells", run.backend, w.name, len(m.results), len(chunk.specs)))
-	}
+	b.queueLocked(chunk, fmt.Errorf("%s worker %s returned %d of %d cells", run.backend, w.name, len(m.results), len(chunk.specs)))
 	b.maybeFinishLocked(run)
 	b.dispatchLocked()
 }
@@ -629,9 +562,9 @@ func (b *RemoteBackend) preferredWorkerLocked(loc string) *remoteWorker {
 // to that worker — holding a chunk for its warm home while the home is
 // idle costs nothing. The second pass is plain work sharing: remaining
 // idle workers, oldest member first, drain the queue oldest-first (so
-// an idle fleet never starves behind affinity), then speculate on
-// stragglers. Requires b.mu; frame writes happen on fresh goroutines so
-// the scheduler never blocks on a slow connection.
+// an idle fleet never starves behind affinity). Requires b.mu; frame
+// writes happen on fresh goroutines so the scheduler never blocks on a
+// slow connection.
 func (b *RemoteBackend) dispatchLocked() {
 	if b.affinityOn() {
 		for run := range b.runs {
@@ -669,9 +602,8 @@ func (b *RemoteBackend) dispatchLocked() {
 func (b *RemoteBackend) assignLocked(w *remoteWorker, chunk *remoteChunk) {
 	if loc := chunk.locality; loc != "" {
 		// Hit/miss is judged against the preference before this very
-		// assignment updates it; speculative clones are deliberate
-		// cross-worker duplicates and stay out of the counters.
-		if !chunk.speculative && b.affinityOn() {
+		// assignment updates it.
+		if b.affinityOn() {
 			if b.preferredWorkerLocked(loc) == w {
 				w.affinityHits++
 			} else {
@@ -688,7 +620,6 @@ func (b *RemoteBackend) assignLocked(w *remoteWorker, chunk *remoteChunk) {
 	chunk.attempts++
 	w.busy = chunk
 	b.inflight[chunk.seq] = chunk
-	chunk.run.inflight[chunk] = struct{}{}
 	go b.send(w, &wireMsg{kind: wireKindWork, seq: chunk.seq, cells: chunk.specs})
 }
 
@@ -703,12 +634,8 @@ func (b *RemoteBackend) idleWorkerLocked() *remoteWorker {
 	return nil
 }
 
-// nextChunkLocked picks the next chunk for w: a queued chunk — one
-// whose key w already serves when affinity is on, else the oldest —
-// else, on a TCP fleet, a speculative clone of a straggler. A spawned
-// fleet never speculates: its members share one host's cores, so a
-// clone cannot finish before its original and only adds CPU, and a
-// hung member is the chunk timeout's job.
+// nextChunkLocked picks the next queued chunk for w: one whose key w
+// already serves when affinity is on, else the oldest.
 func (b *RemoteBackend) nextChunkLocked(w *remoteWorker) *remoteChunk {
 	for run := range b.runs {
 		if len(run.pending) == 0 {
@@ -730,73 +657,7 @@ func (b *RemoteBackend) nextChunkLocked(w *remoteWorker) *remoteChunk {
 		run.pending = append(run.pending[:pick], run.pending[pick+1:]...)
 		return chunk
 	}
-	if b.ln == nil {
-		return nil
-	}
-	return b.speculateLocked(w)
-}
-
-// speculateLocked clones a straggling in-flight chunk for w to
-// re-execute — preferring, with affinity on, the oldest straggler
-// whose key w has served (its artifacts are already warm), else the
-// oldest overall — or returns nil if nothing qualifies.
-func (b *RemoteBackend) speculateLocked(w *remoteWorker) *remoteChunk {
-	now := time.Now()
-	var oldest, oldestServed *remoteChunk
-	for run := range b.runs {
-		threshold := b.stragglerThreshold(run)
-		for c := range run.inflight {
-			if c.speculative || c.clones > 0 {
-				continue
-			}
-			if now.Sub(c.sentAt) < threshold {
-				continue
-			}
-			if len(missingSpecs(run, c.specs)) == 0 {
-				continue
-			}
-			if oldest == nil || c.sentAt.Before(oldest.sentAt) {
-				oldest = c
-			}
-			if c.locality != "" {
-				if _, ok := w.served[c.locality]; ok {
-					if oldestServed == nil || c.sentAt.Before(oldestServed.sentAt) {
-						oldestServed = c
-					}
-				}
-			}
-		}
-	}
-	pick := oldest
-	if b.affinityOn() && oldestServed != nil {
-		pick = oldestServed
-	}
-	if pick == nil {
-		return nil
-	}
-	pick.clones++
-	return &remoteChunk{
-		run:         pick.run,
-		specs:       missingSpecs(pick.run, pick.specs),
-		locality:    pick.locality,
-		speculative: true,
-		source:      pick,
-	}
-}
-
-// stragglerThreshold is how long a chunk may be in flight before an
-// idle worker re-executes it: the configured floor, stretched by the
-// run's median chunk duration once one exists.
-func (b *RemoteBackend) stragglerThreshold(run *remoteRun) time.Duration {
-	th := b.minStragglerAge()
-	if n := len(run.durations); n > 0 {
-		ds := append([]time.Duration(nil), run.durations...)
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		if scaled := time.Duration(b.stragglerFactor() * float64(ds[n/2])); scaled > th {
-			th = scaled
-		}
-	}
-	return th
+	return nil
 }
 
 // send writes one work frame, dropping the member on error.
@@ -815,9 +676,9 @@ func (b *RemoteBackend) send(w *remoteWorker, m *wireMsg) {
 }
 
 // Run implements Backend: the batch is chunked, scheduled across the
-// live fleet, and survives workers joining, leaving, and straggling;
-// Run returns when every shard has exactly one accepted result (or the
-// run fails permanently).
+// live fleet, and survives workers joining, leaving, and overrunning
+// BatchTimeout; Run returns when every shard has exactly one accepted
+// result (or the run fails permanently).
 func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult, error) {
 	start := time.Now()
 	defer func() { b.wallNS.Add(int64(time.Since(start))) }()
@@ -827,7 +688,7 @@ func (b *RemoteBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult
 	if _, err := b.Start(); err != nil {
 		return nil, err
 	}
-	return b.run(ctx, specs, b.Name(), 0)
+	return b.run(ctx, specs, b.Name(), b.BatchTimeout)
 }
 
 // run schedules one batch on the fleet's current and future members, on
@@ -839,7 +700,6 @@ func (b *RemoteBackend) run(ctx context.Context, specs []CellSpec, backend strin
 		specOf:    make(map[int]CellSpec, len(specs)),
 		got:       make(map[int]CellResult, len(specs)),
 		remaining: len(specs),
-		inflight:  map[*remoteChunk]struct{}{},
 		done:      make(chan struct{}),
 
 		backend:      backend,
@@ -908,17 +768,10 @@ func (b *RemoteBackend) run(ctx context.Context, specs []CellSpec, backend strin
 }
 
 // tickRun drives the time-based scheduling decisions for one run —
-// chunk timeouts, straggler speculation and the empty-fleet join grace
-// — until the run completes or its Run call returns.
+// chunk timeouts and the empty-fleet join grace — until the run
+// completes or its Run call returns.
 func (b *RemoteBackend) tickRun(run *remoteRun, stop <-chan struct{}) {
-	tick := b.minStragglerAge() / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(remoteTick)
 	defer t.Stop()
 	for {
 		select {
@@ -952,7 +805,6 @@ func (b *RemoteBackend) tickRun(run *remoteRun, stop <-chan struct{}) {
 					b.ln.Addr(), b.joinGrace(), b.joins, b.leaves))
 			}
 		}
-		b.dispatchLocked()
 		b.mu.Unlock()
 	}
 }
@@ -965,7 +817,7 @@ func (b *RemoteBackend) BackendStats() []BackendStats {
 	ws := make([]WorkerStats, 0, len(b.roster))
 	for _, w := range b.roster {
 		ws = append(ws, WorkerStats{
-			Worker: w.name, Cells: w.cells, Steals: w.steals, Speculative: w.speculative,
+			Worker: w.name, Cells: w.cells,
 			AffinityHits: w.affinityHits, AffinityMisses: w.affinityMisses,
 		})
 	}

@@ -55,7 +55,7 @@ func TestRemoteAffinityPreferredWorkerKilledMidGroup(t *testing.T) {
 	}
 	local := runGroup(t, NewPool(2, 6161))
 
-	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	b := &RemoteBackend{}
 	pool := NewPool(2, 6161)
 	addr := startRemote(t, pool, b)
 
@@ -119,7 +119,7 @@ func TestRemoteAffinityPreferredWorkerKilledMidGroup(t *testing.T) {
 // loads — plus the fleet's affinity-hit count.
 func placementRun(t *testing.T, affinity bool) (placements int, hits uint64) {
 	t.Helper()
-	b := &RemoteBackend{Affinity: &affinity, MinStragglerAge: time.Minute}
+	b := &RemoteBackend{Affinity: &affinity}
 	addr := startRemote(t, NewPool(1, 0), b)
 
 	var mu sync.Mutex
@@ -224,7 +224,7 @@ func TestRemoteAffinityConsolidatesPlacement(t *testing.T) {
 // timing is scheduling-sensitive).
 
 func benchFleet(b *testing.B, affinity bool) {
-	rb := &RemoteBackend{Affinity: &affinity, MinStragglerAge: time.Minute}
+	rb := &RemoteBackend{Affinity: &affinity}
 	pool := NewPool(2, 42)
 	pool.SetBackend(rb)
 	addr, err := rb.Start()

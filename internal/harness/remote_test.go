@@ -3,8 +3,9 @@ package harness
 // Chaos-style tests for the elastic RemoteBackend fleet. The hard
 // invariant under test everywhere: results are byte-identical to the
 // in-process run at any fleet shape — workers joining late, dying
-// mid-chunk (kill -9), straggling into speculative re-execution, or
-// answering batch errors.
+// mid-chunk (kill -9), answering slowly, holding a chunk past the batch
+// timeout, or answering batch errors — and no cell is sent twice while
+// its worker lives.
 
 import (
 	"bufio"
@@ -228,11 +229,7 @@ func TestRemoteBackendWorkerKilledMidChunk(t *testing.T) {
 	}
 	local := runWire(t, NewPool(2, 4321))
 
-	b := &RemoteBackend{
-		// Generous straggler floor so the kill path, not speculation, is
-		// what re-executes the dead worker's chunk.
-		MinStragglerAge: time.Minute,
-	}
+	b := &RemoteBackend{}
 	pool := NewPool(2, 4321)
 	addr := startRemote(t, pool, b)
 
@@ -291,73 +288,127 @@ func TestRemoteBackendWorkerKilledMidChunk(t *testing.T) {
 	}
 }
 
-// TestRemoteBackendSpeculativeReexecution forces the straggler path: a
-// scripted worker sits on its chunk far past the straggler threshold
-// while an idle fast worker speculatively re-runs it. First result
-// wins, the straggler's eventual duplicates are discarded, and the
-// bytes still match local exactly.
-func TestRemoteBackendSpeculativeReexecution(t *testing.T) {
-	local := runWire(t, NewPool(2, 555))
-
-	b := &RemoteBackend{MinStragglerAge: 50 * time.Millisecond}
-	pool := NewPool(2, 555)
-	addr := startRemote(t, pool, b)
-
-	// The slow worker executes chunks correctly but delays every reply,
-	// guaranteeing it straggles (and that its replies arrive as
-	// duplicates of already-accepted speculative results).
-	slowConn, _ := dialScriptedWorker(t, addr, "slow")
-	slowStop := make(chan struct{})
-	t.Cleanup(func() { close(slowStop) })
+// startHeartbeatingWorker handshakes a scripted TCP worker that
+// heartbeats at the welcome's cadence and hands each work frame to
+// serve, sending back the frame serve returns (nothing when it returns
+// nil). stop closes when the test ends, so a serve that waits can give
+// up; cleanup waits for the worker's goroutines.
+func startHeartbeatingWorker(t *testing.T, addr, name string, serve func(work *wireMsg, stop <-chan struct{}) *wireMsg) {
+	t.Helper()
+	conn, welcome := dialScriptedWorker(t, addr, name)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(stop)
+		conn.Close()
+		wg.Wait()
+	})
+	var wmu sync.Mutex
+	write := func(m wireMsg) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		return writeMsg(conn, m)
+	}
+	wg.Add(2)
 	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Duration(welcome.HeartbeatMS) * time.Millisecond)
+		defer tick.Stop()
 		for {
-			work, err := readWork(slowConn)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if write(wireMsg{kind: wireKindHeartbeat}) != nil {
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			work, err := readWork(conn)
 			if err != nil {
 				return
 			}
-			reply := answer(work)
-			select {
-			case <-time.After(800 * time.Millisecond):
-			case <-slowStop:
-				return
-			}
-			if writeMsg(slowConn, reply) != nil {
+			if reply := serve(work, stop); reply != nil && write(*reply) != nil {
 				return
 			}
 		}
 	}()
-	startInProcWorker(t, addr)
+}
 
-	remote := runWire(t, pool)
+// TestRemoteFleetSendsEachCellOnce: a fleet runs each cell once. Of two
+// live, correct workers the first to join holds every reply 1.5 s; the
+// other, idle long before that, must not be sent its cells, and the
+// bytes still match local.
+func TestRemoteFleetSendsEachCellOnce(t *testing.T) {
+	local := runWire(t, NewPool(2, 555))
+
+	b := &RemoteBackend{}
+	pool := NewPool(2, 555)
+	addr := startRemote(t, pool, b)
+	var mu sync.Mutex
+	sent := map[int]int{}
+	for i, delay := range []time.Duration{1500 * time.Millisecond, 0} {
+		delay := delay
+		startHeartbeatingWorker(t, addr, fmt.Sprint("w", i), func(work *wireMsg, stop <-chan struct{}) *wireMsg {
+			mu.Lock()
+			for _, c := range work.cells {
+				sent[c.Shard]++
+			}
+			mu.Unlock()
+			reply := answer(work)
+			select {
+			case <-time.After(delay):
+				return &reply
+			case <-stop:
+				return nil
+			}
+		})
+		waitJoins(t, b, uint64(i+1))
+	}
+
+	remote, err := runWithin(t, pool, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
-		t.Error("speculative fleet results diverge from local")
+		t.Error("slow-worker fleet results diverge from local")
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	for shard := 0; shard < int(local[0].Cells); shard++ {
+		if n := sent[shard]; n != 1 {
+			t.Errorf("shard %d was sent %d times, want once", shard, n)
+		}
+	}
+}
 
-	stealSum := func() (steals uint64) {
-		for _, w := range fleetStats(t, b).Workers {
-			steals += w.Steals
-		}
-		return
+// TestRemoteBackendBatchTimeoutRequeues: a TCP worker that heartbeats
+// but never answers is dropped once it holds a chunk past BatchTimeout,
+// and its chunk requeues onto the rest of the fleet.
+func TestRemoteBackendBatchTimeoutRequeues(t *testing.T) {
+	local := runWire(t, NewPool(2, 808))
+
+	b := &RemoteBackend{BatchTimeout: 300 * time.Millisecond}
+	pool := NewPool(2, 808)
+	addr := startRemote(t, pool, b)
+	startHeartbeatingWorker(t, addr, "mute", func(*wireMsg, <-chan struct{}) *wireMsg { return nil })
+	waitJoins(t, b, 1)
+	startInProcWorker(t, addr)
+	waitJoins(t, b, 2)
+
+	remote, err := runWithin(t, pool, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stealSum() == 0 {
-		t.Error("run completed without a single speculative steal; the straggler path never fired")
+	if !bytes.Equal(reportBytes(t, local), reportBytes(t, remote)) {
+		t.Error("timed-out-worker fleet results diverge from local")
 	}
-	// The straggler's late replies eventually land as discarded
-	// duplicates; give them a moment to be counted.
-	deadline := time.After(10 * time.Second)
-	for {
-		var spec uint64
-		for _, w := range fleetStats(t, b).Workers {
-			spec += w.Speculative
-		}
-		if spec > 0 {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatal("straggler duplicates were never recorded as speculative waste")
-		case <-time.After(20 * time.Millisecond):
-		}
+	if st := fleetStats(t, b); st.Leaves == 0 || st.Retries == 0 {
+		t.Errorf("the batch timeout left no trace in stats: leaves=%d retries=%d", st.Leaves, st.Retries)
 	}
 }
 
@@ -367,11 +418,7 @@ func TestRemoteBackendSpeculativeReexecution(t *testing.T) {
 func TestRemoteBackendHeartbeatTimeout(t *testing.T) {
 	local := runWire(t, NewPool(2, 99))
 
-	b := &RemoteBackend{
-		HeartbeatTimeout: 300 * time.Millisecond,
-		// Again: force the liveness path, not speculation.
-		MinStragglerAge: time.Minute,
-	}
+	b := &RemoteBackend{HeartbeatTimeout: 300 * time.Millisecond}
 	pool := NewPool(2, 99)
 	addr := startRemote(t, pool, b)
 
@@ -402,7 +449,7 @@ func TestRemoteBackendHeartbeatTimeout(t *testing.T) {
 func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 	local := runWire(t, NewPool(2, 11))
 
-	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	b := &RemoteBackend{}
 	pool := NewPool(2, 11)
 	addr := startRemote(t, pool, b)
 
@@ -447,7 +494,7 @@ func TestRemoteBackendTransientWorkerErrorRequeues(t *testing.T) {
 func TestRemoteBackendShortReplyRequeues(t *testing.T) {
 	local := runWire(t, NewPool(2, 11))
 
-	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	b := &RemoteBackend{}
 	pool := NewPool(2, 11)
 	addr := startRemote(t, pool, b)
 	// The lazy worker answers only the first half of every chunk.
@@ -479,7 +526,7 @@ func TestRemoteBackendShortReplyRequeues(t *testing.T) {
 // identically anywhere) must fail the run immediately, not ricochet
 // around the fleet.
 func TestRemoteBackendPermanentWorkerErrorFailsRun(t *testing.T) {
-	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	b := &RemoteBackend{}
 	addr := startRemote(t, NewPool(1, 0), b)
 	conn, _ := dialScriptedWorker(t, addr, "perm")
 	go func() {
@@ -530,7 +577,7 @@ func TestRemoteBackendFailsWithoutWorkers(t *testing.T) {
 func TestRemoteSendsEachLocalityGroupWhole(t *testing.T) {
 	local := runGroupParams(t, NewPool(2, 4242))
 
-	b := &RemoteBackend{MinStragglerAge: time.Minute}
+	b := &RemoteBackend{}
 	pool := NewPool(2, 4242)
 	addr := startRemote(t, pool, b)
 	logPath := filepath.Join(t.TempDir(), "requests.jsonl")

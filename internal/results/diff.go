@@ -73,9 +73,8 @@ type DiffResult struct {
 	OnlyNew []Row `json:"only_new,omitempty"`
 }
 
-// Diff matches old against new by row key. Duplicate keys within one
-// table (repeated-run samples) should be collapsed with Merge first;
-// Diff keeps the first occurrence and ignores the rest.
+// Diff matches old against new by row key. Of duplicate keys within
+// one table, Diff keeps the first occurrence and ignores the rest.
 func Diff(old, new Table) DiffResult {
 	oldBy := make(map[string]Row, len(old.Rows))
 	for _, r := range old.Rows {

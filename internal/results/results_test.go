@@ -119,30 +119,6 @@ func TestDiffIdenticalTablesIsClean(t *testing.T) {
 	}
 }
 
-func TestMergeAggregates(t *testing.T) {
-	var a, b Table
-	a.Add("c", "m", 1)
-	b.Add("c", "m", 3)
-	a.Add("solo", "m", 7)
-	got := Merge(a, b)
-	byKey := map[string]float64{}
-	for _, r := range got.Rows {
-		byKey[r.Cell+"/"+r.Metric] = r.Value
-	}
-	if byKey["c/m"] != 2 {
-		t.Errorf("mean = %v, want 2", byKey["c/m"])
-	}
-	if byKey["c/m/min"] != 1 || byKey["c/m/max"] != 3 || byKey["c/m/stddev"] != 1 {
-		t.Errorf("spread columns wrong: %+v", byKey)
-	}
-	if _, spread := byKey["solo/m/stddev"]; spread {
-		t.Error("singleton key grew spread columns")
-	}
-	if byKey["solo/m"] != 7 {
-		t.Errorf("singleton passthrough = %v", byKey["solo/m"])
-	}
-}
-
 func TestGridRowMatchesFprintfLayout(t *testing.T) {
 	var sb strings.Builder
 	Grid{LabelWidth: 10}.Row(&sb, "r", Cells("%-10s", "accuracy", "norm-IPC")...)

@@ -48,8 +48,7 @@ func (t *Table) AddUnit(cell, metric, unit string, value float64) {
 
 // Sort orders rows canonically by (scenario, cell, metric, unit) so a
 // table's serialized form is deterministic regardless of build order.
-// Ties (duplicate keys, e.g. repeated-run samples before a Merge) keep
-// their insertion order.
+// Ties (duplicate keys) keep their insertion order.
 func (t *Table) Sort() {
 	sort.SliceStable(t.Rows, func(i, j int) bool {
 		return t.Rows[i].Key() < t.Rows[j].Key()

@@ -1,14 +1,12 @@
 // Package stats implements the statistical helpers used by the STBPU
-// reproduction: coefficient of variation (remap uniformity, C2), Hamming
-// distance (avalanche effect, C3), balls-and-bins occupancy analysis,
-// harmonic means (SMT throughput per Michaud), and small summary helpers.
+// reproduction: coefficient of variation and bin occupancy (remap
+// uniformity, C2), harmonic means (SMT throughput per Michaud),
+// goodness-of-fit tests, and small summary helpers.
 package stats
 
 import (
 	"errors"
 	"math"
-	"math/bits"
-	"sort"
 )
 
 // ErrEmpty is returned by aggregations that require at least one sample.
@@ -78,40 +76,6 @@ func HarmonicMean(xs []float64) (float64, error) {
 	return float64(len(xs)) / sum, nil
 }
 
-// GeoMean returns the geometric mean of xs. Used for normalized-accuracy
-// aggregation across workloads.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Hamming64 returns the Hamming distance between two 64-bit words.
-func Hamming64(a, b uint64) int { return bits.OnesCount64(a ^ b) }
-
 // BinCounts tallies how many of the provided outputs landed in each of n
 // bins. Outputs must already be reduced modulo n by the caller's hash; any
 // value >= n is counted modulo n defensively.
@@ -133,42 +97,6 @@ func BinCV(outputs []uint64, n int) float64 {
 		xs[i] = float64(c)
 	}
 	return CV(xs)
-}
-
-// BallsBinsExpectedMax returns the classic Raab–Steger approximation of the
-// expected maximum bin load when m balls are thrown uniformly into n bins
-// with m >= n log n: m/n + sqrt(2*(m/n)*ln n). The remap generator uses it
-// as a sanity bound when judging uniformity.
-func BallsBinsExpectedMax(m, n int) float64 {
-	if n <= 1 {
-		return float64(m)
-	}
-	avg := float64(m) / float64(n)
-	return avg + math.Sqrt(2*avg*math.Log(float64(n)))
-}
-
-// ChiSquareUniform returns the chi-square statistic of the observed counts
-// against a uniform expectation. Lower is more uniform; for k bins the
-// statistic is approximately chi-square distributed with k-1 degrees of
-// freedom under uniformity.
-func ChiSquareUniform(counts []int) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	expected := float64(total) / float64(len(counts))
-	if expected == 0 {
-		return 0
-	}
-	stat := 0.0
-	for _, c := range counts {
-		d := float64(c) - expected
-		stat += d * d / expected
-	}
-	return stat
 }
 
 // Summary holds basic descriptive statistics for a sample set.

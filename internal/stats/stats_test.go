@@ -92,57 +92,6 @@ func TestHarmonicMeanLEArithmetic(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 2, 1e-12) {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	if _, err := GeoMean([]float64{}); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := GeoMean([]float64{-2}); err == nil {
-		t.Error("expected error for negative input")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median odd = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median empty = %v, want 0", got)
-	}
-	// Median must not mutate its input.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Median mutated its input")
-	}
-}
-
-func TestHamming64(t *testing.T) {
-	cases := []struct {
-		a, b uint64
-		want int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0xffffffffffffffff, 0, 64},
-		{0b1010, 0b0101, 4},
-	}
-	for _, c := range cases {
-		if got := Hamming64(c.a, c.b); got != c.want {
-			t.Errorf("Hamming64(%#x,%#x) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestBinCountsAndCV(t *testing.T) {
 	outputs := []uint64{0, 1, 2, 3, 0, 1, 2, 3}
 	counts := BinCounts(outputs, 4)
@@ -169,34 +118,6 @@ func TestBinCVUniformHash(t *testing.T) {
 	}
 	if cv := BinCV(outputs, 256); cv > 0.1 {
 		t.Errorf("BinCV of PRNG = %v, want < 0.1", cv)
-	}
-}
-
-func TestBallsBinsExpectedMax(t *testing.T) {
-	// m balls into 1 bin: max is m.
-	if got := BallsBinsExpectedMax(100, 1); got != 100 {
-		t.Errorf("ExpectedMax(100,1) = %v, want 100", got)
-	}
-	// Heavily loaded: expected max close to m/n.
-	got := BallsBinsExpectedMax(1<<20, 256)
-	avg := float64(1<<20) / 256
-	if got < avg || got > avg*1.2 {
-		t.Errorf("ExpectedMax = %v, want within 20%% above %v", got, avg)
-	}
-}
-
-func TestChiSquareUniform(t *testing.T) {
-	if got := ChiSquareUniform([]int{10, 10, 10, 10}); got != 0 {
-		t.Errorf("ChiSquare of uniform = %v, want 0", got)
-	}
-	if got := ChiSquareUniform(nil); got != 0 {
-		t.Errorf("ChiSquare of empty = %v, want 0", got)
-	}
-	if got := ChiSquareUniform([]int{0, 0}); got != 0 {
-		t.Errorf("ChiSquare of all-zero = %v, want 0", got)
-	}
-	if got := ChiSquareUniform([]int{20, 0}); got != 20 {
-		t.Errorf("ChiSquare of skewed = %v, want 20", got)
 	}
 }
 

@@ -11,7 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -60,16 +59,4 @@ func LookupSynth(name string) (Synth, bool) {
 	defer synthMu.RUnlock()
 	s, ok := synths[name]
 	return s, ok
-}
-
-// SynthNames returns all registered synth names, sorted.
-func SynthNames() []string {
-	synthMu.RLock()
-	defer synthMu.RUnlock()
-	names := make([]string, 0, len(synths))
-	for n := range synths {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

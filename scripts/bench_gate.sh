@@ -1,29 +1,37 @@
 #!/usr/bin/env bash
 # Perf-trend gate: run the replay-path, predictor, BPU-structure,
 # random-stream, trace-generator, CPU-timing-model, wire-codec and
-# worker-chunk micro-benchmarks, write BENCH_13.json (benchmark -> ns/op,
-# allocs/op), and fail when a metric regresses against the committed
-# baseline. Fleet benchmarks (harness/FleetWarm*) are recorded for trend
-# visibility but never threshold-gated: they time a live 2-worker TCP
-# fleet, where scheduler and network jitter dwarfs any micro-regression.
+# worker-chunk micro-benchmarks on a base commit and on the working tree
+# in one session, and fail when the working tree's ns/op regresses
+# against the base's, or its allocs/op against the committed
+# BENCH_13.json baseline. ns/op is compared within one session because
+# a shared host's speed drifts between sessions: against ns/op recorded
+# at another moment, every key can read 2-4x slower at once with no
+# code change. Allocation counts do not drift, so they gate against the
+# committed file. Fleet benchmarks (harness/FleetWarm*) are recorded for
+# trend visibility but never threshold-gated: they time a live 2-worker
+# TCP fleet, where scheduler and network jitter dwarfs any
+# micro-regression.
 #
-# usage: scripts/bench_gate.sh [-update]
-#   -update    rewrite BENCH_13.json as the new baseline and skip the gate
+# usage: scripts/bench_gate.sh [BASE | -update]
+#   BASE       commit to compare ns/op against (default HEAD), extracted
+#              with git archive into a temporary directory
+#   -update    rewrite BENCH_13.json from the working tree and skip the gate
 #
 # env knobs:
 #   BENCH_GATE_BENCHTIME        go test -benchtime (default 0.3s)
-#   BENCH_GATE_COUNT            go test -count; the recorded value per
-#                               benchmark is the MINIMUM across runs
-#                               (default 3 — the min is far more stable
-#                               than any single sample, which is what a
-#                               10% gate needs)
-#   BENCH_GATE_NS_THRESHOLD     max tolerated relative ns/op growth
-#                               (default 0.10 — same-machine baselines;
-#                               CI runs cross-machine and widens this,
-#                               relying on the alloc gate for precision)
+#   BENCH_GATE_COUNT            rounds per side (default 3). A round runs
+#                               every benchmark once (-count 1) on BASE
+#                               and on the working tree, alternating which
+#                               side goes first; the recorded value per
+#                               benchmark is the MINIMUM across rounds,
+#                               far more stable than any single sample
+#   BENCH_GATE_NS_THRESHOLD     max tolerated relative ns/op growth over
+#                               BASE (default 0.10)
 #   BENCH_GATE_ALLOC_THRESHOLD  max tolerated relative allocs/op growth
-#                               (default 0 — allocation counts are
-#                               deterministic, any increase fails)
+#                               over BENCH_13.json (default 0 —
+#                               allocation counts are deterministic, any
+#                               increase fails)
 #   BENCH_GATE_ALLOC_SLACK      absolute allocs/op allowance on top of
 #                               the relative threshold (default 1 —
 #                               runtime-internal allocations during the
@@ -33,8 +41,9 @@
 #
 # Benchmarks are keyed as <package>/<name> with the GOMAXPROCS suffix
 # stripped, so the file is stable across machines with different core
-# counts. A benchmark present in the baseline but missing from the run
-# fails the gate: silently losing perf coverage is itself a regression.
+# counts. A benchmark present in BENCH_13.json but missing from the
+# working tree's run fails the gate: silently losing perf coverage is
+# itself a regression.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,12 +56,12 @@ ALLOC_SLACK="${BENCH_GATE_ALLOC_SLACK:-1}"
 PKGS=(./internal/sim/ ./internal/cpu/ ./internal/bpu/ ./internal/tage/ ./internal/perceptron/ ./internal/ittage/ ./internal/rng/ ./internal/tracestore/ ./internal/trace/ ./internal/snapstore/)
 
 update=0
-if [ "${1:-}" = "-update" ]; then
-  update=1
-elif [ -n "${1:-}" ]; then
-  echo "usage: scripts/bench_gate.sh [-update]" >&2
-  exit 2
-fi
+base=HEAD
+case "${1:-}" in
+  -update) update=1 ;;
+  -*) echo "usage: scripts/bench_gate.sh [BASE | -update]" >&2; exit 2 ;;
+  ?*) base=$1 ;;
+esac
 
 command -v jq >/dev/null || { echo "bench_gate: jq is required" >&2; exit 2; }
 
@@ -61,42 +70,66 @@ if [ "$update" -eq 0 ] && [ ! -f "$OUT" ]; then
   exit 2
 fi
 
-baseline_tsv=""
-if [ -f "$OUT" ]; then
-  baseline_tsv=$(jq -r '.benchmarks | to_entries[] | "\(.key)\t\(.value.ns_per_op)\t\(.value.allocs_per_op)"' "$OUT")
-fi
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
-echo "bench_gate: running ${PKGS[*]} at -benchtime $BENCHTIME -count $COUNT" >&2
-raw=$(go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count "$COUNT" "${PKGS[@]}")
-# The harness package holds the bin1 codec, worker-chunk and fleet
-# benchmarks; its whole-suite benchmark (Fig3Fig4) is excluded — it
-# times entire scenario runs, too coarse for a micro-benchmark gate.
-echo "bench_gate: running ./internal/harness/ (WireSpecsBinary, ExecuteChunk, FleetWarm) at -benchtime $BENCHTIME -count $COUNT" >&2
-raw="$raw
-$(go test -run '^$' -bench 'BenchmarkWireSpecs|BenchmarkExecuteChunk|BenchmarkFleetWarm' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/harness/)"
+# bench DIR runs one -count 1 pass of every recorded benchmark in the
+# tree at DIR. The harness package holds the bin1 codec, worker-chunk
+# and fleet benchmarks; its whole-suite benchmark (Fig3Fig4) is
+# excluded — it times entire scenario runs, too coarse for a
+# micro-benchmark gate.
+bench() {
+  (cd "$1" &&
+    go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" -count 1 "${PKGS[@]}" &&
+    go test -run '^$' -bench 'BenchmarkWireSpecs|BenchmarkExecuteChunk|BenchmarkFleetWarm' -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/harness/)
+}
 
 # "pkg: stbpu/internal/sim" headers scope the benchmark names; value
-# fields precede their unit tokens (ns/op, allocs/op). With -count > 1
-# each benchmark appears once per run; keep the minimum, the stable
-# statistic under scheduler noise.
-new_tsv=$(printf '%s\n' "$raw" | awk '
-  $1 == "pkg:" { n = split($2, parts, "/"); pkg = parts[n]; next }
-  $1 ~ /^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    sub(/^Benchmark/, "", name)
-    ns = ""; allocs = ""
-    for (i = 2; i <= NF; i++) {
-      if ($i == "ns/op") ns = $(i - 1)
-      if ($i == "allocs/op") allocs = $(i - 1)
+# fields precede their unit tokens (ns/op, allocs/op). Each benchmark
+# appears once per round; keep the minimum, the stable statistic under
+# scheduler noise.
+minimums() {
+  awk '
+    $1 == "pkg:" { n = split($2, parts, "/"); pkg = parts[n]; next }
+    $1 ~ /^Benchmark/ {
+      name = $1
+      sub(/-[0-9]+$/, "", name)
+      sub(/^Benchmark/, "", name)
+      ns = ""; allocs = ""
+      for (i = 2; i <= NF; i++) {
+        if ($i == "ns/op") ns = $(i - 1)
+        if ($i == "allocs/op") allocs = $(i - 1)
+      }
+      if (ns == "" || allocs == "") next
+      key = pkg "/" name
+      if (!(key in min_ns) || ns + 0 < min_ns[key] + 0) min_ns[key] = ns
+      if (!(key in min_al) || allocs + 0 < min_al[key] + 0) min_al[key] = allocs
     }
-    if (ns == "" || allocs == "") next
-    key = pkg "/" name
-    if (!(key in min_ns) || ns + 0 < min_ns[key] + 0) min_ns[key] = ns
-    if (!(key in min_al) || allocs + 0 < min_al[key] + 0) min_al[key] = allocs
-  }
-  END { for (key in min_ns) printf "%s\t%s\t%s\n", key, min_ns[key], min_al[key] }' | sort)
+    END { for (key in min_ns) printf "%s\t%s\t%s\n", key, min_ns[key], min_al[key] }' "$1" | sort
+}
 
+if [ "$update" -eq 0 ]; then
+  git rev-parse --verify --quiet "$base^{commit}" >/dev/null || { echo "bench_gate: unknown base commit $base" >&2; exit 2; }
+  mkdir "$tmp/base"
+  git archive "$base" | tar -x -C "$tmp/base"
+fi
+: > "$tmp/new.txt"
+: > "$tmp/base.txt"
+echo "bench_gate: ${PKGS[*]} ./internal/harness/ at -benchtime $BENCHTIME, $COUNT rounds" >&2
+for ((round = 1; round <= COUNT; round++)); do
+  sides=(new)
+  if [ "$update" -eq 0 ]; then
+    if ((round % 2)); then sides=(base new); else sides=(new base); fi
+  fi
+  for side in "${sides[@]}"; do
+    echo "bench_gate: round $round/$COUNT: $side" >&2
+    dir=.
+    [ "$side" = base ] && dir="$tmp/base"
+    bench "$dir" >> "$tmp/$side.txt"
+  done
+done
+
+new_tsv=$(minimums "$tmp/new.txt")
 if [ -z "$new_tsv" ]; then
   echo "bench_gate: no benchmark results parsed" >&2
   exit 2
@@ -122,38 +155,42 @@ if [ "$update" -eq 1 ]; then
   exit 0
 fi
 
-printf '%s\n%s\n' "$baseline_tsv" "@@NEW@@" > /tmp/bench_gate_cmp.$$
-printf '%s\n' "$new_tsv" >> /tmp/bench_gate_cmp.$$
+jq -r '.benchmarks | to_entries[] | "\(.key)\t\(.value.ns_per_op)\t\(.value.allocs_per_op)"' "$OUT" > "$tmp/ref.tsv"
+minimums "$tmp/base.txt" > "$tmp/base.tsv"
+printf '%s\n' "$new_tsv" > "$tmp/new.tsv"
 fail=$(awk -F'\t' -v ns_thr="$NS_THR" -v alloc_thr="$ALLOC_THR" -v alloc_slack="$ALLOC_SLACK" '
-  /^@@NEW@@$/ { phase = 1; next }
-  NF < 3 { next }
-  phase == 0 { base_ns[$1] = $2; base_allocs[$1] = $3; next }
+  FILENAME == ARGV[1] { ref_allocs[$1] = $3; next }
+  FILENAME == ARGV[2] { base_ns[$1] = $2; next }
   {
     seen[$1] = 1
-    if (!($1 in base_ns)) { printf "new       %-48s ns/op=%s allocs/op=%s (no baseline)\n", $1, $2, $3; next }
+    if (!($1 in ref_allocs)) printf "new       %-48s ns/op=%s allocs/op=%s (not in baseline)\n", $1, $2, $3
     # Fleet benchmarks are recorded, never gated (see header).
     if ($1 ~ /^harness\/FleetWarm/) next
     ns = $2 + 0; bns = base_ns[$1] + 0
-    al = $3 + 0; bal = base_allocs[$1] + 0
-    if (bns > 0 && ns > bns * (1 + ns_thr)) {
-      printf "REGRESSED %-48s ns/op %s -> %s (+%.1f%%, limit +%.0f%%)\n", $1, bns, ns, (ns / bns - 1) * 100, ns_thr * 100
-      bad = 1
+    if (bns > 0) {
+      if (ns / bns > worst) { worst = ns / bns; worst_key = $1 }
+      if (ns > bns * (1 + ns_thr)) {
+        printf "REGRESSED %-48s ns/op %s -> %s (+%.1f%% over base, limit +%.0f%%)\n", $1, bns, ns, (ns / bns - 1) * 100, ns_thr * 100
+        bad = 1
+      }
     }
+    if (!($1 in ref_allocs)) next
+    al = $3 + 0; bal = ref_allocs[$1] + 0
     if (al > bal * (1 + alloc_thr) + alloc_slack) {
       printf "REGRESSED %-48s allocs/op %s -> %s (limit +%.0f%% +%d)\n", $1, bal, al, alloc_thr * 100, alloc_slack
       bad = 1
     }
   }
   END {
-    for (name in base_ns) if (!(name in seen)) { printf "MISSING   %-48s present in baseline, absent from run\n", name; bad = 1 }
+    for (name in ref_allocs) if (!(name in seen)) { printf "MISSING   %-48s present in baseline, absent from run\n", name; bad = 1 }
+    if (worst_key != "") printf "largest   %-48s ns/op ratio %.2fx over base\n", worst_key, worst
     exit bad
-  }' /tmp/bench_gate_cmp.$$) && status=0 || status=1
-rm -f /tmp/bench_gate_cmp.$$
+  }' "$tmp/ref.tsv" "$tmp/base.tsv" "$tmp/new.tsv") && status=0 || status=1
 [ -n "$fail" ] && printf '%s\n' "$fail" >&2
 
 write_out "$OUT.measured"
 if [ "$status" -ne 0 ]; then
-  echo "bench_gate: FAILED against committed baseline (ns threshold +${NS_THR}, alloc threshold +${ALLOC_THR}); measured values in $OUT.measured, baseline left intact" >&2
+  echo "bench_gate: FAILED (ns/op threshold +${NS_THR} over $base, allocs/op threshold +${ALLOC_THR} over $OUT); measured values in $OUT.measured, baseline left intact" >&2
   exit 1
 fi
 echo "bench_gate: OK — no metric regressed beyond thresholds (measured values in $OUT.measured; refresh the baseline with -update)" >&2
