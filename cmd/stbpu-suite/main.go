@@ -32,10 +32,11 @@
 // -listen and speaks it over TCP to whatever workers have dialed in with
 // -worker -connect. Either way a worker that dies mid-chunk, or holds
 // one chunk past -exec-timeout, is dropped and its cells are requeued
-// onto the rest of the fleet (no cell is run twice), TCP workers may
-// also join late, and every run-shaping setting reaches the workers in
-// the coordinator's welcome frame. Results are bit-identical across
-// backends and fleet shapes (see docs/ARCHITECTURE.md).
+// onto the rest of the fleet (a chunk is never on two workers at once),
+// TCP workers may also join late, and every run-shaping setting reaches
+// the workers in the coordinator's welcome frame. Results are
+// bit-identical across backends and fleet shapes (see
+// docs/ARCHITECTURE.md).
 //
 // With -journal every completed cell is appended to a JSONL run journal
 // as it finishes; if the run dies, rerunning with -resume skips the

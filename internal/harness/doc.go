@@ -30,8 +30,7 @@
 //     frame is bin1. The coordinator ships each locality group whole,
 //     heartbeats workers, and requeues chunks from dead workers and
 //     from workers holding one past BatchTimeout, the one straggler
-//     policy: a chunk is in flight on at most one worker, so no cell
-//     runs twice.
+//     policy: a chunk is in flight on at most one worker at a time.
 //   - ExecBackend: the same fleet, with members it spawns
 //     (`stbpu-suite -worker`) and admits on their stdin/stdout instead
 //     of a listener — the building block for multi-machine runs via ssh

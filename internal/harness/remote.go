@@ -25,11 +25,12 @@ package harness
 //     (filtered to the cells it has not delivered yet).
 //   - Stragglers have one policy on both transports, the per-chunk
 //     deadline (BatchTimeout): a member holding one chunk past it is
-//     dropped and the chunk requeued. Nothing is run twice: a cell is a
-//     pure function of (scenario, params, scope, shard, rootSeed), so a
-//     second copy could only repeat the first one's bytes. The price is
-//     that a worker which is slow but alive keeps its chunk until it
-//     answers or the deadline drops it.
+//     dropped and the chunk requeued. No chunk goes to a second worker
+//     while the first one holds it: a cell is a pure function of
+//     (scenario, params, scope, shard, rootSeed), so a second copy could
+//     only repeat the first one's bytes. The price is that a worker
+//     which is slow but alive keeps its chunk until it answers or the
+//     deadline drops it.
 //
 // A chunk is therefore in flight on at most one worker at a time, and
 // the determinism contract survives any fleet shape: results merge by
