@@ -7,25 +7,32 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
-	"stbpu/internal/experiments"
+	_ "stbpu/internal/experiments" // registers the scenarios
+	"stbpu/internal/harness"
 )
 
 func main() {
-	fmt.Println("=== Accuracy: normalized OAE over switch-heavy + SPEC workloads ===")
-	scale := experiments.Scale{Records: 60_000}
-	acc, err := experiments.RunDefenseAccuracy(scale)
+	reports, err := harness.RunAll(context.Background(), harness.NewPool(0, harness.DefaultRootSeed), harness.Options{
+		Filters: []string{"defense-accuracy", "defense-matrix"},
+		Params:  harness.Params{Records: 60_000},
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "defensecompare: %v\n", err)
 		os.Exit(1)
 	}
-	acc.Render(os.Stdout)
-
-	fmt.Println("\n=== Security: attack classes vs defenses (OPEN = exploitable) ===")
-	matrix := experiments.RunDefenseMatrix()
-	matrix.Render(os.Stdout)
+	// Reports come in name order: defense-accuracy, then defense-matrix.
+	headers := []string{
+		"=== Accuracy: normalized OAE over switch-heavy + SPEC workloads ===",
+		"\n=== Security: attack classes vs defenses (OPEN = exploitable) ===",
+	}
+	for i, rep := range reports {
+		fmt.Println(headers[i])
+		rep.Result.(harness.Renderer).Render(os.Stdout)
+	}
 
 	fmt.Println("\nReading the matrix:")
 	fmt.Println("  BRB retains the PHT per process but leaves the BTB shared -> target attacks open.")

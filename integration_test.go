@@ -5,11 +5,13 @@ package stbpu
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"stbpu/internal/core"
 	"stbpu/internal/cpu"
 	"stbpu/internal/experiments"
+	"stbpu/internal/harness"
 	"stbpu/internal/sim"
 	"stbpu/internal/trace"
 )
@@ -56,7 +58,14 @@ func TestEndToEndCPUPipeline(t *testing.T) {
 func TestTableIHolds(t *testing.T) {
 	// The paper's end-to-end security claim, executable: every
 	// deterministic baseline attack loses determinism under STBPU.
-	res := experiments.RunTableI(5_000)
+	reports, err := harness.RunAll(context.Background(), harness.NewPool(0, harness.DefaultRootSeed), harness.Options{
+		Filters: []string{"tablei"},
+		Params:  harness.Params{Budget: 5_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := reports[0].Result.(experiments.TableIResult)
 	if len(res.Rows) < 10 {
 		t.Fatalf("Table I has %d rows", len(res.Rows))
 	}

@@ -45,11 +45,12 @@ type covertCell struct {
 	Rerands                      uint64
 }
 
-// covertSpace declares the channel's (model × trial) cells.
-func covertSpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, covertCell], error) {
+// covertScenario declares the channel's (model × trial) cells and the
+// comparison over them; trials average out randomized defenses' luck.
+func covertScenario(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, covertCell], func([]covertCell) (CovertResult, error), error) {
 	models := DefenseModels()
 	trials := matrixTrials(p)
-	return harness.Cells("covert", len(models)*trials,
+	sp := harness.Cells("covert", len(models)*trials,
 		func(ctx context.Context, shard int, seed uint64) (covertCell, error) {
 			tgt := newMatrixTarget(models, shard/trials, seed)
 			// The channel's pattern RNG gets its own stream, split off the
@@ -62,34 +63,25 @@ func covertSpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, cov
 				Bandwidth: r.BandwidthBitsPerKRecord(),
 				Rerands:   r.Rerandomizations,
 			}, nil
-		}), nil
-}
-
-// RunCovertComparisonCtx measures the channel, sharding (model × trial)
-// cells; trials average out randomized defenses' luck.
-func RunCovertComparisonCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (CovertResult, error) {
-	cells, err := mapSpace(ctx, p, pool, covertSpace)
-	if err != nil {
-		return CovertResult{}, err
-	}
-	models := DefenseModels()
-	trials := matrixTrials(p)
-	res := CovertResult{Bits: p.Bits}
-	for m := range models {
-		var row CovertRow
-		for _, c := range cells[m*trials : (m+1)*trials] {
-			row.ErrorRate += c.ErrRate
-			row.Capacity += c.Capacity
-			row.Bandwidth += c.Bandwidth
-			row.Rerandomizations += c.Rerands
+		})
+	return sp, func(cells []covertCell) (CovertResult, error) {
+		res := CovertResult{Bits: p.Bits}
+		for m := range models {
+			var row CovertRow
+			for _, c := range cells[m*trials : (m+1)*trials] {
+				row.ErrorRate += c.ErrRate
+				row.Capacity += c.Capacity
+				row.Bandwidth += c.Bandwidth
+				row.Rerandomizations += c.Rerands
+			}
+			row.Model = models[m]
+			row.ErrorRate /= float64(trials)
+			row.Capacity /= float64(trials)
+			row.Bandwidth /= float64(trials)
+			res.Rows = append(res.Rows, row)
 		}
-		row.Model = models[m]
-		row.ErrorRate /= float64(trials)
-		row.Capacity /= float64(trials)
-		row.Bandwidth /= float64(trials)
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the channel comparison as a text table (shared

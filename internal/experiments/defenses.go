@@ -71,20 +71,15 @@ func defenseWorkloads() []string {
 	}
 }
 
-// RunDefenseAccuracy measures OAE for every model in the lineup on the
-// default pool.
-func RunDefenseAccuracy(s Scale) (DefenseAccuracyResult, error) {
-	return RunDefenseAccuracyCtx(context.Background(), s.Params(), harness.Default())
-}
-
-// defenseAccuracySpace declares the (workload × model) cells.
-// Trace-major: one pass per workload feeds the whole model lineup.
-func defenseAccuracySpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], error) {
+// defenseAccuracyScenario declares the (workload × model) cells and the
+// OAE comparison over them. Trace-major: one pass per workload feeds
+// the whole model lineup.
+func defenseAccuracyScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], func([]float64) (DefenseAccuracyResult, error), error) {
 	s := scaleOf(p)
 	names := capList(defenseWorkloads(), s.MaxWorkloads)
 	cache := pool.Traces()
 	k := len(DefenseModels())
-	return harness.Joint("defense-accuracy", len(names)*k,
+	sp := harness.Joint("defense-accuracy", len(names)*k,
 		func(shard int) string { return harness.Locality(names[shard/k], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
 			rs, err := replayLineup(ctx, cache, names[shards[0]/k], s.Records, shards, seeds,
@@ -95,40 +90,31 @@ func defenseAccuracySpace(p harness.Params, pool *harness.Pool) (harness.Space[m
 				return nil, err
 			}
 			return oaes(rs), nil
-		}), nil
-}
-
-// RunDefenseAccuracyCtx measures OAE for every model in the lineup,
-// sharding (workload × model) cells.
-func RunDefenseAccuracyCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (DefenseAccuracyResult, error) {
-	oaes, err := mapSpace(ctx, p, pool, defenseAccuracySpace)
-	if err != nil {
-		return DefenseAccuracyResult{}, err
-	}
-	names := capList(defenseWorkloads(), p.MaxWorkloads)
-	res := DefenseAccuracyResult{Models: DefenseModels()}
-	k := len(res.Models)
-	res.Rows = make([]DefenseAccuracyRow, len(names))
-	for w := range names {
-		row := DefenseAccuracyRow{
-			Workload:   names[w],
-			OAE:        oaes[w*k : (w+1)*k : (w+1)*k],
-			Normalized: make([]float64, k),
+		})
+	return sp, func(oaes []float64) (DefenseAccuracyResult, error) {
+		res := DefenseAccuracyResult{Models: DefenseModels()}
+		res.Rows = make([]DefenseAccuracyRow, len(names))
+		for w := range names {
+			row := DefenseAccuracyRow{
+				Workload:   names[w],
+				OAE:        oaes[w*k : (w+1)*k : (w+1)*k],
+				Normalized: make([]float64, k),
+			}
+			for mi := range row.Normalized {
+				row.Normalized[mi] = row.OAE[mi] / row.OAE[0]
+			}
+			res.Rows[w] = row
 		}
-		for mi := range row.Normalized {
-			row.Normalized[mi] = row.OAE[mi] / row.OAE[0]
+		res.AvgNormalized = make([]float64, k)
+		for mi := range res.Models {
+			vals := make([]float64, len(res.Rows))
+			for i, r := range res.Rows {
+				vals[i] = r.Normalized[mi]
+			}
+			res.AvgNormalized[mi] = stats.Mean(vals)
 		}
-		res.Rows[w] = row
-	}
-	res.AvgNormalized = make([]float64, k)
-	for mi := range res.Models {
-		vals := make([]float64, len(res.Rows))
-		for i, r := range res.Rows {
-			vals[i] = r.Normalized[mi]
-		}
-		res.AvgNormalized[mi] = stats.Mean(vals)
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the accuracy comparison as a text table (shared
@@ -238,14 +224,6 @@ func matrixDrivers() []matrixDriver {
 	}
 }
 
-// RunDefenseMatrix drives the Table I attack classes against the lineup on
-// the default pool.
-func RunDefenseMatrix() DefenseMatrixResult {
-	res, _ := RunDefenseMatrixCtx(context.Background(),
-		harness.Params{Trials: matrixRuns}, harness.Default())
-	return res
-}
-
 // matrixTrials returns p's trial count, defaulting to matrixRuns.
 func matrixTrials(p harness.Params) int {
 	if p.Trials <= 0 {
@@ -254,60 +232,51 @@ func matrixTrials(p harness.Params) int {
 	return p.Trials
 }
 
-// defenseMatrixSpace declares the matrix's (attack × model × trial)
-// cells.
-func defenseMatrixSpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, attacks.Result], error) {
+// defenseMatrixScenario declares the matrix's (attack × model × trial)
+// cells and the matrix over them. An attack class counts as OPEN only
+// if it succeeds in at least matrixWins of matrixRuns independent runs,
+// a bar that scales with p.Trials.
+func defenseMatrixScenario(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, attacks.Result], func([]attacks.Result) (DefenseMatrixResult, error), error) {
 	drivers := matrixDrivers()
 	models := DefenseModels()
 	trials := matrixTrials(p)
 	nm := len(models)
-	return harness.Cells("defense-matrix", len(drivers)*nm*trials,
+	sp := harness.Cells("defense-matrix", len(drivers)*nm*trials,
 		func(ctx context.Context, shard int, seed uint64) (attacks.Result, error) {
 			a := shard / (nm * trials)
 			m := (shard / trials) % nm
 			return drivers[a].run(func() *attacks.Target {
 				return newMatrixTarget(models, m, seed)
 			}), nil
-		}), nil
-}
-
-// RunDefenseMatrixCtx drives the matrix, sharding (attack × model × trial)
-// cells. An attack class counts as OPEN only if it succeeds in at least
-// matrixWins of p.Trials independent runs.
-func RunDefenseMatrixCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (DefenseMatrixResult, error) {
-	runs, err := mapSpace(ctx, p, pool, defenseMatrixSpace)
-	if err != nil {
-		return DefenseMatrixResult{}, err
-	}
-	drivers := matrixDrivers()
-	res := DefenseMatrixResult{Models: DefenseModels()}
-	for _, d := range drivers {
-		res.Attacks = append(res.Attacks, d.name)
-	}
-	trials := matrixTrials(p)
-	nm := len(res.Models)
-	// The win bar scales with the trial count, preserving the 3-of-4
-	// default ratio.
-	wins := (matrixWins*trials + matrixRuns - 1) / matrixRuns
-	res.Cells = make([][]DefenseMatrixCell, len(drivers))
-	for a, d := range drivers {
-		res.Cells[a] = make([]DefenseMatrixCell, nm)
-		for m, name := range res.Models {
-			won, total := 0, 0
-			for run := 0; run < trials; run++ {
-				r := runs[a*nm*trials+m*trials+run]
-				if r.Succeeded {
-					won++
+		})
+	return sp, func(runs []attacks.Result) (DefenseMatrixResult, error) {
+		res := DefenseMatrixResult{Models: models}
+		for _, d := range drivers {
+			res.Attacks = append(res.Attacks, d.name)
+		}
+		// The win bar scales with the trial count, preserving the 3-of-4
+		// default ratio.
+		wins := (matrixWins*trials + matrixRuns - 1) / matrixRuns
+		res.Cells = make([][]DefenseMatrixCell, len(drivers))
+		for a, d := range drivers {
+			res.Cells[a] = make([]DefenseMatrixCell, nm)
+			for m, name := range res.Models {
+				won, total := 0, 0
+				for run := 0; run < trials; run++ {
+					r := runs[a*nm*trials+m*trials+run]
+					if r.Succeeded {
+						won++
+					}
+					total += r.Trials
 				}
-				total += r.Trials
-			}
-			res.Cells[a][m] = DefenseMatrixCell{
-				Attack: d.name, Model: name,
-				Succeeded: won >= wins, Trials: total / trials,
+				res.Cells[a][m] = DefenseMatrixCell{
+					Attack: d.name, Model: name,
+					Succeeded: won >= wins, Trials: total / trials,
+				}
 			}
 		}
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the matrix with one row per attack (shared renderer:

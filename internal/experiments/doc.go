@@ -1,16 +1,18 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VII) from this repository's models. It is the scenario
-// layer of docs/ARCHITECTURE.md: each experiment is registered as a
-// harness.Scenario (see scenarios.go) whose cell space — (model ×
-// workload × trial) — one constructor per scenario declares as a
-// harness.Space, with per-cell seeds derived from the pool's root seed,
-// so results are bit-identical at any worker count and on any backend
-// (in-process, subprocess, or mixed). Scenarios are backend-agnostic:
-// the Run*Ctx functions map their space with harness.Map, and fleet
-// workers execute chunks of the same declaration.
+// layer of docs/ARCHITECTURE.md: each experiment is one function (an
+// xxxScenario, registered in scenarios.go through harness.Define) that
+// returns its cell space — (model × workload × trial) — as a
+// harness.Space and the aggregate over those cells. Per-cell seeds
+// derive from the pool's root seed, so results are bit-identical at any
+// worker count and on any backend (in-process, subprocess, or mixed).
+// Scenarios are backend-agnostic: harness.RunAll maps the space and
+// aggregates, and fleet workers execute chunks of the same declaration.
+// A scenario function receives params already merged with the
+// scenario's defaults, so it never re-derives a default.
 //
-// Each Run*Ctx function returns a structured result with a Render method
-// (built on results.Grid, the shared table renderer) producing the same
+// Each aggregate is a structured result with a Render method (built on
+// results.Grid, the shared table renderer) producing the same
 // rows/series the paper reports, and a Table method flattening it into
 // a results.Table so cmd/stbpu-report can diff any two runs metric by
 // metric (tables.go holds the Tabler implementations; DecodeResult in

@@ -56,16 +56,6 @@ func capList[T any](xs []T, n int) []T {
 	return xs
 }
 
-// mapSpace builds a scenario's cell space and maps it on pool.
-func mapSpace[S, T any](ctx context.Context, p harness.Params, pool *harness.Pool,
-	build func(harness.Params, *harness.Pool) (harness.Space[S, T], error)) ([]T, error) {
-	sp, err := build(p, pool)
-	if err != nil {
-		return nil, err
-	}
-	return harness.Map(ctx, pool, sp)
-}
-
 // replayLineup replays a locality group's lineup over the (workload,
 // records) trace in one trace-major pass: model builds each shard's
 // model from its seed and the trace's SharedTokens policy, and the
@@ -95,8 +85,8 @@ func oaes(rs []sim.Result) []float64 {
 // Workload traces come from the pool's shared tracestore.Store: one
 // (workload, records) trace is generated once and shared read-only across
 // every cell of every scenario in the run, with deduplicated generation
-// and a byte-bounded LRU replacing the per-scenario caches each Run*Ctx
-// used to carry. Every scenario fetches the columnar view (GetColumns)
+// and a byte-bounded LRU, so no scenario carries a trace cache of its
+// own. Every scenario fetches the columnar view (GetColumns)
 // and replays it through sim.RunColumnsCtx, directly or, for the CPU
 // figures (fig4/fig5/fig6), under a cpu.Timeline.
 
@@ -118,16 +108,16 @@ type Fig3Result struct {
 	AvgNormalized [5]float64
 }
 
-// fig3Space declares Fig. 3's (workload × model) cells. Trace-major:
-// all of a workload's model cells replay in one pass over its shared
-// columns.
-func fig3Space(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], error) {
+// fig3Scenario declares Fig. 3's (workload × model) cells and the
+// figure over them. Trace-major: all of a workload's model cells replay
+// in one pass over its shared columns.
+func fig3Scenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], func([]float64) (Fig3Result, error), error) {
 	s := scaleOf(p)
 	names := capList(trace.Fig3Workloads(), s.MaxWorkloads)
 	kinds := sim.Fig3Kinds()
 	cache := pool.Traces()
 	k := len(kinds)
-	return harness.Joint("fig3", len(names)*k,
+	sp := harness.Joint("fig3", len(names)*k,
 		func(shard int) string { return harness.Locality(names[shard/k], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
 			rs, err := replayLineup(ctx, cache, names[shards[0]/k], s.Records, shards, seeds,
@@ -138,35 +128,26 @@ func fig3Space(p harness.Params, pool *harness.Pool) (harness.Space[map[int]floa
 				return nil, err
 			}
 			return oaes(rs), nil
-		}), nil
-}
-
-// RunFig3Ctx regenerates Fig. 3 on the given pool, sharding
-// (workload × model) cells.
-func RunFig3Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig3Result, error) {
-	oaes, err := mapSpace(ctx, p, pool, fig3Space)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	names := capList(trace.Fig3Workloads(), p.MaxWorkloads)
-	k := len(sim.Fig3Kinds())
-	res := Fig3Result{Rows: make([]Fig3Row, len(names))}
-	for w := range names {
-		row := Fig3Row{Workload: names[w]}
-		copy(row.OAE[:], oaes[w*k:(w+1)*k])
-		for ki := range row.Normalized {
-			row.Normalized[ki] = row.OAE[ki] / row.OAE[0]
+		})
+	return sp, func(oaes []float64) (Fig3Result, error) {
+		res := Fig3Result{Rows: make([]Fig3Row, len(names))}
+		for w := range names {
+			row := Fig3Row{Workload: names[w]}
+			copy(row.OAE[:], oaes[w*k:(w+1)*k])
+			for ki := range row.Normalized {
+				row.Normalized[ki] = row.OAE[ki] / row.OAE[0]
+			}
+			res.Rows[w] = row
 		}
-		res.Rows[w] = row
-	}
-	for ki := 0; ki < k; ki++ {
-		vals := make([]float64, len(res.Rows))
-		for i, r := range res.Rows {
-			vals[i] = r.Normalized[ki]
+		for ki := 0; ki < k; ki++ {
+			vals := make([]float64, len(res.Rows))
+			for i, r := range res.Rows {
+				vals[i] = r.Normalized[ki]
+			}
+			res.AvgNormalized[ki] = stats.Mean(vals)
 		}
-		res.AvgNormalized[ki] = stats.Mean(vals)
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the figure as a text table (shared renderer: results.Grid).
@@ -245,16 +226,17 @@ type cpuShare struct {
 	baseIPC float64
 }
 
-// fig4Space declares Fig. 4's (workload × predictor) cells. A
-// workload's memory timeline is shared by its predictor cells, which
-// each replay it through one unprotected/ST predictor pair.
-func fig4Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], error) {
+// fig4Scenario declares Fig. 4's (workload × predictor) cells and the
+// figure over them. A workload's memory timeline is shared by its
+// predictor cells, which each replay it through one unprotected/ST
+// predictor pair.
+func fig4Scenario(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], func([]Fig4Cell) (Fig4Result, error), error) {
 	s := scaleOf(p)
 	names := capList(trace.SPEC18(), s.MaxWorkloads)
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
-	return harness.Space[cpuShare, Fig4Cell]{
+	sp := harness.Space[cpuShare, Fig4Cell]{
 		Scope: "fig4", N: len(names) * d,
 		Group: func(shard int) string { return harness.Locality(names[shard/d], s.Records) },
 		Shared: func(ctx context.Context, shards []int, _ []uint64) (cpuShare, error) {
@@ -268,26 +250,17 @@ func fig4Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fi
 		Cell: func(ctx context.Context, sh cpuShare, shard int, seed uint64) (Fig4Cell, error) {
 			return runPair(ctx, sh.tl, sh.a, dirs[shard%d], seed)
 		},
+	}
+	return sp, func(cells []Fig4Cell) (Fig4Result, error) {
+		res := Fig4Result{Rows: make([]Fig4Row, len(names))}
+		for w := range names {
+			row := Fig4Row{Workload: names[w]}
+			copy(row.Cells[:], cells[w*d:(w+1)*d])
+			res.Rows[w] = row
+		}
+		res.Avg = avgFig4Cells(res.Rows, func(r Fig4Row) [4]Fig4Cell { return r.Cells })
+		return res, nil
 	}, nil
-}
-
-// RunFig4Ctx regenerates Fig. 4 on the given pool, sharding
-// (workload × predictor) cells.
-func RunFig4Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig4Result, error) {
-	cells, err := mapSpace(ctx, p, pool, fig4Space)
-	if err != nil {
-		return Fig4Result{}, err
-	}
-	names := capList(trace.SPEC18(), p.MaxWorkloads)
-	d := len(Fig4Dirs())
-	res := Fig4Result{Rows: make([]Fig4Row, len(names))}
-	for w := range names {
-		row := Fig4Row{Workload: names[w]}
-		copy(row.Cells[:], cells[w*d:(w+1)*d])
-		res.Rows[w] = row
-	}
-	res.Avg = avgFig4Cells(res.Rows, func(r Fig4Row) [4]Fig4Cell { return r.Cells })
-	return res, nil
 }
 
 // avgFig4Cells column-averages the four predictor cells over rows.
@@ -370,15 +343,16 @@ func runSMTPair(ctx context.Context, tl *cpu.Timeline, a, b *trace.Columns, dir 
 	}, nil
 }
 
-// fig5Space declares Fig. 5's (pair × predictor) cells. A pair's SMT
-// memory timeline is shared by its predictor cells.
-func fig5Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], error) {
+// fig5Scenario declares Fig. 5's (pair × predictor) cells and the
+// figure over them. A pair's SMT memory timeline is shared by its
+// predictor cells.
+func fig5Scenario(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fig4Cell], func([]Fig4Cell) (Fig5Result, error), error) {
 	s := scaleOf(p)
 	pairs := capList(trace.SMTPairs(), s.MaxPairs)
 	dirs := Fig4Dirs()
 	cache := pool.Traces()
 	d := len(dirs)
-	return harness.Space[cpuShare, Fig4Cell]{
+	sp := harness.Space[cpuShare, Fig4Cell]{
 		Scope: "fig5", N: len(pairs) * d,
 		Group: func(shard int) string {
 			return harness.PairLocality(pairs[shard/d][0], pairs[shard/d][1], s.Records)
@@ -389,6 +363,16 @@ func fig5Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, Fi
 		Cell: func(ctx context.Context, sh cpuShare, shard int, seed uint64) (Fig4Cell, error) {
 			return runSMTPair(ctx, sh.tl, sh.a, sh.b, dirs[shard%d], seed)
 		},
+	}
+	return sp, func(cells []Fig4Cell) (Fig5Result, error) {
+		res := Fig5Result{Rows: make([]Fig5Row, len(pairs))}
+		for pi := range pairs {
+			row := Fig5Row{Pair: pairs[pi]}
+			copy(row.Cells[:], cells[pi*d:(pi+1)*d])
+			res.Rows[pi] = row
+		}
+		res.Avg = avgFig4Cells(res.Rows, func(r Fig5Row) [4]Fig4Cell { return r.Cells })
+		return res, nil
 	}, nil
 }
 
@@ -405,25 +389,6 @@ func smtShare(ctx context.Context, cache *tracestore.Store, pair [2]string, reco
 	}
 	tl, err := cpu.NewSMTTimeline(ctx, cpu.ConfigFor(a.Name), a, b)
 	return cpuShare{a: a, b: b, tl: tl}, err
-}
-
-// RunFig5Ctx regenerates Fig. 5 on the given pool, sharding
-// (pair × predictor) cells.
-func RunFig5Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig5Result, error) {
-	cells, err := mapSpace(ctx, p, pool, fig5Space)
-	if err != nil {
-		return Fig5Result{}, err
-	}
-	pairs := capList(trace.SMTPairs(), p.MaxPairs)
-	d := len(Fig4Dirs())
-	res := Fig5Result{Rows: make([]Fig5Row, len(pairs))}
-	for pi := range pairs {
-		row := Fig5Row{Pair: pairs[pi]}
-		copy(row.Cells[:], cells[pi*d:(pi+1)*d])
-		res.Rows[pi] = row
-	}
-	res.Avg = avgFig4Cells(res.Rows, func(r Fig5Row) [4]Fig4Cell { return r.Cells })
-	return res, nil
 }
 
 // Render writes the figure as a text table (shared renderer: results.Grid).
@@ -464,25 +429,18 @@ type fig6Cell struct {
 	Rerands  uint64
 }
 
-// fig6Sweep returns the r axis of p, defaulting to DefaultFig6Sweep.
-func fig6Sweep(p harness.Params) []float64 {
-	if len(p.Sweep) == 0 {
-		return DefaultFig6Sweep()
-	}
-	return p.Sweep
-}
-
-// fig6Space declares Fig. 6's (r × pair) cells across the sweep in
-// p.Sweep. The pair's SMT memory timeline and its unprotected TAGE64
-// baseline depend only on the pair, not on r, so the pair's cells
-// share both across the sweep and each replays only its ST model.
-func fig6Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, fig6Cell], error) {
+// fig6Scenario declares Fig. 6's (r × pair) cells across the sweep in
+// p.Sweep (DefaultFig6Sweep unless set) and the sweep's points over them. The pair's SMT memory
+// timeline and its unprotected TAGE64 baseline depend only on the pair,
+// not on r, so the pair's cells share both across the sweep and each
+// replays only its ST model.
+func fig6Scenario(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, fig6Cell], func([]fig6Cell) (Fig6Result, error), error) {
 	s := scaleOf(p)
-	rs := fig6Sweep(p)
+	rs := p.Sweep
 	pairs := capList(trace.SMTPairsExtended(), s.MaxPairs)
 	cache := pool.Traces()
 	np := len(pairs)
-	return harness.Space[cpuShare, fig6Cell]{
+	sp := harness.Space[cpuShare, fig6Cell]{
 		Scope: "fig6", N: len(rs) * np,
 		Group: func(shard int) string {
 			return harness.PairLocality(pairs[shard%np][0], pairs[shard%np][1], s.Records)
@@ -515,35 +473,26 @@ func fig6Space(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare, fi
 				Rerands: stModel.Rerandomizations(),
 			}, nil
 		},
-	}, nil
-}
-
-// RunFig6Ctx regenerates Fig. 6 on the given pool, sharding (r × pair)
-// cells across the sweep in p.Sweep.
-func RunFig6Ctx(ctx context.Context, p harness.Params, pool *harness.Pool) (Fig6Result, error) {
-	cells, err := mapSpace(ctx, p, pool, fig6Space)
-	if err != nil {
-		return Fig6Result{}, err
 	}
-	rs := fig6Sweep(p)
-	np := len(capList(trace.SMTPairsExtended(), p.MaxPairs))
-	var res Fig6Result
-	for ri, r := range rs {
-		var accs, ipcs []float64
-		var rerands uint64
-		for _, c := range cells[ri*np : (ri+1)*np] {
-			accs = append(accs, c.Acc)
-			ipcs = append(ipcs, c.IPC)
-			rerands += c.Rerands
+	return sp, func(cells []fig6Cell) (Fig6Result, error) {
+		var res Fig6Result
+		for ri, r := range rs {
+			var accs, ipcs []float64
+			var rerands uint64
+			for _, c := range cells[ri*np : (ri+1)*np] {
+				accs = append(accs, c.Acc)
+				ipcs = append(ipcs, c.IPC)
+				rerands += c.Rerands
+			}
+			res.Points = append(res.Points, Fig6Point{
+				R:        r,
+				Accuracy: stats.Mean(accs),
+				NormIPC:  stats.Mean(ipcs),
+				Rerands:  rerands,
+			})
 		}
-		res.Points = append(res.Points, Fig6Point{
-			R:        r,
-			Accuracy: stats.Mean(accs),
-			NormIPC:  stats.Mean(ipcs),
-			Rerands:  rerands,
-		})
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the sweep (shared renderer: results.Grid).

@@ -8,16 +8,26 @@ import (
 	"stbpu/internal/harness"
 )
 
-// runDefault runs a scenario's Run*Ctx on the default pool.
-func runDefault[R any](run func(context.Context, harness.Params, *harness.Pool) (R, error), p harness.Params) (R, error) {
-	return run(context.Background(), p, harness.Default())
+// runScenario runs one registered scenario through harness.RunAll with
+// params p and returns its typed result. A nil pool runs it on a fresh
+// GOMAXPROCS-wide pool with the default root seed.
+func runScenario[R any](pool *harness.Pool, name string, p harness.Params) (R, error) {
+	if pool == nil {
+		pool = harness.NewPool(0, harness.DefaultRootSeed)
+	}
+	reports, err := harness.RunAll(context.Background(), pool, harness.Options{Filters: []string{name}, Params: p})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return reports[0].Result.(R), nil
 }
 
 // TestFig3CappedShape is the short-mode stand-in for the full-list shape
 // tests below: a capped workload set keeps `go test -race -short` fast
 // while still exercising the harness path end to end.
 func TestFig3CappedShape(t *testing.T) {
-	res, err := runDefault(RunFig3Ctx, Scale{Records: 25_000, MaxWorkloads: 6}.Params())
+	res, err := runScenario[Fig3Result](nil, "fig3", Scale{Records: 25_000, MaxWorkloads: 6}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +46,7 @@ func TestFig3QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 37-workload sweep; TestFig3CappedShape covers the short path")
 	}
-	res, err := runDefault(RunFig3Ctx, Scale{Records: 40_000, MaxWorkloads: 0}.Params())
+	res, err := runScenario[Fig3Result](nil, "fig3", Scale{Records: 40_000, MaxWorkloads: 0}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +83,7 @@ func TestFig3ServerWorkloadsHurtMost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 37-workload sweep; needs the server/SPEC split")
 	}
-	res, err := runDefault(RunFig3Ctx, Scale{Records: 40_000}.Params())
+	res, err := runScenario[Fig3Result](nil, "fig3", Scale{Records: 40_000}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestFig3ServerWorkloadsHurtMost(t *testing.T) {
 }
 
 func TestFig4Quick(t *testing.T) {
-	res, err := runDefault(RunFig4Ctx, Scale{Records: 30_000, MaxWorkloads: 4}.Params())
+	res, err := runScenario[Fig4Result](nil, "fig4", Scale{Records: 30_000, MaxWorkloads: 4}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,7 @@ func TestFig4Quick(t *testing.T) {
 }
 
 func TestFig5Quick(t *testing.T) {
-	res, err := runDefault(RunFig5Ctx, Scale{Records: 25_000, MaxPairs: 3}.Params())
+	res, err := runScenario[Fig5Result](nil, "fig5", Scale{Records: 25_000, MaxPairs: 3}.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestFig5Quick(t *testing.T) {
 }
 
 func TestFig6SweepShape(t *testing.T) {
-	res, err := runDefault(RunFig6Ctx, harness.Params{Records: 25_000, MaxPairs: 2, Sweep: []float64{5e-2, 5e-4, 2e-6}})
+	res, err := runScenario[Fig6Result](nil, "fig6", harness.Params{Records: 25_000, MaxPairs: 2, Sweep: []float64{5e-2, 5e-4, 2e-6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +209,7 @@ func TestScales(t *testing.T) {
 func TestDefenseAccuracyComparison(t *testing.T) {
 	s := QuickScale()
 	s.MaxWorkloads = 4
-	res, err := RunDefenseAccuracy(s)
+	res, err := runScenario[DefenseAccuracyResult](nil, "defense-accuracy", s.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +235,10 @@ func TestDefenseAccuracyComparison(t *testing.T) {
 }
 
 func TestDefenseMatrixShape(t *testing.T) {
-	res := RunDefenseMatrix()
+	res, err := runScenario[DefenseMatrixResult](nil, "defense-matrix", harness.Params{Trials: matrixRuns})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.BaselineOpenToAll() {
 		t.Error("baseline should be open to every attack class")
 	}
@@ -249,7 +262,7 @@ func TestDefenseMatrixShape(t *testing.T) {
 }
 
 func TestCovertComparisonShape(t *testing.T) {
-	res, err := runDefault(RunCovertComparisonCtx, harness.Params{Bits: 128, Trials: matrixRuns})
+	res, err := runScenario[CovertResult](nil, "covert", harness.Params{Bits: 128, Trials: matrixRuns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +298,7 @@ func TestCovertComparisonShape(t *testing.T) {
 func TestITTAGEExtension(t *testing.T) {
 	s := QuickScale()
 	s.MaxWorkloads = 4
-	res, err := runDefault(RunITTAGECtx, s.Params())
+	res, err := runScenario[ITTAGEResult](nil, "ittage", s.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +314,7 @@ func TestITTAGEExtension(t *testing.T) {
 }
 
 func TestWarmupCurve(t *testing.T) {
-	res, err := runDefault(RunWarmupCtx, harness.Params{Workload: "mysql_128con_50s", Sweep: []float64{10_000, 40_000, 120_000}})
+	res, err := runScenario[WarmupResult](nil, "warmup", harness.Params{Workload: "mysql_128con_50s", Sweep: []float64{10_000, 40_000, 120_000}})
 	if err != nil {
 		t.Fatal(err)
 	}

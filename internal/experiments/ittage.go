@@ -73,14 +73,15 @@ type ittageCell struct {
 	TargetRate, OAE float64
 }
 
-// ittageSpace declares the (workload × variant) cells. Trace-major: the
-// four variants share one pass per workload.
-func ittageSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]ittageCell, ittageCell], error) {
+// ittageScenario declares the (workload × variant) cells and the
+// comparison over them. Trace-major: the four variants share one pass
+// per workload.
+func ittageScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int]ittageCell, ittageCell], func([]ittageCell) (ITTAGEResult, error), error) {
 	s := scaleOf(p)
 	names := capList(ittageWorkloads(), s.MaxWorkloads)
 	cache := pool.Traces()
 	const nv = 4
-	return harness.Joint("ittage", len(names)*nv,
+	sp := harness.Joint("ittage", len(names)*nv,
 		func(shard int) string { return harness.Locality(names[shard/nv], s.Records) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]ittageCell, error) {
 			rs, err := replayLineup(ctx, cache, names[shards[0]/nv], s.Records, shards, seeds,
@@ -93,38 +94,29 @@ func ittageSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]it
 				out[i] = ittageCell{TargetRate: res.TargetRate(), OAE: res.OAE()}
 			}
 			return out, nil
-		}), nil
-}
-
-// RunITTAGECtx measures the four variants, sharding (workload × variant)
-// cells.
-func RunITTAGECtx(ctx context.Context, p harness.Params, pool *harness.Pool) (ITTAGEResult, error) {
-	cells, err := mapSpace(ctx, p, pool, ittageSpace)
-	if err != nil {
-		return ITTAGEResult{}, err
-	}
-	names := capList(ittageWorkloads(), p.MaxWorkloads)
-	const nv = 4
-	res := ITTAGEResult{Rows: make([]ITTAGERow, len(names))}
-	for w := range names {
-		row := ITTAGERow{Workload: names[w]}
+		})
+	return sp, func(cells []ittageCell) (ITTAGEResult, error) {
+		res := ITTAGEResult{Rows: make([]ITTAGERow, len(names))}
+		for w := range names {
+			row := ITTAGERow{Workload: names[w]}
+			for v := 0; v < nv; v++ {
+				row.TargetRate[v] = cells[w*nv+v].TargetRate
+				row.OAE[v] = cells[w*nv+v].OAE
+			}
+			res.Rows[w] = row
+		}
 		for v := 0; v < nv; v++ {
-			row.TargetRate[v] = cells[w*nv+v].TargetRate
-			row.OAE[v] = cells[w*nv+v].OAE
+			tr := make([]float64, len(res.Rows))
+			oae := make([]float64, len(res.Rows))
+			for i, r := range res.Rows {
+				tr[i] = r.TargetRate[v]
+				oae[i] = r.OAE[v]
+			}
+			res.AvgTargetRate[v] = stats.Mean(tr)
+			res.AvgOAE[v] = stats.Mean(oae)
 		}
-		res.Rows[w] = row
-	}
-	for v := 0; v < nv; v++ {
-		tr := make([]float64, len(res.Rows))
-		oae := make([]float64, len(res.Rows))
-		for i, r := range res.Rows {
-			tr[i] = r.TargetRate[v]
-			oae[i] = r.OAE[v]
-		}
-		res.AvgTargetRate[v] = stats.Mean(tr)
-		res.AvgOAE[v] = stats.Mean(oae)
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the comparison as a text table (shared renderer:

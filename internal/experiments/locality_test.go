@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"stbpu/internal/harness"
@@ -12,7 +13,7 @@ import (
 // errSpecsRecorded stops a scenario once its specs are captured.
 var errSpecsRecorded = errors.New("specs recorded")
 
-// specRecorder is a Backend that records the specs Map hands it and
+// specRecorder is a Backend that records the specs RunAll hands it and
 // executes none of them.
 type specRecorder struct{ specs []harness.CellSpec }
 
@@ -29,28 +30,17 @@ func (r *specRecorder) Run(_ context.Context, specs []harness.CellSpec) ([]harne
 // share a timeline or baseline together.
 func TestCPUFiguresLabelLocality(t *testing.T) {
 	s := Scale{Records: 20_000}
-	specsOf := func(run func(context.Context, harness.Params, *harness.Pool) error) []harness.CellSpec {
+	specsOf := func(scenario string) []harness.CellSpec {
 		t.Helper()
 		rec := &specRecorder{}
 		pool := harness.NewPool(1, 1)
 		pool.SetBackend(rec)
-		if err := run(context.Background(), s.Params(), pool); !errors.Is(err, errSpecsRecorded) {
+		if _, err := runScenario[any](pool, scenario, s.Params()); !errors.Is(err, errSpecsRecorded) {
 			t.Fatalf("scenario returned %v, want the recorder's stop", err)
 		}
 		return rec.specs
 	}
-	fig4 := specsOf(func(ctx context.Context, p harness.Params, pool *harness.Pool) error {
-		_, err := RunFig4Ctx(ctx, p, pool)
-		return err
-	})
-	fig5 := specsOf(func(ctx context.Context, p harness.Params, pool *harness.Pool) error {
-		_, err := RunFig5Ctx(ctx, p, pool)
-		return err
-	})
-	fig6 := specsOf(func(ctx context.Context, p harness.Params, pool *harness.Pool) error {
-		_, err := RunFig6Ctx(ctx, p, pool)
-		return err
-	})
+	fig4, fig5, fig6 := specsOf("fig4"), specsOf("fig5"), specsOf("fig6")
 
 	names, d := trace.SPEC18(), len(Fig4Dirs())
 	if len(fig4) != len(names)*d {
@@ -97,11 +87,11 @@ func TestCPUFiguresLabelLocality(t *testing.T) {
 	}
 }
 
-// TestScenariosMapTheirDeclaredSpace: every registered scenario's Run
-// maps exactly the cells its Space declares — the same scope and cell
-// count, and each spec labeled with its Group key — so a fleet worker
-// executing a chunk from the Space computes the cells Run asked for. A
-// scenario without a Space maps nothing.
+// TestScenariosMapTheirDeclaredSpace: every spec RunAll hands the
+// backend carries the address a fleet worker builds its cell from — the
+// scenario's name and merged params, its Space's scope, a dense shard
+// and the shard's Group key. A scenario whose Space is empty maps
+// nothing.
 func TestScenariosMapTheirDeclaredSpace(t *testing.T) {
 	quick := QuickScale().Params()
 	for _, s := range harness.All() {
@@ -110,21 +100,22 @@ func TestScenariosMapTheirDeclaredSpace(t *testing.T) {
 			pool := harness.NewPool(1, 1)
 			pool.SetBackend(rec)
 			_, err := harness.RunAll(context.Background(), pool, harness.Options{Filters: []string{s.Name}, Params: quick})
-			if s.Space == nil {
+			params := quick.Merged(s.Defaults)
+			sp, spErr := s.Space(params, pool)
+			if spErr != nil {
+				t.Fatal(spErr)
+			}
+			if sp.N == 0 {
 				if err != nil || len(rec.specs) != 0 {
-					t.Fatalf("a scenario without a Space mapped %d cells (err %v)", len(rec.specs), err)
+					t.Fatalf("a scenario without cells mapped %d cells (err %v)", len(rec.specs), err)
 				}
 				return
 			}
 			if !errors.Is(err, errSpecsRecorded) {
 				t.Fatalf("scenario returned %v, want the recorder's stop", err)
 			}
-			sp, err := s.Space(quick.Merged(s.Defaults), pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rec.specs) != sp.N || sp.N == 0 {
-				t.Fatalf("Run mapped %d cells, Space declares %d", len(rec.specs), sp.N)
+			if len(rec.specs) != sp.N {
+				t.Fatalf("the backend got %d cells of %d", len(rec.specs), sp.N)
 			}
 			for i, c := range rec.specs {
 				want := ""
@@ -132,8 +123,11 @@ func TestScenariosMapTheirDeclaredSpace(t *testing.T) {
 					want = sp.Group(c.Shard)
 				}
 				if c.Scenario != s.Name || c.Scope != sp.Scope || c.Shard != i || c.Locality != want {
-					t.Errorf("spec %d = %s/%s shard %d locality %q; Space declares %s shard %d locality %q",
-						i, c.Scenario, c.Scope, c.Shard, c.Locality, sp.Scope, i, want)
+					t.Errorf("spec %d = %s/%s shard %d locality %q; want %s/%s shard %d locality %q",
+						i, c.Scenario, c.Scope, c.Shard, c.Locality, s.Name, sp.Scope, i, want)
+				}
+				if !reflect.DeepEqual(c.Params, params) {
+					t.Errorf("spec %d params %+v, want the merged %+v", i, c.Params, params)
 				}
 			}
 		})

@@ -7,7 +7,6 @@ package experiments
 // registry.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -30,80 +29,72 @@ type Result interface {
 	harness.Renderer
 }
 
-// decoders holds each registered scenario's result decoder; register
-// fills it at init, so it is read-only afterwards.
-var decoders = map[string]func(json.RawMessage) (Result, error){}
+// register adds a scenario whose cells and aggregate come from build
+// (see harness.Define). Its aggregate must be a Result, so stbpu-report
+// can diff and render every scenario's output, and Define records how
+// to decode it from a suite document for DecodeResult.
+func register[S, T any, R Result](name, description string, defaults harness.Params,
+	build func(harness.Params, *harness.Pool) (harness.Space[S, T], func([]T) (R, error), error)) {
+	harness.Register(harness.Define(name, description, defaults, build))
+}
 
-// register adds a scenario whose cells space declares (nil when it maps
-// none) and whose Run is run, a Run*Ctx that maps that space and
-// aggregates. It records how to decode run's result from a suite
-// document for DecodeResult.
-func register[R Result](name, description string, defaults harness.Params,
-	space func(harness.Params, *harness.Pool) (harness.Space[any, any], error),
-	run func(context.Context, harness.Params, *harness.Pool) (R, error)) {
-	decoders[name] = func(raw json.RawMessage) (Result, error) {
-		var r R
-		err := json.Unmarshal(raw, &r)
-		return r, err
+// analytic is the build of a scenario that maps no cells: its aggregate
+// evaluates f on the merged params.
+func analytic[R Result](f func(harness.Params) R) func(harness.Params, *harness.Pool) (harness.Space[struct{}, struct{}], func([]struct{}) (R, error), error) {
+	return func(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, struct{}], func([]struct{}) (R, error), error) {
+		return harness.Space[struct{}, struct{}]{}, func([]struct{}) (R, error) { return f(p), nil }, nil
 	}
-	harness.Register(harness.Scenario{
-		Name:        name,
-		Description: description,
-		Defaults:    defaults,
-		Space:       space,
-		Run: func(ctx context.Context, p harness.Params, pool *harness.Pool) (any, error) {
-			return run(ctx, p, pool)
-		},
-	})
 }
 
 // DecodeResult unmarshals one suite run's raw result JSON into the
 // aggregate its scenario registered. It errors on scenarios this
-// package doesn't register; callers that must handle foreign documents
+// process doesn't register; callers that must handle foreign documents
 // fall back to generic flattening.
 func DecodeResult(scenario string, raw json.RawMessage) (Result, error) {
-	decode, ok := decoders[scenario]
+	s, ok := harness.Get(scenario)
 	if !ok {
 		return nil, fmt.Errorf("experiments: no typed decoder for scenario %q", scenario)
 	}
-	return decode(raw)
+	v, err := s.Decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	res, ok := v.(Result)
+	if !ok {
+		return nil, fmt.Errorf("experiments: scenario %q decodes to %T, not a Result", scenario, v)
+	}
+	return res, nil
 }
 
 func init() {
 	register("fig3", "Fig. 3 trace-driven OAE comparison of the five protection models",
-		defaultScaleParams(), harness.Declare(fig3Space), RunFig3Ctx)
+		defaultScaleParams(), fig3Scenario)
 	register("fig4", "Fig. 4 single-workload CPU evaluation (prediction reductions, normalized IPC)",
-		defaultScaleParams(), harness.Declare(fig4Space), RunFig4Ctx)
+		defaultScaleParams(), fig4Scenario)
 	register("fig5", "Fig. 5 SMT pair evaluation",
-		defaultScaleParams(), harness.Declare(fig5Space), RunFig5Ctx)
+		defaultScaleParams(), fig5Scenario)
 	register("fig6", "Fig. 6 aggressive re-randomization sweep",
-		harness.Params{Records: 120_000, Sweep: DefaultFig6Sweep()}, harness.Declare(fig6Space), RunFig6Ctx)
+		harness.Params{Records: 120_000, Sweep: DefaultFig6Sweep()}, fig6Scenario)
 	register("thresholds", "§VI-A.5 attack complexities and re-randomization thresholds",
-		harness.Params{R: 0.05}, nil,
-		func(_ context.Context, p harness.Params, _ *harness.Pool) (ThresholdReport, error) {
-			return RunThresholds(p.R), nil
-		})
+		harness.Params{R: 0.05}, analytic(func(p harness.Params) ThresholdReport { return RunThresholds(p.R) }))
 	register("gamma", "Γ sweep: epoch success probability vs attack-difficulty factor r",
-		harness.Params{Sweep: DefaultGammaSweep()}, nil,
-		func(_ context.Context, p harness.Params, _ *harness.Pool) (GammaResult, error) {
-			return RunGamma(p.Sweep), nil
-		})
+		harness.Params{Sweep: DefaultGammaSweep()}, analytic(func(p harness.Params) GammaResult { return RunGamma(p.Sweep) }))
 	register("tablei", "Table I attack surface against baseline and STBPU",
-		harness.Params{Budget: 20_000}, harness.Declare(tableISpace), RunTableICtx)
+		harness.Params{Budget: 20_000}, tableIScenario)
 	register("defense-accuracy", "§VIII related-work head-to-head: OAE retention across the defense lineup",
-		defaultScaleParams(), harness.Declare(defenseAccuracySpace), RunDefenseAccuracyCtx)
+		defaultScaleParams(), defenseAccuracyScenario)
 	register("defense-matrix", "§VIII related-work head-to-head: attack-outcome matrix per Table I class",
-		harness.Params{Trials: matrixRuns}, harness.Declare(defenseMatrixSpace), RunDefenseMatrixCtx)
+		harness.Params{Trials: matrixRuns}, defenseMatrixScenario)
 	register("covert", "PHT covert-channel capacity across the defense lineup",
-		harness.Params{Bits: 512, Trials: matrixRuns}, harness.Declare(covertSpace), RunCovertComparisonCtx)
+		harness.Params{Bits: 512, Trials: matrixRuns}, covertScenario)
 	register("ittage", "ITTAGE indirect-predictor extension comparison",
-		defaultScaleParams(), harness.Declare(ittageSpace), RunITTAGECtx)
+		defaultScaleParams(), ittageScenario)
 	// The built-in spec fixtures register before any scenario can run,
 	// so every process of a distributed run resolves the same workload
 	// names (user specs are forwarded separately by the CLIs).
 	spec.RegisterBuiltin()
 	register("workloads", "spec-driven phase-structured workloads: per-phase OAE and re-randomization across the model lineup",
-		harness.Params{}, harness.Declare(workloadsSpace), RunWorkloadsCtx)
+		harness.Params{}, workloadsScenario)
 	register("warmup", "warm-state curve: flush penalty vs trace length",
-		harness.Params{Workload: "mysql_128con_50s", Sweep: DefaultWarmupSweep()}, harness.Declare(warmupSpace), RunWarmupCtx)
+		harness.Params{Workload: "mysql_128con_50s", Sweep: DefaultWarmupSweep()}, warmupScenario)
 }

@@ -5,7 +5,6 @@
 package experiments
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -19,7 +18,7 @@ func TestWorkloadsModesBitIdentical(t *testing.T) {
 		pool := harness.NewPool(4, harness.DefaultRootSeed)
 		pool.SetTraceMajor(cfg.tm)
 		pool.SetSnapshots(cfg.snaps)
-		r, err := RunWorkloadsCtx(context.Background(), p, pool)
+		r, err := runScenario[WorkloadsResult](pool, "workloads", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +39,7 @@ func TestWarmupModesBitIdentical(t *testing.T) {
 		pool := harness.NewPool(4, harness.DefaultRootSeed)
 		pool.SetTraceMajor(cfg.tm)
 		pool.SetSnapshots(cfg.snaps)
-		r, err := RunWarmupCtx(context.Background(), p, pool)
+		r, err := runScenario[WarmupResult](pool, "warmup", p)
 		if err != nil {
 			t.Fatal(err)
 		}

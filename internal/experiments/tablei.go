@@ -73,45 +73,31 @@ func tableIDrivers() []tableIDriver {
 // are deterministic, so a small budget suffices).
 const baselineAttackBudget = 64
 
-// RunTableI executes the attack surface against both models on the
-// default pool. budget bounds the STBPU-side scans.
-func RunTableI(budget int) TableIResult {
-	res, _ := RunTableICtx(context.Background(),
-		harness.Params{Budget: budget}, harness.Default())
-	return res
-}
-
-// tableISpace declares the surface's (attack × model) cells: even
-// shards attack the baseline, odd ones STBPU.
-func tableISpace(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, attacks.Result], error) {
+// tableIScenario declares the surface's (attack × model) cells and the
+// table over them: even shards attack the baseline, odd ones STBPU,
+// whose scans p.Budget bounds.
+func tableIScenario(p harness.Params, _ *harness.Pool) (harness.Space[struct{}, attacks.Result], func([]attacks.Result) (TableIResult, error), error) {
 	drivers := tableIDrivers()
-	return harness.Cells("tablei", len(drivers)*2,
+	sp := harness.Cells("tablei", len(drivers)*2,
 		func(ctx context.Context, shard int, seed uint64) (attacks.Result, error) {
 			d := drivers[shard/2]
 			if shard%2 == 0 {
 				return d.run(attacks.NewBaselineTarget(), baselineAttackBudget), nil
 			}
 			return d.run(attacks.NewSTBPUTargetSeeded(nil, seed), p.Budget), nil
-		}), nil
-}
-
-// RunTableICtx executes the surface, sharding (attack × model) cells.
-func RunTableICtx(ctx context.Context, p harness.Params, pool *harness.Pool) (TableIResult, error) {
-	cells, err := mapSpace(ctx, p, pool, tableISpace)
-	if err != nil {
-		return TableIResult{}, err
-	}
-	drivers := tableIDrivers()
-	var res TableIResult
-	for i, d := range drivers {
-		res.Rows = append(res.Rows, TableIRow{
-			Attack:   d.name,
-			Cell:     d.cell,
-			Baseline: cells[2*i],
-			STBPU:    cells[2*i+1],
 		})
-	}
-	return res, nil
+	return sp, func(cells []attacks.Result) (TableIResult, error) {
+		var res TableIResult
+		for i, d := range drivers {
+			res.Rows = append(res.Rows, TableIRow{
+				Attack:   d.name,
+				Cell:     d.cell,
+				Baseline: cells[2*i],
+				STBPU:    cells[2*i+1],
+			})
+		}
+		return res, nil
+	}, nil
 }
 
 // Render writes the table (shared renderer: results.Grid).

@@ -40,34 +40,22 @@ type WarmupResult struct {
 	Points   []WarmupPoint
 }
 
-// DefaultWarmupLengths is the trace-length axis of the curve.
-func DefaultWarmupLengths() []int { return []int{10_000, 40_000, 160_000} }
+// DefaultWarmupSweep is the trace-length axis of the curve, as the
+// scenario's default harness.Params sweep.
+func DefaultWarmupSweep() []float64 { return []float64{10_000, 40_000, 160_000} }
 
-// DefaultWarmupSweep is DefaultWarmupLengths as a harness.Params sweep.
-func DefaultWarmupSweep() []float64 {
-	lengths := DefaultWarmupLengths()
-	sweep := make([]float64, len(lengths))
-	for i, l := range lengths {
-		sweep[i] = float64(l)
-	}
-	return sweep
-}
-
-// warmupLengths returns the trace lengths in p.Sweep, defaulting to
-// DefaultWarmupLengths.
+// warmupLengths returns the trace lengths in p.Sweep.
 func warmupLengths(p harness.Params) []int {
-	lengths := make([]int, 0, len(p.Sweep))
-	for _, l := range p.Sweep {
-		lengths = append(lengths, int(l))
-	}
-	if len(lengths) == 0 {
-		return DefaultWarmupLengths()
+	lengths := make([]int, len(p.Sweep))
+	for i, l := range p.Sweep {
+		lengths[i] = int(l)
 	}
 	return lengths
 }
 
-// warmupSpace declares the curve's (length × model) cells. p.Workload
-// names the trace preset; p.Sweep carries the trace lengths.
+// warmupScenario declares the curve's (length × model) cells and the
+// curve over them. p.Workload names the trace preset; p.Sweep carries
+// the trace lengths (DefaultWarmupSweep unless set).
 //
 // Preset workloads generate prefix-stable traces (the l-record trace is
 // the prefix of any longer one — pinned by trace's prefix-stability
@@ -80,7 +68,7 @@ func warmupLengths(p harness.Params) []int {
 // into a single O(maxLen) pass per model. Spec-synth workloads rescale
 // their phase boundaries with the record budget and are NOT
 // prefix-stable, so they keep the per-length grouping.
-func warmupSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], error) {
+func warmupScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], func([]float64) (WarmupResult, error), error) {
 	lengths := warmupLengths(p)
 	kinds := sim.Fig3Kinds()
 	cache := pool.Traces()
@@ -190,28 +178,18 @@ func warmupSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]fl
 		}
 		return out, nil
 	}
-	return harness.Joint("warmup", len(lengths)*k, group, run), nil
-}
-
-// RunWarmupCtx measures the curve, sharding (length × model) cells (see
-// warmupSpace).
-func RunWarmupCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (WarmupResult, error) {
-	oaes, err := mapSpace(ctx, p, pool, warmupSpace)
-	if err != nil {
-		return WarmupResult{}, err
-	}
-	lengths := warmupLengths(p)
-	k := len(sim.Fig3Kinds())
-	res := WarmupResult{Workload: p.Workload}
-	res.Points = make([]WarmupPoint, len(lengths))
-	for li := range lengths {
-		pt := WarmupPoint{Records: lengths[li]}
-		for ki := 0; ki < k; ki++ {
-			pt.NormOAE[ki] = oaes[li*k+ki] / oaes[li*k]
+	return harness.Joint("warmup", len(lengths)*k, group, run), func(oaes []float64) (WarmupResult, error) {
+		res := WarmupResult{Workload: p.Workload}
+		res.Points = make([]WarmupPoint, len(lengths))
+		for li := range lengths {
+			pt := WarmupPoint{Records: lengths[li]}
+			for ki := 0; ki < k; ki++ {
+				pt.NormOAE[ki] = oaes[li*k+ki] / oaes[li*k]
+			}
+			res.Points[li] = pt
 		}
-		res.Points[li] = pt
-	}
-	return res, nil
+		return res, nil
+	}, nil
 }
 
 // Render writes the curve as a text table (shared renderer: results.Grid).

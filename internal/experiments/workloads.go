@@ -91,12 +91,12 @@ func specRecords(p harness.Params, s *spec.Spec) int {
 	return s.TotalRecords()
 }
 
-// workloadsSpace declares the (spec × phase × model) cells, grouped
-// trace-major by spec.
-func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int]workloadCell, workloadCell], error) {
+// workloadsScenario declares the (spec × phase × model) cells, grouped
+// trace-major by spec, and the per-phase rows over them.
+func workloadsScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int]workloadCell, workloadCell], func([]workloadCell) (WorkloadsResult, error), error) {
 	specs, err := selectedSpecs(p)
 	if err != nil {
-		return harness.Space[map[int]workloadCell, workloadCell]{}, err
+		return harness.Space[map[int]workloadCell, workloadCell]{}, nil, err
 	}
 	kinds := sim.Fig3Kinds()
 	k := len(kinds)
@@ -117,7 +117,7 @@ func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 	}
 	rootSeed := pool.RootSeed()
 	cache := pool.Traces()
-	return harness.Joint("workloads", len(addrs),
+	sp := harness.Joint("workloads", len(addrs),
 		func(shard int) string {
 			s := specs[addrs[shard].si]
 			return harness.Locality(s.WorkloadName(), specRecords(p, s))
@@ -245,53 +245,40 @@ func workloadsSpace(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 				}
 			}
 			return out, nil
-		}), nil
-}
-
-// RunWorkloadsCtx measures the Fig. 3 model lineup per spec phase,
-// sharding (spec × phase × model) cells grouped trace-major by spec.
-func RunWorkloadsCtx(ctx context.Context, p harness.Params, pool *harness.Pool) (WorkloadsResult, error) {
-	cells, err := mapSpace(ctx, p, pool, workloadsSpace)
-	if err != nil {
-		return WorkloadsResult{}, err
-	}
-	specs, err := selectedSpecs(p)
-	if err != nil {
-		return WorkloadsResult{}, err
-	}
-	kinds := sim.Fig3Kinds()
-	k := len(kinds)
-	res := WorkloadsResult{}
-	for _, kind := range kinds {
-		res.Models = append(res.Models, kind.String())
-	}
-	idx := 0
-	for _, s := range specs {
-		records := specRecords(p, s)
-		bounds := s.Boundaries(records)
-		for pi := range s.Phases {
-			row := WorkloadPhaseRow{
-				Spec:       s.WorkloadName(),
-				Phase:      s.Phases[pi].Name,
-				Records:    bounds[pi+1] - bounds[pi],
-				OAE:        make([]float64, k),
-				Normalized: make([]float64, k),
-				Rerands:    make([]uint64, k),
-			}
-			for ki := 0; ki < k; ki++ {
-				row.OAE[ki] = cells[idx].OAE
-				row.Rerands[ki] = cells[idx].Rerands
-				idx++
-			}
-			if base := row.OAE[0]; base > 0 {
-				for ki := 0; ki < k; ki++ {
-					row.Normalized[ki] = row.OAE[ki] / base
-				}
-			}
-			res.Rows = append(res.Rows, row)
+		})
+	return sp, func(cells []workloadCell) (WorkloadsResult, error) {
+		res := WorkloadsResult{}
+		for _, kind := range kinds {
+			res.Models = append(res.Models, kind.String())
 		}
-	}
-	return res, nil
+		idx := 0
+		for _, s := range specs {
+			records := specRecords(p, s)
+			bounds := s.Boundaries(records)
+			for pi := range s.Phases {
+				row := WorkloadPhaseRow{
+					Spec:       s.WorkloadName(),
+					Phase:      s.Phases[pi].Name,
+					Records:    bounds[pi+1] - bounds[pi],
+					OAE:        make([]float64, k),
+					Normalized: make([]float64, k),
+					Rerands:    make([]uint64, k),
+				}
+				for ki := 0; ki < k; ki++ {
+					row.OAE[ki] = cells[idx].OAE
+					row.Rerands[ki] = cells[idx].Rerands
+					idx++
+				}
+				if base := row.OAE[0]; base > 0 {
+					for ki := 0; ki < k; ki++ {
+						row.Normalized[ki] = row.OAE[ki] / base
+					}
+				}
+				res.Rows = append(res.Rows, row)
+			}
+		}
+		return res, nil
+	}, nil
 }
 
 // Render writes the family as text tables (shared renderer:

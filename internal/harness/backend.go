@@ -1,14 +1,14 @@
 package harness
 
-// Backends: Map describes each cell as a CellSpec and hands batches to
-// a Backend. LocalBackend runs them on in-process goroutines;
+// Backends: mapCells describes each cell as a CellSpec and hands
+// batches to a Backend. LocalBackend runs them on in-process goroutines;
 // RemoteBackend (remote.go) schedules them across a fleet of worker
 // processes speaking the length-prefixed fleet protocol, whose members
 // dial in over TCP or, under ExecBackend (exec.go), are subprocesses
 // spawned on stdio. Because a cell is a pure function of (scenario,
 // params, scope, shard, root seed), results are bit-identical
-// regardless of which backend ran which cell — Map merges everything
-// back into shard order. See docs/ARCHITECTURE.md "How a cell flows
+// regardless of which backend ran which cell — mapCells merges
+// everything back into shard order. See docs/ARCHITECTURE.md "How a cell flows
 // through a backend".
 
 import (
@@ -23,7 +23,7 @@ import (
 	"time"
 )
 
-// cellFunc is the type-erased in-process form of a Map cell function.
+// cellFunc is the type-erased in-process form of a Space cell function.
 type cellFunc func(ctx context.Context, shard int, seed uint64) (any, error)
 
 // CellSpec identifies one executable cell. The exported fields address
@@ -32,10 +32,10 @@ type cellFunc func(ctx context.Context, shard int, seed uint64) (any, error)
 // and produce the same result the coordinator would have.
 type CellSpec struct {
 	// Scenario names the registered scenario whose Space declares this
-	// cell's scope. Empty when Map runs outside RunAll; such specs are
-	// executable only by in-process backends (the fn field).
+	// cell's scope. Empty for cells mapped without a scenario; such specs
+	// are executable only by in-process backends (the fn field).
 	Scenario string `json:"scenario,omitempty"`
-	// Params are the merged parameters the scenario Run received.
+	// Params are the merged parameters the scenario's Space was built from.
 	Params Params `json:"params"`
 	// Scope is the scenario-local cell-space name (Space.Scope).
 	Scope string `json:"scope"`
@@ -170,7 +170,7 @@ func (e *permanentError) Unwrap() error { return e.err }
 func (e *permanentError) Is(target error) bool { return target == ErrPermanent }
 
 // Backend executes batches of cells. Run returns one CellResult per spec
-// (any order; Map merges by shard). Per-cell failures are reported inside
+// (any order; mapCells merges by shard). Per-cell failures are reported inside
 // the results; a non-nil error means the batch as a whole could not be
 // executed (no live workers, a Permanent worker error, a canceled
 // context). If any cell fails, Run may stop early and return results
@@ -233,8 +233,8 @@ type StatsReporter interface {
 // poolMember is implemented by backends that report to the pool they
 // are installed in; Pool.SetBackend hands the pool over. Completed cells
 // go to Pool.complete — a fleet reports a batch's cells only once its
-// Run succeeds, since cells from a failed batch would otherwise be
-// counted in Pool.Cells() without reaching the output — and a fleet
+// Run succeeds, since cells from a failed batch would otherwise reach
+// the observer and sink without reaching the output — and a fleet
 // welcomes its workers with the pool's Settings.
 type poolMember interface {
 	setPool(*Pool)
@@ -295,7 +295,7 @@ func (b *LocalBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 		s := specs[i]
 		if s.fn == nil {
 			// Recorded as the cell's result (not just returned) so the
-			// diagnosis reaches Map instead of decaying into a generic
+			// diagnosis reaches mapCells instead of decaying into a generic
 			// missing-shard error.
 			err := fmt.Errorf("harness: local backend got a wire-only spec for %s/%d (no cell function)", s.Scope, s.Shard)
 			results[i] = CellResult{Shard: s.Shard, err: err}
@@ -337,7 +337,7 @@ func (b *LocalBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 	// firstFailed is the index of the cell whose failure canceled ctx.
 	// Cells are handed out in index order, so every lower cell was drawn
 	// before it; a worker still runs those, which makes the lowest failing
-	// cell Map reports independent of worker timing.
+	// cell mapCells reports independent of worker timing.
 	var firstFailed atomic.Int64
 	firstFailed.Store(int64(len(specs)))
 

@@ -11,7 +11,7 @@ import (
 
 func mapSquares(t *testing.T, pool *Pool, n int) []float64 {
 	t.Helper()
-	out, err := Map(context.Background(), pool, Cells("squares", n,
+	out, err := mapCells(context.Background(), pool, "", Params{}, Cells("squares", n,
 		func(ctx context.Context, shard int, seed uint64) (float64, error) {
 			return float64(seed%1000) * float64(shard), nil
 		}))
@@ -39,7 +39,7 @@ func (s *shortBackend) Run(ctx context.Context, specs []CellSpec) ([]CellResult,
 func TestMapRejectsMissingShards(t *testing.T) {
 	pool := NewPool(1, 1)
 	pool.SetBackend(&shortBackend{inner: NewLocalBackend(1)})
-	_, err := Map(context.Background(), pool, Cells("short", 4,
+	_, err := mapCells(context.Background(), pool, "", Params{}, Cells("short", 4,
 		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil }))
 	if err == nil || !strings.Contains(err.Error(), "no result for shard") {
 		t.Fatalf("err = %v, want a missing-shard refusal", err)

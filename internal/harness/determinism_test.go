@@ -24,6 +24,17 @@ func quickParams() harness.Params {
 	return harness.Params{Records: 20_000, MaxWorkloads: 4, MaxPairs: 2}
 }
 
+// runScenario runs one registered scenario through RunAll on pool with
+// params p and returns its typed result.
+func runScenario[R any](pool *harness.Pool, name string, p harness.Params) (R, error) {
+	reports, err := harness.RunAll(context.Background(), pool, harness.Options{Filters: []string{name}, Params: p})
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return reports[0].Result.(R), nil
+}
+
 func TestFig3Fig4ByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	const rootSeed = 0xd15ea5e
 	p := quickParams()
@@ -39,11 +50,11 @@ func TestFig3Fig4ByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	type snapshot struct{ fig3, fig4 string }
 	run := func(workers int) snapshot {
 		pool := harness.NewPool(workers, rootSeed)
-		f3, err := experiments.RunFig3Ctx(context.Background(), p, pool)
+		f3, err := runScenario[experiments.Fig3Result](pool, "fig3", p)
 		if err != nil {
 			t.Fatalf("workers=%d fig3: %v", workers, err)
 		}
-		f4, err := experiments.RunFig4Ctx(context.Background(), p, pool)
+		f4, err := runScenario[experiments.Fig4Result](pool, "fig4", p)
 		if err != nil {
 			t.Fatalf("workers=%d fig4: %v", workers, err)
 		}
@@ -64,7 +75,7 @@ func TestFig3Fig4ByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// A different root seed must actually change STBPU's stochastic
 	// results — otherwise the plumbing above proves nothing.
 	other := harness.NewPool(1, rootSeed+1)
-	f3, err := experiments.RunFig3Ctx(context.Background(), quickParams(), other)
+	f3, err := runScenario[experiments.Fig3Result](other, "fig3", quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestFig3Fig4ByteIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestTraceStoreSharedAcrossScenarioRuns(t *testing.T) {
 	pool := harness.NewPool(2, 7)
 	p := quickParams()
-	if _, err := experiments.RunFig3Ctx(context.Background(), p, pool); err != nil {
+	if _, err := runScenario[experiments.Fig3Result](pool, "fig3", p); err != nil {
 		t.Fatal(err)
 	}
 	// Under trace-major scheduling the first run consults the store
@@ -89,7 +100,7 @@ func TestTraceStoreSharedAcrossScenarioRuns(t *testing.T) {
 	if first.Generations == 0 {
 		t.Fatalf("first run stats implausible: %+v", first)
 	}
-	if _, err := experiments.RunFig3Ctx(context.Background(), p, pool); err != nil {
+	if _, err := runScenario[experiments.Fig3Result](pool, "fig3", p); err != nil {
 		t.Fatal(err)
 	}
 	second := pool.Traces().Stats()
@@ -112,7 +123,7 @@ func TestResultsIdenticalUnderTinyTraceStore(t *testing.T) {
 		if store != nil {
 			pool.SetTraceStore(store)
 		}
-		f3, err := experiments.RunFig3Ctx(context.Background(), quickParams(), pool)
+		f3, err := runScenario[experiments.Fig3Result](pool, "fig3", quickParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,10 +194,10 @@ func BenchmarkFig3Fig4(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pool := harness.NewPool(workers, harness.DefaultRootSeed)
-				if _, err := experiments.RunFig3Ctx(context.Background(), p, pool); err != nil {
+				if _, err := runScenario[experiments.Fig3Result](pool, "fig3", p); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := experiments.RunFig4Ctx(context.Background(), p, pool); err != nil {
+				if _, err := runScenario[experiments.Fig4Result](pool, "fig4", p); err != nil {
 					b.Fatal(err)
 				}
 			}

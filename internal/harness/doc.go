@@ -4,19 +4,22 @@
 // (predictors → sim/tracestore → harness → cmd and examples).
 //
 // An experiment is registered once as a named, parameterized Scenario
-// whose Space declares its dense (model × workload × trial) cell space
-// as data: the scope, the cell count, each cell's locality group, the
-// value a group's cells share, and the cell function (space.go). Its Run
-// maps that space with Map, which binds and schedules the cells through
-// the pool's Backend and reassembles results in shard order.
+// built by Define from one function returning two things: a Space that
+// declares its dense (model × workload × trial) cell space as data —
+// the scope, the cell count, each cell's locality group, the value a
+// group's cells share, and the cell function (space.go) — and the
+// aggregate over those cells. RunAll maps the space under the
+// scenario's (name, params) address, binding and scheduling the cells
+// through the pool's Backend and reassembling results in shard order,
+// then aggregates them.
 //
 // # Determinism contract
 //
 // Every stochastic input of a cell derives from ShardSeed(rootSeed,
 // scope, shard) — a pure function of the pool's root seed, the
 // scenario-local scope name, and the cell's dense index. Scheduling can
-// reorder *execution* but never *results*: Map writes each cell's value
-// into its own slot and aggregation walks slots in index order. A run
+// reorder *execution* but never *results*: each cell's value lands in
+// its own slot and aggregation walks slots in index order. A run
 // is therefore bit-identical at any worker count and on any backend.
 //
 // # Backends
@@ -43,8 +46,8 @@
 // Cells are addressable across processes as (scenario, params, scope,
 // shard, rootSeed), so a worker holding the same binary builds the
 // scenario's Space and executes any chunk of it bit-identically,
-// without running the scenario; see docs/ARCHITECTURE.md "How a cell
-// flows through a backend".
+// without aggregating; see docs/ARCHITECTURE.md "How a cell flows
+// through a backend".
 //
 // # Run settings
 //
@@ -62,8 +65,9 @@
 // The same cell address keys the run journal (journal.go): a Sink
 // installed with Pool.SetSink receives every completed cell with its
 // wire-encoded result, and a Journal sink streams them to a JSONL file
-// (schema: docs/SUITE_JSON.md). Resuming from a journal makes Map skip
-// already-completed cells and splice their stored values into its
-// output — a crashed run restarted with `stbpu-suite -resume` produces
-// a byte-identical final document without redoing finished work.
+// (schema: docs/SUITE_JSON.md). Resuming from a journal makes RunAll
+// skip already-completed cells and splice their stored values into the
+// scenario's cells — a crashed run restarted with `stbpu-suite -resume`
+// produces a byte-identical final document without redoing finished
+// work.
 package harness

@@ -445,15 +445,15 @@ func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), nam
 	}
 }
 
-// executeCells executes a chunk without running its scenario: it builds
-// the scenario's Space from the chunk's params on the session pool,
+// executeCells executes a chunk without aggregating it: it builds the
+// scenario's Space from the chunk's params on the session pool,
 // reseeded with the chunk's root seed, re-derives each cell's seed,
-// binds the specs exactly as Map does, and runs them on a local backend
-// as wide as the pool. The results come back in wire form, ready to
-// frame. A chunk is cut from one Map batch, so its cells share one
-// scenario, scope, params and root seed. A chunk that does not, or that
-// names a scope or shard the space does not declare, fails whole as
-// Permanent: every worker would fail it the same way.
+// binds the specs exactly as RunAll does, and runs them on a local
+// backend as wide as the pool. The results come back in wire form,
+// ready to frame. A chunk is cut from one scenario's batch, so its cells
+// share one scenario, scope, params and root seed. A chunk that does
+// not, or that names a scope or shard the space does not declare, fails
+// whole as Permanent: every worker would fail it the same way.
 func executeCells(ctx context.Context, specs []CellSpec, session *Pool) ([]CellResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -481,9 +481,6 @@ func executeCells(ctx context.Context, specs []CellSpec, session *Pool) ([]CellR
 	scen, ok := Get(head.Scenario)
 	if !ok {
 		return nil, fmt.Errorf("scenario %q is not registered in this worker", head.Scenario)
-	}
-	if scen.Space == nil {
-		return nil, Permanent(fmt.Errorf("scenario %s declares no cell space", scen.Name))
 	}
 	pool := session.withRootSeed(head.RootSeed)
 	sp, err := scen.Space(head.Params, pool)

@@ -36,22 +36,13 @@ type wireCell struct {
 	Val   float64
 }
 
-// registerSpace registers a test scenario whose Run maps its space and
-// returns the cells.
+// registerSpace registers a test scenario, built by Define, whose
+// result is its cells.
 func registerSpace[S, T any](name, description string, defaults Params, space func(Params, *Pool) (Space[S, T], error)) {
-	Register(Scenario{
-		Name:        name,
-		Description: description,
-		Defaults:    defaults,
-		Space:       Declare(space),
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			sp, err := space(p, pool)
-			if err != nil {
-				return nil, err
-			}
-			return Map(ctx, pool, sp)
-		},
-	})
+	Register(Define(name, description, defaults, func(p Params, pool *Pool) (Space[S, T], func([]T) ([]T, error), error) {
+		sp, err := space(p, pool)
+		return sp, func(cells []T) ([]T, error) { return cells, nil }, err
+	}))
 }
 
 // traceDigest folds every 97th record of a workload's trace into seed.
@@ -560,15 +551,16 @@ func TestMixedRequeueCellAccounting(t *testing.T) {
 	runRequeued(t, "flaky", 321, 0)
 }
 
-// TestExecBackendRejectsAnonymousCells: Map calls outside RunAll carry
-// no scenario context, so wire backends must refuse them loudly.
+// TestExecBackendRejectsAnonymousCells: cells mapped without a scenario
+// carry no address a worker can build, so wire backends must refuse
+// them loudly.
 func TestExecBackendRejectsAnonymousCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocess workers")
 	}
 	pool := NewPool(1, 9)
 	pool.SetBackend(newTestExecBackend(t, 1, "serve"))
-	_, err := Map(context.Background(), pool, Cells("anon", 2,
+	_, err := mapCells(context.Background(), pool, "", Params{}, Cells("anon", 2,
 		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil }))
 	if err == nil || !strings.Contains(err.Error(), "not addressable") {
 		t.Fatalf("err = %v, want the not-addressable refusal", err)

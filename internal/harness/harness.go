@@ -1,6 +1,6 @@
-// Pool, Map, and the seeding scheme: the execution core of the package
-// (see doc.go for the package overview and docs/ARCHITECTURE.md for the
-// full picture).
+// Pool, mapCells, and the seeding scheme: the execution core of the
+// package (see doc.go for the package overview and docs/ARCHITECTURE.md
+// for the full picture).
 
 package harness
 
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stbpu/internal/rng"
@@ -114,7 +113,7 @@ func fnv1a(s string) uint64 {
 type Cell struct {
 	// Backend names the backend that executed the cell.
 	Backend string
-	// Scope is the scenario-local cell-space name passed to Map.
+	// Scope is the scenario-local cell-space name (Space.Scope).
 	Scope string
 	// Shard is the cell's dense index within the scope.
 	Shard int
@@ -127,10 +126,10 @@ type Cell struct {
 }
 
 // Pool is a sized worker pool with a root seed. It carries no goroutines
-// of its own; Map spins workers up per call, so an idle Pool costs
-// nothing and one Pool can serve many sequential scenarios. It is also
-// the one place a run's settings live (see Settings): its toggles, its
-// stores' tiers and the workload specs it registered.
+// of its own; its backend spins workers up per batch, so an idle Pool
+// costs nothing and one Pool can serve many sequential scenarios. It is
+// also the one place a run's settings live (see Settings): its toggles,
+// its stores' tiers and the workload specs it registered.
 type Pool struct {
 	workers  int
 	rootSeed uint64
@@ -143,16 +142,9 @@ type Pool struct {
 	backend  Backend
 	// specs are the workload-spec documents Settings.NewPool registered.
 	specs []string
-	// scenario/params are the scenario context RunAll establishes
-	// around Scenario.Run, stamped into every CellSpec so wire backends
-	// can address cells by name.
-	scenario       string
-	scenarioParams Params
 	// traceMajor and snapshots toggle grouping and the warm-state
 	// snapshot tier (see SetTraceMajor, SetSnapshots).
 	traceMajor, snapshots bool
-
-	cells atomic.Uint64
 }
 
 // Settings is a run's configuration: the speed settings that must never
@@ -310,7 +302,7 @@ func NewPool(workers int, rootSeed uint64) *Pool {
 	return &Pool{workers: workers, rootSeed: rootSeed, traceMajor: true, snapshots: true}
 }
 
-// SetBackend installs the backend Map schedules cells through (nil
+// SetBackend installs the backend RunAll schedules cells through (nil
 // reverts to the lazily created LocalBackend) and gives it the pool: it
 // streams completed cells to the pool's observer and sink, and a fleet
 // welcomes its workers with the pool's Settings.
@@ -336,34 +328,13 @@ func (p *Pool) Backend() Backend {
 	return p.backend
 }
 
-// beginScenario establishes the scenario context stamped into CellSpecs;
-// endScenario clears it. RunAll brackets every Scenario.Run with them.
-func (p *Pool) beginScenario(name string, params Params) {
-	p.mu.Lock()
-	p.scenario, p.scenarioParams = name, params
-	p.mu.Unlock()
-}
-
-func (p *Pool) endScenario() {
-	p.mu.Lock()
-	p.scenario, p.scenarioParams = "", Params{}
-	p.mu.Unlock()
-}
-
-func (p *Pool) scenarioContext() (string, Params) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.scenario, p.scenarioParams
-}
-
-// complete is where backends report finished cells: it maintains the
-// pool's cell counter and feeds the sink (wire-encoded) and observer.
+// complete is where backends report finished cells: it feeds the sink
+// (wire-encoded) and the observer.
 // The sink call — wire encoding plus, for a Journal, a disk append —
 // runs outside the pool lock so concurrent workers don't serialize
 // behind each other's I/O; sinks synchronize internally. Observer
 // calls stay serialized under the pool lock as SetObserver documents.
 func (p *Pool) complete(c Cell, spec CellSpec, res CellResult) {
-	p.cells.Add(1)
 	if sink := p.currentSink(); sink != nil {
 		wire := res
 		wire.encodeWire() // the copy leaves the backend's live value intact
@@ -376,17 +347,11 @@ func (p *Pool) complete(c Cell, spec CellSpec, res CellResult) {
 	}
 }
 
-// Default returns a GOMAXPROCS-wide pool with DefaultRootSeed.
-func Default() *Pool { return NewPool(0, DefaultRootSeed) }
-
 // Workers reports the pool's concurrency.
 func (p *Pool) Workers() int { return p.workers }
 
 // RootSeed reports the pool's root seed.
 func (p *Pool) RootSeed() uint64 { return p.rootSeed }
-
-// Cells reports how many cells the pool has completed since creation.
-func (p *Pool) Cells() uint64 { return p.cells.Load() }
 
 // SetObserver installs fn to receive every completed Cell (nil removes
 // it). Calls are serialized; fn must not block for long.
@@ -399,8 +364,8 @@ func (p *Pool) SetObserver(fn func(Cell)) {
 // SetSink installs s to receive every completed cell with its spec and
 // wire-encoded result (nil removes it). Calls are serialized like the
 // observer's. A sink that also implements CellLookup (a resumed
-// Journal) additionally short-circuits Map: cells it already holds are
-// not re-executed.
+// Journal) additionally short-circuits scenario runs: cells it already
+// holds are not re-executed.
 func (p *Pool) SetSink(s Sink) {
 	p.mu.Lock()
 	p.sink = s
@@ -413,26 +378,29 @@ func (p *Pool) currentSink() Sink {
 	return p.sink
 }
 
-// Map runs the cell space sp through the pool's backend and returns
-// the results in shard order. Each cell receives its ShardSeed. The
-// first error (lowest shard index) cancels the remaining cells and is
-// returned; a canceled ctx stops workers promptly and returns ctx.Err().
+// mapCells runs the cell space sp of the scenario addressed by
+// (scenario, params) through the pool's backend and returns the results
+// in shard order; RunAll calls it once per scenario. Each cell receives
+// its ShardSeed. The first error (lowest shard index) cancels the
+// remaining cells and is returned; a canceled ctx stops workers promptly
+// and returns ctx.Err().
 //
 // With the default LocalBackend the cells run in-process on the pool's
 // goroutine workers. With a fleet backend (ExecBackend, RemoteBackend)
 // the specs are shipped by (scenario, params, scope, shard, root seed)
 // and each worker executes them from its own copy of the scenario's
-// Space; Map merges whatever comes back into shard order, so results
-// are bit-identical regardless of which worker ran which cell.
+// Space; the results merge into shard order, so they are bit-identical
+// regardless of which worker ran which cell. An empty scenario name
+// leaves the cells anonymous: only an in-process backend runs them.
 //
 // When the pool's sink implements CellLookup (a resumed Journal), cells
 // the lookup already holds are not re-executed: their stored values are
 // decoded into the output, and their completion is replayed to the
-// observer and sink (Backend "journal") so Report.Cells matches an
-// uninterrupted run. Because cells are pure functions of their address,
-// the spliced values are bit-identical to re-executing. Only the
-// pending cells are bound, so a group's shared value covers just those.
-func Map[S, T any](ctx context.Context, p *Pool, sp Space[S, T]) ([]T, error) {
+// observer and sink (Backend "journal"). Because cells are pure
+// functions of their address, the spliced values are bit-identical to
+// re-executing. Only the pending cells are bound, so a group's shared
+// value covers just those.
+func mapCells[S, T any](ctx context.Context, p *Pool, scenario string, params Params, sp Space[S, T]) ([]T, error) {
 	scope, n := sp.Scope, sp.N
 	out := make([]T, n)
 	if n == 0 {
@@ -442,7 +410,6 @@ func Map[S, T any](ctx context.Context, p *Pool, sp Space[S, T]) ([]T, error) {
 		return nil, err
 	}
 
-	scenario, params := p.scenarioContext()
 	specs := make([]CellSpec, n)
 	for i := range specs {
 		specs[i] = CellSpec{

@@ -92,7 +92,7 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	const n = 100
 	run := func(workers int) []uint64 {
 		p := NewPool(workers, 42)
-		out, err := Map(context.Background(), p, Cells("order", n,
+		out, err := mapCells(context.Background(), p, "", Params{}, Cells("order", n,
 			func(ctx context.Context, shard int, seed uint64) (uint64, error) {
 				return seed ^ uint64(shard), nil
 			}))
@@ -112,7 +112,7 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 func TestMapReturnsLowestShardError(t *testing.T) {
 	p := NewPool(4, 1)
 	sentinel := errors.New("boom")
-	_, err := Map(context.Background(), p, Cells("err", 32,
+	_, err := mapCells(context.Background(), p, "", Params{}, Cells("err", 32,
 		func(ctx context.Context, shard int, seed uint64) (int, error) {
 			if shard == 3 || shard == 20 {
 				return 0, fmt.Errorf("shard %d: %w", shard, sentinel)
@@ -135,7 +135,7 @@ func TestMapRootCauseErrorNotMaskedByCollateralCancellation(t *testing.T) {
 	// collateral context.Canceled.
 	p := NewPool(2, 1)
 	sentinel := errors.New("root cause")
-	_, err := Map(context.Background(), p, Cells("mask", 2,
+	_, err := mapCells(context.Background(), p, "", Params{}, Cells("mask", 2,
 		func(ctx context.Context, shard int, seed uint64) (int, error) {
 			if shard == 0 {
 				<-ctx.Done()
@@ -155,7 +155,7 @@ func TestMapCancellationStopsWorkersPromptly(t *testing.T) {
 		var started atomic.Int32
 		done := make(chan error, 1)
 		go func() {
-			_, err := Map(ctx, p, Cells("cancel", 1000,
+			_, err := mapCells(ctx, p, "", Params{}, Cells("cancel", 1000,
 				func(ctx context.Context, shard int, seed uint64) (int, error) {
 					started.Add(1)
 					<-ctx.Done() // a cell that only finishes under cancellation
@@ -180,50 +180,59 @@ func TestMapCancellationStopsWorkersPromptly(t *testing.T) {
 }
 
 func TestMapObserverStreamsEveryCell(t *testing.T) {
-	p := NewPool(4, 9)
 	var cells atomic.Int64
-	p.SetObserver(func(c Cell) {
-		if c.Scope != "obs" {
-			t.Errorf("cell scope = %q", c.Scope)
-		}
-		cells.Add(1)
+	reports, err := RunAll(context.Background(), NewPool(4, 9), Options{
+		Filters: []string{"_observed"},
+		Observer: func(c Cell) {
+			if c.Scope != "obs" {
+				t.Errorf("cell scope = %q", c.Scope)
+			}
+			cells.Add(1)
+		},
 	})
-	if _, err := Map(context.Background(), p, Cells("obs", 50,
-		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil })); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 	if cells.Load() != 50 {
 		t.Errorf("observer saw %d cells, want 50", cells.Load())
 	}
-	if p.Cells() != 50 {
-		t.Errorf("pool counted %d cells, want 50", p.Cells())
+	if reports[0].Cells != 50 {
+		t.Errorf("report counted %d cells, want 50", reports[0].Cells)
 	}
 }
 
 func TestMapZeroCells(t *testing.T) {
-	out, err := Map(context.Background(), NewPool(4, 1), Cells("empty", 0,
+	out, err := mapCells(context.Background(), NewPool(4, 1), "", Params{}, Cells("empty", 0,
 		func(ctx context.Context, shard int, seed uint64) (int, error) { return 0, nil }))
 	if err != nil || len(out) != 0 {
-		t.Fatalf("Map(0) = %v, %v", out, err)
+		t.Fatalf("mapCells(0) = %v, %v", out, err)
 	}
 }
 
-func TestRegistryAndRunAll(t *testing.T) {
-	// Use unique names so this test composes with the experiments
-	// package's init registrations in external test binaries.
+// The registry tests' scenarios register once per process, so the
+// package's tests can repeat in one process (go test -count=2). Their
+// names are unique so they compose with the experiments package's init
+// registrations in external test binaries.
+func init() {
 	registerSpace("_test-a", "registry test scenario", Params{Trials: 3},
 		func(p Params, _ *Pool) (Space[struct{}, int], error) {
 			return Cells("_test-a", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
 				return shard, nil
 			}), nil
 		})
-	Register(Scenario{
-		Name: "_test-b",
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			return "b", nil
-		},
-	})
+	Register(Define("_test-b", "a scenario without cells", Params{},
+		func(Params, *Pool) (Space[struct{}, struct{}], func([]struct{}) (string, error), error) {
+			return Space[struct{}, struct{}]{}, func([]struct{}) (string, error) { return "b", nil }, nil
+		}))
+	registerSpace("_observed", "observer test scenario", Params{},
+		func(Params, *Pool) (Space[struct{}, int], error) {
+			return Cells("obs", 50, func(ctx context.Context, shard int, seed uint64) (int, error) {
+				return shard, nil
+			}), nil
+		})
+}
 
+func TestRegistryAndRunAll(t *testing.T) {
 	if _, ok := Get("_test-a"); !ok {
 		t.Fatal("Get missed a registered scenario")
 	}
@@ -268,6 +277,9 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register(Scenario{Name: "_dup", Run: func(ctx context.Context, p Params, pool *Pool) (any, error) { return nil, nil }})
-	Register(Scenario{Name: "_dup", Run: func(ctx context.Context, p Params, pool *Pool) (any, error) { return nil, nil }})
+	dup := Define("_dup", "", Params{}, func(Params, *Pool) (Space[struct{}, struct{}], func([]struct{}) (any, error), error) {
+		return Space[struct{}, struct{}]{}, func([]struct{}) (any, error) { return nil, nil }, nil
+	})
+	Register(dup)
+	Register(dup)
 }

@@ -4,7 +4,7 @@ package harness
 // makes suite runs resumable. Every finished cell is appended as one
 // line keyed by the full cell address (scenario, params, scope, shard,
 // rootSeed) — the same five values that make a cell a pure function —
-// so a crashed run's journal, loaded back with ResumeJournal, lets Map
+// so a crashed run's journal, loaded back with ResumeJournal, lets RunAll
 // skip the cells that already completed and splice their stored values
 // into its output. Because cells are deterministic, a resumed run's
 // final document is byte-identical to an uninterrupted one (modulo
@@ -33,10 +33,10 @@ type Sink interface {
 }
 
 // CellLookup is implemented by sinks that already hold results for some
-// cells (a resumed Journal). Map consults it before scheduling: cells
-// that are present are skipped, their stored values spliced into the
-// output, and their completion replayed to the observer and sink so
-// run-level accounting (Report.Cells) matches an uninterrupted run.
+// cells (a resumed Journal). mapCells consults it before scheduling:
+// cells that are present are skipped, their stored values spliced into
+// the output, and their completion replayed to the observer and sink,
+// which see every cell an uninterrupted run would.
 type CellLookup interface {
 	LookupCell(spec CellSpec) (CellResult, bool)
 }
@@ -91,7 +91,7 @@ func specJournalKey(s CellSpec) (journalKey, error) {
 }
 
 // journalValue is the indexed payload of one completed cell. Only
-// entries loaded by a resume carry a value (Map splices them); cells
+// entries loaded by a resume carry a value (mapCells splices them); cells
 // appended during the run index presence alone — on a million-cell
 // sweep, retaining every appended value would grow the coordinator by
 // the whole run's worth of JSON that nothing ever reads back.
@@ -226,9 +226,9 @@ func scanJournal(path string) (entries []JournalEntry, goodLen int64, err error)
 }
 
 // CellDone implements Sink: successful, addressable cells append one
-// JSONL line; errored cells, anonymous cells (Map outside RunAll), and
-// cells already present (a resumed run replaying restored completions)
-// are skipped. Write failures are sticky and surface from Err/Close.
+// JSONL line; errored cells, anonymous cells (mapped without a
+// scenario), and cells already present (a resumed run replaying
+// restored completions) are skipped. Write failures are sticky and surface from Err/Close.
 func (j *Journal) CellDone(c Cell, spec CellSpec, res CellResult) {
 	if spec.Scenario == "" {
 		return
@@ -287,7 +287,7 @@ func (j *Journal) CellDone(c Cell, spec CellSpec, res CellResult) {
 
 // LookupCell implements CellLookup. Only resume-loaded cells answer:
 // cells appended during this run are indexed for dedup but their
-// values live on disk alone. A hit releases the stored value — Map
+// values live on disk alone. A hit releases the stored value — mapCells
 // splices each cell exactly once, and holding a 95%-complete sweep's
 // JSON in memory for the rest of the run would dwarf the work left to
 // do. (A hypothetical second lookup of the same cell re-executes it

@@ -30,7 +30,7 @@ func init() {
 		})
 }
 
-func runJournalScenario(t *testing.T, sink Sink) ([]Report, *Pool) {
+func runJournalScenario(t *testing.T, sink Sink) []Report {
 	t.Helper()
 	pool := NewPool(2, 11)
 	if sink != nil {
@@ -41,7 +41,7 @@ func runJournalScenario(t *testing.T, sink Sink) ([]Report, *Pool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reports, pool
+	return reports
 }
 
 func TestJournalStreamsEveryCell(t *testing.T) {
@@ -84,7 +84,7 @@ func TestJournalResumeSkipsCompletedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantReports, _ := runJournalScenario(t, j)
+	wantReports := runJournalScenario(t, j)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,13 @@ func TestJournalResumeSkipsCompletedCells(t *testing.T) {
 		t.Fatalf("resumed journal loaded %d cells, want %d", rj.Loaded(), journalScenarioCells/2)
 	}
 	before := journalCellRuns.Load()
-	gotReports, pool := runJournalScenario(t, rj)
+	gotReports := runJournalScenario(t, rj)
 	executed := journalCellRuns.Load() - before
 	if want := int64(journalScenarioCells / 2); executed != want {
 		t.Errorf("resumed run executed %d cells, want %d", executed, want)
 	}
-	if pool.Cells() != journalScenarioCells {
-		t.Errorf("resumed run counted %d cells, want %d (restored cells must count)", pool.Cells(), journalScenarioCells)
+	if gotReports[0].Cells != journalScenarioCells {
+		t.Errorf("resumed run counted %d cells, want %d (restored cells must count)", gotReports[0].Cells, journalScenarioCells)
 	}
 	if !reflect.DeepEqual(gotReports[0].Result, wantReports[0].Result) {
 		t.Errorf("resumed result differs:\n%v\n%v", gotReports[0].Result, wantReports[0].Result)
@@ -254,6 +254,13 @@ func TestJournalSkipsErrorsAndAnonymousCells(t *testing.T) {
 	spec := CellSpec{Scenario: "s", Scope: "sc", Shard: 0, RootSeed: 1}
 	j.CellDone(Cell{Err: errors.New("boom")}, spec, CellResult{Shard: 0, Err: "boom"})
 	j.CellDone(Cell{}, CellSpec{Scope: "anon", Shard: 1}, CellResult{Shard: 1, Value: json.RawMessage("2")})
+	// Cells mapped without a scenario reach the sink anonymous too.
+	pool := NewPool(1, 1)
+	pool.SetSink(j)
+	if _, err := mapCells(context.Background(), pool, "", Params{}, Cells("anon", 2,
+		func(ctx context.Context, shard int, seed uint64) (int, error) { return shard, nil })); err != nil {
+		t.Fatal(err)
+	}
 	if j.Appended() != 0 {
 		t.Errorf("errored/anonymous cells were journaled: %d", j.Appended())
 	}
@@ -423,7 +430,7 @@ func TestJournalExecBackendStreams(t *testing.T) {
 	}
 	defer rj.Close()
 	before := journalCellRuns.Load()
-	resumed, _ := runJournalScenario(t, rj)
+	resumed := runJournalScenario(t, rj)
 	if executed := journalCellRuns.Load() - before; executed != 0 {
 		t.Errorf("resume after a complete exec run executed %d cells", executed)
 	}

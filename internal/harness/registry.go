@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"path"
@@ -17,10 +18,8 @@ type Renderer interface {
 	Render(w io.Writer)
 }
 
-// Scenario is one named, parameterized experiment. Space declares its
-// cells; Run maps that space, aggregates in shard order, and returns a
-// JSON-marshalable result (conventionally one that also implements
-// Renderer for text output).
+// Scenario is one named, parameterized experiment: a cell space and the
+// aggregate over its cells, both from the one function Define takes.
 type Scenario struct {
 	// Name identifies the scenario in the registry and in run filters.
 	Name string
@@ -28,13 +27,61 @@ type Scenario struct {
 	Description string
 	// Defaults fills unset Params fields at run time.
 	Defaults Params
-	// Space declares the cell space Run maps under the merged params on
-	// the pool Run receives (see Declare). A fleet worker builds it from
-	// a chunk's params and executes the chunk's cells without calling
-	// Run. nil for scenarios that map no cells.
-	Space func(p Params, pool *Pool) (Space[any, any], error)
-	// Run executes the scenario on the pool.
-	Run func(ctx context.Context, p Params, pool *Pool) (any, error)
+
+	// space, run and decode are Define's: the erased cell space a fleet
+	// worker executes, the typed map-and-aggregate RunAll calls (it
+	// returns the result and the number of cells mapped), and the
+	// result's decoder.
+	space  func(p Params, pool *Pool) (Space[any, any], error)
+	run    func(ctx context.Context, p Params, pool *Pool) (any, int, error)
+	decode func(raw json.RawMessage) (any, error)
+}
+
+// Define builds a scenario from build, which returns the scenario's
+// typed cell Space under the merged params and the aggregate over its
+// cells in shard order. RunAll maps that space under the scenario's
+// (name, params) address and aggregates; a fleet worker builds the same
+// space for its chunk and never calls the aggregate. A scenario that
+// computes no cells returns an empty Space. The result type R must
+// survive a JSON round-trip: Decode restores it from a suite document.
+func Define[S, T, R any](name, description string, defaults Params,
+	build func(p Params, pool *Pool) (Space[S, T], func(cells []T) (R, error), error)) Scenario {
+	return Scenario{
+		Name: name, Description: description, Defaults: defaults,
+		space: func(p Params, pool *Pool) (Space[any, any], error) {
+			sp, _, err := build(p, pool)
+			return sp.erase(), err
+		},
+		run: func(ctx context.Context, p Params, pool *Pool) (any, int, error) {
+			sp, aggregate, err := build(p, pool)
+			if err != nil {
+				return nil, 0, err
+			}
+			cells, err := mapCells(ctx, pool, name, p, sp)
+			if err != nil {
+				return nil, 0, err
+			}
+			res, err := aggregate(cells)
+			return res, len(cells), err
+		},
+		decode: func(raw json.RawMessage) (any, error) {
+			var r R
+			err := json.Unmarshal(raw, &r)
+			return r, err
+		},
+	}
+}
+
+// Space builds the scenario's cell space under merged params p, as a
+// fleet worker does for a chunk.
+func (s Scenario) Space(p Params, pool *Pool) (Space[any, any], error) {
+	return s.space(p, pool)
+}
+
+// Decode unmarshals a result of the scenario from its JSON into the
+// type its aggregate returns.
+func (s Scenario) Decode(raw json.RawMessage) (any, error) {
+	return s.decode(raw)
 }
 
 var (
@@ -42,11 +89,11 @@ var (
 	registry = map[string]Scenario{}
 )
 
-// Register adds a scenario; it panics on empty or duplicate names so
-// registration bugs surface at init time.
+// Register adds a scenario built by Define; it panics on empty or
+// duplicate names so registration bugs surface at init time.
 func Register(s Scenario) {
-	if s.Name == "" || s.Run == nil {
-		panic("harness: Register with empty name or nil Run")
+	if s.Name == "" || s.run == nil {
+		panic("harness: Register with an empty name or a Scenario not built by Define")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -115,7 +162,8 @@ type Report struct {
 	Seed     uint64 `json:"seed"`
 	Workers  int    `json:"workers"`
 	Params   Params `json:"params"`
-	// Cells is how many cells the run executed.
+	// Cells is how many cells the run mapped, journal-restored cells
+	// included.
 	Cells uint64 `json:"cells"`
 	// ElapsedMS is wall-clock time (0 when timing is suppressed for
 	// golden-file comparison).
@@ -135,9 +183,10 @@ type Options struct {
 	Timing bool
 }
 
-// RunAll executes the selected scenarios sequentially on the pool (each
-// scenario parallelizes internally) and returns one Report per scenario in
-// name order.
+// RunAll executes the selected scenarios sequentially on the pool and
+// returns one Report per scenario in name order: it maps each scenario's
+// Space under the scenario's (name, merged params) address, cells in
+// parallel, and aggregates them. It is the one way to run a scenario.
 func RunAll(ctx context.Context, pool *Pool, opts Options) ([]Report, error) {
 	scens, err := Match(opts.Filters)
 	if err != nil {
@@ -153,14 +202,8 @@ func RunAll(ctx context.Context, pool *Pool, opts Options) ([]Report, error) {
 			return reports, err
 		}
 		p := opts.Params.Merged(s.Defaults)
-		before := pool.Cells()
 		start := time.Now()
-		// The scenario context makes every CellSpec Map emits under this
-		// Run addressable by (scenario, params), which is what wire
-		// backends ship to workers.
-		pool.beginScenario(s.Name, p)
-		res, err := s.Run(ctx, p, pool)
-		pool.endScenario()
+		res, cells, err := s.run(ctx, p, pool)
 		if err != nil {
 			return reports, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
@@ -169,7 +212,7 @@ func RunAll(ctx context.Context, pool *Pool, opts Options) ([]Report, error) {
 			Seed:     pool.RootSeed(),
 			Workers:  pool.Workers(),
 			Params:   p,
-			Cells:    pool.Cells() - before,
+			Cells:    uint64(cells),
 			Result:   res,
 		}
 		if opts.Timing {

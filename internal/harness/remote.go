@@ -194,7 +194,7 @@ type remoteRun struct {
 	remaining int
 	pending   []*remoteChunk
 	// cellFailed is set once an accepted result carries a cell error: the
-	// run then ends with the results it has, and Map reports the cell's
+	// run then ends with the results it has, and mapCells reports the cell's
 	// own error.
 	cellFailed bool
 	err        error

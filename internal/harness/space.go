@@ -1,5 +1,5 @@
 // Cell spaces: a scenario declares its cells as data — a Space — and
-// Map, the local pool and fleet workers all execute that one
+// RunAll, the local pool and fleet workers all execute that one
 // declaration through one binder. Cells of a group share a value
 // computed once per batch (a trace-major joint replay over one resident
 // trace, a CPU-model timeline); grouping is pure scheduling, so results
@@ -78,32 +78,27 @@ func Joint[T any](scope string, n int, group func(shard int) string,
 		}}
 }
 
-// Declare adapts a typed space constructor to Scenario.Space.
-func Declare[S, T any](build func(Params, *Pool) (Space[S, T], error)) func(Params, *Pool) (Space[any, any], error) {
-	return func(p Params, pool *Pool) (Space[any, any], error) {
-		sp, err := build(p, pool)
-		if err != nil {
-			return Space[any, any]{}, err
+// erase drops the space's cell types, for a fleet worker that executes
+// cells without aggregating them: results leave the worker as JSON.
+func (sp Space[S, T]) erase() Space[any, any] {
+	erased := Space[any, any]{Scope: sp.Scope, N: sp.N, Group: sp.Group,
+		Cell: func(ctx context.Context, shared any, shard int, seed uint64) (any, error) {
+			s, _ := shared.(S)
+			return sp.Cell(ctx, s, shard, seed)
+		}}
+	if sp.Shared != nil {
+		erased.Shared = func(ctx context.Context, shards []int, seeds []uint64) (any, error) {
+			return sp.Shared(ctx, shards, seeds)
 		}
-		erased := Space[any, any]{Scope: sp.Scope, N: sp.N, Group: sp.Group,
-			Cell: func(ctx context.Context, shared any, shard int, seed uint64) (any, error) {
-				s, _ := shared.(S)
-				return sp.Cell(ctx, s, shard, seed)
-			}}
-		if sp.Shared != nil {
-			erased.Shared = func(ctx context.Context, shards []int, seeds []uint64) (any, error) {
-				return sp.Shared(ctx, shards, seeds)
-			}
-		}
-		return erased, nil
 	}
+	return erased
 }
 
 // bind makes specs (ascending by shard) executable in this process: it
 // stamps each spec's locality key and gives it the function computing
 // the cell from its group's shared value, which the group's first cell
 // to run computes over the group's specs here. With grouped false every
-// cell is its own group. Map and the fleet worker both bind through
+// cell is its own group. RunAll and the fleet worker both bind through
 // here, so they execute one declaration the same way.
 func (sp Space[S, T]) bind(specs []CellSpec, grouped bool) {
 	type group struct {
@@ -140,7 +135,7 @@ func (sp Space[S, T]) bind(specs []CellSpec, grouped bool) {
 	}
 }
 
-// SetTraceMajor toggles grouping for Map calls on this pool (default
+// SetTraceMajor toggles grouping for scenario runs on this pool (default
 // on). Off, every cell of every space is its own group and computes its
 // own shared value — the exact model-major execution order — which only
 // changes scheduling, never results: the flag exists to pin that

@@ -71,7 +71,7 @@ func groupedSpace(scope string, n, size int, rootSeed uint64, calls *sharedCalls
 // referenceCells maps spaceCell over an ungrouped n-cell space.
 func referenceCells(t *testing.T, scope string, n int, rootSeed uint64) []uint64 {
 	t.Helper()
-	want, err := Map(context.Background(), NewPool(2, rootSeed), Cells(scope, n,
+	want, err := mapCells(context.Background(), NewPool(2, rootSeed), "", Params{}, Cells(scope, n,
 		func(ctx context.Context, shard int, seed uint64) (uint64, error) {
 			return spaceCell(shard, seed), nil
 		}))
@@ -95,7 +95,7 @@ func TestSpaceGroupsMatchUngrouped(t *testing.T) {
 			t.Fatalf("TraceMajor() = %v after SetTraceMajor(%v)", pool.TraceMajor(), grouped)
 		}
 		var calls sharedCalls
-		got, err := Map(context.Background(), pool, groupedSpace("sp-scope", n, size, 42, &calls))
+		got, err := mapCells(context.Background(), pool, "", Params{}, groupedSpace("sp-scope", n, size, 42, &calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestSpaceGroupsMatchUngrouped(t *testing.T) {
 func TestSpaceSharedSeeds(t *testing.T) {
 	const n = 10
 	var calls sharedCalls
-	_, err := Map(context.Background(), NewPool(1, 7), Space[struct{}, struct{}]{
+	_, err := mapCells(context.Background(), NewPool(1, 7), "", Params{}, Space[struct{}, struct{}]{
 		Scope: "sp-seeds", N: n,
 		Group: func(shard int) string { return Locality("parity", shard%2) },
 		Shared: func(ctx context.Context, shards []int, seeds []uint64) (struct{}, error) {
@@ -170,7 +170,7 @@ func TestSpaceGroupStampsLocality(t *testing.T) {
 		pool.SetBackend(rec)
 		pool.SetTraceMajor(grouped)
 		var calls sharedCalls
-		if _, err := Map(context.Background(), pool, groupedSpace("sp-loc", n, size, 42, &calls)); err != nil {
+		if _, err := mapCells(context.Background(), pool, "", Params{}, groupedSpace("sp-loc", n, size, 42, &calls)); err != nil {
 			t.Fatal(err)
 		}
 		if len(rec.specs) != n {
@@ -188,7 +188,7 @@ func TestSpaceGroupStampsLocality(t *testing.T) {
 // cell and Map reports the lowest-shard root cause.
 func TestSpaceSharedError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), NewPool(2, 1), Joint("sp-err", 6,
+	_, err := mapCells(context.Background(), NewPool(2, 1), "", Params{}, Joint("sp-err", 6,
 		func(shard int) string { return Locality("g", shard/3) },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]int, error) {
 			if shards[0] == 3 {
@@ -204,7 +204,7 @@ func TestSpaceSharedError(t *testing.T) {
 // TestJointRejectsShortGroupRun: a joint run must return one result per
 // shard it was given.
 func TestJointRejectsShortGroupRun(t *testing.T) {
-	_, err := Map(context.Background(), NewPool(1, 1), Joint("sp-short", 4,
+	_, err := mapCells(context.Background(), NewPool(1, 1), "", Params{}, Joint("sp-short", 4,
 		func(int) string { return "all" },
 		func(ctx context.Context, shards []int, seeds []uint64) ([]int, error) {
 			return make([]int, len(shards)-1), nil
@@ -247,9 +247,7 @@ func TestResumeSharesOverPendingCellsOnly(t *testing.T) {
 		t.Helper()
 		pool := NewPool(2, seed)
 		pool.SetSink(sink)
-		pool.beginScenario("_space-resume", Params{})
-		defer pool.endScenario()
-		out, err := Map(context.Background(), pool, groupedSpace("sp-resume", n, size, seed, calls))
+		out, err := mapCells(context.Background(), pool, "_space-resume", Params{}, groupedSpace("sp-resume", n, size, seed, calls))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 package harness
 
 // Worker-side execution: executeCells runs a chunk from the scenario's
-// declared Space, never from its Run, and refuses malformed chunks
-// whole.
+// declared Space, never calls its aggregate, and refuses malformed
+// chunks whole.
 
 import (
 	"context"
@@ -24,8 +24,9 @@ const (
 )
 
 var (
-	// countedRuns counts calls of the _worker-counted scenario's Run.
-	countedRuns atomic.Int64
+	// countedAggregates counts calls of the _worker-counted scenario's
+	// aggregate.
+	countedAggregates atomic.Int64
 	// workerGroupCalls records _worker-groups' Shared calls.
 	workerGroupCalls sharedCalls
 )
@@ -64,20 +65,16 @@ func registerWorkerScenarios() {
 		func(Params, *Pool) (Space[struct{}, int], error) {
 			return Space[struct{}, int]{}, errors.New("no such cell space")
 		})
-	Register(Scenario{
-		Name:        "_worker-counted",
-		Description: "a scenario counting its Run calls",
-		Defaults:    Params{Trials: 4},
-		Space: Declare(func(p Params, _ *Pool) (Space[struct{}, int], error) {
-			return Cells("_worker-counted", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
+	Register(Define("_worker-counted", "a scenario counting its aggregate calls", Params{Trials: 4},
+		func(p Params, _ *Pool) (Space[struct{}, int], func([]int) (int, error), error) {
+			sp := Cells("_worker-counted", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
 				return shard, nil
-			}), nil
-		}),
-		Run: func(ctx context.Context, p Params, pool *Pool) (any, error) {
-			countedRuns.Add(1)
-			return nil, errors.New("a worker ran the scenario")
-		},
-	})
+			})
+			return sp, func([]int) (int, error) {
+				countedAggregates.Add(1)
+				return 0, errors.New("a worker aggregated the scenario")
+			}, nil
+		}))
 }
 
 // chunk addresses shards of a registered scenario's scope the way a
@@ -91,9 +88,9 @@ func chunk(scenario string, params Params, root uint64, shards ...int) []CellSpe
 }
 
 // TestExecuteCellsNeverRunsScenario: a worker executes a chunk from the
-// scenario's Space; the scenario's Run is never called.
+// scenario's Space; the scenario's aggregate is never called.
 func TestExecuteCellsNeverRunsScenario(t *testing.T) {
-	before := countedRuns.Load()
+	before := countedAggregates.Load()
 	results, err := executeCells(context.Background(), chunk("_worker-counted", Params{Trials: 4}, 3, 1, 3), NewPool(1, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +98,8 @@ func TestExecuteCellsNeverRunsScenario(t *testing.T) {
 	if len(results) != 2 || results[0].Shard != 1 || string(results[0].Value) != "1" || string(results[1].Value) != "3" {
 		t.Errorf("results = %+v", results)
 	}
-	if n := countedRuns.Load() - before; n != 0 {
-		t.Errorf("Run called %d times, want 0", n)
+	if n := countedAggregates.Load() - before; n != 0 {
+		t.Errorf("aggregate called %d times, want 0", n)
 	}
 }
 

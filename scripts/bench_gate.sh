@@ -20,12 +20,15 @@
 #
 # env knobs:
 #   BENCH_GATE_BENCHTIME        go test -benchtime (default 0.3s)
-#   BENCH_GATE_COUNT            rounds per side (default 3). A round runs
+#   BENCH_GATE_COUNT            rounds per side (default 4). A round runs
 #                               every benchmark once (-count 1) on BASE
 #                               and on the working tree, alternating which
 #                               side goes first; the recorded value per
 #                               benchmark is the MINIMUM across rounds,
-#                               far more stable than any single sample
+#                               far more stable than any single sample.
+#                               Keep it even, so each side goes first
+#                               equally often and drift within a round
+#                               favours neither
 #   BENCH_GATE_NS_THRESHOLD     max tolerated relative ns/op growth over
 #                               BASE (default 0.10)
 #   BENCH_GATE_ALLOC_THRESHOLD  max tolerated relative allocs/op growth
@@ -39,6 +42,10 @@
 #                               delta on busy machines; a real leak
 #                               scales with the op and clears the slack)
 #
+# Two keys' allocs/op move with runtime scheduling by more than that
+# slack, and gate at their baseline plus their measured spread instead
+# (ALLOC_SPREAD below); every other key keeps BENCH_GATE_ALLOC_SLACK.
+#
 # Benchmarks are keyed as <package>/<name> with the GOMAXPROCS suffix
 # stripped, so the file is stable across machines with different core
 # counts. A benchmark present in BENCH_13.json but missing from the
@@ -49,10 +56,17 @@ cd "$(dirname "$0")/.."
 
 OUT=BENCH_13.json
 BENCHTIME="${BENCH_GATE_BENCHTIME:-0.3s}"
-COUNT="${BENCH_GATE_COUNT:-3}"
+COUNT="${BENCH_GATE_COUNT:-4}"
 NS_THR="${BENCH_GATE_NS_THRESHOLD:-0.10}"
 ALLOC_THR="${BENCH_GATE_ALLOC_THRESHOLD:-0}"
 ALLOC_SLACK="${BENCH_GATE_ALLOC_SLACK:-1}"
+# Measured allocs/op spread (max - min) of the keys whose counts jitter
+# run to run: sim/ReplayMulti/trace-major read 62-64 over 12 runs and
+# still 62-65 over 8 with the GC off, so the spread comes from runtime
+# scheduling, not from GC or a leak (a per-chunk leak would add >= 13
+# per op on its 100k-record trace); cpu/PipelineEngine read
+# 642,843-642,857 over 6 runs.
+ALLOC_SPREAD="sim/ReplayMulti/trace-major=3 cpu/PipelineEngine=14"
 PKGS=(./internal/sim/ ./internal/cpu/ ./internal/bpu/ ./internal/tage/ ./internal/perceptron/ ./internal/ittage/ ./internal/rng/ ./internal/tracestore/ ./internal/trace/ ./internal/snapstore/)
 
 update=0
@@ -158,7 +172,11 @@ fi
 jq -r '.benchmarks | to_entries[] | "\(.key)\t\(.value.ns_per_op)\t\(.value.allocs_per_op)"' "$OUT" > "$tmp/ref.tsv"
 minimums "$tmp/base.txt" > "$tmp/base.tsv"
 printf '%s\n' "$new_tsv" > "$tmp/new.tsv"
-fail=$(awk -F'\t' -v ns_thr="$NS_THR" -v alloc_thr="$ALLOC_THR" -v alloc_slack="$ALLOC_SLACK" '
+fail=$(awk -F'\t' -v ns_thr="$NS_THR" -v alloc_thr="$ALLOC_THR" -v alloc_slack="$ALLOC_SLACK" -v alloc_spread="$ALLOC_SPREAD" '
+  BEGIN {
+    n = split(alloc_spread, pairs, " ")
+    for (i = 1; i <= n; i++) { split(pairs[i], kv, "="); spread[kv[1]] = kv[2] }
+  }
   FILENAME == ARGV[1] { ref_allocs[$1] = $3; next }
   FILENAME == ARGV[2] { base_ns[$1] = $2; next }
   {
@@ -176,8 +194,10 @@ fail=$(awk -F'\t' -v ns_thr="$NS_THR" -v alloc_thr="$ALLOC_THR" -v alloc_slack="
     }
     if (!($1 in ref_allocs)) next
     al = $3 + 0; bal = ref_allocs[$1] + 0
-    if (al > bal * (1 + alloc_thr) + alloc_slack) {
-      printf "REGRESSED %-48s allocs/op %s -> %s (limit +%.0f%% +%d)\n", $1, bal, al, alloc_thr * 100, alloc_slack
+    slack = alloc_slack + 0
+    if (spread[$1] + 0 > slack) slack = spread[$1] + 0
+    if (al > bal * (1 + alloc_thr) + slack) {
+      printf "REGRESSED %-48s allocs/op %s -> %s (limit +%.0f%% +%d)\n", $1, bal, al, alloc_thr * 100, slack
       bad = 1
     }
   }
