@@ -73,7 +73,8 @@ func Define[S, T, R any](name, description string, defaults Params,
 }
 
 // Space builds the scenario's cell space under merged params p, as a
-// fleet worker does for a chunk.
+// fleet worker does for a chunk, with its cell types erased: the worker
+// only executes cells and ships their results as JSON.
 func (s Scenario) Space(p Params, pool *Pool) (Space[any, any], error) {
 	return s.space(p, pool)
 }
