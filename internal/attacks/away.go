@@ -21,7 +21,7 @@ func PHTAwayEffect(t *Target, maxProbes int) Result {
 		pc := vPC + uint64(probe)*4
 		for i := 0; i < 4; i++ {
 			_, ev := t.step(condRec(pc, true, AttackerPID))
-			if ev.Mispredict {
+			if ev.Mispredict() {
 				res.AttackerMispredicts++
 			}
 		}
@@ -56,10 +56,10 @@ func BTBAwayEffect(t *Target, maxProbes int) Result {
 		pc := vPC + uint64(probe)*16
 		atk := jmp(pc, planted, AttackerPID)
 		_, ev := t.step(atk)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 		// Victim executes its own (fresh) branch at vPC.

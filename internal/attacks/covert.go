@@ -149,7 +149,7 @@ func BlueThunder(t *Target, secretTaken bool, rounds int) Result {
 	apcs := preamblePCs(attackerBase + 0xe900)
 	for i, taken := range preamble {
 		_, ev := t.step(condRec(apcs[i], taken, AttackerPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
 		res.Trials++
@@ -190,16 +190,16 @@ func DoSReuse(t *Target, rounds int) Result {
 		// truncated mapping).
 		bogus := attackerBase + 0xf800 + uint64(round)*0x40
 		_, ev := t.step(ijmp(vPC, bogus, AttackerPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 
 		// Victim executes its hot branch toward the legitimate target.
 		_, vev := t.step(ijmp(vPC, legit, VictimPID))
-		if vev.Mispredict {
+		if vev.Mispredict() {
 			victimMisp++
 		}
 	}

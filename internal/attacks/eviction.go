@@ -13,28 +13,28 @@ func evictionTest(t *Target, x uint64, set []uint64, res *Result) bool {
 	// Install x.
 	recX := jmp(x, x+0x40, AttackerPID)
 	_, ev := t.step(recX)
-	if ev.Mispredict {
+	if ev.Mispredict() {
 		res.AttackerMispredicts++
 	}
-	if ev.BTBEviction {
+	if ev.BTBEviction() {
 		res.Evictions++
 	}
 	// Touch every candidate.
 	for _, pc := range set {
 		_, ev := t.step(jmp(pc, pc+0x40, AttackerPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 	}
 	// Re-probe x: a target miss means it was evicted.
 	pred, ev := t.step(recX)
-	if ev.Mispredict {
+	if ev.Mispredict() {
 		res.AttackerMispredicts++
 	}
-	if ev.BTBEviction {
+	if ev.BTBEviction() {
 		res.Evictions++
 	}
 	return !pred.TargetValid
@@ -123,10 +123,10 @@ func EvictionSetAttack(t *Target, poolSize int) Result {
 	// Prime: install all eviction-set entries.
 	for _, pc := range evictionSet {
 		_, ev := t.step(jmp(pc, pc+0x40, AttackerPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 	}
@@ -136,10 +136,10 @@ func EvictionSetAttack(t *Target, poolSize int) Result {
 	for _, pc := range evictionSet {
 		res.Trials++
 		pred, ev := t.step(jmp(pc, pc+0x40, AttackerPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 		if !pred.TargetValid {
@@ -176,7 +176,7 @@ func RSBOverflowDoS(t *Target, depth int) Result {
 	for i := 3; i >= 0; i-- {
 		ret := retRec(vFn+uint64(i)*0x100+0x3c, vCall+uint64(i)*8+4, VictimPID)
 		_, ev := t.step(ret)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			misp++
 		}
 	}

@@ -26,10 +26,10 @@ func SpectreV2(t *Target, maxAttempts int) Result {
 		atk := ijmp(vPC, tau, AttackerPID)
 		_, ev := t.step(atk)
 		t.step(atk) // reinforce
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 
@@ -67,7 +67,7 @@ func SpectreRSB(t *Target, maxAttempts int) Result {
 		// Victim returns without a matching call: it consumes the
 		// attacker's RSB entry.
 		pred, ev := t.step(retRec(vFn+0x3c, vFn+0x100, VictimPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			// The victim mispredicts, but the monitored entity for the
 			// attack budget is the attacker's training activity; count
 			// the attacker-visible event from its own next probe.
@@ -108,10 +108,10 @@ func DoSEviction(t *Target, rounds, sprayPerRound int) Result {
 				pc = attackerBase + uint64(round*sprayPerRound+i)*32
 			}
 			_, ev := t.step(jmp(pc, pc+0x40, AttackerPID))
-			if ev.BTBEviction {
+			if ev.BTBEviction() {
 				res.Evictions++
 			}
-			if ev.Mispredict {
+			if ev.Mispredict() {
 				res.AttackerMispredicts++
 			}
 		}

@@ -21,10 +21,10 @@ package attacks
 func BuildEvictionSetPPP(t *Target, x uint64, pool []uint64, ways, maxRounds int, res *Result) []uint64 {
 	touch := func(pc uint64) (hit bool) {
 		pred, ev := t.step(jmp(pc, pc+0x40, AttackerPID))
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 		return pred.TargetValid

@@ -33,10 +33,10 @@ func BTBReuseSideChannel(t *Target, maxProbes int) Result {
 		pc := vPC + uint64(probe)*16 // probe 0 aliases vPC exactly
 		rec := jmp(pc, pc+0x40, AttackerPID)
 		pred, ev := t.step(rec)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 		// First execution of this attacker branch: a valid target whose
@@ -81,7 +81,7 @@ func BranchScope(t *Target, secretTaken bool, maxProbes int) Result {
 		pc := vPC + uint64(probe)*4
 		rec := condRec(pc, false, AttackerPID)
 		pred, ev := t.step(rec)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
 		// A fresh PHT counter predicts not-taken (weak init). A taken
@@ -133,10 +133,10 @@ func SameAddressSpaceCollision(t *Target, maxProbes int) Result {
 		pc := vPC + (uint64(probe)+1)<<32
 		rec := jmp(pc, pc+0x40, VictimPID)
 		pred, ev := t.step(rec)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			res.AttackerMispredicts++
 		}
-		if ev.BTBEviction {
+		if ev.BTBEviction() {
 			res.Evictions++
 		}
 		if pred.TargetValid && uint32(pred.Target) == uint32(vTarget) {

@@ -458,7 +458,7 @@ func runTrace(u *Unit, recs []trace.Record) (misp, total int) {
 	for _, rec := range recs {
 		pred := u.Predict(rec.PC, rec.Kind)
 		ev := u.Update(rec, pred)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			misp++
 		}
 		total++
@@ -581,8 +581,8 @@ func TestUnitNotTakenCondIsNotMispredict(t *testing.T) {
 	// needed, so the branch must count as correctly predicted.
 	pred := u.Predict(rec.PC, rec.Kind)
 	ev := u.Update(rec, pred)
-	if ev.Mispredict {
-		t.Errorf("not-taken conditional wrongly counted as mispredict: %+v", ev)
+	if ev.Mispredict() {
+		t.Errorf("not-taken conditional wrongly counted as mispredict: %07b", ev)
 	}
 }
 
@@ -591,13 +591,62 @@ func TestUnitEventAccounting(t *testing.T) {
 	rec := trace.Record{PC: 0x401000, Target: 0x401800, Kind: trace.KindDirectJump, Taken: true}
 	pred := u.Predict(rec.PC, rec.Kind)
 	ev := u.Update(rec, pred)
-	if !ev.Mispredict || !ev.BTBMiss || ev.TargetCorrect {
-		t.Errorf("cold unconditional events = %+v", ev)
+	if !ev.Mispredict() || !ev.BTBMiss() || ev.TargetCorrect() {
+		t.Errorf("cold unconditional events = %07b", ev)
 	}
 	pred = u.Predict(rec.PC, rec.Kind)
 	ev = u.Update(rec, pred)
-	if ev.Mispredict || !ev.TargetCorrect {
-		t.Errorf("warm unconditional events = %+v", ev)
+	if ev.Mispredict() || !ev.TargetCorrect() {
+		t.Errorf("warm unconditional events = %07b", ev)
+	}
+}
+
+// TestCountersNoteAllEvents checks the branch-free Note against the
+// counting rule spelled out through the accessors, for every one of
+// the 128 values the seven flags can take: DirCorrect counts only among
+// conditional branches and TargetCorrect only among target-known ones,
+// even for flag combinations Update never reports.
+func TestCountersNoteAllEvents(t *testing.T) {
+	if all := EvCond | EvDirCorrect | EvTargetKnown | EvTargetCorrect | EvMispredict | EvBTBEviction | EvBTBMiss; all != 1<<7-1 {
+		t.Fatalf("the seven flags cover %07b, want the low seven bits each once", all)
+	}
+	for v := 0; v < 1<<7; v++ {
+		ev := Events(v)
+		var want Counters
+		if ev.Mispredict() {
+			want.Mispredicts++
+		}
+		if ev.IsCond() {
+			want.Conds++
+			if ev.DirCorrect() {
+				want.DirCorrect++
+			}
+		}
+		if ev.TargetKnown() {
+			want.TargetKnown++
+			if ev.TargetCorrect() {
+				want.TargetCorrect++
+			}
+		}
+		if ev.BTBEviction() {
+			want.Evictions++
+		}
+		if ev.BTBMiss() {
+			want.BTBMisses++
+		}
+		// Fold twice from a nonzero start, so an assignment where an
+		// addition belongs shows too.
+		got := Counters{Mispredicts: 5, Conds: 5, DirCorrect: 5, TargetKnown: 5, TargetCorrect: 5, Evictions: 5, BTBMisses: 5}
+		got.Note(ev)
+		got.Note(ev)
+		want = Counters{
+			Mispredicts: 5 + 2*want.Mispredicts, Conds: 5 + 2*want.Conds, DirCorrect: 5 + 2*want.DirCorrect,
+			TargetKnown: 5 + 2*want.TargetKnown, TargetCorrect: 5 + 2*want.TargetCorrect,
+			Evictions: 5 + 2*want.Evictions, BTBMisses: 5 + 2*want.BTBMisses,
+		}
+		if got != want {
+			t.Errorf("Note(%07b) twice: got %+v, want %+v", ev, got, want)
+		}
 	}
 }
 
@@ -633,6 +682,26 @@ func BenchmarkUnitPredictUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := tr.Records[i%len(tr.Records)]
 		u.Update(rec, u.Predict(rec.PC, rec.Kind))
+	}
+}
+
+// BenchmarkUnitResolve is BenchmarkUnitPredictUpdate through the fused
+// Resolve, the call every columnar replay loop makes per branch.
+func BenchmarkUnitResolve(b *testing.B) {
+	p, err := trace.Preset("505.mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := trace.Generate(p.WithRecords(100_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := NewUnit(UnitConfig{})
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec := tr.Records[i%len(tr.Records)]
+		u.Resolve(rec.PC, rec.Target, rec.Kind, rec.Taken)
 	}
 }
 

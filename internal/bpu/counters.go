@@ -1,9 +1,9 @@
 package bpu
 
 // Counters accumulates resolution events across a batch of retired
-// branches. Batched replay paths fold each branch's outcome into one
-// shared accumulator instead of returning an Events struct per record,
-// which keeps the hot loop free of per-record result copies.
+// branches. The columnar replay loops fold each branch's Events into
+// one accumulator per model (per thread in an SMT replay), so a run's
+// counts are ready when its last chunk ends.
 type Counters struct {
 	// Mispredicts counts overall effective mispredictions (OAE numerator).
 	Mispredicts uint64
@@ -21,27 +21,17 @@ type Counters struct {
 	BTBMisses uint64
 }
 
-// Note folds one branch resolution into the counters.
+// Note folds one branch resolution into the counters. It adds each
+// flag's bit instead of testing it, so the replay loop takes no branch
+// here. DirCorrect counts only among conditional branches and
+// TargetCorrect only among target-known ones, as the field comments say.
 func (c *Counters) Note(ev Events) {
-	if ev.Mispredict {
-		c.Mispredicts++
-	}
-	if ev.IsCond {
-		c.Conds++
-		if ev.DirCorrect {
-			c.DirCorrect++
-		}
-	}
-	if ev.TargetKnown {
-		c.TargetKnown++
-		if ev.TargetCorrect {
-			c.TargetCorrect++
-		}
-	}
-	if ev.BTBEviction {
-		c.Evictions++
-	}
-	if ev.BTBMiss {
-		c.BTBMisses++
-	}
+	e := uint64(ev)
+	c.Mispredicts += e >> evMispredict & 1
+	c.Conds += e >> evCond & 1
+	c.DirCorrect += e >> evCond & (e >> evDirCorrect) & 1
+	c.TargetKnown += e >> evTargetKnown & 1
+	c.TargetCorrect += e >> evTargetKnown & (e >> evTargetCorrect) & 1
+	c.Evictions += e >> evBTBEviction & 1
+	c.BTBMisses += e >> evBTBMiss & 1
 }

@@ -296,13 +296,52 @@ func (m *Model) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	if !m.haveKey || key != m.curKey {
 		m.loadToken(key)
 	}
-
 	pred := m.unit.Predict(rec.PC, rec.Kind)
 	ev := m.unit.Update(rec, pred)
+	m.monitor(key, ev)
+	return pred, ev
+}
 
-	// Threshold monitoring. TAGE models route tagged-bank mispredictions
-	// to their dedicated register (§VII-B2).
-	if ev.Mispredict {
+// StepColumns processes rows [lo,hi) of a columnar trace — the
+// struct-of-arrays twin of Step, and the suite's hot replay loop.
+// The entity key comes straight from the flag/PID/program columns
+// (branchless flag extraction, no 32-byte struct assembly), and each
+// row resolves through bpu.Unit.Resolve, which returns exactly what
+// Step's Predict/Update pair does without building the Prediction
+// nobody here reads. Every row goes through the Step sequence — token
+// switch, resolve, threshold monitoring — so columnar and per-record
+// replay are bit-identical (pinned by the sim package's
+// columnar-vs-step test).
+func (m *Model) StepColumns(cols *trace.Columns, lo, hi int, acc *bpu.Counters) {
+	pcs, targets, flags := cols.PCs, cols.Targets, cols.Flags
+	pids, progs := cols.PIDs, cols.Programs
+	for i := lo; i < hi; i++ {
+		f := flags[i]
+		var key uint64
+		switch {
+		case f&trace.FlagKernel != 0:
+			key = kernelKey
+		case m.sharedTokens:
+			key = programKey | uint64(progs[i])
+		default:
+			key = uint64(pids[i])
+		}
+		if !m.haveKey || key != m.curKey {
+			m.loadToken(key)
+		}
+		ev := m.unit.Resolve(pcs[i], targets[i], trace.Kind(f&trace.FlagKindMask), f&trace.FlagTaken != 0)
+		m.monitor(key, ev)
+		acc.Note(ev)
+	}
+}
+
+// monitor is the threshold monitoring that follows each resolved
+// branch of entity key: mispredictions and BTB evictions count against
+// the entity's budgets, and an exhausted budget installs a
+// re-randomized token. TAGE models route tagged-bank mispredictions to
+// their dedicated register (§VII-B2).
+func (m *Model) monitor(key uint64, ev bpu.Events) {
+	if ev.Mispredict() {
 		viaTage := false
 		if m.tagePred != nil {
 			if tm := m.tagePred.TageMispredicts; tm != m.lastTageMisp {
@@ -323,79 +362,10 @@ func (m *Model) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	} else if m.tagePred != nil {
 		m.lastTageMisp = m.tagePred.TageMispredicts
 	}
-	if ev.BTBEviction {
+	if ev.BTBEviction() {
 		if st, rerand := m.mgr.OnEviction(key); rerand {
 			m.applyST(st)
 		}
-	}
-	return pred, ev
-}
-
-// StepColumns processes rows [lo,hi) of a columnar trace — the
-// struct-of-arrays twin of Step, and the suite's hot replay loop.
-// It is Step's body with the record fields loaded from the packed
-// arrays: the entity key comes straight from the flag/PID/program
-// columns (branchless flag extraction, no 32-byte struct assembly, no
-// unused Prediction return), and only the fields Update reads are
-// materialized. Every row goes through exactly the Step sequence —
-// token switch, predict, update, threshold monitoring — so columnar
-// and per-record replay are bit-identical (pinned by the sim package's
-// columnar-vs-step test).
-func (m *Model) StepColumns(cols *trace.Columns, lo, hi int, acc *bpu.Counters) {
-	pcs, targets, flags := cols.PCs, cols.Targets, cols.Flags
-	pids, progs := cols.PIDs, cols.Programs
-	for i := lo; i < hi; i++ {
-		f := flags[i]
-		var key uint64
-		switch {
-		case f&trace.FlagKernel != 0:
-			key = kernelKey
-		case m.sharedTokens:
-			key = programKey | uint64(progs[i])
-		default:
-			key = uint64(pids[i])
-		}
-		if !m.haveKey || key != m.curKey {
-			m.loadToken(key)
-		}
-
-		kind := trace.Kind(f & trace.FlagKindMask)
-		pred := m.unit.Predict(pcs[i], kind)
-		ev := m.unit.Update(trace.Record{
-			PC:     pcs[i],
-			Target: targets[i],
-			Kind:   kind,
-			Taken:  f&trace.FlagTaken != 0,
-		}, pred)
-
-		// Threshold monitoring, exactly as in Step.
-		if ev.Mispredict {
-			viaTage := false
-			if m.tagePred != nil {
-				if tm := m.tagePred.TageMispredicts; tm != m.lastTageMisp {
-					m.lastTageMisp = tm
-					viaTage = true
-				}
-			}
-			var st token.ST
-			var rerand bool
-			if viaTage {
-				st, rerand = m.mgr.OnTageMisprediction(key)
-			} else {
-				st, rerand = m.mgr.OnMisprediction(key)
-			}
-			if rerand {
-				m.applyST(st)
-			}
-		} else if m.tagePred != nil {
-			m.lastTageMisp = m.tagePred.TageMispredicts
-		}
-		if ev.BTBEviction {
-			if st, rerand := m.mgr.OnEviction(key); rerand {
-				m.applyST(st)
-			}
-		}
-		acc.Note(ev)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func runModel(m *Model, recs []trace.Record) float64 {
 	misp := 0
 	for _, rec := range recs {
-		if _, ev := m.Step(rec); ev.Mispredict {
+		if _, ev := m.Step(rec); ev.Mispredict() {
 			misp++
 		}
 	}
@@ -24,7 +24,7 @@ func runUnit(u *bpu.Unit, recs []trace.Record) float64 {
 	misp := 0
 	for _, rec := range recs {
 		pred := u.Predict(rec.PC, rec.Kind)
-		if ev := u.Update(rec, pred); ev.Mispredict {
+		if ev := u.Update(rec, pred); ev.Mispredict() {
 			misp++
 		}
 	}

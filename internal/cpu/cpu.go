@@ -20,9 +20,9 @@
 // addresses — comes from recHash, which reads only a row's PC, Target
 // and index, and the SMT interleave is a fixed round-robin, so the cache
 // walk is the same for every BPU model and the two cycle sums simply add.
-// A BTB miss adds nothing of its own: bpu.Unit.Update reports one only
-// for a taken branch with no valid target, which is always a target
-// mispredict (TestBTBMissAlwaysMispredicts), so cycles are exactly the
+// A BTB miss adds nothing of its own: bpu.Unit.Resolve, like Update,
+// reports one only for a taken branch with no valid target, which is
+// always a target mispredict (TestBTBMissAlwaysMispredicts), so cycles are exactly the
 // timeline's plus MispredictPenalty × mispredicts. A solo replay is
 // therefore sim.RunColumnsCtx plus that product. Experiments comparing
 // several predictors on one trace (or SMT pair) build its Timeline once

@@ -202,8 +202,8 @@ func (s *opStream) refill() {
 		lat:        1,
 		thread:     s.thread,
 		isBranch:   true,
-		mispredict: ev.Mispredict,
-		btbMiss:    ev.BTBMiss,
+		mispredict: ev.Mispredict(),
+		btbMiss:    ev.BTBMiss(),
 		deps:       [2]uint64{noDep, noDep},
 	}
 	// A conditional branch consumes the last produced value: its

@@ -78,9 +78,9 @@ func refRun(cfg Config, m sim.Model, tr *trace.Trace) fused {
 		f.cycles += pendingStall
 		_, ev := m.Step(rec)
 		f.branch[0].Note(ev)
-		if ev.Mispredict {
+		if ev.Mispredict() {
 			f.cycles += uint64(cfg.MispredictPenalty)
-		} else if ev.BTBMiss {
+		} else if ev.BTBMiss() {
 			f.cycles += uint64(cfg.BTBMissPenalty)
 		}
 	}
@@ -125,9 +125,9 @@ func refRunSMT(cfg Config, m sim.Model, a, b *trace.Trace) fused {
 			}
 			_, ev := m.Step(rec)
 			f.branch[t].Note(ev)
-			if ev.Mispredict {
+			if ev.Mispredict() {
 				f.cycles += uint64(cfg.MispredictPenalty)
-			} else if ev.BTBMiss {
+			} else if ev.BTBMiss() {
 				f.cycles += uint64(cfg.BTBMissPenalty)
 			}
 		}

@@ -117,7 +117,7 @@ func TestBRBRetainsDirectionStateAcrossSwitches(t *testing.T) {
 	if !pred.Taken {
 		t.Error("BRB lost retained direction state after a context switch")
 	}
-	if !ev.DirCorrect {
+	if !ev.DirCorrect() {
 		t.Error("retained state did not predict correctly")
 	}
 	if b.Saves == 0 || b.Restores == 0 {
@@ -390,7 +390,7 @@ func TestDefensesPredictWellSingleProcess(t *testing.T) {
 		const n = 200
 		for i := 0; i < n; i++ {
 			_, ev := m.Step(condAt(pc, true, 1, false))
-			if ev.DirCorrect {
+			if ev.DirCorrect() {
 				correct++
 			}
 		}

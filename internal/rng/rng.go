@@ -78,11 +78,11 @@ func (r *Rand) SetState(s [4]uint64) {
 	r.s = s
 }
 
-// Uint64 returns the next value in the stream. It is the package's one
-// copy of the xoshiro256** step, written with the state in locals and
-// stored back once: that form fits the compiler's inlining budget, so
-// Float64, Bool, Uint32 and Geometric inline it too and a hot loop pays
-// no call per draw.
+// Uint64 returns the next value in the stream. It is the xoshiro256**
+// step, written with the state in locals and stored back once: that
+// form fits the compiler's inlining budget, so Float64, Bool and Uint32
+// inline it too and a hot loop pays no call per draw. Geometric repeats
+// the step on its own locals.
 func (r *Rand) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	s2 ^= s0
@@ -160,10 +160,23 @@ func (r *Rand) Geometric(p float64, max int) int {
 	if !math.IsNaN(p) {
 		thr = uint64(math.Ceil(p * (1 << 53)))
 	}
+	// The loop keeps the state in locals and stores it back once:
+	// through r.s every draw would store four words and load them again
+	// for the next. Its body is Uint64's step, which
+	// TestGeometricMatchesBernoulliLoop pins it to.
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	n := 1
-	for n < max && r.Uint64()>>11 >= thr {
+	for n < max {
+		v := bits.RotateLeft64(s1*5, 7) * 9
+		s2 ^= s0
+		s3 ^= s1
+		s0, s1, s2, s3 = s0^s3, s1^s2, s2^s1<<17, bits.RotateLeft64(s3, 45)
+		if v>>11 < thr {
+			break
+		}
 		n++
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return n
 }
 

@@ -405,35 +405,26 @@ func (m *UnitModel) Name() string { return m.ModelName }
 // Step implements Model.
 func (m *UnitModel) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	if m.entity != nil {
-		m.entity.setEntity(rec)
+		m.entity.setEntity(rec.PID, rec.Kernel)
 	}
 	pred := m.Unit.Predict(rec.PC, rec.Kind)
 	return pred, m.Unit.Update(rec, pred)
 }
 
-// StepColumns implements ColumnModel: the Step predict/update sequence
-// driven off the packed arrays. Only the PC/Target/Flags columns are
-// loaded per record (Update never reads the entity fields); the PID
-// and kernel-mode side columns are consulted solely for the
+// StepColumns implements ColumnModel: each row resolves through
+// bpu.Unit.Resolve, the fused form of Step's predict/update pair,
+// straight off the packed arrays. Only the PC/Target/Flags columns are
+// loaded per record; the PID side column is read solely for the
 // conservative model's entity salt.
 func (m *UnitModel) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
 	u := m.Unit
 	pcs, targets, flags := cols.PCs, cols.Targets, cols.Flags
 	for i := lo; i < hi; i++ {
 		f := flags[i]
-		rec := trace.Record{
-			PC:     pcs[i],
-			Target: targets[i],
-			Kind:   trace.Kind(f & trace.FlagKindMask),
-			Taken:  f&trace.FlagTaken != 0,
-		}
 		if m.entity != nil {
-			rec.PID = cols.PIDs[i]
-			rec.Kernel = f&trace.FlagKernel != 0
-			m.entity.setEntity(rec)
+			m.entity.setEntity(cols.PIDs[i], f&trace.FlagKernel != 0)
 		}
-		pred := u.Predict(rec.PC, rec.Kind)
-		acc.Note(u.Update(rec, pred))
+		acc.Note(u.Resolve(pcs[i], targets[i], trace.Kind(f&trace.FlagKindMask), f&trace.FlagTaken != 0))
 	}
 }
 
@@ -451,47 +442,40 @@ type FlushModel struct {
 
 // Step implements Model.
 func (m *FlushModel) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
-	m.maybeFlush(rec)
+	m.maybeFlush(rec.PID, rec.Kernel)
 	return m.UnitModel.Step(rec)
 }
 
-// maybeFlush applies the microcode barrier policy for one record.
-func (m *FlushModel) maybeFlush(rec trace.Record) {
+// maybeFlush applies the microcode barrier policy for one record of
+// entity (pid, kernel).
+func (m *FlushModel) maybeFlush(pid uint32, kernel bool) {
 	if m.started {
-		if m.OnCtxSwitch && rec.PID != m.prevPID {
+		if m.OnCtxSwitch && pid != m.prevPID {
 			m.Unit.Flush()
 			m.flushes++
 		}
-		if m.OnKernelEntry && rec.Kernel && !m.prevKernel {
+		if m.OnKernelEntry && kernel && !m.prevKernel {
 			m.Unit.Flush()
 			m.flushes++
 		}
 	}
-	m.prevPID, m.prevKernel, m.started = rec.PID, rec.Kernel, true
+	m.prevPID, m.prevKernel, m.started = pid, kernel, true
 }
 
 // StepColumns implements ColumnModel, shadowing the embedded UnitModel
 // fast path. The flush policy reads the entity columns per record, so
-// unlike the plain UnitModel path the PID/kernel side arrays stay hot.
+// unlike the plain UnitModel path the PID side array stays hot.
 func (m *FlushModel) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
 	u := m.Unit
-	pcs, targets, flags := cols.PCs, cols.Targets, cols.Flags
+	pcs, targets, flags, pids := cols.PCs, cols.Targets, cols.Flags, cols.PIDs
 	for i := lo; i < hi; i++ {
 		f := flags[i]
-		rec := trace.Record{
-			PC:     pcs[i],
-			Target: targets[i],
-			PID:    cols.PIDs[i],
-			Kind:   trace.Kind(f & trace.FlagKindMask),
-			Taken:  f&trace.FlagTaken != 0,
-			Kernel: f&trace.FlagKernel != 0,
-		}
-		m.maybeFlush(rec)
+		kernel := f&trace.FlagKernel != 0
+		m.maybeFlush(pids[i], kernel)
 		if m.entity != nil {
-			m.entity.setEntity(rec)
+			m.entity.setEntity(pids[i], kernel)
 		}
-		pred := u.Predict(rec.PC, rec.Kind)
-		acc.Note(u.Update(rec, pred))
+		acc.Note(u.Resolve(pcs[i], targets[i], trace.Kind(f&trace.FlagKindMask), f&trace.FlagTaken != 0))
 	}
 }
 
@@ -533,12 +517,12 @@ type entityMapper struct {
 	salt uint64
 }
 
-func (m *entityMapper) setEntity(rec trace.Record) {
-	if rec.Kernel {
+func (m *entityMapper) setEntity(pid uint32, kernel bool) {
+	if kernel {
 		m.salt = 0xffff_0000_0000
 		return
 	}
-	m.salt = uint64(rec.PID) << 20
+	m.salt = uint64(pid) << 20
 }
 
 // conservativePHTMask halves the effective PHT: storing enough address
