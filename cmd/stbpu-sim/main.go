@@ -23,6 +23,7 @@ import (
 	"stbpu/internal/defenses"
 	"stbpu/internal/sim"
 	"stbpu/internal/trace"
+	"stbpu/internal/tracestore"
 )
 
 func main() {
@@ -55,13 +56,8 @@ func run() error {
 	var tr *trace.Trace
 	var prof trace.Profile
 	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tr, err = trace.Read(f)
-		if err != nil {
+		var err error
+		if tr, prof, err = loadTrace(*load); err != nil {
 			return err
 		}
 	} else {
@@ -118,6 +114,24 @@ func run() error {
 	return nil
 }
 
+// loadTrace reads a saved STBT trace. The file carries no profile, so
+// it is re-derived from the trace's name, as the trace tier does for
+// its spills, and a shared-token workload keeps its token policy. A
+// name that no preset owns keeps the zero profile.
+func loadTrace(path string) (*trace.Trace, trace.Profile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, trace.Profile{}, err
+	}
+	defer f.Close()
+	tr, err := trace.Read(f)
+	if err != nil {
+		return nil, trace.Profile{}, err
+	}
+	prof, _ := tracestore.PresetProfile(tr.Name, len(tr.Records)) // zero when unknown
+	return tr, prof, nil
+}
+
 // pickModels resolves a model selector into ready instances. "all" covers
 // the Fig. 3 lineup; "everything" adds the §VIII defenses and the
 // ITTAGE-backed STBPU.
@@ -133,10 +147,10 @@ func pickModels(name string, sharedTokens bool, seed uint64) ([]sim.Model, error
 	}
 	opts := sim.Options{SharedTokens: sharedTokens, Seed: seed}
 	ittageModel := func() sim.Model {
-		return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{
+		return core.NewModel(core.ModelConfig{
 			Dir: core.DirSKLCond, SharedTokens: sharedTokens, Seed: seed,
 			IndirectITTAGE: true,
-		})}
+		})
 	}
 
 	lower := strings.ToLower(name)

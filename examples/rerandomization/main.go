@@ -10,8 +10,6 @@ import (
 	"log"
 
 	"stbpu"
-	"stbpu/internal/core"
-	"stbpu/internal/sim"
 )
 
 func main() {
@@ -26,9 +24,7 @@ func main() {
 
 	for _, r := range []float64{0.05, 0.01, 0.001, 0.0001, 0.00002} {
 		th := stbpu.DeriveThresholds(r)
-		model := &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{
-			Dir: stbpu.TAGE64, Thresholds: &th, Seed: 11,
-		})}
+		model := stbpu.NewProtected(stbpu.Config{Predictor: stbpu.TAGE64, Thresholds: &th, Seed: 11})
 		res := stbpu.Simulate(model, tr)
 		fmt.Printf("%-10.0e %-14d %-14d %-10.4f %d\n",
 			r, th.Mispredictions, th.Evictions, res.OAE(), res.Rerandomizations)

@@ -27,7 +27,7 @@ func main() {
 	baseCore := cpu.New(cpu.TableIVConfig(), &sim.UnitModel{
 		ModelName: "TAGE_SC_L_64KB", Unit: core.NewUnprotectedUnit(core.DirTAGE64)})
 	stModel := core.NewModel(core.ModelConfig{Dir: core.DirTAGE64, Seed: 23})
-	stCore := cpu.New(cpu.TableIVConfig(), &sim.STBPUModel{Inner: stModel})
+	stCore := cpu.New(cpu.TableIVConfig(), stModel)
 
 	unprot := baseCore.RunSMT(a, b)
 	prot := stCore.RunSMT(a, b)

@@ -46,7 +46,7 @@ func TestEndToEndCPUPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := core.NewModel(core.ModelConfig{Dir: core.DirTAGE8, Seed: 6})
-	res := cpu.New(cpu.ConfigFor("541.leela"), &sim.STBPUModel{Inner: m}).Run(tr)
+	res := cpu.New(cpu.ConfigFor("541.leela"), m).Run(tr)
 	if res.Branch.Records != len(tr.Records) {
 		t.Errorf("CPU branch accounting lost records: %d vs %d", res.Branch.Records, len(tr.Records))
 	}

@@ -54,8 +54,6 @@ type Target struct {
 	Model sim.Model
 	// Name labels the defense.
 	Name string
-	// st is non-nil for STBPU targets.
-	st *core.Model
 }
 
 // NewBaselineTarget builds an unprotected Skylake-style BPU target.
@@ -77,15 +75,16 @@ func NewSTBPUTarget(th *token.Thresholds) *Target {
 // seed, for harness-driven runs whose seeds derive from a root seed.
 func NewSTBPUTargetSeeded(th *token.Thresholds, seed uint64) *Target {
 	m := core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Thresholds: th, Seed: seed})
-	return &Target{Model: &sim.STBPUModel{Inner: m}, Name: "STBPU", st: m}
+	return &Target{Model: m, Name: "STBPU"}
 }
 
-// Rerandomizations reports token re-randomizations so far (0 on baseline).
+// Rerandomizations reports the token re-randomizations of an STBPU
+// target's model so far (0 on any other model).
 func (t *Target) Rerandomizations() uint64 {
-	if t.st == nil {
-		return 0
+	if m, ok := t.Model.(*core.Model); ok {
+		return m.Rerandomizations()
 	}
-	return t.st.Rerandomizations()
+	return 0
 }
 
 // step runs one record and returns the prediction/events pair.

@@ -189,7 +189,7 @@ func TestGEMDefeatedByRerandomization(t *testing.T) {
 		// re-randomization the set loses its discrimination against a
 		// random control set of the same size.
 		key := core.EntityKey(jmp(probe, probe+0x40, AttackerPID), false)
-		target.st.TokenManager().Rerandomize(key)
+		target.Model.(*core.Model).TokenManager().Rerandomize(key)
 		// Force the model to reload the (new) token.
 		target.step(jmp(victimBase, victimBase+0x40, VictimPID))
 

@@ -111,12 +111,28 @@ func TestCovertChannelRerandomizationPressure(t *testing.T) {
 	}
 }
 
+// TestLiteralTargetReportsRerandomizations pins that a Target reads its
+// re-randomization count off its model however it was built: a literal
+// over sim.New, as the defense-matrix and covert scenarios build theirs,
+// reports what NewSTBPUTargetSeeded reports for the same thresholds and
+// seed.
+func TestLiteralTargetReportsRerandomizations(t *testing.T) {
+	th := token.Thresholds{Mispredictions: 64, Evictions: 64}
+	want := PHTCovertChannel(NewSTBPUTargetSeeded(&th, 1), 512, 1).Rerandomizations
+	if want == 0 {
+		t.Fatal("no re-randomizations through NewSTBPUTargetSeeded; the comparison would be vacuous")
+	}
+	literal := &Target{Model: sim.New(sim.KindSTBPU, sim.Options{Thresholds: &th, Seed: 1}), Name: "STBPU"}
+	if got := PHTCovertChannel(literal, 512, 1).Rerandomizations; got != want {
+		t.Errorf("literal Target reports %d re-randomizations, NewSTBPUTargetSeeded %d", got, want)
+	}
+}
+
 // newAdvancedTarget builds an ST target over an advanced direction
 // predictor (TAGE / Perceptron), for the §VI-A.2 hybrid-predictor
 // argument.
 func newAdvancedTarget(dir core.DirKind, seed uint64) *Target {
-	m := core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})
-	return &Target{Model: &sim.STBPUModel{Inner: m}, Name: "ST_" + dir.String()}
+	return &Target{Model: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed}), Name: "ST_" + dir.String()}
 }
 
 func TestBranchScopeAgainstAdvancedPredictors(t *testing.T) {

@@ -159,8 +159,10 @@ type ModelConfig struct {
 }
 
 // Model is a complete STBPU: a BPU unit keyed by per-entity secret tokens
-// with automatic re-randomization. It is the "Step" interface the
-// trace-driven simulator and the CPU model both consume.
+// with automatic re-randomization. The trace-driven simulator, the CPU
+// model and the attack drivers use it as it is: Name, Step,
+// StepColumns, EncodeState and DecodeState make it a sim.Model,
+// sim.ColumnModel and sim.Snapshotter.
 type Model struct {
 	name string
 	unit *bpu.Unit

@@ -46,7 +46,7 @@ type twin struct {
 	unit   *bpu.Unit
 	before func(rec trace.Record)
 	after  func(rec trace.Record, ev bpu.Events)
-	encode func(w *snap.Writer)
+	encode func() []byte
 	rerand func() uint64 // ST twins only
 }
 
@@ -60,7 +60,11 @@ func newITTAGE(t *testing.T) bpu.IndirectPredictor {
 
 // unitTwin wraps a unit with no entity state.
 func unitTwin(u *bpu.Unit) twin {
-	return twin{unit: u, encode: func(w *snap.Writer) { EncodeUnit(u, w) }}
+	return twin{unit: u, encode: func() []byte {
+		w := snap.NewWriter(0)
+		EncodeUnit(u, w)
+		return w.Bytes()
+	}}
 }
 
 // TestResolveMatchesPredictUpdate steps twin units over two presets,
@@ -161,12 +165,10 @@ func TestResolveMatchesPredictUpdate(t *testing.T) {
 						split.after(rec, want)
 					}
 				}
-				a, b := snap.NewWriter(0), snap.NewWriter(0)
-				fused.encode(a)
-				split.encode(b)
-				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				a, b := fused.encode(), split.encode()
+				if !bytes.Equal(a, b) {
 					t.Errorf("encoded state after %d records differs: %d bytes through Resolve, %d through Update(Predict)",
-						len(tr.Records), len(a.Bytes()), len(b.Bytes()))
+						len(tr.Records), len(a), len(b))
 				}
 				if fused.rerand != nil && fused.rerand() == 0 {
 					t.Errorf("no re-randomization in %d records: the keys never changed mid-entity", len(tr.Records))

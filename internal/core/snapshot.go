@@ -2,8 +2,8 @@ package core
 
 // Snapshot support for the warm-state checkpoint tier (sim.Snapshotter):
 // the one unit codec every model's state goes through (EncodeUnit and
-// DecodeUnit), and the ST model's round-trip through the deterministic
-// snap codec on top of it.
+// DecodeUnit), and the ST model's own EncodeState/DecodeState on top
+// of it.
 
 import (
 	"fmt"
@@ -63,10 +63,10 @@ func DecodeUnit(u *bpu.Unit, r *snap.Reader) {
 	}
 }
 
-// EncodeState appends the model's complete mutable state to w: the live
-// token (ψ/φ), the unit, the token manager, and the entity-switch
-// registers.
-func (m *Model) EncodeState(w *snap.Writer) {
+// EncodeState implements sim.Snapshotter: the live token (ψ/φ), the
+// unit, the token manager, and the entity-switch registers.
+func (m *Model) EncodeState() []byte {
+	w := snap.NewWriter(1 << 16)
 	w.U32(m.key.psi)
 	w.U32(m.key.phi)
 	EncodeUnit(m.unit, w)
@@ -74,12 +74,14 @@ func (m *Model) EncodeState(w *snap.Writer) {
 	w.U64(m.curKey)
 	w.Bool(m.haveKey)
 	w.U64(m.lastTageMisp)
+	return w.Bytes()
 }
 
-// DecodeState restores state encoded by EncodeState onto a model built
-// from the same ModelConfig. Structural mismatches latch an error on r
-// and leave the model in an unspecified state the caller must discard.
-func (m *Model) DecodeState(r *snap.Reader) {
+// DecodeState implements sim.Snapshotter: it restores state captured by
+// EncodeState on a model built from the same ModelConfig. On error the
+// model is in an unspecified state the caller must discard.
+func (m *Model) DecodeState(data []byte) error {
+	r := snap.NewReader(data)
 	m.key.psi = r.U32()
 	m.key.phi = r.U32()
 	DecodeUnit(m.unit, r)
@@ -87,4 +89,5 @@ func (m *Model) DecodeState(r *snap.Reader) {
 	m.curKey = r.U64()
 	m.haveKey = r.Bool()
 	m.lastTageMisp = r.U64()
+	return r.Done()
 }

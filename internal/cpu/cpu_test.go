@@ -28,7 +28,7 @@ func baselineModel(dir core.DirKind) sim.Model {
 }
 
 func stModel(dir core.DirKind) sim.Model {
-	return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: dir})}
+	return core.NewModel(core.ModelConfig{Dir: dir})
 }
 
 func TestTableIVConfig(t *testing.T) {
@@ -131,12 +131,12 @@ func TestSMTMoreRerandomizations(t *testing.T) {
 	b := genTrace(t, "531.deepsjeng", 30_000)
 
 	solo1 := core.NewModel(core.ModelConfig{Dir: core.DirSKLCond})
-	New(TableIVConfig(), &sim.STBPUModel{Inner: solo1}).Run(a)
+	New(TableIVConfig(), solo1).Run(a)
 	solo2 := core.NewModel(core.ModelConfig{Dir: core.DirSKLCond})
-	New(TableIVConfig(), &sim.STBPUModel{Inner: solo2}).Run(b)
+	New(TableIVConfig(), solo2).Run(b)
 
 	smt := core.NewModel(core.ModelConfig{Dir: core.DirSKLCond})
-	New(TableIVConfig(), &sim.STBPUModel{Inner: smt}).RunSMT(a, b)
+	New(TableIVConfig(), smt).RunSMT(a, b)
 
 	soloTotal := solo1.Rerandomizations() + solo2.Rerandomizations()
 	if smt.Rerandomizations() < soloTotal {

@@ -226,7 +226,7 @@ func TestTimingEnginesAgreeOnThresholdCost(t *testing.T) {
 	tr := pipelineTrace(t, "mysql_128con_50s", 20_000)
 	newModels := func(th *token.Thresholds) (sim.Model, sim.Model) {
 		return &sim.UnitModel{ModelName: "baseline", Unit: core.NewUnprotectedUnit(core.DirSKLCond)},
-			&sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: 7, Thresholds: th})}
+			core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: 7, Thresholds: th})
 	}
 	stageIPC := func(m sim.Model) float64 {
 		p, err := NewPipeline(DefaultPipelineConfig(), m)

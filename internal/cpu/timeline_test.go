@@ -142,8 +142,7 @@ func refRunSMT(cfg Config, m sim.Model, a, b *trace.Trace) fused {
 func equivalenceModels() []sim.Model {
 	var ms []sim.Model
 	for _, dir := range []core.DirKind{core.DirPerceptron, core.DirSKLCond, core.DirTAGE64, core.DirTAGE8} {
-		ms = append(ms, baselineModel(dir), &sim.STBPUModel{
-			Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: 41})})
+		ms = append(ms, baselineModel(dir), core.NewModel(core.ModelConfig{Dir: dir, Seed: 41}))
 	}
 	for _, k := range sim.Fig3Kinds() {
 		ms = append(ms, sim.New(k, sim.Options{Seed: 41}))

@@ -51,7 +51,7 @@ func NewBRB(opt Options) *BRB {
 	}
 }
 
-// Name implements Model.
+// Name implements sim.Model.
 func (b *BRB) Name() string { return KindBRB.String() }
 
 // Unit exposes the underlying BPU for attack drivers.
@@ -60,7 +60,7 @@ func (b *BRB) Unit() *bpu.Unit { return b.unit }
 // RetainedEntities reports how many process contexts are currently held.
 func (b *BRB) RetainedEntities() int { return len(b.slots) }
 
-// Step implements Model.
+// Step implements sim.Model.
 func (b *BRB) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	if prev, switched := b.sw.observe(rec); switched {
 		b.save(prev)

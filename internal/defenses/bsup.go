@@ -94,7 +94,7 @@ func NewBSUP(opt Options) *BSUP {
 	return b
 }
 
-// Name implements Model.
+// Name implements sim.Model.
 func (b *BSUP) Name() string { return KindBSUP.String() }
 
 // Unit exposes the underlying BPU for attack drivers.
@@ -128,7 +128,7 @@ func (b *BSUP) keyFor(entity uint64) bsupEpochKey {
 	return k
 }
 
-// Step implements Model.
+// Step implements sim.Model.
 func (b *BSUP) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	entity := entityKey(rec)
 	if b.smtShared {

@@ -33,7 +33,7 @@ package defenses
 import (
 	"fmt"
 
-	"stbpu/internal/bpu"
+	"stbpu/internal/sim"
 	"stbpu/internal/trace"
 )
 
@@ -70,16 +70,6 @@ func (k Kind) String() string {
 // Kinds returns all defense kinds in presentation order.
 func Kinds() []Kind { return []Kind{KindBRB, KindBSUP, KindZhao, KindExynos} }
 
-// Model is the common shape of every defense in this package. It matches
-// sim.Model structurally, so defenses drop into the trace simulator, the
-// CPU model, and the attack drivers without an adapter.
-type Model interface {
-	// Name identifies the model in reports.
-	Name() string
-	// Step predicts and resolves one retired branch.
-	Step(rec trace.Record) (bpu.Prediction, bpu.Events)
-}
-
 // Options carries the shared construction knobs.
 type Options struct {
 	// Seed fixes the key/mask PRNG stream. Zero selects a fixed default
@@ -106,8 +96,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// New constructs a defense model.
-func New(kind Kind, opt Options) Model {
+// New constructs a defense model: a sim.Model, so defenses drop into
+// the trace simulator, the CPU model, and the attack drivers as they are.
+func New(kind Kind, opt Options) sim.Model {
 	opt = opt.withDefaults()
 	switch kind {
 	case KindBRB:

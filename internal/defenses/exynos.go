@@ -67,7 +67,7 @@ func NewExynos(opt Options) *Exynos {
 	return e
 }
 
-// Name implements Model.
+// Name implements sim.Model.
 func (e *Exynos) Name() string { return KindExynos.String() }
 
 // Unit exposes the underlying BPU for attack drivers.
@@ -83,7 +83,7 @@ func (e *Exynos) deriveKey(entity uint64) uint32 {
 	return uint32(rng.SplitMix64(&s) >> 32)
 }
 
-// Step implements Model.
+// Step implements sim.Model.
 func (e *Exynos) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	e.sw.observe(rec)
 	e.m.key = e.deriveKey(entityKey(rec))

@@ -85,7 +85,7 @@ func NewZhao(opt Options) *Zhao {
 	return z
 }
 
-// Name implements Model.
+// Name implements sim.Model.
 func (z *Zhao) Name() string { return KindZhao.String() }
 
 // Unit exposes the underlying BPU for attack drivers.
@@ -98,7 +98,7 @@ func (z *Zhao) regen() {
 	z.Regens++
 }
 
-// Step implements Model.
+// Step implements sim.Model.
 func (z *Zhao) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
 	if _, switched := z.sw.observe(rec); switched {
 		z.regen()

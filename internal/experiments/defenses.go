@@ -163,8 +163,7 @@ func newMatrixTarget(models []string, idx int, seed uint64) *attacks.Target {
 	case "baseline":
 		return attacks.NewBaselineTarget()
 	case "STBPU":
-		m := core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: seed})
-		return &attacks.Target{Model: &sim.STBPUModel{Inner: m}, Name: name}
+		return &attacks.Target{Model: core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: seed}), Name: name}
 	default:
 		k := defenses.Kinds()[idx-1]
 		return &attacks.Target{

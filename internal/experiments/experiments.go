@@ -205,8 +205,7 @@ func runPair(ctx context.Context, tl *cpu.Timeline, tr *trace.Columns, dir core.
 	if err != nil {
 		return Fig4Cell{}, err
 	}
-	st, err := cpu.New(cfg, &sim.STBPUModel{
-		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunTimelineCtx(ctx, tl, tr)
+	st, err := cpu.New(cfg, core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})).RunTimelineCtx(ctx, tl, tr)
 	if err != nil {
 		return Fig4Cell{}, err
 	}
@@ -327,8 +326,7 @@ func runSMTPair(ctx context.Context, tl *cpu.Timeline, a, b *trace.Columns, dir 
 	if err != nil {
 		return Fig4Cell{}, err
 	}
-	st, err := cpu.New(cfg, &sim.STBPUModel{
-		Inner: core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})}).RunSMTTimelineCtx(ctx, tl, a, b)
+	st, err := cpu.New(cfg, core.NewModel(core.ModelConfig{Dir: dir, Seed: seed})).RunSMTTimelineCtx(ctx, tl, a, b)
 	if err != nil {
 		return Fig4Cell{}, err
 	}
@@ -461,7 +459,7 @@ func fig6Scenario(p harness.Params, pool *harness.Pool) (harness.Space[cpuShare,
 		Cell: func(ctx context.Context, sh cpuShare, shard int, seed uint64) (fig6Cell, error) {
 			th := token.Derive(rs[shard/np])
 			stModel := core.NewModel(core.ModelConfig{Dir: core.DirTAGE64, Thresholds: &th, Seed: seed})
-			st, err := cpu.New(cpu.ConfigFor(sh.a.Name), &sim.STBPUModel{Inner: stModel}).RunSMTTimelineCtx(ctx, sh.tl, sh.a, sh.b)
+			st, err := cpu.New(cpu.ConfigFor(sh.a.Name), stModel).RunSMTTimelineCtx(ctx, sh.tl, sh.a, sh.b)
 			if err != nil {
 				return fig6Cell{}, err
 			}

@@ -60,9 +60,9 @@ func newITTAGEVariant(v int, seed uint64) sim.Model {
 	case 1:
 		return &sim.UnitModel{ModelName: "btb+ittage", Unit: core.NewUnprotectedUnitITTAGE(core.DirSKLCond)}
 	case 2:
-		return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: seed})}
+		return core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: seed})
 	default:
-		return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: seed, IndirectITTAGE: true})}
+		return core.NewModel(core.ModelConfig{Dir: core.DirSKLCond, Seed: seed, IndirectITTAGE: true})
 	}
 }
 

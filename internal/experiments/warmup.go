@@ -24,7 +24,7 @@ import (
 	"stbpu/internal/results"
 	"stbpu/internal/sim"
 	"stbpu/internal/stats"
-	"stbpu/internal/trace"
+	"stbpu/internal/trace/spec"
 )
 
 // WarmupPoint is one trace-length measurement.
@@ -65,7 +65,7 @@ func warmupLengths(p harness.Params) []int {
 // boundary — counters are additive, so the cumulative sums are
 // bit-identical to a cold run of each prefix. That turns the old
 // quadratic warmup replay (every length re-replays its shared prefix)
-// into a single O(maxLen) pass per model. Spec-synth workloads rescale
+// into a single O(maxLen) pass per model. Spec workloads rescale
 // their phase boundaries with the record budget and are NOT
 // prefix-stable, so they keep the per-length grouping.
 func warmupScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int]float64, float64], func([]float64) (WarmupResult, error), error) {
@@ -74,10 +74,11 @@ func warmupScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 	cache := pool.Traces()
 	k := len(kinds)
 	rootSeed := pool.RootSeed()
-	_, synth := trace.LookupSynth(p.Workload)
+	_, isSpec := spec.Lookup(p.Workload)
 
 	// Trace-major grouping: prefix-stable presets share one group (one
-	// resident trace, one pass per model); synths group by trace length.
+	// resident trace, one pass per model); spec workloads group by trace
+	// length.
 	maxLen := 0
 	for _, l := range lengths {
 		if l > maxLen {
@@ -85,11 +86,11 @@ func warmupScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 		}
 	}
 	group := func(int) string { return harness.Locality(p.Workload, maxLen) }
-	if synth {
+	if isSpec {
 		group = func(shard int) string { return harness.Locality(p.Workload, lengths[shard/k]) }
 	}
 	run := func(ctx context.Context, shards []int, seeds []uint64) ([]float64, error) {
-		if synth {
+		if isSpec {
 			rs, err := replayLineup(ctx, cache, p.Workload, lengths[shards[0]/k], shards, seeds,
 				func(shard int, seed uint64, sharedTokens bool) sim.Model {
 					return sim.New(kinds[shard%k], sim.Options{SharedTokens: sharedTokens, Seed: seed})

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"unicode/utf8"
 
+	"stbpu/internal/core"
 	"stbpu/internal/harness"
 	"stbpu/internal/results"
 	"stbpu/internal/sim"
@@ -148,10 +149,10 @@ func workloadsScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[
 				m       sim.Model
 				snapper sim.Snapshotter
 				fp      string
-				pos     int // records already replayed
-				lastHi  int // end of the last wanted phase
-				next    int // index into phases
-				warm    sim.Result
+				pos     int    // records already replayed
+				lastHi  int    // end of the last wanted phase
+				next    int    // index into phases
+				rerands uint64 // re-randomizations before the segment
 			}
 			byKi := map[int]*mrun{}
 			var runs []*mrun
@@ -213,12 +214,11 @@ func workloadsScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[
 					continue
 				}
 				for _, mr := range active {
-					// Finalize counters are cumulative over the model's
+					// Re-randomizations count over the model's whole
 					// life; capture them at the boundary so the phase's
 					// own contribution is the delta.
-					mr.warm = sim.Result{}
-					if f, ok := mr.m.(sim.Finalizer); ok {
-						f.Finalize(&mr.warm)
+					if st, ok := mr.m.(*core.Model); ok {
+						mr.rerands = st.Rerandomizations()
 					}
 				}
 				rs, err := sim.RunColumnsMulti(ctx, models, cols.Slice(lo, hi))
@@ -233,7 +233,7 @@ func workloadsScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[
 							res := rs[j]
 							out[i] = workloadCell{
 								OAE:     res.OAE(),
-								Rerands: res.Rerandomizations - mr.warm.Rerandomizations,
+								Rerands: res.Rerandomizations - mr.rerands,
 							}
 							mr.next++
 						}

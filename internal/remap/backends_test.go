@@ -31,8 +31,8 @@ func TestBackendsAgreeOnAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	oae := func(dir core.DirKind, funcs remap.Funcs) float64 {
-		m := &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{
-			Dir: dir, Funcs: funcs, SharedTokens: prof.SharedTokens, Seed: 3})}
+		m := core.NewModel(core.ModelConfig{
+			Dir: dir, Funcs: funcs, SharedTokens: prof.SharedTokens, Seed: 3})
 		return sim.RunColumns(m, cols).OAE()
 	}
 	for _, dir := range []core.DirKind{core.DirSKLCond, core.DirTAGE8} {

@@ -23,12 +23,13 @@
 // (struct-of-arrays) view in 8192-record chunks through the
 // ColumnModel fast path; RunColumnsMulti is its trace-major twin,
 // stepping N models over one pass. Every built-in StepColumns
-// (UnitModel, FlushModel, STBPUModel through core.Model) iterates the
-// packed arrays with branchless flag extraction and resolves each row
-// with bpu.Unit.Resolve: one call that computes the BTB set/tag/offset
-// once, keeps the prediction in registers between its predict and
-// update halves, and returns a one-byte bpu.Events that
-// bpu.Counters.Note folds into the model's counters without a branch.
+// (UnitModel, FlushModel, and core.Model, the STBPU model New returns
+// unwrapped) iterates the packed arrays with branchless flag
+// extraction and resolves each row with bpu.Unit.Resolve: one call
+// that computes the BTB set/tag/offset once, keeps the prediction in
+// registers between its predict and update halves, and returns a
+// one-byte bpu.Events that bpu.Counters.Note folds into the model's
+// counters without a branch.
 // The loops do not call Predict and Update because that pair computes
 // the BTB index twice and passes the Prediction through the stack:
 // Update's arguments need more words than Go has argument registers.
@@ -43,10 +44,11 @@
 // (+17%) and BenchmarkReplayMulti/trace-major from 35.4 to 48.2 ms
 // (+36%) (3 alternating runs of 20 iterations, 2 vCPUs, measured
 // before Resolve). Step stays for the stage engine and the API edges
-// that step one record at a time.
-// Run-scoped counters surface through the optional
-// Finalizer interface. Replay is deterministic for a fixed (trace,
-// model, seed), which is what lets the harness distribute cells
-// across processes — see docs/ARCHITECTURE.md "The determinism
-// contract" and "Trace dataflow".
+// that step one record at a time. The counters a model keeps over its
+// whole life are read off it when a run completes:
+// core.Model.Rerandomizations and FlushModel.Flushes. Replay is
+// deterministic for a fixed (trace, model, seed), which is what lets
+// the harness distribute cells across processes — see
+// docs/ARCHITECTURE.md "The determinism contract" and "Trace
+// dataflow".
 package sim

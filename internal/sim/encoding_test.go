@@ -53,7 +53,7 @@ func unprotectedITTAGE(bool) Snapshotter {
 // stbpuITTAGE builds the STBPU model with a keyed ITTAGE indirect
 // predictor.
 func stbpuITTAGE(shared bool) Snapshotter {
-	return &STBPUModel{Inner: core.NewModel(core.ModelConfig{Seed: 7, SharedTokens: shared, IndirectITTAGE: true})}
+	return core.NewModel(core.ModelConfig{Seed: 7, SharedTokens: shared, IndirectITTAGE: true})
 }
 
 // kindModel returns a constructor for the factory model of kind over

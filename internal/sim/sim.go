@@ -59,14 +59,6 @@ func (s stepRows) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
 	}
 }
 
-// Finalizer lets a model report run-scoped counters (re-randomizations,
-// flushes, ...) into the Result after replay finishes. The replay loops
-// call it once at the end of a completed run, so new models can extend Result
-// accounting without editing this package.
-type Finalizer interface {
-	Finalize(res *Result)
-}
-
 // Result aggregates one simulation run.
 type Result struct {
 	Model    string
@@ -184,15 +176,25 @@ func switches(cols *trace.Columns, start, end int) (ctxSw, modeSw uint64) {
 	return ctxSw, modeSw
 }
 
-// finish folds a completed replay's event counters into res and lets
-// the model report its run-scoped counters.
+// finish folds a completed replay's event counters into res and reads
+// the model's run-scoped counters.
 func finish(res *Result, m Model, acc *Counters) {
 	res.Mispredicts = acc.Mispredicts
 	res.Conds, res.DirCorrect = acc.Conds, acc.DirCorrect
 	res.TargetKnown, res.TargetCorrect = acc.TargetKnown, acc.TargetCorrect
 	res.Evictions, res.BTBMisses = acc.Evictions, acc.BTBMisses
-	if f, ok := m.(Finalizer); ok {
-		f.Finalize(res)
+	runCounters(res, m)
+}
+
+// runCounters reads the counters a model keeps over its whole life:
+// the STBPU model's token re-randomizations and a flushing model's
+// barriers. Other models keep none.
+func runCounters(res *Result, m Model) {
+	switch m := m.(type) {
+	case *core.Model:
+		res.Rerandomizations = m.Rerandomizations()
+	case *FlushModel:
+		res.Flushes = m.Flushes()
 	}
 }
 
@@ -381,12 +383,12 @@ func New(kind ModelKind, opt Options) Model {
 		})
 		return &UnitModel{ModelName: kind.String(), Unit: u, entity: m}
 	case KindSTBPU:
-		return &STBPUModel{Inner: core.NewModel(core.ModelConfig{
+		return core.NewModel(core.ModelConfig{
 			Dir:          opt.Dir,
 			SharedTokens: opt.SharedTokens,
 			Thresholds:   opt.Thresholds,
 			Seed:         opt.Seed,
-		})}
+		})
 	default:
 		panic(fmt.Sprintf("sim: unknown model kind %d", kind))
 	}
@@ -479,34 +481,8 @@ func (m *FlushModel) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters)
 	}
 }
 
-// Finalize implements Finalizer: flushing models report their barrier
-// count into the run result.
-func (m *FlushModel) Finalize(res *Result) { res.Flushes = m.flushes }
-
-// STBPUModel adapts core.Model to the Model interface.
-type STBPUModel struct {
-	Inner *core.Model
-}
-
-// Name implements Model.
-func (m *STBPUModel) Name() string { return m.Inner.Name() }
-
-// Step implements Model.
-func (m *STBPUModel) Step(rec trace.Record) (bpu.Prediction, bpu.Events) {
-	return m.Inner.Step(rec)
-}
-
-// StepColumns implements ColumnModel by delegating to the core model's
-// columnar path.
-func (m *STBPUModel) StepColumns(cols *trace.Columns, lo, hi int, acc *Counters) {
-	m.Inner.StepColumns(cols, lo, hi, acc)
-}
-
-// Finalize implements Finalizer: STBPU models report their
-// re-randomization count into the run result.
-func (m *STBPUModel) Finalize(res *Result) {
-	res.Rerandomizations = m.Inner.Rerandomizations()
-}
+// Flushes reports the barriers the flush policy has issued so far.
+func (m *FlushModel) Flushes() uint64 { return m.flushes }
 
 // entityMapper is the conservative model's addressing: legacy folds salted
 // with the software entity, so distinct entities never collide in the PHT

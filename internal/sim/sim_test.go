@@ -235,26 +235,21 @@ func tokenThresholds(misp, evict uint64) (th token.Thresholds) {
 }
 
 // stepOnly hides a model's ColumnModel implementation so replay takes the
-// per-record Step adapter; Finalize is forwarded so run-scoped counters
-// still land in the Result.
+// per-record Step adapter. It hides the model's run-scoped counters too;
+// runCounters reads them off the wrapped model.
 type stepOnly struct{ m Model }
 
 func (s stepOnly) Name() string                                       { return s.m.Name() }
 func (s stepOnly) Step(rec trace.Record) (bpu.Prediction, bpu.Events) { return s.m.Step(rec) }
-func (s stepOnly) Finalize(res *Result) {
-	if f, ok := s.m.(Finalizer); ok {
-		f.Finalize(res)
-	}
-}
 
-func TestFinalizerReportsRunScopedCounters(t *testing.T) {
+func TestRunReportsRunScopedCounters(t *testing.T) {
 	tr, prof := genTrace(t, "mysql_128con_50s", 40_000)
 	fl, err := RunCtx(context.Background(), New(KindUcode2, Options{SharedTokens: prof.SharedTokens}), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fl.Flushes == 0 {
-		t.Error("FlushModel.Finalize reported no flushes on a server trace")
+		t.Error("FlushModel reported no flushes on a server trace")
 	}
 	th := tokenThresholds(100, 100)
 	st, err := RunCtx(context.Background(),
@@ -263,7 +258,7 @@ func TestFinalizerReportsRunScopedCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Rerandomizations == 0 {
-		t.Error("STBPUModel.Finalize reported no re-randomizations under aggressive thresholds")
+		t.Error("STBPU model reported no re-randomizations under aggressive thresholds")
 	}
 }
 
@@ -331,10 +326,12 @@ func TestColumnarPathMatchesStep(t *testing.T) {
 		if _, ok := New(kind, opt).(ColumnModel); !ok {
 			t.Errorf("%v does not implement ColumnModel", kind)
 		}
-		want, err := RunColumnsCtx(context.Background(), stepOnly{New(kind, opt)}, cols)
+		stepped := New(kind, opt)
+		want, err := RunColumnsCtx(context.Background(), stepOnly{stepped}, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
+		runCounters(&want, stepped)
 		columnar, err := RunColumnsCtx(context.Background(), New(kind, opt), cols)
 		if err != nil {
 			t.Fatal(err)

@@ -91,23 +91,9 @@ func (m *FlushModel) DecodeState(data []byte) error {
 	return r.Done()
 }
 
-// EncodeState implements Snapshotter.
-func (m *STBPUModel) EncodeState() []byte {
-	w := snap.NewWriter(1 << 16)
-	m.Inner.EncodeState(w)
-	return w.Bytes()
-}
-
-// DecodeState implements Snapshotter.
-func (m *STBPUModel) DecodeState(data []byte) error {
-	r := snap.NewReader(data)
-	m.Inner.DecodeState(r)
-	return r.Done()
-}
-
 // Compile-time capability checks: every Fig. 3 model snapshots.
 var (
 	_ Snapshotter = (*UnitModel)(nil)
 	_ Snapshotter = (*FlushModel)(nil)
-	_ Snapshotter = (*STBPUModel)(nil)
+	_ Snapshotter = (*core.Model)(nil)
 )

@@ -478,11 +478,11 @@ var (
 	registered = map[string]*Spec{}
 )
 
-// Register validates the spec and installs it as a named workload:
-// into the package registry (Lookup/Names) and into the trace synth
-// registry, which tracestore's default generator consults, making the
-// workload resolvable by every backend and cache tier in this
-// process. Registering the same document twice is a no-op; the
+// Register validates the spec and installs it as a named workload in
+// the process-wide registry (Lookup/Names). tracestore's default
+// generator and profile consult Lookup before the preset table, which
+// makes the workload resolvable by every backend and cache tier in
+// this process. Registering the same document twice is a no-op; the
 // content-hashed name makes collisions between different documents
 // impossible.
 func Register(s *Spec) error {
@@ -491,21 +491,12 @@ func Register(s *Spec) error {
 	}
 	name := s.WorkloadName()
 	regMu.Lock()
-	if _, ok := registered[name]; ok {
-		regMu.Unlock()
-		return nil
+	defer regMu.Unlock()
+	if _, ok := registered[name]; !ok {
+		cp := *s
+		registered[name] = &cp
 	}
-	cp := *s
-	registered[name] = &cp
-	regMu.Unlock()
-	return trace.RegisterSynth(name, trace.Synth{
-		Profile: func(records int) (trace.Profile, error) {
-			return cp.Profile(records), nil
-		},
-		GenerateColumns: func(records int) (*trace.Columns, error) {
-			return cp.GenerateColumns(records, 0)
-		},
-	})
+	return nil
 }
 
 // Lookup returns the registered spec for a workload name.

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"stbpu/internal/trace"
 )
 
 // validDoc is a well-formed document exercising most optional fields.
@@ -165,7 +163,7 @@ func TestBoundariesAndTotals(t *testing.T) {
 	}
 }
 
-func TestRegisterResolvesThroughSynthRegistry(t *testing.T) {
+func TestRegisterResolvesByName(t *testing.T) {
 	s, err := Parse([]byte(validDoc))
 	if err != nil {
 		t.Fatal(err)
@@ -189,27 +187,20 @@ func TestRegisterResolvesThroughSynthRegistry(t *testing.T) {
 	if !found {
 		t.Errorf("Names() missing %q", name)
 	}
-	// The trace synth registry is what tracestore consults.
-	synth, ok := trace.LookupSynth(name)
-	if !ok {
-		t.Fatalf("LookupSynth(%q) missed", name)
+	// What Lookup returns is what tracestore generates the workload from.
+	got, _ := Lookup(name)
+	if prof := got.Profile(0); prof.Name != name || prof.Records != 8000 || !prof.SharedTokens {
+		t.Errorf("registered profile %+v", prof)
 	}
-	prof, err := synth.Profile(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.Name != name || prof.Records != 8000 || !prof.SharedTokens {
-		t.Errorf("synth profile %+v", prof)
-	}
-	cols, err := synth.GenerateColumns(2000)
+	cols, err := got.GenerateColumns(2000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cols.Len() != 2000 || cols.Name != name {
-		t.Errorf("synth columns %q with %d records", cols.Name, cols.Len())
+		t.Errorf("registered columns %q with %d records", cols.Name, cols.Len())
 	}
 	if err := cols.Validate(); err != nil {
-		t.Errorf("synth columns invalid: %v", err)
+		t.Errorf("registered columns invalid: %v", err)
 	}
 }
 

@@ -9,52 +9,69 @@ import (
 	"testing"
 
 	"stbpu/internal/trace"
+	"stbpu/internal/trace/spec"
 )
 
 // TestDiskTierRoundTrip is the disk tier's core contract: a second
 // store sharing the directory decodes the spill instead of
 // regenerating, and the decoded trace (and profile) are bit-identical
-// to generation.
+// to generation. A registered spec workload takes the same path: its
+// name resolves through spec.Lookup, for generation and for the
+// profile of the decoded spill alike.
 func TestDiskTierRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-
-	first := New(0, nil)
-	if err := first.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	want, wantProf, err := first.GetColumns("505.mcf", 3_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := first.Stats()
-	if st.Generations != 1 || st.DiskMisses != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
-		t.Fatalf("first-store stats = %+v, want 1 generation, 1 disk miss, 1 spill", st)
-	}
-
-	second := New(0, nil)
-	if err := second.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	got, gotProf, err := second.GetColumns("505.mcf", 3_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = second.Stats()
-	if st.Generations != 0 || st.DiskHits != 1 {
-		t.Fatalf("second-store stats = %+v, want 0 generations, 1 disk hit", st)
-	}
-	if gotProf != wantProf {
-		t.Error("disk-tier profile diverges from generated profile")
-	}
-	encode := func(tr *trace.Columns) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+	names := []string{"505.mcf"}
+	for _, s := range spec.Builtin() {
+		if err := spec.Register(s); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		names = append(names, s.WorkloadName())
 	}
-	if !bytes.Equal(encode(got), encode(want)) {
-		t.Error("disk-tier trace differs from generated trace")
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+
+			first := New(0, nil)
+			if err := first.SetDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			want, wantProf, err := first.GetColumns(name, 3_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := first.Stats()
+			if st.Generations != 1 || st.DiskMisses != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
+				t.Fatalf("first-store stats = %+v, want 1 generation, 1 disk miss, 1 spill", st)
+			}
+			if wantProf.Name != name {
+				t.Fatalf("generated profile names %q, want %q", wantProf.Name, name)
+			}
+
+			second := New(0, nil)
+			if err := second.SetDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			got, gotProf, err := second.GetColumns(name, 3_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = second.Stats()
+			if st.Generations != 0 || st.DiskHits != 1 {
+				t.Fatalf("second-store stats = %+v, want 0 generations, 1 disk hit", st)
+			}
+			if gotProf != wantProf {
+				t.Errorf("disk-tier profile %+v diverges from generated profile %+v", gotProf, wantProf)
+			}
+			encode := func(tr *trace.Columns) []byte {
+				var buf bytes.Buffer
+				if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			if !bytes.Equal(encode(got), encode(want)) {
+				t.Error("disk-tier trace differs from generated trace")
+			}
+		})
 	}
 }
 

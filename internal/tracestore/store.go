@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"stbpu/internal/trace"
+	"stbpu/internal/trace/spec"
 )
 
 // Key identifies one generated trace.
@@ -32,19 +33,16 @@ func (k Key) String() string { return fmt.Sprintf("%s@%d", k.Name, k.Records) }
 // observed.
 type GenFunc func(name string, records int) (*trace.Columns, trace.Profile, error)
 
-// ProfileFunc derives the workload profile for a key without generating
-// the trace. The disk tier needs it: a trace decoded from an STBT spill
-// carries no profile, so the store re-derives the (cheap, pure-metadata)
-// profile instead of regenerating the records.
-type ProfileFunc func(name string, records int) (trace.Profile, error)
-
-// PresetProfile is the default ProfileFunc: a registered runtime synth
-// (spec-driven workloads, trace.RegisterSynth) when one owns the name,
-// else the named preset resized to the requested record count —
-// exactly the profile PresetGenColumns returns.
+// PresetProfile derives the workload profile for a key without
+// generating the trace: a registered spec workload (spec.Register) when
+// one owns the name, else the named preset resized to the requested
+// record count — exactly the profile PresetGenColumns returns. The disk
+// tier needs it: a trace decoded from an STBT spill carries no profile,
+// so the store re-derives the (cheap, pure-metadata) profile instead of
+// regenerating the records.
 func PresetProfile(name string, records int) (trace.Profile, error) {
-	if s, ok := trace.LookupSynth(name); ok {
-		return s.Profile(records)
+	if s, ok := spec.Lookup(name); ok {
+		return s.Profile(records), nil
 	}
 	p, err := trace.Preset(name)
 	if err != nil {
@@ -53,23 +51,19 @@ func PresetProfile(name string, records int) (trace.Profile, error) {
 	return p.WithRecords(records), nil
 }
 
-// PresetGenColumns is the default generator: a registered runtime synth
-// when one owns the name, else the named trace preset resized to the
-// requested record count, generated straight into columns. Synth names
-// embed a content hash (the spec layer guarantees it), so the disk
-// tier's (name, records) spill keys stay collision-free for synth
-// workloads too.
+// PresetGenColumns is the default generator: a registered spec workload
+// when one owns the name (its canonical stream, seed 0), else the named
+// trace preset resized to the requested record count, generated
+// straight into columns. Spec workload names embed a content hash of
+// the document, so the disk tier's (name, records) spill keys stay
+// collision-free for them too.
 func PresetGenColumns(name string, records int) (*trace.Columns, trace.Profile, error) {
-	if s, ok := trace.LookupSynth(name); ok {
-		p, err := s.Profile(records)
+	if s, ok := spec.Lookup(name); ok {
+		cols, err := s.GenerateColumns(records, 0)
 		if err != nil {
 			return nil, trace.Profile{}, err
 		}
-		cols, err := s.GenerateColumns(records)
-		if err != nil {
-			return nil, trace.Profile{}, err
-		}
-		return cols, p, nil
+		return cols, s.Profile(records), nil
 	}
 	p, err := trace.Preset(name)
 	if err != nil {
@@ -140,7 +134,6 @@ type Stats struct {
 // New. All methods are safe for concurrent use.
 type Store struct {
 	gen      GenFunc
-	profile  ProfileFunc
 	maxBytes int64
 	// presetGen records that gen is the default PresetGenColumns pipeline —
 	// the only generator whose spills the disk tier may trust or
@@ -184,8 +177,7 @@ type entry struct {
 
 // New builds a store bounded to maxBytes of resident trace data
 // (maxBytes <= 0 means DefaultMaxBytes) generating through gen
-// (nil means PresetGenColumns, with PresetProfile as the profile
-// deriver).
+// (nil means PresetGenColumns).
 func New(maxBytes int64, gen GenFunc) *Store {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
@@ -196,7 +188,6 @@ func New(maxBytes int64, gen GenFunc) *Store {
 	}
 	return &Store{
 		gen:       gen,
-		profile:   PresetProfile,
 		maxBytes:  maxBytes,
 		presetGen: presetGen,
 		sizeOf:    ExactSize,
@@ -253,7 +244,7 @@ func (s *Store) fill(e *entry) {
 	name, records := e.key.Name, e.key.Records
 	if s.Dir() != "" {
 		if cols, m, ok := s.tryDiskLoad(e.key); ok {
-			if prof, perr := s.profile(name, records); perr == nil {
+			if prof, perr := PresetProfile(name, records); perr == nil {
 				e.cols, e.prof, e.mapped = cols, prof, m
 				s.mu.Lock()
 				s.diskHits++

@@ -74,12 +74,12 @@ type Model = sim.Model
 
 // NewProtected builds an STBPU-protected predictor.
 func NewProtected(cfg Config) Model {
-	return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{
+	return core.NewModel(core.ModelConfig{
 		Dir:          cfg.Predictor,
 		Thresholds:   cfg.Thresholds,
 		SharedTokens: cfg.SharedTokens,
 		Seed:         cfg.Seed,
-	})}
+	})
 }
 
 // NewUnprotected builds the deterministic legacy twin of a predictor.
@@ -169,13 +169,13 @@ func NewProtection(p Protection, cfg Config) Model {
 // indirect-target predictor attached ahead of the BTB mode-two path (the
 // §IV generality demonstration for indirect prediction).
 func NewProtectedITTAGE(cfg Config) Model {
-	return &sim.STBPUModel{Inner: core.NewModel(core.ModelConfig{
+	return core.NewModel(core.ModelConfig{
 		Dir:            cfg.Predictor,
 		Thresholds:     cfg.Thresholds,
 		SharedTokens:   cfg.SharedTokens,
 		Seed:           cfg.Seed,
 		IndirectITTAGE: true,
-	})}
+	})
 }
 
 // WriteTrace encodes a trace in the STBT record-delta format.
