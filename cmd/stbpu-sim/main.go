@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"stbpu/internal/defenses"
 	"stbpu/internal/sim"
 	"stbpu/internal/trace"
+	"stbpu/internal/trace/spec"
 	"stbpu/internal/tracestore"
 )
 
@@ -57,7 +59,7 @@ func run() error {
 	var prof trace.Profile
 	if *load != "" {
 		var err error
-		if tr, prof, err = loadTrace(*load); err != nil {
+		if tr, prof, err = loadTrace(*load, os.Stderr); err != nil {
 			return err
 		}
 	} else {
@@ -116,9 +118,11 @@ func run() error {
 
 // loadTrace reads a saved STBT trace. The file carries no profile, so
 // it is re-derived from the trace's name, as the trace tier does for
-// its spills, and a shared-token workload keeps its token policy. A
-// name that no preset owns keeps the zero profile.
-func loadTrace(path string) (*trace.Trace, trace.Profile, error) {
+// its spills, and a shared-token workload keeps its token policy: a
+// preset, or a built-in spec workload (stbpu-trace synth -spec saves
+// those under their spec names). A name that neither owns keeps the
+// zero profile, and loadTrace says so on warn.
+func loadTrace(path string, warn io.Writer) (*trace.Trace, trace.Profile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, trace.Profile{}, err
@@ -128,7 +132,11 @@ func loadTrace(path string) (*trace.Trace, trace.Profile, error) {
 	if err != nil {
 		return nil, trace.Profile{}, err
 	}
-	prof, _ := tracestore.PresetProfile(tr.Name, len(tr.Records)) // zero when unknown
+	spec.RegisterBuiltin()
+	prof, err := tracestore.PresetProfile(tr.Name, len(tr.Records))
+	if err != nil {
+		fmt.Fprintf(warn, "stbpu-sim: %s: no preset or built-in spec workload is named %q; replaying with the zero profile (per-process tokens)\n", path, tr.Name)
+	}
 	return tr, prof, nil
 }
 

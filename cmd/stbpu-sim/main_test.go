@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stbpu/internal/sim"
 	"stbpu/internal/trace"
+	"stbpu/internal/trace/spec"
 )
 
 // genTrace generates records of the named preset.
@@ -43,38 +46,69 @@ func saveTrace(t *testing.T, tr *trace.Trace) string {
 }
 
 // TestLoadTraceKeepsProfile pins that -load replays a saved trace under
-// the profile -workload generated it with: a shared-token server
-// workload keeps SharedTokens, so STBPU keys its tokens the same way on
-// both paths.
+// the profile it was generated with: a shared-token server preset and
+// the built-in burst spec workload (saved under its spec name, as
+// stbpu-trace synth -spec saves it) keep SharedTokens, so STBPU keys
+// its tokens the same way on both paths, and nothing is printed.
 func TestLoadTraceKeepsProfile(t *testing.T) {
-	tr, want := genTrace(t, "apache2_prefork_c128", 2_000)
-	if !want.SharedTokens {
-		t.Fatal("apache2_prefork_c128 does not share tokens; pick a workload that does")
+	apache, apacheProf := genTrace(t, "apache2_prefork_c128", 2_000)
+	var burst *spec.Spec
+	for _, s := range spec.Builtin() {
+		if s.Name == "burst" {
+			burst = s
+		}
 	}
-	loaded, prof, err := loadTrace(saveTrace(t, tr))
+	if burst == nil {
+		t.Fatal("no built-in burst spec")
+	}
+	burstTrace, err := burst.Generate(2_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Records) != len(tr.Records) {
-		t.Fatalf("loaded %d records, saved %d", len(loaded.Records), len(tr.Records))
-	}
-	if prof != want {
-		t.Errorf("loaded profile %q (%d records, SharedTokens %t), want the generating profile %q (%d records, SharedTokens %t)",
-			prof.Name, prof.Records, prof.SharedTokens, want.Name, want.Records, want.SharedTokens)
+	for _, c := range []struct {
+		tr   *trace.Trace
+		want trace.Profile
+	}{
+		{apache, apacheProf},
+		{burstTrace, burst.Profile(2_000)},
+	} {
+		if !c.want.SharedTokens {
+			t.Fatalf("%s does not share tokens; pick a workload that does", c.want.Name)
+		}
+		var warn bytes.Buffer
+		loaded, prof, err := loadTrace(saveTrace(t, c.tr), &warn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(loaded.Records) != len(c.tr.Records) {
+			t.Fatalf("loaded %d records, saved %d", len(loaded.Records), len(c.tr.Records))
+		}
+		if prof != c.want {
+			t.Errorf("loaded profile %q (%d records, SharedTokens %t), want the generating profile %q (%d records, SharedTokens %t)",
+				prof.Name, prof.Records, prof.SharedTokens, c.want.Name, c.want.Records, c.want.SharedTokens)
+		}
+		if warn.Len() != 0 {
+			t.Errorf("%s: loading a known workload printed %q", c.want.Name, warn.String())
+		}
 	}
 }
 
 // TestLoadTraceUnknownNameKeepsZeroProfile pins the fallback: a trace
-// whose name no preset owns loads with the zero profile.
+// whose name no workload owns loads with the zero profile, and says so
+// in one line.
 func TestLoadTraceUnknownNameKeepsZeroProfile(t *testing.T) {
 	tr, _ := genTrace(t, "505.mcf", 500)
 	tr.Name = "not-a-preset"
-	loaded, prof, err := loadTrace(saveTrace(t, tr))
+	var warn bytes.Buffer
+	loaded, prof, err := loadTrace(saveTrace(t, tr), &warn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Name != "not-a-preset" || prof != (trace.Profile{}) {
 		t.Errorf("loaded %q with profile %+v, want the zero profile", loaded.Name, prof)
+	}
+	if got := warn.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, `"not-a-preset"`) {
+		t.Errorf("warning %q, want one line naming the trace", got)
 	}
 }
 

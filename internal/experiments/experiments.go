@@ -59,10 +59,12 @@ func capList[T any](xs []T, n int) []T {
 // replayLineup replays a locality group's lineup over the (workload,
 // records) trace in one trace-major pass: model builds each shard's
 // model from its seed and the trace's SharedTokens policy, and the
-// results come back in shard order.
+// results come back in shard order. The trace streams: the models are
+// built, and the replay steps each chunk, while the store's goroutine
+// is still generating later rows.
 func replayLineup(ctx context.Context, store *tracestore.Store, workload string, records int,
 	shards []int, seeds []uint64, model func(shard int, seed uint64, sharedTokens bool) sim.Model) ([]sim.Result, error) {
-	cols, prof, err := store.GetColumns(workload, records)
+	cols, prof, err := store.StreamColumns(workload, records)
 	if err != nil {
 		return nil, err
 	}
@@ -86,9 +88,11 @@ func oaes(rs []sim.Result) []float64 {
 // (workload, records) trace is generated once and shared read-only across
 // every cell of every scenario in the run, with deduplicated generation
 // and a byte-bounded LRU, so no scenario carries a trace cache of its
-// own. Every scenario fetches the columnar view (GetColumns)
-// and replays it through sim.RunColumnsCtx, directly or, for the CPU
-// figures (fig4/fig5/fig6), under a cpu.Timeline.
+// own. The replay scenarios (replayLineup, warmup, workloads) stream the
+// columnar view (StreamColumns) into sim.RunColumnsMulti, which steps
+// each chunk once its rows are final; the CPU figures (fig4/fig5/fig6)
+// build a cpu.Timeline over every row, so they fetch complete columns
+// (GetColumns).
 
 // ---------------------------------------------------------------------------
 // Fig. 3 — trace-driven OAE comparison of the five protection models.

@@ -106,7 +106,7 @@ func warmupScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[int
 		// cell (length, model) reads the cumulative mispredictions when
 		// its boundary is crossed. Seeds derive from the model's
 		// length-0 shard (one model instance serves every length).
-		cols, prof, err := cache.GetColumns(p.Workload, maxLen)
+		cols, prof, err := cache.StreamColumns(p.Workload, maxLen)
 		if err != nil {
 			return nil, err
 		}

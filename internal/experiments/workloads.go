@@ -128,7 +128,7 @@ func workloadsScenario(p harness.Params, pool *harness.Pool) (harness.Space[map[
 			s := specs[si]
 			records := specRecords(p, s)
 			wl := s.WorkloadName()
-			cols, prof, err := cache.GetColumns(wl, records)
+			cols, prof, err := cache.StreamColumns(wl, records)
 			if err != nil {
 				return nil, err
 			}

@@ -347,11 +347,11 @@ func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, opts WorkerOptio
 // serveSession is the one worker loop, on either transport: send a
 // hello carrying name, build the session pool from the welcome's
 // Settings and opts' budgets, then answer each work frame with a
-// results frame. Heartbeats flow from a separate goroutine at the
-// cadence the coordinator asked for, so a worker deep in a long chunk
-// still proves liveness. closeConn unblocks the read loop when ctx is
-// canceled. On a TCP connection the handshake and every frame write
-// are bounded by remoteHandshakeTimeout.
+// results frame once the chunk's spills are on disk. Heartbeats flow
+// from a separate goroutine at the cadence the coordinator asked for,
+// so a worker deep in a long chunk still proves liveness. closeConn
+// unblocks the read loop when ctx is canceled. On a TCP connection the
+// handshake and every frame write are bounded by remoteHandshakeTimeout.
 func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), name string, opts WorkerOptions) error {
 	tcp, _ := conn.(net.Conn)
 	if tcp != nil {
@@ -430,6 +430,10 @@ func serveSession(ctx context.Context, conn io.ReadWriter, closeConn func(), nam
 		}
 		reply := wireMsg{kind: wireKindResults, seq: work.seq}
 		results, err := executeCells(ctx, work.cells, pool)
+		// The chunk's spills land before its answer, so a coordinator
+		// (or the next worker) that reads the tiers after the answer
+		// finds them.
+		pool.waitStores()
 		if err != nil {
 			reply.err = err.Error()
 			reply.permanent = errors.Is(err, ErrPermanent)

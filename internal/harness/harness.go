@@ -250,6 +250,14 @@ func (p *Pool) Traces() *tracestore.Store {
 	return p.traces
 }
 
+// waitStores waits for the generations and spills the pool's trace and
+// snapshot stores have in flight (tracestore.Store.Wait,
+// snapstore.Store.Wait), so what a run reports is on disk and counted.
+func (p *Pool) waitStores() {
+	p.Traces().Wait()
+	p.Snaps().Wait()
+}
+
 // SetSnapStore installs the checkpoint store scenario cells share for
 // the warm-state snapshot tier (nil reverts to lazy default creation).
 // Call before running scenarios.

@@ -188,11 +188,15 @@ type Options struct {
 // returns one Report per scenario in name order: it maps each scenario's
 // Space under the scenario's (name, merged params) address, cells in
 // parallel, and aggregates them. It is the one way to run a scenario.
+// Before it returns, failed or not, it waits for the pool's stores
+// (Pool.waitStores): every trace it generated is admitted, every spill
+// is on disk, and the stores' Stats count them.
 func RunAll(ctx context.Context, pool *Pool, opts Options) ([]Report, error) {
 	scens, err := Match(opts.Filters)
 	if err != nil {
 		return nil, err
 	}
+	defer pool.waitStores()
 	if opts.Observer != nil {
 		pool.SetObserver(opts.Observer)
 		defer pool.SetObserver(nil)

@@ -7,11 +7,17 @@ package harness
 import (
 	"context"
 	"errors"
+	"io"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"stbpu/internal/snapstore"
+	"stbpu/internal/spill"
 )
 
 const (
@@ -64,6 +70,13 @@ func registerWorkerScenarios() {
 	registerSpace("_worker-bad-space", "a scenario whose space cannot be built", Params{},
 		func(Params, *Pool) (Space[struct{}, int], error) {
 			return Space[struct{}, int]{}, errors.New("no such cell space")
+		})
+	registerSpace("_worker-spill", "cells that each put a checkpoint", Params{Trials: 3},
+		func(p Params, pool *Pool) (Space[struct{}, int], error) {
+			return Cells("_worker-spill", p.Trials, func(ctx context.Context, shard int, seed uint64) (int, error) {
+				pool.Snaps().Put(snapstore.Key{Model: "m", Workload: "w", Records: p.Trials, Offset: shard}, []byte{byte(shard)})
+				return shard, nil
+			}), nil
 		})
 	Register(Define("_worker-counted", "a scenario counting its aggregate calls", Params{Trials: 4},
 		func(p Params, _ *Pool) (Space[struct{}, int], func([]int) (int, error), error) {
@@ -220,5 +233,56 @@ func BenchmarkExecuteChunk(b *testing.B) {
 		if err != nil || len(results) != keyedGroup {
 			b.Fatalf("results %d, err %v", len(results), err)
 		}
+	}
+}
+
+// TestWorkerAnswersAfterItsSpills: a worker answers a chunk only once
+// the spills its cells queued are on disk, so a coordinator (or the
+// next worker) that reads the shared directory after the answer finds
+// them. The background writer is held for 100 ms first; a worker that
+// answered without waiting for it would leave the directory empty.
+func TestWorkerAnswersAfterItsSpills(t *testing.T) {
+	dir := t.TempDir()
+	reqR, reqW := io.Pipe()
+	respR, respW := io.Pipe()
+	defer respR.Close()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- ServeWorker(context.Background(), reqR, respW, WorkerOptions{Workers: 1}) }()
+	var hello remoteHello
+	if _, err := readJSONFrame(respR, &hello); err != nil {
+		t.Fatal(err)
+	}
+
+	spill.Queue(func() { time.Sleep(100 * time.Millisecond) })
+	params := Params{Trials: 3}
+	go func() {
+		_, err := writeJSONFrame(reqW, remoteWelcome{Proto: protoVersion, HeartbeatMS: 10,
+			Settings: Settings{Snapshots: true, SnapDir: dir}})
+		if err == nil {
+			err = writeMsg(reqW, wireMsg{kind: wireKindWork, seq: 1, cells: chunk("_worker-spill", params, 42, 0, 1, 2)})
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	for {
+		m, _, err := readWireFrame(respR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.kind == wireKindHeartbeat {
+			continue
+		}
+		if m.kind != wireKindResults || m.err != "" || len(m.results) != params.Trials {
+			t.Fatalf("frame kind %d, err %q, %d results; want the chunk's %d results", m.kind, m.err, len(m.results), params.Trials)
+		}
+		break
+	}
+	if files, err := filepath.Glob(filepath.Join(dir, "*.snap")); err != nil || len(files) != params.Trials {
+		t.Errorf("the answered chunk left %d spills (%v), want %d", len(files), err, params.Trials)
+	}
+	reqW.Close()
+	if err := <-serveDone; err != nil {
+		t.Error(err)
 	}
 }

@@ -108,7 +108,8 @@ func Run(m Model, tr *trace.Trace) Result {
 
 // runCheckInterval is how many records a replay steps between context
 // checks: coarse enough to cost nothing, fine enough that cancellation
-// lands within a fraction of a millisecond.
+// lands within a fraction of a millisecond. A streamed generation
+// (trace.Stream) publishes its rows in chunks of the same size.
 const runCheckInterval = 8192
 
 // RunCtx replays a trace through a model, aborting with ctx.Err() when
@@ -128,9 +129,13 @@ func RunColumns(m Model, cols *trace.Columns) Result {
 // one replay loop every entry point reaches. Replay proceeds in
 // runCheckInterval-sized chunks through the model's columnar path
 // (Columnar), with one cancellation check between chunks; the check
-// before the first chunk is the single up-front one. Context/mode
-// switch accounting is model-independent and reads only the PID
-// column and the kernel flag bit (switches).
+// before the first chunk is the single up-front one. Before stepping a
+// chunk it waits until the chunk's rows are final (trace.Columns.Wait),
+// so it replays a trace that is still being generated (a store's
+// StreamColumns) chunk by chunk behind the generator; on complete
+// columns the wait does nothing. Context/mode switch accounting is
+// model-independent and reads only the PID column and the kernel flag
+// bit (switches).
 func RunColumnsCtx(ctx context.Context, m Model, cols *trace.Columns) (Result, error) {
 	// The columns may be a zero-copy view of an mmap'd STBT spill whose
 	// mapping is released by a finalizer on cols; the packed slices alone
@@ -151,6 +156,9 @@ func RunColumnsCtx(ctx context.Context, m Model, cols *trace.Columns) (Result, e
 			}
 		}
 		end := min(start+runCheckInterval, n)
+		if err := cols.Wait(ctx, end); err != nil {
+			return Result{}, err
+		}
 		ctxSw, modeSw := switches(cols, start, end)
 		res.CtxSwitches += ctxSw
 		res.ModeSwitches += modeSw
@@ -211,10 +219,11 @@ type multiState struct {
 	_ [64]byte
 }
 
-// RunColumnsMulti replays one resident columnar trace through N models in
-// a single pass — the trace-major twin of RunColumnsCtx. The trace is
+// RunColumnsMulti replays one columnar trace through N models in a
+// single pass — the trace-major twin of RunColumnsCtx. The trace is
 // chunked exactly as RunColumnsCtx chunks it (runCheckInterval records,
-// one cancellation check between chunks), the model-independent
+// one cancellation check and one wait for the chunk's rows between
+// chunks), the model-independent
 // context/mode-switch scan runs once per chunk instead of once per model,
 // and then every model steps the chunk concurrently (one goroutine per
 // model, joined before the next chunk) so the hot slice of the packed
@@ -278,6 +287,9 @@ func RunColumnsMulti(ctx context.Context, models []Model, cols *trace.Columns) (
 			}
 		}
 		end := min(start+runCheckInterval, n)
+		if err := cols.Wait(ctx, end); err != nil {
+			return nil, err
+		}
 		ctxSw, modeSw := switches(cols, start, end)
 		ctxSwitches += ctxSw
 		modeSwitches += modeSw

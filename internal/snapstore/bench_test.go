@@ -97,9 +97,9 @@ func BenchmarkPhaseWarmup(b *testing.B) {
 
 // BenchmarkSpillUnchanged times a Put whose checkpoint is already on disk
 // — what every boundary of a warm trace-major rerun on a shared -snap-dir
-// does. The spill compares the file and writes nothing; replacing it
-// instead would pay a temp-file fsync and a rename over an existing name
-// per put.
+// does — through to its spill (Wait). The spill compares the file and
+// writes nothing; replacing it instead would pay a temp-file fsync and a
+// rename over an existing name per put.
 func BenchmarkSpillUnchanged(b *testing.B) {
 	cols, opt, bounds := phaseFixture(b)
 	m := sim.New(sim.KindSTBPU, opt).(sim.Snapshotter)
@@ -113,11 +113,13 @@ func BenchmarkSpillUnchanged(b *testing.B) {
 		b.Fatal(err)
 	}
 	snaps.Put(k, data)
+	snaps.Wait()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snaps.Put(k, data)
+		snaps.Wait()
 	}
 	b.StopTimer()
 	if st := snaps.Stats(); st.DiskWrites != 1 || st.DiskErrors != 0 {

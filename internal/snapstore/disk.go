@@ -21,10 +21,11 @@ import (
 
 // SetDir enables the persistent checkpoint tier rooted at dir (creating
 // it if needed); an empty dir disables the tier. Spills go through
-// spill.Write like the trace tier's, so they are atomic and durable —
-// concurrent processes sharing the directory never observe a partial
-// file, and a crash cannot publish a torn one — and a put whose bytes
-// are already on disk writes nothing.
+// spill.Write like the trace tier's, on the same background writer, so
+// they are atomic and durable — concurrent processes sharing the
+// directory never observe a partial file, and a crash cannot publish a
+// torn one — and a put whose bytes are already on disk writes nothing.
+// A spill is on disk once Wait returns.
 func (s *Store) SetDir(dir string) error {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -85,34 +86,50 @@ func (s *Store) loadDisk(k Key) ([]byte, bool) {
 	return raw[n:], true
 }
 
-// spill writes the checkpoint to the tier atomically and durably
-// (spill.Write), unless the spill file already holds exactly these
-// bytes. Checkpoints are a pure function of their key, so a warm run
-// re-putting every boundary would otherwise replace each file with an
-// identical copy, and renaming over an existing name is the slow case of
-// rename(2). The whole file is compared, not just the header, so payload
-// rot under an intact header is still rewritten and healed. Failures are
-// best-effort: the snapshot is already resident, so a full disk costs
-// only the persistence, not the run.
+// spill queues the checkpoint for the tier on the background writer
+// (spill.Queue), which writes it atomically and durably (spill.Write)
+// unless the spill file already holds exactly these bytes. Checkpoints
+// are a pure function of their key, so a warm run re-putting every
+// boundary would otherwise replace each file with an identical copy,
+// and renaming over an existing name is the slow case of rename(2). The
+// whole file is compared, not just the header, so payload rot under an
+// intact header is still rewritten and healed. The writer runs spills
+// in queue order, so a second Put of a key compares against the first
+// one's file. Failures are best-effort: the snapshot is already
+// resident, so a full disk costs only the persistence, not the run.
 func (s *Store) spill(k Key, data []byte) {
-	header := spillHeader(data)
 	path := s.diskPath(k)
-	if holds(path, header, data) {
-		return
-	}
-	if err := spill.Write(path, func(w io.Writer) error {
-		if _, err := w.Write(header); err != nil {
-			return err
-		}
-		_, err := w.Write(data)
-		return err
-	}); err != nil {
-		s.noteDiskError()
-		return
-	}
+	done := make(chan struct{})
 	s.mu.Lock()
-	s.diskWrites++
+	s.spilling[k] = done
 	s.mu.Unlock()
+	spill.Queue(func() {
+		defer func() {
+			s.mu.Lock()
+			if s.spilling[k] == done {
+				delete(s.spilling, k)
+			}
+			s.mu.Unlock()
+			close(done)
+		}()
+		header := spillHeader(data)
+		if holds(path, header, data) {
+			return
+		}
+		if err := spill.Write(path, func(w io.Writer) error {
+			if _, err := w.Write(header); err != nil {
+				return err
+			}
+			_, err := w.Write(data)
+			return err
+		}); err != nil {
+			s.noteDiskError()
+			return
+		}
+		s.mu.Lock()
+		s.diskWrites++
+		s.mu.Unlock()
+	})
 }
 
 // spillHeader is the header a spill of data carries: the magic, the

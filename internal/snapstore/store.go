@@ -14,7 +14,10 @@
 //
 // Everything is safe for concurrent use. Like tracestore, disk problems
 // never fail a lookup: an unreadable or corrupt spill counts an error
-// and reads as a miss, and the caller falls back to replay.
+// and reads as a miss, and the caller falls back to replay. Put admits a
+// checkpoint at once and spills it behind the caller, on the background
+// writer both tiers share (spill.Queue); the spill is on disk, and
+// counted in Stats, once Wait returns.
 package snapstore
 
 import (
@@ -80,6 +83,10 @@ type Store struct {
 
 	hits, misses, puts, evictions                uint64
 	diskHits, diskMisses, diskWrites, diskErrors uint64
+
+	// spilling maps each key with a queued spill to a channel closed when
+	// the key's latest queued spill has run.
+	spilling map[Key]chan struct{}
 }
 
 type entry struct {
@@ -97,6 +104,7 @@ func New(maxBytes int64) *Store {
 		maxBytes: maxBytes,
 		entries:  map[Key]*list.Element{},
 		lru:      list.New(),
+		spilling: map[Key]chan struct{}{},
 	}
 }
 
@@ -119,6 +127,7 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	if dir == "" {
 		return nil, false
 	}
+	s.awaitSpill(k)
 	data, ok := s.loadDisk(k)
 	if !ok {
 		return nil, false
@@ -127,9 +136,9 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	return data, true
 }
 
-// Put stores a checkpoint, spilling it to the disk tier when one is
-// configured. The store keeps a reference to data; callers must not
-// mutate it afterwards.
+// Put stores a checkpoint and, when a disk tier is configured, queues
+// its spill (on disk once Wait returns). The store keeps a reference to
+// data; callers must not mutate it afterwards.
 func (s *Store) Put(k Key, data []byte) {
 	s.mu.Lock()
 	s.puts++
@@ -169,6 +178,34 @@ func (s *Store) insert(k Key, data []byte) {
 		delete(s.entries, victim.key)
 		s.bytes -= int64(len(victim.data)) + entryOverheadBytes
 		s.evictions++
+	}
+}
+
+// Wait blocks until every spill the store queued before the call has
+// run: after it returns, the files are on disk and Stats counts them.
+// harness.RunAll calls it before it returns, and a fleet worker before
+// it answers a chunk.
+func (s *Store) Wait() {
+	s.mu.Lock()
+	pending := make([]chan struct{}, 0, len(s.spilling))
+	for _, ch := range s.spilling {
+		pending = append(pending, ch)
+	}
+	s.mu.Unlock()
+	for _, ch := range pending {
+		<-ch
+	}
+}
+
+// awaitSpill waits for a queued spill of k, so a miss that an eviction
+// caused reads the file its Put queued, as it would have if the Put had
+// written it in place.
+func (s *Store) awaitSpill(k Key) {
+	s.mu.Lock()
+	ch := s.spilling[k]
+	s.mu.Unlock()
+	if ch != nil {
+		<-ch
 	}
 }
 

@@ -92,6 +92,7 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	}
 	data := []byte("warm state bytes")
 	a.Put(key("m", 500), data)
+	a.Wait()
 	if st := a.Stats(); st.DiskWrites != 1 {
 		t.Fatalf("spill not recorded: %+v", st)
 	}
@@ -131,6 +132,7 @@ func TestDiskTierRejectsCorruptSpills(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put(key("m", 7), []byte("good bytes"))
+	s.Wait()
 	names, err := filepath.Glob(filepath.Join(dir, "*.snap"))
 	if err != nil || len(names) != 1 {
 		t.Fatalf("spill files = %v (%v)", names, err)
@@ -175,6 +177,7 @@ func TestDiskTierRejectsCorruptSpills(t *testing.T) {
 			}
 			// A subsequent Put overwrites the bad file and heals the tier.
 			fresh.Put(key("m", 7), []byte("good bytes"))
+			fresh.Wait()
 			if st := fresh.Stats(); st.DiskWrites != 1 {
 				t.Errorf("corrupt spill not rewritten: %+v", st)
 			}
@@ -204,6 +207,7 @@ func TestPutOntoIdenticalSpillWritesNothing(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte("warm state "), 20_000)
 	primer.Put(key("m", 3), data)
+	primer.Wait()
 	path := primer.diskPath(key("m", 3))
 	before, err := os.Stat(path)
 	if err != nil {
@@ -215,6 +219,7 @@ func TestPutOntoIdenticalSpillWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm.Put(key("m", 3), append([]byte(nil), data...))
+	warm.Wait()
 	after, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +237,7 @@ func TestPutOntoIdenticalSpillWritesNothing(t *testing.T) {
 	changed := append([]byte(nil), data...)
 	changed[len(changed)/2] ^= 1
 	warm.Put(key("m", 3), changed)
+	warm.Wait()
 	if st := warm.Stats(); st.DiskWrites != 1 {
 		t.Errorf("changed payload not rewritten: %+v", st)
 	}
@@ -336,6 +342,7 @@ func FuzzSnapSpill(f *testing.F) {
 
 		next := []byte("fresh checkpoint")
 		s.Put(k, next)
+		s.Wait()
 		if !holds(path, spillHeader(next), next) {
 			t.Fatal("put did not leave the file holding the new spill")
 		}

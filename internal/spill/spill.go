@@ -1,6 +1,13 @@
 // Package spill publishes the persistent tiers' files — tracestore's
 // STBT traces and snapstore's .snap checkpoints — atomically and
 // durably, and names them from a filename-safe alphabet.
+//
+// Both tiers publish behind the run: a store hands each spill to Queue
+// and goes on, and the one background writer runs the spills in the
+// order they were queued. A spill is on disk once its job has run; the
+// stores track their own jobs (tracestore.Store.Wait,
+// snapstore.Store.Wait), and harness.RunAll and every fleet worker wait
+// for them before they report.
 package spill
 
 import (
@@ -8,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // Write publishes the bytes write produces under path. They go to a temp
@@ -43,6 +51,47 @@ func Write(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// writer is the background writer: jobs run one at a time in queue
+// order on a goroutine that exists only while the queue is not empty.
+var writer struct {
+	mu      sync.Mutex
+	queue   []func()
+	running bool
+}
+
+// Queue runs job on the background writer after every job queued
+// before it, and returns at once. A job is a whole spill: the
+// write-if-changed check, Write and the store's counters, so each file
+// is published exactly as a synchronous spill would publish it, and
+// jobs for one path land in the order they were queued.
+func Queue(job func()) {
+	writer.mu.Lock()
+	defer writer.mu.Unlock()
+	writer.queue = append(writer.queue, job)
+	if !writer.running {
+		writer.running = true
+		go drain()
+	}
+}
+
+// drain runs queued jobs until the queue is empty.
+func drain() {
+	for {
+		writer.mu.Lock()
+		if len(writer.queue) == 0 {
+			writer.queue = nil
+			writer.running = false
+			writer.mu.Unlock()
+			return
+		}
+		job := writer.queue[0]
+		writer.queue[0] = nil
+		writer.queue = writer.queue[1:]
+		writer.mu.Unlock()
+		job()
+	}
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

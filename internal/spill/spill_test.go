@@ -70,3 +70,27 @@ func TestSanitize(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueRunsJobsInOrder: the background writer runs jobs one at a
+// time in the order they were queued, from any number of queueing
+// goroutines' points of view, and starts again after it drains.
+func TestQueueRunsJobsInOrder(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		var ran []int
+		done := make(chan struct{})
+		for i := 0; i < 200; i++ {
+			i := i
+			Queue(func() { ran = append(ran, i) })
+		}
+		Queue(func() { close(done) })
+		<-done
+		if len(ran) != 200 {
+			t.Fatalf("round %d: %d of 200 jobs ran", round, len(ran))
+		}
+		for i, got := range ran {
+			if got != i {
+				t.Fatalf("round %d: job %d ran in position %d", round, got, i)
+			}
+		}
+	}
+}

@@ -8,7 +8,12 @@
 
 package trace
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Flag bits of one packed per-record flag byte. The layout is shared
 // with the STBT codec's record flags (codec.go), so decoding a trace
@@ -45,8 +50,17 @@ func PackFlags(k Kind, taken, kernel bool) byte {
 // arrays indexed by record position. PCs, Targets, and Flags are the
 // replay-hot columns; PIDs and Programs are the rarely-touched entity
 // side arrays (read only on entity switches and by flushing models).
-// All six columns always have equal length. A Columns is immutable
-// once built and safe to share read-only across cells, exactly like a
+// All six columns always have equal length, and Len is the full record
+// count from the start.
+//
+// A row is final once it is published: every row of columns built by
+// GenerateColumns, decoding, mapping or FromRecords is final when they
+// are returned, but the rows of a Stream's columns become final chunk
+// by chunk while the generation runs. Wait blocks until a prefix of
+// rows is final; the replay loops (sim.RunColumnsCtx and
+// RunColumnsMulti) wait for each chunk before stepping it, and nothing
+// else may read a row before it is final. A final row never changes,
+// so Columns are safe to share read-only across cells, exactly like a
 // cached *Trace.
 type Columns struct {
 	// Name is the workload name (preset name for synthetic traces).
@@ -69,6 +83,122 @@ type Columns struct {
 	// outlived it would read unmapped memory, so every view pins its
 	// source.
 	parent *Columns
+
+	// gate publishes how many rows of a Stream's columns are final (nil
+	// when every row is final); first is this view's row 0 as a row of
+	// the gated columns.
+	gate  *rowGate
+	first int
+}
+
+// Wait blocks until rows [0, rows) of c are final. It returns at once
+// on columns whose rows are all final, ctx.Err() when ctx is done
+// first, and the generation's error when it failed before publishing
+// them.
+func (c *Columns) Wait(ctx context.Context, rows int) error {
+	if c.gate == nil {
+		return nil
+	}
+	return c.gate.wait(ctx, c.first+rows)
+}
+
+// streamChunk is how many rows a Stream's generation publishes at a
+// time: the chunk a replay steps between context checks
+// (sim.runCheckInterval), so a replay waiting on rows wakes once per
+// chunk.
+const streamChunk = 8192
+
+// rowGate is the publication point of a Stream: final counts the
+// leading rows that are final, and wake is closed (and replaced) at each
+// publication and at a failure, so waiters block without polling.
+type rowGate struct {
+	final atomic.Int64
+
+	mu   sync.Mutex
+	wake chan struct{}
+	err  error
+}
+
+func (g *rowGate) wait(ctx context.Context, rows int) error {
+	for {
+		if g.final.Load() >= int64(rows) {
+			return nil
+		}
+		g.mu.Lock()
+		wake, err := g.wake, g.err
+		g.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		// A publication between the first check and taking wake closed
+		// an older channel; check once more before sleeping on this one.
+		if g.final.Load() >= int64(rows) {
+			return nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// signal wakes every waiter, setting err first when it is non-nil.
+func (g *rowGate) signal(err error) {
+	g.mu.Lock()
+	if err != nil && g.err == nil {
+		g.err = err
+	}
+	close(g.wake)
+	g.wake = make(chan struct{})
+	g.mu.Unlock()
+}
+
+// Stream is the write side of columns generated while they are read:
+// NewStream preallocates every row, a generator (Generator.Fill,
+// PhasedGenerator.Fill) writes the rows in order and publishes them
+// every few thousand, and replays of Columns() step each chunk as soon
+// as it is final. A Stream has one writer.
+type Stream struct {
+	cols *Columns
+}
+
+// NewStream preallocates rows rows of columns named name, none of them
+// final yet.
+func NewStream(name string, rows int) *Stream {
+	c := newColumns(name, rows)
+	c.gate = &rowGate{wake: make(chan struct{})}
+	return &Stream{cols: c}
+}
+
+// Columns returns the stream's columns: Len is the full row count at
+// once, and Wait reports which rows are final.
+func (s *Stream) Columns() *Columns { return s.cols }
+
+// Fail ends a generation that cannot finish: every Wait for a row not
+// yet final returns err.
+func (s *Stream) Fail(err error) { s.cols.gate.signal(err) }
+
+// publish marks rows [0, rows) final. A nil stream (a generation
+// building complete columns) publishes nothing.
+func (s *Stream) publish(rows int) {
+	if s == nil {
+		return
+	}
+	s.cols.gate.final.Store(int64(rows))
+	s.cols.gate.signal(nil)
+}
+
+// newColumns allocates n rows of every column.
+func newColumns(name string, n int) *Columns {
+	return &Columns{
+		Name:     name,
+		PCs:      make([]uint64, n),
+		Targets:  make([]uint64, n),
+		Flags:    make([]byte, n),
+		PIDs:     make([]uint32, n),
+		Programs: make([]uint16, n),
+	}
 }
 
 // Len reports the number of records.
@@ -86,10 +216,11 @@ func (c *Columns) Kernel(i int) bool { return c.Flags[i]&FlagKernel != 0 }
 // Slice returns a read-only view of rows [lo, hi) sharing the backing
 // arrays. The view retains a reference to c (see the parent field), so
 // slicing an mmap-backed trace is safe; like c itself, the view must be
-// treated as immutable. Slice panics when the bounds are out of range,
-// matching built-in slice semantics. Views are cheap cursors for phase
-// replay — do not store them in byte-budgeted caches, where SizeBytes
-// would charge the full backing arrays again.
+// treated as immutable, and its Wait waits on c's rows [lo, hi). Slice
+// panics when the bounds are out of range, matching built-in slice
+// semantics. Views are cheap cursors for phase replay — do not store
+// them in byte-budgeted caches, where SizeBytes would charge the full
+// backing arrays again.
 func (c *Columns) Slice(lo, hi int) *Columns {
 	if lo < 0 || hi < lo || hi > c.Len() {
 		panic(fmt.Sprintf("trace: Slice bounds [%d:%d) out of range for %d records", lo, hi, c.Len()))
@@ -102,6 +233,8 @@ func (c *Columns) Slice(lo, hi int) *Columns {
 		PIDs:     c.PIDs[lo:hi:hi],
 		Programs: c.Programs[lo:hi:hi],
 		parent:   c.owner(),
+		gate:     c.gate,
+		first:    c.first + lo,
 	}
 }
 
@@ -119,7 +252,8 @@ func (c *Columns) owner() *Columns {
 // replays its second thread through such a view so the two threads'
 // entities never collide in the token table. The view owns its two
 // entity columns and, like a Slice view, pins c's owner, so it is safe
-// on mmap-backed traces and must be treated as immutable.
+// on mmap-backed traces and must be treated as immutable. It reads
+// every row, so every row of c must be final.
 func (c *Columns) OffsetEntities(pid uint32, program uint16) *Columns {
 	v := &Columns{
 		Name:     c.Name,
@@ -156,14 +290,7 @@ func (c *Columns) Record(i int) Record {
 // FromRecords converts an AoS record slice to columns. The conversion
 // is lossless: ToRecords of the result reproduces recs exactly.
 func FromRecords(name string, recs []Record) *Columns {
-	c := &Columns{
-		Name:     name,
-		PCs:      make([]uint64, len(recs)),
-		Targets:  make([]uint64, len(recs)),
-		Flags:    make([]byte, len(recs)),
-		PIDs:     make([]uint32, len(recs)),
-		Programs: make([]uint16, len(recs)),
-	}
+	c := newColumns(name, len(recs))
 	for i := range recs {
 		r := &recs[i]
 		c.PCs[i] = r.PC

@@ -81,90 +81,115 @@ func layoutMapped(nameLen int, count uint64) mappedLayout {
 
 // WriteColumnsMapped encodes the columnar trace to w in the mappable
 // STBT layout (version 2). The output decodes to the same trace as
-// WriteColumns' v1 stream, and additionally satisfies MapColumns.
+// WriteColumns' v1 stream, and additionally satisfies MapColumns. Every
+// row of c must be final.
 func WriteColumnsMapped(w io.Writer, c *Columns) error {
 	if len(c.Name) > 0xffff {
 		return fmt.Errorf("trace: name too long (%d bytes)", len(c.Name))
 	}
 	count := uint64(c.Len())
 	l := layoutMapped(len(c.Name), count)
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(codecVersionMapped); err != nil {
-		return err
-	}
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(c.Name)))
-	if _, err := bw.Write(u16[:]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(c.Name); err != nil {
-		return err
-	}
-	var u64 [8]byte
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		_, err := bw.Write(u64[:])
-		return err
-	}
-	if err := writeU64(count); err != nil {
-		return err
-	}
+	bw := &blockWriter{w: w, buf: make([]byte, 0, mappedBlockBytes)}
+	bw.buf = append(bw.buf, traceMagic[:]...)
+	bw.buf = append(bw.buf, codecVersionMapped)
+	bw.buf = binary.LittleEndian.AppendUint16(bw.buf, uint16(len(c.Name)))
+	bw.buf = append(bw.buf, c.Name...)
+	bw.buf = binary.LittleEndian.AppendUint64(bw.buf, count)
 	for _, off := range l.sections {
-		if err := writeU64(off); err != nil {
-			return err
-		}
+		bw.buf = binary.LittleEndian.AppendUint64(bw.buf, off)
 	}
-	if err := writeU64(l.total); err != nil {
-		return err
-	}
+	bw.buf = binary.LittleEndian.AppendUint64(bw.buf, l.total)
+	bw.pos = uint64(len(bw.buf))
 
-	pos := uint64(63 + len(c.Name))
-	var zeros [mappedSectionAlign]byte
-	padTo := func(off uint64) error {
-		for pos < off {
-			n := off - pos
-			if n > mappedSectionAlign {
-				n = mappedSectionAlign
+	bw.padTo(l.sections[0])
+	writeLE(bw, c.PCs)
+	bw.padTo(l.sections[1])
+	writeLE(bw, c.Targets)
+	bw.padTo(l.sections[2])
+	bw.bytes(c.Flags)
+	bw.padTo(l.sections[3])
+	writeLE(bw, c.PIDs)
+	bw.padTo(l.sections[4])
+	writeLE(bw, c.Programs)
+	bw.flush()
+	return bw.err
+}
+
+// mappedBlockBytes is the v2 writer's block: each section is encoded a
+// block at a time and written with one call, not one call per element.
+const mappedBlockBytes = 1 << 16
+
+// blockWriter fills a block buffer and writes it to w when full,
+// keeping the first write error (later calls do nothing). pos counts
+// the bytes produced so far, the stream offset padTo aligns against.
+type blockWriter struct {
+	w   io.Writer
+	buf []byte
+	pos uint64
+	err error
+}
+
+func (b *blockWriter) flush() {
+	if b.err == nil && len(b.buf) > 0 {
+		_, b.err = b.w.Write(b.buf)
+	}
+	b.buf = b.buf[:0]
+}
+
+// room returns the free space left in the block, writing the block out
+// first when less than want bytes are free.
+func (b *blockWriter) room(want int) int {
+	if cap(b.buf)-len(b.buf) < want {
+		b.flush()
+	}
+	return cap(b.buf) - len(b.buf)
+}
+
+// bytes copies p into the stream.
+func (b *blockWriter) bytes(p []byte) {
+	b.pos += uint64(len(p))
+	for len(p) > 0 {
+		n := min(len(p), b.room(1))
+		b.buf = append(b.buf, p[:n]...)
+		p = p[n:]
+	}
+}
+
+// padTo zero-fills the stream up to offset off.
+func (b *blockWriter) padTo(off uint64) {
+	for b.pos < off {
+		n := min(off-b.pos, uint64(b.room(1)))
+		b.buf = append(b.buf, make([]byte, n)...)
+		b.pos += n
+	}
+}
+
+// writeLE appends xs to the stream as little-endian elements, a block
+// at a time.
+func writeLE[T uint16 | uint32 | uint64](b *blockWriter, xs []T) {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	b.pos += uint64(len(xs) * size)
+	for len(xs) > 0 {
+		n := min(len(xs), b.room(size)/size)
+		out := b.buf[len(b.buf) : len(b.buf)+n*size]
+		switch size {
+		case 8:
+			for i, v := range xs[:n] {
+				binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
 			}
-			if _, err := bw.Write(zeros[:n]); err != nil {
-				return err
+		case 4:
+			for i, v := range xs[:n] {
+				binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
 			}
-			pos += n
-		}
-		return nil
-	}
-	writeSection := func(off uint64, elem uint64, put func(i int)) error {
-		if err := padTo(off); err != nil {
-			return err
-		}
-		for i := 0; i < int(count); i++ {
-			put(i)
-			if _, err := bw.Write(u64[:elem]); err != nil {
-				return err
+		default:
+			for i, v := range xs[:n] {
+				binary.LittleEndian.PutUint16(out[2*i:], uint16(v))
 			}
 		}
-		pos += count * elem
-		return nil
+		b.buf = b.buf[:len(b.buf)+n*size]
+		xs = xs[n:]
 	}
-	if err := writeSection(l.sections[0], 8, func(i int) { binary.LittleEndian.PutUint64(u64[:], c.PCs[i]) }); err != nil {
-		return err
-	}
-	if err := writeSection(l.sections[1], 8, func(i int) { binary.LittleEndian.PutUint64(u64[:], c.Targets[i]) }); err != nil {
-		return err
-	}
-	if err := writeSection(l.sections[2], 1, func(i int) { u64[0] = c.Flags[i] }); err != nil {
-		return err
-	}
-	if err := writeSection(l.sections[3], 4, func(i int) { binary.LittleEndian.PutUint32(u64[:4], c.PIDs[i]) }); err != nil {
-		return err
-	}
-	if err := writeSection(l.sections[4], 2, func(i int) { binary.LittleEndian.PutUint16(u64[:2], c.Programs[i]) }); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // readColumnsMapped is ReadColumns' v2 branch: a streaming decode of the

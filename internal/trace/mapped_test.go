@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -68,6 +70,30 @@ func TestMappedRoundTripProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWriteColumnsMappedGolden pins the v2 writer's bytes for a fixed
+// preset trace: every .stbt spill ever written must keep decoding and
+// mapping, so the length and SHA-256 change only with a deliberate
+// format change (a new codec version), never with a faster encoder.
+func TestWriteColumnsMappedGolden(t *testing.T) {
+	const (
+		wantLen = 2_313_536
+		wantSHA = "b009932812807dc12152b130c52ff8e5704d756bb7d7c913240ee489746bd3f4"
+	)
+	cols, err := GenerateColumns(testProfile("505.mcf", 100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteColumnsMapped(&buf, cols); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); buf.Len() != wantLen || got != wantSHA {
+		t.Errorf("505.mcf@100000 encodes to %d bytes, sha256 %s; want %d bytes, sha256 %s",
+			buf.Len(), got, wantLen, wantSHA)
 	}
 }
 

@@ -506,14 +506,25 @@ func (g *PhasedGenerator) Generate() *Trace {
 // the columnar replay representation, skipping the intermediate AoS
 // slice exactly like Generator.GenerateColumns.
 func (g *PhasedGenerator) GenerateColumns() *Columns {
-	c := &Columns{
-		Name:     g.pp.Name,
-		PCs:      make([]uint64, 0, g.records),
-		Targets:  make([]uint64, 0, g.records),
-		Flags:    make([]byte, 0, g.records),
-		PIDs:     make([]uint32, 0, g.records),
-		Programs: make([]uint16, 0, g.records),
+	c := newColumns(g.pp.Name, g.records)
+	g.fill(c, nil)
+	return c
+}
+
+// Fill is Generator.Fill for a phase-structured trace: it writes the
+// rows GenerateColumns returns into s, publishing them a chunk at a
+// time. s must hold exactly the generator's record count.
+func (g *PhasedGenerator) Fill(s *Stream) error {
+	if n := s.cols.Len(); n != g.records {
+		return fmt.Errorf("phased profile %q: stream holds %d rows, generator makes %d", g.pp.Name, n, g.records)
 	}
+	g.fill(s.cols, s)
+	return nil
+}
+
+// fill writes every row of c in order, publishing each full chunk and
+// then the tail through s (nil publishes nothing).
+func (g *PhasedGenerator) fill(c *Columns, s *Stream) {
 	core := g.core
 	bounds := PhaseBoundaries(g.pp.Phases, g.records)
 
@@ -539,6 +550,11 @@ func (g *PhasedGenerator) GenerateColumns() *Columns {
 		core.flipProb = ph.Drift
 		cum := g.weightsOf(ph)
 		nextSwitch := g.switchInterval(ph, 0, n)
+		// The phase's rows of every column, so row i of the phase is
+		// element i of each.
+		lo, hi := bounds[pi], bounds[pi+1]
+		pcs, targets, flags := c.PCs[lo:hi], c.Targets[lo:hi], c.Flags[lo:hi]
+		pids, programs := c.PIDs[lo:hi], c.Programs[lo:hi]
 
 		for i := 0; i < n; i++ {
 			proc := &core.procs[cur]
@@ -554,11 +570,14 @@ func (g *PhasedGenerator) GenerateColumns() *Columns {
 			if inKernel {
 				program = 0xffff
 			}
-			c.PCs = append(c.PCs, rec.PC)
-			c.Targets = append(c.Targets, rec.Target)
-			c.Flags = append(c.Flags, PackFlags(rec.Kind, rec.Taken, inKernel))
-			c.PIDs = append(c.PIDs, uint32(cur+1))
-			c.Programs = append(c.Programs, program)
+			pcs[i] = rec.PC
+			targets[i] = rec.Target
+			flags[i] = PackFlags(rec.Kind, rec.Taken, inKernel)
+			pids[i] = uint32(cur + 1)
+			programs[i] = program
+			if (lo+i+1)%streamChunk == 0 {
+				s.publish(lo + i + 1)
+			}
 
 			untilSys--
 			if untilSys <= 0 && core.p.KernelBurstMean > 0 {
@@ -590,7 +609,7 @@ func (g *PhasedGenerator) GenerateColumns() *Columns {
 		// the next phase are installed above; cursors, call stacks, and
 		// kernel state carry across so control flow stays continuous.
 	}
-	return c
+	s.publish(g.records)
 }
 
 // switchInterval samples the records until the next context switch at

@@ -450,19 +450,38 @@ func (s *Spec) Profile(records int) trace.Profile {
 // (<= 0 means the spec total) and instance seed (0 is the canonical
 // stream the tracestore caches).
 func (s *Spec) Generate(records int, seed uint64) (*trace.Trace, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	pp, err := s.phased(seed)
+	g, err := s.generator(records, seed)
 	if err != nil {
 		return nil, err
 	}
-	return trace.GeneratePhased(pp, records)
+	return g.Generate(), nil
 }
 
 // GenerateColumns is Generate in the columnar replay representation
 // (the form caches store), skipping the intermediate AoS slice.
 func (s *Spec) GenerateColumns(records int, seed uint64) (*trace.Columns, error) {
+	g, err := s.generator(records, seed)
+	if err != nil {
+		return nil, err
+	}
+	return g.GenerateColumns(), nil
+}
+
+// Fill writes the spec's trace at instance seed seed into st, whose
+// length is the record budget, publishing the rows a chunk at a time
+// (trace.PhasedGenerator.Fill): the streaming form of GenerateColumns,
+// with the same rows.
+func (s *Spec) Fill(st *trace.Stream, seed uint64) error {
+	g, err := s.generator(st.Columns().Len(), seed)
+	if err != nil {
+		return err
+	}
+	return g.Fill(st)
+}
+
+// generator validates the spec and builds its phased generator for a
+// records-record run at instance seed seed.
+func (s *Spec) generator(records int, seed uint64) (*trace.PhasedGenerator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -470,7 +489,7 @@ func (s *Spec) GenerateColumns(records int, seed uint64) (*trace.Columns, error)
 	if err != nil {
 		return nil, err
 	}
-	return trace.GeneratePhasedColumns(pp, records)
+	return trace.NewPhasedGenerator(pp, records)
 }
 
 var (

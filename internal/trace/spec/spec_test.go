@@ -1,9 +1,12 @@
 package spec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
+
+	"stbpu/internal/trace"
 )
 
 // validDoc is a well-formed document exercising most optional fields.
@@ -255,6 +258,47 @@ func TestBuiltinFixturesRegisterAndGenerate(t *testing.T) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Errorf("builtin %q trace invalid: %v", s.Name, err)
+		}
+	}
+}
+
+// TestFillMatchesGenerateColumns: streaming a spec workload (Fill on
+// its own goroutine, rows read chunk by chunk as they are published)
+// yields exactly GenerateColumns' rows, for the built-in specs and the
+// test document at record counts that are not multiples of the
+// publication chunk, one of them below it.
+func TestFillMatchesGenerateColumns(t *testing.T) {
+	unit, err := Parse([]byte(validDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(Builtin(), unit) {
+		for _, n := range []int{3_000, 8_193, 21_000} {
+			want, err := s.GenerateColumns(n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := trace.NewStream(s.Profile(n).Name, n)
+			errc := make(chan error, 1)
+			go func() { errc <- s.Fill(st, 0) }()
+			got := st.Columns()
+			for lo := 0; lo < n; lo += 5_000 {
+				hi := min(lo+5_000, n)
+				if err := got.Wait(context.Background(), hi); err != nil {
+					t.Fatal(err)
+				}
+				for i := lo; i < hi; i++ {
+					if got.Record(i) != want.Record(i) {
+						t.Fatalf("%s@%d row %d = %+v, want %+v", s.Name, n, i, got.Record(i), want.Record(i))
+					}
+				}
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			if got.Name != want.Name || got.Len() != want.Len() {
+				t.Fatalf("%s@%d: streamed %q/%d, generated %q/%d", s.Name, n, got.Name, got.Len(), want.Name, want.Len())
+			}
 		}
 	}
 }

@@ -439,22 +439,37 @@ func (g *Generator) Generate() *Trace {
 // so generating into it skips the intermediate 32-byte-per-record AoS
 // slice and the conversion pass it used to pay.
 func (g *Generator) GenerateColumns() *Columns {
-	p := &g.p
-	c := &Columns{
-		Name:     p.Name,
-		PCs:      make([]uint64, 0, p.Records),
-		Targets:  make([]uint64, 0, p.Records),
-		Flags:    make([]byte, 0, p.Records),
-		PIDs:     make([]uint32, 0, p.Records),
-		Programs: make([]uint16, 0, p.Records),
+	c := newColumns(g.p.Name, g.p.Records)
+	g.fill(c, nil)
+	return c
+}
+
+// Fill writes the trace into s's preallocated rows, publishing them a
+// chunk at a time, so replays of s.Columns() run behind the generation.
+// The rows are the ones GenerateColumns returns. s must hold exactly
+// the profile's record count.
+func (g *Generator) Fill(s *Stream) error {
+	if n := s.cols.Len(); n != g.p.Records {
+		return fmt.Errorf("trace %q: stream holds %d rows, profile generates %d", g.p.Name, n, g.p.Records)
 	}
+	g.fill(s.cols, s)
+	return nil
+}
+
+// fill writes every row of c in order, publishing each full chunk and
+// then the tail through s (nil publishes nothing).
+func (g *Generator) fill(c *Columns, s *Stream) {
+	p := &g.p
+	n := len(c.PCs)
+	pcs, targets, flags := c.PCs[:n], c.Targets[:n], c.Flags[:n]
+	pids, programs := c.PIDs[:n], c.Programs[:n]
 
 	cur := 0 // current process index
 	untilCtx := g.interval(p.CtxSwitchMean)
 	untilSys := g.interval(p.SyscallMean)
 	kernelLeft := 0
 
-	for len(c.PCs) < p.Records {
+	for i := 0; i < n; i++ {
 		proc := &g.procs[cur]
 		inKernel := kernelLeft > 0 && g.kernel != nil
 		prog := g.programs[proc.prog]
@@ -468,11 +483,14 @@ func (g *Generator) GenerateColumns() *Columns {
 		if inKernel {
 			program = 0xffff // kernel entity
 		}
-		c.PCs = append(c.PCs, rec.PC)
-		c.Targets = append(c.Targets, rec.Target)
-		c.Flags = append(c.Flags, PackFlags(rec.Kind, rec.Taken, inKernel))
-		c.PIDs = append(c.PIDs, uint32(cur+1))
-		c.Programs = append(c.Programs, program)
+		pcs[i] = rec.PC
+		targets[i] = rec.Target
+		flags[i] = PackFlags(rec.Kind, rec.Taken, inKernel)
+		pids[i] = uint32(cur + 1)
+		programs[i] = program
+		if (i+1)%streamChunk == 0 {
+			s.publish(i + 1)
+		}
 
 		untilCtx--
 		untilSys--
@@ -485,7 +503,7 @@ func (g *Generator) GenerateColumns() *Columns {
 			untilCtx = g.interval(p.CtxSwitchMean)
 		}
 	}
-	return c
+	s.publish(n)
 }
 
 // step emits one branch record for the given program/process, advancing

@@ -447,6 +447,25 @@ func BenchmarkCodecWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecWriteMapped times the v2 spill encoder on the trace
+// BenchmarkCodecWrite encodes as v1: the per-record cost of every
+// -trace-dir spill written in mapped mode.
+func BenchmarkCodecWriteMapped(b *testing.B) {
+	cols, err := GenerateColumns(testProfile("505.mcf", 100_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteColumnsMapped(&buf, cols); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	tr, err := Generate(testProfile("520.omnetpp", 3_000))
 	if err != nil {

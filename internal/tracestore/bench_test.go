@@ -1,6 +1,7 @@
 package tracestore
 
 import (
+	"os"
 	"runtime"
 	"testing"
 )
@@ -58,4 +59,44 @@ func BenchmarkWarmStart(b *testing.B) {
 	}
 	b.Run("decode", func(b *testing.B) { run(b, false) })
 	b.Run("mmap", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkColdSpill measures a cold store's first lookup of a trace
+// with a mapped disk tier, through to the spill on disk: generating the
+// trace, admitting it, and writing and fsyncing its v2 spill on the
+// background writer (GetColumns returns once the spill has landed). It
+// is the per-trace cost of a tiers-cold run, minus the replay that
+// overlaps the generation there.
+func BenchmarkColdSpill(b *testing.B) {
+	const workload, records = "505.mcf", 100_000
+	if !mmapSupported {
+		b.Skip("mmap unsupported on this platform")
+	}
+	dir := b.TempDir()
+	path := New(0, nil)
+	if err := path.SetDir(dir); err != nil {
+		b.Fatal(err)
+	}
+	spillFile := path.diskPath(Key{Name: workload, Records: records})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New(0, nil)
+		s.SetMapped(true)
+		if err := s.SetDir(dir); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := s.GetColumns(workload, records); err != nil {
+			b.Fatal(err)
+		}
+		s.Wait()
+		if st := s.Stats(); st.Generations != 1 || st.DiskWrites != 1 {
+			b.Fatalf("cold lookup stats = %+v, want one generation and one spill", st)
+		}
+		b.StopTimer()
+		if err := os.Remove(spillFile); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

@@ -20,11 +20,13 @@ import (
 // SetDir enables the persistent trace tier rooted at dir (creating it
 // if needed); an empty dir disables the tier. With a tier configured,
 // a cache miss first tries to decode a spilled STBT file for the key,
-// and a generated trace is spilled (atomic temp-file-plus-rename, so
-// concurrent processes sharing the directory never observe a partial
-// file) before being admitted. Disk problems never fail a lookup: an
-// unreadable, corrupt, or mismatched spill counts a DiskError and
-// falls back to generation, overwriting the bad file.
+// and a generated trace is admitted when its last row lands and then
+// spilled on the background writer (spill.Queue: atomic
+// temp-file-plus-rename, so concurrent processes sharing the directory
+// never observe a partial file). The spill is on disk once Wait
+// returns. Disk problems never fail a lookup: an unreadable, corrupt,
+// or mismatched spill counts a DiskError and falls back to generation,
+// overwriting the bad file.
 //
 // The tier is only valid for the default PresetGenColumns/PresetProfile
 // pipeline: files are keyed by (name, records) alone, so a store with
@@ -34,7 +36,7 @@ import (
 // another's. Call before the first GetColumns.
 func (s *Store) SetDir(dir string) error {
 	if dir != "" {
-		if !s.presetGen {
+		if s.gen != nil {
 			return errors.New("tracestore: the disk tier requires the default preset generator (spills are keyed by (name, records) only)")
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -96,11 +98,12 @@ func (s *Store) loadDisk(k Key) (*trace.Columns, bool) {
 	return cols, true
 }
 
-// spill writes the columns to the tier atomically and durably
-// (spill.Write). Failures are best-effort by design — the trace is
-// already resident, so a full disk or read-only directory costs only the
-// persistence, not the run.
-func (s *Store) spill(k Key, cols *trace.Columns) {
+// spill queues a generated entry's columns for the tier, written
+// atomically and durably (spill.Write) on the background writer, and
+// settles the entry once they are on disk. Failures are best-effort by
+// design — the trace is already resident, so a full disk or read-only
+// directory costs only the persistence, not the run.
+func (s *Store) spill(e *entry) {
 	// Mapped mode spills the page-aligned v2 layout so the next run can
 	// mmap it; otherwise the compact v1 delta stream (~3-4x smaller).
 	// Readers accept both, so mixed-mode runs sharing a directory
@@ -109,13 +112,17 @@ func (s *Store) spill(k Key, cols *trace.Columns) {
 	if s.Mapped() && mmapSupported {
 		write = trace.WriteColumnsMapped
 	}
-	if err := spill.Write(s.diskPath(k), func(w io.Writer) error { return write(w, cols) }); err != nil {
-		s.noteDiskError()
-		return
-	}
-	s.mu.Lock()
-	s.diskWrites++
-	s.mu.Unlock()
+	path, cols := s.diskPath(e.key), e.cols
+	spill.Queue(func() {
+		defer s.settle(e)
+		if err := spill.Write(path, func(w io.Writer) error { return write(w, cols) }); err != nil {
+			s.noteDiskError()
+			return
+		}
+		s.mu.Lock()
+		s.diskWrites++
+		s.mu.Unlock()
+	})
 }
 
 func (s *Store) noteDiskError() {

@@ -1,6 +1,6 @@
-// The Store implementation: LRU bookkeeping, singleflight generation,
-// columnar residency, and stats (see doc.go for the package overview;
-// disk.go holds the persistent tier).
+// The Store implementation: LRU bookkeeping, singleflight streamed
+// generation, columnar residency, and stats (see doc.go for the package
+// overview; disk.go holds the persistent tier).
 
 package tracestore
 
@@ -30,7 +30,8 @@ func (k Key) String() string { return fmt.Sprintf("%s@%d", k.Name, k.Records) }
 // GenFunc materializes the trace for a key in columnar form. It must be
 // deterministic: the store may drop and regenerate entries under byte
 // pressure, and replay results must not depend on which copy a cell
-// observed.
+// observed. A store with a custom GenFunc publishes its rows all at
+// once, when it returns; only the default generator streams.
 type GenFunc func(name string, records int) (*trace.Columns, trace.Profile, error)
 
 // PresetProfile derives the workload profile for a key without
@@ -56,25 +57,43 @@ func PresetProfile(name string, records int) (trace.Profile, error) {
 // trace preset resized to the requested record count, generated
 // straight into columns. Spec workload names embed a content hash of
 // the document, so the disk tier's (name, records) spill keys stay
-// collision-free for them too.
+// collision-free for them too. It returns when every row is final; the
+// store runs the same generation as a stream (StreamColumns).
 func PresetGenColumns(name string, records int) (*trace.Columns, trace.Profile, error) {
+	prof, fill, err := presetSource(name, records)
+	if err != nil {
+		return nil, trace.Profile{}, err
+	}
+	st := trace.NewStream(prof.Name, prof.Records)
+	if err := fill(st); err != nil {
+		return nil, trace.Profile{}, err
+	}
+	return st.Columns(), prof, nil
+}
+
+// presetSource resolves a key of the default generator to its profile
+// and to the generation that fills a stream of prof.Records rows. The
+// profile costs nothing to derive; fill builds the program and writes
+// the rows, the part the store runs on its own goroutine.
+func presetSource(name string, records int) (prof trace.Profile, fill func(*trace.Stream) error, err error) {
 	if s, ok := spec.Lookup(name); ok {
-		cols, err := s.GenerateColumns(records, 0)
-		if err != nil {
-			return nil, trace.Profile{}, err
-		}
-		return cols, s.Profile(records), nil
+		return s.Profile(records), func(st *trace.Stream) error { return s.Fill(st, 0) }, nil
 	}
 	p, err := trace.Preset(name)
 	if err != nil {
-		return nil, trace.Profile{}, err
+		return trace.Profile{}, nil, err
 	}
 	p = p.WithRecords(records)
-	cols, err := trace.GenerateColumns(p)
-	if err != nil {
-		return nil, trace.Profile{}, err
+	if err := p.Validate(); err != nil {
+		return trace.Profile{}, nil, err
 	}
-	return cols, p, nil
+	return p, func(st *trace.Stream) error {
+		g, err := trace.NewGenerator(p)
+		if err != nil {
+			return err
+		}
+		return g.Fill(st)
+	}, nil
 }
 
 // SizeOf reports the resident footprint in bytes of one stored trace.
@@ -133,12 +152,8 @@ type Stats struct {
 // Store is the shared cache. The zero value is not usable; construct with
 // New. All methods are safe for concurrent use.
 type Store struct {
-	gen      GenFunc
+	gen      GenFunc // nil: the default, streamed preset pipeline
 	maxBytes int64
-	// presetGen records that gen is the default PresetGenColumns pipeline —
-	// the only generator whose spills the disk tier may trust or
-	// produce (SetDir enforces it).
-	presetGen bool
 
 	mu         sync.Mutex
 	sizeOf     SizeOf
@@ -147,6 +162,10 @@ type Store struct {
 	entries    map[Key]*entry
 	lru        *list.List // front = most recent; values are *entry
 	bytes      int64
+	// evicting holds entries evicted before they settled (their spill
+	// still queued), so Wait covers them and a later miss of the key
+	// reads their spill instead of missing it; nil until one exists.
+	evicting map[Key]*entry
 
 	hits, misses, generations, evictions         uint64
 	diskHits, diskMisses, diskWrites, diskErrors uint64
@@ -156,16 +175,27 @@ type Store struct {
 	bytesMapped atomic.Int64
 }
 
-// entry is one cached (or in-flight) trace. The sync.Once gives waiters
-// singleflight semantics: the first GetColumns for a key fills (disk load
-// or generation), concurrent calls block on the same Once and share the
-// result read-only.
+// entry is one cached (or in-flight) trace. Its two wait groups give
+// waiters singleflight semantics: the first lookup of a key fills it
+// (disk load or generation), and concurrent lookups wait on the same
+// entry and share the result read-only.
 type entry struct {
-	key  Key
-	once sync.Once
-	cols *trace.Columns
-	prof trace.Profile
-	err  error
+	key Key
+	// view is released once cols and prof, or err, are set. A streamed
+	// generation releases it before generating any row; a disk hit and a
+	// custom GenFunc release it with every row final.
+	view sync.WaitGroup
+	// settled is released once every row is final, the entry is
+	// admitted and its spill is on disk, or once the fill failed;
+	// isSettled (mu-guarded) records that it was.
+	settled   sync.WaitGroup
+	isSettled bool
+	cols      *trace.Columns
+	prof      trace.Profile
+	// err fails the lookup (set before view is released); rowsErr fails
+	// the rows of a streamed generation (set before settled is released;
+	// replays waiting on the rows get it from the stream).
+	err, rowsErr error
 
 	// mapped is non-nil when cols are zero-copy views of an mmap'd
 	// spill; eviction drops the store's reference to the region.
@@ -177,22 +207,17 @@ type entry struct {
 
 // New builds a store bounded to maxBytes of resident trace data
 // (maxBytes <= 0 means DefaultMaxBytes) generating through gen
-// (nil means PresetGenColumns).
+// (nil means the PresetGenColumns pipeline, streamed).
 func New(maxBytes int64, gen GenFunc) *Store {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	presetGen := gen == nil
-	if gen == nil {
-		gen = PresetGenColumns
-	}
 	return &Store{
-		gen:       gen,
-		maxBytes:  maxBytes,
-		presetGen: presetGen,
-		sizeOf:    ExactSize,
-		entries:   map[Key]*entry{},
-		lru:       list.New(),
+		gen:      gen,
+		maxBytes: maxBytes,
+		sizeOf:   ExactSize,
+		entries:  map[Key]*entry{},
+		lru:      list.New(),
 	}
 }
 
@@ -211,9 +236,42 @@ func (s *Store) SetSizeOf(fn SizeOf) {
 // GetColumns returns the columnar trace for (name, records), generating
 // it at most once per residency no matter how many cells ask
 // concurrently. A gem5 short name and its full SPEC name are one key
-// (trace.CanonicalName), and the columns carry the full name. The
-// returned columns are shared and must be treated as read-only.
+// (trace.CanonicalName), and the columns carry the full name. It
+// returns when every row is final and, with a disk tier, the trace's
+// spill is on disk; the columns are shared and must be treated as
+// read-only.
 func (s *Store) GetColumns(name string, records int) (*trace.Columns, trace.Profile, error) {
+	e := s.lookup(name, records)
+	e.settled.Wait()
+	if e.err != nil {
+		return nil, trace.Profile{}, e.err
+	}
+	if e.rowsErr != nil {
+		return nil, trace.Profile{}, e.rowsErr
+	}
+	return e.cols, e.prof, nil
+}
+
+// StreamColumns is GetColumns for a replay: it returns as soon as the
+// trace's columns exist, while the default generator may still be
+// writing their rows on the store's goroutine. sim.RunColumnsCtx and
+// RunColumnsMulti wait for each chunk's rows (trace.Columns.Wait), so a
+// replay steps chunk k while later rows are generated; a generation
+// that fails after the view exists fails those waits instead. Disk hits
+// and custom GenFuncs return complete columns, as GetColumns does. Hits
+// and misses count as for GetColumns.
+func (s *Store) StreamColumns(name string, records int) (*trace.Columns, trace.Profile, error) {
+	e := s.lookup(name, records)
+	e.view.Wait()
+	if e.err != nil {
+		return nil, trace.Profile{}, e.err
+	}
+	return e.cols, e.prof, nil
+}
+
+// lookup counts a hit or a miss for the key and returns its entry,
+// filling a new one on a miss.
+func (s *Store) lookup(name string, records int) *entry {
 	key := Key{Name: trace.CanonicalName(name), Records: records}
 
 	s.mu.Lock()
@@ -223,23 +281,31 @@ func (s *Store) GetColumns(name string, records int) (*trace.Columns, trace.Prof
 		if e.elem != nil {
 			s.lru.MoveToFront(e.elem)
 		}
-	} else {
-		s.misses++
-		e = &entry{key: key}
-		s.entries[key] = e
+		s.mu.Unlock()
+		return e
 	}
+	s.misses++
+	e = &entry{key: key}
+	e.view.Add(1)
+	e.settled.Add(1)
+	s.entries[key] = e
+	prev := s.evicting[key]
 	s.mu.Unlock()
 
-	e.once.Do(func() { s.fill(e) })
-	if e.err != nil {
-		return nil, trace.Profile{}, e.err
+	if prev != nil {
+		// An evicted copy of the key is still spilling: let it land, so
+		// the disk probe below finds it as it would have without the
+		// background writer.
+		prev.settled.Wait()
 	}
-	return e.cols, e.prof, nil
+	s.fill(e)
+	return e
 }
 
-// fill materializes one entry: disk tier first (when configured), then
-// the generator. It runs outside the store lock — generation is the
-// expensive part singleflight exists to amortize.
+// fill materializes a new entry: disk tier first (when configured),
+// then the generator. The disk probe runs on the caller's goroutine;
+// generation runs on a goroutine of the store's, which admits the entry
+// and queues its spill when the last row lands.
 func (s *Store) fill(e *entry) {
 	name, records := e.key.Name, e.key.Records
 	if s.Dir() != "" {
@@ -252,7 +318,9 @@ func (s *Store) fill(e *entry) {
 					s.mmapHits++
 				}
 				s.mu.Unlock()
+				e.view.Done()
 				s.admit(e, false)
+				s.settle(e)
 				return
 			}
 			// A spill whose profile cannot be re-derived (a foreign file
@@ -266,21 +334,95 @@ func (s *Store) fill(e *entry) {
 			s.mu.Unlock()
 		}
 	}
-	cols, prof, genErr := s.gen(name, records)
-	if genErr != nil {
-		e.err = genErr
-		s.mu.Lock()
-		// Failed generation is not cached: waiters on this entry see
-		// the error, the next GetColumns retries with a fresh entry.
-		delete(s.entries, e.key)
-		s.mu.Unlock()
+	if s.gen != nil {
+		go func() {
+			cols, prof, err := s.gen(name, records)
+			if err != nil {
+				e.err = err
+				e.view.Done()
+				s.fail(e)
+				return
+			}
+			e.cols, e.prof = cols, prof
+			e.view.Done()
+			s.complete(e)
+		}()
 		return
 	}
-	e.cols, e.prof = cols, prof
-	if s.Dir() != "" {
-		s.spill(e.key, e.cols)
+	prof, fill, err := presetSource(name, records)
+	if err != nil {
+		e.err = err
+		e.view.Done()
+		s.fail(e)
+		return
 	}
+	st := trace.NewStream(prof.Name, prof.Records)
+	e.cols, e.prof = st.Columns(), prof
+	e.view.Done()
+	go func() {
+		if err := fill(st); err != nil {
+			st.Fail(err)
+			e.rowsErr = err
+			s.fail(e)
+			return
+		}
+		s.complete(e)
+	}()
+}
+
+// complete admits a generated entry whose rows are all final and queues
+// its spill, which settles the entry once it is on disk.
+func (s *Store) complete(e *entry) {
 	s.admit(e, true)
+	if s.Dir() != "" {
+		s.spill(e)
+	} else {
+		s.settle(e)
+	}
+}
+
+// fail drops an entry whose generation failed. Failed generation is not
+// cached: waiters on this entry see the error, the next lookup retries
+// with a fresh entry.
+func (s *Store) fail(e *entry) {
+	s.mu.Lock()
+	if s.entries[e.key] == e {
+		delete(s.entries, e.key)
+	}
+	s.mu.Unlock()
+	s.settle(e)
+}
+
+// settle marks an entry's generation and spill finished.
+func (s *Store) settle(e *entry) {
+	s.mu.Lock()
+	e.isSettled = true
+	if s.evicting[e.key] == e {
+		delete(s.evicting, e.key)
+	}
+	s.mu.Unlock()
+	e.settled.Done()
+}
+
+// Wait blocks until every generation the store started and every spill
+// it queued before the call have finished: after it returns, Stats
+// counts them and their files are on disk. harness.RunAll calls it
+// before it returns, and a fleet worker before it answers a chunk.
+func (s *Store) Wait() {
+	var pending []*entry
+	s.mu.Lock()
+	for _, e := range s.entries {
+		if !e.isSettled {
+			pending = append(pending, e)
+		}
+	}
+	for _, e := range s.evicting {
+		pending = append(pending, e)
+	}
+	s.mu.Unlock()
+	for _, e := range pending {
+		e.settled.Wait()
+	}
 }
 
 // admit charges a filled entry against the budget and inserts it at the
@@ -322,6 +464,12 @@ func (s *Store) evictLocked() {
 		s.lru.Remove(back)
 		victim.elem = nil
 		delete(s.entries, victim.key)
+		if !victim.isSettled {
+			if s.evicting == nil {
+				s.evicting = map[Key]*entry{}
+			}
+			s.evicting[victim.key] = victim
+		}
 		s.bytes -= victim.bytes
 		s.evictions++
 		if m := victim.mapped; m != nil {

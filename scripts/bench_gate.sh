@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Perf-trend gate: run the replay-path, predictor, BPU-structure,
-# random-stream, trace-generator, CPU-timing-model, wire-codec and
-# worker-chunk micro-benchmarks on a base commit and on the working tree
-# in one session, and fail when the working tree's ns/op regresses
+# random-stream, remap-function, trace-generator, trace-tier,
+# CPU-timing-model, wire-codec and worker-chunk micro-benchmarks on a
+# base commit and on the working tree in one session, and fail when the
+# working tree's ns/op regresses
 # against the base's, or its allocs/op against the committed
 # BENCH_13.json baseline. ns/op is compared within one session because
 # a shared host's speed drifts between sessions: against ns/op recorded
@@ -22,7 +23,11 @@
 # "same binary" for it, runs its benchmarks on the working tree only,
 # and gates their allocs/op but not their ns/op. Even at CI's 50%
 # threshold, noise bursts on a shared host have read such packages
-# 1.5-1.7x "regressed".
+# 1.5-1.7x "regressed". A package that BASE's own PKGS does not list
+# is treated the same way ("not in BASE's PKGS"): BASE never gated it,
+# and the change that adds it may also fix its benchmarks, as the one
+# adding internal/remap fixed MixerR1, whose BASE loop had been
+# optimized away (0.25 ns/op).
 #
 # usage: scripts/bench_gate.sh [BASE | -update]
 #   BASE       commit to compare ns/op against (default HEAD), extracted
@@ -78,7 +83,7 @@ ALLOC_SLACK="${BENCH_GATE_ALLOC_SLACK:-1}"
 # per op on its 100k-record trace); cpu/PipelineEngine read
 # 642,843-642,857 over 6 runs.
 ALLOC_SPREAD="sim/ReplayMulti/trace-major=3 cpu/PipelineEngine=14"
-PKGS=(./internal/sim/ ./internal/cpu/ ./internal/bpu/ ./internal/tage/ ./internal/perceptron/ ./internal/ittage/ ./internal/rng/ ./internal/tracestore/ ./internal/trace/ ./internal/snapstore/)
+PKGS=(./internal/sim/ ./internal/cpu/ ./internal/bpu/ ./internal/tage/ ./internal/perceptron/ ./internal/ittage/ ./internal/rng/ ./internal/remap/ ./internal/tracestore/ ./internal/trace/ ./internal/snapstore/)
 HARNESS=./internal/harness/
 
 update=0
@@ -148,8 +153,18 @@ if [ "$update" -eq 0 ]; then
   git rev-parse --verify --quiet "$base^{commit}" >/dev/null || { echo "bench_gate: unknown base commit $base" >&2; exit 2; }
   mkdir "$tmp/base" "$tmp/bin"
   git archive "$base" | tar -x -C "$tmp/base"
+  # The packages BASE's own gate ran. A package this tree adds to PKGS
+  # has no gated BASE number to compare with (its benchmarks may have
+  # been fixed in the same change), so it is recorded and its
+  # allocs/op gated, and its ns/op joins the gate from the next commit.
+  base_pkgs=" $(sed -n 's/^PKGS=(\(.*\))$/\1/p' "$tmp/base/scripts/bench_gate.sh") $HARNESS "
   for pkg in "${PKGS[@]}" "$HARNESS"; do
     name=$(basename "$pkg")
+    if [[ "$base_pkgs" != *" $pkg "* ]]; then
+      echo "bench_gate: $name: not in BASE's PKGS, ns/op not gated" >&2
+      same+="$name "
+      continue
+    fi
     (cd "$tmp/base" && go test -c -trimpath -o "$tmp/bin/base.test" "$pkg")
     go test -c -trimpath -o "$tmp/bin/new.test" "$pkg"
     if cmp -s "$tmp/bin/base.test" "$tmp/bin/new.test"; then
