@@ -9,6 +9,7 @@
 //	stbpu-sim -workload mysql_128con_50s -model all
 //	stbpu-sim -workload 502.gcc -save gcc.stbt      # write the trace
 //	stbpu-sim -load gcc.stbt -model baseline        # replay a saved trace
+//	stbpu-sim -workload-spec burst.json -load burst.stbt  # a spec workload's trace
 package main
 
 import (
@@ -29,37 +30,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "stbpu-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("stbpu-sim", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload = flag.String("workload", "505.mcf", "workload preset name")
-		model    = flag.String("model", "STBPU", "model: baseline|ucode1|ucode2|conservative|STBPU|all,\n"+
+		workload = fs.String("workload", "505.mcf", "workload preset name")
+		model    = fs.String("model", "STBPU", "model: baseline|ucode1|ucode2|conservative|STBPU|all,\n"+
 			"a §VIII defense (BRB|BSUP|zhao|exynos), STBPU+ittage, or everything")
-		records = flag.Int("records", 200_000, "trace length in branch records")
-		list    = flag.Bool("list", false, "list workload presets and exit")
-		save    = flag.String("save", "", "write the generated trace to this file (STBT format)")
-		load    = flag.String("load", "", "replay a saved STBT trace instead of generating one")
-		seed    = flag.Uint64("seed", 7, "token PRNG seed")
+		records      = fs.Int("records", 200_000, "trace length in branch records")
+		list         = fs.Bool("list", false, "list workload presets and exit")
+		save         = fs.String("save", "", "write the generated trace to this file (STBT format)")
+		load         = fs.String("load", "", "replay a saved STBT trace instead of generating one")
+		workloadSpec = fs.String("workload-spec", "", "JSON workload-spec file (docs/WORKLOADS.md): register its workload, so -load\n"+
+			"replays a trace saved under its name with the spec's profile")
+		seed = fs.Uint64("seed", 7, "token PRNG seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, n := range trace.PresetNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
 		return nil
+	}
+	if *workloadSpec != "" {
+		s, err := spec.LoadFile(*workloadSpec)
+		if err != nil {
+			return err
+		}
+		if err := spec.Register(s); err != nil {
+			return err
+		}
 	}
 
 	var tr *trace.Trace
 	var prof trace.Profile
 	if *load != "" {
 		var err error
-		if tr, prof, err = loadTrace(*load, os.Stderr); err != nil {
+		if tr, prof, err = loadTrace(*load, stderr); err != nil {
 			return err
 		}
 	} else {
@@ -86,11 +102,11 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %d records to %s\n", len(tr.Records), *save)
+		fmt.Fprintf(stdout, "wrote %d records to %s\n", len(tr.Records), *save)
 	}
 
 	st := tr.ComputeStats()
-	fmt.Printf("trace %s: %d records, %d processes, %d ctx switches, %d mode switches\n",
+	fmt.Fprintf(stdout, "trace %s: %d records, %d processes, %d ctx switches, %d mode switches\n",
 		tr.Name, st.Total, st.Processes, st.ContextSwitches, st.ModeSwitches)
 
 	models, err := pickModels(*model, prof.SharedTokens, *seed)
@@ -102,14 +118,14 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	fmt.Printf("%-22s %8s %8s %8s %10s %8s %8s\n",
+	fmt.Fprintf(stdout, "%-22s %8s %8s %8s %10s %8s %8s\n",
 		"model", "OAE", "dir", "target", "evictions", "flushes", "rerand")
 	for _, m := range models {
 		res, err := sim.RunCtx(ctx, m, tr)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-22s %8.4f %8.4f %8.4f %10d %8d %8d\n",
+		fmt.Fprintf(stdout, "%-22s %8.4f %8.4f %8.4f %10d %8d %8d\n",
 			res.Model, res.OAE(), res.DirectionRate(), res.TargetRate(),
 			res.Evictions, res.Flushes, res.Rerandomizations)
 	}
@@ -119,9 +135,9 @@ func run() error {
 // loadTrace reads a saved STBT trace. The file carries no profile, so
 // it is re-derived from the trace's name, as the trace tier does for
 // its spills, and a shared-token workload keeps its token policy: a
-// preset, or a built-in spec workload (stbpu-trace synth -spec saves
-// those under their spec names). A name that neither owns keeps the
-// zero profile, and loadTrace says so on warn.
+// preset, or a built-in or registered (-workload-spec) spec workload
+// (stbpu-trace synth -spec saves those under their spec names). A name
+// that none owns keeps the zero profile, and loadTrace says so on warn.
 func loadTrace(path string, warn io.Writer) (*trace.Trace, trace.Profile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -135,7 +151,7 @@ func loadTrace(path string, warn io.Writer) (*trace.Trace, trace.Profile, error)
 	spec.RegisterBuiltin()
 	prof, err := tracestore.PresetProfile(tr.Name, len(tr.Records))
 	if err != nil {
-		fmt.Fprintf(warn, "stbpu-sim: %s: no preset or built-in spec workload is named %q; replaying with the zero profile (per-process tokens)\n", path, tr.Name)
+		fmt.Fprintf(warn, "stbpu-sim: %s: no preset or registered spec workload is named %q (a spec document's workload needs -workload-spec); replaying with the zero profile (per-process tokens)\n", path, tr.Name)
 	}
 	return tr, prof, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -157,5 +158,79 @@ func TestPickModels(t *testing.T) {
 	}
 	if _, err := pickModels("no-such-model", false, 7); err == nil {
 		t.Error("an unknown selector built models")
+	}
+}
+
+// TestWorkloadSpecFlagKeepsProfile pins -workload-spec: a trace of a
+// spec document that is not built in (the burst fixture renamed
+// burst2, which shares tokens) replays under the zero profile and
+// warns without the flag, and with it replays STBPU under the spec's
+// profile, exactly as replaying the generated trace with that profile
+// does, and prints no warning.
+func TestWorkloadSpecFlagKeepsProfile(t *testing.T) {
+	var burst2 *spec.Spec
+	for _, s := range spec.Builtin() {
+		if s.Name == "burst" {
+			cp := *s
+			cp.Name = "burst2"
+			burst2 = &cp
+		}
+	}
+	if burst2 == nil || !burst2.SharedTokens {
+		t.Fatal("no built-in burst spec that shares tokens")
+	}
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "burst2.json")
+	if err := os.WriteFile(specPath, burst2.Canonical(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const records = 50_000
+	tr, err := burst2.Generate(records, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracePath := saveTrace(t, tr)
+
+	// stbpuOAE is the STBPU row's OAE column as stbpu-sim prints it
+	// after replaying tr with the given token policy.
+	stbpuOAE := func(sharedTokens bool) string {
+		models, err := pickModels("STBPU", sharedTokens, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%.4f", sim.Run(models[0], tr).OAE())
+	}
+	zero, shared := stbpuOAE(false), stbpuOAE(true)
+	if zero == shared {
+		t.Fatalf("STBPU reads OAE %s under both token policies; the trace cannot tell them apart", zero)
+	}
+	// printedOAE runs stbpu-sim and returns the STBPU row's OAE and
+	// what it wrote to stderr.
+	printedOAE := func(args ...string) (string, string) {
+		var stdout, stderr bytes.Buffer
+		if err := run(append(args, "-load", tracePath, "-model", "STBPU"), &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 1 && f[0] == "ST_SKLCond" {
+				return f[1], stderr.String()
+			}
+		}
+		t.Fatalf("no ST_SKLCond row in %q", stdout.String())
+		return "", ""
+	}
+
+	// The registry is process-wide: a repeated run (-count 2) finds
+	// burst2 registered and skips the flagless half.
+	if _, registered := spec.Lookup(burst2.WorkloadName()); !registered {
+		oae, warn := printedOAE()
+		if oae != zero || !strings.Contains(warn, burst2.WorkloadName()) {
+			t.Errorf("without -workload-spec: OAE %s, warning %q; want the zero profile's %s and a warning naming %s",
+				oae, warn, zero, burst2.WorkloadName())
+		}
+	}
+	oae, warn := printedOAE("-workload-spec", specPath)
+	if oae != shared || warn != "" {
+		t.Errorf("with -workload-spec: OAE %s, warning %q; want the spec profile's %s and no warning", oae, warn, shared)
 	}
 }

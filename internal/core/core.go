@@ -93,11 +93,13 @@ func (k *keyState) EncryptTarget(t uint32) uint32 { return t ^ k.phi }
 // DecryptTarget implements bpu.Mapper.
 func (k *keyState) DecryptTarget(t uint32) uint32 { return t ^ k.phi }
 
-// BankIndexTag implements tage.Hasher via Rt, folding the bank number into
-// the history input so banks are independently keyed.
-func (k *keyState) BankIndexTag(pc uint64, fIdx, fTag uint64, bank int, indexBits, tagBits uint) (idx, tag uint32) {
-	hist := fIdx ^ fTag<<13 ^ uint64(bank)<<27
-	return k.funcs.Rt(k.psi, pc, hist, indexBits, tagBits)
+// BankIndexTags implements tage.Hasher via Rt, folding the bank number
+// into each bank's history input so banks are independently keyed.
+func (k *keyState) BankIndexTags(pc uint64, folds []tage.Fold, indexBits, tagBits uint, idx, tag []uint32) {
+	idx, tag = idx[:len(folds)], tag[:len(folds)]
+	for b, f := range folds {
+		idx[b], tag[b] = k.funcs.Rt(k.psi, pc, f.Idx^f.Tag<<13^uint64(b)<<27, indexBits, tagBits)
+	}
 }
 
 // TableIndex implements tage.Hasher via R3 with the fold mixed into the
@@ -113,7 +115,7 @@ func (k *keyState) PerceptronIndex(pc uint64) uint32 {
 
 // ITIndexTag implements ittage.Hasher via Rt with a bank-separated
 // history fold, so an ST-protected ITTAGE keys every bank independently
-// (the same construction BankIndexTag uses for TAGE).
+// (the same construction BankIndexTags uses for TAGE).
 func (k *keyState) ITIndexTag(pc uint64, fold uint64, bank int, indexBits, tagBits uint) (idx, tag uint32) {
 	return k.funcs.Rt(k.psi, pc, fold^uint64(bank)<<29, indexBits, tagBits)
 }

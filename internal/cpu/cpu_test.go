@@ -181,6 +181,9 @@ func BenchmarkRunTimeline(b *testing.B) {
 
 // BenchmarkRunSMTTimeline times one SMT replay of a 2×25k pair: the
 // per-row round-robin stepping Figs. 5 and 6 spend most of their time in.
+// It runs once per predictor of the Figs. 4-6 lineup (experiments.Fig4Dirs),
+// unprotected and ST, so each kernel's per-branch cost shows in its own
+// key. Each op builds its model, as every Fig. 5/6 cell does.
 func BenchmarkRunSMTTimeline(b *testing.B) {
 	a := trace.FromTrace(genTrace(b, "505.mcf", 25_000))
 	c := trace.FromTrace(genTrace(b, "531.deepsjeng", 25_000))
@@ -189,10 +192,18 @@ func BenchmarkRunSMTTimeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(cfg, stModel(core.DirTAGE64)).RunSMTTimelineCtx(context.Background(), tl, a, c); err != nil {
-			b.Fatal(err)
+	for _, dir := range []core.DirKind{core.DirPerceptron, core.DirSKLCond, core.DirTAGE64, core.DirTAGE8} {
+		for _, side := range []struct {
+			name  string
+			model func(core.DirKind) sim.Model
+		}{{"unprotected", baselineModel}, {"ST", stModel}} {
+			b.Run(dir.String()+"/"+side.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := New(cfg, side.model(dir)).RunSMTTimelineCtx(context.Background(), tl, a, c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

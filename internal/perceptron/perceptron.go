@@ -40,8 +40,9 @@ func DefaultConfig() Config {
 type Predictor struct {
 	cfg     Config
 	index   IndexFunc
-	weights [][]int16 // rows × (1 bias + HistoryLen)
-	hist    uint64    // most recent outcome in bit 0
+	weights []int8 // rows of 1 bias + HistoryLen weights, row i at i*stride
+	stride  int    // 1 + HistoryLen
+	hist    uint64 // most recent outcome in bit 0
 	theta   int
 
 	// lookup stash.
@@ -67,15 +68,12 @@ func New(cfg Config) *Predictor {
 			return uint32((pc>>2)^(pc>>(2+uint64(bits)))) & (1<<bits - 1)
 		}
 	}
-	rows := 1 << cfg.TableBits
-	w := make([][]int16, rows)
-	for i := range w {
-		w[i] = make([]int16, cfg.HistoryLen+1)
-	}
+	stride := cfg.HistoryLen + 1
 	return &Predictor{
 		cfg:     cfg,
 		index:   idx,
-		weights: w,
+		weights: make([]int8, stride<<cfg.TableBits),
+		stride:  stride,
 		theta:   int(1.93*float64(cfg.HistoryLen)) + 14,
 	}
 }
@@ -83,13 +81,20 @@ func New(cfg Config) *Predictor {
 // Config returns the instance configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
+// row returns table row idx: its bias weight, then one weight per
+// history bit, most recent first.
+func (p *Predictor) row(idx uint32) []int8 {
+	lo := int(idx) * p.stride
+	return p.weights[lo : lo+p.stride : lo+p.stride]
+}
+
 // Predict implements bpu.DirectionPredictor. The dot product is computed
 // branchlessly: each history bit maps to ±1 via (bit<<1)-1, so the inner
 // loop is pure multiply-accumulate with no per-bit branch to mispredict
 // (ironically the costliest hazard in a branch predictor's own hot loop).
 func (p *Predictor) Predict(pc uint64) bool {
 	idx := p.index(pc) & (1<<p.cfg.TableBits - 1)
-	row := p.weights[idx]
+	row := p.row(idx)
 	sum := int(row[0]) // bias
 	h := p.hist
 	for _, w := range row[1:] {
@@ -105,43 +110,39 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 	if p.lastPC != pc {
 		p.Predict(pc)
 	}
-	pred := p.lastSum >= 0
-	if pred != taken || absInt(p.lastSum) <= p.theta {
-		row := p.weights[p.lastIdx]
-		bump(&row[0], taken)
-		h := p.hist
+	t := uint64(0)
+	if taken {
+		t = 1
+	}
+	if (p.lastSum >= 0) != taken || absInt(p.lastSum) <= p.theta {
+		// Every weight steps ±1 toward agreement with the outcome: +1
+		// where its input (the bias's constant 1, a history bit) matched
+		// it. agree's bit i-1 is set where history bit i-1 equals taken.
+		row := p.row(p.lastIdx)
+		row[0] = step(row[0], t)
+		agree := p.hist ^ (t - 1)
 		for i := 1; i < len(row); i++ {
-			bump(&row[i], (h&1 == 1) == taken)
-			h >>= 1
+			row[i] = step(row[i], agree&1)
+			agree >>= 1
 		}
 	}
-	p.hist <<= 1
-	if taken {
-		p.hist |= 1
-	}
+	p.hist = p.hist<<1 | t
 }
 
 // Flush implements bpu.DirectionPredictor.
 func (p *Predictor) Flush() {
-	for i := range p.weights {
-		for j := range p.weights[i] {
-			p.weights[i][j] = 0
-		}
-	}
+	clear(p.weights)
 	p.hist = 0
 	p.lastPC, p.lastIdx, p.lastSum = 0, 0, 0
 }
 
-const weightMax = 127 // 8-bit saturating weights, stored in int16 for headroom checks
+// weightMax bounds the 8-bit saturating weights to [-weightMax-1, weightMax].
+const weightMax = 127
 
-func bump(w *int16, up bool) {
-	if up {
-		if *w < weightMax {
-			*w++
-		}
-	} else if *w > -weightMax-1 {
-		*w--
-	}
+// step moves w one toward saturation: up when up is 1, down when it is
+// 0. min and max clamp without a branch.
+func step(w int8, up uint64) int8 {
+	return int8(min(max(int(w)+int(up<<1)-1, -weightMax-1), weightMax))
 }
 
 func absInt(v int) int {

@@ -124,7 +124,7 @@ func TestWeightSaturation(t *testing.T) {
 		p.Predict(0x401000)
 		p.Update(0x401000, true)
 	}
-	for _, w := range p.weights[p.lastIdx] {
+	for _, w := range p.row(p.lastIdx) {
 		if w > weightMax || w < -weightMax-1 {
 			t.Fatalf("weight %d out of saturation range", w)
 		}

@@ -12,10 +12,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"stbpu/internal/core"
+	"stbpu/internal/snap"
+	"stbpu/internal/tage"
 	"stbpu/internal/trace"
 )
 
@@ -202,6 +205,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	}
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(3), []byte{0xff, 0x00, 0x41})
+	// One seed per state the TAGE and perceptron decoders reject whole.
+	for _, c := range unholdableStates(f, cfgs, cols, prof.SharedTokens) {
+		f.Add(c.ci, c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, ci uint8, data []byte) {
 		cfg := cfgs[int(ci)%len(cfgs)]
@@ -220,4 +227,89 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal("encode/decode/encode is not a fixed point")
 		}
 	})
+}
+
+// unholdable is a model encoding with one direction-predictor field
+// corrupted, and the error its decoder must latch.
+type unholdable struct {
+	name string
+	ci   uint8 // index into snapConfigs
+	data []byte
+	want string
+}
+
+// unholdableStates warms the ST TAGE-SC-L 64KB and perceptron models
+// on cols and corrupts one field of each encoding per state the
+// packed layouts cannot hold or no replay reaches: a tag wider than the
+// 15-bit entry field, an invalid entry with a nonzero tag, an
+// old-outcome position that differs from the derived one, and a weight
+// outside [-128, 127]. The offsets follow tage's and perceptron's
+// EncodeState layouts after the model's token and unit state; each
+// case is checked to fail decoding with its error, so a layout change
+// that moves a field fails here instead of seeding a different case.
+func unholdableStates(t testing.TB, cfgs []snapConfig, cols *trace.Columns, shared bool) []unholdable {
+	t.Helper()
+	warm := func(name string) (uint8, []byte, int) {
+		t.Helper()
+		for ci, cfg := range cfgs {
+			if cfg.name != name {
+				continue
+			}
+			m := cfg.new(shared)
+			replaySegment(t, m, cols, 0, 3000)
+			w := snap.NewWriter(1 << 12)
+			m.(*core.Model).Unit().EncodeState(w)
+			return uint8(ci), m.EncodeState(), 8 + len(w.Bytes()) // ψ, φ, then the unit
+		}
+		t.Fatalf("no %s configuration", name)
+		return 0, nil, 0
+	}
+	tcfg := tage.Config64KB()
+	banks, n := len(tcfg.HistLens), 1<<tcfg.IndexBits
+	entry := func(i int) int { return 4 + 1<<tcfg.BimodalBits + 4 + 4 + 7*i } // bank 0's entry i
+	position := 4 + 1<<tcfg.BimodalBits + 4 + banks*(4+7*n) + 4 + 1024 + 16 + 24*banks + 4
+
+	tci, tstate, toff := warm("stbpu/" + core.DirTAGE64.String())
+	valid, invalid := -1, -1
+	for i := 0; i < n; i++ {
+		if v := tstate[toff+entry(i)]; v == 1 && valid < 0 {
+			valid = i
+		} else if v == 0 && invalid < 0 {
+			invalid = i
+		}
+	}
+	if valid < 0 || invalid < 0 {
+		t.Fatalf("TAGE bank 0 needs a valid and an invalid entry (valid %d, invalid %d)", valid, invalid)
+	}
+	pci, pstate, poff := warm("stbpu/" + core.DirPerceptron.String())
+	cases := []struct {
+		unholdable
+		corrupt func(b []byte)
+	}{
+		{unholdable{"TAGE tag wider than the field", tci, tstate, "wider than the 15-bit tag field"}, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[toff+entry(valid)+1:], 1<<15)
+		}},
+		{unholdable{"TAGE invalid entry with a tag", tci, tstate, "invalid entry holds"}, func(b []byte) {
+			binary.LittleEndian.PutUint32(b[toff+entry(invalid)+1:], 3)
+		}},
+		{unholdable{"TAGE position off the derived one", tci, tstate, "recorded history position"}, func(b []byte) {
+			pos := binary.LittleEndian.Uint32(b[toff+position:])
+			binary.LittleEndian.PutUint32(b[toff+position:], (pos+1)%1024)
+		}},
+		{unholdable{"perceptron weight out of range", pci, pstate, "outside [-128, 127]"}, func(b []byte) {
+			binary.LittleEndian.PutUint16(b[poff+4+4:], uint16(0xff7f)) // row 0's bias: -129
+		}},
+	}
+	out := make([]unholdable, 0, len(cases))
+	for _, c := range cases {
+		u := c.unholdable
+		u.data = append([]byte(nil), u.data...)
+		c.corrupt(u.data)
+		err := cfgs[u.ci].new(shared).DecodeState(u.data)
+		if err == nil || !strings.Contains(err.Error(), u.want) {
+			t.Fatalf("%s: decode err = %v, want one containing %q", u.name, err, u.want)
+		}
+		out = append(out, u)
+	}
+	return out
 }

@@ -7,7 +7,28 @@
 // Index and tag computations flow through a Hasher so the STBPU wrapper
 // (internal/core) can substitute the keyed Rt remapping function without
 // touching prediction logic — the property STBPU relies on to stay
-// predictor-agnostic (§II-A).
+// predictor-agnostic (§II-A). A Hasher must be a pure function of its
+// arguments and its key: Update reuses the indices and tags its Predict
+// computed, so a key change between the two would train entries the
+// lookup never read. BankIndexTags fills every tagged bank's index and
+// tag in one call per lookup; Predict masks the results to the bank
+// geometry (IndexBits, TagBits), so a wider result aliases rather than
+// escaping its bank. TableIndex serves the bimodal table, the SC tables
+// and the loop predictor.
+//
+// State layout. The tagged banks are one flat slice of 4-byte entries
+// (a uint16 holding the valid bit over a tag of at most 15 bits, an int8
+// counter, a uint8 usefulness), bank b at offset b<<IndexBits; New
+// panics on TagBits > 15. The global history is a 1024-outcome ring
+// written at histPos. A history of length l folds out the outcome at
+// ring index (histPos − l) & 1023, derived on every push: no
+// per-length position is stored. Each bank keeps its three folded
+// registers (index width, tag width, tag width − 1) in one struct,
+// and after each push Predict's hasher input per bank, a Fold, is
+// refreshed from them. The snapshot codec (snapshot.go) writes the
+// derived positions out, keeping the format existing spills hold, and
+// the decoder rejects a recorded position that differs from the
+// derived one.
 package tage
 
 import (
@@ -16,13 +37,19 @@ import (
 	"stbpu/internal/bpu"
 )
 
+// Fold is one tagged bank's folded global history as the Hasher sees
+// it: Idx is folded to the index width, Tag combines the tag-width and
+// tag-width − 1 registers (tag ^ tag2<<1).
+type Fold struct{ Idx, Tag uint64 }
+
 // Hasher computes table indices and tags. LegacyHasher reproduces the
 // standard TAGE folded-history hash; the ST wrapper substitutes keyed
-// remapping.
+// remapping. See the package comment for the contract.
 type Hasher interface {
-	// BankIndexTag maps (pc, folded histories, bank) to an index and tag
-	// of the requested widths.
-	BankIndexTag(pc uint64, fIdx, fTag uint64, bank int, indexBits, tagBits uint) (idx, tag uint32)
+	// BankIndexTags maps pc and each bank's folds[b] to idx[b] and
+	// tag[b], of indexBits and tagBits width; the three slices have one
+	// element per tagged bank.
+	BankIndexTags(pc uint64, folds []Fold, indexBits, tagBits uint, idx, tag []uint32)
 	// TableIndex maps pc (optionally mixed with folded history) to an
 	// index for the untagged side structures (bimodal, SC, loop).
 	TableIndex(pc uint64, fold uint64, bits uint) uint32
@@ -33,13 +60,15 @@ type LegacyHasher struct{}
 
 var _ Hasher = LegacyHasher{}
 
-// BankIndexTag implements Hasher.
-func (LegacyHasher) BankIndexTag(pc uint64, fIdx, fTag uint64, bank int, indexBits, tagBits uint) (idx, tag uint32) {
-	h := pc ^ (pc >> (indexBits - uint(bank)&7)) ^ fIdx
-	idx = uint32(h) & (1<<indexBits - 1)
-	t := pc ^ fTag ^ (fTag << 1)
-	tag = uint32(t) & (1<<tagBits - 1)
-	return idx, tag
+// BankIndexTags implements Hasher.
+func (LegacyHasher) BankIndexTags(pc uint64, folds []Fold, indexBits, tagBits uint, idx, tag []uint32) {
+	idx, tag = idx[:len(folds)], tag[:len(folds)]
+	imask, tmask := uint32(1)<<(indexBits&31)-1, uint32(1)<<(tagBits&31)-1
+	for b, f := range folds {
+		h := pc ^ pc>>((indexBits-uint(b)&7)&63) ^ f.Idx
+		idx[b] = uint32(h) & imask
+		tag[b] = uint32(pc^f.Tag^f.Tag<<1) & tmask
+	}
 }
 
 // TableIndex implements Hasher.
@@ -54,7 +83,7 @@ type Config struct {
 	// HistLens are the geometric history lengths, one per tagged bank.
 	HistLens []int
 	// IndexBits/TagBits size the tagged banks (Table II: 10/8 for the
-	// 8KB configuration, 13/12 for 64KB).
+	// 8KB configuration, 13/12 for 64KB). TagBits is at most 15.
 	IndexBits, TagBits uint
 	// BimodalBits sizes the base predictor.
 	BimodalBits uint
@@ -92,14 +121,19 @@ func Config64KB() Config {
 	}
 }
 
-// entry is one tagged-bank slot: a 3-bit signed counter, tag, and 2-bit
-// usefulness.
+// entry is one tagged-bank slot in 4 bytes: the valid bit (validBit)
+// over the tag, a 3-bit signed counter, and a 2-bit usefulness.
 type entry struct {
-	valid  bool
-	tag    uint32
+	vtag   uint16
 	ctr    int8 // -4..3, taken when >= 0
 	useful uint8
 }
+
+// maxTagBits is the widest tag entry.vtag holds.
+const maxTagBits = 15
+
+// validBit marks a claimed entry in entry.vtag, above its tag bits.
+const validBit = 1 << maxTagBits
 
 // folded maintains a history register folded to a fixed width, updated
 // incrementally as outcomes shift in and out (standard TAGE hardware).
@@ -117,16 +151,24 @@ func newFolded(origLen, compLen uint) folded {
 }
 
 // update shifts newBit in and oldBit (the outcome origLen steps ago) out.
+// Both shift amounts are below 64 by construction; masking them says so
+// to the compiler, which then emits one shift for each.
 func (f *folded) update(newBit, oldBit uint64) {
-	f.val = (f.val << 1) | newBit
-	f.val ^= oldBit << f.outShift
-	f.val ^= f.val >> f.compLen
-	f.val &= f.mask
+	v := f.val<<1 | newBit
+	v ^= oldBit << (f.outShift & 63)
+	v ^= v >> (f.compLen & 63)
+	f.val = v & f.mask
 }
 
-func (f *folded) reset() { f.val = 0 }
+// bankHist is one tagged bank's history: its length and its three
+// folded registers.
+type bankHist struct {
+	len            int
+	idx, tag, tag2 folded
+}
 
-// maxHistoryBits bounds the outcome ring buffer.
+// maxHistoryBits bounds the outcome ring buffer; it is a power of two,
+// so a ring index wraps by masking.
 const maxHistoryBits = 1024
 
 // loopEntry tracks one loop branch: its trip count and confidence.
@@ -147,21 +189,16 @@ type Predictor struct {
 	cfg    Config
 	hasher Hasher
 
-	bimodal []int8 // 2-bit counters as -2..1, taken when >= 0
-	banks   [][]entry
+	bimodal []int8  // 2-bit counters as -2..1, taken when >= 0
+	tagged  []entry // bank b's slots at [b<<IndexBits, (b+1)<<IndexBits)
 
-	// Global outcome history ring plus folded registers per bank.
+	// Global outcome history ring plus folded registers per bank, and
+	// each bank's hasher input (refreshed on every push).
 	hist    [maxHistoryBits]uint8
 	histPos int
 	histLen int
-	fIdx    []folded
-	fTag    []folded
-	fTag2   []folded
-	// oldPos[i] is the ring index of the outcome HistLens[i] steps back,
-	// advanced in lockstep with histPos so pushHistory never normalizes a
-	// negative position. scOldPos is the same for the SC history lengths.
-	oldPos   []int32
-	scOldPos []int32
+	banks   []bankHist
+	folds   []Fold
 
 	useAltOnNA int8 // -8..7: prefer altpred for newly allocated entries
 
@@ -191,14 +228,12 @@ type lookup struct {
 	provIdx   uint32
 	altIdx    uint32
 	bimIdx    uint32
-	tags      []uint32
-	idxs      []uint32
+	tags      []uint32 // per bank, masked to TagBits
+	idxs      []uint32 // per bank, the slot in Predictor.tagged
 	tagePred  bool
 	altPred   bool
 	finalPred bool
-	usedLoop  bool
-	loopPred  bool
-	loopIdx   int
+	loopIdx   int // the loop-table slot, computed whenever UseLoop is set
 	scSum     int
 	scIdxs    []uint32
 	weakProv  bool
@@ -211,6 +246,9 @@ func New(cfg Config) *Predictor {
 	if len(cfg.HistLens) == 0 {
 		panic("tage: config needs at least one tagged bank")
 	}
+	if cfg.TagBits > maxTagBits {
+		panic(fmt.Sprintf("tage: %d tag bits exceed the %d-bit entry tag field", cfg.TagBits, maxTagBits))
+	}
 	h := cfg.Hasher
 	if h == nil {
 		h = LegacyHasher{}
@@ -220,19 +258,19 @@ func New(cfg Config) *Predictor {
 	for i := range p.bimodal {
 		p.bimodal[i] = -1 // weakly not-taken
 	}
-	p.banks = make([][]entry, len(cfg.HistLens))
-	for i := range p.banks {
-		p.banks[i] = make([]entry, 1<<cfg.IndexBits)
-	}
+	p.tagged = make([]entry, len(cfg.HistLens)<<cfg.IndexBits)
 	for _, l := range cfg.HistLens {
 		if l >= maxHistoryBits {
 			panic(fmt.Sprintf("tage: history length %d exceeds %d", l, maxHistoryBits))
 		}
-		p.fIdx = append(p.fIdx, newFolded(uint(l), cfg.IndexBits))
-		p.fTag = append(p.fTag, newFolded(uint(l), cfg.TagBits))
-		p.fTag2 = append(p.fTag2, newFolded(uint(l), cfg.TagBits-1))
+		p.banks = append(p.banks, bankHist{
+			len:  l,
+			idx:  newFolded(uint(l), cfg.IndexBits),
+			tag:  newFolded(uint(l), cfg.TagBits),
+			tag2: newFolded(uint(l), cfg.TagBits-1),
+		})
 	}
-	p.oldPos = make([]int32, len(cfg.HistLens))
+	p.folds = make([]Fold, len(cfg.HistLens))
 	if cfg.UseLoop {
 		p.loops = make([]loopEntry, 64)
 	}
@@ -247,8 +285,6 @@ func New(cfg Config) *Predictor {
 		}
 		p.scThresh = 6
 	}
-	p.scOldPos = make([]int32, len(p.scLens))
-	p.resetOldPositions()
 	p.last.tags = make([]uint32, len(cfg.HistLens))
 	p.last.idxs = make([]uint32, len(cfg.HistLens))
 	p.last.scIdxs = make([]uint32, len(p.scTables))
@@ -263,35 +299,40 @@ func (p *Predictor) Predict(pc uint64) bool {
 	l := &p.last
 	l.pc = pc
 	l.provider, l.altBank = -1, -1
-	l.usedLoop = false
 
 	l.bimIdx = p.hasher.TableIndex(pc, 0, p.cfg.BimodalBits)
 	bimPred := p.bimodal[l.bimIdx] >= 0
 
-	// Tagged lookups, longest history wins. One pass computes every bank's
-	// index/tag (Update's allocation needs them all) and picks the provider
-	// and alternate as it goes.
-	for b := len(p.banks) - 1; b >= 0; b-- {
-		idx, tag := p.hasher.BankIndexTag(pc, p.fIdx[b].val, p.fTag[b].val^(p.fTag2[b].val<<1), b, p.cfg.IndexBits, p.cfg.TagBits)
-		l.idxs[b], l.tags[b] = idx, tag
-		if e := &p.banks[b][idx]; e.valid && e.tag == tag {
+	// Tagged lookups, longest history wins. One hasher call computes
+	// every bank's index/tag (Update's allocation needs them all); the
+	// pass turns each index into its slot in the flat table and picks
+	// the provider and alternate as it goes.
+	ib := p.cfg.IndexBits & 31
+	imask, tmask := uint32(1)<<ib-1, uint32(1)<<(p.cfg.TagBits&31)-1
+	idxs, tags := l.idxs[:len(p.folds)], l.tags[:len(p.folds)]
+	p.hasher.BankIndexTags(pc, p.folds, p.cfg.IndexBits, p.cfg.TagBits, idxs, tags)
+	for b := len(idxs) - 1; b >= 0; b-- {
+		slot := uint32(b)<<ib | idxs[b]&imask
+		tag := tags[b] & tmask
+		idxs[b], tags[b] = slot, tag
+		if p.tagged[slot].vtag == uint16(tag)|validBit {
 			if l.provider < 0 {
 				l.provider = b
-				l.provIdx = idx
+				l.provIdx = slot
 			} else if l.altBank < 0 {
 				l.altBank = b
-				l.altIdx = idx
+				l.altIdx = slot
 			}
 		}
 	}
 
 	if l.altBank >= 0 {
-		l.altPred = p.banks[l.altBank][l.altIdx].ctr >= 0
+		l.altPred = p.tagged[l.altIdx].ctr >= 0
 	} else {
 		l.altPred = bimPred
 	}
 	if l.provider >= 0 {
-		e := &p.banks[l.provider][l.provIdx]
+		e := &p.tagged[l.provIdx]
 		l.tagePred = e.ctr >= 0
 		// Newly allocated (weak, not yet useful) entries may be worse
 		// than the alternate prediction.
@@ -328,11 +369,9 @@ func (p *Predictor) Predict(pc uint64) bool {
 
 	// Loop predictor overrides with high confidence.
 	if p.cfg.UseLoop {
-		if idx, e := p.loopLookup(pc); e != nil && e.confidence >= 3 && e.tripCount > 0 {
-			l.usedLoop = true
-			l.loopIdx = idx
-			l.loopPred = e.currentIt+1 != e.tripCount
-			l.finalPred = l.loopPred
+		l.loopIdx = int(p.hasher.TableIndex(pc, 0, 6))
+		if e := p.loopHit(l.loopIdx, pc); e != nil && e.confidence >= 3 && e.tripCount > 0 {
+			l.finalPred = e.currentIt+1 != e.tripCount
 		}
 	}
 	return l.finalPred
@@ -351,9 +390,9 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		p.TageMispredicts++
 	}
 
-	// Loop predictor training.
+	// Loop predictor training, on the slot Predict looked up.
 	if p.cfg.UseLoop {
-		p.loopUpdate(pc, taken)
+		p.loopUpdate(l.loopIdx, pc, taken)
 	}
 
 	// Statistical corrector training: on mispredict or weak sum.
@@ -370,7 +409,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 	// useAltOnNA bookkeeping.
 	if l.provider >= 0 && l.weakProv {
-		e := &p.banks[l.provider][l.provIdx]
+		e := &p.tagged[l.provIdx]
 		tageWasRight := (e.ctr >= 0) == taken
 		altWasRight := l.altPred == taken
 		if tageWasRight != altWasRight {
@@ -386,7 +425,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 
 	// Provider update.
 	if l.provider >= 0 {
-		e := &p.banks[l.provider][l.provIdx]
+		e := &p.tagged[l.provIdx]
 		updateCtr(&e.ctr, taken)
 		// Usefulness trains only when provider and alternate disagreed:
 		// the provider is useful exactly when it beat the alternate.
@@ -412,9 +451,9 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 	if tageWrong && l.provider < len(p.banks)-1 {
 		allocated := false
 		for b := l.provider + 1; b < len(p.banks); b++ {
-			e := &p.banks[b][l.idxs[b]]
-			if !e.valid || e.useful == 0 {
-				*e = entry{valid: true, tag: l.tags[b], ctr: ctrInit(taken)}
+			e := &p.tagged[l.idxs[b]]
+			if e.vtag&validBit == 0 || e.useful == 0 {
+				*e = entry{vtag: uint16(l.tags[b]) | validBit, ctr: ctrInit(taken)}
 				allocated = true
 				break
 			}
@@ -422,7 +461,7 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		if !allocated {
 			// Decay usefulness so future allocations succeed.
 			for b := l.provider + 1; b < len(p.banks); b++ {
-				e := &p.banks[b][l.idxs[b]]
+				e := &p.tagged[l.idxs[b]]
 				if e.useful > 0 {
 					e.useful--
 				}
@@ -438,30 +477,21 @@ func (p *Predictor) Flush() {
 	for i := range p.bimodal {
 		p.bimodal[i] = -1
 	}
-	for b := range p.banks {
-		for i := range p.banks[b] {
-			p.banks[b][i] = entry{}
-		}
+	clear(p.tagged)
+	for i := range p.banks {
+		b := &p.banks[i]
+		b.idx.val, b.tag.val, b.tag2.val = 0, 0, 0
 	}
-	for i := range p.fIdx {
-		p.fIdx[i].reset()
-		p.fTag[i].reset()
-		p.fTag2[i].reset()
-	}
+	clear(p.folds)
 	for i := range p.scFolds {
-		p.scFolds[i].reset()
+		p.scFolds[i].val = 0
 	}
 	for i := range p.scTables {
-		for j := range p.scTables[i] {
-			p.scTables[i][j] = 0
-		}
+		clear(p.scTables[i])
 	}
-	for i := range p.loops {
-		p.loops[i] = loopEntry{}
-	}
+	clear(p.loops)
 	p.hist = [maxHistoryBits]uint8{}
 	p.histPos, p.histLen = 0, 0
-	p.resetOldPositions()
 	p.useAltOnNA = 0
 	p.last = lookup{
 		tags:   p.last.tags,
@@ -470,65 +500,60 @@ func (p *Predictor) Flush() {
 	}
 }
 
-// resetOldPositions re-derives every old-outcome ring index from histPos
-// (construction and flush; steady state advances them incrementally).
-func (p *Predictor) resetOldPositions() {
-	for i, l := range p.cfg.HistLens {
-		p.oldPos[i] = int32((p.histPos - l + maxHistoryBits) % maxHistoryBits)
-	}
-	for i, l := range p.scLens {
-		p.scOldPos[i] = int32((p.histPos - l + maxHistoryBits) % maxHistoryBits)
-	}
+// oldPos is the ring index of the outcome l pushes back: the one a
+// length-l history folds out on the next push.
+func (p *Predictor) oldPos(l int) int {
+	return (p.histPos - l) & (maxHistoryBits - 1)
 }
 
-// pushHistory shifts an outcome into the ring and all folded registers.
-// The outgoing-outcome positions are maintained incrementally (one
-// compare-and-wrap per bank) instead of re-normalized with loops and
-// modulo arithmetic on every retired branch.
+// pushHistory shifts an outcome into the ring and all folded registers,
+// then refreshes each bank's hasher input.
 func (p *Predictor) pushHistory(taken bool) {
 	bit := uint64(0)
 	if taken {
 		bit = 1
 	}
-	p.hist[p.histPos] = uint8(bit)
-	for i := range p.fIdx {
-		ob := uint64(p.hist[p.oldPos[i]])
-		p.fIdx[i].update(bit, ob)
-		p.fTag[i].update(bit, ob)
-		p.fTag2[i].update(bit, ob)
-		if p.oldPos[i]++; p.oldPos[i] == maxHistoryBits {
-			p.oldPos[i] = 0
-		}
+	pos := p.histPos & (maxHistoryBits - 1)
+	p.hist[pos] = uint8(bit)
+	folds := p.folds[:len(p.banks)]
+	for i := range p.banks {
+		b := &p.banks[i]
+		ob := uint64(p.hist[(pos-b.len)&(maxHistoryBits-1)])
+		b.idx.update(bit, ob)
+		b.tag.update(bit, ob)
+		b.tag2.update(bit, ob)
+		folds[i] = Fold{Idx: b.idx.val, Tag: b.tag.val ^ b.tag2.val<<1}
 	}
 	for i, l := range p.scLens {
 		if l > 0 {
-			p.scFolds[i].update(bit, uint64(p.hist[p.scOldPos[i]]))
-		}
-		if p.scOldPos[i]++; p.scOldPos[i] == maxHistoryBits {
-			p.scOldPos[i] = 0
+			p.scFolds[i].update(bit, uint64(p.hist[(pos-l)&(maxHistoryBits-1)]))
 		}
 	}
-	p.histPos++
-	if p.histPos == maxHistoryBits {
-		p.histPos = 0
-	}
+	p.histPos = (pos + 1) & (maxHistoryBits - 1)
 	if p.histLen < maxHistoryBits {
 		p.histLen++
 	}
 }
 
-func (p *Predictor) loopLookup(pc uint64) (int, *loopEntry) {
-	idx := int(p.hasher.TableIndex(pc, 0, 6))
-	tag := uint32(pc>>8) & 0x3fff
-	e := &p.loops[idx]
-	if e.age > 0 && e.tag == tag {
-		return idx, e
+// refreshFolds recomputes every bank's hasher input from its folded
+// registers (after a decode; pushHistory keeps them current).
+func (p *Predictor) refreshFolds() {
+	for i := range p.banks {
+		b := &p.banks[i]
+		p.folds[i] = Fold{Idx: b.idx.val, Tag: b.tag.val ^ b.tag2.val<<1}
 	}
-	return idx, nil
 }
 
-func (p *Predictor) loopUpdate(pc uint64, taken bool) {
-	idx := int(p.hasher.TableIndex(pc, 0, 6))
+// loopHit returns the loop entry at idx when it tracks pc, else nil.
+func (p *Predictor) loopHit(idx int, pc uint64) *loopEntry {
+	e := &p.loops[idx]
+	if e.age > 0 && e.tag == uint32(pc>>8)&0x3fff {
+		return e
+	}
+	return nil
+}
+
+func (p *Predictor) loopUpdate(idx int, pc uint64, taken bool) {
 	tag := uint32(pc>>8) & 0x3fff
 	e := &p.loops[idx]
 	if e.age == 0 || e.tag != tag {
